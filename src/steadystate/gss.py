@@ -48,7 +48,6 @@ from .errors import (
     UnstableLinearPart,
 )
 from .kernel import (
-    _oscillator_roots,
     _scalar_recursion,
     build_kernel_weights,
     propagate_order,
@@ -58,6 +57,7 @@ from .kernel import (
 from .model import ForcingSignal, MechanicalSystem, ReducedModel
 from .spectral import (
     SpectralData,
+    _oscillator_roots,
     decompose_general,
     decompose_structural,
     select_modes,
@@ -72,7 +72,6 @@ __all__ = [
     "pade_resum",
     "evaluate_pade",
     "reduced_gss",
-    "harmonic_indices",
     "fit_harmonics",
 ]
 
@@ -115,11 +114,6 @@ def _harmonic_ball(dims: int, budget: int):
     out = [k for k in itertools.product(rng, repeat=dims) if sum(abs(x) for x in k) <= budget]
     out.sort()
     return out
-
-
-def harmonic_indices(dims: int, budget: int):
-    """Public view of the harmonic index ball used by the qp backend."""
-    return list(_harmonic_ball(dims, budget))
 
 
 def fit_harmonics(rows: np.ndarray, times: np.ndarray, base_frequencies, budget: int = 5):

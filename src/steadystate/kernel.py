@@ -19,11 +19,11 @@ oracle-equivalence requirement).
 
 Structural (Rayleigh) damping propagates per-mode oscillator pairs
 (y_j, y_j') with a real 2x2 weight matrix: rows are (position, velocity)
-increments, columns the forcing values at the step start and end. Away
-from critical damping the entries are eigenvalue differences of the
-scalar weights; in the near-confluent zone (lambda+ ~ lambda-) they are
-evaluated by an exact series-plus-step-doubling scheme that works for
-any zeta, including exactly 1.
+increments, columns the forcing values at the step start and end. The
+matrix comes from an exact series-plus-step-doubling scheme, and the
+pair is propagated by one vectorized recursion. Both work for every
+zeta, including exactly 1, and neither divides by an eigenvalue
+difference.
 """
 
 from __future__ import annotations
@@ -33,18 +33,17 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.signal import lfilter
+from scipy.signal import lfilter, sosfilt
 
 from .errors import (
     GridMismatch,
     InvalidParameters,
-    NearResonance,
     RealnessCheckFailed,
     SingularEffectiveStiffness,
     ZeroEigenvalue,
 )
-from .model import MechanicalSystem
-from .spectral import SpectralData
+from .model import MechanicalSystem, NewmarkStep
+from .spectral import SpectralData, _oscillator_roots
 
 __all__ = [
     "KernelWeights",
@@ -53,13 +52,10 @@ __all__ = [
     "build_kernel_weights",
     "propagate_order",
     "propagate_order_newmark",
-    "quasiperiodic_step",
 ]
 
 _SERIES_SWITCH = 0.25
-_CRITICAL_SWITCH = 1e-6  # computation branch
 _CRITICAL_TAG = 1e-9  # reported branch tag
-_SPREAD_SWITCH = 5e-3  # |lambda+ - lambda-| dt below which differences cancel
 _REALNESS_TOL = 1e-10
 
 
@@ -108,14 +104,6 @@ def qvec_general(lam: complex, dt: float) -> np.ndarray:
     return np.array([q0, q1], dtype=complex)
 
 
-def _oscillator_roots(omega: float, zeta: float):
-    if zeta < 1.0:
-        wd = omega * np.sqrt(1.0 - zeta * zeta)
-        return complex(-zeta * omega, wd), complex(-zeta * omega, -wd)
-    s = omega * np.sqrt(zeta * zeta - 1.0)
-    return complex(-zeta * omega + s), complex(-zeta * omega - s)
-
-
 def _block_matrix(omega: float, zeta: float) -> np.ndarray:
     return np.array([[0.0, 1.0], [-omega * omega, -2.0 * zeta * omega]])
 
@@ -123,19 +111,18 @@ def _block_matrix(omega: float, zeta: float) -> np.ndarray:
 def _qmat_series_doubling(omega: float, zeta: float, dt: float) -> np.ndarray:
     """Exact 2x2 weights by base-step series plus interval doubling.
 
-    Valid for any parameters; used where the eigenvalue-difference form
-    cancels. The doubling identity for piecewise-linear forcing over a
-    doubled step (midpoint value is the endpoint average) is
+    Valid for any parameters. The base step h = dt / 2^halvings keeps
+    |lambda| h <= 0.25 for both roots (|lambda| = omega when underdamped),
+    so the series converges fast. The doubling identity for
+    piecewise-linear forcing over a doubled step (midpoint value is the
+    endpoint average) is
         Q0(2h) = E Q0 + (E Q1 + Q0)/2,   Q1(2h) = Q1 + (E Q1 + Q0)/2.
     """
     L = _block_matrix(omega, zeta)
-    fast = omega * (zeta + np.sqrt(max(zeta * zeta - 1.0, 0.0)))
+    fast = max(abs(r) for r in _oscillator_roots(omega, zeta))
     halvings = 0
     h = dt
-    while max(fast * h, h / dt) > _SERIES_SWITCH and halvings < 60:
-        # h/dt term keeps the loop form simple; only fast*h matters
-        if fast * h <= _SERIES_SWITCH:
-            break
+    while fast * h > _SERIES_SWITCH:
         h *= 0.5
         halvings += 1
     e2 = np.array([0.0, 1.0])
@@ -163,18 +150,10 @@ def qmat_structural(omega: float, zeta: float, dt: float):
     Rows are the (position, velocity) increments of (y, y'), columns the
     weights on the modal force at the step start and end. Returns
     (Q, branch) with branch in {'underdamped', 'critical', 'overdamped'};
-    the tag is critical for |zeta - 1| <= 1e-9.
-
-    Away from the confluent zone the entries are divided differences of
-    the scalar weights at lambda+- = (-zeta +- sqrt(zeta^2 - 1)) omega:
-
-        Q[0,0] = (Q0(l+) - Q0(l-)) / (l+ - l-)        (position kernel)
-        Q[1,0] = (l+ Q0(l+) - l- Q0(l-)) / (l+ - l-)  (velocity kernel)
-
-    and likewise with Q1 for the second column. Near lambda+ = lambda-
-    (|zeta-1| < 1e-6, or eigenvalue spread times dt below 5e-3) the exact
-    series-plus-doubling evaluation takes over, which reproduces the
-    confluent zeta -> 1 limit without substituting zeta = 1.
+    the tag is critical for |zeta - 1| <= 1e-9 and only reports the
+    regime: every zeta is computed the same way, by the exact
+    series-plus-doubling evaluation of the kernel integral, which is
+    continuous through zeta = 1 without substituting zeta = 1.
 
     Raises InvalidParameters for omega <= 0 or zeta <= 0.
     """
@@ -188,27 +167,7 @@ def qmat_structural(omega: float, zeta: float, dt: float):
         branch = "underdamped"
     else:
         branch = "overdamped"
-
-    lp, lm = _oscillator_roots(omega, zeta)
-    spread = abs(lp - lm) * dt
-    if abs(zeta - 1.0) < _CRITICAL_SWITCH or spread < _SPREAD_SWITCH:
-        Q = _qmat_series_doubling(omega, zeta, dt)
-        return Q, branch
-
-    q0p, q1p = _q_scalar(lp, dt)
-    q0m, q1m = _q_scalar(lm, dt)
-    dl = lp - lm
-    Q = np.array(
-        [
-            [(q0p - q0m) / dl, (q1p - q1m) / dl],
-            [(lp * q0p - lm * q0m) / dl, (lp * q1p - lm * q1m) / dl],
-        ]
-    )
-    return np.ascontiguousarray(Q.real), branch
-
-
-def _structural_step_block(omega: float, zeta: float, dt: float) -> np.ndarray:
-    return scipy.linalg.expm(_block_matrix(omega, zeta) * dt)
+    return _qmat_series_doubling(omega, zeta, dt), branch
 
 
 @dataclass(frozen=True)
@@ -218,7 +177,7 @@ class KernelWeights:
     kind 'general': q[j] is the complex weight pair, step[j] = e^{lam dt}.
     kind 'structural': qmat[j] is the real 2x2 weight matrix with branch
     tag branches[j], step[j] the 2x2 block matrix exponential; omega and
-    zeta are stored for the fast split propagation path.
+    zeta give the poles of the propagation recursion.
     """
 
     kind: str
@@ -254,7 +213,7 @@ def build_kernel_weights(spectral: SpectralData, dt: float) -> KernelWeights:
         Q, branch = qmat_structural(w, z, dt)
         mats.append(Q)
         branches.append(branch)
-        steps.append(_structural_step_block(w, z, dt))
+        steps.append(scipy.linalg.expm(_block_matrix(w, z) * dt))
     return KernelWeights(
         kind="structural",
         dt=float(dt),
@@ -281,32 +240,37 @@ def _scalar_recursion(E: complex, q0: complex, q1: complex, u: np.ndarray) -> np
     return w
 
 
-def _oscillator_trajectories(omega, zeta, dt, Q, E, u):
-    """(position, velocity) rows for one modal oscillator, zero start."""
-    lp, lm = _oscillator_roots(omega, zeta)
-    spread = abs(lp - lm) * dt
-    if spread >= 1e-3:
-        cp = 1.0 / (lp - lm)
-        q0p, q1p = _q_scalar(lp, dt)
-        p = _scalar_recursion(cmath.exp(lp * dt), cp * q0p, cp * q1p, u)
-        if zeta < 1.0:
-            pos = 2.0 * p.real
-            vel = 2.0 * (lp * p).real
-        else:
-            cm = -cp
-            q0m, q1m = _q_scalar(lm, dt)
-            q = _scalar_recursion(cmath.exp(lm * dt), cm * q0m, cm * q1m, u)
-            pos = (p + q).real
-            vel = (lp * p + lm * q).real
-        return pos, vel
-    # confluent zone: explicit 2x2 stepping with the robust weights
-    T = len(u)
-    y = np.zeros((2, T))
-    state = np.zeros(2)
-    for k in range(1, T):
-        state = E @ state + Q[:, 0] * u[k - 1] + Q[:, 1] * u[k]
-        y[:, k] = state
-    return y[0], y[1]
+def _oscillator_recursion(E: np.ndarray, Q: np.ndarray, poles, u: np.ndarray):
+    """Rows (position, velocity) of x[k] = E x[k-1] + Q0 u[k-1] + Q1 u[k].
+
+    The state starts from x[0] = 0 whatever u[0] is.
+
+    With w the one-step delay, (I - w E)^{-1} = (I - w adj E) / D(w) and
+    D(w) = (1 - p+ w)(1 - p- w), where poles = (p+, p-) are the
+    eigenvalues of E. g = u / D(w) is one cascade of two complex
+    first-order sections; each row is then a real 3-tap FIR on g with
+    taps from Q and adj E, so nothing divides by p+ - p-.
+    """
+    sos = np.zeros((2, 6), dtype=complex)
+    sos[:, 0] = 1.0
+    sos[:, 3] = 1.0
+    sos[:, 4] = -np.asarray(poles)
+    adj = np.array([[E[1, 1], -E[0, 1]], [-E[1, 0], E[0, 0]]])
+    q0, q1 = Q[:, 0], Q[:, 1]
+    taps = np.column_stack([q1, q0 - adj @ q1, -(adj @ q0)])
+    if u[0] == 0.0:
+        return _fir(taps, sosfilt(sos, u).real)
+    # the filter starts from x[0] = Q1 u[0]; remove that homogeneous tail,
+    # E^k Q1 u[0] = (I - w adj E) Q1 / D(w) applied to u[0] at k = 0
+    impulse = np.zeros(len(u))
+    impulse[0] = u[0]
+    g, h = sosfilt(sos, np.stack([u, impulse])).real
+    return _fir(taps, g) - _fir(np.column_stack([q1, -(adj @ q1)]), h)
+
+
+def _fir(taps: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Rows x[r, k] = sum_i taps[r, i] g[k - i], with g = 0 before the grid."""
+    return np.stack([np.convolve(g, row)[: len(g)] for row in taps])
 
 
 def _enforce_real(Z: np.ndarray, context: str) -> np.ndarray:
@@ -377,18 +341,14 @@ def propagate_order(
     n = spectral.state_dim // 2
     cols = list(weights.retained)
     modal_u = spectral.U[:, cols].T @ phi[:n]  # (m, T)
-    pos = np.zeros((len(cols), T))
-    vel = np.zeros((len(cols), T))
+    y = np.empty((2, len(cols), T))  # (position, velocity) per mode
     for j in range(len(cols)):
-        pos[j], vel[j] = _oscillator_trajectories(
-            weights.omega[j],
-            weights.zeta[j],
-            weights.dt,
-            weights.qmat[j],
-            weights.step[j],
-            modal_u[j],
-        )
-    Z = np.vstack([spectral.U[:, cols] @ pos, spectral.U[:, cols] @ vel])
+        roots = np.array(_oscillator_roots(weights.omega[j], weights.zeta[j]))
+        poles = np.exp(roots * weights.dt)
+        y[:, j] = _oscillator_recursion(weights.step[j], weights.qmat[j], poles, modal_u[j])
+    Z = np.empty((2 * n, T))
+    np.matmul(spectral.U[:, cols], y[0], out=Z[:n])
+    np.matmul(spectral.U[:, cols], y[1], out=Z[n:])
     return Z
 
 
@@ -417,14 +377,8 @@ def propagate_order_newmark(
         raise InvalidParameters("dt must be positive")
     T = phi.shape[1]
 
-    beta, gamma = 0.25, 0.5
-    c0 = 1.0 / (beta * dt * dt)
-    c1 = gamma / (beta * dt)
-    c2 = 1.0 / (beta * dt)
-    c3 = 1.0 / (2.0 * beta) - 1.0
-    c4 = gamma / beta - 1.0
-    c5 = dt * (gamma / (2.0 * beta) - 1.0)
-
+    nm = NewmarkStep(dt)
+    c0, c1, c2, c3, c4, c5 = nm.c0, nm.c1, nm.c2, nm.c3, nm.c4, nm.c5
     S = system.K + c1 * system.C + c0 * system.M
     try:
         lu = scipy.linalg.lu_factor(S)
@@ -441,71 +395,8 @@ def propagate_order_newmark(
     for k in range(T - 1):
         rhs = phi[:, k + 1] + M @ (c0 * x + c2 * v + c3 * a) + C @ (c1 * x + c4 * v + c5 * a)
         x_new = scipy.linalg.lu_solve(lu, rhs)
-        a_new = c0 * (x_new - x) - c2 * v - c3 * a
-        v_new = v + dt * ((1.0 - gamma) * a + gamma * a_new)
-        x, v, a = x_new, v_new, a_new
+        v, a = nm.advance(x, v, a, x_new)
+        x = x_new
         out[:n, k + 1] = x
         out[n:, k + 1] = v
     return out
-
-
-def quasiperiodic_step(
-    fourier: dict,
-    Omega,
-    lam: complex,
-    dt: float,
-    t,
-    resonance_tol: float | None = None,
-):
-    """Exact modal increment for quasiperiodic forcing over one step.
-
-    Parameters
-    ----------
-    fourier : dict
-        Maps harmonic multi-indices k (ints or tuples over the base
-        frequencies) to modal Fourier coefficients, i.e. the forcing
-        already projected onto the mode at hand.
-    Omega : array-like
-        Base frequency vector.
-    lam : complex
-        Mode eigenvalue.
-    dt, t : float
-        Step size and step start time (t may be an array, giving the
-        increment at each start time).
-    resonance_tol : float, optional
-        Guard threshold on |i<k,Omega> - lam|; defaults to 1e-6 |lam|.
-
-    Returns
-    -------
-    Increment L(t) with w(t+dt) = e^{lam dt} w(t) + L(t), i.e.
-    sum_k g_k e^{i<k,Omega>t} (e^{i<k,Omega>dt} - e^{lam dt})/(i<k,Omega> - lam).
-
-    Raises NearResonance with the offending k and distance when any
-    denominator magnitude falls below the tolerance.
-    """
-    Omega = np.atleast_1d(np.asarray(Omega, dtype=float))
-    lam = complex(lam)
-    tol = resonance_tol if resonance_tol is not None else 1e-6 * abs(lam)
-    elam = cmath.exp(lam * dt)
-    t_arr = np.asarray(t, dtype=float)
-    total = np.zeros(t_arr.shape, dtype=complex)
-    for k in sorted(fourier):
-        kv = np.atleast_1d(np.asarray(k, dtype=float))
-        if kv.shape != Omega.shape:
-            raise GridMismatch(
-                f"harmonic index {k} incompatible with {len(Omega)} base frequencies"
-            )
-        kappa = float(kv @ Omega)
-        denom = 1j * kappa - lam
-        if abs(denom) < tol:
-            raise NearResonance(
-                f"harmonic {k}: |i<k,Omega> - lambda| = {abs(denom):.3e} < {tol:.3e}",
-                k=tuple(int(x) for x in kv),
-                distance=abs(denom),
-            )
-        total = total + fourier[k] * np.exp(1j * kappa * t_arr) * (
-            (cmath.exp(1j * kappa * dt) - elam) / denom
-        )
-    if np.ndim(t) == 0:
-        return complex(total)
-    return total

@@ -342,6 +342,35 @@ def first_order_blocks(system: MechanicalSystem):
     return B, A
 
 
+class NewmarkStep:
+    """Average-acceleration Newmark scheme (beta = 1/4, gamma = 1/2) at step dt.
+
+    Displacement form: the new displacement solves an effective-stiffness
+    system built from c0 M + c1 C + K, whose right-hand side carries
+    M (c0 x + c2 v + c3 a) + C (c1 x + c4 v + c5 a); advance() then gives
+    the new velocity and acceleration.
+    """
+
+    beta = 0.25
+    gamma = 0.5
+
+    def __init__(self, dt: float):
+        beta, gamma = self.beta, self.gamma
+        self.dt = dt
+        self.c0 = 1.0 / (beta * dt * dt)
+        self.c1 = gamma / (beta * dt)
+        self.c2 = 1.0 / (beta * dt)
+        self.c3 = 1.0 / (2.0 * beta) - 1.0
+        self.c4 = gamma / beta - 1.0
+        self.c5 = dt * (gamma / (2.0 * beta) - 1.0)
+
+    def advance(self, x, v, a, x_new):
+        """(v_new, a_new) at the end of the step that moves x to x_new."""
+        a_new = self.c0 * (x_new - x) - self.c2 * v - self.c3 * a
+        v_new = v + self.dt * ((1.0 - self.gamma) * a + self.gamma * a_new)
+        return v_new, a_new
+
+
 @dataclass(frozen=True)
 class ForcingSignal:
     """Uniformly sampled force history with zero-padding metadata.

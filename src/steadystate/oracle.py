@@ -4,7 +4,9 @@ Everything here exists to check the main pipeline from a second route:
 
   newmark_full           nonlinear time integration of the physical
                          equations (Newton in each step); shares no code
-                         with the kernel or composition stages
+                         with the kernel or composition stages, only the
+                         Newmark scheme (model.NewmarkStep) with the
+                         'newmark' per-order backend
   picard_gss             fixed-point iteration on the full nonlinear
                          balance; deliberately reuses the kernel
                          propagation for its linear solves, so it checks
@@ -41,7 +43,13 @@ from .errors import (
     QuadratureFailure,
 )
 from .kernel import build_kernel_weights, propagate_order
-from .model import ForcingSignal, MechanicalSystem, evaluate_field, field_jacobian
+from .model import (
+    ForcingSignal,
+    MechanicalSystem,
+    NewmarkStep,
+    evaluate_field,
+    field_jacobian,
+)
 from .spectral import (
     check_contraction,
     decompose_general,
@@ -113,11 +121,8 @@ def newmark_full(
     dt = forcing.dt
     T = g.shape[0]
 
-    beta, gamma = 0.25, 0.5
-    c0 = 1.0 / (beta * dt * dt)
-    c1 = gamma / (beta * dt)
-    c2 = 1.0 / (beta * dt)
-    c3 = 1.0 / (2.0 * beta) - 1.0
+    nm = NewmarkStep(dt)
+    c0, c1 = nm.c0, nm.c1
 
     M, C, K = system.M, system.C, system.K
     fld = system.nonlinearity
@@ -150,11 +155,10 @@ def newmark_full(
         xn = x + dt * v + 0.5 * dt * dt * a  # explicit predictor
 
         def residual(xn_):
-            an_ = c0 * (xn_ - x) - c2 * v - c3 * a
-            vn_ = v + dt * ((1.0 - gamma) * a + gamma * an_)
-            return M @ an_ + C @ vn_ + K @ xn_ + force(xn_, vn_) - target, vn_
+            vn_, an_ = nm.advance(x, v, a, xn_)
+            return M @ an_ + C @ vn_ + K @ xn_ + force(xn_, vn_) - target, vn_, an_
 
-        r, vn = residual(xn)
+        r, vn, an = residual(xn)
         r0 = np.linalg.norm(r)
         floor = newton_tol * max(r0, g_scale, 1e-300)
         it = 0
@@ -169,18 +173,16 @@ def newmark_full(
                 Jx = np.empty((n, n))
                 h = 1e-7 * max(1.0, np.abs(xn).max())
                 for j in range(n):
-                    rp, _ = residual(xn + h * eye[j])
+                    rp, _, _ = residual(xn + h * eye[j])
                     Jx[:, j] = (rp - r) / h
                 J = Jx
             else:
                 Jfx, Jfv = force_jac(xn, vn)
                 J = c0 * M + c1 * C + K + Jfx + c1 * Jfv
             xn = xn - np.linalg.solve(J, r)
-            r, vn = residual(xn)
+            r, vn, an = residual(xn)
             it += 1
-        a = c0 * (xn - x) - c2 * v - c3 * a
-        x = xn
-        v = vn
+        x, v, a = xn, vn, an
         out[:n, k + 1] = x
         out[n:, k + 1] = v
     return out

@@ -32,7 +32,6 @@ __all__ = [
     "load_expansion",
     "save_pade",
     "load_pade",
-    "write_weights_csv",
 ]
 
 _FMT = "%.17g"
@@ -303,28 +302,3 @@ def load_pade(directory: str) -> PadeGss:
         pad_length=manifest["pad_length"],
         backend=manifest.get("backend", "kernel"),
     )
-
-
-def write_weights_csv(weights, path: str) -> None:
-    """Debug dump of one-step weights, one row per retained mode."""
-    with open(path, "w") as fh:
-        if weights.kind == "general":
-            fh.write("mode,lambda_re,lambda_im,q0_re,q0_im,q1_re,q1_im,step_re,step_im\n")
-            for j, mode in enumerate(weights.retained):
-                lam = weights.lambdas[j]
-                q0, q1 = weights.q[j]
-                st = weights.step[j]
-                fh.write(
-                    f"{mode},{lam.real:.17g},{lam.imag:.17g},{q0.real:.17g},"
-                    f"{q0.imag:.17g},{q1.real:.17g},{q1.imag:.17g},"
-                    f"{st.real:.17g},{st.imag:.17g}\n"
-                )
-        else:
-            fh.write("mode,omega,zeta,branch,q00,q01,q10,q11\n")
-            for j, mode in enumerate(weights.retained):
-                Q = weights.qmat[j]
-                fh.write(
-                    f"{mode},{weights.omega[j]:.17g},{weights.zeta[j]:.17g},"
-                    f"{weights.branches[j]},{Q[0, 0]:.17g},{Q[0, 1]:.17g},"
-                    f"{Q[1, 0]:.17g},{Q[1, 1]:.17g}\n"
-                )

@@ -98,29 +98,6 @@ class SpectralData:
             [max(r.real for r in _oscillator_roots(w, z)) for w, z in zip(self.omega, self.zeta)]
         )
 
-    def structural_permutation(self) -> np.ndarray:
-        """0/1 matrix S mapping stacked (y, y') to interleaved pairs."""
-        if self.kind != "structural":
-            raise NotStructural("permutation defined for structural decompositions")
-        n = self.state_dim // 2
-        S = np.zeros((2 * n, 2 * n))
-        for j in range(n):
-            S[2 * j, j] = 1.0
-            S[2 * j + 1, n + j] = 1.0
-        return S
-
-    def block_lambda(self) -> np.ndarray:
-        """Real block-diagonal linear part in interleaved modal pairs."""
-        if self.kind != "structural":
-            raise NotStructural("block form defined for structural decompositions")
-        n = self.state_dim // 2
-        L = np.zeros((2 * n, 2 * n))
-        for j, (w, z) in enumerate(zip(self.omega, self.zeta)):
-            L[2 * j, 2 * j + 1] = 1.0
-            L[2 * j + 1, 2 * j] = -w * w
-            L[2 * j + 1, 2 * j + 1] = -2.0 * z * w
-        return L
-
 
 def _oscillator_roots(omega: float, zeta: float):
     if zeta < 1.0:

@@ -6,15 +6,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steadystate import (
+    SpectralData,
     build_kernel_weights,
     build_system,
+    compute_taylor_gss,
     decompose_general,
     decompose_structural,
+    evaluate_at_amplitude,
+    load_forcing,
     propagate_order,
     propagate_order_newmark,
     qmat_structural,
     quadrature_weight_reference,
-    quasiperiodic_step,
     qvec_general,
     with_retained,
 )
@@ -120,8 +123,9 @@ class TestStructuralWeights:
         assert abs(Q[0, 0]) < 1e-11 and abs(Q[0, 1]) < 1e-11
 
     def test_continuity_at_spread_switch(self):
-        # zeta = 1.05: spread = 2 omega sqrt(zeta^2-1) ~ 0.64 omega; choose
-        # dt bracketing the uniform-evaluation handover
+        # zeta = 1.05: spread = 2 omega sqrt(zeta^2-1) ~ 0.64 omega, so the
+        # eigenvalue spread times dt is ~ 5e-3 here; the weights must stay
+        # accurate where a divided difference of close eigenvalues cancels
         for dt in (7.0e-3, 8.5e-3):
             Q, _ = qmat_structural(1.0, 1.05, dt)
             ref = quadrature_weight_reference(dt, omega=1.0, zeta=1.05)
@@ -138,6 +142,7 @@ class TestStructuralWeights:
     @example(omega=2.0, zeta=1.0 + 1e-7, dt=0.3)
     @example(omega=2.0, zeta=1.0 - 1e-7, dt=1e-4)
     @example(omega=500.0, zeta=0.02, dt=0.02)  # fast oscillatory mode
+    @example(omega=121.4, zeta=0.0044, dt=0.416)  # |lambda| dt ~ 50, Re small
     def test_matches_quadrature(self, omega, zeta, dt):
         Q, _ = qmat_structural(omega, zeta, dt)
         ref = quadrature_weight_reference(dt, omega=omega, zeta=zeta)
@@ -282,6 +287,52 @@ class TestPropagateOrder:
         assert np.abs(Za - Zb).max() < 1e-12 * max(np.abs(Zb).max(), 1e-30)
 
 
+def _longdouble_recursion(E, Q, u):
+    """x[k] = E x[k-1] + Q[:, 0] u[k-1] + Q[:, 1] u[k] from x[0] = 0, in long double."""
+    E, Q, u = (np.asarray(a, dtype=np.longdouble) for a in (E, Q, u))
+    x = np.zeros((2, len(u)), dtype=np.longdouble)
+    p, v = np.longdouble(0.0), np.longdouble(0.0)
+    for k in range(1, len(u)):
+        p, v = (
+            E[0, 0] * p + E[0, 1] * v + Q[0, 0] * u[k - 1] + Q[0, 1] * u[k],
+            E[1, 0] * p + E[1, 1] * v + Q[1, 0] * u[k - 1] + Q[1, 1] * u[k],
+        )
+        x[0, k], x[1, k] = p, v
+    return x
+
+
+class TestStructuralRecursion:
+    @pytest.mark.parametrize(
+        "zeta", [1e-3, 0.05, 0.5, 0.9999, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 1.001, 1.5, 10.0]
+    )
+    @pytest.mark.parametrize("omega_dt", [1e-4, 1e-3, 1e-2, 0.1, 1.0])
+    def test_matches_longdouble_recursion(self, zeta, omega_dt):
+        # one oscillator with a unit mode shape: propagate_order returns
+        # its (position, velocity) rows, which must follow the exact 2x2
+        # step (E, Q) of its own weights, also when u[0] != 0
+        omega = 2.0
+        spec = SpectralData(
+            kind="structural",
+            state_dim=2,
+            retained=(0,),
+            gamma=1.0,
+            omega=np.array([omega]),
+            zeta=np.array([zeta]),
+            U=np.eye(1),
+        )
+        w = build_kernel_weights(spec, omega_dt / omega)
+        rng = np.random.default_rng(7)
+        for first in (0.0, 1.0):
+            phi = np.zeros((2, 1500))
+            phi[0] = rng.standard_normal(1500)
+            phi[0, 0] = first
+            Z = propagate_order(spec, w, phi)
+            ref = _longdouble_recursion(w.step[0], w.qmat[0], phi[0]).astype(float)
+            for row in range(2):
+                scale = np.abs(ref[row]).max()
+                assert np.abs(Z[row] - ref[row]).max() <= 1e-11 * scale
+
+
 class TestNewmark:
     def test_matches_kernel_on_linear_system(self, rng):
         sys_ = random_system(rng, 2, structural=True, n_terms=0)
@@ -342,55 +393,81 @@ class TestRealness:
             _enforce_real(Z, "test")
 
 
+def _general_2dof():
+    # non-proportional damping: the qp path runs on complex modes
+    M = np.diag([1.0, 1.5])
+    K = np.array([[3.0, -1.0], [-1.0, 2.0]])
+    C = np.diag([0.3, 0.05])
+    return build_system(M, C, K, damping="general")
+
+
+def _linear_response(system, harmonics, t):
+    """Exact steady (x, v) of M x'' + C x' + K x = sum Re(f e^{i kappa t})."""
+    z = np.zeros((2 * system.n, len(t)))
+    for kappa, f in harmonics:
+        H = np.linalg.solve(system.K - kappa**2 * system.M + 1j * kappa * system.C, f)
+        phase = np.exp(1j * kappa * t)
+        z[: system.n] += np.real(np.outer(H, phase))
+        z[system.n :] += np.real(np.outer(1j * kappa * H, phase))
+    return z
+
+
+def _qp_trajectory(system, samples, dt, base_frequencies, **kwargs):
+    forcing = load_forcing(samples, dt=dt)
+    expansion = compute_taylor_gss(
+        system, forcing, order=1, backend="qp", base_frequencies=base_frequencies, **kwargs
+    )
+    return evaluate_at_amplitude(expansion, forcing.max_magnitude), forcing.times()
+
+
 class TestQuasiperiodicStep:
+    """The qp backend's per-order step (gss._qp_propagate) on linear systems."""
+
     def test_frozen_constant_forcing(self):
-        # k = 0, lam = -1, dt = 1, c = 1: increment (1 - e^{-1})
-        val = quasiperiodic_step({0: 1.0}, [1.0], -1.0, 1.0, 0.0)
-        assert val == pytest.approx(1.0 - E1, abs=1e-15)
+        # the k = 0 harmonic of a constant force is the static deflection
+        M = np.eye(2)
+        K = np.array([[2.0, -1.0], [-1.0, 2.0]])
+        sys_ = build_system(M, 0.1 * M + 0.05 * K, K)
+        f = np.array([1.0, -0.5])
+        Z, _ = _qp_trajectory(sys_, np.tile(f, (400, 1)), 0.05, (1.0,))
+        static = np.linalg.solve(K, f)
+        assert np.abs(Z[:2] - static[:, None]).max() < 1e-12
+        assert np.abs(Z[2:]).max() < 1e-12
 
-    def test_stepping_reproduces_orbit(self):
-        # w(t) = c e^{i kappa t} / (i kappa - lam) is the exact orbit; the
-        # increment recursion must follow it to rounding
-        lam = complex(-0.5, 0.2)
+    def test_single_harmonic_orbit(self):
+        sys_ = _general_2dof()
         kappa = 1.3
-        c = 0.7 - 0.4j
-        dt = 0.11
-        orbit = lambda t: c * np.exp(1j * kappa * t) / (1j * kappa - lam)
-        w = orbit(0.0)
-        E = np.exp(lam * dt)
-        for k in range(200):
-            w = E * w + quasiperiodic_step({1: c}, [kappa], lam, dt, k * dt)
-        assert abs(w - orbit(200 * dt)) < 1e-12 * abs(w)
-
-    def test_vectorized_times(self):
-        lam = -0.3 + 1.0j
-        t = np.linspace(0.0, 5.0, 7)
-        vec = quasiperiodic_step({2: 1.5}, [0.9], lam, 0.05, t)
-        for i, ti in enumerate(t):
-            one = quasiperiodic_step({2: 1.5}, [0.9], lam, 0.05, float(ti))
-            assert abs(vec[i] - one) < 1e-15 * abs(one)
+        dt = 0.01
+        t = np.arange(4000) * dt
+        samples = np.zeros((4000, 2))
+        samples[:, 0] = 0.8 * np.cos(kappa * t)
+        Z, times = _qp_trajectory(sys_, samples, dt, (kappa,))
+        ref = _linear_response(sys_, [(kappa, np.array([0.8, 0.0]))], times)
+        assert np.abs(Z - ref).max() < 1e-10 * np.abs(ref).max()
 
     def test_multifrequency_indices(self):
-        lam = -0.2 + 0.4j
-        val = quasiperiodic_step(
-            {(1, -1): 0.3, (0, 2): 0.1j}, [1.0, 0.618], lam, 0.1, 0.7
+        # harmonics at the index vectors (1, -1) and (0, 2) of two base
+        # frequencies, one on each degree of freedom
+        sys_ = _general_2dof()
+        base = (1.0, 0.618)
+        k1, k2 = 1.0 - 0.618, 2 * 0.618
+        dt = 0.02
+        t = np.arange(6000) * dt
+        samples = np.column_stack([0.3 * np.cos(k1 * t), 0.1 * np.sin(k2 * t)])
+        Z, times = _qp_trajectory(sys_, samples, dt, base)
+        ref = _linear_response(
+            sys_, [(k1, np.array([0.3, 0.0])), (k2, np.array([0.0, -0.1j]))], times
         )
-        kappa1 = 1.0 - 0.618
-        kappa2 = 2 * 0.618
-        by_hand = 0.3 * np.exp(1j * kappa1 * 0.7) * (
-            (np.exp(1j * kappa1 * 0.1) - np.exp(lam * 0.1)) / (1j * kappa1 - lam)
-        ) + 0.1j * np.exp(1j * kappa2 * 0.7) * (
-            (np.exp(1j * kappa2 * 0.1) - np.exp(lam * 0.1)) / (1j * kappa2 - lam)
-        )
-        assert val == pytest.approx(by_hand, abs=1e-15)
+        assert np.abs(Z - ref).max() < 1e-9 * np.abs(ref).max()
 
     def test_near_resonance_payload(self):
-        lam = complex(-1e-9, 1.0)
+        omega, zeta = 1.0, 0.01
+        sys_ = build_system(
+            np.eye(1), np.array([[2 * zeta * omega]]), np.array([[omega**2]]),
+            damping="general",
+        )
+        t = np.arange(2000) * 0.05
+        lam = complex(-zeta * omega, omega * math.sqrt(1.0 - zeta**2))
         with pytest.raises(NearResonance) as info:
-            quasiperiodic_step({1: 1.0}, [1.0], lam, 0.1, 0.0)
-        assert info.value.k == (1,)
-        assert info.value.distance == pytest.approx(1e-9, rel=1e-6)
-
-    def test_index_dimension_mismatch(self):
-        with pytest.raises(GridMismatch):
-            quasiperiodic_step({(1, 2): 1.0}, [1.0], -1.0, 0.1, 0.0)
+            _qp_trajectory(sys_, np.cos(t)[:, None], 0.05, (1.0,), resonance_tol=0.05)
+        assert info.value.distance == pytest.approx(abs(1j - lam), rel=1e-9)
