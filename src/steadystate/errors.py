@@ -99,7 +99,11 @@ class NearResonance(SteadyStateError):
 
 class RealnessCheckFailed(SteadyStateError):
     """Imaginary residue after conjugate-pair summation exceeded
-    1e-10 times the result scale."""
+    1e-10 times the result scale.
+
+    The one policy for every complex modal sum that must be real: the
+    general kernel path, the general qp orbit and each lifted order of a
+    reduced model raise this; a smaller residue is discarded."""
 
 
 # ---------------------------------------------------------- composition
@@ -110,15 +114,6 @@ class OrderUnavailable(SteadyStateError):
 
 
 # ------------------------------------------------------------------ gss
-
-
-class IllConditioned(SteadyStateError):
-    """Least-squares system nearly rank deficient.
-
-    pade_resum does not raise this; it switches to a truncated-SVD solve
-    and flags the coordinate in the conditioning report. The class exists
-    for callers that want to treat the flag as fatal.
-    """
 
 
 class DenominatorNearZero(SteadyStateError):

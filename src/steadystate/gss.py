@@ -28,14 +28,13 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .composition import (
     CoefficientTensor,
     CompositionCache,
-    assemble_H,
     assemble_phi,
     compose_field,
 )
@@ -48,14 +47,15 @@ from .errors import (
     UnstableLinearPart,
 )
 from .kernel import (
-    _scalar_recursion,
+    _enforce_real,
+    _modal_response,
     build_kernel_weights,
     propagate_order,
     propagate_order_newmark,
-    qvec_general,
 )
 from .model import ForcingSignal, MechanicalSystem, ReducedModel
 from .spectral import (
+    _STABILITY_TOL,
     SpectralData,
     _oscillator_roots,
     decompose_general,
@@ -133,19 +133,18 @@ def fit_harmonics(rows: np.ndarray, times: np.ndarray, base_frequencies, budget:
     return kappas, coeffs.T
 
 
-def _qp_modal_orbit(kappas, coeffs, lam, times, resonance_tol):
-    tol = resonance_tol if resonance_tol is not None else 1e-6 * abs(lam)
-    denom = 1j * kappas - lam
-    bad = np.abs(denom) < tol
-    if np.any(bad):
-        j = int(np.argmin(np.abs(denom)))
+def _resonance_guard(kappas, roots, resonance_tol, scale, what):
+    """Raise NearResonance when some i kappa lies within the tolerance
+    (default 1e-6 x scale) of one of the roots."""
+    tol = resonance_tol if resonance_tol is not None else 1e-6 * scale
+    dist = np.abs(1j * kappas[:, None] - np.asarray(roots)[None, :]).min(axis=1)
+    j = int(np.argmin(dist))
+    if dist[j] < tol:
         raise NearResonance(
-            f"harmonic frequency {kappas[j]:.6g} within {np.abs(denom[j]):.3e} "
-            f"of eigenvalue {lam:.6g}",
+            f"harmonic frequency {kappas[j]:.6g} within {dist[j]:.3e} of {what}",
             k=None,
-            distance=float(np.abs(denom[j])),
+            distance=float(dist[j]),
         )
-    return (coeffs / denom) @ np.exp(1j * np.outer(kappas, times))
 
 
 def _qp_propagate(
@@ -156,49 +155,36 @@ def _qp_propagate(
     fit_from excludes the leading grid rows from the harmonic fit: a
     zero pad is a kernel-backend start-up device, not part of the
     quasiperiodic signal, and including it would bias the coefficients.
-    The orbit itself is still evaluated on the full grid.
+    The orbit itself is still evaluated on the full grid. On the general
+    path the conjugate-pair sum goes through _enforce_real: an imaginary
+    residue above 1e-10 x scale raises RealnessCheckFailed.
     """
     retained = list(spectral.retained)
     window = slice(int(fit_from), None)
     if spectral.kind == "general":
         rows = spectral.modal_input[retained, :] @ phi
-        kappas, coeffs = fit_harmonics(
-            rows[:, window], times[window], base_frequencies, budget
-        )
-        W = np.empty((len(retained), len(times)), dtype=complex)
-        for j, idx in enumerate(retained):
-            lam = spectral.eigenvalues[idx]
-            W[j] = _qp_modal_orbit(kappas, coeffs[j], lam, times, resonance_tol)
-        Z = spectral.V[:, retained] @ W
-        scale = np.abs(Z).max(initial=0.0)
-        if scale > 0 and np.abs(Z.imag).max() > 1e-8 * scale:
-            warnings.warn(
-                "qp orbit left a noticeable imaginary residue; harmonic budget "
-                "may be too small for this forcing",
-                DivergenceWarning,
-            )
-        return Z.real.copy()
-    n = spectral.state_dim // 2
-    rows = spectral.U[:, retained].T @ phi[:n]
-    kappas, coeffs = fit_harmonics(
-        rows[:, window], times[window], base_frequencies, budget
-    )
+    else:
+        n = spectral.state_dim // 2
+        rows = spectral.U[:, retained].T @ phi[:n]
+    kappas, coeffs = fit_harmonics(rows[:, window], times[window], base_frequencies, budget)
+    phases = np.exp(1j * np.outer(kappas, times))
+    if spectral.kind == "general":
+        lams = spectral.eigenvalues[retained]
+        for lam in lams:
+            _resonance_guard(kappas, [lam], resonance_tol, abs(lam), f"eigenvalue {lam:.6g}")
+        W = (coeffs / (1j * kappas[None, :] - lams[:, None])) @ phases
+        return _enforce_real(spectral.V[:, retained] @ W, "qp modal assembly")
     pos = np.empty((len(retained), len(times)))
     vel = np.empty((len(retained), len(times)))
-    phases = np.exp(1j * np.outer(kappas, times))
     for j, idx in enumerate(retained):
         w, z = spectral.omega[idx], spectral.zeta[idx]
-        lp, lm = _oscillator_roots(w, z)
-        dist = np.minimum(np.abs(1j * kappas - lp), np.abs(1j * kappas - lm))
-        tol = resonance_tol if resonance_tol is not None else 1e-6 * w
-        if np.any(dist < tol):
-            jj = int(np.argmin(dist))
-            raise NearResonance(
-                f"harmonic frequency {kappas[jj]:.6g} within {dist[jj]:.3e} of "
-                f"oscillator roots (omega={w:.6g}, zeta={z:.6g})",
-                k=None,
-                distance=float(dist[jj]),
-            )
+        _resonance_guard(
+            kappas,
+            _oscillator_roots(w, z),
+            resonance_tol,
+            w,
+            f"oscillator roots (omega={w:.6g}, zeta={z:.6g})",
+        )
         resp = coeffs[j] / (w * w - kappas * kappas + 2j * z * w * kappas)
         pos[j] = (resp @ phases).real
         vel[j] = ((1j * kappas * resp) @ phases).real
@@ -488,17 +474,21 @@ def reduced_gss(
     spectral: SpectralData,
     forcing: ForcingSignal,
     order: int,
-    resonance_check: float = 1e-12,
 ) -> GssExpansion:
     """Amplitude expansion on an invariant-subspace reduced model.
 
     The reduced dynamics w' = R(w) + P B^{-1} G(t) (P = tangent_rows)
     are expanded with the same order-by-order machinery in first-order
-    form (B = I); each order's lift through W is combined with the
-    linear response of the complement modes (those not in
-    spectral.retained, which designates the reduced subspace). When the
-    reduction is trivial (d = state_dim, W = identity) this reproduces
-    the full expansion.
+    form (B = I): each order runs through the general kernel path on the
+    eigenvectors of R's linear part. Each order's lift through W is
+    combined with the linear response of the complement modes (those not
+    in spectral.retained, which designates the reduced subspace). When
+    the reduction is trivial (d = state_dim, W = identity) this
+    reproduces the full expansion.
+
+    Raises UnstableLinearPart if R's linear part has an eigenvalue with
+    real part >= -1e-12, and RealnessCheckFailed if a lifted order keeps
+    an imaginary residue above 1e-10 x its scale.
 
     Returns a GssExpansion whose tensor holds the lifted full-state
     grids; system is None (the reduced model does not carry one).
@@ -521,55 +511,44 @@ def reduced_gss(
 
     # linear part of R and its spectrum (first-order form, B = I)
     A_r = np.zeros((d, d), dtype=complex)
-    nonlinear_terms = []
     for exponents, coeff in reduced.R.terms:
         if sum(exponents) == 1:
-            i = next(k for k, e in enumerate(exponents) if e)
-            A_r[:, i] += coeff
-        else:
-            nonlinear_terms.append((exponents, coeff))
+            A_r[:, exponents.index(1)] += coeff
+    nonlinear = replace(
+        reduced.R, terms=tuple(t for t in reduced.R.terms if sum(t[0]) > 1)
+    )
     eigvals, V_r = np.linalg.eig(A_r)
-    if np.any(eigvals.real >= -resonance_check):
+    if np.any(eigvals.real >= -_STABILITY_TOL):
         raise UnstableLinearPart(
             f"reduced linear part has Re(lambda) up to {eigvals.real.max():.3e}"
         )
-    modal_in = np.linalg.inv(V_r)
+    reduced_spec = SpectralData(
+        kind="general",
+        state_dim=d,
+        retained=tuple(range(d)),
+        gamma=float(np.max(1.0 / np.abs(eigvals.real))),
+        eigenvalues=eigvals,
+        V=V_r,
+        modal_input=np.linalg.inv(V_r),
+    )
+    reduced_weights = build_kernel_weights(reduced_spec, dt)
 
     g_full = _b_inverse_forcing(spectral, normalized)  # B^{-1}(g~, 0)
     g_r = reduced.tangent_rows @ g_full  # (d, T), complex in general
 
     # per-order propagation in reduced coordinates
-    elam = np.exp(eigvals * dt)
-    qpairs = [qvec_general(l, dt) for l in eigvals]
-    w_orders = np.full((d, order, T), np.nan, dtype=complex)
+    w_orders = []
 
     def component(i, nu):
-        return w_orders[i, nu - 1]
+        return w_orders[nu - 1][i]
 
     cache = CompositionCache(max_degree=max(reduced.R.max_degree, 2))
     for nu in range(1, order + 1):
         if nu == 1:
             phi_r = g_r.astype(complex)
         else:
-            phi_r = np.zeros((d, T), dtype=complex)
-            for exponents, coeff in nonlinear_terms:
-                H = assemble_H(exponents, nu, component, T, cache, dtype=complex)
-                phi_r += np.asarray(coeff)[:, None] * H[None, :]
-        modal_u = modal_in @ phi_r
-        Wm = np.empty((d, T), dtype=complex)
-        for j in range(d):
-            Wm[j] = _scalar_recursion(elam[j], qpairs[j][0], qpairs[j][1], modal_u[j])
-        w_orders[:, nu - 1, :] = V_r @ Wm
-
-    # lift through W order by order
-    tensor = CoefficientTensor.empty(
-        n2, order, T, dt, t0=forcing.t0, pad_length=forcing.pad_length
-    )
-    lift_cache = CompositionCache(max_degree=max(reduced.W.max_degree, 2))
-    lifted = []
-    for nu in range(1, order + 1):
-        z = compose_field(reduced.W, component, nu, T, lift_cache, dtype=complex)
-        lifted.append(z)
+            phi_r = compose_field(nonlinear, component, nu, T, cache, dtype=complex)
+        w_orders.append(_modal_response(reduced_spec, reduced_weights, phi_r))
 
     # linear complement response: the modes outside the reduced subspace
     total = n2 if spectral.kind == "general" else n2 // 2
@@ -585,18 +564,16 @@ def reduced_gss(
     else:
         z_comp = np.zeros((n2, T))
 
+    # lift through W order by order
+    tensor = CoefficientTensor.empty(
+        n2, order, T, dt, t0=forcing.t0, pad_length=forcing.pad_length
+    )
+    lift_cache = CompositionCache(max_degree=max(reduced.W.max_degree, 2))
     for nu in range(1, order + 1):
-        z = lifted[nu - 1]
+        z = compose_field(reduced.W, component, nu, T, lift_cache, dtype=complex)
         if nu == 1:
             z = z + z_comp
-        scale = np.abs(z).max(initial=0.0)
-        if scale > 0 and np.abs(z.imag).max() > 1e-8 * scale:
-            warnings.warn(
-                f"reduced order {nu} carries imaginary residue "
-                f"{np.abs(z.imag).max() / scale:.2e} after lifting",
-                DivergenceWarning,
-            )
-        tensor.insert_slice(nu, z.real.copy())
+        tensor.insert_slice(nu, _enforce_real(z, f"reduced order {nu} lift"))
 
     delta_ref = sup if sup > 0 else 1.0
     return GssExpansion(

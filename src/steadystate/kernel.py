@@ -185,7 +185,6 @@ class KernelWeights:
     retained: tuple
     q: np.ndarray | None = None  # (m, 2) complex
     step: np.ndarray | None = None  # (m,) complex or (m, 2, 2) real
-    lambdas: np.ndarray | None = None  # (m,) complex
     qmat: np.ndarray | None = None  # (m, 2, 2) real
     branches: tuple | None = None
     omega: np.ndarray | None = None  # (m,)
@@ -202,7 +201,7 @@ def build_kernel_weights(spectral: SpectralData, dt: float) -> KernelWeights:
         q = np.array([qvec_general(l, dt) for l in lams])
         step = np.exp(lams * dt)
         return KernelWeights(
-            kind="general", dt=float(dt), retained=retained, q=q, step=step, lambdas=lams
+            kind="general", dt=float(dt), retained=retained, q=q, step=step
         )
     omega = spectral.omega[list(retained)]
     zeta = spectral.zeta[list(retained)]
@@ -228,16 +227,26 @@ def build_kernel_weights(spectral: SpectralData, dt: float) -> KernelWeights:
 
 def _scalar_recursion(E: complex, q0: complex, q1: complex, u: np.ndarray) -> np.ndarray:
     """w[0] = 0;  w[k] = E w[k-1] + q0 u[k-1] + q1 u[k]."""
-    u = np.asarray(u)
-    w = lfilter([q1, q0], [1.0, -E], u.astype(complex))
-    if u[0] != 0.0:
-        # lfilter starts from w[0] = q1 u[0]; remove that homogeneous tail
-        k = np.arange(len(u))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            powers = np.power(complex(E), k)
-        powers[0] = 1.0
-        w = w - powers * (q1 * u[0])
-    return w
+    u = np.asarray(u, dtype=complex)
+    # the initial state -q1 u[0] cancels the filter's w[0] = q1 u[0]
+    return lfilter([q1, q0], [1.0, -E], u, zi=[-q1 * u[0]])[0]
+
+
+def _modal_response(
+    spectral: SpectralData, weights: KernelWeights, phi: np.ndarray
+) -> np.ndarray:
+    """Complex sum V[:, retained] @ W over the retained general modes.
+
+    Row j of W is the scalar recursion of mode j driven by the modal
+    input modal_input[j] @ phi, from the zero state. The result is
+    complex; callers whose state is real pass it through _enforce_real.
+    """
+    retained = list(weights.retained)
+    modal_u = spectral.modal_input[retained, :] @ phi  # (m, T)
+    W = np.empty_like(modal_u, dtype=complex)
+    for j in range(modal_u.shape[0]):
+        W[j] = _scalar_recursion(weights.step[j], weights.q[j, 0], weights.q[j, 1], modal_u[j])
+    return spectral.V[:, retained] @ W
 
 
 def _oscillator_recursion(E: np.ndarray, Q: np.ndarray, poles, u: np.ndarray):
@@ -274,6 +283,11 @@ def _fir(taps: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _enforce_real(Z: np.ndarray, context: str) -> np.ndarray:
+    """Real part of a conjugate-pair sum, the one imaginary-residue policy.
+
+    Raises RealnessCheckFailed when the largest imaginary part exceeds
+    1e-10 times the largest magnitude of Z.
+    """
     scale = np.abs(Z).max(initial=0.0)
     if scale > 0.0:
         resid = np.abs(Z.imag).max()
@@ -310,9 +324,9 @@ def propagate_order(
 
     Returns
     -------
-    (state_dim, T) real array; the imaginary residue of the
-    conjugate-pair summation is checked against 1e-10 x scale and then
-    discarded, never silently.
+    (state_dim, T) real array. On the general path the conjugate-pair
+    sum goes through _enforce_real: an imaginary residue above 1e-10 x
+    scale raises RealnessCheckFailed, a smaller one is discarded.
     """
     phi = np.asarray(phi)
     if phi.ndim != 2 or phi.shape[0] != spectral.state_dim:
@@ -328,15 +342,7 @@ def propagate_order(
         raise GridMismatch("weights were built for a different retained set")
 
     if spectral.kind == "general":
-        rows = spectral.modal_input[list(weights.retained), :]
-        modal_u = rows @ phi  # (m, T)
-        W = np.empty_like(modal_u, dtype=complex)
-        for j in range(modal_u.shape[0]):
-            W[j] = _scalar_recursion(
-                weights.step[j], weights.q[j, 0], weights.q[j, 1], modal_u[j]
-            )
-        Z = spectral.V[:, list(weights.retained)] @ W
-        return _enforce_real(Z, "general modal assembly")
+        return _enforce_real(_modal_response(spectral, weights, phi), "general modal assembly")
 
     n = spectral.state_dim // 2
     cols = list(weights.retained)

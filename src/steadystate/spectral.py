@@ -58,10 +58,9 @@ class SpectralData:
     adjacent with the positive-imaginary member first), eigenvector matrix
     V, and modal_input = (B V)^{-1} (equal to V^T when the damping matrix
     is symmetric, the bilinear left-eigenvector rows W^T otherwise). kind
-    'structural':
-    natural frequencies (ascending), damping ratios, mass-normalized mode
-    matrix U, and the Rayleigh coefficients. retained indexes eigenvalues
-    (general) or oscillators (structural). gamma = max_j 1 / |Re lambda_j|.
+    'structural': natural frequencies (ascending), damping ratios and the
+    mass-normalized mode matrix U. retained indexes eigenvalues (general)
+    or oscillators (structural). gamma = max_j 1 / |Re lambda_j|.
     """
 
     kind: str
@@ -74,8 +73,6 @@ class SpectralData:
     omega: np.ndarray | None = None  # (n,) ascending
     zeta: np.ndarray | None = None  # (n,)
     U: np.ndarray | None = None  # (n, n) real
-    c_M: float | None = None
-    c_K: float | None = None
 
     @property
     def n_modes(self) -> int:
@@ -265,8 +262,6 @@ def decompose_structural(system: MechanicalSystem) -> SpectralData:
         omega=omega,
         zeta=zeta,
         U=U,
-        c_M=c_M,
-        c_K=c_K,
     )
 
 

@@ -7,6 +7,7 @@ from steadystate import (
     build_duffing,
     build_system,
     compute_taylor_gss,
+    decompose_general,
     decompose_structural,
     evaluate_at_amplitude,
     evaluate_pade,
@@ -24,9 +25,10 @@ from steadystate.errors import (
     DivergenceWarning,
     InvalidParameters,
     NearResonance,
+    RealnessCheckFailed,
     UnstableLinearPart,
 )
-from steadystate.model import polynomial_field
+from steadystate.model import first_order_blocks, polynomial_field
 from tests.conftest import first_order_field, identity_lift, random_system
 
 
@@ -305,6 +307,27 @@ class TestReduced:
         f = _two_tone(n=1)
         with pytest.raises(UnstableLinearPart):
             reduced_gss(model, with_retained(spec, (0,)), f, order=1)
+
+    def test_unpaired_residue_raises(self):
+        # exact modal reduction of a general-damping oscillator, with a
+        # cubic term on the first modal coordinate only: its conjugate
+        # partner gets no matching term, so order 3 lifts to a complex
+        # trajectory, which must raise rather than lose its imaginary part
+        sys_ = build_system(np.eye(1), [[0.2]], [[1.0]], damping="general")
+        spec = decompose_general(sys_)
+        lam, lam_bar = spec.eigenvalues
+        R = polynomial_field(
+            2, 2,
+            [((1, 0), [lam, 0.0]), ((0, 1), [0.0, lam_bar]), ((3, 0), [0.5, 0.0])],
+            min_degree=1,
+        )
+        W = polynomial_field(
+            2, 2, [((1, 0), spec.V[:, 0]), ((0, 1), spec.V[:, 1])], min_degree=1
+        )
+        B, _ = first_order_blocks(sys_)
+        model = reduced_model(R, W, spec.modal_input @ B, spec.V)
+        with pytest.raises(RealnessCheckFailed):
+            reduced_gss(model, spec, _two_tone(), order=3)
 
     def test_dimension_guards(self, rng):
         sys_ = random_system(rng, 2, structural=True, n_terms=0)

@@ -28,7 +28,7 @@ from steadystate.errors import (
     RealnessCheckFailed,
     ZeroEigenvalue,
 )
-from steadystate.kernel import _enforce_real
+from steadystate.kernel import _enforce_real, _scalar_recursion
 from tests.conftest import random_system
 
 E1 = math.exp(-1.0)
@@ -331,6 +331,35 @@ class TestStructuralRecursion:
             for row in range(2):
                 scale = np.abs(ref[row]).max()
                 assert np.abs(Z[row] - ref[row]).max() <= 1e-11 * scale
+
+
+def _clongdouble_recursion(E, q0, q1, u):
+    """w[k] = E w[k-1] + q0 u[k-1] + q1 u[k] from w[0] = 0, in long double."""
+    E, q0, q1 = (np.clongdouble(c) for c in (E, q0, q1))
+    u = np.asarray(u, dtype=np.clongdouble)
+    w = np.zeros(len(u), dtype=np.clongdouble)
+    for k in range(1, len(u)):
+        w[k] = E * w[k - 1] + q0 * u[k - 1] + q1 * u[k]
+    return w
+
+
+class TestScalarRecursion:
+    @pytest.mark.parametrize("lam_dt", [-1e-4, -1e-3 + 0.1j, -0.05 + 2.0j, -1.0, -3.0 + 0.5j])
+    def test_matches_longdouble_recursion(self, lam_dt):
+        # one general mode: the recursion starts from w[0] = 0 whatever
+        # u[0] is, and follows the exact one-step relation of its weights
+        dt = 0.01
+        lam = lam_dt / dt
+        q0, q1 = qvec_general(lam, dt)
+        E = np.exp(lam_dt)
+        rng = np.random.default_rng(7)
+        for first in (0.0, 1.0 - 0.5j):
+            u = rng.standard_normal(1500) + 1j * rng.standard_normal(1500)
+            u[0] = first
+            w = _scalar_recursion(E, q0, q1, u)
+            ref = _clongdouble_recursion(E, q0, q1, u).astype(complex)
+            assert w[0] == 0.0
+            assert np.abs(w - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
 class TestNewmark:
