@@ -176,12 +176,15 @@ def compose_field(fld: PolynomialField, component, nu, length, cache, dtype=floa
 
     No sign convention applied; callers add their own. Terms are visited
     in the field's stored (graded lexicographic) order, so the floating
-    point result is deterministic.
+    point result is deterministic. Each term is added only into the rows
+    where its coefficient is nonzero; the rows it skips would gain exact
+    zeros.
     """
     out = np.zeros((fld.out_dim, length), dtype=dtype)
     for exponents, coeff in fld.terms:
         H = assemble_H(exponents, nu, component, length, cache, dtype)
-        out += np.asarray(coeff)[:, None] * H[None, :]
+        rows = np.flatnonzero(coeff)
+        out[rows] += coeff[rows, None] * H[None, :]
     return out
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +60,29 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class _Polynomial(NamedTuple):
+    """coef @ monomials(z), each monomial the product of the state
+    entries its row of factors names; the index dim stands for the
+    constant 1 and pads rows of lower degree."""
+
+    coef: np.ndarray  # (rows, n_monomials)
+    factors: np.ndarray  # (n_monomials, max degree) state indices
+
+    @classmethod
+    def of(cls, columns, factor_lists, rows, dim):
+        width = max(map(len, factor_lists), default=0)
+        padded = [f + [dim] * (width - len(f)) for f in factor_lists]
+        return cls(
+            np.reshape(columns, (len(columns), rows)).T,
+            np.reshape(np.array(padded, dtype=np.intp), (len(padded), width)),
+        )
+
+    def monomials(self, z):
+        """Each monomial's value at z of shape (dim,) or (dim, T)."""
+        z = np.concatenate([z, np.ones((1,) + z.shape[1:])])
+        return z[self.factors].prod(axis=1)
+
+
 @dataclass(frozen=True)
 class PolynomialField:
     """Sparse multivariate polynomial map R^dim -> C^out_dim.
@@ -82,8 +107,34 @@ class PolynomialField:
     def n_terms(self) -> int:
         return len(self.terms)
 
-    def term_dict(self) -> dict:
-        return {m: c for m, c in self.terms}
+    @cached_property
+    def _packed(self):
+        """(value, derivatives, columns): the evaluation form of terms.
+
+        Built on first use and cached on the instance, never with the
+        field, so a system that is only expanded never pays for it;
+        dataclasses.replace starts without it. Each variable a term
+        depends on gives one derivative monomial (one factor of it
+        removed) with the coefficient times the exponent; the 0/1 matrix
+        columns sends it to its Jacobian column.
+        """
+        factors, dfactors, dcoef, dcol = [], [], [], []
+        for m, c in self.terms:
+            f = [i for i, e in enumerate(m) for _ in range(e)]
+            factors.append(f)
+            for i, e in enumerate(m):
+                if e:
+                    k = f.index(i)
+                    dfactors.append(f[:k] + f[k + 1 :])
+                    dcoef.append(c * e)
+                    dcol.append(i)
+        columns = np.zeros((len(dcol), self.dim))
+        columns[np.arange(len(dcol)), dcol] = 1.0
+        return (
+            _Polynomial.of([c for _, c in self.terms], factors, self.out_dim, self.dim),
+            _Polynomial.of(dcoef, dfactors, self.out_dim, self.dim),
+            columns,
+        )
 
 
 def polynomial_field(dim, out_dim, terms, min_degree=2):
@@ -161,27 +212,12 @@ def evaluate_field(fld: PolynomialField, z):
     sparsity of the field, not with dim.
     """
     z = np.asarray(z)
-    single = z.ndim == 1
-    if single:
-        z = z[:, None]
-    if z.shape[0] != fld.dim:
+    if z.ndim not in (1, 2) or z.shape[0] != fld.dim:
         raise DimensionMismatch(
-            f"state has dimension {z.shape[0]}, field expects {fld.dim}"
+            f"state has shape {z.shape}, field expects ({fld.dim},) or ({fld.dim}, T)"
         )
-    T = z.shape[1]
-    dtype = np.result_type(z.dtype, *(c.dtype for _, c in fld.terms), float)
-    out = np.zeros((fld.out_dim, T), dtype=dtype)
-    for m, coeff in fld.terms:
-        mono = np.ones(T, dtype=dtype)
-        for i, e in enumerate(m):
-            if e == 1:
-                mono = mono * z[i]
-            elif e > 1:
-                mono = mono * z[i] ** e
-        out += coeff[:, None] * mono[None, :]
-    if np.isrealobj(z) and not np.iscomplexobj(out):
-        out = out.real
-    return out[:, 0] if single else out
+    value = fld._packed[0]
+    return value.coef @ value.monomials(z)
 
 
 def field_jacobian(fld: PolynomialField, z):
@@ -191,19 +227,8 @@ def field_jacobian(fld: PolynomialField, z):
         raise DimensionMismatch(
             f"state has shape {z.shape}, field expects ({fld.dim},)"
         )
-    dtype = np.result_type(z.dtype, *(c.dtype for _, c in fld.terms), float)
-    jac = np.zeros((fld.out_dim, fld.dim), dtype=dtype)
-    for m, coeff in fld.terms:
-        for i, e in enumerate(m):
-            if e == 0:
-                continue
-            deriv = float(e)
-            for j, ej in enumerate(m):
-                power = ej - 1 if j == i else ej
-                if power:
-                    deriv = deriv * z[j] ** power
-            jac[:, i] += coeff * deriv
-    return jac
+    _, deriv, columns = fld._packed
+    return (deriv.coef * deriv.monomials(z)) @ columns
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ Everything here exists to check the main pipeline from a second route:
 
   newmark_full           nonlinear time integration of the physical
                          equations (Newton in each step); shares no code
-                         with the kernel or composition stages, only the
-                         Newmark scheme (model.NewmarkStep) with the
-                         'newmark' per-order backend
+                         with the kernel or composition stages, only
+                         model.NewmarkStep (with the 'newmark' backend)
+                         and model's field evaluator
   picard_gss             fixed-point iteration on the full nonlinear
                          balance; deliberately reuses the kernel
                          propagation for its linear solves, so it checks
@@ -67,35 +67,6 @@ __all__ = [
 ]
 
 
-def _pack_field(fld):
-    """Dense exponent/coefficient arrays for fast single-point evaluation.
-
-    Returns (E, Cf, derivs): E is (n_terms, dim) integer exponents, Cf is
-    (out_dim, n_terms), and derivs[i] = (Ei, Ci) gives the packed
-    derivative field with respect to coordinate i (None where no term
-    depends on it). Matches evaluate_field / field_jacobian pointwise;
-    exists because the per-step Newton loop calls these thousands of
-    times on single vectors.
-    """
-    E = np.array([m for m, _ in fld.terms], dtype=np.int64).reshape(len(fld.terms), fld.dim)
-    Cf = np.column_stack([np.asarray(c, dtype=float) for _, c in fld.terms])
-    derivs = []
-    for i in range(fld.dim):
-        rows = np.nonzero(E[:, i])[0]
-        if rows.size == 0:
-            derivs.append(None)
-            continue
-        Ei = E[rows].copy()
-        Ci = Cf[:, rows] * E[rows, i]
-        Ei[:, i] -= 1
-        derivs.append((Ei, Ci))
-    return E, Cf, derivs
-
-
-def _packed_eval(E, Cf, w):
-    return Cf @ np.prod(w[None, :] ** E, axis=1)
-
-
 def newmark_full(
     system: MechanicalSystem,
     forcing: ForcingSignal,
@@ -106,8 +77,10 @@ def newmark_full(
     """Average-acceleration integration of the full nonlinear system.
 
     Solves M x'' + C x' + K x + f(x, x') = g(t) from rest, Newton
-    iteration in every step (tolerance relative to the step's initial
-    residual). Returns the (2n, T) trajectory on the forcing grid.
+    iteration in every step until the residual is at most newton_tol x
+    max(initial residual, sup |g|) or the increment is at the rounding
+    level of x (4 eps |x|), below which the residual, about c0 eps |x|,
+    cannot fall. Returns the (2n, T) trajectory on the forcing grid.
     fd_jacobian switches the Newton matrix to finite differences; the
     default uses the analytic polynomial Jacobian.
 
@@ -122,26 +95,13 @@ def newmark_full(
     T = g.shape[0]
 
     nm = NewmarkStep(dt)
-    c0, c1 = nm.c0, nm.c1
-
+    c1 = nm.c1
     M, C, K = system.M, system.C, system.K
+    K_eff = nm.c0 * M + c1 * C + K  # Newton matrix without the field
     fld = system.nonlinearity
-    if fld.n_terms:
-        E, Cf, derivs = _pack_field(fld)
 
     def force(x, v):
-        if fld.n_terms == 0:
-            return np.zeros(n)
-        return _packed_eval(E, Cf, np.concatenate([x, v]))
-
-    def force_jac(x, v):
-        w = np.concatenate([x, v])
-        J = np.zeros((n, 2 * n))
-        if fld.n_terms:
-            for i, packed in enumerate(derivs):
-                if packed is not None:
-                    J[:, i] = _packed_eval(packed[0], packed[1], w)
-        return J[:, :n], J[:, n:]
+        return evaluate_field(fld, np.concatenate([x, v]))
 
     x = np.zeros(n)
     v = np.zeros(n)
@@ -149,6 +109,7 @@ def newmark_full(
     out = np.zeros((2 * n, T))
     eye = np.eye(n)
     g_scale = float(np.linalg.norm(g, axis=1).max())
+    rounding = 4.0 * np.finfo(float).eps
 
     for k in range(T - 1):
         target = g[k + 1]
@@ -159,15 +120,15 @@ def newmark_full(
             return M @ an_ + C @ vn_ + K @ xn_ + force(xn_, vn_) - target, vn_, an_
 
         r, vn, an = residual(xn)
-        r0 = np.linalg.norm(r)
-        floor = newton_tol * max(r0, g_scale, 1e-300)
+        rn = np.linalg.norm(r)
+        floor = newton_tol * max(rn, g_scale, 1e-300)
         it = 0
-        while np.linalg.norm(r) > floor:
+        while rn > floor:
             if it >= max_newton:
                 raise NewtonDivergence(
-                    f"step {k + 1}: Newton stalled at residual {np.linalg.norm(r):.3e}",
+                    f"step {k + 1}: Newton stalled at residual {rn:.3e}",
                     step=k + 1,
-                    residual=float(np.linalg.norm(r)),
+                    residual=float(rn),
                 )
             if fd_jacobian:
                 Jx = np.empty((n, n))
@@ -177,11 +138,15 @@ def newmark_full(
                     Jx[:, j] = (rp - r) / h
                 J = Jx
             else:
-                Jfx, Jfv = force_jac(xn, vn)
-                J = c0 * M + c1 * C + K + Jfx + c1 * Jfv
-            xn = xn - np.linalg.solve(J, r)
+                Jf = field_jacobian(fld, np.concatenate([xn, vn]))
+                J = K_eff + Jf[:, :n] + c1 * Jf[:, n:]
+            dx = np.linalg.solve(J, r)
+            xn = xn - dx
             r, vn, an = residual(xn)
+            rn = np.linalg.norm(r)
             it += 1
+            if rn > floor and np.linalg.norm(dx) <= rounding * np.linalg.norm(xn):
+                break  # xn is settled; r sits at its rounding level
         x, v, a = xn, vn, an
         out[:n, k + 1] = x
         out[n:, k + 1] = v

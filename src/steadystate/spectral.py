@@ -74,19 +74,6 @@ class SpectralData:
     zeta: np.ndarray | None = None  # (n,)
     U: np.ndarray | None = None  # (n, n) real
 
-    @property
-    def n_modes(self) -> int:
-        return self.state_dim if self.kind == "general" else self.state_dim // 2
-
-    def first_order_eigenvalues(self) -> np.ndarray:
-        """All 2n first-order eigenvalues, either kind."""
-        if self.kind == "general":
-            return np.array(self.eigenvalues)
-        lams = []
-        for w, z in zip(self.omega, self.zeta):
-            lams.extend(_oscillator_roots(w, z))
-        return np.array(lams)
-
     def slow_real_parts(self) -> np.ndarray:
         """Per retained-unit slowest real part (the one closest to zero)."""
         if self.kind == "general":
@@ -345,16 +332,17 @@ def check_contraction(
     sample_count quasi-random points of the ball (boundary shell and axis
     points included); the analytic degree bound
     sum_m |m| ||F_m|| delta^{|m|-1} is reported alongside. L^G is zero for
-    the pure-time forcing exercised here.
+    the pure-time forcing exercised here. When the first-order eigenbasis
+    is defective (a critically damped mode), ||V|| is unbounded and the
+    certificate is returned unsatisfied: factor inf, admissible bound 0.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    if spectral.kind == "general":
-        V = spectral.V
-    else:
-        V = decompose_general(system).V
-    vnorm = float(np.linalg.norm(V, 2))
-    vnorm_product = vnorm * vnorm  # ||V*||_2 == ||V||_2
+    try:
+        V = spectral.V if spectral.kind == "general" else decompose_general(system).V
+        vnorm_product = float(np.linalg.norm(V, 2)) ** 2  # ||V*||_2 == ||V||_2
+    except DefectiveSpectrum:  # no eigenbasis: ||V|| is unbounded
+        vnorm_product = np.inf
     gamma = spectral.gamma
 
     fld = system.nonlinearity
@@ -372,10 +360,14 @@ def check_contraction(
         sup_f += cn * delta**deg
 
     lip_G = 0.0
-    factor = 2.0 * vnorm_product * gamma * (lip_sampled + lip_G)
-    bound = delta * (1.0 / (vnorm_product * gamma) - 2.0 * (lip_sampled + lip_G)) - sup_f
-    bound = max(bound, 0.0)
-    strict = 4.0 * vnorm_product * gamma * (lip_sampled + lip_G)
+    if vnorm_product == np.inf:
+        factor = strict = np.inf
+        bound = 0.0
+    else:
+        factor = 2.0 * vnorm_product * gamma * (lip_sampled + lip_G)
+        bound = delta * (1.0 / (vnorm_product * gamma) - 2.0 * (lip_sampled + lip_G)) - sup_f
+        bound = max(bound, 0.0)
+        strict = 4.0 * vnorm_product * gamma * (lip_sampled + lip_G)
     return ContractionReport(
         delta=float(delta),
         lipschitz_F=lip_sampled,

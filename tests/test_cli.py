@@ -246,6 +246,15 @@ class TestCliDiagnose:
         assert set(summary["retained_at_dt"]) <= {0, 1, 2}
         assert "contraction_factor" in summary["contraction"]
 
+    def test_critical_damping_certificate(self, tmp_path, capsys):
+        # no first-order eigenbasis at zeta = 1: an unsatisfied
+        # certificate, not a numerical failure
+        cfg = _config(tmp_path, build_duffing(zeta=1.0, kappa3=1.0))
+        assert main(["diagnose", "--config", cfg, "--delta", "0.5"]) == 0
+        contraction = _last_json(capsys)["contraction"]
+        assert contraction["satisfied"] is False
+        assert contraction["admissible_delta_bound"] == 0.0
+
     def test_general_summary(self, tmp_path, capsys):
         from steadystate import build_gyroscopic_2dof
         cfg = _config(tmp_path, build_gyroscopic_2dof())

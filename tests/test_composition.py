@@ -7,6 +7,7 @@ from steadystate import (
     assemble_H,
     assemble_phi,
     build_duffing,
+    build_oscillator_chain,
     compose_field,
     faadibruno_phi,
 )
@@ -147,6 +148,20 @@ class TestComposeField:
         h_xy = t.component(0, 1) * t.component(1, 1)
         assert np.abs(out[0] - h_sq).max() < 1e-14
         assert np.abs(out[1] - (-0.5 * h_sq + 2.0 * h_xy)).max() < 1e-13
+
+    def test_skipped_rows_change_no_bit(self, rng):
+        # each term is added only where its coefficient is nonzero; the
+        # result equals the dense sum over every row bit for bit
+        fld = build_oscillator_chain(3).nonlinearity
+        assert any(np.count_nonzero(c) < fld.out_dim for _, c in fld.terms)
+        t = _filled_tensor(rng, 6, 3, 25)
+        for nu in (2, 3, 4):
+            out = compose_field(fld, t.component, nu, 25, CompositionCache(max_degree=3))
+            dense = np.zeros((fld.out_dim, 25))
+            ref_cache = CompositionCache(max_degree=3)
+            for m, c in fld.terms:
+                dense += c[:, None] * assemble_H(m, nu, t.component, 25, ref_cache)[None, :]
+            assert np.array_equal(out, dense)
 
 
 class TestAssemblePhi:

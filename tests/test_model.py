@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,44 +43,72 @@ class TestPolynomialField:
         assert fld.n_terms == 2
         exps = [e for e, _ in fld.terms]
         assert exps == sorted(exps)
-        d = fld.term_dict()
+        d = dict(fld.terms)
         assert d[(1, 1)][0] == pytest.approx(5.0)
 
     def test_degree_guard(self):
         with pytest.raises(NonlinearTermDegreeTooLow):
             polynomial_field(2, 1, [((1, 0), np.array([1.0]))], min_degree=2)
 
+    @staticmethod
+    def _coeffs(rng, out, kind):
+        c = rng.standard_normal(out)
+        return c + 1j * rng.standard_normal(out) if kind == "complex" else c
+
+    @staticmethod
+    def _naive(terms, z):
+        # per-term sum; z is one point or a (dim, T) batch
+        z = np.asarray(z)
+        lead = (slice(None),) + (None,) * (z.ndim - 1)
+        return sum(
+            c[lead] * np.prod([z[i] ** e for i, e in enumerate(m)], axis=0)
+            for m, c in terms
+        )
+
     def test_evaluate_matches_naive(self, rng):
+        # real coefficients, and complex ones as reduced models carry
         dim, out = 4, 2
-        terms = [
-            ((2, 0, 1, 0), rng.standard_normal(out)),
-            ((0, 3, 0, 0), rng.standard_normal(out)),
-            ((1, 1, 0, 1), rng.standard_normal(out)),
-        ]
-        fld = polynomial_field(dim, out, terms)
-        z = rng.standard_normal(dim)
-        expected = np.zeros(out)
-        for e, c in terms:
-            expected += c * np.prod(z ** np.array(e))
-        assert evaluate_field(fld, z) == pytest.approx(expected)
+        for kind in ("real", "complex"):
+            terms = [
+                ((2, 0, 1, 0), self._coeffs(rng, out, kind)),
+                ((0, 3, 0, 0), self._coeffs(rng, out, kind)),
+                ((1, 1, 0, 1), self._coeffs(rng, out, kind)),
+                ((1, 0, 0, 0), self._coeffs(rng, out, kind)),
+            ]
+            fld = polynomial_field(dim, out, terms, min_degree=1)
+            z = rng.standard_normal(dim)
+            assert evaluate_field(fld, z) == pytest.approx(self._naive(terms, z))
+            Z = rng.standard_normal((dim, 9))
+            assert evaluate_field(fld, Z) == pytest.approx(self._naive(terms, Z))
 
     def test_evaluate_grid_shape(self, rng):
-        fld = polynomial_field(2, 2, [((2, 0), rng.standard_normal(2))])
-        Z = rng.standard_normal((2, 7))
-        out = evaluate_field(fld, Z)
-        assert out.shape == (2, 7)
-        for t in range(7):
-            assert out[:, t] == pytest.approx(evaluate_field(fld, Z[:, t]))
+        for kind in ("real", "complex"):
+            fld = polynomial_field(
+                2,
+                2,
+                [((2, 0), self._coeffs(rng, 2, kind)), ((1, 2), self._coeffs(rng, 2, kind))],
+            )
+            Z = rng.standard_normal((2, 7))
+            out = evaluate_field(fld, Z)
+            assert out.shape == (2, 7)
+            for t in range(7):
+                assert out[:, t] == pytest.approx(evaluate_field(fld, Z[:, t]))
 
-    @given(seed=st.integers(0, 2**31))
+    @given(seed=st.integers(0, 2**31), complex_coeffs=st.booleans())
     @settings(max_examples=25, deadline=None)
-    def test_jacobian_matches_finite_differences(self, seed):
+    def test_jacobian_matches_finite_differences(self, seed, complex_coeffs):
         r = np.random.default_rng(seed)
         dim = int(r.integers(2, 5))
-        e = [0] * dim
-        for _ in range(int(r.integers(2, 4))):
-            e[int(r.integers(0, dim))] += 1
-        fld = polynomial_field(dim, dim, [(tuple(e), r.standard_normal(dim))])
+        terms = []
+        for _ in range(int(r.integers(1, 4))):
+            e = [0] * dim
+            for _ in range(int(r.integers(1, 4))):
+                e[int(r.integers(0, dim))] += 1
+            coeff = r.standard_normal(dim)
+            if complex_coeffs:
+                coeff = coeff + 1j * r.standard_normal(dim)
+            terms.append((tuple(e), coeff))
+        fld = polynomial_field(dim, dim, terms, min_degree=1)
         z = r.standard_normal(dim)
         J = field_jacobian(fld, z)
         h = 1e-7
@@ -87,6 +117,24 @@ class TestPolynomialField:
             dz[j] = h
             fd = (evaluate_field(fld, z + dz) - evaluate_field(fld, z - dz)) / (2 * h)
             assert np.allclose(J[:, j], fd, rtol=1e-5, atol=1e-7)
+
+    def test_field_without_terms(self, rng):
+        fld = polynomial_field(4, 2, [])
+        z = rng.standard_normal(4)
+        assert np.array_equal(evaluate_field(fld, z), np.zeros(2))
+        assert np.array_equal(evaluate_field(fld, rng.standard_normal((4, 5))), np.zeros((2, 5)))
+        assert np.array_equal(field_jacobian(fld, z), np.zeros((2, 4)))
+
+    def test_replace_evaluates_new_terms(self, rng):
+        # the evaluation form is cached on the instance: a field made by
+        # dataclasses.replace must not reuse the one of the field it copies
+        fld = polynomial_field(2, 1, [((2, 0), np.array([1.0])), ((1, 1), np.array([2.0]))])
+        z = np.array([0.5, -1.5])
+        assert evaluate_field(fld, z) == pytest.approx([0.25 - 1.5])
+        cubic = dataclasses.replace(fld, terms=(((0, 3), np.array([3.0])),))
+        assert evaluate_field(cubic, z) == pytest.approx([3.0 * (-1.5) ** 3])
+        assert field_jacobian(cubic, z) == pytest.approx(np.array([[0.0, 9.0 * 1.5**2]]))
+        assert evaluate_field(fld, z) == pytest.approx([0.25 - 1.5])
 
 
 class TestBuildSystem:

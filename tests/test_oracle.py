@@ -91,6 +91,17 @@ class TestNewmarkFull:
         with pytest.raises(DimensionMismatch):
             newmark_full(sys_, f)
 
+    def test_residual_rounding_floor_does_not_stall(self):
+        # at dt = 1e-4 the residual of a converged step keeps about
+        # c0 eps |x| ~ 2e-10 (c0 = 4 / dt^2), above 1e-10 x sup |g| = 5e-11;
+        # residual-only stopping raised NewtonDivergence at step 2,850
+        sys_ = build_duffing(zeta=1.0, kappa3=1.0)
+        f = generate_forcing("filtered_gaussian", n=1, duration=2.0, dt=1e-4,
+                             delta=0.5, seed=42, f_cut=2.0, pad=100)
+        traj = newmark_full(sys_, f)
+        ref = newmark_full(sys_, f, newton_tol=1e-8)
+        assert np.abs(traj - ref).max() <= 1e-9 * np.abs(ref).max()
+
 
 class TestPicard:
     # the sampled contraction certificate is advisory and deliberately
@@ -117,6 +128,19 @@ class TestPicard:
         assert res.iterations < 60
         assert 0.0 < res.contraction_estimate < 1.0
         assert res.tol == 1e-11
+
+    def test_critical_damping_converges_without_certificate(self):
+        # zeta = 1 has no first-order eigenbasis, so the certificate is
+        # unsatisfied (a warning), yet the iteration still converges to
+        # the amplitude expansion
+        sys_ = build_duffing(omega=1.0, zeta=1.0, kappa3=1.0)
+        f = generate_forcing("two_tone", n=1, duration=60.0, dt=0.01, delta=0.3,
+                             pad=300, w1=1.3, w2=0.45)
+        with pytest.warns(UserWarning, match="contraction"):
+            res = picard_gss(sys_, f)
+        assert res.iterations < 60
+        ref = evaluate_at_amplitude(compute_taylor_gss(sys_, f, order=7), f.max_magnitude)
+        assert np.abs(res.trajectory - ref).max() <= 1e-6 * np.abs(ref).max()
 
     def test_no_convergence_carries_last_iterate(self):
         sys_ = build_duffing(zeta=0.05, kappa3=50.0)

@@ -12,7 +12,8 @@ from steadystate import (
     select_modes,
     with_retained,
 )
-from steadystate.errors import NotStructural, UnstableLinearPart
+from steadystate.errors import DefectiveSpectrum, NotStructural, UnstableLinearPart
+from steadystate.spectral import _oscillator_roots
 from tests.conftest import random_system
 
 
@@ -114,7 +115,8 @@ class TestStructuralDecomposition:
         sys_ = random_system(rng, 3, structural=True, n_terms=0)
         spec_s = decompose_structural(sys_)
         spec_g = decompose_general(build_system(sys_.M, sys_.C, sys_.K, damping="general"))
-        a = np.sort_complex(np.asarray(spec_s.first_order_eigenvalues()))
+        roots = [r for w, z in zip(spec_s.omega, spec_s.zeta) for r in _oscillator_roots(w, z)]
+        a = np.sort_complex(np.array(roots))
         b = np.sort_complex(spec_g.eigenvalues)
         assert np.abs(a - b).max() < 1e-8 * np.abs(b).max()
 
@@ -136,7 +138,7 @@ class TestSelectModes:
         # slow mode decay ~ e^{-0.1 dt}; fast mode decays like e^{-10 dt}
         kept = select_modes(spec, dt=1.0, eps=1e-3)
         decays = np.exp(1.0 * np.asarray(spec.slow_real_parts()))
-        for j in range(spec.n_modes):
+        for j in range(len(spec.omega)):
             if decays[j] > 1e-3:
                 assert j in kept
             else:
@@ -197,3 +199,19 @@ class TestContraction:
         a = check_contraction(sys_, spec, delta=0.3, forcing_delta=0.1)
         b = check_contraction(sys_, spec, delta=0.3, forcing_delta=0.1)
         assert a.lipschitz_F == b.lipschitz_F
+
+    def test_defective_basis_gives_unsatisfied_certificate(self):
+        # at zeta = 1 the first-order eigenbasis is defective, so ||V|| has
+        # no finite value: the certificate fails without a NaN in it
+        sys_ = build_duffing(omega=1.0, zeta=1.0, kappa3=1.0)
+        with pytest.raises(DefectiveSpectrum):
+            decompose_general(sys_)
+        for kappa3 in (1.0, 0.0):
+            sys_ = build_duffing(omega=1.0, zeta=1.0, kappa3=kappa3)
+            rep = check_contraction(sys_, decompose_structural(sys_), delta=0.3, forcing_delta=0.3)
+            assert not rep.satisfied and not rep.strict_satisfied
+            assert rep.contraction_factor == np.inf
+            assert rep.strict_factor == np.inf
+            assert rep.admissible_delta_bound == 0.0
+            values = [v for v in vars(rep).values() if isinstance(v, float)]
+            assert not any(np.isnan(values))
