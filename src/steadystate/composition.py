@@ -6,21 +6,19 @@ from lower orders. Order 1 is forced by the (unit-normalized) input
 itself; higher orders are forced by the polynomial nonlinearity
 composed with the partial sums, collected per total order.
 
-For a monomial gamma (a multi-index over the 2n state components), the
-order-nu coefficient of prod_i z_i(t)^{gamma_i} along the expansion is
+A monomial is handled as its factor list, the form PolynomialField
+builds: its state indices in ascending order, each repeated as often as
+its exponent. For a factor list (i, rest...) of degree d, the order-nu
+coefficient of the product along the expansion is
 
-    H[gamma, nu](t),
+    H[(i,), nu] = z^i_nu,
+    H[(i, rest...), nu] = sum_{a=d-1}^{nu-1} H[(rest...), a] * z^i_{nu-a},
 
-computed by peeling one factor at a time: with i the first component
-gamma touches and gamma' = gamma - e_i,
-
-    H[e_i, nu] = z^i_nu,
-    H[gamma, nu] = sum_{a=|gamma'|}^{nu-1} H[gamma', a] * z^i_{nu-a},
-
-and H[gamma, nu] = 0 whenever nu < |gamma| (each factor contributes at
-least order one). Intermediate products are shared: every prefix
-multi-index below the top degree is cached once per order and reused by
-all monomials extending it, across all orders of one expansion run.
+and H = 0 whenever nu < d (each factor contributes at least order one).
+The recursion only multiplies and adds the grids component returns. Every
+product below the top degree (what is left after peeling a first factor)
+is cached once per order and shared by all monomials ending in it,
+across all orders of one expansion run.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch, OrderUnavailable
-from .model import MechanicalSystem, PolynomialField
+from .model import MechanicalSystem, PolynomialField, _factor_list
 
 __all__ = [
     "CoefficientTensor",
@@ -113,13 +111,13 @@ class CoefficientTensor:
 
 @dataclass
 class CompositionCache:
-    """Shared H[gamma, nu] store for one expansion run.
+    """Shared H[factors, nu] store for one expansion run.
 
-    Only strict prefixes (|gamma| < max_degree) are kept: the top-degree
-    products are consumed exactly once, so storing them would only cost
-    memory. hits / misses count lookups of cacheable entries. A cache is
-    tied to the coefficient grids it was filled from; never reuse one
-    across tensors.
+    Only what is left of a monomial after peeling its first factor
+    (degree < max_degree) is kept: the top-degree products are consumed
+    exactly once, so storing them would only cost memory. hits / misses
+    count lookups of cacheable entries. A cache is tied to the
+    coefficient grids it was filled from; never reuse one across tensors.
     """
 
     max_degree: int
@@ -132,25 +130,31 @@ class CompositionCache:
 
 
 def assemble_H(gamma, nu, component, length, cache, dtype=float):
-    """Order-nu coefficient grid of the monomial gamma.
+    """Order-nu coefficient grid of the monomial with exponent vector gamma.
 
     component(i, m) must return the (length,) grid of state entry i at
     order m, for any 1 <= m <= nu - |gamma| + 1.
     """
     gamma = tuple(int(g) for g in gamma)
-    degree = sum(gamma)
-    if degree == 0:
-        raise DimensionMismatch("monomial must have positive degree")
     if any(g < 0 for g in gamma):
         raise DimensionMismatch(f"negative exponent in {gamma}")
-    if nu < degree:
+    factors = _factor_list(gamma)
+    if not factors:
+        raise DimensionMismatch("monomial must have positive degree")
+    if nu < len(factors):
         return np.zeros(length, dtype=dtype)
-    pivot = next(i for i, g in enumerate(gamma) if g > 0)
-    if degree == 1:
+    return _product(factors, nu, component, cache)
+
+
+def _product(factors, nu, component, cache):
+    """H[factors, nu] for nu >= len(factors): peel factors[0] and recurse
+    on the rest, whose orders then always reach its own degree."""
+    pivot, rest = factors[0], factors[1:]
+    if not rest:
         return np.asarray(component(pivot, nu))
 
-    cacheable = degree < cache.max_degree
-    key = (gamma, nu)
+    cacheable = len(factors) < cache.max_degree
+    key = (factors, nu)
     if cacheable:
         got = cache._store.get(key)
         if got is not None:
@@ -158,14 +162,9 @@ def assemble_H(gamma, nu, component, length, cache, dtype=float):
             return got
         cache.misses += 1
 
-    rest = list(gamma)
-    rest[pivot] -= 1
-    rest = tuple(rest)
-    out = np.zeros(length, dtype=dtype)
-    for a in range(degree - 1, nu):
-        out += assemble_H(rest, a, component, length, cache, dtype) * np.asarray(
-            component(pivot, nu - a)
-        )
+    out = _product(rest, len(rest), component, cache) * component(pivot, nu - len(rest))
+    for a in range(len(rest) + 1, nu):
+        out += _product(rest, a, component, cache) * component(pivot, nu - a)
     if cacheable:
         cache._store[key] = out
     return out
@@ -175,14 +174,16 @@ def compose_field(fld: PolynomialField, component, nu, length, cache, dtype=floa
     """Order-nu grid of fld evaluated along the expansion, shape (out_dim, length).
 
     No sign convention applied; callers add their own. Terms are visited
-    in the field's stored (graded lexicographic) order, so the floating
-    point result is deterministic. Each term is added only into the rows
-    where its coefficient is nonzero; the rows it skips would gain exact
-    zeros.
+    in the field's stored (lexicographic) order, so the floating point
+    result is deterministic; terms of degree above nu contribute nothing
+    and are skipped. Each term is added only into the rows where its
+    coefficient is nonzero; the rows it skips would gain exact zeros.
     """
     out = np.zeros((fld.out_dim, length), dtype=dtype)
-    for exponents, coeff in fld.terms:
-        H = assemble_H(exponents, nu, component, length, cache, dtype)
+    for factors, (_, coeff) in zip(fld._factors, fld.terms):
+        if len(factors) > nu:
+            continue
+        H = _product(factors, nu, component, cache)
         rows = np.flatnonzero(coeff)
         out[rows] += coeff[rows, None] * H[None, :]
     return out

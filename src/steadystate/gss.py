@@ -174,23 +174,14 @@ def _qp_propagate(
             _resonance_guard(kappas, [lam], resonance_tol, abs(lam), f"eigenvalue {lam:.6g}")
         W = (coeffs / (1j * kappas[None, :] - lams[:, None])) @ phases
         return _enforce_real(spectral.V[:, retained] @ W, "qp modal assembly")
-    pos = np.empty((len(retained), len(times)))
-    vel = np.empty((len(retained), len(times)))
-    for j, idx in enumerate(retained):
-        w, z = spectral.omega[idx], spectral.zeta[idx]
-        _resonance_guard(
-            kappas,
-            _oscillator_roots(w, z),
-            resonance_tol,
-            w,
-            f"oscillator roots (omega={w:.6g}, zeta={z:.6g})",
-        )
-        resp = coeffs[j] / (w * w - kappas * kappas + 2j * z * w * kappas)
-        pos[j] = (resp @ phases).real
-        vel[j] = ((1j * kappas * resp) @ phases).real
-    return np.vstack(
-        [spectral.U[:, retained] @ pos, spectral.U[:, retained] @ vel]
-    )
+    omega, zeta = spectral.omega[retained], spectral.zeta[retained]
+    for w, z in zip(omega, zeta):
+        what = f"oscillator roots (omega={w:.6g}, zeta={z:.6g})"
+        _resonance_guard(kappas, _oscillator_roots(w, z), resonance_tol, w, what)
+    w, z = omega[:, None], zeta[:, None]
+    resp = coeffs / (w * w - kappas * kappas + 2j * z * w * kappas)  # (modes, harmonics)
+    U = spectral.U[:, retained]
+    return np.vstack([U @ (resp @ phases).real, U @ ((1j * kappas * resp) @ phases).real])
 
 
 def _decompose(system: MechanicalSystem) -> SpectralData:
@@ -458,13 +449,11 @@ def evaluate_pade(pade: PadeGss, delta: float) -> np.ndarray:
 
 def _b_inverse_forcing(spectral: SpectralData, samples: np.ndarray) -> np.ndarray:
     """Grid of B^{-1} (g, 0) from the decomposition alone, shape (2n, T)."""
-    n2 = spectral.state_dim
-    n = n2 // 2
-    out = np.zeros((n2, samples.shape[0]))
+    n = spectral.state_dim // 2
+    out = np.zeros((2 * n, samples.shape[0]))
     if spectral.kind == "general":
-        phi = np.zeros((n2, samples.shape[0]))
-        phi[:n] = samples.T
-        return (spectral.V @ (spectral.modal_input @ phi)).real
+        out[:n] = samples.T  # (g, 0) itself
+        return (spectral.V @ (spectral.modal_input @ out)).real
     out[n:] = spectral.U @ (spectral.U.T @ samples.T)
     return out
 
@@ -511,12 +500,13 @@ def reduced_gss(
 
     # linear part of R and its spectrum (first-order form, B = I)
     A_r = np.zeros((d, d), dtype=complex)
-    for exponents, coeff in reduced.R.terms:
-        if sum(exponents) == 1:
-            A_r[:, exponents.index(1)] += coeff
-    nonlinear = replace(
-        reduced.R, terms=tuple(t for t in reduced.R.terms if sum(t[0]) > 1)
-    )
+    nonlinear_terms = []
+    for factors, term in zip(reduced.R._factors, reduced.R.terms):
+        if len(factors) == 1:
+            A_r[:, factors[0]] += term[1]
+        else:
+            nonlinear_terms.append(term)
+    nonlinear = replace(reduced.R, terms=tuple(nonlinear_terms))
     eigvals, V_r = np.linalg.eig(A_r)
     if np.any(eigvals.real >= -_STABILITY_TOL):
         raise UnstableLinearPart(
@@ -526,7 +516,6 @@ def reduced_gss(
         kind="general",
         state_dim=d,
         retained=tuple(range(d)),
-        gamma=float(np.max(1.0 / np.abs(eigvals.real))),
         eigenvalues=eigvals,
         V=V_r,
         modal_input=np.linalg.inv(V_r),

@@ -60,6 +60,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _factor_list(exponents):
+    """State indices of an exponent vector, each repeated as often as its exponent."""
+    return tuple(i for i, e in enumerate(exponents) for _ in range(e))
+
+
 class _Polynomial(NamedTuple):
     """coef @ monomials(z), each monomial the product of the state
     entries its row of factors names; the index dim stands for the
@@ -71,7 +76,7 @@ class _Polynomial(NamedTuple):
     @classmethod
     def of(cls, columns, factor_lists, rows, dim):
         width = max(map(len, factor_lists), default=0)
-        padded = [f + [dim] * (width - len(f)) for f in factor_lists]
+        padded = [f + (dim,) * (width - len(f)) for f in factor_lists]
         return cls(
             np.reshape(columns, (len(columns), rows)).T,
             np.reshape(np.array(padded, dtype=np.intp), (len(padded), width)),
@@ -108,6 +113,11 @@ class PolynomialField:
         return len(self.terms)
 
     @cached_property
+    def _factors(self):
+        """Each term's factor list, in the order of terms; cached like _packed."""
+        return tuple(_factor_list(m) for m, _ in self.terms)
+
+    @cached_property
     def _packed(self):
         """(value, derivatives, columns): the evaluation form of terms.
 
@@ -118,20 +128,16 @@ class PolynomialField:
         removed) with the coefficient times the exponent; the 0/1 matrix
         columns sends it to its Jacobian column.
         """
-        factors, dfactors, dcoef, dcol = [], [], [], []
-        for m, c in self.terms:
-            f = [i for i, e in enumerate(m) for _ in range(e)]
-            factors.append(f)
-            for i, e in enumerate(m):
-                if e:
-                    k = f.index(i)
-                    dfactors.append(f[:k] + f[k + 1 :])
-                    dcoef.append(c * e)
-                    dcol.append(i)
-        columns = np.zeros((len(dcol), self.dim))
-        columns[np.arange(len(dcol)), dcol] = 1.0
+        dfactors, dcoef, dcol = [], [], []
+        for f, (m, c) in zip(self._factors, self.terms):
+            for i in dict.fromkeys(f):  # each variable once, ascending
+                k = f.index(i)
+                dfactors.append(f[:k] + f[k + 1 :])
+                dcoef.append(c * m[i])
+                dcol.append(i)
+        columns = np.eye(self.dim)[dcol]
         return (
-            _Polynomial.of([c for _, c in self.terms], factors, self.out_dim, self.dim),
+            _Polynomial.of([c for _, c in self.terms], self._factors, self.out_dim, self.dim),
             _Polynomial.of(dcoef, dfactors, self.out_dim, self.dim),
             columns,
         )

@@ -66,7 +66,6 @@ class SpectralData:
     kind: str
     state_dim: int
     retained: tuple
-    gamma: float
     eigenvalues: np.ndarray | None = None  # (2n,) complex
     V: np.ndarray | None = None  # (2n, 2n) complex
     modal_input: np.ndarray | None = None  # (2n, 2n) complex
@@ -75,12 +74,17 @@ class SpectralData:
     U: np.ndarray | None = None  # (n, n) real
 
     def slow_real_parts(self) -> np.ndarray:
-        """Per retained-unit slowest real part (the one closest to zero)."""
+        """Per unit, retained or not, the slowest real part (closest to zero)."""
         if self.kind == "general":
             return self.eigenvalues.real.copy()
         return np.array(
             [max(r.real for r in _oscillator_roots(w, z)) for w, z in zip(self.omega, self.zeta)]
         )
+
+    @property
+    def gamma(self) -> float:
+        """max_j 1 / |Re lambda_j| over every mode, retained or not."""
+        return float(np.max(1.0 / np.abs(self.slow_real_parts())))
 
 
 def _oscillator_roots(omega: float, zeta: float):
@@ -213,7 +217,6 @@ def decompose_general(system: MechanicalSystem) -> SpectralData:
         kind="general",
         state_dim=dim,
         retained=tuple(range(dim)),
-        gamma=float(np.max(1.0 / np.abs(lam_out.real))),
         eigenvalues=lam_out,
         V=V,
         modal_input=W.T.copy(),
@@ -240,12 +243,10 @@ def decompose_structural(system: MechanicalSystem) -> SpectralData:
         idx = int(np.argmax(np.abs(col)))
         if col[idx] < 0.0:
             U[:, j] = -col
-    slow = [max(r.real for r in _oscillator_roots(w, z)) for w, z in zip(omega, zeta)]
     return SpectralData(
         kind="structural",
         state_dim=system.state_dim,
         retained=tuple(range(system.n)),
-        gamma=float(max(1.0 / abs(r) for r in slow)),
         omega=omega,
         zeta=zeta,
         U=U,

@@ -127,8 +127,9 @@ class TestCompositionCache:
         t = _filled_tensor(rng, 2, 4, 20)
         cache = CompositionCache(max_degree=3)
         assemble_H((2, 1), 3, t.component, 20, cache)
-        for (gamma, _nu) in cache._store:
-            assert sum(gamma) < 3
+        assert cache._store
+        for (factors, _nu) in cache._store:
+            assert len(factors) < 3
 
 
 class TestComposeField:
@@ -148,6 +149,38 @@ class TestComposeField:
         h_xy = t.component(0, 1) * t.component(1, 1)
         assert np.abs(out[0] - h_sq).max() < 1e-14
         assert np.abs(out[1] - (-0.5 * h_sq + 2.0 * h_xy)).max() < 1e-13
+
+    def test_complex_coefficients_and_components(self, rng):
+        # the reduced-model path composes complex fields along complex
+        # modal coordinates
+        fld = polynomial_field(
+            2,
+            2,
+            [
+                ((1, 0), np.array([0.5 - 1.0j, 0.0])),
+                ((1, 2), np.array([1.0 + 2.0j, -0.5j])),
+                ((0, 2), np.array([0.0, 3.0 - 0.5j])),
+            ],
+            min_degree=1,
+        )
+        grids = [
+            rng.normal(size=(2, 15)) + 1j * rng.normal(size=(2, 15)) for _ in range(3)
+        ]
+
+        def z(i, m):
+            return grids[m - 1][i]
+
+        cache = CompositionCache(max_degree=3)
+        out = compose_field(fld, z, 3, 15, cache, dtype=complex)
+        # order-3 coefficients: z0_3 for x, x y^2 needs three first-order
+        # factors, y^2 pairs orders (1, 2) both ways
+        h_x = z(0, 3)
+        h_xyy = z(0, 1) * z(1, 1) ** 2
+        h_yy = 2.0 * z(1, 1) * z(1, 2)
+        c = dict(fld.terms)
+        want = c[(1, 0)][:, None] * h_x + c[(1, 2)][:, None] * h_xyy + c[(0, 2)][:, None] * h_yy
+        assert out.dtype == complex
+        assert np.abs(out - want).max() < 1e-13 * np.abs(want).max()
 
     def test_skipped_rows_change_no_bit(self, rng):
         # each term is added only where its coefficient is nonzero; the

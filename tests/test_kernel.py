@@ -315,7 +315,6 @@ class TestStructuralRecursion:
             kind="structural",
             state_dim=2,
             retained=(0,),
-            gamma=1.0,
             omega=np.array([omega]),
             zeta=np.array([zeta]),
             U=np.eye(1),
