@@ -36,7 +36,9 @@ def parse_args():
     p.add_argument("--delta", type=float, default=4.0, help="forcing amplitude [N]")
     p.add_argument("--dof", type=int, default=4, help="forced mass index")
     p.add_argument("--order", type=int, default=7, help="expansion order")
-    p.add_argument("--harmonics", type=int, default=5, help="harmonic budget")
+    p.add_argument("--harmonics", type=int, default=None,
+                   help="harmonic budget (default: the order, which keeps the "
+                        "expansion free of truncation)")
     p.add_argument("--threads", type=int, default=4)
     p.add_argument("--out-dir", default="out_frc")
     return p.parse_args()
@@ -50,7 +52,8 @@ def main():
         system = build_oscillator_chain(args.n, m=args.mass, k_lin=args.k_lin,
                                         c=c, kappa3=args.kappa3)
         result = frc_sweep(system, omegas, delta=args.delta, order=args.order,
-                           harmonic_budget=args.harmonics,
+                           harmonic_budget=(args.harmonics if args.harmonics is not None
+                                            else args.order),
                            threads=args.threads, dofs=(args.dof,))
         path = os.path.join(args.out_dir, f"frc_c{c:g}.csv")
         header = "omega," + ",".join(

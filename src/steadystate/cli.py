@@ -125,6 +125,7 @@ def _cmd_compute(args):
         eps_trunc=args.eps_trunc,
         delta=args.delta,
         base_frequencies=args.base_freq,
+        harmonic_budget=args.harmonic,
     )
     if args.out:
         serialize.save_expansion(expansion, args.out)
@@ -161,6 +162,7 @@ def _cmd_compare(args):
         eps_trunc=args.eps_trunc,
         delta=delta,
         base_frequencies=args.base_freq,
+        harmonic_budget=args.harmonic,
     )
     taylor = evaluate_at_amplitude(expansion, delta)
     scale = delta / forcing.max_magnitude if forcing.max_magnitude > 0 else 0.0
@@ -321,6 +323,7 @@ def _build_parser():
     p.add_argument("--backend", choices=("kernel", "newmark", "qp"), default="kernel")
     p.add_argument("--delta", type=float, default=None, help="evaluation amplitude")
     p.add_argument("--base-freq", type=float, nargs="*", default=None, help="qp backend base frequencies")
+    p.add_argument("--harmonic", type=int, default=5, help="qp backend harmonic index budget")
     p.add_argument("--out", default=None, help="expansion container directory")
     p.add_argument("--trajectory", default=None, help="evaluated trajectory CSV")
     p.set_defaults(func=_cmd_compute)
@@ -331,6 +334,7 @@ def _build_parser():
     p.add_argument("--backend", choices=("kernel", "newmark", "qp"), default="kernel")
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--base-freq", type=float, nargs="*", default=None)
+    p.add_argument("--harmonic", type=int, default=5, help="qp backend harmonic index budget")
     p.add_argument("--skip", type=int, default=None, help="samples to skip in metrics (default: pad)")
     p.add_argument("--trajectory", default=None)
     p.set_defaults(func=_cmd_compare)

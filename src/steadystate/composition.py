@@ -15,14 +15,18 @@ coefficient of the product along the expansion is
     H[(i, rest...), nu] = sum_{a=d-1}^{nu-1} H[(rest...), a] * z^i_{nu-a},
 
 and H = 0 whenever nu < d (each factor contributes at least order one).
-The recursion only multiplies and adds the grids component returns. Every
-product below the top degree (what is left after peeling a first factor)
-is cached once per order and shared by all monomials ending in it,
-across all orders of one expansion run.
+The recursion only multiplies and adds what component returns, and the
+multiplication is a parameter: elementwise on time grids (the default),
+a truncated convolution on harmonic coefficient arrays (the 'qp'
+backend, where a product of Fourier series convolves their
+coefficients). Every product below the top degree (what is left after
+peeling a first factor) is cached once per order and shared by all
+monomials ending in it, across all orders of one expansion run.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +49,10 @@ class CoefficientTensor:
 
     data has shape (state_dim, order_max, T); slot [:, nu-1, :] holds
     z_nu on the grid. Slots beyond the filled orders stay NaN so that an
-    accidental read is loud. dt / t0 / pad_length describe the grid
-    (t0 is the time of the first stored sample, pad included).
+    accidental read is loud. dt / t0 / pad_length describe the grid (t0
+    is the time of the first stored sample, pad included). The 'qp'
+    backend also keeps a complex tensor whose last axis indexes
+    harmonics instead of grid samples.
     """
 
     data: np.ndarray
@@ -146,9 +152,10 @@ def assemble_H(gamma, nu, component, length, cache, dtype=float):
     return _product(factors, nu, component, cache)
 
 
-def _product(factors, nu, component, cache):
+def _product(factors, nu, component, cache, product=operator.mul):
     """H[factors, nu] for nu >= len(factors): peel factors[0] and recurse
-    on the rest, whose orders then always reach its own degree."""
+    on the rest, whose orders then always reach its own degree. product
+    multiplies two of what component returns."""
     pivot, rest = factors[0], factors[1:]
     if not rest:
         return np.asarray(component(pivot, nu))
@@ -162,15 +169,19 @@ def _product(factors, nu, component, cache):
             return got
         cache.misses += 1
 
-    out = _product(rest, len(rest), component, cache) * component(pivot, nu - len(rest))
+    out = product(
+        _product(rest, len(rest), component, cache, product), component(pivot, nu - len(rest))
+    )
     for a in range(len(rest) + 1, nu):
-        out += _product(rest, a, component, cache) * component(pivot, nu - a)
+        out += product(_product(rest, a, component, cache, product), component(pivot, nu - a))
     if cacheable:
         cache._store[key] = out
     return out
 
 
-def compose_field(fld: PolynomialField, component, nu, length, cache, dtype=float):
+def compose_field(
+    fld: PolynomialField, component, nu, length, cache, dtype=float, product=operator.mul
+):
     """Order-nu grid of fld evaluated along the expansion, shape (out_dim, length).
 
     No sign convention applied; callers add their own. Terms are visited
@@ -178,13 +189,13 @@ def compose_field(fld: PolynomialField, component, nu, length, cache, dtype=floa
     result is deterministic; terms of degree above nu contribute nothing
     and are skipped. Each term is added only into the rows where its
     coefficient is nonzero; the rows it skips would gain exact zeros.
+    product is handed to the recursion (see _product).
     """
     out = np.zeros((fld.out_dim, length), dtype=dtype)
-    for factors, (_, coeff) in zip(fld._factors, fld.terms):
+    for factors, rows, (_, coeff) in zip(fld._factors, fld._nonzero_rows, fld.terms):
         if len(factors) > nu:
             continue
-        H = _product(factors, nu, component, cache)
-        rows = np.flatnonzero(coeff)
+        H = _product(factors, nu, component, cache, product)
         out[rows] += coeff[rows, None] * H[None, :]
     return out
 
@@ -195,6 +206,7 @@ def assemble_phi(
     nu: int,
     forcing_grid=None,
     cache: CompositionCache | None = None,
+    product=operator.mul,
 ):
     """Inhomogeneity grid Phi_nu for a mechanical system, shape (2n, T).
 
@@ -204,6 +216,9 @@ def assemble_phi(
     is minus the order-nu composition of the internal force field (the
     field enters the balance on the left-hand side), the lower block is
     identically zero, and orders 1..nu-1 of the tensor must be filled.
+    Those orders are composed with product (see _product) and the result
+    has the tensor's dtype, so a complex tensor of harmonic coefficients
+    (T then counts harmonics) gives Phi_nu's harmonic coefficients.
     """
     n = system.n
     if tensor.state_dim != 2 * n:
@@ -228,10 +243,11 @@ def assemble_phi(
             f"{tensor.orders_complete}"
         )
     fld = system.nonlinearity
+    dtype = tensor.data.dtype
     if fld.n_terms == 0:
-        return np.zeros((2 * n, T))
+        return np.zeros((2 * n, T), dtype=dtype)
     if cache is None:
         cache = CompositionCache(max_degree=fld.max_degree)
-    out = np.zeros((2 * n, T))
-    out[:n] = -compose_field(fld, tensor.component, nu, T, cache)
+    out = np.zeros((2 * n, T), dtype=dtype)
+    out[:n] = -compose_field(fld, tensor.component, nu, T, cache, dtype=dtype, product=product)
     return out

@@ -139,6 +139,14 @@ class DivergenceWarning(UserWarning):
     Pade resummation."""
 
 
+class HarmonicTruncationWarning(UserWarning):
+    """The 'qp' backend's harmonic budget is below the expansion order.
+
+    Orders above the budget drop the harmonics outside the index ball
+    sum |k_i| <= budget; with forcing on sum |k_i| <= 1 the expansion is
+    exact only when the budget is at least the order."""
+
+
 # --------------------------------------------------------------- oracle
 
 

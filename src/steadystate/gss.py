@@ -15,9 +15,14 @@ Three propagation backends share the assembly:
   'kernel'   exponential one-step convolution per retained mode
   'newmark'  average-acceleration time stepping per order (no modal
              reduction; an independent linear integrator)
-  'qp'       closed-form bounded orbit for quasiperiodic forcing: each
-             order's inhomogeneity is fit with harmonics of the given
-             base frequencies and mapped through 1/(i<k,Omega> - lambda)
+  'qp'       closed-form bounded orbit for quasiperiodic forcing: the
+             forcing is fit once with harmonics of the given base
+             frequencies; higher orders compose harmonic coefficients
+             by lattice convolution (harmonic balance) and each harmonic
+             is mapped through 1/(i<k,Omega> - lambda). Exact when the
+             harmonic budget is at least the order and the forcing sits
+             on sum |k_i| <= 1; a lower budget drops harmonics and warns
+             (HarmonicTruncationWarning)
 
 Divergent-looking expansions are flagged with DivergenceWarning, never
 silently truncated. Amplitude evaluation past the radius of convergence
@@ -26,7 +31,9 @@ is the job of the rational resummation below (pade_resum).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -42,6 +49,7 @@ from .errors import (
     DenominatorNearZero,
     DimensionMismatch,
     DivergenceWarning,
+    HarmonicTruncationWarning,
     InvalidParameters,
     NearResonance,
     UnstableLinearPart,
@@ -116,14 +124,40 @@ def _harmonic_ball(dims: int, budget: int):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _lattice_product(dims: int, budget: int):
+    """The product of two Fourier series on _harmonic_ball(dims, budget).
+
+    Returns product(a, b) for (K,) coefficient arrays on the ball: out[l]
+    sums a[i] b[j] over the index pairs with k_i + k_j = k_l, and sums
+    that leave the ball are dropped (a truncated lattice convolution).
+    Built once per (dims, budget).
+    """
+    ks = _harmonic_ball(dims, budget)
+    index = {k: l for l, k in enumerate(ks)}
+    triples = []
+    for i, ki in enumerate(ks):
+        for j, kj in enumerate(ks):
+            l = index.get(tuple(x + y for x, y in zip(ki, kj)))
+            if l is not None:
+                triples.append((l, i, j))
+    out, left, right = np.array(sorted(triples)).T
+    starts = np.flatnonzero(np.diff(out, prepend=-1))
+
+    def product(a, b):
+        return np.add.reduceat(a[left] * b[right], starts)
+
+    return product
+
+
 def fit_harmonics(rows: np.ndarray, times: np.ndarray, base_frequencies, budget: int = 5):
     """Least-squares harmonic coefficients of sampled rows.
 
     rows: (m, T) real or complex samples; returns (kappas, coeffs) with
-    coeffs of shape (m, K) such that rows ~ coeffs @ exp(i kappa t). The
-    index ball is sum |k_i| <= budget over the base frequencies; indices
-    with (numerically) duplicate frequencies are merged by the solver
-    implicitly through the least-squares fit.
+    coeffs of shape (m, K) such that rows ~ coeffs @ exp(i kappa t), over
+    the index ball sum |k_i| <= budget of the base frequencies. The 'qp'
+    backend calls it once per solve, on the order-1 forcing rows; higher
+    orders are composed from these coefficients, never fit.
     """
     Omega = np.atleast_1d(np.asarray(base_frequencies, dtype=float))
     ks = _harmonic_ball(len(Omega), budget)
@@ -131,6 +165,31 @@ def fit_harmonics(rows: np.ndarray, times: np.ndarray, base_frequencies, budget:
     A = np.exp(1j * np.outer(times, kappas))  # (T, K)
     coeffs, *_ = np.linalg.lstsq(A, np.asarray(rows).T, rcond=None)
     return kappas, coeffs.T
+
+
+def _qp_base_frequencies(base_frequencies, budget):
+    """The 'qp' arguments checked: returns the base frequencies as a float
+    array, or raises InvalidParameters unless they are non-empty, finite
+    and > 0, no two harmonics of the ball share a frequency, and the
+    budget is an int >= 0."""
+    if base_frequencies is None:
+        raise InvalidParameters("qp backend needs base_frequencies")
+    if not isinstance(budget, numbers.Integral) or budget < 0:
+        raise InvalidParameters(f"harmonic_budget must be an int >= 0, got {budget!r}")
+    Omega = np.atleast_1d(np.asarray(base_frequencies, dtype=float))
+    if Omega.ndim != 1 or Omega.size == 0 or not np.all(np.isfinite(Omega) & (Omega > 0)):
+        raise InvalidParameters(
+            f"base_frequencies must be finite and > 0, at least one, got {base_frequencies!r}"
+        )
+    # two indices at one frequency would split a harmonic between them, and
+    # the convolution would then carry it past the budget
+    kappas = np.sort(np.array(_harmonic_ball(len(Omega), budget)) @ Omega)
+    if np.any(np.diff(kappas) <= 1e-9 * kappas[-1]):
+        raise InvalidParameters(
+            f"base_frequencies {Omega.tolist()} put two harmonics of the budget-{budget} "
+            "ball at one frequency; pass rationally independent frequencies"
+        )
+    return Omega
 
 
 def _resonance_guard(kappas, roots, resonance_tol, scale, what):
@@ -147,41 +206,85 @@ def _resonance_guard(kappas, roots, resonance_tol, scale, what):
         )
 
 
-def _qp_propagate(
-    spectral, phi, times, base_frequencies, budget, resonance_tol, fit_from=0
-):
-    """Exact bounded orbit of one order under harmonic-fit inhomogeneity.
+@dataclass
+class _HarmonicOrbit:
+    """The 'qp' backend's state across the orders of one solve.
 
-    fit_from excludes the leading grid rows from the harmonic fit: a
-    zero pad is a kernel-backend start-up device, not part of the
+    coeffs holds each order's harmonic coefficients, shape (state_dim,
+    order, K) with the last axis on _harmonic_ball(len(Omega), budget);
+    K may be 1, so it is built directly rather than through
+    CoefficientTensor.empty, which checks a time grid. product multiplies
+    two coefficient rows. The order-1 fit sets kappas and the (K, T)
+    phase matrix exp(i kappa t) on the output grid.
+    """
+
+    Omega: np.ndarray
+    budget: int
+    times: np.ndarray
+    fit_from: int
+    resonance_tol: float | None
+    coeffs: CoefficientTensor
+    product: object
+    kappas: np.ndarray | None = None
+    phases: np.ndarray | None = None
+
+
+def _qp_propagate(spectral, phi, nu, orbit):
+    """Exact bounded orbit of order nu, solved harmonic by harmonic.
+
+    At order 1, phi is the forcing grid: its nonzero rows are fit once
+    (fit_harmonics), over the grid from orbit.fit_from on, since a zero
+    pad is a kernel-backend start-up device, not part of the
     quasiperiodic signal, and including it would bias the coefficients.
-    The orbit itself is still evaluated on the full grid. On the general
-    path the conjugate-pair sum goes through _enforce_real: an imaginary
-    residue above 1e-10 x scale raises RealnessCheckFailed.
+    The same call builds the phase matrix and runs the resonance guard.
+    For nu >= 2, phi already holds the harmonic coefficients of Phi_nu,
+    composed from lower orders by lattice convolution. Each harmonic is
+    divided by its resonance denominator, the coefficients go into
+    orbit.coeffs, and the orbit is written on the full grid: .real on
+    the structural path, _enforce_real on the general path (an imaginary
+    residue above 1e-10 x scale raises RealnessCheckFailed).
+
+    With forcing on sum |k_i| <= 1, order nu only reaches sum |k_i| <= nu,
+    so the orbit is exact while the budget is at least the order.
     """
     retained = list(spectral.retained)
-    window = slice(int(fit_from), None)
-    if spectral.kind == "general":
-        rows = spectral.modal_input[retained, :] @ phi
-    else:
-        n = spectral.state_dim // 2
-        rows = spectral.U[:, retained].T @ phi[:n]
-    kappas, coeffs = fit_harmonics(rows[:, window], times[window], base_frequencies, budget)
-    phases = np.exp(1j * np.outer(kappas, times))
+    n = spectral.state_dim // 2
+    if nu == 1:
+        forced = np.flatnonzero(phi[:n].any(axis=1))
+        window = slice(orbit.fit_from, None)
+        orbit.kappas, forcing = fit_harmonics(
+            phi[forced, window], orbit.times[window], orbit.Omega, orbit.budget
+        )
+        orbit.phases = np.exp(1j * np.outer(orbit.kappas, orbit.times))
+        phi = np.zeros((spectral.state_dim, len(orbit.kappas)), dtype=complex)
+        phi[forced] = forcing
+        _qp_guard(spectral, orbit.kappas, orbit.resonance_tol)
+    kappas = orbit.kappas
     if spectral.kind == "general":
         lams = spectral.eigenvalues[retained]
-        for lam in lams:
+        W = (spectral.modal_input[retained, :] @ phi) / (1j * kappas[None, :] - lams[:, None])
+        Z = spectral.V[:, retained] @ W
+        orbit.coeffs.insert_slice(nu, Z)
+        return _enforce_real(Z @ orbit.phases, "qp modal assembly")
+    w, z = spectral.omega[retained, None], spectral.zeta[retained, None]
+    U = spectral.U[:, retained]
+    resp = (U.T @ phi[:n]) / (w * w - kappas * kappas + 2j * z * w * kappas)  # (modes, K)
+    Z = np.vstack([U @ resp, U @ (1j * kappas * resp)])
+    orbit.coeffs.insert_slice(nu, Z)
+    return (Z @ orbit.phases).real
+
+
+def _qp_guard(spectral, kappas, resonance_tol):
+    """_resonance_guard for every retained mode: eigenvalues on the
+    general path, oscillator roots on the structural path."""
+    retained = list(spectral.retained)
+    if spectral.kind == "general":
+        for lam in spectral.eigenvalues[retained]:
             _resonance_guard(kappas, [lam], resonance_tol, abs(lam), f"eigenvalue {lam:.6g}")
-        W = (coeffs / (1j * kappas[None, :] - lams[:, None])) @ phases
-        return _enforce_real(spectral.V[:, retained] @ W, "qp modal assembly")
-    omega, zeta = spectral.omega[retained], spectral.zeta[retained]
-    for w, z in zip(omega, zeta):
+        return
+    for w, z in zip(spectral.omega[retained], spectral.zeta[retained]):
         what = f"oscillator roots (omega={w:.6g}, zeta={z:.6g})"
         _resonance_guard(kappas, _oscillator_roots(w, z), resonance_tol, w, what)
-    w, z = omega[:, None], zeta[:, None]
-    resp = coeffs / (w * w - kappas * kappas + 2j * z * w * kappas)  # (modes, harmonics)
-    U = spectral.U[:, retained]
-    return np.vstack([U @ (resp @ phases).real, U @ ((1j * kappas * resp) @ phases).real])
 
 
 def _decompose(system: MechanicalSystem) -> SpectralData:
@@ -229,8 +332,14 @@ def compute_taylor_gss(
         raise InvalidParameters(f"order must be >= 1, got {order}")
     if backend not in _BACKENDS:
         raise InvalidParameters(f"backend {backend!r} not one of {_BACKENDS}")
-    if backend == "qp" and base_frequencies is None:
-        raise InvalidParameters("qp backend needs base_frequencies")
+    if backend == "qp":
+        Omega = _qp_base_frequencies(base_frequencies, harmonic_budget)
+        if harmonic_budget < order:
+            warnings.warn(
+                f"harmonic_budget {harmonic_budget} is below order {order}: orders above "
+                "it drop the harmonics outside sum |k_i| <= budget",
+                HarmonicTruncationWarning,
+            )
     if forcing.n != system.n:
         raise DimensionMismatch(
             f"forcing has {forcing.n} columns, system has {system.n} dofs"
@@ -253,24 +362,34 @@ def compute_taylor_gss(
     )
     cache = CompositionCache(max_degree=max(system.nonlinearity.max_degree, 2))
     weights = build_kernel_weights(spectral, forcing.dt) if backend == "kernel" else None
-    times = forcing.times()
+    if backend == "qp":
+        K = len(_harmonic_ball(len(Omega), harmonic_budget))
+        orbit = _HarmonicOrbit(
+            Omega=Omega,
+            budget=harmonic_budget,
+            times=forcing.times(),
+            fit_from=forcing.pad_length,
+            resonance_tol=resonance_tol,
+            coeffs=CoefficientTensor(
+                np.full((system.state_dim, order, K), np.nan, dtype=complex),
+                dt=forcing.dt,
+                t0=forcing.t0,
+                pad_length=forcing.pad_length,
+            ),
+            product=_lattice_product(len(Omega), harmonic_budget),
+        )
 
     for nu in range(1, order + 1):
-        phi = assemble_phi(system, tensor, nu, forcing_grid=normalized, cache=cache)
+        if backend == "qp" and nu > 1:
+            phi = assemble_phi(system, orbit.coeffs, nu, cache=cache, product=orbit.product)
+        else:
+            phi = assemble_phi(system, tensor, nu, forcing_grid=normalized, cache=cache)
         if backend == "kernel":
             z = propagate_order(spectral, weights, phi, pad_length=forcing.pad_length)
         elif backend == "newmark":
             z = propagate_order_newmark(system, phi, forcing.dt)
         else:
-            z = _qp_propagate(
-                spectral,
-                phi,
-                times,
-                base_frequencies,
-                harmonic_budget,
-                resonance_tol,
-                fit_from=forcing.pad_length,
-            )
+            z = _qp_propagate(spectral, phi, nu, orbit)
         tensor.insert_slice(nu, z)
 
     if check_divergence and order >= 2:

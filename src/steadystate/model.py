@@ -118,6 +118,11 @@ class PolynomialField:
         return tuple(_factor_list(m) for m, _ in self.terms)
 
     @cached_property
+    def _nonzero_rows(self):
+        """Each term's output rows with a nonzero coefficient, in the order of terms."""
+        return tuple(np.flatnonzero(c) for _, c in self.terms)
+
+    @cached_property
     def _packed(self):
         """(value, derivatives, columns): the evaluation form of terms.
 

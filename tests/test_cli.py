@@ -17,7 +17,7 @@ from steadystate import (
 )
 from steadystate import serialize
 from steadystate.cli import main
-from steadystate.errors import ConfigError
+from steadystate.errors import ConfigError, HarmonicTruncationWarning
 from steadystate.model import evaluate_field
 
 
@@ -214,6 +214,16 @@ class TestCliCompute:
         assert summary["nmte"] < 0.05
         assert summary["sup_error"] >= 0.0
         assert summary["skip"] == 50
+
+    @pytest.mark.parametrize("command", ["compute", "compare"])
+    def test_qp_harmonic_budget_reaches_the_solver(self, tmp_path, capsys, command):
+        cfg = _config(tmp_path)
+        qp = ["--config", cfg, "--forcing", _GEN, "--pad", "50", "--order", "3",
+              "--backend", "qp", "--base-freq", "1.3", "0.45"]
+        with pytest.warns(HarmonicTruncationWarning, match="harmonic_budget 2"):
+            assert main([command, *qp, "--harmonic", "2"]) == 0
+        assert main([command, *qp[:-2]]) == 2  # --base-freq without values
+        assert capsys.readouterr().err.startswith("InvalidParameters:")
 
 
 class TestCliFrc:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,13 +25,17 @@ from steadystate.errors import (
     DenominatorNearZero,
     DimensionMismatch,
     DivergenceWarning,
+    HarmonicTruncationWarning,
     InvalidParameters,
     NearResonance,
     RealnessCheckFailed,
     UnstableLinearPart,
 )
+from steadystate.composition import CompositionCache, compose_field
+from steadystate.gss import fit_harmonics
 from steadystate.model import first_order_blocks, polynomial_field
 from tests.conftest import first_order_field, identity_lift, random_system
+from tests.test_kernel import _general_2dof
 
 
 def _two_tone(n=1, duration=40.0, dt=0.02, delta=0.02, **kw):
@@ -97,6 +103,58 @@ class TestComputeTaylor:
                 base_frequencies=(1.0, 0.37), resonance_tol=1e-2,
             )
 
+    @pytest.mark.parametrize("case", ["duffing_two_tone", "general_cubic"])
+    def test_qp_matches_grid_refit(self, case):
+        # the lattice convolution against the algorithm it replaced:
+        # compose each order on the time grid, then refit its harmonics
+        if case == "duffing_two_tone":
+            sys_ = build_duffing(omega=1.0, zeta=0.5, kappa3=1.0)
+            f = generate_forcing("two_tone", n=1, duration=60.0, dt=0.02, delta=0.4,
+                                 pad=150, w1=1.3, w2=0.45)
+            order = 5
+        else:
+            base = _general_2dof()
+            sys_ = build_system(base.M, base.C, base.K, terms=[((2, 1, 0, 0), 1, 0.4)],
+                                damping="general")
+            f = _two_tone(n=2, duration=60.0, delta=0.3)
+            order = 3
+        got = compute_taylor_gss(sys_, f, order=order, backend="qp",
+                                 base_frequencies=(1.3, 0.45), harmonic_budget=5)
+        ref = _grid_refit_qp(sys_, f, order, (1.3, 0.45), 5)
+        assert np.abs(ref[-1]).max() > 0.0
+        for nu in range(1, order + 1):
+            diff = np.abs(got.tensor.order_slice(nu) - ref[nu - 1]).max()
+            assert diff <= 1e-10 * np.abs(ref[nu - 1]).max()
+
+    def test_qp_general_damping_matches_kernel(self):
+        # complex modes above order 1: non-proportional damping, a cubic
+        # coupling term, late window as in test_qp_backend_matches_kernel
+        M = np.diag([1.0, 1.5])
+        K = np.array([[3.0, -1.0], [-1.0, 2.0]])
+        sys_ = build_system(M, np.diag([0.8, 0.6]), K, terms=[((2, 1, 0, 0), 1, 0.4)],
+                            damping="general")
+        f = _two_tone(n=2, duration=90.0, dt=0.005, delta=0.3)
+        a = compute_taylor_gss(sys_, f, order=3, backend="kernel")
+        b = compute_taylor_gss(sys_, f, order=3, backend="qp", base_frequencies=(1.3, 0.45))
+        assert b.spectral.kind == "general"
+        late = slice(2 * f.length // 3, None)
+        for nu in (1, 3):
+            za = a.tensor.order_slice(nu)[:, late]
+            zb = b.tensor.order_slice(nu)[:, late]
+            assert np.abs(za).max() > 0.0
+            assert np.abs(za - zb).max() < 1e-4 * np.abs(za).max()
+
+    def test_qp_truncation_warning(self):
+        sys_ = build_duffing(zeta=0.4, kappa3=0.4)
+        f = _two_tone()
+        with pytest.warns(HarmonicTruncationWarning, match="below order 3"):
+            compute_taylor_gss(sys_, f, order=3, backend="qp",
+                               base_frequencies=(1.3, 0.45), harmonic_budget=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", HarmonicTruncationWarning)
+            compute_taylor_gss(sys_, f, order=3, backend="qp",
+                               base_frequencies=(1.3, 0.45), harmonic_budget=3)
+
     def test_divergence_warning(self):
         sys_ = build_duffing(zeta=0.02, kappa3=200.0)
         f = _two_tone(delta=1.0)
@@ -114,6 +172,17 @@ class TestComputeTaylor:
             compute_taylor_gss(sys_, f, order=2, backend="qp")
         with pytest.raises(DimensionMismatch):
             compute_taylor_gss(sys_, _two_tone(n=2), order=2)
+        # qp: base frequencies non-empty, finite, > 0 and rationally
+        # independent within the ball; the budget an int >= 0
+        for base in ((), (0.0,), (-1.3,), (np.nan,), (1.3, np.inf), (1.0, 2.0)):
+            with pytest.raises(InvalidParameters):
+                compute_taylor_gss(sys_, f, order=2, backend="qp", base_frequencies=base)
+        for budget in (-1, 2.5, None):
+            with pytest.raises(InvalidParameters):
+                compute_taylor_gss(
+                    sys_, f, order=2, backend="qp", base_frequencies=(1.3, 0.45),
+                    harmonic_budget=budget,
+                )
 
     def test_mode_truncation_reduces_retained(self):
         # one fast, strongly damped mode: a coarse grid drops it
@@ -125,6 +194,33 @@ class TestComputeTaylor:
         f = _two_tone(n=2, dt=0.05)
         exp = compute_taylor_gss(sys_, f, order=1, eps_trunc=1e-3)
         assert exp.spectral.retained == (0,)
+
+
+def _grid_refit_qp(system, forcing, order, base_frequencies, budget):
+    """Order grids, each (2n, T), of the qp backend's earlier algorithm:
+    each order's force is composed on the time grid and fit with
+    harmonics after the pad, and every harmonic is solved through the
+    physical frequency response (K - kappa^2 M + i kappa C)."""
+    n, T, pad = system.n, forcing.length, forcing.pad_length
+    times = forcing.times()
+    grids = []
+    cache = CompositionCache(max_degree=max(system.nonlinearity.max_degree, 2))
+    for nu in range(1, order + 1):
+        if nu == 1:
+            force = forcing.samples.T / forcing.max_magnitude
+        else:
+            force = -compose_field(
+                system.nonlinearity, lambda i, m: grids[m - 1][i], nu, T, cache
+            )
+        kappas, coeffs = fit_harmonics(force[:, pad:], times[pad:], base_frequencies, budget)
+        z = np.zeros((2 * n, T), dtype=complex)
+        for kappa, c in zip(kappas, coeffs.T):
+            H = np.linalg.solve(system.K - kappa**2 * system.M + 1j * kappa * system.C, c)
+            phase = np.exp(1j * kappa * times)
+            z[:n] += np.outer(H, phase)
+            z[n:] += np.outer(1j * kappa * H, phase)
+        grids.append(z.real)
+    return grids
 
 
 class TestEvaluate:
