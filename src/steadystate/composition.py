@@ -50,7 +50,9 @@ class CoefficientTensor:
     data has shape (state_dim, order_max, T); slot [:, nu-1, :] holds
     z_nu on the grid. Slots beyond the filled orders stay NaN so that an
     accidental read is loud. dt / t0 / pad_length describe the grid (t0
-    is the time of the first stored sample, pad included). The 'qp'
+    is the time of the first stored sample, pad included). A tensor
+    loaded from a container holds exactly its completed orders, as a
+    read-only memory map of the saved file. The 'qp'
     backend also keeps a complex tensor whose last axis indexes
     harmonics instead of grid samples.
     """

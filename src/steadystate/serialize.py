@@ -1,12 +1,17 @@
 """File formats: system configs, forcing and trajectory CSV, expansion
 and resummation containers.
 
-All floating point text is written with %.17g (or repr, for JSON),
-which round-trips float64 exactly; the loaders therefore reproduce
-saved grids bit for bit. An expansion container is a directory holding
-manifest.json plus one CSV per order; the CSVs carry a redundant time
-column for inspection, which loaders ignore in favor of the manifest's
-dt and t0.
+Text floats are written with %.17g in CSV (forcing, trajectories) and
+with repr in JSON; both round-trip float64 exactly, so the loaders
+reproduce saved grids bit for bit.
+
+A container (version 2) is a directory holding manifest.json (format,
+version, dtype, dimensions, grid and metadata) plus one NumPy .npy file
+per array: tensor.npy for an expansion, num.npy and den.npy for a
+resummation. The arrays are stored as raw float64 and loaded as
+read-only memory maps, so a round trip is bit-exact and a reader pays
+only for the orders it touches. Saving replaces each file atomically.
+Version 1 (CSV per order) containers are rejected with ConfigError.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ __all__ = [
 ]
 
 _FMT = "%.17g"
+_CONTAINER_VERSION = 2
 
 
 def _system_dict(system: MechanicalSystem) -> dict:
@@ -164,13 +170,85 @@ def read_trajectory_csv(path: str):
     return data[:, 1:].T.copy(), dt, float(times[0])
 
 
-def save_expansion(expansion: GssExpansion, directory: str) -> None:
-    """Expansion container: manifest.json + order_XXX.csv per order."""
+def _write_container(directory: str, manifest: dict, arrays: dict) -> None:
+    """Write name.npy per array, then manifest.json, each atomically.
+
+    Every file is first written under a temporary name in the directory
+    and then moved into place with os.replace, manifest last. A container
+    loaded earlier keeps reading its own data: the rename leaves the old
+    file alive under the mapping, where saving onto the name would
+    truncate it underneath (and a mapped read past the new end faults).
+    A reader never meets a manifest whose arrays are not yet written.
+    """
     os.makedirs(directory, exist_ok=True)
+    staged = [
+        _stage(
+            directory,
+            f"{name}.npy",
+            lambda fh, a=array: np.save(fh, a, allow_pickle=False),
+        )
+        for name, array in arrays.items()
+    ]
+    text = json.dumps(manifest, indent=1) + "\n"
+    staged.append(_stage(directory, "manifest.json", lambda fh: fh.write(text.encode())))
+    for tmp, final in staged:
+        os.replace(tmp, final)
+
+
+def _stage(directory: str, name: str, write) -> tuple[str, str]:
+    final = os.path.join(directory, name)
+    tmp = os.path.join(directory, f".{name}.tmp")
+    with open(tmp, "wb") as fh:
+        write(fh)
+    return tmp, final
+
+
+def _read_manifest(directory: str, fmt: str, what: str) -> dict:
+    manifest_path = os.path.join(directory, "manifest.json")
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {manifest_path}: {exc}") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != fmt:
+        raise ConfigError(f"{directory} is not {what}")
+    version = manifest.get("version")
+    if version != _CONTAINER_VERSION:
+        raise ConfigError(
+            f"{directory} is a version {version} container; this reader needs "
+            f"version {_CONTAINER_VERSION} (recompute and save it again)"
+        )
+    return manifest
+
+
+def _map_array(directory: str, name: str, shape: tuple, dtype: str) -> np.ndarray:
+    """Read-only memory map of name.npy, checked against the manifest."""
+    path = os.path.join(directory, f"{name}.npy")
+    try:
+        array = np.load(path, mmap_mode="r", allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    if array.shape != tuple(shape) or array.dtype != np.dtype(dtype):
+        raise ConfigError(
+            f"{path} holds {array.dtype} {array.shape}; "
+            f"the manifest says {np.dtype(dtype)} {tuple(shape)}"
+        )
+    return array
+
+
+def save_expansion(expansion: GssExpansion, directory: str) -> None:
+    """Expansion container: manifest.json plus tensor.npy.
+
+    tensor.npy holds the completed orders, shape (state_dim,
+    orders_complete, length); slot [:, nu-1, :] is the order-nu grid.
+    The grid's times follow from the manifest's dt, t0 and length.
+    """
     tensor = expansion.tensor
+    slab = tensor.data[:, : tensor.orders_complete, :]
     manifest = {
         "format": "gss-expansion",
-        "version": 1,
+        "version": _CONTAINER_VERSION,
+        "dtype": slab.dtype.str,
         "state_dim": int(tensor.state_dim),
         "order": int(expansion.order),
         "orders_complete": int(tensor.orders_complete),
@@ -184,53 +262,33 @@ def save_expansion(expansion: GssExpansion, directory: str) -> None:
         "eps_trunc": expansion.eps_trunc,
         "cache_stats": expansion.cache_stats,
     }
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
-    times = tensor.times()
-    header = "t," + ",".join(f"z{j}" for j in range(tensor.state_dim))
-    for nu in range(1, tensor.orders_complete + 1):
-        np.savetxt(
-            os.path.join(directory, f"order_{nu:03d}.csv"),
-            np.column_stack([times, tensor.order_slice(nu).T]),
-            fmt=_FMT,
-            delimiter=",",
-            header=header,
-            comments="",
-        )
+    _write_container(directory, manifest, {"tensor": slab})
 
 
 def load_expansion(directory: str) -> GssExpansion:
     """Rebuild an expansion from its container.
 
-    The model and decomposition are not serialized; the result carries
-    the grids and metadata (enough for evaluation and resummation), with
-    system and spectral set to None.
+    The tensor is a read-only memory map of tensor.npy, so evaluation and
+    resummation read only the orders they use. The model and
+    decomposition are not serialized; the result carries the grids and
+    metadata (enough for evaluation and resummation), with system and
+    spectral set to None.
     """
-    manifest_path = os.path.join(directory, "manifest.json")
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read {manifest_path}: {exc}") from None
-    if manifest.get("format") != "gss-expansion":
-        raise ConfigError(f"{directory} is not an expansion container")
-    tensor = CoefficientTensor.empty(
-        manifest["state_dim"],
-        manifest["order"],
-        manifest["length"],
-        manifest["dt"],
-        t0=manifest["t0"],
-        pad_length=manifest["pad_length"],
+    manifest = _read_manifest(directory, "gss-expansion", "an expansion container")
+    complete = manifest["orders_complete"]
+    data = _map_array(
+        directory,
+        "tensor",
+        (manifest["state_dim"], complete, manifest["length"]),
+        manifest["dtype"],
     )
-    for nu in range(1, manifest["orders_complete"] + 1):
-        data = np.loadtxt(
-            os.path.join(directory, f"order_{nu:03d}.csv"),
-            delimiter=",",
-            skiprows=1,
-            ndmin=2,
-        )
-        tensor.insert_slice(nu, data[:, 1:].T)
+    tensor = CoefficientTensor(
+        data=data,
+        dt=float(manifest["dt"]),
+        t0=float(manifest["t0"]),
+        pad_length=int(manifest["pad_length"]),
+        _filled=set(range(1, complete + 1)),
+    )
     return GssExpansion(
         system=None,
         spectral=None,
@@ -245,11 +303,15 @@ def load_expansion(directory: str) -> GssExpansion:
 
 
 def save_pade(pade: PadeGss, directory: str) -> None:
-    """Resummation container: manifest.json, den.csv, num_XXX.csv per order."""
-    os.makedirs(directory, exist_ok=True)
+    """Resummation container: manifest.json, num.npy and den.npy.
+
+    num.npy has shape (state_dim, L, length) and den.npy (state_dim, M),
+    both in the scaled variable s = delta / sigma.
+    """
     manifest = {
         "format": "gss-pade",
-        "version": 1,
+        "version": _CONTAINER_VERSION,
+        "dtype": pade.num.dtype.str,
         "L": pade.L,
         "M": pade.M,
         "sigma": pade.sigma,
@@ -261,41 +323,20 @@ def save_pade(pade: PadeGss, directory: str) -> None:
         "backend": pade.backend,
         "ill_conditioned": list(pade.ill_conditioned),
     }
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
-    np.savetxt(os.path.join(directory, "den.csv"), pade.den, fmt=_FMT, delimiter=",")
-    for k in range(pade.L):
-        np.savetxt(
-            os.path.join(directory, f"num_{k + 1:03d}.csv"),
-            pade.num[:, k, :],
-            fmt=_FMT,
-            delimiter=",",
-        )
+    _write_container(directory, manifest, {"num": pade.num, "den": pade.den})
 
 
 def load_pade(directory: str) -> PadeGss:
-    manifest_path = os.path.join(directory, "manifest.json")
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read {manifest_path}: {exc}") from None
-    if manifest.get("format") != "gss-pade":
-        raise ConfigError(f"{directory} is not a resummation container")
-    dim, T, L = manifest["state_dim"], manifest["length"], manifest["L"]
-    den = np.loadtxt(os.path.join(directory, "den.csv"), delimiter=",", ndmin=2)
-    num = np.empty((dim, L, T))
-    for k in range(L):
-        num[:, k, :] = np.loadtxt(
-            os.path.join(directory, f"num_{k + 1:03d}.csv"), delimiter=",", ndmin=2
-        )
+    """Rebuild a resummation from its container (arrays memory-mapped)."""
+    manifest = _read_manifest(directory, "gss-pade", "a resummation container")
+    dim, T = manifest["state_dim"], manifest["length"]
+    L, M, dtype = manifest["L"], manifest["M"], manifest["dtype"]
     return PadeGss(
         L=L,
-        M=manifest["M"],
+        M=M,
         sigma=manifest["sigma"],
-        num=num,
-        den=den,
+        num=_map_array(directory, "num", (dim, L, T), dtype),
+        den=_map_array(directory, "den", (dim, M), dtype),
         ill_conditioned=tuple(manifest.get("ill_conditioned", [])),
         dt=manifest["dt"],
         t0=manifest["t0"],

@@ -391,8 +391,10 @@ def test_criterion_10_determinism_and_thread_count(tmp_path, capsys):
              "1.4", "--points", "5", "--delta", "0.05", "--order", "3",
              "--threads", "4", "--out", str(frc4)])
         results[tag] = {
-            "orders": [
-                (exp_dir / f"order_{nu:03d}.csv").read_text() for nu in (1, 2, 3, 4)
+            # every file of the container, by name and bytes (manifest
+            # included): at least as strict as comparing the grids' text
+            "expansion": [
+                (p.name, p.read_bytes()) for p in sorted(exp_dir.iterdir())
             ],
             "traj": traj.read_text(),
             "pade": pade_sum,
@@ -401,6 +403,8 @@ def test_criterion_10_determinism_and_thread_count(tmp_path, capsys):
             "frc1": frc1.read_text(),
             "frc4": frc4.read_text(),
         }
+        assert [name for name, _ in results[tag]["expansion"]] == [
+            "manifest.json", "tensor.npy"]
         # thread count must not move any number (text equality: %.17g is
         # an exact float64 round trip, so equal text == equal values)
         assert results[tag]["frc1"] == results[tag]["frc4"]

@@ -19,6 +19,7 @@ from steadystate import serialize
 from steadystate.cli import main
 from steadystate.errors import ConfigError, HarmonicTruncationWarning
 from steadystate.model import evaluate_field
+from tests.test_kernel import _general_2dof
 
 
 def _two_tone(n=1, duration=20.0, dt=0.05, delta=0.1, pad=100):
@@ -106,27 +107,42 @@ class TestTrajectoryCsv:
 
 
 class TestExpansionContainer:
-    def _expansion(self):
-        sys_ = build_duffing(zeta=0.2, kappa3=1.0)
+    def _expansion(self, zeta=0.2):
+        sys_ = build_duffing(zeta=zeta, kappa3=1.0)
         return compute_taylor_gss(sys_, _two_tone(), order=3)
+
+    def _general_expansion(self):
+        # non-proportional damping with a cubic coupling: complex modes
+        base = _general_2dof()
+        sys_ = build_system(base.M, base.C, base.K, terms=[((2, 1, 0, 0), 1, 0.4)],
+                            damping="general")
+        return compute_taylor_gss(sys_, _two_tone(n=2, delta=0.3), order=4)
 
     def test_round_trip(self, tmp_path):
         exp = self._expansion()
         d = tmp_path / "container"
         serialize.save_expansion(exp, d)
         back = serialize.load_expansion(d)
+        assert sorted(p.name for p in d.iterdir()) == ["manifest.json", "tensor.npy"]
+        assert json.loads((d / "manifest.json").read_text())["version"] == 2
+        assert isinstance(back.tensor.data, np.memmap)
+        assert not back.tensor.data.flags.writeable
         for nu in (1, 2, 3):
             assert np.array_equal(back.tensor.order_slice(nu),
                                   exp.tensor.order_slice(nu))
+        assert back.tensor.orders_complete == 3
         assert back.order == 3
         assert back.backend == exp.backend
         assert back.delta_ref == exp.delta_ref
         assert back.forcing_sup == exp.forcing_sup
         assert back.tensor.dt == exp.tensor.dt
+        assert back.tensor.t0 == exp.tensor.t0
         assert back.tensor.pad_length == exp.tensor.pad_length
-        a = evaluate_at_amplitude(exp, 0.07)
-        b = evaluate_at_amplitude(back, 0.07)
-        assert np.array_equal(a, b)
+        assert back.cache_stats == exp.cache_stats
+        for k in (1, 2, 3):
+            a = evaluate_at_amplitude(exp, 0.07, max_order=k)
+            b = evaluate_at_amplitude(back, 0.07, max_order=k)
+            assert np.array_equal(a, b)
 
     def test_pade_round_trip(self, tmp_path):
         exp = self._expansion()
@@ -134,6 +150,9 @@ class TestExpansionContainer:
         d = tmp_path / "pade"
         serialize.save_pade(pade, d)
         back = serialize.load_pade(d)
+        assert sorted(p.name for p in d.iterdir()) == [
+            "den.npy", "manifest.json", "num.npy"]
+        assert isinstance(back.num, np.memmap) and isinstance(back.den, np.memmap)
         assert np.array_equal(back.num, pade.num)
         assert np.array_equal(back.den, pade.den)
         assert back.sigma == pade.sigma
@@ -141,12 +160,75 @@ class TestExpansionContainer:
         assert (back.L, back.M) == (2, 1)
         assert np.array_equal(evaluate_pade(back, 0.06), evaluate_pade(pade, 0.06))
 
+    def test_general_damping_round_trip(self, tmp_path):
+        exp = self._general_expansion()
+        serialize.save_expansion(exp, tmp_path / "exp")
+        back = serialize.load_expansion(tmp_path / "exp")
+        assert np.array_equal(back.tensor.data, exp.tensor.data)
+        for k in range(1, 5):
+            assert np.array_equal(evaluate_at_amplitude(back, 0.25, max_order=k),
+                                  evaluate_at_amplitude(exp, 0.25, max_order=k))
+        pade = pade_resum(exp, 2, 2)
+        from_loaded = pade_resum(back, 2, 2)
+        assert np.array_equal(from_loaded.num, pade.num)
+        assert np.array_equal(from_loaded.den, pade.den)
+        serialize.save_pade(from_loaded, tmp_path / "pade")
+        pade_back = serialize.load_pade(tmp_path / "pade")
+        assert np.array_equal(evaluate_pade(pade_back, 0.25), evaluate_pade(pade, 0.25))
+
+    def test_save_over_a_loaded_container(self, tmp_path):
+        # a later save replaces the files; the earlier map keeps its data
+        first, second = self._expansion(), self._expansion(zeta=0.3)
+        assert not np.array_equal(first.tensor.data, second.tensor.data)
+        serialize.save_expansion(first, tmp_path)
+        back = serialize.load_expansion(tmp_path)
+        serialize.save_expansion(second, tmp_path)
+        assert np.array_equal(evaluate_at_amplitude(back, 0.07),
+                              evaluate_at_amplitude(first, 0.07))
+        again = serialize.load_expansion(tmp_path)
+        assert np.array_equal(again.tensor.data, second.tensor.data)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "manifest.json", "tensor.npy"]
+
     def test_not_a_container(self, tmp_path):
         with pytest.raises(ConfigError):
             serialize.load_expansion(tmp_path)
         (tmp_path / "manifest.json").write_text(json.dumps({"format": "other"}))
         with pytest.raises(ConfigError):
             serialize.load_expansion(tmp_path)
+        with pytest.raises(ConfigError):
+            serialize.load_pade(tmp_path)
+
+    @pytest.mark.parametrize("fmt,load", [
+        ("gss-expansion", serialize.load_expansion),
+        ("gss-pade", serialize.load_pade),
+    ])
+    def test_version_1_manifest(self, tmp_path, fmt, load):
+        (tmp_path / "manifest.json").write_text(json.dumps({"format": fmt, "version": 1}))
+        with pytest.raises(ConfigError, match="version 1.*version 2"):
+            load(tmp_path)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda data: data[:, :2, :],  # an order short
+        lambda data: data.astype(np.float32),
+    ], ids=["shape", "dtype"])
+    def test_array_disagrees_with_manifest(self, tmp_path, corrupt):
+        exp = self._expansion()
+        serialize.save_expansion(exp, tmp_path)
+        np.save(tmp_path / "tensor.npy", corrupt(exp.tensor.data))
+        with pytest.raises(ConfigError, match="manifest says"):
+            serialize.load_expansion(tmp_path)
+
+    def test_truncated_or_missing_array(self, tmp_path):
+        pade = pade_resum(self._expansion(), 2, 1)
+        serialize.save_pade(pade, tmp_path)
+        num = tmp_path / "num.npy"
+        full = num.read_bytes()
+        for cut in (len(full) - 8, 100, 3, 0):
+            num.write_bytes(full[:cut])
+            with pytest.raises(ConfigError):
+                serialize.load_pade(tmp_path)
+        num.unlink()
         with pytest.raises(ConfigError):
             serialize.load_pade(tmp_path)
 
