@@ -4,8 +4,9 @@
 Drives a cubic spring-mass chain with band-limited random forcing applied
 at both ends, computes the bounded steady response by recursive Taylor
 expansion, and checks it against a full Newmark integration of the same
-signal. Prints the error metric and the runtime of each route, and can
-write both trajectories to CSV for inspection.
+signal. Prints the error metric, the runtime of each route and the
+process's peak memory after the expansion route (before the full
+integration runs), and can write both trajectories to CSV for inspection.
 
 Example:
     python3 scripts/run_chain_comparison.py --order 10 --duration 100 \
@@ -15,6 +16,7 @@ Example:
 import argparse
 import json
 import os
+import resource
 import time
 
 from steadystate import (
@@ -62,6 +64,8 @@ def main():
     expansion = compute_taylor_gss(system, forcing, order=args.order)
     trajectory = evaluate_at_amplitude(expansion, forcing.max_magnitude)
     t_expansion = time.perf_counter() - t0
+    # peak resident set so far, the expansion route's; ru_maxrss is in KiB on Linux
+    expansion_peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     t0 = time.perf_counter()
     reference = newmark_full(system, forcing)
@@ -75,6 +79,7 @@ def main():
         "expansion_seconds": round(t_expansion, 3),
         "newmark_seconds": round(t_reference, 3),
         "speedup": round(t_reference / t_expansion, 2),
+        "expansion_peak_rss_mb": round(expansion_peak_rss_mb, 1),
         "retained_modes": len(select_modes(expansion.spectral, args.dt,
                                            eps=expansion.eps_trunc)),
     }

@@ -113,8 +113,24 @@ class CoefficientTensor:
         return self.data[:, nu - 1, :]
 
     def component(self, i, nu):
-        """Row i of order nu; the lookup the composition recursion uses."""
-        return self.order_slice(nu)[i]
+        """Row i of order nu; the lookup the composition recursion uses.
+
+        It does not validate nu: an unfilled order reads its NaN slot.
+        assemble_phi checks orders_complete once per call instead; use
+        order_slice for a checked read.
+        """
+        return self.data[i, nu - 1]
+
+    def window(self, block):
+        """The tensor on the samples of one time block (a slice of the
+        grid), as a view: orders inserted into it land in this tensor.
+        It starts with no order filled."""
+        return CoefficientTensor(
+            data=self.data[:, :, block],
+            dt=self.dt,
+            t0=self.t0 + block.start * self.dt,
+            pad_length=max(self.pad_length - block.start, 0),
+        )
 
 
 @dataclass
@@ -125,7 +141,9 @@ class CompositionCache:
     (degree < max_degree) is kept: the top-degree products are consumed
     exactly once, so storing them would only cost memory. hits / misses
     count lookups of cacheable entries. A cache is tied to the
-    coefficient grids it was filled from; never reuse one across tensors.
+    coefficient grids it was filled from; never reuse one across tensors
+    without clear(). compute_taylor_gss keeps one cache for the run and
+    clears it at each time block, so its products are block-length.
     """
 
     max_degree: int
@@ -133,7 +151,15 @@ class CompositionCache:
     misses: int = 0
     _store: dict = field(default_factory=dict, repr=False)
 
+    def clear(self):
+        """Drop the stored products, keeping the counters: the grids
+        they were built from are about to change (the next time block)."""
+        self._store.clear()
+
     def stats(self):
+        """hits and misses since the cache was made (summed over the
+        blocks of a blocked run); entries is the size of the store now,
+        one block's products after a blocked run."""
         return {"hits": self.hits, "misses": self.misses, "entries": len(self._store)}
 
 

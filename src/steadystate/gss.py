@@ -55,6 +55,7 @@ from .errors import (
     UnstableLinearPart,
 )
 from .kernel import (
+    Carry,
     _enforce_real,
     _modal_response,
     build_kernel_weights,
@@ -84,6 +85,10 @@ __all__ = [
 ]
 
 _BACKENDS = ("kernel", "newmark", "qp")
+# samples per time block of the cascade: every order is composed and
+# propagated one block at a time, so composition products and per-order
+# temporaries stay block-length and in cache
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,8 @@ class GssExpansion:
     normalized forcing; delta_ref is the reference amplitude (the
     forcing's own sup norm unless overridden), which also scales the
     rational resummation below. cache_stats records product reuse in the
-    composition stage.
+    composition stage: hits and misses summed over the time blocks of
+    the run, entries the size of one block's product store.
     """
 
     system: MechanicalSystem
@@ -307,6 +313,19 @@ def compute_taylor_gss(
 ) -> GssExpansion:
     """Amplitude expansion of the steady response to a sampled forcing.
 
+    The cascade runs in time blocks of _BLOCK samples, blocks outer and
+    orders inner. For each block and each order nu it composes Phi_nu
+    (assemble_phi on the tensor's view of the block, with the block's
+    forcing normalized), propagates it with the order's Carry, which
+    holds the filter state where the previous block ended, and writes
+    z_nu's block into the tensor. One CompositionCache serves the run
+    and is cleared at each block, so products are block-length.
+    Composition is pointwise in time and the propagators are causal
+    filters, so the result equals a single block's up to the rounding of
+    the modal matrix products, which may differ with the block length;
+    at the fixed block size it repeats bit for bit. The 'qp' backend
+    runs as one block over its harmonic coefficients.
+
     Parameters
     ----------
     system, forcing : model objects
@@ -350,10 +369,6 @@ def compute_taylor_gss(
     spectral = with_retained(spectral, retained)
 
     sup = forcing.max_magnitude
-    if sup > 0.0:
-        normalized = forcing.samples / sup
-    else:
-        normalized = np.zeros_like(forcing.samples)
     delta_ref = float(delta) if delta is not None else (sup if sup > 0.0 else 1.0)
 
     T = forcing.length
@@ -378,32 +393,41 @@ def compute_taylor_gss(
             ),
             product=_lattice_product(len(Omega), harmonic_budget),
         )
+        # the harmonic cascade has no time axis to split: one block
+        blocks = [slice(0, T)]
+    else:
+        blocks = [slice(s, min(s + _BLOCK, T)) for s in range(0, T, _BLOCK)]
 
-    for nu in range(1, order + 1):
-        if backend == "qp" and nu > 1:
-            phi = assemble_phi(system, orbit.coeffs, nu, cache=cache, product=orbit.product)
-        else:
-            phi = assemble_phi(system, tensor, nu, forcing_grid=normalized, cache=cache)
-        if backend == "kernel":
-            z = propagate_order(spectral, weights, phi, pad_length=forcing.pad_length)
-        elif backend == "newmark":
-            z = propagate_order_newmark(system, phi, forcing.dt)
-        else:
-            z = _qp_propagate(spectral, phi, nu, orbit)
-        tensor.insert_slice(nu, z)
+    carries = [Carry() for _ in range(order)]
+    for block in blocks:
+        cache.clear()
+        window = tensor.window(block)
+        samples = forcing.samples[block]
+        normalized = samples / sup if sup > 0.0 else np.zeros_like(samples)
+        for nu in range(1, order + 1):
+            if backend == "qp" and nu > 1:
+                phi = assemble_phi(system, orbit.coeffs, nu, cache=cache, product=orbit.product)
+            else:
+                phi = assemble_phi(system, window, nu, forcing_grid=normalized, cache=cache)
+            if backend == "kernel":
+                z = propagate_order(spectral, weights, phi, carry=carries[nu - 1])
+            elif backend == "newmark":
+                z = propagate_order_newmark(system, phi, forcing.dt, carry=carries[nu - 1])
+            else:
+                z = _qp_propagate(spectral, phi, nu, orbit)
+            window.insert_slice(nu, z)
+    tensor._filled.update(range(1, order + 1))
 
     if check_divergence and order >= 2:
         # parity-robust: a purely odd (or even) series has zero slices at
         # alternating orders, so compare adjacent-order pairs
         half = (order + 1) // 2
-        m_half = max(
-            _scaled_magnitude(tensor, half, delta_ref),
-            _scaled_magnitude(tensor, min(half + 1, order), delta_ref),
-        )
-        m_top = max(
-            _scaled_magnitude(tensor, order, delta_ref),
-            _scaled_magnitude(tensor, max(order - 1, 1), delta_ref),
-        )
+
+        def scaled(nu):
+            return _scaled_magnitude(tensor, nu, delta_ref, blocks)
+
+        m_half = max(scaled(half), scaled(min(half + 1, order)))
+        m_top = max(scaled(order), scaled(max(order - 1, 1)))
         if m_half > 0.0 and m_top > 10.0 * m_half:
             warnings.warn(
                 f"top-order term is {m_top / m_half:.1f}x the mid-order term "
@@ -425,9 +449,12 @@ def compute_taylor_gss(
     )
 
 
-def _scaled_magnitude(tensor: CoefficientTensor, nu: int, delta: float) -> float:
+def _scaled_magnitude(tensor: CoefficientTensor, nu: int, delta: float, blocks) -> float:
+    """Largest state norm over the grid of order nu, times delta^nu; read
+    block by block, so its temporaries stay block-length."""
     z = tensor.order_slice(nu)
-    return float(np.linalg.norm(z, axis=0).max() * delta**nu)
+    peak = max(np.linalg.norm(z[:, block], axis=0).max() for block in blocks)
+    return float(peak * delta**nu)
 
 
 def evaluate_at_amplitude(
@@ -444,8 +471,10 @@ def evaluate_at_amplitude(
             f"max_order {top} outside 1..{expansion.tensor.orders_complete}"
         )
     out = np.zeros((expansion.state_dim, expansion.length))
+    term = np.empty_like(out)
     for nu in range(1, top + 1):
-        out += expansion.tensor.order_slice(nu) * delta**nu
+        np.multiply(expansion.tensor.order_slice(nu), delta**nu, out=term)
+        out += term
     return out
 
 

@@ -24,6 +24,12 @@ matrix comes from an exact series-plus-step-doubling scheme, and the
 pair is propagated by one vectorized recursion. Both work for every
 zeta, including exactly 1, and neither divides by an eigenvalue
 difference.
+
+Every propagator is a causal filter, so a grid can be propagated in
+consecutive time blocks: a Carry hands the filter state at the end of
+one block to the next. The filters run sample by sample, so the blocks
+reproduce the whole-grid recursion exactly; only the modal matrix
+products round differently on blocks of other lengths.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from .model import MechanicalSystem, NewmarkStep
 from .spectral import SpectralData, _oscillator_roots
 
 __all__ = [
+    "Carry",
     "KernelWeights",
     "qvec_general",
     "qmat_structural",
@@ -176,8 +183,10 @@ class KernelWeights:
 
     kind 'general': q[j] is the complex weight pair, step[j] = e^{lam dt}.
     kind 'structural': qmat[j] is the real 2x2 weight matrix with branch
-    tag branches[j], step[j] the 2x2 block matrix exponential; omega and
-    zeta give the poles of the propagation recursion.
+    tag branches[j], step[j] the 2x2 block matrix exponential; sos[j],
+    taps[j] and correction[j] are the oscillator's propagation filter
+    (see _oscillator_filter), built once so that every time block reuses
+    them.
     """
 
     kind: str
@@ -187,8 +196,9 @@ class KernelWeights:
     step: np.ndarray | None = None  # (m,) complex or (m, 2, 2) real
     qmat: np.ndarray | None = None  # (m, 2, 2) real
     branches: tuple | None = None
-    omega: np.ndarray | None = None  # (m,)
-    zeta: np.ndarray | None = None  # (m,)
+    sos: np.ndarray | None = None  # (m, 2, 6) complex
+    taps: np.ndarray | None = None  # (m, 2, 3) real
+    correction: np.ndarray | None = None  # (m, 2, 2) real
 
 
 def build_kernel_weights(spectral: SpectralData, dt: float) -> KernelWeights:
@@ -208,11 +218,15 @@ def build_kernel_weights(spectral: SpectralData, dt: float) -> KernelWeights:
     mats = []
     branches = []
     steps = []
+    filters = []
     for w, z in zip(omega, zeta):
         Q, branch = qmat_structural(w, z, dt)
+        E = scipy.linalg.expm(_block_matrix(w, z) * dt)
         mats.append(Q)
         branches.append(branch)
-        steps.append(scipy.linalg.expm(_block_matrix(w, z) * dt))
+        steps.append(E)
+        filters.append(_oscillator_filter(E, Q, np.exp(np.array(_oscillator_roots(w, z)) * dt)))
+    sos, taps, correction = (np.array(f) for f in zip(*filters))
     return KernelWeights(
         kind="structural",
         dt=float(dt),
@@ -220,45 +234,95 @@ def build_kernel_weights(spectral: SpectralData, dt: float) -> KernelWeights:
         qmat=np.array(mats),
         step=np.array(steps),
         branches=tuple(branches),
-        omega=omega,
-        zeta=zeta,
+        sos=sos,
+        taps=taps,
+        correction=correction,
     )
 
 
-def _scalar_recursion(E: complex, q0: complex, q1: complex, u: np.ndarray) -> np.ndarray:
-    """w[0] = 0;  w[k] = E w[k-1] + q0 u[k-1] + q1 u[k]."""
+@dataclass
+class Carry:
+    """One order's propagation state from one time block to the next.
+
+    A fresh Carry starts the grid: the recursion runs from the zero state
+    at its first sample. Handing the same Carry to propagate_order (or
+    propagate_order_newmark) with each following block of the same order
+    continues the recursion where the previous block ended; the call
+    updates it in place. state is None until the first block has run,
+    then what the propagator needs: per general mode the lfilter state,
+    per oscillator an _OscillatorState, for Newmark the last (x, v, a).
+    """
+
+    state: object = None
+
+
+@dataclass
+class _OscillatorState:
+    """One oscillator's filters between blocks: zi is the sosfilt state
+    of each filtered row (g, and the impulse response h when u[0] != 0),
+    past the last two samples of each row, the FIR's history."""
+
+    zi: np.ndarray | None = None
+    past: np.ndarray | None = None
+
+
+def _scalar_recursion(
+    E: complex, q0: complex, q1: complex, u: np.ndarray, zi: np.ndarray | None = None
+) -> np.ndarray:
+    """w[k] = E w[k-1] + q0 u[k-1] + q1 u[k] over one block of u.
+
+    Without zi, u starts the grid and w[0] = 0. Otherwise zi is the (1,)
+    lfilter state the block starts from, overwritten with the state at
+    its end.
+    """
     u = np.asarray(u, dtype=complex)
-    # the initial state -q1 u[0] cancels the filter's w[0] = q1 u[0]
-    return lfilter([q1, q0], [1.0, -E], u, zi=[-q1 * u[0]])[0]
+    if zi is None:
+        zi = _scalar_start(q1, u[:1])
+    w, zi[:] = lfilter([q1, q0], [1.0, -E], u, zi=zi)
+    return w
+
+
+def _scalar_start(q1, u0):
+    """The lfilter state that makes w[0] = 0: -q1 u[0] cancels the
+    filter's w[0] = q1 u[0]. Broadcasts over modes."""
+    return -q1 * u0
 
 
 def _modal_response(
-    spectral: SpectralData, weights: KernelWeights, phi: np.ndarray
+    spectral: SpectralData, weights: KernelWeights, phi: np.ndarray, carry: Carry | None = None
 ) -> np.ndarray:
     """Complex sum V[:, retained] @ W over the retained general modes.
 
     Row j of W is the scalar recursion of mode j driven by the modal
-    input modal_input[j] @ phi, from the zero state. The result is
-    complex; callers whose state is real pass it through _enforce_real.
+    input modal_input[j] @ phi, from the zero state or from where carry
+    left it. The result is complex; callers whose state is real pass it
+    through _enforce_real.
     """
+    carry = Carry() if carry is None else carry
     retained = list(weights.retained)
-    modal_u = spectral.modal_input[retained, :] @ phi  # (m, T)
+    modal_u = spectral.modal_input[retained, :] @ phi  # (m, B)
+    if carry.state is None:
+        carry.state = _scalar_start(weights.q[:, 1:], modal_u[:, :1])
     W = np.empty_like(modal_u, dtype=complex)
     for j in range(modal_u.shape[0]):
-        W[j] = _scalar_recursion(weights.step[j], weights.q[j, 0], weights.q[j, 1], modal_u[j])
+        W[j] = _scalar_recursion(
+            weights.step[j], weights.q[j, 0], weights.q[j, 1], modal_u[j], carry.state[j]
+        )
     return spectral.V[:, retained] @ W
 
 
-def _oscillator_recursion(E: np.ndarray, Q: np.ndarray, poles, u: np.ndarray):
-    """Rows (position, velocity) of x[k] = E x[k-1] + Q0 u[k-1] + Q1 u[k].
-
-    The state starts from x[0] = 0 whatever u[0] is.
+def _oscillator_filter(E: np.ndarray, Q: np.ndarray, poles):
+    """The filter that runs x[k] = E x[k-1] + Q0 u[k-1] + Q1 u[k].
 
     With w the one-step delay, (I - w E)^{-1} = (I - w adj E) / D(w) and
     D(w) = (1 - p+ w)(1 - p- w), where poles = (p+, p-) are the
     eigenvalues of E. g = u / D(w) is one cascade of two complex
-    first-order sections; each row is then a real 3-tap FIR on g with
-    taps from Q and adj E, so nothing divides by p+ - p-.
+    first-order sections (sos); each row of x is then a real 3-tap FIR
+    on g (taps, from Q and adj E), so nothing divides by p+ - p-.
+    correction is the 2-tap FIR that, applied to the impulse response h
+    of the sections, gives the filter's homogeneous tail from x[0] =
+    Q1 u[0]: E^k Q1 u[0] = (I - w adj E) Q1 / D(w) applied to u[0] at
+    k = 0.
     """
     sos = np.zeros((2, 6), dtype=complex)
     sos[:, 0] = 1.0
@@ -267,18 +331,42 @@ def _oscillator_recursion(E: np.ndarray, Q: np.ndarray, poles, u: np.ndarray):
     adj = np.array([[E[1, 1], -E[0, 1]], [-E[1, 0], E[0, 0]]])
     q0, q1 = Q[:, 0], Q[:, 1]
     taps = np.column_stack([q1, q0 - adj @ q1, -(adj @ q0)])
-    if u[0] == 0.0:
-        return _fir(taps, sosfilt(sos, u).real)
-    # the filter starts from x[0] = Q1 u[0]; remove that homogeneous tail,
-    # E^k Q1 u[0] = (I - w adj E) Q1 / D(w) applied to u[0] at k = 0
-    impulse = np.zeros(len(u))
-    impulse[0] = u[0]
-    g, h = sosfilt(sos, np.stack([u, impulse])).real
-    return _fir(taps, g) - _fir(np.column_stack([q1, -(adj @ q1)]), h)
+    return sos, taps, np.column_stack([q1, -(adj @ q1)])
+
+
+def _oscillator_recursion(sos, taps, correction, u: np.ndarray, state: _OscillatorState):
+    """Rows (position, velocity) of one block of the oscillator
+    recursion, through its filter (_oscillator_filter).
+
+    The state starts from x[0] = 0 whatever u[0] is, at the first block
+    (a fresh state); a later block continues from state, which is
+    updated in place. When u[0] != 0 the impulse response h is filtered
+    as a second row through every block and its correction subtracted.
+    """
+    first = state.zi is None
+    if first:
+        rows = 1 if u[0] == 0.0 else 2
+        state.zi = np.zeros((2, rows, 2), dtype=complex)
+        state.past = np.zeros((rows, 0))
+    if len(state.past) == 1:
+        drive = u[None]
+    else:
+        drive = np.zeros((2, len(u)))
+        drive[0] = u
+        if first:
+            drive[1, 0] = u[0]
+    g, state.zi = sosfilt(sos, drive, zi=state.zi)
+    skip = state.past.shape[1]
+    g = np.concatenate([state.past, g.real], axis=1)
+    state.past = g[:, -2:]
+    x = _fir(taps, g[0])[:, skip:]
+    if len(g) == 2:
+        x -= _fir(correction, g[1])[:, skip:]
+    return x
 
 
 def _fir(taps: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Rows x[r, k] = sum_i taps[r, i] g[k - i], with g = 0 before the grid."""
+    """Rows x[r, k] = sum_i taps[r, i] g[k - i], with g = 0 before its start."""
     return np.stack([np.convolve(g, row)[: len(g)] for row in taps])
 
 
@@ -304,6 +392,7 @@ def propagate_order(
     weights: KernelWeights,
     phi: np.ndarray,
     pad_length: int = 0,
+    carry: Carry | None = None,
 ) -> np.ndarray:
     """Propagate one order's inhomogeneity grid to its coefficient grid.
 
@@ -313,28 +402,39 @@ def propagate_order(
         Decomposition whose retained set matches the weights.
     weights : KernelWeights
         Output of build_kernel_weights at the grid step.
-    phi : (state_dim, T) array
-        Inhomogeneity sampled on the forcing grid (for mechanical
-        systems the lower block is identically zero and, on the
-        structural path, only the top block is consumed).
+    phi : (state_dim, B) array
+        Inhomogeneity sampled on the forcing grid, or on one time block
+        of it (for mechanical systems the lower block is identically zero
+        and, on the structural path, only the top block is consumed).
     pad_length : int
         Leading zero rows of the grid; used for validation only. The
         recursion starts from the zero state at the first grid point,
         which is exact for signals that vanish before the grid.
+    carry : Carry, optional
+        The order's state between time blocks, updated in place. None,
+        or a fresh Carry, makes phi the start of the grid (at least 2
+        samples); passing the same Carry with the next block continues
+        the recursion; the blocks' results equal the whole grid's up to
+        the rounding of the modal matrix products. On the structural
+        path it holds each oscillator's sosfilt state, the two-sample
+        FIR history and, when the first modal sample is nonzero, the
+        impulse-correction row; on the general path each mode's
+        lfilter state.
 
     Returns
     -------
-    (state_dim, T) real array. On the general path the conjugate-pair
+    (state_dim, B) real array. On the general path the conjugate-pair
     sum goes through _enforce_real: an imaginary residue above 1e-10 x
     scale raises RealnessCheckFailed, a smaller one is discarded.
     """
     phi = np.asarray(phi)
+    carry = Carry() if carry is None else carry
     if phi.ndim != 2 or phi.shape[0] != spectral.state_dim:
         raise GridMismatch(
             f"phi has shape {phi.shape}, expected ({spectral.state_dim}, T)"
         )
     T = phi.shape[1]
-    if T < 2:
+    if T < (2 if carry.state is None else 1):
         raise GridMismatch("grid needs at least 2 samples")
     if not 0 <= pad_length <= T:
         raise GridMismatch(f"pad_length {pad_length} outside [0, {T}]")
@@ -342,16 +442,20 @@ def propagate_order(
         raise GridMismatch("weights were built for a different retained set")
 
     if spectral.kind == "general":
-        return _enforce_real(_modal_response(spectral, weights, phi), "general modal assembly")
+        return _enforce_real(
+            _modal_response(spectral, weights, phi, carry), "general modal assembly"
+        )
 
     n = spectral.state_dim // 2
     cols = list(weights.retained)
-    modal_u = spectral.U[:, cols].T @ phi[:n]  # (m, T)
+    if carry.state is None:
+        carry.state = [_OscillatorState() for _ in cols]
+    modal_u = spectral.U[:, cols].T @ phi[:n]  # (m, B)
     y = np.empty((2, len(cols), T))  # (position, velocity) per mode
-    for j in range(len(cols)):
-        roots = np.array(_oscillator_roots(weights.omega[j], weights.zeta[j]))
-        poles = np.exp(roots * weights.dt)
-        y[:, j] = _oscillator_recursion(weights.step[j], weights.qmat[j], poles, modal_u[j])
+    for j, state in enumerate(carry.state):
+        y[:, j] = _oscillator_recursion(
+            weights.sos[j], weights.taps[j], weights.correction[j], modal_u[j], state
+        )
     Z = np.empty((2 * n, T))
     np.matmul(spectral.U[:, cols], y[0], out=Z[:n])
     np.matmul(spectral.U[:, cols], y[1], out=Z[n:])
@@ -359,17 +463,19 @@ def propagate_order(
 
 
 def propagate_order_newmark(
-    system: MechanicalSystem, phi: np.ndarray, dt: float
+    system: MechanicalSystem, phi: np.ndarray, dt: float, carry: Carry | None = None
 ) -> np.ndarray:
     """Average-acceleration Newmark solution of M x'' + C x' + K x = phi.
 
-    phi is the n-row top block of the order inhomogeneity (a (2n, T)
+    phi is the n-row top block of the order inhomogeneity (a (2n, B)
     grid with a zero lower block is also accepted). Zero initial
-    conditions; output contract matches propagate_order. Raises
-    SingularEffectiveStiffness if the effective matrix cannot be
-    factorized.
+    conditions at the first block; carry, as in propagate_order, hands
+    the last (x, v, a) to the next block. Output contract matches
+    propagate_order. Raises SingularEffectiveStiffness if the effective
+    matrix cannot be factorized.
     """
     phi = np.asarray(phi, dtype=float)
+    carry = Carry() if carry is None else carry
     n = system.n
     if phi.ndim != 2:
         raise GridMismatch(f"phi must be 2-d, got shape {phi.shape}")
@@ -394,15 +500,21 @@ def propagate_order_newmark(
         raise SingularEffectiveStiffness("effective stiffness factorization is singular")
 
     M, C = system.M, system.C
-    x = np.zeros(n)
-    v = np.zeros(n)
-    a = np.linalg.solve(M, phi[:, 0])
     out = np.zeros((2 * n, T))
-    for k in range(T - 1):
-        rhs = phi[:, k + 1] + M @ (c0 * x + c2 * v + c3 * a) + C @ (c1 * x + c4 * v + c5 * a)
+    if carry.state is None:
+        x = np.zeros(n)
+        v = np.zeros(n)
+        a = np.linalg.solve(M, phi[:, 0])
+        first = 1  # out[:, 0] is the zero initial state
+    else:
+        x, v, a = carry.state
+        first = 0
+    for k in range(first, T):
+        rhs = phi[:, k] + M @ (c0 * x + c2 * v + c3 * a) + C @ (c1 * x + c4 * v + c5 * a)
         x_new = scipy.linalg.lu_solve(lu, rhs)
         v, a = nm.advance(x, v, a, x_new)
         x = x_new
-        out[:n, k + 1] = x
-        out[n:, k + 1] = v
+        out[:n, k] = x
+        out[n:, k] = v
+    carry.state = (x, v, a)
     return out

@@ -41,6 +41,12 @@ __all__ = [
 
 _FMT = "%.17g"
 _CONTAINER_VERSION = 2
+# manifest keys a loader reads without a default
+_EXPANSION_KEYS = (
+    "dtype", "state_dim", "order", "orders_complete", "length", "dt", "t0",
+    "pad_length", "delta_ref", "forcing_sup", "backend", "eps_trunc",
+)
+_PADE_KEYS = ("dtype", "L", "M", "sigma", "state_dim", "length", "dt", "t0", "pad_length")
 
 
 def _system_dict(system: MechanicalSystem) -> dict:
@@ -203,7 +209,9 @@ def _stage(directory: str, name: str, write) -> tuple[str, str]:
     return tmp, final
 
 
-def _read_manifest(directory: str, fmt: str, what: str) -> dict:
+def _read_manifest(directory: str, fmt: str, what: str, keys: tuple) -> dict:
+    """The container's manifest, checked: format, version, every one of
+    keys present and a dtype NumPy understands, or ConfigError."""
     manifest_path = os.path.join(directory, "manifest.json")
     try:
         with open(manifest_path) as fh:
@@ -218,7 +226,17 @@ def _read_manifest(directory: str, fmt: str, what: str) -> dict:
             f"{directory} is a version {version} container; this reader needs "
             f"version {_CONTAINER_VERSION} (recompute and save it again)"
         )
-    return manifest
+    missing = [key for key in keys if key not in manifest]
+    if missing:
+        raise ConfigError(f"{manifest_path} lacks the key(s) {', '.join(missing)}")
+    dtype = manifest["dtype"]
+    try:
+        if isinstance(dtype, str):
+            np.dtype(dtype)
+            return manifest
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{manifest_path} has dtype {dtype!r}, not a NumPy dtype string")
 
 
 def _map_array(directory: str, name: str, shape: tuple, dtype: str) -> np.ndarray:
@@ -274,7 +292,9 @@ def load_expansion(directory: str) -> GssExpansion:
     metadata (enough for evaluation and resummation), with system and
     spectral set to None.
     """
-    manifest = _read_manifest(directory, "gss-expansion", "an expansion container")
+    manifest = _read_manifest(
+        directory, "gss-expansion", "an expansion container", _EXPANSION_KEYS
+    )
     complete = manifest["orders_complete"]
     data = _map_array(
         directory,
@@ -328,7 +348,7 @@ def save_pade(pade: PadeGss, directory: str) -> None:
 
 def load_pade(directory: str) -> PadeGss:
     """Rebuild a resummation from its container (arrays memory-mapped)."""
-    manifest = _read_manifest(directory, "gss-pade", "a resummation container")
+    manifest = _read_manifest(directory, "gss-pade", "a resummation container", _PADE_KEYS)
     dim, T = manifest["state_dim"], manifest["length"]
     L, M, dtype = manifest["L"], manifest["M"], manifest["dtype"]
     return PadeGss(

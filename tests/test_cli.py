@@ -208,6 +208,36 @@ class TestExpansionContainer:
         with pytest.raises(ConfigError, match="version 1.*version 2"):
             load(tmp_path)
 
+    @pytest.mark.parametrize("save,load,key", [
+        *((serialize.save_expansion, serialize.load_expansion, key) for key in (
+            "dtype", "state_dim", "order", "orders_complete", "length", "dt", "t0",
+            "pad_length", "delta_ref", "forcing_sup", "backend", "eps_trunc")),
+        *((serialize.save_pade, serialize.load_pade, key) for key in (
+            "dtype", "L", "M", "sigma", "state_dim", "length", "dt", "t0", "pad_length")),
+    ])
+    def test_manifest_lacks_a_key(self, tmp_path, save, load, key):
+        exp = self._expansion()
+        save(exp if save is serialize.save_expansion else pade_resum(exp, 2, 1), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        del manifest[key]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match=f"lacks the key\\(s\\) {key}$"):
+            load(tmp_path)
+
+    @pytest.mark.parametrize("dtype", ["float128x", None, 8])
+    @pytest.mark.parametrize("save,load", [
+        (serialize.save_expansion, serialize.load_expansion),
+        (serialize.save_pade, serialize.load_pade),
+    ])
+    def test_manifest_bad_dtype(self, tmp_path, save, load, dtype):
+        exp = self._expansion()
+        save(exp if save is serialize.save_expansion else pade_resum(exp, 2, 1), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["dtype"] = dtype
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match=f"dtype {dtype!r}"):
+            load(tmp_path)
+
     @pytest.mark.parametrize("corrupt", [
         lambda data: data[:, :2, :],  # an order short
         lambda data: data.astype(np.float32),

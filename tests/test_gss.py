@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from steadystate import (
     CoefficientTensor,
     GssExpansion,
     build_duffing,
+    build_oscillator_chain,
     build_system,
     compute_taylor_gss,
     decompose_general,
@@ -31,6 +33,7 @@ from steadystate.errors import (
     RealnessCheckFailed,
     UnstableLinearPart,
 )
+from steadystate import gss
 from steadystate.composition import CompositionCache, compose_field
 from steadystate.gss import fit_harmonics
 from steadystate.model import first_order_blocks, polynomial_field
@@ -221,6 +224,77 @@ def _grid_refit_qp(system, forcing, order, base_frequencies, budget):
             z[n:] += np.outer(1j * kappa * H, phase)
         grids.append(z.real)
     return grids
+
+
+def _cubic_chain(general=False):
+    """A 3-mass cubic chain; general adds a dashpot at the first mass,
+    which makes the damping non-proportional."""
+    chain = build_oscillator_chain(3, m=1.0, k_lin=1.0, c=0.1, kappa3=0.5)
+    if not general:
+        return chain
+    C = chain.C.copy()
+    C[0, 0] += 0.3
+    terms = [
+        (exponents, dof, float(c))
+        for exponents, coeff in chain.nonlinearity.terms
+        for dof, c in enumerate(np.asarray(coeff))
+        if c != 0.0
+    ]
+    return build_system(chain.M, C, chain.K, terms=terms)
+
+
+def _chain_noise(length, pad=0):
+    return generate_forcing("filtered_gaussian", n=3, duration=(length - pad - 1) * 0.05,
+                            dt=0.05, delta=0.3, seed=5, f_cut=1.0, pad=pad, dofs=(0, 2))
+
+
+class TestBlockedCascade:
+    @pytest.mark.parametrize("backend,general", [
+        ("kernel", False), ("kernel", True), ("newmark", False),
+    ], ids=["kernel-structural", "kernel-general", "newmark"])
+    def test_every_block_size_matches_one_block(self, monkeypatch, backend, general):
+        # no pad: the first sample is nonzero, so the structural path
+        # carries its impulse correction across the blocks
+        sys_ = _cubic_chain(general)
+        f = _chain_noise(41)
+        assert np.all(f.samples[0, [0, 2]] != 0.0)
+        T = f.length
+        monkeypatch.setattr(gss, "_BLOCK", T)
+        one = compute_taylor_gss(sys_, f, order=5, backend=backend)
+        assert one.spectral.kind == ("general" if general else "structural")
+        assert np.abs(one.tensor.order_slice(5)).max() > 0.0
+        for size in range(2, T + 1):
+            monkeypatch.setattr(gss, "_BLOCK", size)
+            got = compute_taylor_gss(sys_, f, order=5, backend=backend)
+            assert got.tensor.orders_complete == 5
+            for nu in range(1, 6):
+                ref = one.tensor.order_slice(nu)
+                diff = np.abs(got.tensor.order_slice(nu) - ref).max()
+                assert diff <= 1e-13 * np.abs(ref).max(), (size, nu)
+
+    def test_repeated_runs_are_bit_identical(self):
+        sys_ = _cubic_chain()
+        f = _chain_noise(3 * gss._BLOCK + 1000, pad=500)
+        a = compute_taylor_gss(sys_, f, order=3)
+        b = compute_taylor_gss(sys_, f, order=3)
+        assert a.tensor.data.tobytes() == b.tensor.data.tobytes()
+        assert a.cache_stats == b.cache_stats
+
+    def test_memory_beyond_the_tensor_does_not_grow_with_the_record(self):
+        # the composition products and per-order temporaries are
+        # block-length: a record 4x longer only grows the tensor
+        sys_ = _cubic_chain()
+        extra = []
+        for length in (3 * gss._BLOCK, 12 * gss._BLOCK):
+            f = _chain_noise(length)
+            tracemalloc.start()
+            try:
+                exp = compute_taylor_gss(sys_, f, order=3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - exp.tensor.data.nbytes)
+        assert extra[1] <= 1.05 * extra[0]
 
 
 class TestEvaluate:
