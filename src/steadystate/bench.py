@@ -246,10 +246,14 @@ class FrcResult:
     order: int
 
 
-def _frc_point(system, omega, delta, order, harmonic_budget, periods, samples_per_period, resonance_tol, dofs):
+_FRC_PERIODS = 8  # forcing periods per sweep point's grid
+_FRC_SAMPLES_PER_PERIOD = 256
+
+
+def _frc_point(system, omega, delta, order, harmonic_budget, resonance_tol, dofs):
     period = 2.0 * np.pi / omega
-    dt = period / samples_per_period
-    T = periods * samples_per_period + 1
+    dt = period / _FRC_SAMPLES_PER_PERIOD
+    T = _FRC_PERIODS * _FRC_SAMPLES_PER_PERIOD + 1
     t = dt * np.arange(T)
     samples = np.zeros((T, system.n))
     targets = list(range(system.n)) if dofs is None else list(dofs)
@@ -267,7 +271,7 @@ def _frc_point(system, omega, delta, order, harmonic_budget, periods, samples_pe
         check_divergence=False,
     )
     traj = evaluate_at_amplitude(expansion, delta)
-    last = traj[:, -samples_per_period:]
+    last = traj[:, -_FRC_SAMPLES_PER_PERIOD:]
     return np.abs(last).max(axis=1)
 
 
@@ -278,14 +282,12 @@ def frc_sweep(
     order: int = 5,
     harmonic_budget: int = 5,
     threads: int = 1,
-    periods: int = 8,
-    samples_per_period: int = 256,
     resonance_tol: float | None = None,
     dofs=None,
 ) -> FrcResult:
     """Steady amplitude versus forcing frequency, delta sin(omega t) input.
 
-    Each grid point gets its own dense grid (periods x samples_per_period)
+    Each grid point gets its own dense grid (8 periods of 256 samples)
     and a closed-form quasiperiodic solve at the given order; points that
     trip the resonance guard are flagged and reported as NaN rather than
     aborting the sweep. Results are assembled by grid index, so the
@@ -297,42 +299,23 @@ def frc_sweep(
     if threads < 1:
         raise InvalidParameters("threads must be >= 1")
 
-    amplitudes = np.full((len(omega_grid), system.state_dim), np.nan)
-    flags = [None] * len(omega_grid)
-
-    def work(i):
-        return _frc_point(
-            system,
-            float(omega_grid[i]),
-            delta,
-            order,
-            harmonic_budget,
-            periods,
-            samples_per_period,
-            resonance_tol,
-            dofs,
-        )
+    def work(omega):
+        try:
+            point = _frc_point(system, omega, delta, order, harmonic_budget, resonance_tol, dofs)
+            return point, None
+        except NearResonance as exc:
+            return np.full(system.state_dim, np.nan), str(exc)
 
     if threads == 1:
-        for i in range(len(omega_grid)):
-            try:
-                amplitudes[i] = work(i)
-            except NearResonance as exc:
-                flags[i] = str(exc)
+        points = list(map(work, omega_grid))
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(work, i): i for i in range(len(omega_grid))}
-            for fut in concurrent.futures.as_completed(futures):
-                i = futures[fut]
-                try:
-                    amplitudes[i] = fut.result()
-                except NearResonance as exc:
-                    flags[i] = str(exc)
+            points = list(pool.map(work, omega_grid))
 
     return FrcResult(
         omega=omega_grid,
-        amplitude=amplitudes,
-        flags=tuple(flags),
+        amplitude=np.array([a for a, _ in points]).reshape(len(omega_grid), system.state_dim),
+        flags=tuple(f for _, f in points),
         delta=delta,
         order=order,
     )

@@ -43,7 +43,7 @@ from .errors import (
     NotSymmetric,
     SteadyStateError,
 )
-from .gss import compute_taylor_gss, evaluate_at_amplitude, evaluate_pade, pade_resum
+from .gss import _decompose, compute_taylor_gss, evaluate_at_amplitude, evaluate_pade, pade_resum
 from .oracle import newmark_full
 from .spectral import check_contraction, select_modes
 
@@ -255,18 +255,13 @@ def _cmd_frc(args):
 
 def _cmd_diagnose(args):
     system = serialize.load_system(args.config)
-    if system.damping_class.kind == "structural":
-        from .spectral import decompose_structural
-
-        spec = decompose_structural(system)
+    spec = _decompose(system)
+    if spec.kind == "structural":
         modes = [
             {"omega": float(w), "zeta": float(z)}
             for w, z in zip(spec.omega, spec.zeta)
         ]
     else:
-        from .spectral import decompose_general
-
-        spec = decompose_general(system)
         modes = [
             {"re": float(l.real), "im": float(l.imag)} for l in spec.eigenvalues
         ]

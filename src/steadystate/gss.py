@@ -463,18 +463,19 @@ def evaluate_at_amplitude(
     """Partial sum sum_nu z_nu delta^nu on the grid, shape (state_dim, T).
 
     delta is the physical forcing amplitude multiplying the normalized
-    signal the expansion was computed for.
+    signal the expansion was computed for. The sum runs by Horner's rule
+    in the output array, so it needs no temporary of its size.
     """
     top = expansion.order if max_order is None else int(max_order)
     if not 1 <= top <= expansion.tensor.orders_complete:
         raise InvalidParameters(
             f"max_order {top} outside 1..{expansion.tensor.orders_complete}"
         )
-    out = np.zeros((expansion.state_dim, expansion.length))
-    term = np.empty_like(out)
-    for nu in range(1, top + 1):
-        np.multiply(expansion.tensor.order_slice(nu), delta**nu, out=term)
-        out += term
+    out = np.array(expansion.tensor.order_slice(top), dtype=float)
+    for nu in range(top - 1, 0, -1):
+        out *= delta
+        out += expansion.tensor.order_slice(nu)
+    out *= delta
     return out
 
 
@@ -695,9 +696,7 @@ def reduced_gss(
     if comp_modes:
         comp_spec = with_retained(spectral, comp_modes)
         comp_weights = build_kernel_weights(comp_spec, dt)
-        z_comp = propagate_order(
-            comp_spec, comp_weights, phi1, pad_length=forcing.pad_length
-        )
+        z_comp = propagate_order(comp_spec, comp_weights, phi1)
     else:
         z_comp = np.zeros((n2, T))
 

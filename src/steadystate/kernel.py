@@ -20,10 +20,11 @@ oracle-equivalence requirement).
 Structural (Rayleigh) damping propagates per-mode oscillator pairs
 (y_j, y_j') with a real 2x2 weight matrix: rows are (position, velocity)
 increments, columns the forcing values at the step start and end. The
-matrix comes from an exact series-plus-step-doubling scheme, and the
-pair is propagated by one vectorized recursion. Both work for every
-zeta, including exactly 1, and neither divides by an eigenvalue
-difference.
+matrix comes from an exact series-plus-step-doubling scheme. Both work
+for every zeta, including exactly 1, and neither divides by an
+eigenvalue difference. Each oscillator runs as one complex filter whose
+real part is the position and whose imaginary part is the velocity
+over omega, started so that the pair is zero at the first sample.
 
 Every propagator is a causal filter, so a grid can be propagated in
 consecutive time blocks: a Carry hands the filter state at the end of
@@ -179,13 +180,12 @@ def qmat_structural(omega: float, zeta: float, dt: float):
 
 @dataclass(frozen=True)
 class KernelWeights:
-    """Per retained mode: one-step weights and step propagator.
+    """Per retained mode: the weights that propagate it.
 
     kind 'general': q[j] is the complex weight pair, step[j] = e^{lam dt}.
-    kind 'structural': qmat[j] is the real 2x2 weight matrix with branch
-    tag branches[j], step[j] the 2x2 block matrix exponential; sos[j],
-    taps[j] and correction[j] are the oscillator's propagation filter
-    (see _oscillator_filter), built once so that every time block reuses
+    kind 'structural': branches[j] tags the oscillator's regime; sos[j]
+    and start[j] are its propagation filter and start-up taps (see
+    _oscillator_filter), built once so that every time block reuses
     them.
     """
 
@@ -193,12 +193,10 @@ class KernelWeights:
     dt: float
     retained: tuple
     q: np.ndarray | None = None  # (m, 2) complex
-    step: np.ndarray | None = None  # (m,) complex or (m, 2, 2) real
-    qmat: np.ndarray | None = None  # (m, 2, 2) real
+    step: np.ndarray | None = None  # (m,) complex
     branches: tuple | None = None
     sos: np.ndarray | None = None  # (m, 2, 6) complex
-    taps: np.ndarray | None = None  # (m, 2, 3) real
-    correction: np.ndarray | None = None  # (m, 2, 2) real
+    start: np.ndarray | None = None  # (m, 2) complex
 
 
 def build_kernel_weights(spectral: SpectralData, dt: float) -> KernelWeights:
@@ -215,28 +213,22 @@ def build_kernel_weights(spectral: SpectralData, dt: float) -> KernelWeights:
         )
     omega = spectral.omega[list(retained)]
     zeta = spectral.zeta[list(retained)]
-    mats = []
     branches = []
-    steps = []
     filters = []
     for w, z in zip(omega, zeta):
         Q, branch = qmat_structural(w, z, dt)
         E = scipy.linalg.expm(_block_matrix(w, z) * dt)
-        mats.append(Q)
+        poles = np.exp(np.array(_oscillator_roots(w, z)) * dt)
         branches.append(branch)
-        steps.append(E)
-        filters.append(_oscillator_filter(E, Q, np.exp(np.array(_oscillator_roots(w, z)) * dt)))
-    sos, taps, correction = (np.array(f) for f in zip(*filters))
+        filters.append(_oscillator_filter(E, Q, poles, w))
+    sos, start = (np.array(f) for f in zip(*filters))
     return KernelWeights(
         kind="structural",
         dt=float(dt),
         retained=retained,
-        qmat=np.array(mats),
-        step=np.array(steps),
         branches=tuple(branches),
         sos=sos,
-        taps=taps,
-        correction=correction,
+        start=start,
     )
 
 
@@ -250,20 +242,10 @@ class Carry:
     continues the recursion where the previous block ended; the call
     updates it in place. state is None until the first block has run,
     then what the propagator needs: per general mode the lfilter state,
-    per oscillator an _OscillatorState, for Newmark the last (x, v, a).
+    per oscillator the sosfilt state, for Newmark the last (x, v, a).
     """
 
     state: object = None
-
-
-@dataclass
-class _OscillatorState:
-    """One oscillator's filters between blocks: zi is the sosfilt state
-    of each filtered row (g, and the impulse response h when u[0] != 0),
-    past the last two samples of each row, the FIR's history."""
-
-    zi: np.ndarray | None = None
-    past: np.ndarray | None = None
 
 
 def _scalar_recursion(
@@ -283,8 +265,9 @@ def _scalar_recursion(
 
 
 def _scalar_start(q1, u0):
-    """The lfilter state that makes w[0] = 0: -q1 u[0] cancels the
-    filter's w[0] = q1 u[0]. Broadcasts over modes."""
+    """The filter state that makes w[0] = 0: -q1 u[0] cancels the
+    filter's w[0] = q1 u[0]. Broadcasts over modes; with an oscillator's
+    start taps for q1 it is the state of its first section."""
     return -q1 * u0
 
 
@@ -311,63 +294,32 @@ def _modal_response(
     return spectral.V[:, retained] @ W
 
 
-def _oscillator_filter(E: np.ndarray, Q: np.ndarray, poles):
-    """The filter that runs x[k] = E x[k-1] + Q0 u[k-1] + Q1 u[k].
+def _oscillator_filter(E: np.ndarray, Q: np.ndarray, poles, omega: float):
+    """The filter that runs x[k] = E x[k-1] + Q0 u[k-1] + Q1 u[k] as
+    y = x[0] + 1j x[1] / omega.
 
     With w the one-step delay, (I - w E)^{-1} = (I - w adj E) / D(w) and
     D(w) = (1 - p+ w)(1 - p- w), where poles = (p+, p-) are the
-    eigenvalues of E. g = u / D(w) is one cascade of two complex
-    first-order sections (sos); each row of x is then a real 3-tap FIR
-    on g (taps, from Q and adj E), so nothing divides by p+ - p-.
-    correction is the 2-tap FIR that, applied to the impulse response h
-    of the sections, gives the filter's homogeneous tail from x[0] =
-    Q1 u[0]: E^k Q1 u[0] = (I - w adj E) Q1 / D(w) applied to u[0] at
-    k = 0.
+    eigenvalues of E. Each row of x is a real 3-tap numerator over D(w),
+    (I - w adj E)(Q1 + w Q0); D(w) and the taps are real, so one complex
+    numerator carries both rows, and the 1/omega keeps the velocity's
+    rounding out of the position. sos is that numerator over the two
+    complex first-order sections, so nothing divides by p+ - p-.
+
+    Unstarted, the filter gives x[0] = Q1 u[0] and its homogeneous tail
+    E^k Q1 u[0] = (I - w adj E) Q1 / D(w) applied to u[0]; start holds
+    the two taps of (I - w adj E) Q1 in the same packing, which the first
+    block's initial state subtracts.
     """
-    sos = np.zeros((2, 6), dtype=complex)
-    sos[:, 0] = 1.0
-    sos[:, 3] = 1.0
-    sos[:, 4] = -np.asarray(poles)
     adj = np.array([[E[1, 1], -E[0, 1]], [-E[1, 0], E[0, 0]]])
     q0, q1 = Q[:, 0], Q[:, 1]
-    taps = np.column_stack([q1, q0 - adj @ q1, -(adj @ q0)])
-    return sos, taps, np.column_stack([q1, -(adj @ q1)])
-
-
-def _oscillator_recursion(sos, taps, correction, u: np.ndarray, state: _OscillatorState):
-    """Rows (position, velocity) of one block of the oscillator
-    recursion, through its filter (_oscillator_filter).
-
-    The state starts from x[0] = 0 whatever u[0] is, at the first block
-    (a fresh state); a later block continues from state, which is
-    updated in place. When u[0] != 0 the impulse response h is filtered
-    as a second row through every block and its correction subtracted.
-    """
-    first = state.zi is None
-    if first:
-        rows = 1 if u[0] == 0.0 else 2
-        state.zi = np.zeros((2, rows, 2), dtype=complex)
-        state.past = np.zeros((rows, 0))
-    if len(state.past) == 1:
-        drive = u[None]
-    else:
-        drive = np.zeros((2, len(u)))
-        drive[0] = u
-        if first:
-            drive[1, 0] = u[0]
-    g, state.zi = sosfilt(sos, drive, zi=state.zi)
-    skip = state.past.shape[1]
-    g = np.concatenate([state.past, g.real], axis=1)
-    state.past = g[:, -2:]
-    x = _fir(taps, g[0])[:, skip:]
-    if len(g) == 2:
-        x -= _fir(correction, g[1])[:, skip:]
-    return x
-
-
-def _fir(taps: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Rows x[r, k] = sum_i taps[r, i] g[k - i], with g = 0 before its start."""
-    return np.stack([np.convolve(g, row)[: len(g)] for row in taps])
+    pack = np.array([1.0, 1.0j / omega])
+    sos = np.zeros((2, 6), dtype=complex)
+    sos[0, :3] = pack @ np.column_stack([q1, q0 - adj @ q1, -(adj @ q0)])
+    sos[1, 0] = 1.0
+    sos[:, 3] = 1.0
+    sos[:, 4] = -np.asarray(poles)
+    return sos, pack @ np.column_stack([q1, -(adj @ q1)])
 
 
 def _enforce_real(Z: np.ndarray, context: str) -> np.ndarray:
@@ -391,7 +343,6 @@ def propagate_order(
     spectral: SpectralData,
     weights: KernelWeights,
     phi: np.ndarray,
-    pad_length: int = 0,
     carry: Carry | None = None,
 ) -> np.ndarray:
     """Propagate one order's inhomogeneity grid to its coefficient grid.
@@ -406,19 +357,14 @@ def propagate_order(
         Inhomogeneity sampled on the forcing grid, or on one time block
         of it (for mechanical systems the lower block is identically zero
         and, on the structural path, only the top block is consumed).
-    pad_length : int
-        Leading zero rows of the grid; used for validation only. The
-        recursion starts from the zero state at the first grid point,
-        which is exact for signals that vanish before the grid.
     carry : Carry, optional
         The order's state between time blocks, updated in place. None,
         or a fresh Carry, makes phi the start of the grid (at least 2
-        samples); passing the same Carry with the next block continues
-        the recursion; the blocks' results equal the whole grid's up to
-        the rounding of the modal matrix products. On the structural
-        path it holds each oscillator's sosfilt state, the two-sample
-        FIR history and, when the first modal sample is nonzero, the
-        impulse-correction row; on the general path each mode's
+        samples), where the recursion starts from the zero state; passing
+        the same Carry with the next block continues the recursion; the
+        blocks' results equal the whole grid's up to the rounding of the
+        modal matrix products. On the structural path it holds each
+        oscillator's sosfilt state, on the general path each mode's
         lfilter state.
 
     Returns
@@ -436,8 +382,6 @@ def propagate_order(
     T = phi.shape[1]
     if T < (2 if carry.state is None else 1):
         raise GridMismatch("grid needs at least 2 samples")
-    if not 0 <= pad_length <= T:
-        raise GridMismatch(f"pad_length {pad_length} outside [0, {T}]")
     if weights.kind != spectral.kind or tuple(weights.retained) != tuple(spectral.retained):
         raise GridMismatch("weights were built for a different retained set")
 
@@ -448,17 +392,18 @@ def propagate_order(
 
     n = spectral.state_dim // 2
     cols = list(weights.retained)
-    if carry.state is None:
-        carry.state = [_OscillatorState() for _ in cols]
     modal_u = spectral.U[:, cols].T @ phi[:n]  # (m, B)
-    y = np.empty((2, len(cols), T))  # (position, velocity) per mode
-    for j, state in enumerate(carry.state):
-        y[:, j] = _oscillator_recursion(
-            weights.sos[j], weights.taps[j], weights.correction[j], modal_u[j], state
-        )
+    if carry.state is None:
+        carry.state = np.zeros((len(cols), 2, 2), dtype=complex)
+        carry.state[:, 0] = _scalar_start(weights.start, modal_u[:, :1])
+    y = np.empty((2, len(cols), T))  # (position, velocity / omega) per mode
+    for j, zi in enumerate(carry.state):
+        packed, carry.state[j] = sosfilt(weights.sos[j], modal_u[j], zi=zi)
+        y[0, j] = packed.real
+        y[1, j] = packed.imag
     Z = np.empty((2 * n, T))
     np.matmul(spectral.U[:, cols], y[0], out=Z[:n])
-    np.matmul(spectral.U[:, cols], y[1], out=Z[n:])
+    np.matmul(spectral.U[:, cols] * spectral.omega[cols], y[1], out=Z[n:])
     return Z
 
 

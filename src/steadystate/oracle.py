@@ -42,6 +42,7 @@ from .errors import (
     NoConvergence,
     QuadratureFailure,
 )
+from .gss import _decompose
 from .kernel import build_kernel_weights, propagate_order
 from .model import (
     ForcingSignal,
@@ -52,8 +53,6 @@ from .model import (
 )
 from .spectral import (
     check_contraction,
-    decompose_general,
-    decompose_structural,
     select_modes,
     with_retained,
 )
@@ -187,10 +186,7 @@ def picard_gss(
     n = system.n
     if forcing.n != n:
         raise DimensionMismatch(f"forcing has {forcing.n} columns, system needs {n}")
-    if system.damping_class.kind == "structural":
-        spectral = decompose_structural(system)
-    else:
-        spectral = decompose_general(system)
+    spectral = _decompose(system)
     spectral = with_retained(spectral, select_modes(spectral, forcing.dt, eps=eps_trunc))
     weights = build_kernel_weights(spectral, forcing.dt)
 
@@ -200,7 +196,7 @@ def picard_gss(
 
     phi = np.zeros((2 * n, T))
     phi[:n] = g.T
-    z = propagate_order(spectral, weights, phi, pad_length=forcing.pad_length)
+    z = propagate_order(spectral, weights, phi)
 
     ball = 2.0 * float(np.linalg.norm(z, axis=0).max())
     if ball > 0.0:
@@ -218,7 +214,7 @@ def picard_gss(
     for it in range(1, max_iter + 1):
         if fld.n_terms:
             phi[:n] = g.T - evaluate_field(fld, z)
-        z_new = propagate_order(spectral, weights, phi, pad_length=forcing.pad_length)
+        z_new = propagate_order(spectral, weights, phi)
         d = float(np.linalg.norm(z_new - z, axis=0).max())
         diffs.append(d)
         z = z_new

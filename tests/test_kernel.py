@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +29,7 @@ from steadystate.errors import (
     RealnessCheckFailed,
     ZeroEigenvalue,
 )
-from steadystate.kernel import _enforce_real, _scalar_recursion
+from steadystate.kernel import _block_matrix, _enforce_real, _scalar_recursion
 from tests.conftest import random_system
 
 E1 = math.exp(-1.0)
@@ -164,8 +165,8 @@ class TestBuildWeights:
         spec = decompose_structural(sys_)
         w = build_kernel_weights(spec, 0.05)
         assert w.kind == "structural"
-        assert w.qmat.shape == (3, 2, 2)
-        assert w.step.shape == (3, 2, 2)
+        assert w.sos.shape == (3, 2, 6)
+        assert w.start.shape == (3, 2)
         assert len(w.branches) == 3
 
     def test_retained_subset(self, rng):
@@ -173,7 +174,7 @@ class TestBuildWeights:
         spec = with_retained(decompose_structural(sys_), (0, 2))
         w = build_kernel_weights(spec, 0.05)
         assert w.retained == (0, 2)
-        assert w.qmat.shape == (2, 2, 2)
+        assert w.sos.shape == (2, 2, 6)
 
     def test_bad_dt(self, rng):
         sys_ = random_system(rng, 2, structural=True, n_terms=0)
@@ -264,8 +265,6 @@ class TestPropagateOrder:
             propagate_order(spec, w, np.zeros((3, 50)))
         with pytest.raises(GridMismatch):
             propagate_order(spec, w, np.zeros((4, 1)))
-        with pytest.raises(GridMismatch):
-            propagate_order(spec, w, np.zeros((4, 50)), pad_length=60)
 
     def test_retained_mismatch(self, rng):
         sys_ = random_system(rng, 3, structural=True, n_terms=0)
@@ -309,27 +308,31 @@ class TestStructuralRecursion:
     def test_matches_longdouble_recursion(self, zeta, omega_dt):
         # one oscillator with a unit mode shape: propagate_order returns
         # its (position, velocity) rows, which must follow the exact 2x2
-        # step (E, Q) of its own weights, also when u[0] != 0
-        omega = 2.0
-        spec = SpectralData(
-            kind="structural",
-            state_dim=2,
-            retained=(0,),
-            omega=np.array([omega]),
-            zeta=np.array([zeta]),
-            U=np.eye(1),
-        )
-        w = build_kernel_weights(spec, omega_dt / omega)
-        rng = np.random.default_rng(7)
-        for first in (0.0, 1.0):
-            phi = np.zeros((2, 1500))
-            phi[0] = rng.standard_normal(1500)
-            phi[0, 0] = first
-            Z = propagate_order(spec, w, phi)
-            ref = _longdouble_recursion(w.step[0], w.qmat[0], phi[0]).astype(float)
-            for row in range(2):
-                scale = np.abs(ref[row]).max()
-                assert np.abs(Z[row] - ref[row]).max() <= 1e-11 * scale
+        # step (E, Q) of its own weights, also when u[0] != 0; at large
+        # omega the velocity's rounding must stay out of the position
+        for omega in (2.0, 1e5):
+            spec = SpectralData(
+                kind="structural",
+                state_dim=2,
+                retained=(0,),
+                omega=np.array([omega]),
+                zeta=np.array([zeta]),
+                U=np.eye(1),
+            )
+            dt = omega_dt / omega
+            w = build_kernel_weights(spec, dt)
+            E = scipy.linalg.expm(_block_matrix(omega, zeta) * dt)
+            Q, _ = qmat_structural(omega, zeta, dt)
+            rng = np.random.default_rng(7)
+            for first in (0.0, 1.0):
+                phi = np.zeros((2, 1500))
+                phi[0] = rng.standard_normal(1500)
+                phi[0, 0] = first
+                Z = propagate_order(spec, w, phi)
+                ref = _longdouble_recursion(E, Q, phi[0]).astype(float)
+                for row in range(2):
+                    scale = np.abs(ref[row]).max()
+                    assert np.abs(Z[row] - ref[row]).max() <= 1e-11 * scale
 
 
 def _clongdouble_recursion(E, q0, q1, u):
