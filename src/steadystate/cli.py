@@ -72,13 +72,13 @@ def _parse_generator(expr: str) -> tuple[str, dict]:
         key, value = chunk.split("=", 1)
         key = key.strip()
         value = value.strip()
-        if key == "dofs":
-            params[key] = tuple(int(v) for v in value.split("+"))
-        else:
-            try:
+        try:
+            if key == "dofs":
+                params[key] = tuple(int(v) for v in value.split("+"))
+            else:
                 params[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"generator parameter {key}={value!r} is not numeric")
+        except ValueError:
+            raise ConfigError(f"generator parameter {key}={value!r} is not numeric") from None
     return kind, params
 
 
@@ -219,6 +219,8 @@ def _cmd_pade(args):
 
 
 def _cmd_frc(args):
+    if args.points < 1:
+        raise ConfigError(f"--points must be at least 1, got {args.points}")
     system = serialize.load_system(args.config)
     grid = np.linspace(args.omega_min, args.omega_max, args.points)
     result = bench.frc_sweep(

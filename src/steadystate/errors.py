@@ -68,7 +68,8 @@ class ZeroEigenvalue(SteadyStateError):
 
 
 class InvalidParameters(SteadyStateError):
-    """Structural weights requested with omega <= 0 or zeta <= 0."""
+    """An argument lies outside its admissible range: a step, amplitude,
+    threshold, exponent, coefficient or option value."""
 
 
 class GridMismatch(SteadyStateError):

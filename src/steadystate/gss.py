@@ -686,7 +686,7 @@ def reduced_gss(
             phi_r = g_r.astype(complex)
         else:
             phi_r = compose_field(nonlinear, component, nu, T, cache, dtype=complex)
-        w_orders.append(_modal_response(reduced_spec, reduced_weights, phi_r))
+        w_orders.append(_modal_response(reduced_spec, reduced_weights, phi_r, Carry()))
 
     # linear complement response: the modes outside the reduced subspace
     total = n2 if spectral.kind == "general" else n2 // 2

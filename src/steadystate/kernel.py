@@ -1,30 +1,28 @@
 """Exponential-kernel convolution: per-step weights and order propagation.
 
-The order equations are linear with inhomogeneity Phi_nu(t). Per scalar
-mode with exponent lambda, the exact one-step relation for forcing that
-is piecewise linear between grid points is
+The order equations are linear with inhomogeneity Phi_nu(t). Each
+retained mode is a linear system x' = L x + b u(t) driven by its modal
+input u: on the general path a scalar with L = lambda and b = 1, on the
+structural (Rayleigh) path a (position, velocity) oscillator with
+L = [[0, 1], [-omega^2, -2 zeta omega]] and b = (0, 1). For forcing
+that is piecewise linear between grid points the exact one-step
+relation is
 
-    w(t+dt) = e^{lambda dt} w(t)
-              + Q[0] Phi(t) + Q[1] Phi(t+dt),
+    x(t+dt) = e^{L dt} x(t) + Q[:, 0] u(t) + Q[:, 1] u(t+dt),
 
-    Q[0] = int_0^dt e^{lambda (dt-s)} (1 - s/dt) ds
-         = e^{x}/lambda - (e^{x} - 1)/(lambda^2 dt),      x = lambda dt,
-    Q[1] = int_0^dt e^{lambda (dt-s)} (s/dt) ds
-         = (e^{x} - 1)/(lambda^2 dt) - 1/lambda.
+    Q[:, 0] = int_0^dt e^{L (dt-s)} b (1 - s/dt) ds,
+    Q[:, 1] = int_0^dt e^{L (dt-s)} b (s/dt) ds.
 
-Both closed forms lose roughly |x|^-2 digits to cancellation, so below
-|x| = 0.25 they are summed as series (to machine convergence; the naive
-4-term variant is not accurate enough at |x| ~ 1e-3 for the 1e-10
-oracle-equivalence requirement).
+One routine evaluates these integrals for both kinds: a power series on
+a base step short enough for it to converge fast, then interval doubling
+up to dt. It works for every eigenvalue and every zeta, including
+exactly 1, and never divides by an eigenvalue or an eigenvalue
+difference.
 
-Structural (Rayleigh) damping propagates per-mode oscillator pairs
-(y_j, y_j') with a real 2x2 weight matrix: rows are (position, velocity)
-increments, columns the forcing values at the step start and end. The
-matrix comes from an exact series-plus-step-doubling scheme. Both work
-for every zeta, including exactly 1, and neither divides by an
-eigenvalue difference. Each oscillator runs as one complex filter whose
-real part is the position and whose imaginary part is the velocity
-over omega, started so that the pair is zero at the first sample.
+Every mode then runs as one sosfilt over its modal input, started so
+that its state is zero at the first sample: a general mode as one
+first-order section, an oscillator as one complex filter whose real part
+is the position and whose imaginary part is the velocity over omega.
 
 Every propagator is a causal filter, so a grid can be propagated in
 consecutive time blocks: a Carry hands the filter state at the end of
@@ -35,12 +33,11 @@ products round differently on blocks of other lengths.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.signal import lfilter, sosfilt
+from scipy.signal import sosfilt
 
 from .errors import (
     GridMismatch,
@@ -67,74 +64,21 @@ _CRITICAL_TAG = 1e-9  # reported branch tag
 _REALNESS_TOL = 1e-10
 
 
-def _q_scalar(lam: complex, dt: float):
-    """Stable (Q[0], Q[1]) for one exponent; lam may be complex."""
-    x = lam * dt
-    if abs(x) <= _SERIES_SWITCH:
-        # Q[0]/dt = sum (k+1) x^k / (k+2)!,  Q[1]/dt = sum x^k / (k+2)!
-        q0 = 0.0 + 0.0j
-        q1 = 0.0 + 0.0j
-        term = 0.5  # x^k / (k+2)! at k = 0
-        k = 0
-        power = 1.0 + 0.0j
-        while True:
-            q0 += (k + 1) * term * power
-            q1 += term * power
-            k += 1
-            power *= x
-            term /= k + 2
-            if term * abs(power) < 1e-20 or k > 40:
-                break
-        return dt * q0, dt * q1
-    ex = cmath.exp(x)
-    em1 = ex - 1.0
-    q0 = ex / lam - em1 / (lam * lam * dt)
-    q1 = em1 / (lam * lam * dt) - 1.0 / lam
-    return q0, q1
+def _series_doubling(L: np.ndarray, b: np.ndarray, fast: float, dt: float) -> np.ndarray:
+    """The (dim, 2) weights [Q0, Q1] of x' = L x + b u over one step dt.
 
-
-def qvec_general(lam: complex, dt: float) -> np.ndarray:
-    """Piecewise-linear forcing weights for one complex eigenvalue.
-
-    Returns the complex pair (weight on Phi(t), weight on Phi(t+dt))
-    defined by the kernel integral in the module docstring. Verified
-    against adaptive quadrature to better than 1e-12 relative across
-    |lambda dt| in [1e-6, 10].
-
-    Raises ZeroEigenvalue when Re(lambda) == 0.
-    """
-    lam = complex(lam)
-    if dt <= 0.0:
-        raise InvalidParameters(f"dt must be positive, got {dt}")
-    if lam.real == 0.0:
-        raise ZeroEigenvalue("weights require Re(lambda) != 0")
-    q0, q1 = _q_scalar(lam, dt)
-    return np.array([q0, q1], dtype=complex)
-
-
-def _block_matrix(omega: float, zeta: float) -> np.ndarray:
-    return np.array([[0.0, 1.0], [-omega * omega, -2.0 * zeta * omega]])
-
-
-def _qmat_series_doubling(omega: float, zeta: float, dt: float) -> np.ndarray:
-    """Exact 2x2 weights by base-step series plus interval doubling.
-
-    Valid for any parameters. The base step h = dt / 2^halvings keeps
-    |lambda| h <= 0.25 for both roots (|lambda| = omega when underdamped),
-    so the series converges fast. The doubling identity for
-    piecewise-linear forcing over a doubled step (midpoint value is the
-    endpoint average) is
+    fast bounds the magnitude of L's eigenvalues. The base step
+    h = dt / 2^halvings keeps fast * h <= 0.25, so the series converges
+    fast. The doubling identity for piecewise-linear forcing over a
+    doubled step (midpoint value is the endpoint average) is
         Q0(2h) = E Q0 + (E Q1 + Q0)/2,   Q1(2h) = Q1 + (E Q1 + Q0)/2.
     """
-    L = _block_matrix(omega, zeta)
-    fast = max(abs(r) for r in _oscillator_roots(omega, zeta))
     halvings = 0
     h = dt
     while fast * h > _SERIES_SWITCH:
         h *= 0.5
         halvings += 1
-    e2 = np.array([0.0, 1.0])
-    u = e2 * h  # L^k e2 h^{k+1} / k!
+    u = b * h  # L^k b h^{k+1} / k!
     q0 = u / 2.0
     q1 = u / 2.0
     for k in range(1, 64):
@@ -152,6 +96,29 @@ def _qmat_series_doubling(omega: float, zeta: float, dt: float) -> np.ndarray:
     return np.column_stack([q0, q1])
 
 
+def qvec_general(lam: complex, dt: float) -> np.ndarray:
+    """Piecewise-linear forcing weights for one complex eigenvalue.
+
+    Returns the complex pair (weight on Phi(t), weight on Phi(t+dt))
+    defined by the kernel integrals in the module docstring, by the same
+    series-plus-doubling evaluation as the structural weights. Verified
+    against adaptive quadrature to better than 1e-12 relative across
+    |lambda dt| in [1e-6, 1e4].
+
+    Raises ZeroEigenvalue when Re(lambda) == 0.
+    """
+    lam = complex(lam)
+    if dt <= 0.0:
+        raise InvalidParameters(f"dt must be positive, got {dt}")
+    if lam.real == 0.0:
+        raise ZeroEigenvalue("weights require Re(lambda) != 0")
+    return _series_doubling(np.array([[lam]]), np.array([1.0]), abs(lam), dt)[0]
+
+
+def _block_matrix(omega: float, zeta: float) -> np.ndarray:
+    return np.array([[0.0, 1.0], [-omega * omega, -2.0 * zeta * omega]])
+
+
 def qmat_structural(omega: float, zeta: float, dt: float):
     """2x2 piecewise-linear weights for one damped modal oscillator.
 
@@ -159,9 +126,9 @@ def qmat_structural(omega: float, zeta: float, dt: float):
     weights on the modal force at the step start and end. Returns
     (Q, branch) with branch in {'underdamped', 'critical', 'overdamped'};
     the tag is critical for |zeta - 1| <= 1e-9 and only reports the
-    regime: every zeta is computed the same way, by the exact
-    series-plus-doubling evaluation of the kernel integral, which is
-    continuous through zeta = 1 without substituting zeta = 1.
+    regime: every zeta is computed the same way, by the series-plus-
+    doubling evaluation of the kernel integrals, which is continuous
+    through zeta = 1 without substituting zeta = 1.
 
     Raises InvalidParameters for omega <= 0 or zeta <= 0.
     """
@@ -175,28 +142,28 @@ def qmat_structural(omega: float, zeta: float, dt: float):
         branch = "underdamped"
     else:
         branch = "overdamped"
-    return _qmat_series_doubling(omega, zeta, dt), branch
+    fast = max(abs(r) for r in _oscillator_roots(omega, zeta))
+    Q = _series_doubling(_block_matrix(omega, zeta), np.array([0.0, 1.0]), fast, dt)
+    return Q, branch
 
 
 @dataclass(frozen=True)
 class KernelWeights:
-    """Per retained mode: the weights that propagate it.
+    """Per retained mode: the filter that propagates it.
 
-    kind 'general': q[j] is the complex weight pair, step[j] = e^{lam dt}.
-    kind 'structural': branches[j] tags the oscillator's regime; sos[j]
-    and start[j] are its propagation filter and start-up taps (see
-    _oscillator_filter), built once so that every time block reuses
-    them.
+    sos[j] is mode j's sosfilt filter, built once so that every time
+    block reuses it: one first-order section for a general mode (see
+    _exponent_filter), two complex sections for an oscillator (see
+    _oscillator_filter). start[j] holds the two taps of its first
+    section that a fresh start cancels. branches[j] tags an oscillator's
+    regime; it is None on the general path.
     """
 
     kind: str
-    dt: float
     retained: tuple
-    q: np.ndarray | None = None  # (m, 2) complex
-    step: np.ndarray | None = None  # (m,) complex
+    sos: np.ndarray  # (m, 1, 6) general, (m, 2, 6) structural; complex
+    start: np.ndarray  # (m, 2) complex
     branches: tuple | None = None
-    sos: np.ndarray | None = None  # (m, 2, 6) complex
-    start: np.ndarray | None = None  # (m, 2) complex
 
 
 def build_kernel_weights(spectral: SpectralData, dt: float) -> KernelWeights:
@@ -204,31 +171,27 @@ def build_kernel_weights(spectral: SpectralData, dt: float) -> KernelWeights:
     if dt <= 0.0:
         raise InvalidParameters("dt must be positive")
     retained = tuple(spectral.retained)
+    cols = list(retained)
+    branches = None
     if spectral.kind == "general":
-        lams = spectral.eigenvalues[list(retained)]
-        q = np.array([qvec_general(l, dt) for l in lams])
-        step = np.exp(lams * dt)
-        return KernelWeights(
-            kind="general", dt=float(dt), retained=retained, q=q, step=step
-        )
-    omega = spectral.omega[list(retained)]
-    zeta = spectral.zeta[list(retained)]
-    branches = []
-    filters = []
-    for w, z in zip(omega, zeta):
-        Q, branch = qmat_structural(w, z, dt)
-        E = scipy.linalg.expm(_block_matrix(w, z) * dt)
-        poles = np.exp(np.array(_oscillator_roots(w, z)) * dt)
-        branches.append(branch)
-        filters.append(_oscillator_filter(E, Q, poles, w))
+        lams = spectral.eigenvalues[cols]
+        filters = [
+            _exponent_filter(qvec_general(lam, dt), pole)
+            for lam, pole in zip(lams, np.exp(lams * dt))
+        ]
+    else:
+        branches = []
+        filters = []
+        for w, z in zip(spectral.omega[cols], spectral.zeta[cols]):
+            Q, branch = qmat_structural(w, z, dt)
+            E = scipy.linalg.expm(_block_matrix(w, z) * dt)
+            poles = np.exp(np.array(_oscillator_roots(w, z)) * dt)
+            branches.append(branch)
+            filters.append(_oscillator_filter(E, Q, poles, w))
+        branches = tuple(branches)
     sos, start = (np.array(f) for f in zip(*filters))
     return KernelWeights(
-        kind="structural",
-        dt=float(dt),
-        retained=retained,
-        branches=tuple(branches),
-        sos=sos,
-        start=start,
+        kind=spectral.kind, retained=retained, sos=sos, start=start, branches=branches
     )
 
 
@@ -241,57 +204,22 @@ class Carry:
     propagate_order_newmark) with each following block of the same order
     continues the recursion where the previous block ended; the call
     updates it in place. state is None until the first block has run,
-    then what the propagator needs: per general mode the lfilter state,
-    per oscillator the sosfilt state, for Newmark the last (x, v, a).
+    then what the propagator needs: the (m, sections, 2) sosfilt state
+    of the retained modes' filters, or for Newmark the last (x, v, a).
     """
 
     state: object = None
 
 
-def _scalar_recursion(
-    E: complex, q0: complex, q1: complex, u: np.ndarray, zi: np.ndarray | None = None
-) -> np.ndarray:
-    """w[k] = E w[k-1] + q0 u[k-1] + q1 u[k] over one block of u.
+def _exponent_filter(q: np.ndarray, pole: complex):
+    """The one-section filter that runs w[k] = pole w[k-1] + q[0] u[k-1]
+    + q[1] u[k] for one general mode, pole = e^{lambda dt}.
 
-    Without zi, u starts the grid and w[0] = 0. Otherwise zi is the (1,)
-    lfilter state the block starts from, overwritten with the state at
-    its end.
+    Unstarted, it gives w[0] = q[1] u[0], which the fresh state
+    -start u[0], start = (q[1], 0), cancels.
     """
-    u = np.asarray(u, dtype=complex)
-    if zi is None:
-        zi = _scalar_start(q1, u[:1])
-    w, zi[:] = lfilter([q1, q0], [1.0, -E], u, zi=zi)
-    return w
-
-
-def _scalar_start(q1, u0):
-    """The filter state that makes w[0] = 0: -q1 u[0] cancels the
-    filter's w[0] = q1 u[0]. Broadcasts over modes; with an oscillator's
-    start taps for q1 it is the state of its first section."""
-    return -q1 * u0
-
-
-def _modal_response(
-    spectral: SpectralData, weights: KernelWeights, phi: np.ndarray, carry: Carry | None = None
-) -> np.ndarray:
-    """Complex sum V[:, retained] @ W over the retained general modes.
-
-    Row j of W is the scalar recursion of mode j driven by the modal
-    input modal_input[j] @ phi, from the zero state or from where carry
-    left it. The result is complex; callers whose state is real pass it
-    through _enforce_real.
-    """
-    carry = Carry() if carry is None else carry
-    retained = list(weights.retained)
-    modal_u = spectral.modal_input[retained, :] @ phi  # (m, B)
-    if carry.state is None:
-        carry.state = _scalar_start(weights.q[:, 1:], modal_u[:, :1])
-    W = np.empty_like(modal_u, dtype=complex)
-    for j in range(modal_u.shape[0]):
-        W[j] = _scalar_recursion(
-            weights.step[j], weights.q[j, 0], weights.q[j, 1], modal_u[j], carry.state[j]
-        )
-    return spectral.V[:, retained] @ W
+    sos = np.array([[q[1], q[0], 0.0, 1.0, -pole, 0.0]])
+    return sos, np.array([q[1], 0.0])
 
 
 def _oscillator_filter(E: np.ndarray, Q: np.ndarray, poles, omega: float):
@@ -320,6 +248,38 @@ def _oscillator_filter(E: np.ndarray, Q: np.ndarray, poles, omega: float):
     sos[:, 3] = 1.0
     sos[:, 4] = -np.asarray(poles)
     return sos, pack @ np.column_stack([q1, -(adj @ q1)])
+
+
+def _filter_modes(weights: KernelWeights, modal_u: np.ndarray, carry: Carry) -> np.ndarray:
+    """Each retained mode's filter over its row of modal_u, as complex rows.
+
+    A fresh carry starts the grid: the first section of each filter
+    starts from -start u[0], which makes the mode's state zero at the
+    first sample. Otherwise each filter continues from its state in
+    carry, which ends holding the state after the block's last sample.
+    """
+    if carry.state is None:
+        carry.state = np.zeros(weights.sos.shape[:2] + (2,), dtype=complex)
+        carry.state[:, 0] = -weights.start * modal_u[:, :1]
+    out = np.empty(modal_u.shape, dtype=complex)
+    for j, zi in enumerate(carry.state):
+        out[j], carry.state[j] = sosfilt(weights.sos[j], modal_u[j], zi=zi)
+    return out
+
+
+def _modal_response(
+    spectral: SpectralData, weights: KernelWeights, phi: np.ndarray, carry: Carry
+) -> np.ndarray:
+    """Complex sum V[:, retained] @ W over the retained general modes.
+
+    Row j of W is mode j's filter driven by the modal input
+    modal_input[j] @ phi, from the zero state or from where carry left
+    it. The result is complex; callers whose state is real pass it
+    through _enforce_real.
+    """
+    retained = list(weights.retained)
+    modal_u = spectral.modal_input[retained, :] @ phi  # (m, B)
+    return spectral.V[:, retained] @ _filter_modes(weights, modal_u, carry)
 
 
 def _enforce_real(Z: np.ndarray, context: str) -> np.ndarray:
@@ -363,9 +323,8 @@ def propagate_order(
         samples), where the recursion starts from the zero state; passing
         the same Carry with the next block continues the recursion; the
         blocks' results equal the whole grid's up to the rounding of the
-        modal matrix products. On the structural path it holds each
-        oscillator's sosfilt state, on the general path each mode's
-        lfilter state.
+        modal matrix products. It holds the sosfilt state of every
+        retained mode's filter.
 
     Returns
     -------
@@ -393,17 +352,11 @@ def propagate_order(
     n = spectral.state_dim // 2
     cols = list(weights.retained)
     modal_u = spectral.U[:, cols].T @ phi[:n]  # (m, B)
-    if carry.state is None:
-        carry.state = np.zeros((len(cols), 2, 2), dtype=complex)
-        carry.state[:, 0] = _scalar_start(weights.start, modal_u[:, :1])
-    y = np.empty((2, len(cols), T))  # (position, velocity / omega) per mode
-    for j, zi in enumerate(carry.state):
-        packed, carry.state[j] = sosfilt(weights.sos[j], modal_u[j], zi=zi)
-        y[0, j] = packed.real
-        y[1, j] = packed.imag
+    y = _filter_modes(weights, modal_u, carry)  # position + 1j velocity / omega
+    # contiguous copies keep the products on BLAS
     Z = np.empty((2 * n, T))
-    np.matmul(spectral.U[:, cols], y[0], out=Z[:n])
-    np.matmul(spectral.U[:, cols] * spectral.omega[cols], y[1], out=Z[n:])
+    np.matmul(spectral.U[:, cols], np.ascontiguousarray(y.real), out=Z[:n])
+    np.matmul(spectral.U[:, cols] * spectral.omega[cols], np.ascontiguousarray(y.imag), out=Z[n:])
     return Z
 
 

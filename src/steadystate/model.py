@@ -28,6 +28,7 @@ from .errors import (
     DampingIndefinite,
     DimensionMismatch,
     EmptySignal,
+    InvalidParameters,
     NonlinearTermDegreeTooLow,
     NonuniformInput,
     NotPositiveDefinite,
@@ -188,14 +189,14 @@ def polynomial_field(dim, out_dim, terms, min_degree=2):
                 f"multi-index length {len(m)} does not match dimension {dim}"
             )
         if any(e < 0 for e in m):
-            raise ValueError(f"negative exponent in multi-index {m}")
+            raise InvalidParameters(f"negative exponent in multi-index {m}")
         degree = sum(m)
         if degree < min_degree:
             raise NonlinearTermDegreeTooLow(
                 f"term {m} has degree {degree} < {min_degree}"
             )
         if not np.all(np.isfinite(np.asarray(coeff, dtype=complex))):
-            raise ValueError(f"non-finite coefficient for multi-index {m}")
+            raise InvalidParameters(f"non-finite coefficient for multi-index {m}")
         complex_seen = complex_seen or np.iscomplexobj(coeff)
         if m in merged:
             merged[m] = merged[m] + coeff
@@ -320,7 +321,7 @@ def build_system(M, C, K, terms=(), damping=None):
             raise DimensionMismatch(f"{name} has shape {mat.shape}, expected ({n}, {n})")
     for name, mat in (("M", M), ("C", C), ("K", K)):
         if not np.all(np.isfinite(mat)):
-            raise ValueError(f"{name} contains non-finite entries")
+            raise InvalidParameters(f"{name} contains non-finite entries")
 
     _check_symmetric(M, "M")
     _check_symmetric(K, "K")
@@ -348,7 +349,7 @@ def build_system(M, C, K, terms=(), damping=None):
     elif damping == "general":
         kind = "general"
     else:
-        raise ValueError(f"unknown damping override {damping!r}")
+        raise InvalidParameters(f"unknown damping override {damping!r}")
     if kind == "structural":
         damping_class = DampingClass("structural", c_M=c_M, c_K=c_K)
     else:
@@ -485,10 +486,10 @@ def load_forcing(samples, dt=None, t0=0.0, pad_length=0, time=None):
         dt = mean_dt
         t0 = float(time[0])
     if dt is None or not dt > 0.0:
-        raise ValueError("dt must be positive (or supply a time column)")
+        raise InvalidParameters("dt must be positive (or supply a time column)")
     pad_length = int(pad_length)
     if pad_length < 0:
-        raise ValueError("pad_length must be nonnegative")
+        raise InvalidParameters("pad_length must be nonnegative")
     padded = np.vstack([np.zeros((pad_length, samples.shape[1])), samples])
     return ForcingSignal(
         samples=_freeze(padded),

@@ -238,9 +238,9 @@ def quadrature_weight_reference(dt, lam=None, omega=None, zeta=None):
 
     Either lam (complex scalar mode) or omega and zeta (structural
     oscillator) must be given. Returns a complex (2,) array or a real
-    (2, 2) array matching the closed-form conventions. Target absolute
-    accuracy 1e-13; raises QuadratureFailure when the integrator cannot
-    certify 1e-11.
+    (2, 2) array in the layout of qvec_general and qmat_structural.
+    Target absolute accuracy 1e-13; raises QuadratureFailure when the
+    integrator cannot certify 1e-11.
     """
     if dt <= 0.0:
         raise InvalidParameters("dt must be positive")

@@ -129,7 +129,10 @@ def read_forcing_csv(
         raise ConfigError(f"cannot read forcing {path}: {exc}") from None
     names = [s.strip().lower() for s in first.split(",")]
     has_header = any(not _is_float(s) for s in names)
-    data = np.loadtxt(path, delimiter=",", skiprows=1 if has_header else 0, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1 if has_header else 0, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse forcing {path}: {exc}") from None
     if has_header and names and names[0] in ("t", "time"):
         return load_forcing(
             data[:, 1:], t0=t0, pad_length=pad_length, time=data[:, 0]

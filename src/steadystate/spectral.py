@@ -32,6 +32,7 @@ from scipy.stats import norm, qmc
 
 from .errors import (
     DefectiveSpectrum,
+    InvalidParameters,
     NotStructural,
     UnstableLinearPart,
 )
@@ -261,9 +262,9 @@ def select_modes(spectral: SpectralData, dt: float, eps: float = 1e-3) -> tuple:
     conjugate pairs are retained or dropped jointly in both kinds.
     """
     if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+        raise InvalidParameters(f"eps must lie in (0, 1), got {eps}")
     if dt <= 0.0:
-        raise ValueError("dt must be positive")
+        raise InvalidParameters("dt must be positive")
     reals = spectral.slow_real_parts()
     keep = [j for j, r in enumerate(reals) if np.exp(dt * r) > eps]
     slowest = int(np.argmax(reals))
@@ -338,7 +339,7 @@ def check_contraction(
     certificate is returned unsatisfied: factor inf, admissible bound 0.
     """
     if delta <= 0.0:
-        raise ValueError("delta must be positive")
+        raise InvalidParameters("delta must be positive")
     try:
         V = spectral.V if spectral.kind == "general" else decompose_general(system).V
         vnorm_product = float(np.linalg.norm(V, 2)) ** 2  # ||V*||_2 == ||V||_2

@@ -80,7 +80,7 @@ def test_criterion_01_kernel_weights_match_quadrature():
         worst = max(worst, float(np.abs(Q - ref).max() / np.abs(ref).max()))
 
     ok = worst <= 1e-10
-    _verdict(1, "closed-form weights vs adaptive quadrature, 400 cases",
+    _verdict(1, "kernel weights vs adaptive quadrature, 400 cases",
              ok, f"max rel err {worst:.2e}, limit 1e-10")
     assert ok
 

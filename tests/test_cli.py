@@ -1,6 +1,10 @@
 """Tests for the file formats and the command line front end."""
 
+import ast
+import builtins
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from steadystate import (
     generate_forcing,
     pade_resum,
 )
+import steadystate
 from steadystate import serialize
 from steadystate.cli import main
 from steadystate.errors import ConfigError, HarmonicTruncationWarning
@@ -437,6 +442,50 @@ class TestCliExitCodes:
         assert main(["compute", "--config", cfg, "--forcing", _GEN,
                      "--order", "3", "--out", str(out)]) == 0
         assert main(["pade", "--expansion", str(out), "--pade", "22"]) == 2
+
+    @pytest.mark.parametrize("case", [
+        "eps-trunc", "pad", "diagnose-delta", "diagnose-dt", "damping", "csv-cell",
+        "dofs", "points",
+    ])
+    def test_bad_input_is_2(self, tmp_path, capsys, case):
+        cfg = _config(tmp_path)
+        compute = ["compute", "--config", cfg, "--order", "2", "--forcing"]
+        if case == "damping":
+            raw = json.loads(pathlib.Path(cfg).read_text())
+            raw["damping"] = "foo"
+            pathlib.Path(cfg).write_text(json.dumps(raw))
+        csv = tmp_path / "forcing.csv"
+        csv.write_text("t,g0\n0.0,1.0\n0.05,abc\n0.1,0.5\n")
+        argv = {
+            "eps-trunc": [*compute, _GEN, "--eps-trunc", "2"],
+            "pad": [*compute, _GEN, "--pad", "-1"],
+            "diagnose-delta": ["diagnose", "--config", cfg, "--delta", "0"],
+            "diagnose-dt": ["diagnose", "--config", cfg, "--dt", "0"],
+            "damping": [*compute, _GEN],
+            "csv-cell": [*compute, str(csv)],
+            "dofs": [*compute, _GEN + ",dofs=x"],
+            "points": ["frc", "--config", cfg, "--omega-min", "0.6",
+                       "--omega-max", "1.4", "--points", "-1"],
+        }[case]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and re.fullmatch(r"[A-Z][A-Za-z]+: \S.*", err[0])
+
+    def test_library_raises_only_its_own_errors(self):
+        # every builtin exception would escape the CLI's exit-code mapping
+        package = pathlib.Path(steadystate.__file__).parent
+        builtin_errors = {
+            name for name, obj in vars(builtins).items()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+        }
+        found = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if isinstance(exc, ast.Name) and exc.id in builtin_errors:
+                        found.append(f"{path.name}:{node.lineno} {exc.id}")
+        assert found == []
 
     def test_usage_errors_exit_2(self):
         with pytest.raises(SystemExit) as ei:

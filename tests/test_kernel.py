@@ -29,7 +29,7 @@ from steadystate.errors import (
     RealnessCheckFailed,
     ZeroEigenvalue,
 )
-from steadystate.kernel import _block_matrix, _enforce_real, _scalar_recursion
+from steadystate.kernel import Carry, _block_matrix, _enforce_real
 from tests.conftest import random_system
 
 E1 = math.exp(-1.0)
@@ -64,7 +64,7 @@ class TestScalarWeights:
             qvec_general(-1.0, -0.5)
 
     def test_continuity_at_series_switch(self):
-        # the series and closed-form branches agree where they meet
+        # the two steps straddle the first halving of the base step
         for dt in (0.2499, 0.2501):
             a = qvec_general(-1.0, dt)
             b = quadrature_weight_reference(dt, lam=-1.0)
@@ -156,9 +156,9 @@ class TestBuildWeights:
         spec = decompose_general(sys_)
         w = build_kernel_weights(spec, 0.05)
         assert w.kind == "general"
-        assert w.q.shape == (4, 2)
-        assert w.step.shape == (4,)
-        assert np.abs(w.step - np.exp(spec.eigenvalues * 0.05)).max() < 1e-15
+        assert w.sos.shape == (4, 1, 6)
+        assert w.start.shape == (4, 2)
+        assert np.abs(-w.sos[:, 0, 4] - np.exp(spec.eigenvalues * 0.05)).max() < 1e-15
 
     def test_structural_fields(self, rng):
         sys_ = random_system(rng, 3, structural=True, n_terms=0)
@@ -300,25 +300,45 @@ def _longdouble_recursion(E, Q, u):
     return x
 
 
+def _one_oscillator(omega, zeta):
+    """A one-oscillator decomposition with a unit mode shape:
+    propagate_order returns its (position, velocity) rows."""
+    return SpectralData(
+        kind="structural",
+        state_dim=2,
+        retained=(0,),
+        omega=np.array([omega]),
+        zeta=np.array([zeta]),
+        U=np.eye(1),
+    )
+
+
+def _one_general_mode(lam):
+    """A general decomposition of lam and its conjugate in which
+    propagate_order returns (Re w, Im w) of lam's mode driven by
+    u = phi[0] + 1j phi[1]; every modal product is exact."""
+    return SpectralData(
+        kind="general",
+        state_dim=2,
+        retained=(0, 1),
+        eigenvalues=np.array([lam, np.conj(lam)]),
+        V=0.5 * np.array([[1.0, 1.0], [-1.0j, 1.0j]]),
+        modal_input=np.array([[1.0, 1.0j], [1.0, -1.0j]]),
+    )
+
+
 class TestStructuralRecursion:
     @pytest.mark.parametrize(
         "zeta", [1e-3, 0.05, 0.5, 0.9999, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 1.001, 1.5, 10.0]
     )
     @pytest.mark.parametrize("omega_dt", [1e-4, 1e-3, 1e-2, 0.1, 1.0])
     def test_matches_longdouble_recursion(self, zeta, omega_dt):
-        # one oscillator with a unit mode shape: propagate_order returns
-        # its (position, velocity) rows, which must follow the exact 2x2
-        # step (E, Q) of its own weights, also when u[0] != 0; at large
-        # omega the velocity's rounding must stay out of the position
+        # one oscillator: its (position, velocity) rows must follow the
+        # exact 2x2 step (E, Q) of its own weights, also when u[0] != 0;
+        # at large omega the velocity's rounding must stay out of the
+        # position
         for omega in (2.0, 1e5):
-            spec = SpectralData(
-                kind="structural",
-                state_dim=2,
-                retained=(0,),
-                omega=np.array([omega]),
-                zeta=np.array([zeta]),
-                U=np.eye(1),
-            )
+            spec = _one_oscillator(omega, zeta)
             dt = omega_dt / omega
             w = build_kernel_weights(spec, dt)
             E = scipy.linalg.expm(_block_matrix(omega, zeta) * dt)
@@ -352,16 +372,38 @@ class TestScalarRecursion:
         # u[0] is, and follows the exact one-step relation of its weights
         dt = 0.01
         lam = lam_dt / dt
+        spec = _one_general_mode(lam)
+        w = build_kernel_weights(spec, dt)
         q0, q1 = qvec_general(lam, dt)
         E = np.exp(lam_dt)
         rng = np.random.default_rng(7)
         for first in (0.0, 1.0 - 0.5j):
             u = rng.standard_normal(1500) + 1j * rng.standard_normal(1500)
             u[0] = first
-            w = _scalar_recursion(E, q0, q1, u)
+            Z = propagate_order(spec, w, np.array([u.real, u.imag]))
+            got = Z[0] + 1j * Z[1]
             ref = _clongdouble_recursion(E, q0, q1, u).astype(complex)
-            assert w[0] == 0.0
-            assert np.abs(w - ref).max() <= 1e-11 * np.abs(ref).max()
+            assert got[0] == 0.0
+            assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+class TestBlockedFilters:
+    @pytest.mark.parametrize(
+        "spec,dt",
+        [(_one_oscillator(2.0, 0.05), 0.01), (_one_general_mode(-5.0 + 200.0j), 0.01)],
+        ids=["structural", "general"],
+    )
+    def test_two_blocks_equal_one_pass(self, spec, dt):
+        # one Carry across a split of the 1,500 samples gives the
+        # one-pass result bit for bit
+        w = build_kernel_weights(spec, dt)
+        rng = np.random.default_rng(7)
+        phi = rng.standard_normal((2, 1500))
+        whole = propagate_order(spec, w, phi)
+        carry = Carry()
+        blocks = [propagate_order(spec, w, phi[:, :611], carry),
+                  propagate_order(spec, w, phi[:, 611:], carry)]
+        assert np.array_equal(np.hstack(blocks), whole)
 
 
 class TestNewmark:
