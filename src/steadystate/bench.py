@@ -150,6 +150,7 @@ def generate_forcing(
 
     kind: 'chirp', 'filtered_gaussian', 'rossler', or 'two_tone'. dofs
     selects the target indices (default: all); other columns are zero.
+    seed, a non-negative integer or None, seeds the random kinds.
     duration is the unpadded signal length in time units; pad leading
     zero rows are prepended by the signal container.
 
@@ -167,6 +168,8 @@ def generate_forcing(
     targets = list(range(n)) if dofs is None else [int(d) for d in dofs]
     if any(not 0 <= d < n for d in targets):
         raise InvalidParameters(f"dofs {targets} outside 0..{n - 1}")
+    if seed is not None and seed < 0:
+        raise InvalidParameters(f"seed must be a non-negative integer, got {seed}")
     T = int(round(duration / dt)) + 1
     t = dt * np.arange(T)
     samples = np.zeros((T, n))

@@ -15,6 +15,20 @@ coefficient of the product along the expansion is
     H[(i, rest...), nu] = sum_{a=d-1}^{nu-1} H[(rest...), a] * z^i_{nu-a},
 
 and H = 0 whenever nu < d (each factor contributes at least order one).
+
+Not every order is reached. Order 1 is live; order nu >= 2 is live iff
+nu is a sum of d live orders for some monomial degree d of the field
+that drives the cascade, since a product of d factors can be nonzero
+only at such sums. A field with cubic terms only reaches the odd
+orders, one with quartic terms only 1, 4, 7, ...; any quadratic term
+makes every order live. The CompositionCache carries that table (see
+CompositionCache.reaches): the recursion skips every split whose rest
+or pivot order cannot be nonzero, and compose_field every term whose
+degree cannot reach nu. A skipped split would only add exact zeros, so
+every live order keeps its bits, and compute_taylor_gss writes exact
+zeros for the orders that are not live without composing or
+propagating them.
+
 The recursion only multiplies and adds what component returns, and the
 multiplication is a parameter: elementwise on time grids (the default),
 a truncated convolution on harmonic coefficient arrays (the 'qp'
@@ -49,8 +63,10 @@ class CoefficientTensor:
 
     data has shape (state_dim, order_max, T); slot [:, nu-1, :] holds
     z_nu on the grid. Slots beyond the filled orders stay NaN so that an
-    accidental read is loud. dt / t0 / pad_length describe the grid (t0
-    is the time of the first stored sample, pad included). A tensor
+    accidental read is loud. An order the field cannot reach (see the
+    module docstring) is filled with exact zeros, not left NaN. dt / t0
+    / pad_length describe the grid (t0 is the time of the first stored
+    sample, pad included). A tensor
     loaded from a container holds exactly its completed orders, as a
     read-only memory map of the saved file. The 'qp'
     backend also keeps a complex tensor whose last axis indexes
@@ -105,6 +121,13 @@ class CoefficientTensor:
         self.data[:, nu - 1, :] = grid
         self._filled.add(nu)
 
+    def insert_zeros(self, nu):
+        """Fill order nu with exact zeros: an order no product reaches."""
+        if not 1 <= nu <= self.order_max:
+            raise OrderUnavailable(f"order {nu} outside 1..{self.order_max}")
+        self.data[:, nu - 1, :] = 0.0
+        self._filled.add(nu)
+
     def order_slice(self, nu):
         if not 1 <= nu <= self.order_max or nu not in self._filled:
             raise OrderUnavailable(
@@ -135,7 +158,13 @@ class CoefficientTensor:
 
 @dataclass
 class CompositionCache:
-    """Shared H[factors, nu] store for one expansion run.
+    """Shared H[factors, nu] store for one expansion run, and the table
+    of the orders its products can reach.
+
+    degrees are the monomial degrees of the field that drives the
+    cascade (the field whose composition forces each order); they fix
+    the live orders, see reaches. The default, one quadratic degree,
+    makes every order live and skips nothing.
 
     Only what is left of a monomial after peeling its first factor
     (degree < max_degree) is kept: the top-degree products are consumed
@@ -147,9 +176,29 @@ class CompositionCache:
     """
 
     max_degree: int
+    degrees: tuple = (2,)
     hits: int = 0
     misses: int = 0
     _store: dict = field(default_factory=dict, repr=False)
+    # _sums[nu] has bit d set iff nu is a sum of d live orders; bit 1
+    # marks nu itself live. Grown on demand, one order at a time.
+    _sums: list = field(default_factory=lambda: [0], repr=False)
+
+    def reaches(self, d, nu):
+        """Whether a product of d >= 1 factors, each a coefficient grid
+        of the cascade, can be nonzero at order nu >= 1; reaches(1, nu)
+        says whether order nu is live."""
+        sums = self._sums
+        while len(sums) <= nu:
+            k = len(sums)
+            reach = 0
+            for a in range(1, k):
+                if sums[a] & 2:
+                    reach |= sums[k - a] << 1
+            if k == 1 or any(reach >> g & 1 for g in self.degrees if g >= 2):
+                reach |= 2
+            sums.append(reach)
+        return bool(sums[nu] >> d & 1)
 
     def clear(self):
         """Drop the stored products, keeping the counters: the grids
@@ -175,15 +224,17 @@ def assemble_H(gamma, nu, component, length, cache, dtype=float):
     factors = _factor_list(gamma)
     if not factors:
         raise DimensionMismatch("monomial must have positive degree")
-    if nu < len(factors):
+    if not cache.reaches(len(factors), nu):
         return np.zeros(length, dtype=dtype)
     return _product(factors, nu, component, cache)
 
 
 def _product(factors, nu, component, cache, product=operator.mul):
-    """H[factors, nu] for nu >= len(factors): peel factors[0] and recurse
-    on the rest, whose orders then always reach its own degree. product
-    multiplies two of what component returns."""
+    """H[factors, nu] where cache.reaches(len(factors), nu): peel
+    factors[0] and recurse on the rest, over the splits (a, nu - a) at
+    which both the rest's product and the pivot's order can be nonzero;
+    the others would add exact zeros. product multiplies two of what
+    component returns."""
     pivot, rest = factors[0], factors[1:]
     if not rest:
         return np.asarray(component(pivot, nu))
@@ -197,10 +248,13 @@ def _product(factors, nu, component, cache, product=operator.mul):
             return got
         cache.misses += 1
 
+    splits = [
+        a for a in range(len(rest), nu) if cache.reaches(len(rest), a) and cache.reaches(1, nu - a)
+    ]
     out = product(
-        _product(rest, len(rest), component, cache, product), component(pivot, nu - len(rest))
+        _product(rest, splits[0], component, cache, product), component(pivot, nu - splits[0])
     )
-    for a in range(len(rest) + 1, nu):
+    for a in splits[1:]:
         out += product(_product(rest, a, component, cache, product), component(pivot, nu - a))
     if cacheable:
         cache._store[key] = out
@@ -214,14 +268,15 @@ def compose_field(
 
     No sign convention applied; callers add their own. Terms are visited
     in the field's stored (lexicographic) order, so the floating point
-    result is deterministic; terms of degree above nu contribute nothing
-    and are skipped. Each term is added only into the rows where its
-    coefficient is nonzero; the rows it skips would gain exact zeros.
+    result is deterministic; terms whose degree cannot reach nu (see
+    CompositionCache.reaches) contribute nothing and are skipped. Each
+    term is added only into the rows where its coefficient is nonzero;
+    the rows it skips would gain exact zeros.
     product is handed to the recursion (see _product).
     """
     out = np.zeros((fld.out_dim, length), dtype=dtype)
     for factors, rows, (_, coeff) in zip(fld._factors, fld._nonzero_rows, fld.terms):
-        if len(factors) > nu:
+        if not cache.reaches(len(factors), nu):
             continue
         H = _product(factors, nu, component, cache, product)
         out[rows] += coeff[rows, None] * H[None, :]
@@ -247,6 +302,10 @@ def assemble_phi(
     Those orders are composed with product (see _product) and the result
     has the tensor's dtype, so a complex tensor of harmonic coefficients
     (T then counts harmonics) gives Phi_nu's harmonic coefficients.
+    Without a cache, every order of the tensor counts as live, so any
+    filled grids compose; compute_taylor_gss passes a cache built from
+    the field's degrees, whose tensor holds exact zeros at the orders
+    the field cannot reach.
     """
     n = system.n
     if tensor.state_dim != 2 * n:

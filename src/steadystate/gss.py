@@ -326,6 +326,15 @@ def compute_taylor_gss(
     at the fixed block size it repeats bit for bit. The 'qp' backend
     runs as one block over its harmonic coefficients.
 
+    Only the live orders run. Order 1 is live, and order nu >= 2 is live
+    iff it is a sum of d live orders for some monomial degree d of the
+    nonlinearity (see the composition module): with cubic terms only the
+    odd orders, with a quadratic term every order. Every other order is
+    written as exact zeros without composing or propagating it, and the
+    composition skips the splits and terms that would only multiply by
+    such a zero grid, so each live order keeps the bits of the full
+    recursion.
+
     Parameters
     ----------
     system, forcing : model objects
@@ -375,7 +384,8 @@ def compute_taylor_gss(
     tensor = CoefficientTensor.empty(
         system.state_dim, order, T, forcing.dt, t0=forcing.t0, pad_length=forcing.pad_length
     )
-    cache = CompositionCache(max_degree=max(system.nonlinearity.max_degree, 2))
+    fld = system.nonlinearity
+    cache = CompositionCache(max_degree=max(fld.max_degree, 2), degrees=fld.degrees)
     weights = build_kernel_weights(spectral, forcing.dt) if backend == "kernel" else None
     if backend == "qp":
         K = len(_harmonic_ball(len(Omega), harmonic_budget))
@@ -405,6 +415,11 @@ def compute_taylor_gss(
         samples = forcing.samples[block]
         normalized = samples / sup if sup > 0.0 else np.zeros_like(samples)
         for nu in range(1, order + 1):
+            if not cache.reaches(1, nu):
+                window.insert_zeros(nu)
+                if backend == "qp":
+                    orbit.coeffs.insert_zeros(nu)
+                continue
             if backend == "qp" and nu > 1:
                 phi = assemble_phi(system, orbit.coeffs, nu, cache=cache, product=orbit.product)
             else:
@@ -622,7 +637,9 @@ def reduced_gss(
     combined with the linear response of the complement modes (those not
     in spectral.retained, which designates the reduced subspace). When
     the reduction is trivial (d = state_dim, W = identity) this
-    reproduces the full expansion.
+    reproduces the full expansion. Orders that R's nonlinear terms
+    cannot reach are zeros without being composed or propagated, by the
+    same rule as compute_taylor_gss, and the lift skips them.
 
     Raises UnstableLinearPart if R's linear part has an eigenvalue with
     real part >= -1e-12, and RealnessCheckFailed if a lifted order keeps
@@ -680,8 +697,11 @@ def reduced_gss(
     def component(i, nu):
         return w_orders[nu - 1][i]
 
-    cache = CompositionCache(max_degree=max(reduced.R.max_degree, 2))
+    cache = CompositionCache(max_degree=max(reduced.R.max_degree, 2), degrees=nonlinear.degrees)
     for nu in range(1, order + 1):
+        if not cache.reaches(1, nu):
+            w_orders.append(np.zeros((d, T), dtype=complex))
+            continue
         if nu == 1:
             phi_r = g_r.astype(complex)
         else:
@@ -704,7 +724,10 @@ def reduced_gss(
     tensor = CoefficientTensor.empty(
         n2, order, T, dt, t0=forcing.t0, pad_length=forcing.pad_length
     )
-    lift_cache = CompositionCache(max_degree=max(reduced.W.max_degree, 2))
+    # the lift multiplies reduced orders, which the same table describes
+    lift_cache = CompositionCache(
+        max_degree=max(reduced.W.max_degree, 2), degrees=nonlinear.degrees
+    )
     for nu in range(1, order + 1):
         z = compose_field(reduced.W, component, nu, T, lift_cache, dtype=complex)
         if nu == 1:

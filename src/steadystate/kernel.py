@@ -250,8 +250,9 @@ def _oscillator_filter(E: np.ndarray, Q: np.ndarray, poles, omega: float):
     return sos, pack @ np.column_stack([q1, -(adj @ q1)])
 
 
-def _filter_modes(weights: KernelWeights, modal_u: np.ndarray, carry: Carry) -> np.ndarray:
-    """Each retained mode's filter over its row of modal_u, as complex rows.
+def _filter_modes(weights: KernelWeights, modal_u: np.ndarray, carry: Carry, store) -> None:
+    """Each retained mode's filter over its row of modal_u; store(j, y)
+    receives mode j's complex output row.
 
     A fresh carry starts the grid: the first section of each filter
     starts from -start u[0], which makes the mode's state zero at the
@@ -261,10 +262,9 @@ def _filter_modes(weights: KernelWeights, modal_u: np.ndarray, carry: Carry) -> 
     if carry.state is None:
         carry.state = np.zeros(weights.sos.shape[:2] + (2,), dtype=complex)
         carry.state[:, 0] = -weights.start * modal_u[:, :1]
-    out = np.empty(modal_u.shape, dtype=complex)
     for j, zi in enumerate(carry.state):
-        out[j], carry.state[j] = sosfilt(weights.sos[j], modal_u[j], zi=zi)
-    return out
+        y, carry.state[j] = sosfilt(weights.sos[j], modal_u[j], zi=zi)
+        store(j, y)
 
 
 def _modal_response(
@@ -279,7 +279,9 @@ def _modal_response(
     """
     retained = list(weights.retained)
     modal_u = spectral.modal_input[retained, :] @ phi  # (m, B)
-    return spectral.V[:, retained] @ _filter_modes(weights, modal_u, carry)
+    W = np.empty(modal_u.shape, dtype=complex)
+    _filter_modes(weights, modal_u, carry, W.__setitem__)
+    return spectral.V[:, retained] @ W
 
 
 def _enforce_real(Z: np.ndarray, context: str) -> np.ndarray:
@@ -352,11 +354,18 @@ def propagate_order(
     n = spectral.state_dim // 2
     cols = list(weights.retained)
     modal_u = spectral.U[:, cols].T @ phi[:n]  # (m, B)
-    y = _filter_modes(weights, modal_u, carry)  # position + 1j velocity / omega
-    # contiguous copies keep the products on BLAS
+    # each filter's output is position + 1j velocity / omega; its parts go
+    # straight into contiguous rows, which keeps the products on BLAS
+    parts = np.empty((2,) + modal_u.shape)
+
+    def store(j, y):
+        parts[0, j] = y.real
+        parts[1, j] = y.imag
+
+    _filter_modes(weights, modal_u, carry, store)
     Z = np.empty((2 * n, T))
-    np.matmul(spectral.U[:, cols], np.ascontiguousarray(y.real), out=Z[:n])
-    np.matmul(spectral.U[:, cols] * spectral.omega[cols], np.ascontiguousarray(y.imag), out=Z[n:])
+    np.matmul(spectral.U[:, cols], parts[0], out=Z[:n])
+    np.matmul(spectral.U[:, cols] * spectral.omega[cols], parts[1], out=Z[n:])
     return Z
 
 

@@ -119,6 +119,11 @@ class PolynomialField:
         return tuple(_factor_list(m) for m, _ in self.terms)
 
     @cached_property
+    def degrees(self):
+        """The total degrees of the terms, ascending, each once."""
+        return tuple(sorted({len(f) for f in self._factors}))
+
+    @cached_property
     def _nonzero_rows(self):
         """Each term's output rows with a nonzero coefficient, in the order of terms."""
         return tuple(np.flatnonzero(c) for _, c in self.terms)

@@ -174,6 +174,9 @@ class TestGenerateForcing:
                              dofs=(2,))
         with pytest.raises(InvalidParameters):
             generate_forcing("sawtooth", n=1, duration=1.0, dt=0.1, delta=1.0)
+        for kind, extra in (("filtered_gaussian", {"f_cut": 1.0}), ("rossler", {})):
+            with pytest.raises(InvalidParameters, match="seed"):
+                generate_forcing(kind, n=1, duration=1.0, dt=0.1, delta=1.0, seed=-1, **extra)
 
     def test_unused_parameters_rejected(self):
         with pytest.raises(InvalidParameters, match="w3"):

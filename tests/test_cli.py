@@ -445,7 +445,7 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("case", [
         "eps-trunc", "pad", "diagnose-delta", "diagnose-dt", "damping", "csv-cell",
-        "dofs", "points",
+        "dofs", "points", "seed",
     ])
     def test_bad_input_is_2(self, tmp_path, capsys, case):
         cfg = _config(tmp_path)
@@ -466,6 +466,7 @@ class TestCliExitCodes:
             "dofs": [*compute, _GEN + ",dofs=x"],
             "points": ["frc", "--config", cfg, "--omega-min", "0.6",
                        "--omega-max", "1.4", "--points", "-1"],
+            "seed": [*compute, "filtered_gaussian,duration=2,dt=0.05,f_cut=2", "--seed", "-1"],
         }[case]
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()

@@ -33,6 +33,17 @@ class TestCoefficientTensor:
         assert np.all(np.isnan(t.data))
         assert t.orders_complete == 0
 
+    def test_insert_zeros_fills_the_order(self, rng):
+        t = CoefficientTensor.empty(2, 3, 10, dt=0.1)
+        t.insert_slice(1, rng.normal(size=(2, 10)))
+        t.insert_zeros(2)
+        assert t.orders_complete == 2
+        assert np.array_equal(t.order_slice(2), np.zeros((2, 10)))
+        assert not np.signbit(t.order_slice(2)).any()
+        assert np.all(np.isnan(t.data[:, 2]))
+        with pytest.raises(OrderUnavailable):
+            t.insert_zeros(4)
+
     def test_insert_and_read(self, rng):
         t = CoefficientTensor.empty(4, 3, 10, dt=0.1)
         grid = rng.normal(size=(4, 10))
@@ -195,6 +206,95 @@ class TestComposeField:
             for m, c in fld.terms:
                 dense += c[:, None] * assemble_H(m, nu, t.component, 25, ref_cache)[None, :]
             assert np.array_equal(out, dense)
+
+
+# monomial degrees of a field, and the orders the cascade it drives can
+# reach (through order 12)
+_LIVE = {
+    (3,): (1, 3, 5, 7, 9, 11),
+    (4,): (1, 4, 7, 10),
+    (3, 5): (1, 3, 5, 7, 9, 11),
+    (2, 3): tuple(range(1, 13)),
+    (): (1,),
+}
+
+
+def _field_of_degrees(degrees):
+    """A two-variable field with one or two terms of each degree."""
+    terms = []
+    for d in degrees:
+        terms.append(((d, 0), np.array([0.7, -0.2])))
+        terms.append(((1, d - 1), np.array([0.0, 0.4])))
+    return polynomial_field(2, 2, terms)
+
+
+def _cascade_tensor(rng, live, order_max, length):
+    """Random grids at the live orders, explicit zeros elsewhere."""
+    tensor = CoefficientTensor.empty(2, order_max, length, dt=0.1)
+    for nu in range(1, order_max + 1):
+        grid = rng.normal(size=(2, length)) if nu in live else np.zeros((2, length))
+        tensor.insert_slice(nu, grid)
+    return tensor
+
+
+class TestLiveOrders:
+    @pytest.mark.parametrize("degrees", list(_LIVE), ids=str)
+    def test_live_orders(self, degrees):
+        cache = CompositionCache(max_degree=max(degrees, default=2), degrees=degrees)
+        assert tuple(nu for nu in range(1, 13) if cache.reaches(1, nu)) == _LIVE[degrees]
+        assert _field_of_degrees(degrees).degrees == degrees
+
+    def test_products_reach_sums_of_live_orders(self):
+        cache = CompositionCache(max_degree=4, degrees=(4,))
+        assert [nu for nu in range(1, 13) if cache.reaches(2, nu)] == [2, 5, 8, 11]
+        assert [nu for nu in range(1, 13) if cache.reaches(3, nu)] == [3, 6, 9, 12]
+        assert not any(cache.reaches(5, nu) for nu in range(1, 5))
+
+    def test_default_reaches_every_order(self):
+        cache = CompositionCache(max_degree=3)
+        assert all(cache.reaches(d, nu) for d in range(1, 4) for nu in range(d, 13))
+        assert not any(cache.reaches(d, d - 1) for d in range(1, 4))
+
+    @pytest.mark.parametrize("degrees", [(3,), (4,), (3, 5), (2, 3)], ids=str)
+    def test_skipped_splits_change_no_bit(self, rng, degrees):
+        # the full recursion fed the explicit zero grids of the orders
+        # that are not live gives the same bits at every order, and zeros
+        # at the orders that are not live
+        fld = _field_of_degrees(degrees)
+        live = _LIVE[degrees]
+        order_max, length = 11, 17
+        t = _cascade_tensor(rng, live, order_max, length)
+        calls = {}
+
+        def counted(key):
+            def product(a, b):
+                calls[key] = calls.get(key, 0) + 1
+                return a * b
+            return product
+
+        skip = CompositionCache(max_degree=fld.max_degree, degrees=fld.degrees)
+        full = CompositionCache(max_degree=fld.max_degree)
+        for nu in range(2, order_max + 1):
+            # products are counted at the live orders only, where every
+            # term runs and only the splits can be skipped
+            key = "" if nu in live else "dead "
+            got = compose_field(fld, t.component, nu, length, skip, product=counted(key + "skip"))
+            ref = compose_field(fld, t.component, nu, length, full, product=counted(key + "full"))
+            assert np.array_equal(got, ref), nu
+            assert np.any(got != 0.0) == (nu in live), nu
+        if 2 in degrees:
+            assert calls["skip"] == calls["full"]
+        else:
+            assert calls["skip"] < calls["full"]
+
+    def test_assemble_h_below_reach_is_zero(self, rng):
+        t = _cascade_tensor(rng, _LIVE[(3,)], 6, 20)
+        cache = CompositionCache(max_degree=3, degrees=(3,))
+        assert np.array_equal(assemble_H((2, 0), 5, t.component, 20, cache), np.zeros(20))
+        assert np.array_equal(
+            assemble_H((2, 0), 4, t.component, 20, cache),
+            assemble_H((2, 0), 4, t.component, 20, CompositionCache(max_degree=3)),
+        )
 
 
 class TestAssemblePhi:

@@ -297,6 +297,111 @@ class TestBlockedCascade:
         assert extra[1] <= 1.05 * extra[0]
 
 
+# monomial degrees of a one-mass system's nonlinearity, and the orders
+# through 7 that its cascade reaches
+_LIVE = {
+    (3,): (1, 3, 5, 7),
+    (4,): (1, 4, 7),
+    (3, 5): (1, 3, 5, 7),
+    (2, 3): (1, 2, 3, 4, 5, 6, 7),
+}
+
+
+def _oscillator_of_degrees(degrees):
+    """A damped one-mass oscillator with a position and a mixed term of
+    each degree."""
+    terms = []
+    for d in degrees:
+        terms.append(((d, 0), 0, 0.5))
+        terms.append(((d - 1, 1), 0, 0.2))
+    return build_system(np.eye(1), [[0.2]], [[1.0]], terms=terms)
+
+
+def _every_order_live(monkeypatch):
+    """Make the caches of compute_taylor_gss and reduced_gss treat every
+    order as live, so that they compose and propagate the zero grids too."""
+    monkeypatch.setattr(
+        gss, "CompositionCache", lambda max_degree, degrees: CompositionCache(max_degree)
+    )
+
+
+def _live_run(system, forcing, backend, order=7):
+    kw = dict(base_frequencies=(1.3, 0.45), harmonic_budget=order) if backend == "qp" else {}
+    return compute_taylor_gss(system, forcing, order=order, backend=backend, **kw)
+
+
+class TestLiveOrders:
+    @pytest.mark.parametrize("backend", gss._BACKENDS)
+    @pytest.mark.parametrize("degrees", list(_LIVE), ids=str)
+    def test_zero_orders_and_bits(self, monkeypatch, backend, degrees):
+        sys_ = _oscillator_of_degrees(degrees)
+        f = _two_tone(duration=20.0, delta=0.3)
+        got = _live_run(sys_, f, backend).tensor
+        _every_order_live(monkeypatch)
+        ref = _live_run(sys_, f, backend).tensor
+        for nu in range(1, 8):
+            z = got.order_slice(nu)
+            if nu in _LIVE[degrees]:
+                assert np.any(z != 0.0), nu
+                assert np.array_equal(z, ref.order_slice(nu)), nu
+            else:
+                assert not np.any(z) and not np.signbit(z).any(), nu
+                assert not np.any(ref.order_slice(nu)), nu
+
+    @pytest.mark.parametrize("backend,propagator", [
+        ("kernel", "propagate_order"),
+        ("newmark", "propagate_order_newmark"),
+        ("qp", "_qp_propagate"),
+    ])
+    @pytest.mark.parametrize("degrees", list(_LIVE), ids=str)
+    def test_propagates_only_live_orders(self, monkeypatch, backend, propagator, degrees):
+        sys_ = _oscillator_of_degrees(degrees)
+        f = _two_tone(duration=4.0, delta=0.3)
+        monkeypatch.setattr(gss, "_BLOCK", 128)
+        blocks = 1 if backend == "qp" else -(-f.length // 128)
+        assert backend == "qp" or blocks > 2
+        calls = []
+        inner = getattr(gss, propagator)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(gss, propagator, counted)
+        _live_run(sys_, f, backend)
+        assert len(calls) == blocks * len(_LIVE[degrees])
+        if 2 in degrees:
+            assert len(calls) == blocks * 7
+
+    def test_reduced_gss_uses_the_same_rule(self, monkeypatch):
+        # a trivial reduction of a cubic system: only the odd orders run,
+        # and they equal the full recursion's bits
+        sys_ = _oscillator_of_degrees((3,))
+        f = _two_tone(delta=0.3)
+        spec = with_retained(decompose_structural(sys_), (0,))
+        model = reduced_model(first_order_field(sys_), identity_lift(2), np.eye(2), np.eye(2))
+        calls = []
+        inner = gss._modal_response
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(gss, "_modal_response", counted)
+        got = reduced_gss(model, spec, f, order=6).tensor
+        assert len(calls) == 3
+        _every_order_live(monkeypatch)
+        ref = reduced_gss(model, spec, f, order=6).tensor
+        assert len(calls) == 3 + 6
+        for nu in range(1, 7):
+            if nu % 2:
+                assert np.any(got.order_slice(nu) != 0.0)
+                assert np.array_equal(got.order_slice(nu), ref.order_slice(nu)), nu
+            else:
+                assert not np.any(got.order_slice(nu)), nu
+                assert not np.any(ref.order_slice(nu)), nu
+
+
 class TestEvaluate:
     def test_manual_partial_sum(self, rng):
         sys_ = build_duffing(kappa3=0.7)
