@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidCutoff, InvalidParameters, NearResonance
 from .gss import compute_taylor_gss, evaluate_at_amplitude
-from .model import ForcingSignal, MechanicalSystem, build_system, load_forcing
+from .model import ForcingSignal, MechanicalSystem, _check_dt, build_system, load_forcing
 
 __all__ = [
     "build_oscillator_chain",
@@ -163,8 +163,9 @@ def generate_forcing(
                        column peak-normalized to delta
     two_tone:          delta (sin w1 t + sin w2 t) / 2; params w1, w2
     """
-    if n < 1 or duration <= 0 or dt <= 0:
-        raise InvalidParameters("need n >= 1, duration > 0, dt > 0")
+    if n < 1 or not 0 < duration < np.inf:
+        raise InvalidParameters(f"need n >= 1 and a finite duration > 0, got {n}, {duration}")
+    _check_dt(dt)
     targets = list(range(n)) if dofs is None else [int(d) for d in dofs]
     if any(not 0 <= d < n for d in targets):
         raise InvalidParameters(f"dofs {targets} outside 0..{n - 1}")

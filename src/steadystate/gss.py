@@ -218,10 +218,10 @@ class _HarmonicOrbit:
 
     coeffs holds each order's harmonic coefficients, shape (state_dim,
     order, K) with the last axis on _harmonic_ball(len(Omega), budget);
-    K may be 1, so it is built directly rather than through
-    CoefficientTensor.empty, which checks a time grid. product multiplies
-    two coefficient rows. The order-1 fit sets kappas and the (K, T)
-    phase matrix exp(i kappa t) on the output grid.
+    it starts as zeros with every order counted filled, since the cascade
+    composes only live lower orders, which _qp_propagate has written.
+    product multiplies two coefficient rows. The order-1 fit sets kappas
+    and the (K, T) phase matrix exp(i kappa t) on the output grid.
     """
 
     Omega: np.ndarray
@@ -299,6 +299,47 @@ def _decompose(system: MechanicalSystem) -> SpectralData:
     return decompose_general(system)
 
 
+def _cascade(dim, forcing, order, cache, compose, propagate, lift=None, orders=None, step=None):
+    """The order cascade of every solver: fills and returns a (dim, order,
+    T) tensor, time blocks of step (default _BLOCK) samples outer.
+
+    Per block it clears cache, so products are block-length, normalizes
+    the block's forcing to the signal's unit sup and runs each order nu:
+    exact zeros if nu is not live (cache.reaches), else propagate(phi,
+    nu, carry) of phi = compose(store, nu, normalized): the order-1 rows
+    of the normalized forcing, or a composition of the lower orders in
+    store. The order's Carry hands the filter state on from block to
+    block. Composition is pointwise and the filters causal, so the
+    result equals one block's up to the rounding of the modal products.
+    store is the tensor's view of the block or, in coordinates of the
+    caller's own, orders' view (one block long, reused), which
+    lift(store, nu, normalized) maps pointwise to the tensor's grid at
+    every order.
+    """
+    tensor = CoefficientTensor.empty(
+        dim, order, forcing.length, forcing.dt, t0=forcing.t0, pad_length=forcing.pad_length
+    )
+    sup = forcing.max_magnitude
+    carries = [Carry() for _ in range(order)]
+    T, step = forcing.length, step or _BLOCK
+    for block in (slice(s, min(s + step, T)) for s in range(0, T, step)):
+        cache.clear()
+        samples = forcing.samples[block]
+        normalized = samples / sup if sup > 0.0 else np.zeros_like(samples)
+        window = tensor.window(block)
+        store = window if orders is None else orders.window(slice(0, window.length))
+        for nu, carry in enumerate(carries, start=1):
+            if cache.reaches(1, nu):
+                phi = compose(store, nu, normalized)
+                store.insert_slice(nu, propagate(phi, nu, carry))
+            else:
+                store.insert_zeros(nu)
+            if lift is not None:
+                window.insert_slice(nu, lift(store, nu, normalized))
+    tensor._filled.update(range(1, order + 1))
+    return tensor
+
+
 def compute_taylor_gss(
     system: MechanicalSystem,
     forcing: ForcingSignal,
@@ -313,27 +354,13 @@ def compute_taylor_gss(
 ) -> GssExpansion:
     """Amplitude expansion of the steady response to a sampled forcing.
 
-    The cascade runs in time blocks of _BLOCK samples, blocks outer and
-    orders inner. For each block and each order nu it composes Phi_nu
-    (assemble_phi on the tensor's view of the block, with the block's
-    forcing normalized), propagates it with the order's Carry, which
-    holds the filter state where the previous block ended, and writes
-    z_nu's block into the tensor. One CompositionCache serves the run
-    and is cleared at each block, so products are block-length.
-    Composition is pointwise in time and the propagators are causal
-    filters, so the result equals a single block's up to the rounding of
-    the modal matrix products, which may differ with the block length;
-    at the fixed block size it repeats bit for bit. The 'qp' backend
-    runs as one block over its harmonic coefficients.
-
-    Only the live orders run. Order 1 is live, and order nu >= 2 is live
-    iff it is a sum of d live orders for some monomial degree d of the
-    nonlinearity (see the composition module): with cubic terms only the
-    odd orders, with a quadratic term every order. Every other order is
-    written as exact zeros without composing or propagating it, and the
-    composition skips the splits and terms that would only multiply by
-    such a zero grid, so each live order keeps the bits of the full
-    recursion.
+    The orders run through the blocked cascade (_cascade) that
+    reduced_gss shares, composed by assemble_phi on the tensor's view of
+    each block; cache_stats are summed over the blocks, and 'qp' runs as
+    one block over its harmonic coefficients. Only the live orders run
+    (see the composition module): the odd ones for a cubic field, all of
+    them with a quadratic term; the others are exact zeros, and each
+    live order keeps the bits of the full recursion.
 
     Parameters
     ----------
@@ -380,10 +407,6 @@ def compute_taylor_gss(
     sup = forcing.max_magnitude
     delta_ref = float(delta) if delta is not None else (sup if sup > 0.0 else 1.0)
 
-    T = forcing.length
-    tensor = CoefficientTensor.empty(
-        system.state_dim, order, T, forcing.dt, t0=forcing.t0, pad_length=forcing.pad_length
-    )
     fld = system.nonlinearity
     cache = CompositionCache(max_degree=max(fld.max_degree, 2), degrees=fld.degrees)
     weights = build_kernel_weights(spectral, forcing.dt) if backend == "kernel" else None
@@ -396,42 +419,27 @@ def compute_taylor_gss(
             fit_from=forcing.pad_length,
             resonance_tol=resonance_tol,
             coeffs=CoefficientTensor(
-                np.full((system.state_dim, order, K), np.nan, dtype=complex),
-                dt=forcing.dt,
-                t0=forcing.t0,
-                pad_length=forcing.pad_length,
+                np.zeros((system.state_dim, order, K), dtype=complex), forcing.dt, forcing.t0, 0,
+                _filled=set(range(1, order + 1)),
             ),
             product=_lattice_product(len(Omega), harmonic_budget),
         )
-        # the harmonic cascade has no time axis to split: one block
-        blocks = [slice(0, T)]
-    else:
-        blocks = [slice(s, min(s + _BLOCK, T)) for s in range(0, T, _BLOCK)]
 
-    carries = [Carry() for _ in range(order)]
-    for block in blocks:
-        cache.clear()
-        window = tensor.window(block)
-        samples = forcing.samples[block]
-        normalized = samples / sup if sup > 0.0 else np.zeros_like(samples)
-        for nu in range(1, order + 1):
-            if not cache.reaches(1, nu):
-                window.insert_zeros(nu)
-                if backend == "qp":
-                    orbit.coeffs.insert_zeros(nu)
-                continue
-            if backend == "qp" and nu > 1:
-                phi = assemble_phi(system, orbit.coeffs, nu, cache=cache, product=orbit.product)
-            else:
-                phi = assemble_phi(system, window, nu, forcing_grid=normalized, cache=cache)
-            if backend == "kernel":
-                z = propagate_order(spectral, weights, phi, carry=carries[nu - 1])
-            elif backend == "newmark":
-                z = propagate_order_newmark(system, phi, forcing.dt, carry=carries[nu - 1])
-            else:
-                z = _qp_propagate(spectral, phi, nu, orbit)
-            window.insert_slice(nu, z)
-    tensor._filled.update(range(1, order + 1))
+    def compose(window, nu, normalized):
+        if backend == "qp" and nu > 1:
+            return assemble_phi(system, orbit.coeffs, nu, cache=cache, product=orbit.product)
+        return assemble_phi(system, window, nu, forcing_grid=normalized, cache=cache)
+
+    def propagate(phi, nu, carry):
+        if backend == "kernel":
+            return propagate_order(spectral, weights, phi, carry=carry)
+        if backend == "newmark":
+            return propagate_order_newmark(system, phi, forcing.dt, carry=carry)
+        return _qp_propagate(spectral, phi, nu, orbit)
+
+    # the harmonic cascade has no time axis to split: one block
+    step = forcing.length if backend == "qp" else None
+    tensor = _cascade(system.state_dim, forcing, order, cache, compose, propagate, step=step)
 
     if check_divergence and order >= 2:
         # parity-robust: a purely odd (or even) series has zero slices at
@@ -439,7 +447,12 @@ def compute_taylor_gss(
         half = (order + 1) // 2
 
         def scaled(nu):
-            return _scaled_magnitude(tensor, nu, delta_ref, blocks)
+            # the largest state norm of order nu, times delta_ref^nu; read a
+            # block at a time, so its temporaries stay block-length
+            z = tensor.order_slice(nu)
+            starts = range(0, z.shape[1], _BLOCK)
+            peak = max(np.linalg.norm(z[:, s : s + _BLOCK], axis=0).max() for s in starts)
+            return float(peak * delta_ref**nu)
 
         m_half = max(scaled(half), scaled(min(half + 1, order)))
         m_top = max(scaled(order), scaled(max(order - 1, 1)))
@@ -462,14 +475,6 @@ def compute_taylor_gss(
         eps_trunc=eps_trunc,
         cache_stats=cache.stats(),
     )
-
-
-def _scaled_magnitude(tensor: CoefficientTensor, nu: int, delta: float, blocks) -> float:
-    """Largest state norm over the grid of order nu, times delta^nu; read
-    block by block, so its temporaries stay block-length."""
-    z = tensor.order_slice(nu)
-    peak = max(np.linalg.norm(z[:, block], axis=0).max() for block in blocks)
-    return float(peak * delta**nu)
 
 
 def evaluate_at_amplitude(
@@ -631,22 +636,24 @@ def reduced_gss(
     """Amplitude expansion on an invariant-subspace reduced model.
 
     The reduced dynamics w' = R(w) + P B^{-1} G(t) (P = tangent_rows)
-    are expanded with the same order-by-order machinery in first-order
-    form (B = I): each order runs through the general kernel path on the
-    eigenvectors of R's linear part. Each order's lift through W is
-    combined with the linear response of the complement modes (those not
-    in spectral.retained, which designates the reduced subspace). When
-    the reduction is trivial (d = state_dim, W = identity) this
-    reproduces the full expansion. Orders that R's nonlinear terms
-    cannot reach are zeros without being composed or propagated, by the
-    same rule as compute_taylor_gss, and the lift skips them.
+    run through the blocked cascade of compute_taylor_gss in first-order
+    form (B = I), each live order through the general kernel path on the
+    eigenvectors of R's linear part. Each order of a block is lifted
+    through W and, at order 1, joined by the carried linear response of
+    the complement modes (those not in spectral.retained, which
+    designates the reduced subspace), so every per-order array is
+    block-length. A trivial reduction (d = state_dim, W = identity)
+    reproduces the full expansion.
 
-    Raises UnstableLinearPart if R's linear part has an eigenvalue with
-    real part >= -1e-12, and RealnessCheckFailed if a lifted order keeps
-    an imaginary residue above 1e-10 x its scale.
+    Raises DimensionMismatch if the fields, the decomposition and the
+    forcing disagree, UnstableLinearPart if R's linear part has an
+    eigenvalue with real part >= -1e-12, and RealnessCheckFailed if a
+    lifted order keeps an imaginary residue above 1e-10 x its scale on
+    some time block.
 
     Returns a GssExpansion whose tensor holds the lifted full-state
-    grids; system is None (the reduced model does not carry one).
+    grids, with system None and cache_stats those of the reduced
+    cascade, summed over the blocks.
     """
     d = reduced.d
     n2 = spectral.state_dim
@@ -656,13 +663,12 @@ def reduced_gss(
         raise DimensionMismatch(
             f"W lifts to {reduced.W.out_dim}, decomposition has state dim {n2}"
         )
+    if forcing.n != n2 // 2:
+        raise DimensionMismatch(
+            f"forcing has {forcing.n} columns, decomposition has {n2 // 2} dofs"
+        )
     if order < 1:
         raise InvalidParameters(f"order must be >= 1, got {order}")
-
-    sup = forcing.max_magnitude
-    normalized = forcing.samples / sup if sup > 0 else np.zeros_like(forcing.samples)
-    T = forcing.length
-    dt = forcing.dt
 
     # linear part of R and its spectrum (first-order form, B = I)
     A_r = np.zeros((d, d), dtype=complex)
@@ -686,62 +692,52 @@ def reduced_gss(
         V=V_r,
         modal_input=np.linalg.inv(V_r),
     )
-    reduced_weights = build_kernel_weights(reduced_spec, dt)
+    reduced_weights = build_kernel_weights(reduced_spec, forcing.dt)
 
-    g_full = _b_inverse_forcing(spectral, normalized)  # B^{-1}(g~, 0)
-    g_r = reduced.tangent_rows @ g_full  # (d, T), complex in general
-
-    # per-order propagation in reduced coordinates
-    w_orders = []
-
-    def component(i, nu):
-        return w_orders[nu - 1][i]
-
-    cache = CompositionCache(max_degree=max(reduced.R.max_degree, 2), degrees=nonlinear.degrees)
-    for nu in range(1, order + 1):
-        if not cache.reaches(1, nu):
-            w_orders.append(np.zeros((d, T), dtype=complex))
-            continue
-        if nu == 1:
-            phi_r = g_r.astype(complex)
-        else:
-            phi_r = compose_field(nonlinear, component, nu, T, cache, dtype=complex)
-        w_orders.append(_modal_response(reduced_spec, reduced_weights, phi_r, Carry()))
-
-    # linear complement response: the modes outside the reduced subspace
+    # the modes outside the reduced subspace respond linearly to order 1
     total = n2 if spectral.kind == "general" else n2 // 2
     comp_modes = tuple(i for i in range(total) if i not in spectral.retained)
-    phi1 = np.zeros((n2, T))
-    phi1[: n2 // 2] = normalized.T
     if comp_modes:
         comp_spec = with_retained(spectral, comp_modes)
-        comp_weights = build_kernel_weights(comp_spec, dt)
-        z_comp = propagate_order(comp_spec, comp_weights, phi1)
-    else:
-        z_comp = np.zeros((n2, T))
+        comp_weights = build_kernel_weights(comp_spec, forcing.dt)
+        comp_carry = Carry()
 
-    # lift through W order by order
-    tensor = CoefficientTensor.empty(
-        n2, order, T, dt, t0=forcing.t0, pad_length=forcing.pad_length
-    )
+    cache = CompositionCache(max_degree=max(reduced.R.max_degree, 2), degrees=nonlinear.degrees)
     # the lift multiplies reduced orders, which the same table describes
     lift_cache = CompositionCache(
         max_degree=max(reduced.W.max_degree, 2), degrees=nonlinear.degrees
     )
-    for nu in range(1, order + 1):
-        z = compose_field(reduced.W, component, nu, T, lift_cache, dtype=complex)
-        if nu == 1:
-            z = z + z_comp
-        tensor.insert_slice(nu, _enforce_real(z, f"reduced order {nu} lift"))
 
-    delta_ref = sup if sup > 0 else 1.0
+    def compose(w, nu, normalized):
+        if nu == 1:
+            return reduced.tangent_rows @ _b_inverse_forcing(spectral, normalized)
+        return compose_field(nonlinear, w.component, nu, w.length, cache, dtype=complex)
+
+    def propagate(phi, nu, carry):
+        return _modal_response(reduced_spec, reduced_weights, phi, carry)
+
+    def lift(w, nu, normalized):
+        if nu == 1:  # the first order of a new block
+            lift_cache.clear()
+        z = compose_field(reduced.W, w.component, nu, w.length, lift_cache, dtype=complex)
+        if nu == 1 and comp_modes:
+            phi1 = np.zeros((n2, w.length))
+            phi1[: n2 // 2] = normalized.T
+            z += propagate_order(comp_spec, comp_weights, phi1, carry=comp_carry)
+        return _enforce_real(z, f"reduced order {nu} lift")
+
+    block = np.full((d, order, min(_BLOCK, forcing.length)), np.nan, dtype=complex)
+    orders = CoefficientTensor(block, forcing.dt, forcing.t0, 0)
+    tensor = _cascade(n2, forcing, order, cache, compose, propagate, lift, orders)
+
+    sup = forcing.max_magnitude
     return GssExpansion(
         system=None,
         spectral=spectral,
         tensor=tensor,
         order=order,
         backend="kernel",
-        delta_ref=delta_ref,
+        delta_ref=sup if sup > 0 else 1.0,
         forcing_sup=sup,
         eps_trunc=0.0,
         cache_stats=cache.stats(),

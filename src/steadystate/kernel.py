@@ -46,7 +46,7 @@ from .errors import (
     SingularEffectiveStiffness,
     ZeroEigenvalue,
 )
-from .model import MechanicalSystem, NewmarkStep
+from .model import MechanicalSystem, NewmarkStep, _check_dt
 from .spectral import SpectralData, _oscillator_roots
 
 __all__ = [
@@ -108,8 +108,7 @@ def qvec_general(lam: complex, dt: float) -> np.ndarray:
     Raises ZeroEigenvalue when Re(lambda) == 0.
     """
     lam = complex(lam)
-    if dt <= 0.0:
-        raise InvalidParameters(f"dt must be positive, got {dt}")
+    _check_dt(dt)
     if lam.real == 0.0:
         raise ZeroEigenvalue("weights require Re(lambda) != 0")
     return _series_doubling(np.array([[lam]]), np.array([1.0]), abs(lam), dt)[0]
@@ -134,8 +133,7 @@ def qmat_structural(omega: float, zeta: float, dt: float):
     """
     if omega <= 0.0 or zeta <= 0.0:
         raise InvalidParameters(f"need omega > 0 and zeta > 0, got ({omega}, {zeta})")
-    if dt <= 0.0:
-        raise InvalidParameters(f"dt must be positive, got {dt}")
+    _check_dt(dt)
     if abs(zeta - 1.0) <= _CRITICAL_TAG:
         branch = "critical"
     elif zeta < 1.0:
@@ -168,8 +166,7 @@ class KernelWeights:
 
 def build_kernel_weights(spectral: SpectralData, dt: float) -> KernelWeights:
     """Weights for every retained mode of a decomposition."""
-    if dt <= 0.0:
-        raise InvalidParameters("dt must be positive")
+    _check_dt(dt)
     retained = tuple(spectral.retained)
     cols = list(retained)
     branches = None
@@ -392,8 +389,7 @@ def propagate_order_newmark(
         phi = phi[:n]
     elif phi.shape[0] != n:
         raise GridMismatch(f"phi has {phi.shape[0]} rows, expected {n} or {2 * n}")
-    if dt <= 0.0:
-        raise InvalidParameters("dt must be positive")
+    _check_dt(dt)
     T = phi.shape[1]
 
     nm = NewmarkStep(dt)

@@ -61,6 +61,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_dt(dt):
+    """Raise InvalidParameters unless the grid step dt is finite and > 0."""
+    if dt is None or not 0.0 < dt < np.inf:
+        raise InvalidParameters(f"dt must be finite and > 0, got {dt}")
+
+
 def _factor_list(exponents):
     """State indices of an exponent vector, each repeated as often as its exponent."""
     return tuple(i for i, e in enumerate(exponents) for _ in range(e))
@@ -490,8 +496,7 @@ def load_forcing(samples, dt=None, t0=0.0, pad_length=0, time=None):
             )
         dt = mean_dt
         t0 = float(time[0])
-    if dt is None or not dt > 0.0:
-        raise InvalidParameters("dt must be positive (or supply a time column)")
+    _check_dt(dt)
     pad_length = int(pad_length)
     if pad_length < 0:
         raise InvalidParameters("pad_length must be nonnegative")

@@ -48,6 +48,7 @@ from .model import (
     ForcingSignal,
     MechanicalSystem,
     NewmarkStep,
+    _check_dt,
     evaluate_field,
     field_jacobian,
 )
@@ -242,8 +243,7 @@ def quadrature_weight_reference(dt, lam=None, omega=None, zeta=None):
     Target absolute accuracy 1e-13; raises QuadratureFailure when the
     integrator cannot certify 1e-11.
     """
-    if dt <= 0.0:
-        raise InvalidParameters("dt must be positive")
+    _check_dt(dt)
     if (lam is None) == (omega is None):
         raise InvalidParameters("give exactly one of lam or (omega, zeta)")
 

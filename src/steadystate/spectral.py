@@ -36,7 +36,7 @@ from .errors import (
     NotStructural,
     UnstableLinearPart,
 )
-from .model import MechanicalSystem, field_jacobian, first_order_blocks
+from .model import MechanicalSystem, _check_dt, field_jacobian, first_order_blocks
 
 __all__ = [
     "SpectralData",
@@ -263,8 +263,7 @@ def select_modes(spectral: SpectralData, dt: float, eps: float = 1e-3) -> tuple:
     """
     if not 0.0 < eps < 1.0:
         raise InvalidParameters(f"eps must lie in (0, 1), got {eps}")
-    if dt <= 0.0:
-        raise InvalidParameters("dt must be positive")
+    _check_dt(dt)
     reals = spectral.slow_real_parts()
     keep = [j for j, r in enumerate(reals) if np.exp(dt * r) > eps]
     slowest = int(np.argmax(reals))

@@ -165,10 +165,12 @@ class TestGenerateForcing:
     def test_argument_validation(self):
         with pytest.raises(InvalidParameters):
             generate_forcing("two_tone", n=0, duration=1.0, dt=0.1, delta=1.0)
-        with pytest.raises(InvalidParameters):
-            generate_forcing("two_tone", n=1, duration=-1.0, dt=0.1, delta=1.0)
-        with pytest.raises(InvalidParameters):
-            generate_forcing("two_tone", n=1, duration=1.0, dt=0.0, delta=1.0)
+        for duration in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameters):
+                generate_forcing("two_tone", n=1, duration=duration, dt=0.1, delta=1.0)
+        for dt in (0.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameters):
+                generate_forcing("two_tone", n=1, duration=1.0, dt=dt, delta=1.0)
         with pytest.raises(InvalidParameters):
             generate_forcing("two_tone", n=2, duration=1.0, dt=0.1, delta=1.0,
                              dofs=(2,))

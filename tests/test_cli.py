@@ -445,7 +445,7 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("case", [
         "eps-trunc", "pad", "diagnose-delta", "diagnose-dt", "damping", "csv-cell",
-        "dofs", "points", "seed",
+        "dofs", "points", "seed", "compute-dt-inf", "diagnose-dt-nan",
     ])
     def test_bad_input_is_2(self, tmp_path, capsys, case):
         cfg = _config(tmp_path)
@@ -456,6 +456,8 @@ class TestCliExitCodes:
             pathlib.Path(cfg).write_text(json.dumps(raw))
         csv = tmp_path / "forcing.csv"
         csv.write_text("t,g0\n0.0,1.0\n0.05,abc\n0.1,0.5\n")
+        untimed = tmp_path / "untimed.csv"
+        untimed.write_text("0.0\n1.0\n0.5\n")
         argv = {
             "eps-trunc": [*compute, _GEN, "--eps-trunc", "2"],
             "pad": [*compute, _GEN, "--pad", "-1"],
@@ -467,6 +469,8 @@ class TestCliExitCodes:
             "points": ["frc", "--config", cfg, "--omega-min", "0.6",
                        "--omega-max", "1.4", "--points", "-1"],
             "seed": [*compute, "filtered_gaussian,duration=2,dt=0.05,f_cut=2", "--seed", "-1"],
+            "compute-dt-inf": [*compute, str(untimed), "--dt", "inf"],
+            "diagnose-dt-nan": ["diagnose", "--config", cfg, "--delta", "0.5", "--dt", "nan"],
         }[case]
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()

@@ -248,10 +248,33 @@ def _chain_noise(length, pad=0):
                             dt=0.05, delta=0.3, seed=5, f_cut=1.0, pad=pad, dofs=(0, 2))
 
 
+def _blocked_run(system, forcing, backend, order):
+    """compute_taylor_gss with the backend, or reduced_gss: on the
+    trivial reduction of the system ('reduced'), or on its first mode
+    with a cubic term in R and in W, beside the complement modes
+    ('reduced-modal', which needs every cache and carry of the lift)."""
+    if backend == "reduced":
+        eye = np.eye(system.state_dim)
+        model = reduced_model(first_order_field(system), identity_lift(len(eye)), eye, eye)
+        return reduced_gss(model, decompose_structural(system), forcing, order=order)
+    if backend == "reduced-modal":
+        spec = decompose_structural(system)
+        modal = _modal_reduced_model(system, spec, 0)
+        R = polynomial_field(2, 2, [*modal.R.terms, ((3, 0), [0.0, -0.5])], min_degree=1)
+        W = polynomial_field(
+            2, system.state_dim, [*modal.W.terms, ((2, 1), np.full(system.state_dim, 0.1))],
+            min_degree=1,
+        )
+        model = reduced_model(R, W, modal.tangent_rows, modal.tangent_cols)
+        return reduced_gss(model, with_retained(spec, (0,)), forcing, order=order)
+    return compute_taylor_gss(system, forcing, order=order, backend=backend)
+
+
 class TestBlockedCascade:
     @pytest.mark.parametrize("backend,general", [
-        ("kernel", False), ("kernel", True), ("newmark", False),
-    ], ids=["kernel-structural", "kernel-general", "newmark"])
+        ("kernel", False), ("kernel", True), ("newmark", False), ("reduced", False),
+        ("reduced-modal", False),
+    ], ids=["kernel-structural", "kernel-general", "newmark", "reduced", "reduced-modal"])
     def test_every_block_size_matches_one_block(self, monkeypatch, backend, general):
         # no pad: the first sample is nonzero, so the structural path
         # carries its impulse correction across the blocks
@@ -260,12 +283,12 @@ class TestBlockedCascade:
         assert np.all(f.samples[0, [0, 2]] != 0.0)
         T = f.length
         monkeypatch.setattr(gss, "_BLOCK", T)
-        one = compute_taylor_gss(sys_, f, order=5, backend=backend)
+        one = _blocked_run(sys_, f, backend, order=5)
         assert one.spectral.kind == ("general" if general else "structural")
         assert np.abs(one.tensor.order_slice(5)).max() > 0.0
         for size in range(2, T + 1):
             monkeypatch.setattr(gss, "_BLOCK", size)
-            got = compute_taylor_gss(sys_, f, order=5, backend=backend)
+            got = _blocked_run(sys_, f, backend, order=5)
             assert got.tensor.orders_complete == 5
             for nu in range(1, 6):
                 ref = one.tensor.order_slice(nu)
@@ -275,26 +298,28 @@ class TestBlockedCascade:
     def test_repeated_runs_are_bit_identical(self):
         sys_ = _cubic_chain()
         f = _chain_noise(3 * gss._BLOCK + 1000, pad=500)
-        a = compute_taylor_gss(sys_, f, order=3)
-        b = compute_taylor_gss(sys_, f, order=3)
-        assert a.tensor.data.tobytes() == b.tensor.data.tobytes()
-        assert a.cache_stats == b.cache_stats
+        for backend in ("kernel", "reduced"):
+            a = _blocked_run(sys_, f, backend, order=3)
+            b = _blocked_run(sys_, f, backend, order=3)
+            assert a.tensor.data.tobytes() == b.tensor.data.tobytes(), backend
+            assert a.cache_stats == b.cache_stats, backend
 
     def test_memory_beyond_the_tensor_does_not_grow_with_the_record(self):
         # the composition products and per-order temporaries are
         # block-length: a record 4x longer only grows the tensor
         sys_ = _cubic_chain()
-        extra = []
-        for length in (3 * gss._BLOCK, 12 * gss._BLOCK):
-            f = _chain_noise(length)
-            tracemalloc.start()
-            try:
-                exp = compute_taylor_gss(sys_, f, order=3)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            extra.append(peak - exp.tensor.data.nbytes)
-        assert extra[1] <= 1.05 * extra[0]
+        for backend in ("kernel", "reduced"):
+            extra = []
+            for length in (3 * gss._BLOCK, 12 * gss._BLOCK):
+                f = _chain_noise(length)
+                tracemalloc.start()
+                try:
+                    exp = _blocked_run(sys_, f, backend, order=3)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                extra.append(peak - exp.tensor.data.nbytes)
+            assert extra[1] <= 1.05 * extra[0], backend
 
 
 # monomial degrees of a one-mass system's nonlinearity, and the orders
@@ -613,6 +638,11 @@ class TestReduced:
         f = _two_tone(n=2)
         with pytest.raises(InvalidParameters):
             reduced_gss(model, spec, f, order=0)
+        # a forcing column per dof of the decomposition, not more
+        duffing = build_duffing(kappa3=0.5)
+        one_dof = reduced_model(first_order_field(duffing), identity_lift(2), np.eye(2), np.eye(2))
+        with pytest.raises(DimensionMismatch):
+            reduced_gss(one_dof, decompose_structural(duffing), f, order=1)
 
 
 class TestForcingNormalization:

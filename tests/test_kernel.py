@@ -62,6 +62,10 @@ class TestScalarWeights:
             qvec_general(-1.0, 0.0)
         with pytest.raises(InvalidParameters):
             qvec_general(-1.0, -0.5)
+        # an infinite step would halve forever in the series-plus-doubling
+        for dt in (float("inf"), float("nan")):
+            with pytest.raises(InvalidParameters):
+                qvec_general(-1.0 + 2.0j, dt)
 
     def test_continuity_at_series_switch(self):
         # the two steps straddle the first halving of the base step
@@ -115,6 +119,9 @@ class TestStructuralWeights:
             qmat_structural(1.0, 0.0, 0.1)
         with pytest.raises(InvalidParameters):
             qmat_structural(1.0, 0.5, 0.0)
+        for dt in (float("inf"), float("nan")):
+            with pytest.raises(InvalidParameters):
+                qmat_structural(1.0, 0.1, dt)
 
     def test_velocity_row_trapezoid_limit(self):
         Q, _ = qmat_structural(1.0, 0.3, 1e-6)
@@ -179,8 +186,9 @@ class TestBuildWeights:
     def test_bad_dt(self, rng):
         sys_ = random_system(rng, 2, structural=True, n_terms=0)
         spec = decompose_structural(sys_)
-        with pytest.raises(InvalidParameters):
-            build_kernel_weights(spec, 0.0)
+        for dt in (0.0, float("inf"), float("nan")):
+            with pytest.raises(InvalidParameters):
+                build_kernel_weights(spec, dt)
 
 
 def _harmonic_phi(n, dof, Omega, dt, T):
