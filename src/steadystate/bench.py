@@ -152,7 +152,8 @@ def generate_forcing(
     selects the target indices (default: all); other columns are zero.
     seed, a non-negative integer or None, seeds the random kinds.
     duration is the unpadded signal length in time units; pad leading
-    zero rows are prepended by the signal container.
+    zero rows are prepended by the signal container; a grid of over
+    2^31 samples raises InvalidParameters.
 
     chirp:             sin(2 pi (rate t^2 / 2 + f0 t)); params f0, rate
     filtered_gaussian: white noise low-passed at f_cut (Hz), exact sup
@@ -171,6 +172,8 @@ def generate_forcing(
         raise InvalidParameters(f"dofs {targets} outside 0..{n - 1}")
     if seed is not None and seed < 0:
         raise InvalidParameters(f"seed must be a non-negative integer, got {seed}")
+    if not duration / dt < 2**31:  # checked before allocating
+        raise InvalidParameters(f"duration / dt = {duration / dt:.3g} asks for over 2^31 samples")
     T = int(round(duration / dt)) + 1
     t = dt * np.arange(T)
     samples = np.zeros((T, n))

@@ -242,42 +242,44 @@ def _qp_propagate(spectral, phi, nu, orbit):
     (fit_harmonics), over the grid from orbit.fit_from on, since a zero
     pad is a kernel-backend start-up device, not part of the
     quasiperiodic signal, and including it would bias the coefficients.
-    The same call builds the phase matrix and runs the resonance guard.
-    For nu >= 2, phi already holds the harmonic coefficients of Phi_nu,
-    composed from lower orders by lattice convolution. Each harmonic is
-    divided by its resonance denominator, the coefficients go into
-    orbit.coeffs, and the orbit is written on the full grid: .real on
-    the structural path, _enforce_real on the general path (an imaginary
-    residue above 1e-10 x scale raises RealnessCheckFailed).
+    The forcing is real, so the fit is made conjugate-symmetric, c_k <-
+    (c_k + conj c_{-k}) / 2, an equally good least-squares solution. The
+    same call builds the phase matrix and runs the resonance guard. For
+    nu >= 2, phi already holds the harmonic coefficients of Phi_nu,
+    composed from lower orders by lattice convolution. The kernel's
+    modal pair maps them: project, the modal transfer at each kappa
+    (1/(i kappa - lambda), or (1, i kappa/omega)/(omega^2 - kappa^2 +
+    2i zeta omega kappa) for an oscillator), reconstruct into
+    orbit.coeffs; the orbit on the grid takes the kernel's realness
+    policy (_enforce_real).
 
     With forcing on sum |k_i| <= 1, order nu only reaches sum |k_i| <= nu,
     so the orbit is exact while the budget is at least the order.
     """
     retained = list(spectral.retained)
-    n = spectral.state_dim // 2
     if nu == 1:
-        forced = np.flatnonzero(phi[:n].any(axis=1))
+        forced = np.flatnonzero(phi[: spectral.state_dim // 2].any(axis=1))
         window = slice(orbit.fit_from, None)
         orbit.kappas, forcing = fit_harmonics(
             phi[forced, window], orbit.times[window], orbit.Omega, orbit.budget
         )
+        # the ball is symmetric and sorted, so harmonic -k sits at K-1-i
+        forcing = 0.5 * (forcing + forcing[:, ::-1].conj())
         orbit.phases = np.exp(1j * np.outer(orbit.kappas, orbit.times))
         phi = np.zeros((spectral.state_dim, len(orbit.kappas)), dtype=complex)
         phi[forced] = forcing
         _qp_guard(spectral, orbit.kappas, orbit.resonance_tol)
     kappas = orbit.kappas
+    u = spectral.project(phi)  # (m, K)
     if spectral.kind == "general":
-        lams = spectral.eigenvalues[retained]
-        W = (spectral.modal_input[retained, :] @ phi) / (1j * kappas[None, :] - lams[:, None])
-        Z = spectral.V[:, retained] @ W
-        orbit.coeffs.insert_slice(nu, Z)
-        return _enforce_real(Z @ orbit.phases, "qp modal assembly")
-    w, z = spectral.omega[retained, None], spectral.zeta[retained, None]
-    U = spectral.U[:, retained]
-    resp = (U.T @ phi[:n]) / (w * w - kappas * kappas + 2j * z * w * kappas)  # (modes, K)
-    Z = np.vstack([U @ resp, U @ (1j * kappas * resp)])
+        X = u / (1j * kappas - spectral.eigenvalues[retained, None])
+    else:
+        w, z = spectral.omega[retained, None], spectral.zeta[retained, None]
+        r = u / (w * w - kappas * kappas + 2j * z * w * kappas)
+        X = np.stack([r, (1j * kappas / w) * r])
+    Z = spectral.reconstruct(X)
     orbit.coeffs.insert_slice(nu, Z)
-    return (Z @ orbit.phases).real
+    return _enforce_real(Z @ orbit.phases, "qp modal assembly")
 
 
 def _qp_guard(spectral, kappas, resonance_tol):
@@ -616,17 +618,6 @@ def evaluate_pade(pade: PadeGss, delta: float) -> np.ndarray:
     return numerator / denominator[:, None]
 
 
-def _b_inverse_forcing(spectral: SpectralData, samples: np.ndarray) -> np.ndarray:
-    """Grid of B^{-1} (g, 0) from the decomposition alone, shape (2n, T)."""
-    n = spectral.state_dim // 2
-    out = np.zeros((2 * n, samples.shape[0]))
-    if spectral.kind == "general":
-        out[:n] = samples.T  # (g, 0) itself
-        return (spectral.V @ (spectral.modal_input @ out)).real
-    out[n:] = spectral.U @ (spectral.U.T @ samples.T)
-    return out
-
-
 def reduced_gss(
     reduced: ReducedModel,
     spectral: SpectralData,
@@ -637,12 +628,14 @@ def reduced_gss(
 
     The reduced dynamics w' = R(w) + P B^{-1} G(t) (P = tangent_rows)
     run through the blocked cascade of compute_taylor_gss in first-order
-    form (B = I), each live order through the general kernel path on the
-    eigenvectors of R's linear part. Each order of a block is lifted
-    through W and, at order 1, joined by the carried linear response of
-    the complement modes (those not in spectral.retained, which
-    designates the reduced subspace), so every per-order array is
-    block-length. A trivial reduction (d = state_dim, W = identity)
+    form (B = I), each live order through _modal_response on the
+    eigenvectors of R's linear part; its forcing rows P B^{-1}[:, :n]
+    come once per solve from the decomposition's modal pair over every
+    unit. Each order of a block is lifted through W and, at order 1,
+    joined by the carried linear response of the complement modes (those
+    not in spectral.retained, which designates the reduced subspace), so
+    every per-order array is block-length; the lift takes the kernel's
+    realness policy. A trivial reduction (d = state_dim, W = identity)
     reproduces the full expansion.
 
     Raises DimensionMismatch if the fields, the decomposition and the
@@ -702,6 +695,15 @@ def reduced_gss(
         comp_weights = build_kernel_weights(comp_spec, forcing.dt)
         comp_carry = Carry()
 
+    # B^{-1} (I_n, 0) in modal coordinates: the input itself on the
+    # general path, zero position and velocity u on the structural one
+    every = with_retained(spectral, range(total))
+    u = every.project(np.eye(n2, n2 // 2))
+    if spectral.kind == "structural":
+        u = np.stack([np.zeros_like(u), u / every.omega[:, None]])
+    b_inverse = _enforce_real(every.reconstruct(u), "B^{-1} forcing")
+    forcing_rows = reduced.tangent_rows @ b_inverse  # (d, n)
+
     cache = CompositionCache(max_degree=max(reduced.R.max_degree, 2), degrees=nonlinear.degrees)
     # the lift multiplies reduced orders, which the same table describes
     lift_cache = CompositionCache(
@@ -710,7 +712,7 @@ def reduced_gss(
 
     def compose(w, nu, normalized):
         if nu == 1:
-            return reduced.tangent_rows @ _b_inverse_forcing(spectral, normalized)
+            return forcing_rows @ normalized.T
         return compose_field(nonlinear, w.component, nu, w.length, cache, dtype=complex)
 
     def propagate(phi, nu, carry):

@@ -19,10 +19,12 @@ up to dt. It works for every eigenvalue and every zeta, including
 exactly 1, and never divides by an eigenvalue or an eigenvalue
 difference.
 
-Every mode then runs as one sosfilt over its modal input, started so
-that its state is zero at the first sample: a general mode as one
-first-order section, an oscillator as one complex filter whose real part
-is the position and whose imaginary part is the velocity over omega.
+Both kinds then take one path: SpectralData.project, one sosfilt per
+mode started so that its state is zero at the first sample (a general
+mode as one first-order section, an oscillator as one complex filter
+whose real part is the position and whose imaginary part is the
+velocity over omega), SpectralData.reconstruct, and _enforce_real, the
+one realness policy of every modal sum in the package.
 
 Every propagator is a causal filter, so a grid can be propagated in
 consecutive time blocks: a Carry hands the filter state at the end of
@@ -247,46 +249,37 @@ def _oscillator_filter(E: np.ndarray, Q: np.ndarray, poles, omega: float):
     return sos, pack @ np.column_stack([q1, -(adj @ q1)])
 
 
-def _filter_modes(weights: KernelWeights, modal_u: np.ndarray, carry: Carry, store) -> None:
-    """Each retained mode's filter over its row of modal_u; store(j, y)
-    receives mode j's complex output row.
-
-    A fresh carry starts the grid: the first section of each filter
-    starts from -start u[0], which makes the mode's state zero at the
-    first sample. Otherwise each filter continues from its state in
-    carry, which ends holding the state after the block's last sample.
-    """
-    if carry.state is None:
-        carry.state = np.zeros(weights.sos.shape[:2] + (2,), dtype=complex)
-        carry.state[:, 0] = -weights.start * modal_u[:, :1]
-    for j, zi in enumerate(carry.state):
-        y, carry.state[j] = sosfilt(weights.sos[j], modal_u[j], zi=zi)
-        store(j, y)
-
-
 def _modal_response(
     spectral: SpectralData, weights: KernelWeights, phi: np.ndarray, carry: Carry
 ) -> np.ndarray:
-    """Complex sum V[:, retained] @ W over the retained general modes.
+    """project, filter each retained mode, reconstruct: complex on the
+    general path, real on the structural one, whose filter outputs go
+    straight into the real (2, m, B) stack that reconstruct takes.
 
-    Row j of W is mode j's filter driven by the modal input
-    modal_input[j] @ phi, from the zero state or from where carry left
-    it. The result is complex; callers whose state is real pass it
-    through _enforce_real.
+    A fresh carry starts each filter's first section from -start u[0],
+    which makes the mode's state zero at the first sample.
     """
-    retained = list(weights.retained)
-    modal_u = spectral.modal_input[retained, :] @ phi  # (m, B)
-    W = np.empty(modal_u.shape, dtype=complex)
-    _filter_modes(weights, modal_u, carry, W.__setitem__)
-    return spectral.V[:, retained] @ W
+    modal_u = spectral.project(phi)  # (m, B)
+    if carry.state is None:
+        carry.state = np.zeros(weights.sos.shape[:2] + (2,), dtype=complex)
+        carry.state[:, 0] = -weights.start * modal_u[:, :1]
+    structural = spectral.kind == "structural"
+    X = np.empty((2,) + modal_u.shape) if structural else np.empty(modal_u.shape, complex)
+    for j, zi in enumerate(carry.state):
+        y, carry.state[j] = sosfilt(weights.sos[j], modal_u[j], zi=zi)
+        if structural:
+            X[0, j], X[1, j] = y.real, y.imag
+        else:
+            X[j] = y
+    return spectral.reconstruct(X)
 
 
 def _enforce_real(Z: np.ndarray, context: str) -> np.ndarray:
-    """Real part of a conjugate-pair sum, the one imaginary-residue policy.
-
-    Raises RealnessCheckFailed when the largest imaginary part exceeds
-    1e-10 times the largest magnitude of Z.
-    """
+    """The one realness policy of every modal sum: a real Z is returned
+    unchanged, a complex one as its real part unless its largest imaginary
+    part exceeds 1e-10 x its largest magnitude (RealnessCheckFailed)."""
+    if not np.iscomplexobj(Z):
+        return Z
     scale = np.abs(Z).max(initial=0.0)
     if scale > 0.0:
         resid = np.abs(Z.imag).max()
@@ -317,19 +310,15 @@ def propagate_order(
         of it (for mechanical systems the lower block is identically zero
         and, on the structural path, only the top block is consumed).
     carry : Carry, optional
-        The order's state between time blocks, updated in place. None,
-        or a fresh Carry, makes phi the start of the grid (at least 2
-        samples), where the recursion starts from the zero state; passing
-        the same Carry with the next block continues the recursion; the
-        blocks' results equal the whole grid's up to the rounding of the
-        modal matrix products. It holds the sosfilt state of every
-        retained mode's filter.
+        The order's state between time blocks (see Carry). None, or a
+        fresh Carry, makes phi the start of the grid (at least 2 samples);
+        the blocks' results equal the whole grid's up to the rounding of
+        the modal matrix products.
 
     Returns
     -------
-    (state_dim, B) real array. On the general path the conjugate-pair
-    sum goes through _enforce_real: an imaginary residue above 1e-10 x
-    scale raises RealnessCheckFailed, a smaller one is discarded.
+    (state_dim, B) real array: _modal_response, one path for both kinds,
+    through _enforce_real, the one realness policy.
     """
     phi = np.asarray(phi)
     carry = Carry() if carry is None else carry
@@ -337,33 +326,11 @@ def propagate_order(
         raise GridMismatch(
             f"phi has shape {phi.shape}, expected ({spectral.state_dim}, T)"
         )
-    T = phi.shape[1]
-    if T < (2 if carry.state is None else 1):
+    if phi.shape[1] < (2 if carry.state is None else 1):
         raise GridMismatch("grid needs at least 2 samples")
     if weights.kind != spectral.kind or tuple(weights.retained) != tuple(spectral.retained):
         raise GridMismatch("weights were built for a different retained set")
-
-    if spectral.kind == "general":
-        return _enforce_real(
-            _modal_response(spectral, weights, phi, carry), "general modal assembly"
-        )
-
-    n = spectral.state_dim // 2
-    cols = list(weights.retained)
-    modal_u = spectral.U[:, cols].T @ phi[:n]  # (m, B)
-    # each filter's output is position + 1j velocity / omega; its parts go
-    # straight into contiguous rows, which keeps the products on BLAS
-    parts = np.empty((2,) + modal_u.shape)
-
-    def store(j, y):
-        parts[0, j] = y.real
-        parts[1, j] = y.imag
-
-    _filter_modes(weights, modal_u, carry, store)
-    Z = np.empty((2 * n, T))
-    np.matmul(spectral.U[:, cols], parts[0], out=Z[:n])
-    np.matmul(spectral.U[:, cols] * spectral.omega[cols], parts[1], out=Z[n:])
-    return Z
+    return _enforce_real(_modal_response(spectral, weights, phi, carry), "modal assembly")
 
 
 def propagate_order_newmark(

@@ -62,6 +62,7 @@ class SpectralData:
     'structural': natural frequencies (ascending), damping ratios and the
     mass-normalized mode matrix U. retained indexes eigenvalues (general)
     or oscillators (structural). gamma = max_j 1 / |Re lambda_j|.
+    project and reconstruct are the modal basis of the retained units.
     """
 
     kind: str
@@ -86,6 +87,28 @@ class SpectralData:
     def gamma(self) -> float:
         """max_j 1 / |Re lambda_j| over every mode, retained or not."""
         return float(np.max(1.0 / np.abs(self.slow_real_parts())))
+
+    def project(self, phi: np.ndarray) -> np.ndarray:
+        """(m, ...) modal inputs of the retained units: modal_input @ phi
+        (general), U^T @ phi[:n], the force block (structural)."""
+        cols = list(self.retained)
+        if self.kind == "general":
+            return self.modal_input[cols] @ phi
+        return self.U[:, cols].T @ phi[: self.state_dim // 2]
+
+    def reconstruct(self, X: np.ndarray) -> np.ndarray:
+        """(state_dim, ...) state of retained modal coordinates: V @ X
+        (general), or U @ X[0] and U omega @ X[1] written into the two
+        halves for a (2, m, ...) stack of positions and velocities over
+        omega (structural)."""
+        cols = list(self.retained)
+        if self.kind == "general":
+            return self.V[:, cols] @ X
+        n = self.state_dim // 2
+        Z = np.empty((2 * n,) + X.shape[2:], dtype=X.dtype)
+        np.matmul(self.U[:, cols], X[0], out=Z[:n])
+        np.matmul(self.U[:, cols] * self.omega[cols], X[1], out=Z[n:])
+        return Z
 
 
 def _oscillator_roots(omega: float, zeta: float):

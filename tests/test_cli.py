@@ -340,7 +340,7 @@ class TestCliCompute:
         with pytest.warns(HarmonicTruncationWarning, match="harmonic_budget 2"):
             assert main([command, *qp, "--harmonic", "2"]) == 0
         assert main([command, *qp[:-2]]) == 2  # --base-freq without values
-        assert capsys.readouterr().err.startswith("InvalidParameters:")
+        assert capsys.readouterr().err.splitlines()[-1].startswith("InvalidParameters:")
 
 
 class TestCliFrc:
@@ -492,10 +492,14 @@ class TestCliExitCodes:
                         found.append(f"{path.name}:{node.lineno} {exc.id}")
         assert found == []
 
-    def test_usage_errors_exit_2(self):
+    def test_usage_errors_exit_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["compute", "--order", "2"])
         assert ei.value.code == 2
         with pytest.raises(SystemExit) as ei:
             main([])
         assert ei.value.code == 2
+        # a grid too large to allocate is refused before allocating
+        assert main(["compute", "--config", _config(tmp_path), "--order", "2",
+                     "--forcing", "two_tone,duration=1e300,dt=0.1"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("InvalidParameters:")

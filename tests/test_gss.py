@@ -147,6 +147,19 @@ class TestComputeTaylor:
             assert np.abs(za).max() > 0.0
             assert np.abs(za - zb).max() < 1e-4 * np.abs(za).max()
 
+    def test_qp_agrees_across_decompositions(self, monkeypatch):
+        # an ill-conditioned fit (budget 7 on a 20 s record): both kinds
+        # must take the same realness policy on the same coefficients
+        sys_ = _oscillator_of_degrees((3,))
+        f = _two_tone(duration=20.0, delta=0.3)
+        kw = dict(order=7, backend="qp", base_frequencies=(1.3, 0.45), harmonic_budget=7)
+        a = compute_taylor_gss(sys_, f, **kw)
+        monkeypatch.setattr(gss, "_decompose", decompose_general)
+        b = compute_taylor_gss(sys_, f, **kw)
+        assert (a.spectral.kind, b.spectral.kind) == ("structural", "general")
+        diff = np.abs(a.tensor.data - b.tensor.data).max()
+        assert diff <= 1e-9 * np.abs(a.tensor.data).max()
+
     def test_qp_truncation_warning(self):
         sys_ = build_duffing(zeta=0.4, kappa3=0.4)
         f = _two_tone()

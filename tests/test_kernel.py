@@ -151,6 +151,7 @@ class TestStructuralWeights:
     @example(omega=2.0, zeta=1.0 - 1e-7, dt=1e-4)
     @example(omega=500.0, zeta=0.02, dt=0.02)  # fast oscillatory mode
     @example(omega=121.4, zeta=0.0044, dt=0.416)  # |lambda| dt ~ 50, Re small
+    @example(omega=657.0, zeta=0.03125, dt=0.8994030697050379)  # peak weight 2.6e-6
     def test_matches_quadrature(self, omega, zeta, dt):
         Q, _ = qmat_structural(omega, zeta, dt)
         ref = quadrature_weight_reference(dt, omega=omega, zeta=zeta)
