@@ -15,6 +15,8 @@ over the saved output's largest magnitude.
 
 The chain-noise tensor alone is about 310 MiB, so a run holds a few times
 that; --against compares in slices of the time axis to stay near it.
+BLAS runs on one thread, as in perfbench/run.py: a multi-threaded BLAS
+splits the matrix products differently and changes their rounding.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"  # before NumPy loads its BLAS
 
 import numpy as np  # noqa: E402
 

@@ -172,7 +172,7 @@ def generate_forcing(
         raise InvalidParameters(f"dofs {targets} outside 0..{n - 1}")
     if seed is not None and seed < 0:
         raise InvalidParameters(f"seed must be a non-negative integer, got {seed}")
-    if not duration / dt < 2**31:  # checked before allocating
+    if not duration / dt < 2**31:  # 16 GiB a column, refused before allocating
         raise InvalidParameters(f"duration / dt = {duration / dt:.3g} asks for over 2^31 samples")
     T = int(round(duration / dt)) + 1
     t = dt * np.arange(T)

@@ -269,12 +269,13 @@ def quadrature_weight_reference(dt, lam=None, omega=None, zeta=None):
             col = scipy.linalg.expm(L * (dt - s))[:, 1]
             return np.concatenate([col * (1.0 - s / dt), col * (s / dt)])
 
-    # breakpoints a radian of oscillation apart where the kernel exceeds
-    # e^-46: a cancelling integral then meets the relative target before
-    # quad_vec's rounding estimate stops refining
+    # breakpoints a radian of oscillation apart (at most 1024) where the
+    # kernel exceeds e^-46: a cancelling integral then meets the relative
+    # target before quad_vec's rounding estimate stops refining
     roots = [lam] if lam is not None else _oscillator_roots(omega, zeta)
-    span = min(dt, 46.0 / min(abs(r.real) for r in roots))
-    pieces = max(1, math.ceil(span * max(abs(r.imag) for r in roots)))
+    decay = min(abs(r.real) for r in roots)
+    span = dt if decay * dt <= 46.0 else 46.0 / decay
+    pieces = min(1024, max(1, math.ceil(span * max(abs(r.imag) for r in roots))))
     points = np.linspace(dt - span, dt, pieces + 1)[:-1]
     val, err = quad_vec(
         integrand, 0.0, dt, epsabs=0.0, epsrel=1e-12, norm="max", points=points[points > 0.0]

@@ -340,7 +340,7 @@ class TestCliCompute:
         with pytest.warns(HarmonicTruncationWarning, match="harmonic_budget 2"):
             assert main([command, *qp, "--harmonic", "2"]) == 0
         assert main([command, *qp[:-2]]) == 2  # --base-freq without values
-        assert capsys.readouterr().err.splitlines()[-1].startswith("InvalidParameters:")
+        assert capsys.readouterr().err.startswith("InvalidParameters:")
 
 
 class TestCliFrc:
@@ -499,7 +499,8 @@ class TestCliExitCodes:
         with pytest.raises(SystemExit) as ei:
             main([])
         assert ei.value.code == 2
+        capsys.readouterr()
         # a grid too large to allocate is refused before allocating
         assert main(["compute", "--config", _config(tmp_path), "--order", "2",
                      "--forcing", "two_tone,duration=1e300,dt=0.1"]) == 2
-        assert capsys.readouterr().err.splitlines()[-1].startswith("InvalidParameters:")
+        assert capsys.readouterr().err.startswith("InvalidParameters:")

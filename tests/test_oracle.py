@@ -14,6 +14,7 @@ from steadystate import (
     faadibruno_phi,
     generate_forcing,
     newmark_full,
+    oracle,
     picard_gss,
     quadrature_weight_reference,
 )
@@ -169,6 +170,27 @@ class TestQuadratureReference:
         q = quadrature_weight_reference(0.3, lam=lam)
         closed = qvec_general(lam, 0.3)
         assert np.abs(q - closed).max() <= 1e-10 * max(1.0, np.abs(closed).max())
+
+    @pytest.mark.parametrize("lam, dt", [(2.0j, 0.3), (-3.0j, 2.5)])
+    def test_scalar_mode_undamped(self, lam, dt):
+        # Re(lam) = 0: the kernel never decays, so the breakpoints span
+        # the whole step; closed form of the hat-weighted integrals
+        x = lam * dt
+        q0 = (np.exp(x) * (x - 1.0) + 1.0) / (lam * lam * dt)
+        q1 = (np.exp(x) - 1.0) / lam - q0
+        q = quadrature_weight_reference(dt, lam=lam)
+        assert np.abs(q - np.array([q0, q1])).max() <= 1e-12 * np.abs(q).max()
+
+    def test_breakpoints_are_capped(self, monkeypatch):
+        seen = {}
+
+        def spy(f, a, b, points=(), **kw):
+            seen["points"] = len(points)
+            return np.zeros(4), 0.0
+
+        monkeypatch.setattr(oracle, "quad_vec", spy)
+        quadrature_weight_reference(1.0, lam=-1e-3 + 1e5j)
+        assert seen["points"] <= 1024
 
     def test_structural_critical_frozen_value(self):
         q = quadrature_weight_reference(1.0, omega=1.0, zeta=1.0)
