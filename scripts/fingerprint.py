@@ -6,6 +6,10 @@ the checkout the script sits in and prints one line per output: the
 coefficient tensors of chain-noise, duffing-critical and dashpot-roundtrip
 (compute_taylor_gss at the workload's order) and the frc-chain amplitudes
 (the one-thread sweep), each with its shape and the SHA-256 of its bytes.
+A tensor is hashed order by order, every order 1..order_max stacked on
+axis 1 (state, order, time), so an order the tensor does not store
+counts as its zeros and the digest does not depend on which orders are
+stored; a tensor that stores every order hashes as its data array.
 --save writes the outputs to an .npz; --against reads one saved from
 another checkout and adds to each line the largest absolute difference
 over the saved output's largest magnitude.
@@ -52,7 +56,9 @@ def outputs():
             expansion = workloads.quiet(
                 gss.compute_taylor_gss, inputs["system"], inputs["forcing"], spec["order"]
             )
-            yield name, expansion.tensor.data
+            tensor = expansion.tensor
+            orders = range(1, tensor.order_max + 1)
+            yield name, np.stack([tensor.order_slice(nu) for nu in orders], axis=1)
 
 
 def relative_difference(a, b):

@@ -25,9 +25,9 @@ makes every order live. The CompositionCache carries that table (see
 CompositionCache.reaches): the recursion skips every split whose rest
 or pivot order cannot be nonzero, and compose_field every term whose
 degree cannot reach nu. A skipped split would only add exact zeros, so
-every live order keeps its bits, and compute_taylor_gss writes exact
-zeros for the orders that are not live without composing or
-propagating them.
+every live order keeps its bits, and compute_taylor_gss neither
+composes nor propagates the orders that are not live: its tensor stores
+no slot for them, and they read as zeros.
 
 The recursion only multiplies and adds what component returns, and the
 multiplication is a parameter: elementwise on time grids (the default),
@@ -61,16 +61,20 @@ __all__ = [
 class CoefficientTensor:
     """Expansion coefficient grids, filled one order at a time.
 
-    data has shape (state_dim, order_max, T); slot [:, nu-1, :] holds
-    z_nu on the grid. Slots beyond the filled orders stay NaN so that an
-    accidental read is loud. An order the field cannot reach (see the
-    module docstring) is filled with exact zeros, not left NaN. dt / t0
-    / pad_length describe the grid (t0 is the time of the first stored
-    sample, pad included). A tensor
-    loaded from a container holds exactly its completed orders, as a
-    read-only memory map of the saved file. The 'qp'
-    backend also keeps a complex tensor whose last axis indexes
-    harmonics instead of grid samples.
+    stored lists the orders the tensor keeps, ascending, one slot each:
+    data has shape (state_dim, len(stored), T) and slot [:, s, :] holds
+    z_nu of nu = stored[s] on the grid. stored defaults to every order
+    1..data.shape[1], and order_max to the largest stored order. An
+    order that is not stored reads as a read-only view of +0.0 that
+    allocates nothing: it is an order the field cannot reach (see the
+    module docstring), marked filled by insert_zeros; inserting a grid
+    at such an order raises OrderUnavailable. Slots beyond the filled
+    orders stay NaN so that an accidental read is loud. dt / t0 /
+    pad_length describe the grid (t0 is the time of the first stored
+    sample, pad included). A tensor loaded from a container holds the
+    stored slots of its completed orders, as a read-only memory map of
+    the saved file. The 'qp' backend also keeps a complex tensor whose
+    last axis indexes harmonics instead of grid samples.
     """
 
     data: np.ndarray
@@ -78,23 +82,49 @@ class CoefficientTensor:
     t0: float
     pad_length: int
     _filled: set = field(default_factory=set, repr=False)
+    stored: tuple | None = None
+    order_max: int | None = None
+    # _grids[nu] is order nu's (state_dim, T) view: its slot, or the zero view
+    _grids: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.stored is None:
+            self.stored = tuple(range(1, self.data.shape[1] + 1))
+        self.stored = tuple(self.stored)
+        if self.order_max is None:
+            self.order_max = self.stored[-1] if self.stored else 0
+        bounded = (0,) + self.stored + (self.order_max + 1,)
+        if len(self.stored) != self.data.shape[1] or any(
+            a >= b for a, b in zip(bounded, bounded[1:])
+        ):
+            raise DimensionMismatch(
+                f"stored orders {self.stored} are not {self.data.shape[1]} ascending "
+                f"orders in 1..{self.order_max}"
+            )
+        zero = np.broadcast_to(np.zeros((), self.data.dtype), (self.state_dim, self.length))
+        self._grids = [zero] * (self.order_max + 1)
+        for s, nu in enumerate(self.stored):
+            self._grids[nu] = self.data[:, s, :]
 
     @classmethod
-    def empty(cls, state_dim, order_max, length, dt, t0=0.0, pad_length=0):
+    def empty(cls, state_dim, order_max, length, dt, t0=0.0, pad_length=0, stored=None):
+        """A NaN-filled tensor of orders 1..order_max that stores the
+        orders in stored (default: every order)."""
         if order_max < 1:
             raise DimensionMismatch(f"order_max must be >= 1, got {order_max}")
         if length < 2:
             raise GridMismatch("grid needs at least 2 samples")
-        data = np.full((state_dim, order_max, length), np.nan)
-        return cls(data=data, dt=float(dt), t0=float(t0), pad_length=int(pad_length))
+        if stored is None:
+            stored = range(1, order_max + 1)
+        data = np.full((state_dim, len(stored), length), np.nan)
+        return cls(
+            data=data, dt=float(dt), t0=float(t0), pad_length=int(pad_length),
+            stored=stored, order_max=order_max,
+        )
 
     @property
     def state_dim(self):
         return self.data.shape[0]
-
-    @property
-    def order_max(self):
-        return self.data.shape[1]
 
     @property
     def length(self):
@@ -110,22 +140,28 @@ class CoefficientTensor:
     def times(self):
         return self.t0 + self.dt * np.arange(self.length)
 
-    def insert_slice(self, nu, grid):
-        grid = np.asarray(grid)
+    def _check_order(self, nu):
         if not 1 <= nu <= self.order_max:
             raise OrderUnavailable(f"order {nu} outside 1..{self.order_max}")
+
+    def insert_slice(self, nu, grid):
+        grid = np.asarray(grid)
+        self._check_order(nu)
+        if nu not in self.stored:
+            raise OrderUnavailable(f"order {nu} has no slot; stored orders are {self.stored}")
         if grid.shape != (self.state_dim, self.length):
             raise GridMismatch(
                 f"slice shape {grid.shape} != ({self.state_dim}, {self.length})"
             )
-        self.data[:, nu - 1, :] = grid
+        self._grids[nu][...] = grid
         self._filled.add(nu)
 
     def insert_zeros(self, nu):
-        """Fill order nu with exact zeros: an order no product reaches."""
-        if not 1 <= nu <= self.order_max:
-            raise OrderUnavailable(f"order {nu} outside 1..{self.order_max}")
-        self.data[:, nu - 1, :] = 0.0
+        """Fill order nu with exact zeros: an order no product reaches.
+        An order without a slot already reads as zeros."""
+        self._check_order(nu)
+        if nu in self.stored:
+            self._grids[nu][...] = 0.0
         self._filled.add(nu)
 
     def order_slice(self, nu):
@@ -133,26 +169,29 @@ class CoefficientTensor:
             raise OrderUnavailable(
                 f"order {nu} not available (complete through {self.orders_complete})"
             )
-        return self.data[:, nu - 1, :]
+        return self._grids[nu]
 
     def component(self, i, nu):
         """Row i of order nu; the lookup the composition recursion uses.
 
-        It does not validate nu: an unfilled order reads its NaN slot.
-        assemble_phi checks orders_complete once per call instead; use
-        order_slice for a checked read.
+        It does not validate nu: an unfilled order reads its NaN slot,
+        an order without a slot its zero view. assemble_phi checks
+        orders_complete once per call instead; use order_slice for a
+        checked read.
         """
-        return self.data[i, nu - 1]
+        return self._grids[nu][i]
 
     def window(self, block):
         """The tensor on the samples of one time block (a slice of the
-        grid), as a view: orders inserted into it land in this tensor.
-        It starts with no order filled."""
+        grid), as a view with the same stored orders: orders inserted
+        into it land in this tensor. It starts with no order filled."""
         return CoefficientTensor(
             data=self.data[:, :, block],
             dt=self.dt,
             t0=self.t0 + block.start * self.dt,
             pad_length=max(self.pad_length - block.start, 0),
+            stored=self.stored,
+            order_max=self.order_max,
         )
 
 
@@ -304,8 +343,8 @@ def assemble_phi(
     (T then counts harmonics) gives Phi_nu's harmonic coefficients.
     Without a cache, every order of the tensor counts as live, so any
     filled grids compose; compute_taylor_gss passes a cache built from
-    the field's degrees, whose tensor holds exact zeros at the orders
-    the field cannot reach.
+    the field's degrees, whose tensor reads as zeros at the orders the
+    field cannot reach.
     """
     n = system.n
     if tensor.state_dim != 2 * n:

@@ -111,7 +111,8 @@ class RealnessCheckFailed(SteadyStateError):
 
 
 class OrderUnavailable(SteadyStateError):
-    """A coefficient slice beyond orders_complete was requested."""
+    """A coefficient slice beyond orders_complete was requested, or a
+    grid was inserted at an order the tensor stores no slot for."""
 
 
 # ------------------------------------------------------------------ gss

@@ -302,8 +302,9 @@ def _decompose(system: MechanicalSystem) -> SpectralData:
 
 
 def _cascade(dim, forcing, order, cache, compose, propagate, lift=None, orders=None, step=None):
-    """The order cascade of every solver: fills and returns a (dim, order,
-    T) tensor, time blocks of step (default _BLOCK) samples outer.
+    """The order cascade of every solver: fills and returns a tensor of
+    orders 1..order on the forcing's grid, time blocks of step (default
+    _BLOCK) samples outer.
 
     Per block it clears cache, so products are block-length, normalizes
     the block's forcing to the signal's unit sup and runs each order nu:
@@ -317,9 +318,17 @@ def _cascade(dim, forcing, order, cache, compose, propagate, lift=None, orders=N
     caller's own, orders' view (one block long, reused), which
     lift(store, nu, normalized) maps pointwise to the tensor's grid at
     every order.
+
+    Without a lift the tensor stores only the live orders, shape (dim,
+    live, T), and the others read as zeros; a lift may fill every order
+    (its field's degrees need not match cache's), so then every order is
+    stored.
     """
+    every = range(1, order + 1)
+    stored = every if lift is not None else [nu for nu in every if cache.reaches(1, nu)]
     tensor = CoefficientTensor.empty(
-        dim, order, forcing.length, forcing.dt, t0=forcing.t0, pad_length=forcing.pad_length
+        dim, order, forcing.length, forcing.dt, t0=forcing.t0, pad_length=forcing.pad_length,
+        stored=stored,
     )
     sup = forcing.max_magnitude
     carries = [Carry() for _ in range(order)]
@@ -361,8 +370,9 @@ def compute_taylor_gss(
     each block; cache_stats are summed over the blocks, and 'qp' runs as
     one block over its harmonic coefficients. Only the live orders run
     (see the composition module): the odd ones for a cubic field, all of
-    them with a quadratic term; the others are exact zeros, and each
-    live order keeps the bits of the full recursion.
+    them with a quadratic term; the others are exact zeros that take no
+    slot in the tensor, and each live order keeps the bits of the full
+    recursion.
 
     Parameters
     ----------
@@ -451,6 +461,8 @@ def compute_taylor_gss(
         def scaled(nu):
             # the largest state norm of order nu, times delta_ref^nu; read a
             # block at a time, so its temporaries stay block-length
+            if nu not in tensor.stored:
+                return 0.0
             z = tensor.order_slice(nu)
             starts = range(0, z.shape[1], _BLOCK)
             peak = max(np.linalg.norm(z[:, s : s + _BLOCK], axis=0).max() for s in starts)
@@ -486,17 +498,18 @@ def evaluate_at_amplitude(
 
     delta is the physical forcing amplitude multiplying the normalized
     signal the expansion was computed for. The sum runs by Horner's rule
-    in the output array, so it needs no temporary of its size.
+    in the output array, so it needs no temporary of its size; an order
+    the tensor does not store is zero and adds no pass.
     """
+    tensor = expansion.tensor
     top = expansion.order if max_order is None else int(max_order)
-    if not 1 <= top <= expansion.tensor.orders_complete:
-        raise InvalidParameters(
-            f"max_order {top} outside 1..{expansion.tensor.orders_complete}"
-        )
-    out = np.array(expansion.tensor.order_slice(top), dtype=float)
+    if not 1 <= top <= tensor.orders_complete:
+        raise InvalidParameters(f"max_order {top} outside 1..{tensor.orders_complete}")
+    out = np.array(tensor.order_slice(top), dtype=float)
     for nu in range(top - 1, 0, -1):
         out *= delta
-        out += expansion.tensor.order_slice(nu)
+        if nu in tensor.stored:
+            out += tensor.order_slice(nu)
     out *= delta
     return out
 
@@ -547,10 +560,12 @@ def pade_resum(expansion: GssExpansion, L: int, M: int) -> PadeGss:
     sigma = expansion.delta_ref if expansion.delta_ref > 0 else 1.0
     dim, T = expansion.state_dim, expansion.length
 
-    # c_hat[k-1] = z_k sigma^k ; shape (dim, L+M, T)
-    c_hat = np.empty((dim, L + M, T))
+    # c_hat[k-1] = z_k sigma^k ; shape (dim, L+M, T); an order the tensor
+    # does not store is zero
+    c_hat = np.zeros((dim, L + M, T))
     for k in range(1, L + M + 1):
-        c_hat[:, k - 1, :] = tensor.order_slice(k) * sigma**k
+        if k in tensor.stored:
+            c_hat[:, k - 1, :] = tensor.order_slice(k) * sigma**k
 
     def c_of(j, k):
         if k < 1:
@@ -645,7 +660,8 @@ def reduced_gss(
     some time block.
 
     Returns a GssExpansion whose tensor holds the lifted full-state
-    grids, with system None and cache_stats those of the reduced
+    grids of every order (W's degrees can fill an order R cannot
+    reach), with system None and cache_stats those of the reduced
     cascade, summed over the blocks.
     """
     d = reduced.d

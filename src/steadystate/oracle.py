@@ -271,14 +271,20 @@ def quadrature_weight_reference(dt, lam=None, omega=None, zeta=None):
 
     # breakpoints a radian of oscillation apart (at most 1024) where the
     # kernel exceeds e^-46: a cancelling integral then meets the relative
-    # target before quad_vec's rounding estimate stops refining
+    # target before quad_vec's rounding estimate stops refining. Both the
+    # slowest and the fastest decay place theirs, so the boundary layer
+    # of a stiff overdamped root at the step's end is sampled too; the
+    # decays differ only for real roots, one breakpoint each
     roots = [lam] if lam is not None else _oscillator_roots(omega, zeta)
-    decay = min(abs(r.real) for r in roots)
-    span = dt if decay * dt <= 46.0 else 46.0 / decay
-    pieces = min(1024, max(1, math.ceil(span * max(abs(r.imag) for r in roots))))
-    points = np.linspace(dt - span, dt, pieces + 1)[:-1]
+    freq = max(abs(r.imag) for r in roots)
+    points = set()
+    for decay in {min(abs(r.real) for r in roots), max(abs(r.real) for r in roots)}:
+        span = dt if decay * dt <= 46.0 else 46.0 / decay
+        pieces = min(1024, max(1, math.ceil(span * freq)))
+        points.update(np.linspace(dt - span, dt, pieces + 1)[:-1])
     val, err = quad_vec(
-        integrand, 0.0, dt, epsabs=0.0, epsrel=1e-12, norm="max", points=points[points > 0.0]
+        integrand, 0.0, dt, epsabs=0.0, epsrel=1e-12, norm="max",
+        points=sorted(p for p in points if p > 0.0),
     )
     if err > 1e-11 * max(1.0, float(np.abs(val).max())):
         raise QuadratureFailure(f"certified error {err:.3e} too large")

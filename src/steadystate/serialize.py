@@ -8,9 +8,13 @@ reproduce saved grids bit for bit.
 A container (version 2) is a directory holding manifest.json (format,
 version, dtype, dimensions, grid and metadata) plus one NumPy .npy file
 per array: tensor.npy for an expansion, num.npy and den.npy for a
-resummation. The arrays are stored as raw float64 and loaded as
-read-only memory maps, so a round trip is bit-exact and a reader pays
-only for the orders it touches. Saving replaces each file atomically.
+resummation. An expansion's tensor.npy holds only the orders its
+tensor stores, listed in the manifest's "orders"; the others are zero.
+A manifest without that key stores every order (as every container did
+before the key was added). The arrays are stored as raw float64 and
+loaded as read-only memory maps, so a round trip is bit-exact and a
+reader pays only for the orders it touches. Saving replaces each file
+atomically.
 Version 1 (CSV per order) containers are rejected with ConfigError.
 """
 
@@ -21,7 +25,7 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatch
 from .gss import GssExpansion, PadeGss
 from .composition import CoefficientTensor
 from .model import ForcingSignal, MechanicalSystem, build_system, load_forcing
@@ -260,19 +264,24 @@ def _map_array(directory: str, name: str, shape: tuple, dtype: str) -> np.ndarra
 def save_expansion(expansion: GssExpansion, directory: str) -> None:
     """Expansion container: manifest.json plus tensor.npy.
 
-    tensor.npy holds the completed orders, shape (state_dim,
-    orders_complete, length); slot [:, nu-1, :] is the order-nu grid.
-    The grid's times follow from the manifest's dt, t0 and length.
+    tensor.npy holds the stored slots of the completed orders, shape
+    (state_dim, len(orders), length), with the manifest's "orders"
+    listing them: slot [:, s, :] is the grid of order orders[s], and
+    every other order up to orders_complete is zero. The grid's times
+    follow from the manifest's dt, t0 and length.
     """
     tensor = expansion.tensor
-    slab = tensor.data[:, : tensor.orders_complete, :]
+    complete = tensor.orders_complete
+    orders = [nu for nu in tensor.stored if nu <= complete]
+    slab = tensor.data[:, : len(orders), :]
     manifest = {
         "format": "gss-expansion",
         "version": _CONTAINER_VERSION,
         "dtype": slab.dtype.str,
         "state_dim": int(tensor.state_dim),
         "order": int(expansion.order),
-        "orders_complete": int(tensor.orders_complete),
+        "orders_complete": int(complete),
+        "orders": orders,
         "length": int(tensor.length),
         "dt": tensor.dt,
         "t0": tensor.t0,
@@ -290,28 +299,37 @@ def load_expansion(directory: str) -> GssExpansion:
     """Rebuild an expansion from its container.
 
     The tensor is a read-only memory map of tensor.npy, so evaluation and
-    resummation read only the orders they use. The model and
-    decomposition are not serialized; the result carries the grids and
-    metadata (enough for evaluation and resummation), with system and
-    spectral set to None.
+    resummation read only the orders they use. It stores the manifest's
+    "orders", or every completed order when the key is absent. The model
+    and decomposition are not serialized; the result carries the grids
+    and metadata (enough for evaluation and resummation), with system
+    and spectral set to None.
     """
     manifest = _read_manifest(
         directory, "gss-expansion", "an expansion container", _EXPANSION_KEYS
     )
     complete = manifest["orders_complete"]
+    orders = manifest.get("orders", list(range(1, complete + 1)))
+    if not isinstance(orders, list) or not all(type(nu) is int for nu in orders):
+        raise ConfigError(f"{directory}: orders {orders!r} is not a list of orders")
     data = _map_array(
         directory,
         "tensor",
-        (manifest["state_dim"], complete, manifest["length"]),
+        (manifest["state_dim"], len(orders), manifest["length"]),
         manifest["dtype"],
     )
-    tensor = CoefficientTensor(
-        data=data,
-        dt=float(manifest["dt"]),
-        t0=float(manifest["t0"]),
-        pad_length=int(manifest["pad_length"]),
-        _filled=set(range(1, complete + 1)),
-    )
+    try:
+        tensor = CoefficientTensor(
+            data=data,
+            dt=float(manifest["dt"]),
+            t0=float(manifest["t0"]),
+            pad_length=int(manifest["pad_length"]),
+            _filled=set(range(1, complete + 1)),
+            stored=orders,
+            order_max=complete,
+        )
+    except DimensionMismatch as exc:
+        raise ConfigError(f"{directory}: {exc}") from None
     return GssExpansion(
         system=None,
         spectral=None,

@@ -244,7 +244,7 @@ class TestExpansionContainer:
             load(tmp_path)
 
     @pytest.mark.parametrize("corrupt", [
-        lambda data: data[:, :2, :],  # an order short
+        lambda data: data[:, :-1, :],  # a stored order short
         lambda data: data.astype(np.float32),
     ], ids=["shape", "dtype"])
     def test_array_disagrees_with_manifest(self, tmp_path, corrupt):
@@ -252,6 +252,40 @@ class TestExpansionContainer:
         serialize.save_expansion(exp, tmp_path)
         np.save(tmp_path / "tensor.npy", corrupt(exp.tensor.data))
         with pytest.raises(ConfigError, match="manifest says"):
+            serialize.load_expansion(tmp_path)
+
+    def test_stores_only_the_live_orders(self, tmp_path):
+        exp = self._expansion()  # cubic: orders 1 and 3
+        serialize.save_expansion(exp, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["orders"] == [1, 3]
+        assert np.load(tmp_path / "tensor.npy").shape == (2, 2, exp.length)
+        back = serialize.load_expansion(tmp_path)
+        assert back.tensor.stored == (1, 3)
+        for nu in (1, 2, 3):
+            assert np.array_equal(back.tensor.order_slice(nu), exp.tensor.order_slice(nu))
+
+    def test_manifest_without_orders_stores_every_order(self, tmp_path):
+        # the layout of a container saved before the manifest listed its
+        # orders: every completed order has a slot
+        exp = self._expansion()
+        serialize.save_expansion(exp, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        del manifest["orders"]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        dense = np.stack([exp.tensor.order_slice(nu) for nu in (1, 2, 3)], axis=1)
+        np.save(tmp_path / "tensor.npy", dense)
+        back = serialize.load_expansion(tmp_path)
+        assert back.tensor.stored == (1, 2, 3)
+        assert np.array_equal(back.tensor.data, dense)
+
+    @pytest.mark.parametrize("orders", [[1, 1], [3, 1], [1, 4], "13", [1.0, 3.0]])
+    def test_bad_orders_rejected(self, tmp_path, orders):
+        serialize.save_expansion(self._expansion(), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["orders"] = orders
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError):
             serialize.load_expansion(tmp_path)
 
     def test_truncated_or_missing_array(self, tmp_path):

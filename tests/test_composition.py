@@ -73,6 +73,39 @@ class TestCoefficientTensor:
         with pytest.raises(OrderUnavailable):
             t.insert_slice(0, np.zeros((2, 10)))
 
+    def test_stored_orders_have_slots(self, rng):
+        t = CoefficientTensor.empty(2, 5, 10, dt=0.1, stored=(1, 3, 5))
+        assert t.data.shape == (2, 3, 10)
+        assert t.order_max == 5 and t.stored == (1, 3, 5)
+        grid = rng.normal(size=(2, 10))
+        t.insert_slice(3, grid)
+        assert np.array_equal(t.data[:, 1], grid)
+        assert np.array_equal(t.component(1, 3), grid[1])
+        t.insert_zeros(2)
+        z = t.order_slice(2)
+        assert z.shape == (2, 10) and not z.flags.writeable
+        assert not np.any(z) and not np.signbit(z).any()
+        assert not np.any(t.component(0, 4))
+        with pytest.raises(OrderUnavailable):
+            t.insert_slice(2, grid)
+        with pytest.raises(OrderUnavailable):
+            t.insert_slice(6, grid)
+
+    def test_window_keeps_the_stored_orders(self, rng):
+        t = CoefficientTensor.empty(2, 4, 10, dt=0.1, stored=(1, 3))
+        w = t.window(slice(4, 7))
+        assert w.stored == (1, 3) and w.order_max == 4 and w.data.shape == (2, 2, 3)
+        grid = rng.normal(size=(2, 3))
+        w.insert_slice(3, grid)
+        assert np.array_equal(t.data[:, 1, 4:7], grid)
+        with pytest.raises(OrderUnavailable):
+            w.insert_slice(2, grid)
+
+    @pytest.mark.parametrize("stored", [(1, 1), (3, 1), (0, 1), (1, 6), (1,)])
+    def test_stored_orders_checked(self, stored):
+        with pytest.raises(DimensionMismatch):
+            CoefficientTensor(np.zeros((2, 2, 10)), 0.1, 0.0, 0, stored=stored, order_max=5)
+
     def test_times_grid(self):
         t = CoefficientTensor.empty(2, 1, 5, dt=0.5, t0=-1.0, pad_length=2)
         assert np.array_equal(t.times(), [-1.0, -0.5, 0.0, 0.5, 1.0])

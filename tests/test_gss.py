@@ -386,6 +386,22 @@ class TestLiveOrders:
                 assert not np.any(z) and not np.signbit(z).any(), nu
                 assert not np.any(ref.order_slice(nu)), nu
 
+    @pytest.mark.parametrize("backend", ["kernel", "newmark"])
+    def test_tensor_stores_only_live_orders(self, monkeypatch, backend):
+        sys_ = _oscillator_of_degrees((3,))
+        f = _two_tone(duration=20.0, delta=0.3)
+        got = _live_run(sys_, f, backend)
+        _every_order_live(monkeypatch)
+        ref = _live_run(sys_, f, backend)
+        assert got.tensor.stored == (1, 3, 5, 7)
+        assert got.tensor.data.shape == (2, (7 + 1) // 2, f.length)
+        assert ref.tensor.data.shape == (2, 7, f.length)
+        for nu in range(1, 8):
+            assert np.array_equal(got.tensor.order_slice(nu), ref.tensor.order_slice(nu)), nu
+        for delta in (0.3, -0.2):
+            assert np.array_equal(evaluate_at_amplitude(got, delta),
+                                  evaluate_at_amplitude(ref, delta))
+
     @pytest.mark.parametrize("backend,propagator", [
         ("kernel", "propagate_order"),
         ("newmark", "propagate_order_newmark"),

@@ -26,7 +26,7 @@ from steadystate.errors import (
     NewtonDivergence,
     NoConvergence,
 )
-from steadystate.kernel import propagate_order_newmark, qvec_general
+from steadystate.kernel import propagate_order_newmark, qmat_structural, qvec_general
 from steadystate.model import load_forcing
 from tests.conftest import random_system
 
@@ -198,6 +198,15 @@ class TestQuadratureReference:
                         [3.0 * E1 - 1.0, 1.0 - 2.0 * E1]])
         assert q.shape == (2, 2)
         assert np.abs(q - ref).max() <= 1e-11
+
+    def test_stiff_overdamped_boundary_layer(self):
+        # roots about -5e-10 and -2e9: the velocity row is the integral of
+        # e^(-2e9 u) over the last hat, a layer 5e-10 wide at the step's end
+        closed, branch = qmat_structural(1.0, 1e9, 0.1)
+        q = quadrature_weight_reference(0.1, omega=1.0, zeta=1e9)
+        assert branch == "overdamped"
+        assert np.abs(q - closed).max() <= 1e-11 * max(1.0, np.abs(q).max())
+        assert q[1, 1] == pytest.approx(5.0e-10, rel=1e-6)
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameters):
