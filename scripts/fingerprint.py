@@ -4,7 +4,9 @@
 Runs the full-size inputs of the workloads in perfbench/workloads.py on
 the checkout the script sits in and prints one line per output: the
 coefficient tensors of chain-noise, duffing-critical and dashpot-roundtrip
-(compute_taylor_gss at the workload's order) and the frc-chain amplitudes
+(compute_taylor_gss at the workload's order), the dashpot-roundtrip
+Pade den and num (pade_resum at the workload's [L/M]) and its trajectory
+at the forcing sup (evaluate_at_amplitude), and the frc-chain amplitudes
 (the one-thread sweep), each with its shape and the SHA-256 of its bytes.
 A tensor is hashed order by order, every order 1..order_max stacked on
 axis 1 (state, order, time), so an order the tensor does not store
@@ -12,7 +14,8 @@ counts as its zeros and the digest does not depend on which orders are
 stored; a tensor that stores every order hashes as its data array.
 --save writes the outputs to an .npz; --against reads one saved from
 another checkout and adds to each line the largest absolute difference
-over the saved output's largest magnitude.
+over the saved output's largest magnitude (or says the output is not
+in the file).
 
     python3 scripts/fingerprint.py --save before.npz
     python3 scripts/fingerprint.py --against before.npz
@@ -59,6 +62,12 @@ def outputs():
             tensor = expansion.tensor
             orders = range(1, tensor.order_max + 1)
             yield name, np.stack([tensor.order_slice(nu) for nu in orders], axis=1)
+            if name == "dashpot-roundtrip":
+                pade = gss.pade_resum(expansion, *spec["pade"])
+                yield "dashpot-pade-den", pade.den
+                yield "dashpot-pade-num", pade.num
+                delta = inputs["forcing"].max_magnitude
+                yield "dashpot-evaluate", gss.evaluate_at_amplitude(expansion, delta)
 
 
 def relative_difference(a, b):
@@ -84,7 +93,9 @@ def main(argv=None):
     for name, array in outputs():
         digest = hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
         line = f"{name:18s} {digest}  shape {array.shape}"
-        if saved is not None:
+        if saved is not None and name not in saved:
+            line += "  not in the saved file"
+        elif saved is not None:
             line += f"  max rel diff {relative_difference(array, saved[name]):.3g}"
         print(line, flush=True)
         if args.save:

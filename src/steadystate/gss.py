@@ -77,6 +77,7 @@ __all__ = [
     "GssExpansion",
     "compute_taylor_gss",
     "evaluate_at_amplitude",
+    "evaluate_at_amplitudes",
     "PadeGss",
     "pade_resum",
     "evaluate_pade",
@@ -390,7 +391,7 @@ def compute_taylor_gss(
         'qp' paths; 'newmark' integrates the full system).
     delta : float, optional
         Reference amplitude for divergence checks and resummation
-        scaling; defaults to the forcing sup norm.
+        scaling; defaults to the forcing sup norm. Must be finite.
     check_divergence : bool
         Warn (DivergenceWarning) when the top-order term at the
         reference amplitude exceeds 10x the mid-order term.
@@ -411,6 +412,8 @@ def compute_taylor_gss(
         raise DimensionMismatch(
             f"forcing has {forcing.n} columns, system has {system.n} dofs"
         )
+    if delta is not None and not np.isfinite(delta):
+        raise InvalidParameters(f"delta must be finite, got {delta!r}")
 
     spectral = _decompose(system)
     retained = select_modes(spectral, forcing.dt, eps=eps_trunc)
@@ -491,27 +494,58 @@ def compute_taylor_gss(
     )
 
 
-def evaluate_at_amplitude(
-    expansion: GssExpansion, delta: float, max_order: int | None = None
-) -> np.ndarray:
-    """Partial sum sum_nu z_nu delta^nu on the grid, shape (state_dim, T).
+def _amplitudes(deltas):
+    """The amplitudes as a 1-D float array; InvalidParameters unless every
+    one is finite."""
+    values = np.atleast_1d(np.asarray(deltas, dtype=float))
+    if values.ndim != 1 or not np.all(np.isfinite(values)):
+        raise InvalidParameters(f"amplitudes must be finite scalars, got {deltas!r}")
+    return values
 
-    delta is the physical forcing amplitude multiplying the normalized
-    signal the expansion was computed for. The sum runs by Horner's rule
-    in the output array, so it needs no temporary of its size; an order
-    the tensor does not store is zero and adds no pass.
+
+def _power_sum(values, orders, data):
+    """sum_k values[a]**orders[k] * data[:, k, :] for every a, shape (dim,
+    A, T): one contraction of the (A x K) power matrix with the K slots of
+    data.
+
+    np.einsum, not matmul: its unoptimized loop adds the slots in order,
+    one product at a time, in every output element, so the bits depend
+    neither on the BLAS threads nor on whether data is a memory map, and a
+    slot of zeros leaves the sum unchanged.
+    """
+    powers = values[:, None] ** np.asarray(orders, dtype=float)
+    return np.einsum("ak,jkt->jat", powers, data)
+
+
+def evaluate_at_amplitudes(
+    expansion: GssExpansion, deltas, max_order: int | None = None
+) -> np.ndarray:
+    """Partial sums sum_nu z_nu delta^nu at several amplitudes, shape
+    (state_dim, len(deltas), T).
+
+    Each delta is a physical forcing amplitude multiplying the normalized
+    signal the expansion was computed for, and must be finite
+    (InvalidParameters otherwise). The sums through max_order (default:
+    the expansion's order) are one contraction of the (amplitudes x
+    stored orders) power matrix with the tensor's stored slots
+    (_power_sum): each stored order is read once for every amplitude, and
+    an order the tensor does not store costs nothing. The result is a new
+    writable array, also when the tensor is a read-only memory map.
     """
     tensor = expansion.tensor
     top = expansion.order if max_order is None else int(max_order)
     if not 1 <= top <= tensor.orders_complete:
         raise InvalidParameters(f"max_order {top} outside 1..{tensor.orders_complete}")
-    out = np.array(tensor.order_slice(top), dtype=float)
-    for nu in range(top - 1, 0, -1):
-        out *= delta
-        if nu in tensor.stored:
-            out += tensor.order_slice(nu)
-    out *= delta
-    return out
+    orders = [nu for nu in tensor.stored if nu <= top]
+    return _power_sum(_amplitudes(deltas), orders, tensor.data[:, : len(orders)])
+
+
+def evaluate_at_amplitude(
+    expansion: GssExpansion, delta: float, max_order: int | None = None
+) -> np.ndarray:
+    """Partial sum sum_nu z_nu delta^nu on the grid, shape (state_dim, T):
+    the one-amplitude case of evaluate_at_amplitudes, bit for bit."""
+    return evaluate_at_amplitudes(expansion, [delta], max_order)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -539,6 +573,22 @@ class PadeGss:
     backend: str
 
 
+def _stored_r(data, scale):
+    """R of the thin QR of each coordinate's (T x s) matrix of stored
+    orders, its columns scaled: shape (state_dim, min(T, s), s).
+
+    TSQR (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34,
+    2012): one batched QR per window of _BLOCK samples, then one QR of
+    the stacked R factors. Only R is formed; Q never is.
+    """
+    T = data.shape[2]
+    windows = [
+        np.linalg.qr(data[:, :, start : start + _BLOCK].transpose(0, 2, 1), mode="r")
+        for start in range(0, T, _BLOCK)
+    ]
+    return np.linalg.qr(np.concatenate(windows, axis=1), mode="r") * scale
+
+
 def pade_resum(expansion: GssExpansion, L: int, M: int) -> PadeGss:
     """Fit a vector [L/M] rational representation to the expansion.
 
@@ -548,7 +598,18 @@ def pade_resum(expansion: GssExpansion, L: int, M: int) -> PadeGss:
 
         sum_mu b_mu c_{L+r-mu}(t) = -c_{L+r}(t),   c_k = 0 for k < 1,
 
-    where c are the coordinate's Taylor grids in the scaled variable.
+    where c_k = z_k sigma^k are the coordinate's Taylor grids in the
+    scaled variable. The fit never forms that (M T x M) system. With C_j
+    the (T x s) matrix of the coordinate's s stored orders k <= L + M,
+    scaled, block r of the system is C_j S_r | C_j e_{L+r}, where S_r
+    puts order L+r-mu in column mu (an order that is not stored is a zero
+    column). So with C_j = Q_j R_j (_stored_r, by TSQR) the system is
+    blockdiag(Q_j) times the stacked small blocks R_j S_r | R_j e_{L+r};
+    Q_j has orthonormal columns, so the (M s x M) least-squares problem
+    on those blocks has the same solution and the same singular values.
+    The numerators sum_{mu<k} b_mu c_{k-mu}, b_0 = 1, are then one
+    contraction of a (state_dim, L, s) coefficient array with the stored
+    slots.
     """
     if L < 1 or M < 1:
         raise InvalidParameters(f"need L, M >= 1, got ({L}, {M})")
@@ -558,42 +619,40 @@ def pade_resum(expansion: GssExpansion, L: int, M: int) -> PadeGss:
             f"[{L}/{M}] needs {L + M} orders, tensor holds {tensor.orders_complete}"
         )
     sigma = expansion.delta_ref if expansion.delta_ref > 0 else 1.0
-    dim, T = expansion.state_dim, expansion.length
+    dim = expansion.state_dim
 
-    # c_hat[k-1] = z_k sigma^k ; shape (dim, L+M, T); an order the tensor
-    # does not store is zero
-    c_hat = np.zeros((dim, L + M, T))
-    for k in range(1, L + M + 1):
-        if k in tensor.stored:
-            c_hat[:, k - 1, :] = tensor.order_slice(k) * sigma**k
-
-    def c_of(j, k):
-        if k < 1:
-            return np.zeros(T)
-        return c_hat[j, k - 1]
+    orders = [nu for nu in tensor.stored if nu <= L + M]
+    scale = sigma ** np.asarray(orders, dtype=float)
+    # slot of order k in R's columns; the padded column len(orders) is
+    # the zero grid of the orders below 1 and of those not stored
+    slot = {nu: i for i, nu in enumerate(orders)}
+    R = np.pad(_stored_r(tensor.data[:, : len(orders)], scale), [(0, 0), (0, 0), (0, 1)])
+    zero = len(orders)
+    cols = [[slot.get(L + r - mu, zero) for mu in range(1, M + 1)] for r in range(1, M + 1)]
+    rhs = [slot.get(L + r, zero) for r in range(1, M + 1)]
+    rows = R.shape[1]
+    # (dim, M blocks r, rows, M columns mu), the blocks stacked
+    design = R[:, :, cols].transpose(0, 2, 1, 3).reshape(dim, M * rows, M)
+    target = -R[:, :, rhs].transpose(0, 2, 1).reshape(dim, M * rows)
 
     den = np.zeros((dim, M))
     flagged = []
     for j in range(dim):
-        rows = np.empty((M * T, M))
-        rhs = np.empty(M * T)
-        for r in range(1, M + 1):
-            block = slice((r - 1) * T, r * T)
-            rhs[block] = -c_of(j, L + r)
-            for mu in range(1, M + 1):
-                rows[block, mu - 1] = c_of(j, L + r - mu)
-        sol, _, _, svals = np.linalg.lstsq(rows, rhs, rcond=1e-12)
-        den[j] = sol
+        den[j], _, _, svals = np.linalg.lstsq(design[j], target[j], rcond=1e-12)
         if svals.size and svals[-1] < 1e-12 * svals[0]:
             flagged.append(j)
 
-    num = np.empty((dim, L, T))
-    for j in range(dim):
-        for k in range(1, L + 1):
-            acc = c_of(j, k).copy()
-            for mu in range(1, min(k - 1, M) + 1):
-                acc += den[j, mu - 1] * c_of(j, k - mu)
-            num[j, k - 1] = acc
+    # num_k = sum over mu = 0..min(k-1, M) of b_mu c_{k-mu}, on the slots
+    # of the stored orders <= L
+    low = [nu for nu in orders if nu <= L]
+    weights = np.zeros((dim, L, len(low)))
+    b = np.concatenate([np.ones((dim, 1)), den], axis=1)
+    for k in range(1, L + 1):
+        for mu in range(min(k - 1, M) + 1):
+            if k - mu in slot:
+                weights[:, k - 1, slot[k - mu]] = b[:, mu]
+    weights *= scale[: len(low)]
+    num = np.einsum("jki,jit->jkt", weights, tensor.data[:, : len(low)])
 
     return PadeGss(
         L=L,
@@ -612,15 +671,15 @@ def pade_resum(expansion: GssExpansion, L: int, M: int) -> PadeGss:
 def evaluate_pade(pade: PadeGss, delta: float) -> np.ndarray:
     """Evaluate the rational representation at a physical amplitude.
 
-    Raises DenominatorNearZero when any coordinate's denominator
+    delta must be finite (InvalidParameters otherwise). The numerator is
+    the power contraction of evaluate_at_amplitudes over the L numerator
+    grids. Raises DenominatorNearZero when any coordinate's denominator
     magnitude falls below 1e-8 at this amplitude (a pole of the fit; the
     offending coordinate index is attached).
     """
-    s = float(delta) / pade.sigma
-    dim, L, T = pade.num.shape
-    powers_num = s ** np.arange(1, L + 1)
-    numerator = np.einsum("jkt,k->jt", pade.num, powers_num)
-    powers_den = s ** np.arange(1, pade.M + 1)
+    s = _amplitudes([delta]) / pade.sigma
+    numerator = _power_sum(s, range(1, pade.L + 1), pade.num)[:, 0]
+    powers_den = s[0] ** np.arange(1, pade.M + 1)
     denominator = 1.0 + pade.den @ powers_den  # (dim,)
     worst = int(np.argmin(np.abs(denominator)))
     if abs(denominator[worst]) < 1e-8:

@@ -479,7 +479,8 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("case", [
         "eps-trunc", "pad", "diagnose-delta", "diagnose-dt", "damping", "csv-cell",
-        "dofs", "points", "seed", "compute-dt-inf", "diagnose-dt-nan",
+        "dofs", "points", "seed", "compute-dt-inf", "diagnose-dt-nan", "compute-delta-nan",
+        "pade-delta-nan",
     ])
     def test_bad_input_is_2(self, tmp_path, capsys, case):
         cfg = _config(tmp_path)
@@ -492,6 +493,9 @@ class TestCliExitCodes:
         csv.write_text("t,g0\n0.0,1.0\n0.05,abc\n0.1,0.5\n")
         untimed = tmp_path / "untimed.csv"
         untimed.write_text("0.0\n1.0\n0.5\n")
+        if case == "pade-delta-nan":
+            assert main([*compute, _GEN, "--out", str(tmp_path / "expansion")]) == 0
+            capsys.readouterr()
         argv = {
             "eps-trunc": [*compute, _GEN, "--eps-trunc", "2"],
             "pad": [*compute, _GEN, "--pad", "-1"],
@@ -505,6 +509,9 @@ class TestCliExitCodes:
             "seed": [*compute, "filtered_gaussian,duration=2,dt=0.05,f_cut=2", "--seed", "-1"],
             "compute-dt-inf": [*compute, str(untimed), "--dt", "inf"],
             "diagnose-dt-nan": ["diagnose", "--config", cfg, "--delta", "0.5", "--dt", "nan"],
+            "compute-delta-nan": [*compute, _GEN, "--delta", "nan"],
+            "pade-delta-nan": ["pade", "--expansion", str(tmp_path / "expansion"),
+                               "--pade", "1:1", "--delta", "nan"],
         }[case]
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()

@@ -1,5 +1,12 @@
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +21,7 @@ from steadystate import (
     decompose_general,
     decompose_structural,
     evaluate_at_amplitude,
+    evaluate_at_amplitudes,
     evaluate_pade,
     generate_forcing,
     load_forcing,
@@ -33,7 +41,7 @@ from steadystate.errors import (
     RealnessCheckFailed,
     UnstableLinearPart,
 )
-from steadystate import gss
+from steadystate import gss, serialize
 from steadystate.composition import CompositionCache, compose_field
 from steadystate.gss import fit_harmonics
 from steadystate.model import first_order_blocks, polynomial_field
@@ -487,22 +495,28 @@ class TestEvaluate:
         ).max() < 1e-14
 
 
-def _geometric_expansion(rng, ratio, sigma, orders, T=16, dim=2):
-    tensor = CoefficientTensor.empty(dim, orders, T, dt=0.1)
-    base = rng.normal(size=(dim, T))
-    for nu in range(1, orders + 1):
-        tensor.insert_slice(nu, base * ratio**nu)
-    return base, GssExpansion(
+def _expansion_of(grids, sigma):
+    """A system-free expansion whose order-nu grid is grids[nu - 1]."""
+    dim, T = grids[0].shape
+    tensor = CoefficientTensor.empty(dim, len(grids), T, dt=0.1)
+    for nu, grid in enumerate(grids, start=1):
+        tensor.insert_slice(nu, grid)
+    return GssExpansion(
         system=None,
         spectral=None,
         tensor=tensor,
-        order=orders,
+        order=len(grids),
         backend="kernel",
         delta_ref=sigma,
         forcing_sup=1.0,
         eps_trunc=1e-3,
         cache_stats={},
     )
+
+
+def _geometric_expansion(rng, ratio, sigma, orders, T=16, dim=2):
+    base = rng.normal(size=(dim, T))
+    return base, _expansion_of([base * ratio**nu for nu in range(1, orders + 1)], sigma)
 
 
 class TestPade:
@@ -564,6 +578,214 @@ class TestPade:
         big, small = defect(d), defect(d / 2)
         assert big < 1e-3
         assert small < big / 3.0
+
+
+def _dense_pade(expansion, L, M):
+    """pade_resum's fit by the dense route: per coordinate, the full (M T
+    x M) least-squares system over every grid time, and the numerators
+    accumulated order by order. Returns (den, num, ill_conditioned)."""
+    tensor = expansion.tensor
+    sigma = expansion.delta_ref if expansion.delta_ref > 0 else 1.0
+    dim, T = tensor.state_dim, tensor.length
+
+    def c(j, k):
+        return tensor.order_slice(k)[j] * sigma**k if k >= 1 else np.zeros(T)
+
+    den, flagged = np.zeros((dim, M)), []
+    for j in range(dim):
+        rows, rhs = np.empty((M * T, M)), np.empty(M * T)
+        for r in range(1, M + 1):
+            block = slice((r - 1) * T, r * T)
+            rhs[block] = -c(j, L + r)
+            for mu in range(1, M + 1):
+                rows[block, mu - 1] = c(j, L + r - mu)
+        den[j], _, _, svals = np.linalg.lstsq(rows, rhs, rcond=1e-12)
+        if svals.size and svals[-1] < 1e-12 * svals[0]:
+            flagged.append(j)
+    num = np.empty((dim, L, T))
+    for j in range(dim):
+        for k in range(1, L + 1):
+            num[j, k - 1] = c(j, k) + sum(
+                den[j, mu - 1] * c(j, k - mu) for mu in range(1, min(k - 1, M) + 1)
+            )
+    return den, num, tuple(flagged)
+
+
+def _horner(expansion, delta, max_order):
+    """sum_nu z_nu delta^nu through max_order by Horner's rule."""
+    out = np.array(expansion.tensor.order_slice(max_order))
+    for nu in range(max_order - 1, 0, -1):
+        out = out * delta + expansion.tensor.order_slice(nu)
+    return out * delta
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+def _stored_every_order(expansion):
+    """The expansion with a tensor that gives every order a slot."""
+    tensor = expansion.tensor
+    orders = range(1, tensor.orders_complete + 1)
+    data = np.stack([tensor.order_slice(nu) for nu in orders], axis=1)
+    full = CoefficientTensor(data, tensor.dt, tensor.t0, tensor.pad_length, _filled=set(orders))
+    return replace(expansion, tensor=full)
+
+
+def _duffing_expansion():
+    # the system of TestPade.test_agrees_with_taylor_inside_radius
+    return compute_taylor_gss(build_duffing(zeta=0.1, kappa3=1.0), _two_tone(delta=0.05), order=5)
+
+
+def _cubic_general_expansion():
+    base = _general_2dof()
+    sys_ = build_system(base.M, base.C, base.K, terms=[((2, 1, 0, 0), 1, 0.4)],
+                        damping="general")
+    return compute_taylor_gss(sys_, _two_tone(n=2, delta=0.3), order=4)
+
+
+def _random_expansion(rng, orders, T):
+    return _expansion_of([rng.normal(size=(2, T)) for _ in range(orders)], sigma=0.4)
+
+
+class TestPadeAgainstDense:
+    def _agrees(self, expansion, L, M):
+        den, num, flagged = _dense_pade(expansion, L, M)
+        pade = pade_resum(expansion, L, M)
+        assert _rel(pade.den, den) < 1e-12
+        assert _rel(pade.num, num) < 1e-12
+        assert pade.ill_conditioned == flagged
+        return pade
+
+    @pytest.mark.parametrize("LM", [(2, 2), (3, 2), (1, 4)])
+    def test_duffing(self, LM):
+        self._agrees(_duffing_expansion(), *LM)
+
+    def test_general_damping_cubic_coupling(self):
+        exp = _cubic_general_expansion()
+        assert exp.tensor.stored == (1, 3)
+        self._agrees(exp, 2, 2)
+        self._agrees(exp, 1, 3)
+
+    def test_overparameterized_still_flagged(self, rng):
+        _, exp = _geometric_expansion(rng, 2.0, sigma=0.25, orders=4)
+        assert self._agrees(exp, 2, 2).ill_conditioned == (0, 1)
+
+    def test_every_order_stored_matches_live_only(self):
+        live = _duffing_expansion()
+        full = _stored_every_order(live)
+        assert live.tensor.stored == (1, 3, 5)
+        assert full.tensor.stored == (1, 2, 3, 4, 5)
+        for LM in ((2, 2), (3, 2)):
+            a, b = pade_resum(live, *LM), self._agrees(full, *LM)
+            assert _rel(a.den, b.den) < 1e-12 and _rel(a.num, b.num) < 1e-12
+            assert a.ill_conditioned == b.ill_conditioned
+
+    def test_grid_shorter_than_stored_orders(self, rng):
+        self._agrees(_random_expansion(rng, 5, T=2), 2, 3)
+        self._agrees(_random_expansion(rng, 5, T=2), 4, 1)
+
+    def test_several_tsqr_windows(self, monkeypatch, rng):
+        monkeypatch.setattr(gss, "_BLOCK", 7)
+        exp = _duffing_expansion()
+        assert exp.length > 100 * 7
+        self._agrees(exp, 2, 2)
+        self._agrees(_cubic_general_expansion(), 2, 2)
+        # a last window shorter than the number of stored orders
+        self._agrees(_random_expansion(rng, 6, T=7 * 3 + 2), 3, 3)
+
+
+class TestEvaluateAmplitudes:
+    DELTAS = (0.031, -0.02, 0.0, 0.4)
+
+    def test_rows_are_single_evaluations(self):
+        exp = _duffing_expansion()
+        for top in range(1, 6):
+            many = evaluate_at_amplitudes(exp, self.DELTAS, max_order=top)
+            assert many.shape == (exp.state_dim, len(self.DELTAS), exp.length)
+            for a, d in enumerate(self.DELTAS):
+                one = evaluate_at_amplitude(exp, d, max_order=top)
+                assert np.array_equal(many[:, a], one), (top, d)
+
+    @pytest.mark.parametrize("build", [_duffing_expansion, _cubic_general_expansion])
+    def test_agrees_with_horner(self, build):
+        exp = build()
+        for top in range(1, exp.order + 1):
+            many = evaluate_at_amplitudes(exp, self.DELTAS, max_order=top)
+            for a, d in enumerate(self.DELTAS):
+                ref = _horner(exp, d, top)
+                if d == 0.0:
+                    assert not np.any(many[:, a])
+                else:
+                    assert _rel(many[:, a], ref) < 1e-14, (top, d)
+
+    def test_writable_from_a_memory_map(self, tmp_path):
+        exp = _duffing_expansion()
+        serialize.save_expansion(exp, tmp_path)
+        back = serialize.load_expansion(tmp_path)
+        assert isinstance(back.tensor.data, np.memmap)
+        for out in (evaluate_at_amplitudes(back, self.DELTAS), evaluate_at_amplitude(back, 0.03)):
+            assert type(out) is np.ndarray and out.flags.writeable
+        assert np.array_equal(evaluate_at_amplitudes(back, self.DELTAS),
+                              evaluate_at_amplitudes(exp, self.DELTAS))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_amplitude_raises(self, rng, bad):
+        exp = _duffing_expansion()
+        with pytest.raises(InvalidParameters):
+            evaluate_at_amplitude(exp, bad)
+        with pytest.raises(InvalidParameters):
+            evaluate_at_amplitudes(exp, [0.01, bad])
+        with pytest.raises(InvalidParameters):
+            compute_taylor_gss(build_duffing(), _two_tone(), order=2, delta=bad)
+        _, geometric = _geometric_expansion(rng, 2.0, sigma=0.25, orders=4)
+        pade = pade_resum(geometric, 1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameters):
+                evaluate_pade(pade, bad)
+
+
+class TestBlasThreads:
+    def test_outputs_do_not_depend_on_blas_threads(self):
+        script = textwrap.dedent('''
+            import hashlib, json
+            import numpy as np
+            from steadystate import (build_system, compute_taylor_gss, evaluate_at_amplitude,
+                                     evaluate_at_amplitudes, evaluate_pade, generate_forcing,
+                                     pade_resum)
+            n = 6
+            K = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+            C = 0.05 * np.eye(n) + 0.02 * K
+            C[0, 0] += 0.5
+            terms = [((3,) + (0,) * (2 * n - 1), 0, 0.8), ((0, 2, 1) + (0,) * (2 * n - 3), 2, 0.3)]
+            system = build_system(np.eye(n), C, K, terms=terms, damping="general")
+            forcing = generate_forcing("two_tone", n=n, duration=400.0, dt=0.02, delta=0.05,
+                                       seed=3, pad=200, dofs=(0,), w1=1.1, w2=0.37)
+            expansion = compute_taylor_gss(system, forcing, order=5, check_divergence=False)
+            pade = pade_resum(expansion, 2, 3)
+            delta = forcing.max_magnitude
+            outputs = {
+                "tensor": expansion.tensor.data,
+                "den": pade.den,
+                "num": pade.num,
+                "taylor": evaluate_at_amplitudes(expansion, [0.5 * delta, delta]),
+                "pade": evaluate_pade(pade, delta),
+            }
+            print(json.dumps({k: hashlib.sha256(np.ascontiguousarray(v).tobytes()).hexdigest()
+                              for k, v in outputs.items()}))
+        ''')
+        src = str(pathlib.Path(gss.__file__).parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            digests.append(json.loads(run.stdout))
+        assert digests[0] == digests[1]
 
 
 def _modal_reduced_model(sys_, spec, mode):
