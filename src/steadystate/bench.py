@@ -11,6 +11,7 @@ of the row 2-norm equals delta exactly.
 from __future__ import annotations
 
 import concurrent.futures
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,9 +243,9 @@ def nmte(pred: np.ndarray, ref: np.ndarray, skip: int = 0) -> float:
 @dataclass(frozen=True)
 class FrcResult:
     """Forced-response sweep: per grid frequency, the steady amplitude of
-    every state coordinate (max |coordinate| over the final forcing
-    period), with flags[i] carrying the resonance message for skipped
-    points (amplitudes NaN there)."""
+    every state coordinate (max |coordinate| over one forcing period),
+    with flags[i] carrying the resonance message for skipped points
+    (amplitudes NaN there)."""
 
     omega: np.ndarray
     amplitude: np.ndarray  # (len(omega), state_dim)
@@ -253,16 +254,18 @@ class FrcResult:
     order: int
 
 
-_FRC_PERIODS = 8  # forcing periods per sweep point's grid
 _FRC_SAMPLES_PER_PERIOD = 256
 
 
 def _frc_point(system, omega, delta, order, harmonic_budget, resonance_tol, dofs):
-    period = 2.0 * np.pi / omega
-    dt = period / _FRC_SAMPLES_PER_PERIOD
-    T = _FRC_PERIODS * _FRC_SAMPLES_PER_PERIOD + 1
-    t = dt * np.arange(T)
-    samples = np.zeros((T, system.n))
+    """The steady amplitudes at one frequency, solved on one forcing
+    period of _FRC_SAMPLES_PER_PERIOD samples, endpoint excluded. The
+    'qp' orbit is exactly periodic, so no transient period precedes it,
+    and on this grid the harmonic fit is the exact discrete Fourier
+    transform."""
+    dt = 2.0 * np.pi / omega / _FRC_SAMPLES_PER_PERIOD
+    t = dt * np.arange(_FRC_SAMPLES_PER_PERIOD)
+    samples = np.zeros((_FRC_SAMPLES_PER_PERIOD, system.n))
     targets = list(range(system.n)) if dofs is None else list(dofs)
     for d in targets:
         samples[:, d] = delta * np.sin(omega * t)
@@ -277,9 +280,7 @@ def _frc_point(system, omega, delta, order, harmonic_budget, resonance_tol, dofs
         resonance_tol=resonance_tol,
         check_divergence=False,
     )
-    traj = evaluate_at_amplitude(expansion, delta)
-    last = traj[:, -_FRC_SAMPLES_PER_PERIOD:]
-    return np.abs(last).max(axis=1)
+    return np.abs(evaluate_at_amplitude(expansion, delta)).max(axis=1)
 
 
 def frc_sweep(
@@ -294,17 +295,28 @@ def frc_sweep(
 ) -> FrcResult:
     """Steady amplitude versus forcing frequency, delta sin(omega t) input.
 
-    Each grid point gets its own dense grid (8 periods of 256 samples)
-    and a closed-form quasiperiodic solve at the given order; points that
-    trip the resonance guard are flagged and reported as NaN rather than
-    aborting the sweep. Results are assembled by grid index, so the
-    output is identical for any thread count.
+    Each grid point gets its own grid, one forcing period of 256
+    samples, and a closed-form quasiperiodic solve at the given order;
+    points that trip the resonance guard are flagged and reported as NaN
+    rather than aborting the sweep. Results are assembled by grid index,
+    so the output is identical for any thread count. A harmonic_budget
+    of 128 or more raises InvalidParameters: its 2 budget + 1 harmonics
+    would not all be told apart on 256 samples.
     """
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     if np.any(omega_grid <= 0):
         raise InvalidParameters("forcing frequencies must be positive")
     if threads < 1:
         raise InvalidParameters("threads must be >= 1")
+    # on the period's samples, harmonics k and k +- 256 are one column of
+    # the fit; a budget that is not an int is refused by the qp backend
+    harmonics = 2 * harmonic_budget + 1 if isinstance(harmonic_budget, numbers.Integral) else 0
+    if harmonics > _FRC_SAMPLES_PER_PERIOD:
+        raise InvalidParameters(
+            f"harmonic_budget {harmonic_budget} asks for {harmonics} harmonics on the "
+            f"{_FRC_SAMPLES_PER_PERIOD} samples of a sweep point's period, where harmonics "
+            f"k and k +- {_FRC_SAMPLES_PER_PERIOD} would share one column of the fit"
+        )
 
     def work(omega):
         try:

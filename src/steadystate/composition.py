@@ -222,6 +222,9 @@ class CompositionCache:
     # _sums[nu] has bit d set iff nu is a sum of d live orders; bit 1
     # marks nu itself live. Grown on demand, one order at a time.
     _sums: list = field(default_factory=lambda: [0], repr=False)
+    # _splits[d, nu] memoizes splits(d, nu); like _sums it depends only
+    # on degrees, so clear() keeps it
+    _splits: dict = field(default_factory=dict, repr=False)
 
     def reaches(self, d, nu):
         """Whether a product of d >= 1 factors, each a coefficient grid
@@ -238,6 +241,17 @@ class CompositionCache:
                 reach |= 2
             sums.append(reach)
         return bool(sums[nu] >> d & 1)
+
+    def splits(self, d, nu):
+        """The orders a in d..nu-1, ascending, at which both a product
+        of d factors (at order a) and one more factor (at order nu - a)
+        can be nonzero, by reaches; built once per (d, nu)."""
+        got = self._splits.get((d, nu))
+        if got is None:
+            got = self._splits[d, nu] = tuple(
+                a for a in range(d, nu) if self.reaches(d, a) and self.reaches(1, nu - a)
+            )
+        return got
 
     def clear(self):
         """Drop the stored products, keeping the counters: the grids
@@ -271,9 +285,9 @@ def assemble_H(gamma, nu, component, length, cache, dtype=float):
 def _product(factors, nu, component, cache, product=operator.mul):
     """H[factors, nu] where cache.reaches(len(factors), nu): peel
     factors[0] and recurse on the rest, over the splits (a, nu - a) at
-    which both the rest's product and the pivot's order can be nonzero;
-    the others would add exact zeros. product multiplies two of what
-    component returns."""
+    which both the rest's product and the pivot's order can be nonzero
+    (cache.splits); the others would add exact zeros. product multiplies
+    two of what component returns."""
     pivot, rest = factors[0], factors[1:]
     if not rest:
         return np.asarray(component(pivot, nu))
@@ -287,9 +301,7 @@ def _product(factors, nu, component, cache, product=operator.mul):
             return got
         cache.misses += 1
 
-    splits = [
-        a for a in range(len(rest), nu) if cache.reaches(len(rest), a) and cache.reaches(1, nu - a)
-    ]
+    splits = cache.splits(len(rest), nu)
     out = product(
         _product(rest, splits[0], component, cache, product), component(pivot, nu - splits[0])
     )

@@ -149,6 +149,14 @@ class HarmonicTruncationWarning(UserWarning):
     exact only when the budget is at least the order."""
 
 
+class HarmonicFitIllConditioned(UserWarning):
+    """The design matrix of a least-squares harmonic fit (fit_harmonics)
+    is ill-conditioned: near-collinear harmonics split the signal
+    between them arbitrarily, so the fitted coefficients, and a 'qp'
+    orbit built on them, are not to be trusted. A longer record or a
+    smaller harmonic budget separates them."""
+
+
 # --------------------------------------------------------------- oracle
 
 

@@ -49,6 +49,7 @@ from .errors import (
     DenominatorNearZero,
     DimensionMismatch,
     DivergenceWarning,
+    HarmonicFitIllConditioned,
     HarmonicTruncationWarning,
     InvalidParameters,
     NearResonance,
@@ -157,6 +158,16 @@ def _lattice_product(dims: int, budget: int):
     return product
 
 
+def _ball_frequencies(base_frequencies, budget):
+    """The frequencies kappa = <k, Omega> of _harmonic_ball(len(Omega),
+    budget), in its order."""
+    Omega = np.atleast_1d(np.asarray(base_frequencies, dtype=float))
+    return np.array([float(np.dot(k, Omega)) for k in _harmonic_ball(len(Omega), budget)])
+
+
+_FIT_CONDITION_LIMIT = 1e10
+
+
 def fit_harmonics(rows: np.ndarray, times: np.ndarray, base_frequencies, budget: int = 5):
     """Least-squares harmonic coefficients of sampled rows.
 
@@ -165,12 +176,25 @@ def fit_harmonics(rows: np.ndarray, times: np.ndarray, base_frequencies, budget:
     the index ball sum |k_i| <= budget of the base frequencies. The 'qp'
     backend calls it once per solve, on the order-1 forcing rows; higher
     orders are composed from these coefficients, never fit.
+
+    Warns HarmonicFitIllConditioned when the (T, K) design matrix's
+    condition number, the ratio of its extreme singular values, passes
+    1e10, or when T < K: harmonics it cannot tell apart then share the
+    signal arbitrarily. On whole periods of one base frequency, sampled
+    without the endpoint and with T >= K, the fit is the discrete
+    Fourier transform and the condition number is 1.
     """
-    Omega = np.atleast_1d(np.asarray(base_frequencies, dtype=float))
-    ks = _harmonic_ball(len(Omega), budget)
-    kappas = np.array([float(np.dot(k, Omega)) for k in ks])
+    kappas = _ball_frequencies(base_frequencies, budget)
     A = np.exp(1j * np.outer(times, kappas))  # (T, K)
-    coeffs, *_ = np.linalg.lstsq(A, np.asarray(rows).T, rcond=None)
+    coeffs, _, _, svals = np.linalg.lstsq(A, np.asarray(rows).T, rcond=None)
+    cond = svals[0] / svals[-1] if A.shape[0] >= A.shape[1] and svals[-1] > 0.0 else np.inf
+    if not cond <= _FIT_CONDITION_LIMIT:
+        warnings.warn(
+            f"harmonic fit of {A.shape[1]} harmonics on {A.shape[0]} samples has condition "
+            f"number {cond:.3g}, above {_FIT_CONDITION_LIMIT:.0e}: harmonics it cannot tell "
+            "apart share the signal arbitrarily; fit a longer record or a smaller budget",
+            HarmonicFitIllConditioned,
+        )
     return kappas, coeffs.T
 
 
@@ -199,20 +223,6 @@ def _qp_base_frequencies(base_frequencies, budget):
     return Omega
 
 
-def _resonance_guard(kappas, roots, resonance_tol, scale, what):
-    """Raise NearResonance when some i kappa lies within the tolerance
-    (default 1e-6 x scale) of one of the roots."""
-    tol = resonance_tol if resonance_tol is not None else 1e-6 * scale
-    dist = np.abs(1j * kappas[:, None] - np.asarray(roots)[None, :]).min(axis=1)
-    j = int(np.argmin(dist))
-    if dist[j] < tol:
-        raise NearResonance(
-            f"harmonic frequency {kappas[j]:.6g} within {dist[j]:.3e} of {what}",
-            k=None,
-            distance=float(dist[j]),
-        )
-
-
 @dataclass
 class _HarmonicOrbit:
     """The 'qp' backend's state across the orders of one solve.
@@ -221,19 +231,19 @@ class _HarmonicOrbit:
     order, K) with the last axis on _harmonic_ball(len(Omega), budget);
     it starts as zeros with every order counted filled, since the cascade
     composes only live lower orders, which _qp_propagate has written.
-    product multiplies two coefficient rows. The order-1 fit sets kappas
-    and the (K, T) phase matrix exp(i kappa t) on the output grid.
+    product multiplies two coefficient rows. kappas are the ball's
+    frequencies and phases the (K, T) matrix exp(i kappa t) on the
+    output grid.
     """
 
     Omega: np.ndarray
     budget: int
     times: np.ndarray
     fit_from: int
-    resonance_tol: float | None
     coeffs: CoefficientTensor
     product: object
-    kappas: np.ndarray | None = None
-    phases: np.ndarray | None = None
+    kappas: np.ndarray
+    phases: np.ndarray
 
 
 def _qp_propagate(spectral, phi, nu, orbit):
@@ -244,8 +254,7 @@ def _qp_propagate(spectral, phi, nu, orbit):
     pad is a kernel-backend start-up device, not part of the
     quasiperiodic signal, and including it would bias the coefficients.
     The forcing is real, so the fit is made conjugate-symmetric, c_k <-
-    (c_k + conj c_{-k}) / 2, an equally good least-squares solution. The
-    same call builds the phase matrix and runs the resonance guard. For
+    (c_k + conj c_{-k}) / 2, an equally good least-squares solution. For
     nu >= 2, phi already holds the harmonic coefficients of Phi_nu,
     composed from lower orders by lattice convolution. The kernel's
     modal pair maps them: project, the modal transfer at each kappa
@@ -261,15 +270,13 @@ def _qp_propagate(spectral, phi, nu, orbit):
     if nu == 1:
         forced = np.flatnonzero(phi[: spectral.state_dim // 2].any(axis=1))
         window = slice(orbit.fit_from, None)
-        orbit.kappas, forcing = fit_harmonics(
+        _, forcing = fit_harmonics(
             phi[forced, window], orbit.times[window], orbit.Omega, orbit.budget
         )
         # the ball is symmetric and sorted, so harmonic -k sits at K-1-i
         forcing = 0.5 * (forcing + forcing[:, ::-1].conj())
-        orbit.phases = np.exp(1j * np.outer(orbit.kappas, orbit.times))
         phi = np.zeros((spectral.state_dim, len(orbit.kappas)), dtype=complex)
         phi[forced] = forcing
-        _qp_guard(spectral, orbit.kappas, orbit.resonance_tol)
     kappas = orbit.kappas
     u = spectral.project(phi)  # (m, K)
     if spectral.kind == "general":
@@ -284,16 +291,37 @@ def _qp_propagate(spectral, phi, nu, orbit):
 
 
 def _qp_guard(spectral, kappas, resonance_tol):
-    """_resonance_guard for every retained mode: eigenvalues on the
-    general path, oscillator roots on the structural path."""
+    """Raise NearResonance when some i kappa lies within the tolerance
+    of a retained mode's roots: its eigenvalue on the general path, its
+    oscillator roots on the structural path. The tolerance defaults to
+    1e-6 x the mode's scale, |lambda| or omega. One (modes, K, roots)
+    distance array measures every mode; the first offending mode raises,
+    naming its nearest harmonic."""
     retained = list(spectral.retained)
     if spectral.kind == "general":
-        for lam in spectral.eigenvalues[retained]:
-            _resonance_guard(kappas, [lam], resonance_tol, abs(lam), f"eigenvalue {lam:.6g}")
-        return
-    for w, z in zip(spectral.omega[retained], spectral.zeta[retained]):
-        what = f"oscillator roots (omega={w:.6g}, zeta={z:.6g})"
-        _resonance_guard(kappas, _oscillator_roots(w, z), resonance_tol, w, what)
+        lams = spectral.eigenvalues[retained]
+        roots, scales = lams[:, None], np.abs(lams)
+    else:
+        w, z = spectral.omega[retained], spectral.zeta[retained]
+        roots = np.array([_oscillator_roots(*wz) for wz in zip(w, z)], dtype=complex)
+        roots, scales = roots.reshape(len(retained), 2), w
+    tol = resonance_tol if resonance_tol is not None else 1e-6 * scales
+    dist = np.abs(1j * kappas[None, :, None] - roots[:, None, :]).min(axis=2)  # (modes, K)
+    nearest = dist.argmin(axis=1)
+    gaps = dist[np.arange(len(retained)), nearest]
+    hits = np.flatnonzero(gaps < tol)
+    if hits.size:
+        m = hits[0]
+        j, gap = nearest[m], float(gaps[m])
+        if spectral.kind == "general":
+            what = f"eigenvalue {lams[m]:.6g}"
+        else:
+            what = f"oscillator roots (omega={w[m]:.6g}, zeta={z[m]:.6g})"
+        raise NearResonance(
+            f"harmonic frequency {kappas[j]:.6g} within {gap:.3e} of {what}",
+            k=None,
+            distance=gap,
+        )
 
 
 def _decompose(system: MechanicalSystem) -> SpectralData:
@@ -392,6 +420,10 @@ def compute_taylor_gss(
     delta : float, optional
         Reference amplitude for divergence checks and resummation
         scaling; defaults to the forcing sup norm. Must be finite.
+    resonance_tol : float, optional
+        'qp': raise NearResonance, before any fit, when some harmonic
+        i kappa lies within this distance of a retained mode's root;
+        defaults to 1e-6 x the mode's |lambda| or omega.
     check_divergence : bool
         Warn (DivergenceWarning) when the top-order term at the
         reference amplitude exceeds 10x the mid-order term.
@@ -426,18 +458,22 @@ def compute_taylor_gss(
     cache = CompositionCache(max_degree=max(fld.max_degree, 2), degrees=fld.degrees)
     weights = build_kernel_weights(spectral, forcing.dt) if backend == "kernel" else None
     if backend == "qp":
-        K = len(_harmonic_ball(len(Omega), harmonic_budget))
+        # a harmonic at a root has no bounded orbit: refuse before any fit
+        kappas = _ball_frequencies(Omega, harmonic_budget)
+        _qp_guard(spectral, kappas, resonance_tol)
+        times = forcing.times()
         orbit = _HarmonicOrbit(
             Omega=Omega,
             budget=harmonic_budget,
-            times=forcing.times(),
+            times=times,
             fit_from=forcing.pad_length,
-            resonance_tol=resonance_tol,
             coeffs=CoefficientTensor(
-                np.zeros((system.state_dim, order, K), dtype=complex), forcing.dt, forcing.t0, 0,
-                _filled=set(range(1, order + 1)),
+                np.zeros((system.state_dim, order, len(kappas)), dtype=complex),
+                forcing.dt, forcing.t0, 0, _filled=set(range(1, order + 1)),
             ),
             product=_lattice_product(len(Omega), harmonic_budget),
+            kappas=kappas,
+            phases=np.exp(1j * np.outer(kappas, times)),
         )
 
     def compose(window, nu, normalized):

@@ -2,21 +2,31 @@
 error metric, and the forced-response sweep."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from steadystate import (
+    bench,
     build_duffing,
     build_gyroscopic_2dof,
     build_oscillator_chain,
+    compute_taylor_gss,
     decompose_general,
     decompose_structural,
+    evaluate_at_amplitude,
     frc_sweep,
     generate_forcing,
+    load_forcing,
     nmte,
 )
-from steadystate.errors import InvalidCutoff, InvalidParameters
+from steadystate.errors import (
+    HarmonicFitIllConditioned,
+    InvalidCutoff,
+    InvalidParameters,
+    NearResonance,
+)
 
 
 class TestChainBuilder:
@@ -257,9 +267,45 @@ class TestFrcSweep:
         assert np.all(np.isnan(res.amplitude[1]))
         assert np.all(np.isfinite(res.amplitude[0]))
 
-    def test_argument_validation(self):
+    def test_argument_validation(self, monkeypatch):
         sys_ = build_duffing()
         with pytest.raises(InvalidParameters):
             frc_sweep(sys_, [0.0, 1.0], delta=0.1)
         with pytest.raises(InvalidParameters):
             frc_sweep(sys_, [1.0], delta=0.1, threads=0)
+        # 2 budget + 1 harmonics do not fit a 256-sample period; refused
+        # before any point is solved
+        monkeypatch.setattr(bench, "_frc_point", None)
+        for budget in (128, 200):
+            with pytest.raises(InvalidParameters, match="share one column"):
+                frc_sweep(sys_, [1.0], delta=0.1, harmonic_budget=budget)
+
+    def test_one_period_matches_eight_period_route(self):
+        # the reference solves 8 periods and the endpoint and takes the
+        # amplitude over the last period: the orbit is periodic, so the
+        # sweep's one period must give the same amplitudes and flags
+        chain = build_oscillator_chain(6, m=0.1, k_lin=100.0, c=0.005, kappa3=2500.0)
+        w1 = 2.0 * math.sqrt(1000.0) * math.sin(math.pi / 14.0)  # lowest mode
+        grid = np.array([7.3, w1, 11.9])
+        kw = dict(order=3, harmonic_budget=5, resonance_tol=1e-2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", HarmonicFitIllConditioned)
+            sweep = frc_sweep(chain, grid, delta=1.0, dofs=(4,), **kw)
+        for i, omega in enumerate(grid):
+            dt = 2.0 * math.pi / omega / 256
+            samples = np.zeros((8 * 256 + 1, 6))
+            samples[:, 4] = np.sin(omega * dt * np.arange(8 * 256 + 1))
+            forcing = load_forcing(samples, dt=dt)
+            try:
+                expansion = compute_taylor_gss(
+                    chain, forcing, backend="qp", base_frequencies=(omega,),
+                    check_divergence=False, **kw,
+                )
+            except NearResonance as exc:
+                assert sweep.flags[i] == str(exc)
+                assert np.all(np.isnan(sweep.amplitude[i]))
+                continue
+            ref = np.abs(evaluate_at_amplitude(expansion, 1.0)[:, -256:]).max(axis=1)
+            assert sweep.flags[i] is None
+            np.testing.assert_allclose(sweep.amplitude[i], ref, rtol=1e-12, atol=0.0)
+        assert [f is None for f in sweep.flags] == [True, False, True]

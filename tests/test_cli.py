@@ -480,7 +480,7 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("case", [
         "eps-trunc", "pad", "diagnose-delta", "diagnose-dt", "damping", "csv-cell",
         "dofs", "points", "seed", "compute-dt-inf", "diagnose-dt-nan", "compute-delta-nan",
-        "pade-delta-nan",
+        "pade-delta-nan", "frc-harmonic",
     ])
     def test_bad_input_is_2(self, tmp_path, capsys, case):
         cfg = _config(tmp_path)
@@ -506,6 +506,8 @@ class TestCliExitCodes:
             "dofs": [*compute, _GEN + ",dofs=x"],
             "points": ["frc", "--config", cfg, "--omega-min", "0.6",
                        "--omega-max", "1.4", "--points", "-1"],
+            "frc-harmonic": ["frc", "--config", cfg, "--omega-min", "0.6",
+                             "--omega-max", "1.4", "--points", "3", "--harmonic", "200"],
             "seed": [*compute, "filtered_gaussian,duration=2,dt=0.05,f_cut=2", "--seed", "-1"],
             "compute-dt-inf": [*compute, str(untimed), "--dt", "inf"],
             "diagnose-dt-nan": ["diagnose", "--config", cfg, "--delta", "0.5", "--dt", "nan"],

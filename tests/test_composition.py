@@ -282,6 +282,18 @@ class TestLiveOrders:
         assert [nu for nu in range(1, 13) if cache.reaches(2, nu)] == [2, 5, 8, 11]
         assert [nu for nu in range(1, 13) if cache.reaches(3, nu)] == [3, 6, 9, 12]
         assert not any(cache.reaches(5, nu) for nu in range(1, 5))
+        # the memoized splits are the brute-force walk over reaches, built
+        # in any order of lookup and kept across clear()
+        for degrees in [(2,), (3,), (4,), (2, 3), (3, 5)]:
+            cache = CompositionCache(max_degree=max(degrees), degrees=degrees)
+            pairs = [(d, nu) for d in range(1, max(degrees)) for nu in range(1, 16)]
+            got = {pair: cache.splits(*pair) for pair in reversed(pairs)}
+            cache.clear()
+            for d, nu in pairs:
+                brute = tuple(
+                    a for a in range(1, nu) if cache.reaches(d, a) and cache.reaches(1, nu - a)
+                )
+                assert got[d, nu] == brute == cache.splits(d, nu), (degrees, d, nu)
 
     def test_default_reaches_every_order(self):
         cache = CompositionCache(max_degree=3)

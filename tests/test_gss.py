@@ -23,6 +23,7 @@ from steadystate import (
     evaluate_at_amplitude,
     evaluate_at_amplitudes,
     evaluate_pade,
+    frc_sweep,
     generate_forcing,
     load_forcing,
     pade_resum,
@@ -35,6 +36,7 @@ from steadystate.errors import (
     DenominatorNearZero,
     DimensionMismatch,
     DivergenceWarning,
+    HarmonicFitIllConditioned,
     HarmonicTruncationWarning,
     InvalidParameters,
     NearResonance,
@@ -45,6 +47,7 @@ from steadystate import gss, serialize
 from steadystate.composition import CompositionCache, compose_field
 from steadystate.gss import fit_harmonics
 from steadystate.model import first_order_blocks, polynomial_field
+from steadystate.spectral import _oscillator_roots
 from tests.conftest import first_order_field, identity_lift, random_system
 from tests.test_kernel import _general_2dof
 
@@ -114,6 +117,34 @@ class TestComputeTaylor:
                 base_frequencies=(1.0, 0.37), resonance_tol=1e-2,
             )
 
+    @pytest.mark.parametrize("kind", ["structural", "general"])
+    def test_resonance_guard_names_the_first_mode(self, monkeypatch, kind):
+        # both modes trip: the guard names the first one, as a loop over
+        # the retained modes in order would
+        sys_ = build_system(np.eye(2), np.diag([2e-4, 4e-4]), np.diag([1.0, 4.0]), terms=[])
+        decompose = decompose_structural if kind == "structural" else decompose_general
+        monkeypatch.setattr(gss, "_decompose", decompose)
+        spec, kappas, tol = decompose(sys_), np.arange(-2.0, 3.0), 1e-2
+        if kind == "general":
+            units = [([lam], f"eigenvalue {lam:.6g}") for lam in spec.eigenvalues]
+        else:
+            units = [(_oscillator_roots(w, z), f"oscillator roots (omega={w:.6g}, zeta={z:.6g})")
+                     for w, z in zip(spec.omega, spec.zeta)]
+        tripped = []
+        for roots, what in units:
+            dist = np.abs(1j * kappas[:, None] - np.asarray(roots)[None, :]).min(axis=1)
+            j = int(np.argmin(dist))
+            if dist[j] < tol:
+                tripped.append((f"harmonic frequency {kappas[j]:.6g} within {dist[j]:.3e} "
+                                f"of {what}", float(dist[j])))
+        assert len(tripped) == len(units) >= 2
+        t = 0.05 * np.arange(400)
+        forcing = load_forcing(np.column_stack([np.sin(t), np.zeros_like(t)]), dt=0.05)
+        with pytest.raises(NearResonance) as excinfo:
+            compute_taylor_gss(sys_, forcing, order=1, backend="qp", base_frequencies=(1.0,),
+                               harmonic_budget=2, resonance_tol=tol)
+        assert (str(excinfo.value), excinfo.value.distance) == tripped[0]
+
     @pytest.mark.parametrize("case", ["duffing_two_tone", "general_cubic"])
     def test_qp_matches_grid_refit(self, case):
         # the lattice convolution against the algorithm it replaced:
@@ -178,6 +209,42 @@ class TestComputeTaylor:
             warnings.simplefilter("error", HarmonicTruncationWarning)
             compute_taylor_gss(sys_, f, order=3, backend="qp",
                                base_frequencies=(1.3, 0.45), harmonic_budget=3)
+
+    def test_ill_conditioned_fit_warns(self):
+        # budget 7 on 20 s of two tones: 113 harmonics, condition ~5e15
+        f = _two_tone(duration=20.0, delta=0.3)
+        rows, times = f.samples[f.pad_length:].T, f.times()[f.pad_length:]
+        with pytest.warns(HarmonicFitIllConditioned, match=r"condition number \d\.\d+e\+1[5-7]"):
+            fit_harmonics(rows, times, (1.3, 0.45), budget=7)
+        with pytest.warns(HarmonicFitIllConditioned, match="condition number inf"):
+            fit_harmonics(rows[:, :100], times[:100], (1.3, 0.45), budget=7)
+        # whole periods of one frequency: the discrete Fourier transform
+        w, t = 2.0 * np.pi / 25.6, 0.1 * np.arange(256)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", HarmonicFitIllConditioned)
+            _, coeffs = fit_harmonics(np.sin(w * t)[None], t, (w,))
+        assert np.allclose(coeffs[0, [4, 6]], [0.5j, -0.5j])  # harmonics -1 and +1
+        assert np.allclose(np.delete(coeffs[0], [4, 6]), 0.0)
+
+    def test_criterion_8_fits_are_well_conditioned(self):
+        # the solves of criterion 8: (a), (b), whose guard refuses before
+        # any fit, and the sweep points of (c)
+        sys_ = build_duffing(omega=1.0, zeta=0.5, kappa3=1.0)
+        sharp = build_duffing(omega=1.0, zeta=1e-4, kappa3=0.5)
+        f_res = generate_forcing("two_tone", n=1, duration=30.0, dt=0.02, delta=0.01,
+                                 pad=100, w1=1.0, w2=0.45)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", HarmonicFitIllConditioned)
+            for dt in (0.04, 0.02, 0.01):
+                f = generate_forcing("two_tone", n=1, duration=60.0, dt=dt, delta=0.4,
+                                     pad=int(round(3.0 / dt)), w1=1.3, w2=0.45)
+                compute_taylor_gss(sys_, f, order=5, backend="qp", base_frequencies=(1.3, 0.45))
+            with pytest.raises(NearResonance):
+                compute_taylor_gss(sharp, f_res, order=3, backend="qp",
+                                   base_frequencies=(1.0, 0.45), resonance_tol=1e-2)
+            chain = build_oscillator_chain(20, m=0.1, k_lin=100.0, c=3.0, kappa3=2500.0)
+            sweep = frc_sweep(chain, [7.0, 11.7, 16.3], delta=4.0, order=5, dofs=(4,))
+        assert not any(sweep.flags)
 
     def test_divergence_warning(self):
         sys_ = build_duffing(zeta=0.02, kappa3=200.0)
