@@ -55,7 +55,9 @@ def build_oscillator_chain(
     C = (c / k_lin) K, so the damping is stiffness-proportional with
     zeta_j = (c / k_lin) omega_j / 2. Each linear spring carries a cubic
     correction kappa3 * (stretch)^3: relative stretches between
-    neighbors and the two ground attachments.
+    neighbors and the two ground attachments. The field is written on
+    the n + 1 stretches as its forms, one cube each; its terms are the
+    58 monomials of the same force at n = 20.
     """
     if n < 1:
         raise InvalidParameters(f"chain needs n >= 1, got {n}")
@@ -63,35 +65,23 @@ def build_oscillator_chain(
     K = k_lin * (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
     C = (c / k_lin) * K
 
-    dim = 2 * n
-    terms: dict = {}
-
-    def add(exponents, dof, coeff):
-        key = (tuple(exponents), dof)
-        terms[key] = terms.get(key, 0.0) + coeff
-
-    def cubic_pair(i, j):
-        """kappa3 (x_i - x_j)^3 pulling dof i (+) and dof j (-)."""
-        for a, sign in (((3, 0), 1.0), ((2, 1), -3.0), ((1, 2), 3.0), ((0, 3), -1.0)):
-            e = [0] * dim
-            e[i] = a[0]
-            e[j] = a[1]
-            add(e, i, kappa3 * sign)
-            add(e, j, -kappa3 * sign)
-
-    def cubic_ground(i):
-        e = [0] * dim
-        e[i] = 3
-        add(e, i, kappa3)
-
-    if kappa3 != 0.0:
-        cubic_ground(0)
-        for i in range(n - 1):
-            cubic_pair(i, i + 1)
-        cubic_ground(n - 1)
-
-    packed = [(list(e), dof, coeff) for (e, dof), coeff in terms.items() if coeff != 0.0]
-    return build_system(M, C, K, terms=packed)
+    if kappa3 == 0.0:
+        return build_system(M, C, K)
+    # one form per spring, its stretch: the ground springs at both ends
+    # and one between each pair of neighbors
+    springs = [(0, None)] + [(i, i + 1) for i in range(n - 1)] + [(n - 1, None)]
+    forms = np.zeros((len(springs), 2 * n))
+    terms = []
+    for s, (i, j) in enumerate(springs):
+        # kappa3 (x_i - x_j)^3 pulling dof i (+) and dof j (-)
+        force = np.zeros(n)
+        forms[s, i] = force[i] = 1.0
+        if j is not None:
+            forms[s, j] = force[j] = -1.0
+        exponents = [0] * len(springs)
+        exponents[s] = 3
+        terms.append((exponents, kappa3 * force))
+    return build_system(M, C, K, terms=terms, forms=forms)
 
 
 def build_gyroscopic_2dof(

@@ -6,15 +6,20 @@ from lower orders. Order 1 is forced by the (unit-normalized) input
 itself; higher orders are forced by the polynomial nonlinearity
 composed with the partial sums, collected per total order.
 
+A field is F(z) = C m(y), monomials m in its linear forms y = Lambda z
+(PolynomialField; Lambda is the identity unless given). Since the forms
+are linear, their order-nu coefficients are y_nu = Lambda z_nu, computed
+once per live order and time block and kept in the CompositionCache.
 A monomial is handled as its factor list, the form PolynomialField
-builds: its state indices in ascending order, each repeated as often as
+builds: its form indices in ascending order, each repeated as often as
 its exponent. For a factor list (i, rest...) of degree d, the order-nu
 coefficient of the product along the expansion is
 
-    H[(i,), nu] = z^i_nu,
-    H[(i, rest...), nu] = sum_{a=d-1}^{nu-1} H[(rest...), a] * z^i_{nu-a},
+    H[(i,), nu] = y^i_nu,
+    H[(i, rest...), nu] = sum_{a=d-1}^{nu-1} H[(rest...), a] * y^i_{nu-a},
 
 and H = 0 whenever nu < d (each factor contributes at least order one).
+Phi_nu is then one contraction per order, C @ stack(H) over the terms.
 
 Not every order is reached. Order 1 is live; order nu >= 2 is live iff
 nu is a sum of d live orders for some monomial degree d of the field
@@ -35,7 +40,7 @@ a truncated convolution on harmonic coefficient arrays (the 'qp'
 backend, where a product of Fourier series convolves their
 coefficients). Every product below the top degree (what is left after
 peeling a first factor) is cached once per order and shared by all
-monomials ending in it, across all orders of one expansion run.
+monomials ending in it, across all orders of one time block.
 """
 
 from __future__ import annotations
@@ -68,8 +73,10 @@ class CoefficientTensor:
     order that is not stored reads as a read-only view of +0.0 that
     allocates nothing: it is an order the field cannot reach (see the
     module docstring), marked filled by insert_zeros; inserting a grid
-    at such an order raises OrderUnavailable. Slots beyond the filled
-    orders stay NaN so that an accidental read is loud. dt / t0 /
+    at such an order raises OrderUnavailable. Slots are allocated as
+    zeros (pages the system hands out zeroed, with no fill pass), so an
+    unfilled slot is not marked by its values: order_slice and
+    assemble_phi refuse an order that is not filled. dt / t0 /
     pad_length describe the grid (t0 is the time of the first stored
     sample, pad included). A tensor loaded from a container holds the
     stored slots of its completed orders, as a read-only memory map of
@@ -108,15 +115,15 @@ class CoefficientTensor:
 
     @classmethod
     def empty(cls, state_dim, order_max, length, dt, t0=0.0, pad_length=0, stored=None):
-        """A NaN-filled tensor of orders 1..order_max that stores the
-        orders in stored (default: every order)."""
+        """A tensor of orders 1..order_max, none filled, that stores the
+        orders in stored (default: every order) in zeroed slots."""
         if order_max < 1:
             raise DimensionMismatch(f"order_max must be >= 1, got {order_max}")
         if length < 2:
             raise GridMismatch("grid needs at least 2 samples")
         if stored is None:
             stored = range(1, order_max + 1)
-        data = np.full((state_dim, len(stored), length), np.nan)
+        data = np.zeros((state_dim, len(stored), length))
         return cls(
             data=data, dt=float(dt), t0=float(t0), pad_length=int(pad_length),
             stored=stored, order_max=order_max,
@@ -172,10 +179,12 @@ class CoefficientTensor:
         return self._grids[nu]
 
     def component(self, i, nu):
-        """Row i of order nu; the lookup the composition recursion uses.
+        """Row i of order nu (its whole grid for i = slice(None)); the
+        lookup the composition recursion uses.
 
-        It does not validate nu: an unfilled order reads its NaN slot,
-        an order without a slot its zero view. assemble_phi checks
+        It does not validate nu: an unfilled order reads its slot as
+        allocated (zeros) or as a previous block left it, an order
+        without a slot its zero view. assemble_phi checks
         orders_complete once per call instead; use order_slice for a
         checked read.
         """
@@ -209,9 +218,11 @@ class CompositionCache:
     (degree < max_degree) is kept: the top-degree products are consumed
     exactly once, so storing them would only cost memory. hits / misses
     count lookups of cacheable entries. A cache is tied to the
-    coefficient grids it was filled from; never reuse one across tensors
-    without clear(). compute_taylor_gss keeps one cache for the run and
-    clears it at each time block, so its products are block-length.
+    coefficient grids it was filled from, and to the field if its forms
+    are not the identity (its products are over that field's forms);
+    never reuse one across tensors or such fields without clear().
+    compute_taylor_gss keeps one cache for the run and clears it at each
+    time block, so its products and form grids are block-length.
     """
 
     max_degree: int
@@ -225,6 +236,9 @@ class CompositionCache:
     # _splits[d, nu] memoizes splits(d, nu); like _sums it depends only
     # on degrees, so clear() keeps it
     _splits: dict = field(default_factory=dict, repr=False)
+    # _forms[m] is forms @ z_m, the order-m grid of a field's forms (see
+    # compose_field); like _store it holds one block's grids
+    _forms: dict = field(default_factory=dict, repr=False)
 
     def reaches(self, d, nu):
         """Whether a product of d >= 1 factors, each a coefficient grid
@@ -254,9 +268,11 @@ class CompositionCache:
         return got
 
     def clear(self):
-        """Drop the stored products, keeping the counters: the grids
-        they were built from are about to change (the next time block)."""
+        """Drop the stored products and form grids, keeping the counters:
+        the grids they were built from are about to change (the next
+        time block)."""
         self._store.clear()
+        self._forms.clear()
 
     def stats(self):
         """hits and misses since the cache was made (summed over the
@@ -312,26 +328,48 @@ def _product(factors, nu, component, cache, product=operator.mul):
     return out
 
 
+def _form_component(forms, component, cache):
+    """component over the forms y = forms @ z: row k of y_m, where y_m =
+    forms @ z_m is computed from order m's whole grid,
+    component(slice(None), m), once per order and kept in cache._forms
+    until the cache is cleared."""
+    grids = cache._forms
+
+    def form(k, m):
+        y = grids.get(m)
+        if y is None:
+            y = grids[m] = forms @ component(slice(None), m)
+        return y[k]
+
+    return form
+
+
 def compose_field(
     fld: PolynomialField, component, nu, length, cache, dtype=float, product=operator.mul
 ):
     """Order-nu grid of fld evaluated along the expansion, shape (out_dim, length).
 
-    No sign convention applied; callers add their own. Terms are visited
-    in the field's stored (lexicographic) order, so the floating point
-    result is deterministic; terms whose degree cannot reach nu (see
-    CompositionCache.reaches) contribute nothing and are skipped. Each
-    term is added only into the rows where its coefficient is nonzero;
-    the rows it skips would gain exact zeros.
+    No sign convention applied; callers add their own. The recursion
+    runs on the factor lists of the field's form terms: over the state
+    rows component returns for the identity, over the forms y_m =
+    forms @ z_m otherwise (component(slice(None), m) must then return
+    order m's whole grid). Terms whose degree cannot reach nu (see
+    CompositionCache.reaches) contribute nothing and are skipped; the
+    others' products H are stacked in the field's term order, and the
+    result is one contraction C @ H with the coefficient matrix, so the
+    floating point result is deterministic.
     product is handed to the recursion (see _product).
     """
-    out = np.zeros((fld.out_dim, length), dtype=dtype)
-    for factors, rows, (_, coeff) in zip(fld._factors, fld._nonzero_rows, fld.terms):
-        if not cache.reaches(len(factors), nu):
-            continue
-        H = _product(factors, nu, component, cache, product)
-        out[rows] += coeff[rows, None] * H[None, :]
-    return out
+    live = [k for k, f in enumerate(fld._factors) if cache.reaches(len(f), nu)]
+    if not live:
+        return np.zeros((fld.out_dim, length), dtype=dtype)
+    if fld.forms is not None:
+        component = _form_component(fld.forms, component, cache)
+    H = np.empty((len(live), length), dtype=dtype)
+    for row, k in zip(H, live):
+        row[...] = _product(fld._factors[k], nu, component, cache, product)
+    coef = fld._coef if len(live) == fld.n_terms else fld._coef[:, live]
+    return np.matmul(coef, H, out=np.empty((fld.out_dim, length), dtype=dtype))
 
 
 def assemble_phi(
@@ -387,5 +425,6 @@ def assemble_phi(
     if cache is None:
         cache = CompositionCache(max_degree=fld.max_degree)
     out = np.zeros((2 * n, T), dtype=dtype)
-    out[:n] = -compose_field(fld, tensor.component, nu, T, cache, dtype=dtype, product=product)
+    f = compose_field(fld, tensor.component, nu, T, cache, dtype=dtype, product=product)
+    np.negative(f, out=out[:n])
     return out

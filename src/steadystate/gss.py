@@ -775,14 +775,19 @@ def reduced_gss(
         raise InvalidParameters(f"order must be >= 1, got {order}")
 
     # linear part of R and its spectrum (first-order form, B = I)
-    A_r = np.zeros((d, d), dtype=complex)
+    R = reduced.R
+    A_r = np.zeros((d, R.n_forms), dtype=complex)
     nonlinear_terms = []
-    for factors, term in zip(reduced.R._factors, reduced.R.terms):
+    for factors, term in zip(R._factors, R.form_terms):
         if len(factors) == 1:
             A_r[:, factors[0]] += term[1]
         else:
             nonlinear_terms.append(term)
-    nonlinear = replace(reduced.R, terms=tuple(nonlinear_terms))
+    if R.forms is None:
+        nonlinear = replace(R, terms=tuple(nonlinear_terms))
+    else:
+        A_r = A_r @ R.forms
+        nonlinear = replace(R, form_terms=tuple(nonlinear_terms))
     eigvals, V_r = np.linalg.eig(A_r)
     if np.any(eigvals.real >= -_STABILITY_TOL):
         raise UnstableLinearPart(
@@ -815,7 +820,7 @@ def reduced_gss(
     b_inverse = _enforce_real(every.reconstruct(u), "B^{-1} forcing")
     forcing_rows = reduced.tangent_rows @ b_inverse  # (d, n)
 
-    cache = CompositionCache(max_degree=max(reduced.R.max_degree, 2), degrees=nonlinear.degrees)
+    cache = CompositionCache(max_degree=max(R.max_degree, 2), degrees=nonlinear.degrees)
     # the lift multiplies reduced orders, which the same table describes
     lift_cache = CompositionCache(
         max_degree=max(reduced.W.max_degree, 2), degrees=nonlinear.degrees
@@ -839,7 +844,7 @@ def reduced_gss(
             z += propagate_order(comp_spec, comp_weights, phi1, carry=comp_carry)
         return _enforce_real(z, f"reduced order {nu} lift")
 
-    block = np.full((d, order, min(_BLOCK, forcing.length)), np.nan, dtype=complex)
+    block = np.zeros((d, order, min(_BLOCK, forcing.length)), dtype=complex)
     orders = CoefficientTensor(block, forcing.dt, forcing.t0, 0)
     tensor = _cascade(n2, forcing, order, cache, compose, propagate, lift, orders)
 

@@ -72,57 +72,97 @@ def _factor_list(exponents):
     return tuple(i for i, e in enumerate(exponents) for _ in range(e))
 
 
+def _padded(factor_lists, width):
+    """The factor lists as one (len, max degree) index array, each row
+    padded with width, the index of the constant 1."""
+    most = max(map(len, factor_lists), default=0)
+    padded = [f + (width,) * (most - len(f)) for f in factor_lists]
+    return np.reshape(np.array(padded, dtype=np.intp), (len(padded), most))
+
+
 class _Polynomial(NamedTuple):
-    """coef @ monomials(z), each monomial the product of the state
-    entries its row of factors names; the index dim stands for the
+    """coef @ monomials(y), each monomial the product of the entries of
+    y its row of factors names; the index len(y) stands for the
     constant 1 and pads rows of lower degree."""
 
     coef: np.ndarray  # (rows, n_monomials)
-    factors: np.ndarray  # (n_monomials, max degree) state indices
+    factors: np.ndarray  # (n_monomials, max degree) indices into y
 
-    @classmethod
-    def of(cls, columns, factor_lists, rows, dim):
-        width = max(map(len, factor_lists), default=0)
-        padded = [f + (dim,) * (width - len(f)) for f in factor_lists]
-        return cls(
-            np.reshape(columns, (len(columns), rows)).T,
-            np.reshape(np.array(padded, dtype=np.intp), (len(padded), width)),
-        )
+    def monomials(self, y):
+        """Each monomial's value at y of shape (width,) or (width, T)."""
+        y = np.concatenate([y, np.ones((1,) + y.shape[1:])])
+        return y[self.factors].prod(axis=1)
 
-    def monomials(self, z):
-        """Each monomial's value at z of shape (dim,) or (dim, T)."""
-        z = np.concatenate([z, np.ones((1,) + z.shape[1:])])
-        return z[self.factors].prod(axis=1)
+
+class _StateTerms:
+    """The terms field of PolynomialField: its monomials in the state
+    coordinates. A field on forms derives them from its form terms on
+    first read and caches them on the instance, like _packed."""
+
+    def __get__(self, fld, owner=None):
+        if fld is None:
+            return ()  # the field's default: no terms
+        got = fld.__dict__.get("terms")
+        if got is None:
+            got = fld.__dict__["terms"] = fld._expand()
+        return got
+
+    def __set__(self, fld, value):
+        fld.__dict__["terms"] = value
 
 
 @dataclass(frozen=True)
 class PolynomialField:
-    """Sparse multivariate polynomial map R^dim -> C^out_dim.
+    """Sparse multivariate polynomial map R^dim -> C^out_dim, written in
+    linear forms: F(z) = C m(y) with y = forms @ z.
 
-    terms maps each exponent multi-index m (length dim) to a coefficient
-    vector F_m, so the field value is sum_m F_m * prod_i z_i^{m_i}.
+    forms is the (r, dim) form matrix Lambda; None stands for the
+    identity (r = dim, y = z), and such a field pays no product with it.
+    form_terms maps each exponent multi-index m over the r forms to a
+    coefficient vector F_m (a column of C), so the field value is
+    sum_m F_m * prod_k y_k^{m_k}. terms is the same field in the state
+    coordinates, monomials in z: for the identity it is form_terms
+    itself, otherwise the expansion of form_terms through the forms,
+    built on first read. A finite-element force is a few powers of each
+    element's strains, so its form terms are far fewer than its
+    expanded monomials; composition and evaluation run on the forms.
     Multi-indices are stored in lexicographic order; iteration order is
     therefore deterministic and all downstream sums are reproducible.
+
+    For the identity, terms is the stored list (dataclasses.replace it
+    to change the field); for a field on forms, forms and form_terms
+    are, and a terms argument is not read.
     """
 
     dim: int
     out_dim: int
-    terms: tuple  # ((exponents tuple, coeff ndarray), ...) lexicographic
     max_degree: int
     min_degree: int
+    terms: tuple = _StateTerms()  # ((exponents over z, coeff ndarray), ...) lexicographic
+    forms: np.ndarray | None = None  # (r, dim); None is the identity
+    form_terms: tuple | None = None  # ((exponents over y, coeff ndarray), ...) lexicographic
 
     def __post_init__(self):
-        for m, c in self.terms:
+        if self.forms is None:
+            object.__setattr__(self, "form_terms", self.terms)
+        else:
+            self.__dict__["terms"] = None  # derived from the forms on first read
+        for m, c in self.form_terms:
             c.flags.writeable = False
 
     @property
     def n_terms(self) -> int:
-        return len(self.terms)
+        """The number of form terms (the monomials for the identity)."""
+        return len(self.form_terms)
+
+    @property
+    def n_forms(self) -> int:
+        return self.dim if self.forms is None else self.forms.shape[0]
 
     @cached_property
     def _factors(self):
-        """Each term's factor list, in the order of terms; cached like _packed."""
-        return tuple(_factor_list(m) for m, _ in self.terms)
+        """Each form term's factor list, in the order of form_terms; cached like _packed."""
+        return tuple(_factor_list(m) for m, _ in self.form_terms)
 
     @cached_property
     def degrees(self):
@@ -130,37 +170,68 @@ class PolynomialField:
         return tuple(sorted({len(f) for f in self._factors}))
 
     @cached_property
-    def _nonzero_rows(self):
-        """Each term's output rows with a nonzero coefficient, in the order of terms."""
-        return tuple(np.flatnonzero(c) for _, c in self.terms)
+    def _coef(self):
+        """C: the coefficient vectors of form_terms as the columns of one
+        (out_dim, n_terms) matrix."""
+        columns = [c for _, c in self.form_terms]
+        return np.reshape(columns, (len(columns), self.out_dim)).T
+
+    def _expand(self):
+        """terms of a field on forms: each form term multiplied out in the
+        state coordinates, summed per monomial, all-zero monomials dropped.
+        A monomial's scalar is the product of the form entries along its
+        expansion, exact for entries of +-1, times the term's coefficients;
+        the sums start from +0.0."""
+        merged: dict = {}
+        for f, (_, c) in zip(self._factors, self.form_terms):
+            poly = {(0,) * self.dim: 1.0}
+            for k in f:
+                row = self.forms[k]
+                grown: dict = {}
+                for e, s in poly.items():
+                    for i in np.flatnonzero(row):
+                        e_i = e[:i] + (e[i] + 1,) + e[i + 1 :]
+                        grown[e_i] = grown.get(e_i, 0.0) + s * row[i]
+                poly = grown
+            for e, s in poly.items():
+                merged[e] = merged.get(e, 0.0) + s * c
+        terms = tuple((e, merged[e]) for e in sorted(merged) if np.any(merged[e]))
+        for _, c in terms:
+            c.flags.writeable = False
+        return terms
 
     @cached_property
     def _packed(self):
-        """(value, derivatives, columns): the evaluation form of terms.
+        """(value, derivatives, columns): the evaluation form of the field.
 
         Built on first use and cached on the instance, never with the
         field, so a system that is only expanded never pays for it;
-        dataclasses.replace starts without it. Each variable a term
-        depends on gives one derivative monomial (one factor of it
-        removed) with the coefficient times the exponent; the 0/1 matrix
-        columns sends it to its Jacobian column.
+        dataclasses.replace starts without it. value evaluates C m(y).
+        Each form a term depends on gives one derivative monomial (one
+        factor of it removed) with the coefficient times the exponent;
+        columns sends it to its Jacobian row, the chain rule through the
+        forms (a 0/1 matrix for the identity).
         """
         dfactors, dcoef, dcol = [], [], []
-        for f, (m, c) in zip(self._factors, self.terms):
-            for i in dict.fromkeys(f):  # each variable once, ascending
-                k = f.index(i)
-                dfactors.append(f[:k] + f[k + 1 :])
-                dcoef.append(c * m[i])
-                dcol.append(i)
-        columns = np.eye(self.dim)[dcol]
+        for f, (m, c) in zip(self._factors, self.form_terms):
+            for k in dict.fromkeys(f):  # each form once, ascending
+                i = f.index(k)
+                dfactors.append(f[:i] + f[i + 1 :])
+                dcoef.append(c * m[k])
+                dcol.append(k)
+        r = self.n_forms
+        columns = np.eye(r)[dcol]
+        if self.forms is not None:
+            columns = columns @ self.forms
+        dcoef = np.reshape(dcoef, (len(dcoef), self.out_dim)).T
         return (
-            _Polynomial.of([c for _, c in self.terms], self._factors, self.out_dim, self.dim),
-            _Polynomial.of(dcoef, dfactors, self.out_dim, self.dim),
+            _Polynomial(self._coef, _padded(self._factors, r)),
+            _Polynomial(dcoef, _padded(dfactors, r)),
             columns,
         )
 
 
-def polynomial_field(dim, out_dim, terms, min_degree=2):
+def polynomial_field(dim, out_dim, terms, min_degree=2, forms=None):
     """Validate, merge and sort a term list into a PolynomialField.
 
     Parameters
@@ -170,11 +241,27 @@ def polynomial_field(dim, out_dim, terms, min_degree=2):
     terms : iterable
         Entries are either (exponents, coeff_vector) with a length-out_dim
         vector, or (exponents, target_dof, coefficient) addressing a single
-        output row. Duplicate multi-indices are summed.
+        output row. The exponents run over the forms (over the state
+        coordinates when forms is None). Duplicate multi-indices are summed.
     min_degree : int
         Smallest admissible total degree. System nonlinearities use 2 so
         the origin stays a fixed point; reduced dynamics use 1.
+    forms : (r, dim) real array, optional
+        The form matrix Lambda: the field is a polynomial in y = forms @ z,
+        such as the strains of the springs or elements it sums. None is
+        the identity.
     """
+    width = dim
+    if forms is not None:
+        if np.iscomplexobj(forms):
+            raise InvalidParameters("forms must be real")
+        forms = np.array(forms, dtype=float)
+        if forms.ndim != 2 or forms.shape[1] != dim:
+            raise DimensionMismatch(f"forms have shape {forms.shape}, expected (r, {dim})")
+        if not np.all(np.isfinite(forms)):
+            raise InvalidParameters("forms contain non-finite entries")
+        forms.flags.writeable = False
+        width = forms.shape[0]
     merged: dict = {}
     complex_seen = False
     for entry in terms:
@@ -195,9 +282,9 @@ def polynomial_field(dim, out_dim, terms, min_degree=2):
         else:
             raise DimensionMismatch("term entries must be 2- or 3-tuples")
         m = tuple(int(e) for e in m)
-        if len(m) != dim:
+        if len(m) != width:
             raise DimensionMismatch(
-                f"multi-index length {len(m)} does not match dimension {dim}"
+                f"multi-index length {len(m)} does not match dimension {width}"
             )
         if any(e < 0 for e in m):
             raise InvalidParameters(f"negative exponent in multi-index {m}")
@@ -221,18 +308,25 @@ def polynomial_field(dim, out_dim, terms, min_degree=2):
     return PolynomialField(
         dim=dim,
         out_dim=out_dim,
-        terms=ordered,
+        terms=ordered if forms is None else None,
         max_degree=max_degree,
         min_degree=min_degree,
+        forms=forms,
+        form_terms=None if forms is None else ordered,
     )
 
 
+def _forms_of(fld: PolynomialField, z):
+    """y = forms @ z, or z itself for the identity."""
+    return z if fld.forms is None else fld.forms @ z
+
+
 def evaluate_field(fld: PolynomialField, z):
-    """Evaluate sum_m F_m z^m at a state vector or a (dim, T) batch.
+    """Evaluate C m(forms @ z) at a state vector or a (dim, T) batch.
 
     Returns an (out_dim,) vector for 1-d input, (out_dim, T) otherwise.
-    Each term touches only its nonzero exponents, so cost scales with the
-    sparsity of the field, not with dim.
+    Each term touches only its nonzero exponents over the forms, so cost
+    scales with the number of form terms, not with dim.
     """
     z = np.asarray(z)
     if z.ndim not in (1, 2) or z.shape[0] != fld.dim:
@@ -240,18 +334,19 @@ def evaluate_field(fld: PolynomialField, z):
             f"state has shape {z.shape}, field expects ({fld.dim},) or ({fld.dim}, T)"
         )
     value = fld._packed[0]
-    return value.coef @ value.monomials(z)
+    return value.coef @ value.monomials(_forms_of(fld, z))
 
 
 def field_jacobian(fld: PolynomialField, z):
-    """Jacobian (out_dim, dim) of the field at one state vector."""
+    """Jacobian (out_dim, dim) of the field at one state vector: the
+    derivative in the forms, times the forms."""
     z = np.asarray(z)
     if z.shape != (fld.dim,):
         raise DimensionMismatch(
             f"state has shape {z.shape}, field expects ({fld.dim},)"
         )
     _, deriv, columns = fld._packed
-    return (deriv.coef * deriv.monomials(z)) @ columns
+    return (deriv.coef * deriv.monomials(_forms_of(fld, z))) @ columns
 
 
 @dataclass(frozen=True)
@@ -304,7 +399,7 @@ def _structural_fit(M, C, K):
     return float(coef[0]), float(coef[1]), rel
 
 
-def build_system(M, C, K, terms=(), damping=None):
+def build_system(M, C, K, terms=(), damping=None, forms=None):
     """Validate matrices, classify the damping, and assemble the system.
 
     Parameters
@@ -314,12 +409,16 @@ def build_system(M, C, K, terms=(), damping=None):
         definite. C may carry an antisymmetric (gyroscopic) part; its
         symmetric part must be positive semi-definite.
     terms : iterable
-        Nonlinear force terms over the state (x, x'), each of total
-        degree >= 2, in the formats accepted by polynomial_field.
+        Nonlinear force terms, each of total degree >= 2, in the formats
+        accepted by polynomial_field: monomials in the state (x, x'), or
+        in the forms when forms is given.
     damping : str or None
         'structural' or 'general' to override the automatic class
         detection. Forcing 'structural' on a system whose damping fails
         the fit raises NotStructural.
+    forms : (r, 2n) array, optional
+        The linear forms of the state the force is a polynomial in (a
+        spring's stretch, an element's strains); see PolynomialField.
     """
     M = np.asarray(M, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -366,7 +465,7 @@ def build_system(M, C, K, terms=(), damping=None):
     else:
         damping_class = DampingClass("general")
 
-    fld = polynomial_field(2 * n, n, terms, min_degree=2)
+    fld = polynomial_field(2 * n, n, terms, min_degree=2, forms=forms)
     return MechanicalSystem(
         n=n,
         M=_freeze(M),

@@ -53,37 +53,65 @@ _EXPANSION_KEYS = (
 _PADE_KEYS = ("dtype", "L", "M", "sigma", "state_dim", "length", "dt", "t0", "pad_length")
 
 
-def _system_dict(system: MechanicalSystem) -> dict:
-    terms = []
-    for exponents, coeff in system.nonlinearity.terms:
+def _term_entries(terms) -> list:
+    """One {exponents, target_dof, coefficient} entry per nonzero
+    coefficient of each term."""
+    entries = []
+    for exponents, coeff in terms:
         for dof, c in enumerate(np.asarray(coeff)):
             if c != 0.0:
-                terms.append(
+                entries.append(
                     {
                         "exponents": list(int(e) for e in exponents),
                         "target_dof": int(dof),
                         "coefficient": float(c),
                     }
                 )
-    return {
+    return entries
+
+
+def _system_dict(system: MechanicalSystem) -> dict:
+    fld = system.nonlinearity
+    out = {
         "n": system.n,
         "M": system.M.tolist(),
         "C": system.C.tolist(),
         "K": system.K.tolist(),
-        "terms": terms,
+        "terms": _term_entries(fld.terms),
         "damping": system.damping_class.kind,
     }
+    if fld.forms is not None:
+        out["forms"] = fld.forms.tolist()
+        out["form_terms"] = _term_entries(fld.form_terms)
+    return out
 
 
 def save_system(system: MechanicalSystem, path: str) -> None:
-    """Write a system config as JSON (matrices, polynomial terms, damping)."""
+    """Write a system config as JSON (matrices, polynomial terms, damping).
+
+    "terms" holds the field's monomials in the state coordinates. A field
+    on forms also writes "forms" (its form matrix, one row per form) and
+    "form_terms" (its terms over the forms, in the same entry format),
+    from which load_system rebuilds it.
+    """
     with open(path, "w") as fh:
         json.dump(_system_dict(system), fh, indent=1)
         fh.write("\n")
 
 
+def _read_terms(entries):
+    return [
+        (tuple(int(e) for e in t["exponents"]), int(t["target_dof"]), float(t["coefficient"]))
+        for t in entries
+    ]
+
+
 def load_system(path: str) -> MechanicalSystem:
     """Build a system from a JSON config.
+
+    With "forms" the field is built on them from "form_terms" ("terms",
+    their expansion, is not read); without, from "terms" with the
+    identity as its forms.
 
     Structural problems (missing keys, ragged matrices, bad term
     entries) raise ConfigError; the physical validations (symmetry,
@@ -99,20 +127,18 @@ def load_system(path: str) -> MechanicalSystem:
         M = np.asarray(raw["M"], dtype=float)
         C = np.asarray(raw["C"], dtype=float)
         K = np.asarray(raw["K"], dtype=float)
-        terms = [
-            (
-                tuple(int(e) for e in t["exponents"]),
-                int(t["target_dof"]),
-                float(t["coefficient"]),
-            )
-            for t in raw.get("terms", [])
-        ]
+        forms = raw.get("forms")
+        if forms is None:
+            terms = _read_terms(raw.get("terms", []))
+        else:
+            forms = np.asarray(forms, dtype=float)
+            terms = _read_terms(raw["form_terms"])
         damping = raw.get("damping")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from None
     if M.shape != (n, n):
         raise ConfigError(f"M has shape {M.shape}, config says n={n}")
-    return build_system(M, C, K, terms=terms, damping=damping)
+    return build_system(M, C, K, terms=terms, damping=damping, forms=forms)
 
 
 def write_forcing_csv(signal: ForcingSignal, path: str) -> None:

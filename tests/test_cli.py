@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from steadystate import (
+    CoefficientTensor,
+    assemble_phi,
     build_duffing,
     build_oscillator_chain,
     build_system,
@@ -48,6 +50,31 @@ class TestSystemConfig:
                 evaluate_field(back.nonlinearity, z)
                 - evaluate_field(sys_.nonlinearity, z)
             ).max() <= 1e-14
+
+    def test_round_trip_keeps_the_forms(self, tmp_path, rng):
+        sys_ = build_oscillator_chain(4, kappa3=0.3)
+        path = tmp_path / "chain.json"
+        serialize.save_system(sys_, path)
+        raw = json.loads(path.read_text())
+        assert len(raw["forms"]) == 5 and len(raw["form_terms"]) == 8
+        back = serialize.load_system(path)
+        fld, got = sys_.nonlinearity, back.nonlinearity
+        assert np.array_equal(got.forms, fld.forms)
+        assert [m for m, _ in got.form_terms] == [m for m, _ in fld.form_terms]
+        for (_, c), (_, w) in zip(got.form_terms, fld.form_terms):
+            assert c.tobytes() == w.tobytes()
+        tensor = CoefficientTensor.empty(8, 3, 20, dt=0.1)
+        for nu in (1, 2):
+            tensor.insert_slice(nu, rng.standard_normal((8, 20)))
+        assert np.array_equal(assemble_phi(back, tensor, 3), assemble_phi(sys_, tensor, 3))
+
+    def test_config_without_forms_loads_on_the_identity(self, tmp_path):
+        path = tmp_path / "duffing.json"
+        serialize.save_system(build_duffing(kappa3=0.7), path)
+        assert "forms" not in json.loads(path.read_text())
+        fld = serialize.load_system(path).nonlinearity
+        assert fld.forms is None and fld.form_terms is fld.terms
+        assert [m for m, _ in fld.terms] == [(3, 0)]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -8,14 +8,19 @@ from steadystate import (
     assemble_phi,
     build_duffing,
     build_oscillator_chain,
+    build_system,
     compose_field,
+    evaluate_field,
     faadibruno_phi,
+    field_jacobian,
 )
 from steadystate.errors import (
     DimensionMismatch,
     GridMismatch,
+    InvalidParameters,
     OrderUnavailable,
 )
+from steadystate.gss import _harmonic_ball, _lattice_product
 from steadystate.model import polynomial_field
 from tests.conftest import random_system
 
@@ -28,10 +33,15 @@ def _filled_tensor(rng, state_dim, order_max, length, orders=None):
 
 
 class TestCoefficientTensor:
-    def test_empty_is_nan(self):
+    def test_empty_refuses_unfilled_orders(self):
+        # the slots are zeros, not a marker: the reads check the filled orders
         t = CoefficientTensor.empty(4, 3, 10, dt=0.1)
-        assert np.all(np.isnan(t.data))
         assert t.orders_complete == 0
+        for nu in (1, 2, 3):
+            with pytest.raises(OrderUnavailable):
+                t.order_slice(nu)
+        with pytest.raises(OrderUnavailable):
+            assemble_phi(build_oscillator_chain(2), t, 2)
 
     def test_insert_zeros_fills_the_order(self, rng):
         t = CoefficientTensor.empty(2, 3, 10, dt=0.1)
@@ -40,7 +50,10 @@ class TestCoefficientTensor:
         assert t.orders_complete == 2
         assert np.array_equal(t.order_slice(2), np.zeros((2, 10)))
         assert not np.signbit(t.order_slice(2)).any()
-        assert np.all(np.isnan(t.data[:, 2]))
+        with pytest.raises(OrderUnavailable):
+            t.order_slice(3)
+        with pytest.raises(OrderUnavailable):
+            assemble_phi(build_duffing(), t, 4)
         with pytest.raises(OrderUnavailable):
             t.insert_zeros(4)
 
@@ -226,19 +239,153 @@ class TestComposeField:
         assert out.dtype == complex
         assert np.abs(out - want).max() < 1e-13 * np.abs(want).max()
 
-    def test_skipped_rows_change_no_bit(self, rng):
-        # each term is added only where its coefficient is nonzero; the
-        # result equals the dense sum over every row bit for bit
-        fld = build_oscillator_chain(3).nonlinearity
-        assert any(np.count_nonzero(c) < fld.out_dim for _, c in fld.terms)
-        t = _filled_tensor(rng, 6, 3, 25)
-        for nu in (2, 3, 4):
-            out = compose_field(fld, t.component, nu, 25, CompositionCache(max_degree=3))
-            dense = np.zeros((fld.out_dim, 25))
-            ref_cache = CompositionCache(max_degree=3)
-            for m, c in fld.terms:
-                dense += c[:, None] * assemble_H(m, nu, t.component, 25, ref_cache)[None, :]
-            assert np.array_equal(out, dense)
+
+def _form_system(rng, n, r, degrees=(2, 3)):
+    """A small random system whose field is a polynomial in r random
+    forms of its state: one term of each degree in degrees plus a
+    cross term, like the strain powers of an element."""
+    M = np.diag(1.0 + rng.random(n))
+    K = 2.0 * np.eye(n) - 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    forms = rng.standard_normal((r, 2 * n))
+    forms[rng.random(forms.shape) < 0.4] = 0.0  # sparse, as element strains are
+    terms = []
+    for d in degrees:
+        e = [0] * r
+        e[int(rng.integers(r))] = d
+        terms.append((e, 0.3 * rng.standard_normal(n)))
+        e = [0] * r
+        for _ in range(d):
+            e[int(rng.integers(r))] += 1
+        terms.append((e, 0.3 * rng.standard_normal(n)))
+    return build_system(M, 0.05 * M + 0.02 * K, K, terms=terms, forms=forms)
+
+
+def _expanded(fld):
+    """The same field on the identity forms, built from its terms."""
+    return polynomial_field(fld.dim, fld.out_dim, fld.terms, min_degree=fld.min_degree)
+
+
+def _old_chain_terms(n, kappa3):
+    """The chain's monomials as build_oscillator_chain wrote them before
+    its springs were forms: each cube expanded into the state, summed
+    per (monomial, dof), exact zeros dropped, merged by polynomial_field."""
+    dim = 2 * n
+    terms: dict = {}
+
+    def add(exponents, dof, coeff):
+        key = (tuple(exponents), dof)
+        terms[key] = terms.get(key, 0.0) + coeff
+
+    def cubic_pair(i, j):
+        for a, sign in (((3, 0), 1.0), ((2, 1), -3.0), ((1, 2), 3.0), ((0, 3), -1.0)):
+            e = [0] * dim
+            e[i] = a[0]
+            e[j] = a[1]
+            add(e, i, kappa3 * sign)
+            add(e, j, -kappa3 * sign)
+
+    def cubic_ground(i):
+        e = [0] * dim
+        e[i] = 3
+        add(e, i, kappa3)
+
+    cubic_ground(0)
+    for i in range(n - 1):
+        cubic_pair(i, i + 1)
+    cubic_ground(n - 1)
+    packed = [(list(e), dof, c) for (e, dof), c in terms.items() if c != 0.0]
+    return polynomial_field(dim, n, packed).terms
+
+
+# (n, forms): fewer forms than state coordinates, and more
+_FORM_SHAPES = ((2, 3), (2, 7), (3, 4), (1, 3))
+
+
+class TestFormFields:
+    """A field on forms against direct enumeration and against the same
+    field expanded into monomials of the state."""
+
+    @pytest.mark.parametrize("n, r", _FORM_SHAPES)
+    def test_matches_direct_enumeration(self, rng, n, r):
+        # criterion 2's check on a quadratic-plus-cubic field on forms
+        sys_ = _form_system(rng, n, r)
+        assert sys_.nonlinearity.degrees == (2, 3)
+        t = _filled_tensor(rng, 2 * n, 5, 9, orders=4)
+        for nu in range(2, 6):
+            a = assemble_phi(sys_, t, nu)
+            b = faadibruno_phi(sys_, t, nu)
+            assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
+
+    def test_harmonic_product_matches_direct_enumeration(self, rng):
+        # complex harmonic coefficients through the 'qp' lattice product:
+        # each order holds harmonics -1, 0, 1 only and the ball reaches 5,
+        # so no product is truncated and the composed coefficients,
+        # summed on a time grid, are the enumeration on the real grids
+        sys_ = _form_system(rng, 2, 5)
+        ks = np.array(_harmonic_ball(1, 5))[:, 0]
+        times = np.linspace(0.0, 6.0, 13)
+        phases = np.exp(1j * np.outer(ks, times))
+        harmonics = CoefficientTensor(np.zeros((4, 5, len(ks)), dtype=complex), 0.1, 0.0, 0)
+        grids = CoefficientTensor.empty(4, 5, len(times), dt=0.5)
+        for nu in range(1, 5):
+            c = np.zeros((4, len(ks)), dtype=complex)
+            c[:, ks == 0] = rng.standard_normal((4, 1))
+            one = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            c[:, ks == 1] = one[:, None]
+            c[:, ks == -1] = one.conj()[:, None]
+            harmonics.insert_slice(nu, c)
+            grids.insert_slice(nu, (c @ phases).real)
+        product = _lattice_product(1, 5)
+        for nu in range(2, 6):
+            a = (assemble_phi(sys_, harmonics, nu, product=product) @ phases).real
+            b = faadibruno_phi(sys_, grids, nu)
+            assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
+
+    @pytest.mark.parametrize("n, r", _FORM_SHAPES)
+    def test_agrees_with_expanded_field(self, rng, n, r):
+        fld = _form_system(rng, n, r).nonlinearity
+        flat = _expanded(fld)
+        assert flat.forms is None and fld.forms.shape == (r, 2 * n)
+        for z in (rng.standard_normal(2 * n), rng.standard_normal((2 * n, 7))):
+            want = evaluate_field(flat, z)
+            assert np.abs(evaluate_field(fld, z) - want).max() <= 1e-13 * np.abs(want).max()
+        z = rng.standard_normal(2 * n)
+        want = field_jacobian(flat, z)
+        assert np.abs(field_jacobian(fld, z) - want).max() <= 1e-13 * np.abs(want).max()
+        t = _filled_tensor(rng, 2 * n, 5, 11, orders=4)
+        cache = CompositionCache(max_degree=3)
+        for nu in range(2, 6):
+            want = compose_field(flat, t.component, nu, 11, CompositionCache(max_degree=3))
+            got = compose_field(fld, t.component, nu, 11, cache)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        # one form grid per order read, dropped with the products
+        assert sorted(cache._forms) == [1, 2, 3, 4]
+        cache.clear()
+        assert not cache._forms and not cache._store
+
+    def test_chain_springs_are_forms(self):
+        fld = build_oscillator_chain(20).nonlinearity
+        assert fld.forms.shape == (21, 40)
+        assert fld.n_terms == 21 and fld.degrees == (3,)
+        assert len(fld.terms) == 58
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("kappa3", [0.5, 0.1, -2.5])
+    def test_chain_terms_match_the_monomial_builder(self, n, kappa3):
+        # at n = 1 both ground springs sit on the one dof
+        got = build_oscillator_chain(n, kappa3=kappa3).nonlinearity.terms
+        want = _old_chain_terms(n, kappa3)
+        assert [m for m, _ in got] == [m for m, _ in want]
+        for (_, c), (_, w) in zip(got, want):
+            assert c.dtype == w.dtype and c.tobytes() == w.tobytes()
+
+    def test_forms_validated(self):
+        with pytest.raises(DimensionMismatch):
+            polynomial_field(4, 2, [((3, 0), np.ones(2))], forms=np.ones((2, 3)))
+        with pytest.raises(DimensionMismatch):
+            polynomial_field(4, 2, [((3, 0, 0), np.ones(2))], forms=np.ones((2, 4)))
+        with pytest.raises(InvalidParameters):
+            polynomial_field(4, 2, [((3, 0), np.ones(2))], forms=np.full((2, 4), np.nan))
 
 
 # monomial degrees of a field, and the orders the cascade it drives can

@@ -818,7 +818,7 @@ class TestBlasThreads:
         script = textwrap.dedent('''
             import hashlib, json
             import numpy as np
-            from steadystate import (build_system, compute_taylor_gss, evaluate_at_amplitude,
+            from steadystate import (build_oscillator_chain, build_system, compute_taylor_gss,
                                      evaluate_at_amplitudes, evaluate_pade, generate_forcing,
                                      pade_resum)
             n = 6
@@ -839,6 +839,10 @@ class TestBlasThreads:
                 "taylor": evaluate_at_amplitudes(expansion, [0.5 * delta, delta]),
                 "pade": evaluate_pade(pade, delta),
             }
+            # a field on forms: its form grids and its contraction are matmuls
+            chain = build_oscillator_chain(6, kappa3=0.8)
+            outputs["chain"] = compute_taylor_gss(chain, forcing, order=5,
+                                                  check_divergence=False).tensor.data
             print(json.dumps({k: hashlib.sha256(np.ascontiguousarray(v).tobytes()).hexdigest()
                               for k, v in outputs.items()}))
         ''')
@@ -902,6 +906,27 @@ class TestReduced:
             a = red.tensor.order_slice(nu)
             b = full.tensor.order_slice(nu)
             assert np.abs(a - b).max() < 1e-10 * max(np.abs(b).max(), 1e-12)
+
+    def test_fields_on_forms_match_the_identity(self, rng):
+        # R and W given on permuted coordinates as their forms: the linear
+        # part comes through the forms, the rest composes on them
+        sys_ = random_system(rng, 2, structural=True, n_terms=2)
+        f = _two_tone(n=2, delta=0.03)
+        spec = with_retained(decompose_structural(sys_), (0, 1))
+        dim = sys_.state_dim
+        perm = rng.permutation(dim)
+
+        def on_forms(fld):
+            terms = [(tuple(m[i] for i in perm), c) for m, c in fld.terms]
+            return polynomial_field(dim, fld.out_dim, terms, min_degree=1, forms=np.eye(dim)[perm])
+
+        R, W = first_order_field(sys_), identity_lift(dim)
+        flat = reduced_gss(reduced_model(R, W, np.eye(dim), np.eye(dim)), spec, f, order=3)
+        forms = reduced_gss(
+            reduced_model(on_forms(R), on_forms(W), np.eye(dim), np.eye(dim)), spec, f, order=3
+        )
+        want = flat.tensor.data
+        assert np.abs(forms.tensor.data - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_linear_modal_split_matches_full(self, rng):
         # one mode handled through the reduced path, the rest as the
