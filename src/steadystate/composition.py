@@ -152,16 +152,24 @@ class CoefficientTensor:
             raise OrderUnavailable(f"order {nu} outside 1..{self.order_max}")
 
     def insert_slice(self, nu, grid):
+        """Fill order nu with grid; the order's own slot (filled in place)
+        is only marked filled."""
         grid = np.asarray(grid)
+        if grid is not self.slot(nu):
+            if grid.shape != (self.state_dim, self.length):
+                raise GridMismatch(
+                    f"slice shape {grid.shape} != ({self.state_dim}, {self.length})"
+                )
+            self._grids[nu][...] = grid
+        self._filled.add(nu)
+
+    def slot(self, nu):
+        """Order nu's writable (state_dim, T) storage, for a solver to
+        fill in place before insert_slice(nu, slot)."""
         self._check_order(nu)
         if nu not in self.stored:
             raise OrderUnavailable(f"order {nu} has no slot; stored orders are {self.stored}")
-        if grid.shape != (self.state_dim, self.length):
-            raise GridMismatch(
-                f"slice shape {grid.shape} != ({self.state_dim}, {self.length})"
-            )
-        self._grids[nu][...] = grid
-        self._filled.add(nu)
+        return self._grids[nu]
 
     def insert_zeros(self, nu):
         """Fill order nu with exact zeros: an order no product reaches.

@@ -124,12 +124,13 @@ class GssExpansion:
         return self.tensor.length
 
 
+@functools.lru_cache(maxsize=None)
 def _harmonic_ball(dims: int, budget: int):
-    """Integer vectors with sum(|k_i|) <= budget, deterministic order."""
+    """Integer vectors with sum(|k_i|) <= budget, deterministic order;
+    built once per (dims, budget)."""
     rng = range(-budget, budget + 1)
     out = [k for k in itertools.product(rng, repeat=dims) if sum(abs(x) for x in k) <= budget]
-    out.sort()
-    return out
+    return tuple(sorted(out))
 
 
 @functools.lru_cache(maxsize=None)
@@ -162,20 +163,24 @@ def _ball_frequencies(base_frequencies, budget):
     """The frequencies kappa = <k, Omega> of _harmonic_ball(len(Omega),
     budget), in its order."""
     Omega = np.atleast_1d(np.asarray(base_frequencies, dtype=float))
-    return np.array([float(np.dot(k, Omega)) for k in _harmonic_ball(len(Omega), budget)])
+    return np.array(_harmonic_ball(len(Omega), budget), dtype=float) @ Omega
 
 
 _FIT_CONDITION_LIMIT = 1e10
 
 
-def fit_harmonics(rows: np.ndarray, times: np.ndarray, base_frequencies, budget: int = 5):
+def fit_harmonics(
+    rows: np.ndarray, times: np.ndarray, base_frequencies, budget: int = 5, phases=None
+):
     """Least-squares harmonic coefficients of sampled rows.
 
     rows: (m, T) real or complex samples; returns (kappas, coeffs) with
     coeffs of shape (m, K) such that rows ~ coeffs @ exp(i kappa t), over
     the index ball sum |k_i| <= budget of the base frequencies. The 'qp'
     backend calls it once per solve, on the order-1 forcing rows; higher
-    orders are composed from these coefficients, never fit.
+    orders are composed from these coefficients, never fit. phases, the
+    (K, T) matrix exp(i kappa t) on times, is used as the design matrix
+    when the caller already holds it.
 
     Warns HarmonicFitIllConditioned when the (T, K) design matrix's
     condition number, the ratio of its extreme singular values, passes
@@ -185,7 +190,7 @@ def fit_harmonics(rows: np.ndarray, times: np.ndarray, base_frequencies, budget:
     Fourier transform and the condition number is 1.
     """
     kappas = _ball_frequencies(base_frequencies, budget)
-    A = np.exp(1j * np.outer(times, kappas))  # (T, K)
+    A = np.exp(1j * np.outer(times, kappas)) if phases is None else phases.T  # (T, K)
     coeffs, _, _, svals = np.linalg.lstsq(A, np.asarray(rows).T, rcond=None)
     cond = svals[0] / svals[-1] if A.shape[0] >= A.shape[1] and svals[-1] > 0.0 else np.inf
     if not cond <= _FIT_CONDITION_LIMIT:
@@ -214,7 +219,7 @@ def _qp_base_frequencies(base_frequencies, budget):
         )
     # two indices at one frequency would split a harmonic between them, and
     # the convolution would then carry it past the budget
-    kappas = np.sort(np.array(_harmonic_ball(len(Omega), budget)) @ Omega)
+    kappas = np.sort(_ball_frequencies(Omega, budget))
     if np.any(np.diff(kappas) <= 1e-9 * kappas[-1]):
         raise InvalidParameters(
             f"base_frequencies {Omega.tolist()} put two harmonics of the budget-{budget} "
@@ -271,7 +276,8 @@ def _qp_propagate(spectral, phi, nu, orbit):
         forced = np.flatnonzero(phi[: spectral.state_dim // 2].any(axis=1))
         window = slice(orbit.fit_from, None)
         _, forcing = fit_harmonics(
-            phi[forced, window], orbit.times[window], orbit.Omega, orbit.budget
+            phi[forced, window], orbit.times[window], orbit.Omega, orbit.budget,
+            phases=orbit.phases[:, window],
         )
         # the ball is symmetric and sorted, so harmonic -k sits at K-1-i
         forcing = 0.5 * (forcing + forcing[:, ::-1].conj())
@@ -338,9 +344,11 @@ def _cascade(dim, forcing, order, cache, compose, propagate, lift=None, orders=N
     Per block it clears cache, so products are block-length, normalizes
     the block's forcing to the signal's unit sup and runs each order nu:
     exact zeros if nu is not live (cache.reaches), else propagate(phi,
-    nu, carry) of phi = compose(store, nu, normalized): the order-1 rows
-    of the normalized forcing, or a composition of the lower orders in
-    store. The order's Carry hands the filter state on from block to
+    nu, carry, out) of phi = compose(store, nu, normalized): the order-1
+    rows of the normalized forcing, or a composition of the lower orders
+    in store. out is store's slot of order nu; propagate returns it
+    filled in place (the kernel backend) or a grid of its own, which is
+    copied in. The order's Carry hands the filter state on from block to
     block. Composition is pointwise and the filters causal, so the
     result equals one block's up to the rounding of the modal products.
     store is the tensor's view of the block or, in coordinates of the
@@ -371,7 +379,7 @@ def _cascade(dim, forcing, order, cache, compose, propagate, lift=None, orders=N
         for nu, carry in enumerate(carries, start=1):
             if cache.reaches(1, nu):
                 phi = compose(store, nu, normalized)
-                store.insert_slice(nu, propagate(phi, nu, carry))
+                store.insert_slice(nu, propagate(phi, nu, carry, store.slot(nu)))
             else:
                 store.insert_zeros(nu)
             if lift is not None:
@@ -481,9 +489,9 @@ def compute_taylor_gss(
             return assemble_phi(system, orbit.coeffs, nu, cache=cache, product=orbit.product)
         return assemble_phi(system, window, nu, forcing_grid=normalized, cache=cache)
 
-    def propagate(phi, nu, carry):
+    def propagate(phi, nu, carry, out):
         if backend == "kernel":
-            return propagate_order(spectral, weights, phi, carry=carry)
+            return propagate_order(spectral, weights, phi, carry=carry, out=out)
         if backend == "newmark":
             return propagate_order_newmark(system, phi, forcing.dt, carry=carry)
         return _qp_propagate(spectral, phi, nu, orbit)
@@ -831,7 +839,7 @@ def reduced_gss(
             return forcing_rows @ normalized.T
         return compose_field(nonlinear, w.component, nu, w.length, cache, dtype=complex)
 
-    def propagate(phi, nu, carry):
+    def propagate(phi, nu, carry, out):
         return _modal_response(reduced_spec, reduced_weights, phi, carry)
 
     def lift(w, nu, normalized):

@@ -20,11 +20,18 @@ exactly 1, and never divides by an eigenvalue or an eigenvalue
 difference.
 
 Both kinds then take one path: SpectralData.project, one sosfilt per
-mode started so that its state is zero at the first sample (a general
-mode as one first-order section, an oscillator as one complex filter
-whose real part is the position and whose imaginary part is the
-velocity over omega), SpectralData.reconstruct, and _enforce_real, the
-one realness policy of every modal sum in the package.
+mode started so that its state is zero at the first sample,
+SpectralData.reconstruct, and _enforce_real, the one realness policy of
+every modal sum in the package. A general mode is one first-order
+section. An oscillator whose roots are a complex pair lambda+-, with zeta
+below a cut-over, is one first-order section too: its positive-frequency
+mode y, scaled by -i/omega_d so that Re y is the position and Re(mu y),
+mu = lambda+/omega, the velocity over omega (the input is real, so the
+conjugate mode adds nothing else). A near-critical or overdamped
+oscillator, whose two roots come close, is one complex filter of two
+sections whose real part is the position and whose imaginary part is
+the velocity over omega. The kernel route writes the reconstruction
+straight into the caller's grid (propagate_order's out).
 
 Every propagator is a causal filter, so a grid can be propagated in
 consecutive time blocks: a Carry hands the filter state at the end of
@@ -63,6 +70,10 @@ __all__ = [
 
 _SERIES_SWITCH = 0.25
 _CRITICAL_TAG = 1e-9  # reported branch tag
+# oscillators with zeta below this run as one first-order section; closer
+# to zeta = 1 the 1/omega_d scaling of that form loses digits, so the
+# two-section filter takes over
+_ONE_SECTION_ZETA = 0.99
 _REALNESS_TOL = 1e-10
 
 
@@ -133,36 +144,43 @@ def qmat_structural(omega: float, zeta: float, dt: float):
 
     Raises InvalidParameters for omega <= 0 or zeta <= 0.
     """
-    if omega <= 0.0 or zeta <= 0.0:
-        raise InvalidParameters(f"need omega > 0 and zeta > 0, got ({omega}, {zeta})")
+    branch = _regime(omega, zeta)
     _check_dt(dt)
-    if abs(zeta - 1.0) <= _CRITICAL_TAG:
-        branch = "critical"
-    elif zeta < 1.0:
-        branch = "underdamped"
-    else:
-        branch = "overdamped"
     fast = max(abs(r) for r in _oscillator_roots(omega, zeta))
     Q = _series_doubling(_block_matrix(omega, zeta), np.array([0.0, 1.0]), fast, dt)
     return Q, branch
+
+
+def _regime(omega: float, zeta: float) -> str:
+    """The branch tag of qmat_structural, after its parameter check."""
+    if omega <= 0.0 or zeta <= 0.0:
+        raise InvalidParameters(f"need omega > 0 and zeta > 0, got ({omega}, {zeta})")
+    if abs(zeta - 1.0) <= _CRITICAL_TAG:
+        return "critical"
+    return "underdamped" if zeta < 1.0 else "overdamped"
 
 
 @dataclass(frozen=True)
 class KernelWeights:
     """Per retained mode: the filter that propagates it.
 
-    sos[j] is mode j's sosfilt filter, built once so that every time
-    block reuses it: one first-order section for a general mode (see
-    _exponent_filter), two complex sections for an oscillator (see
+    sos[j] is mode j's (sections, 6) complex sosfilt filter, built once
+    so that every time block reuses it: one first-order section for a
+    general mode and for an oscillator with zeta below the cut-over (see
+    _exponent_filter), two sections for any other oscillator (see
     _oscillator_filter). start[j] holds the two taps of its first
-    section that a fresh start cancels. branches[j] tags an oscillator's
-    regime; it is None on the general path.
+    section that a fresh start cancels. On the structural path Re y of
+    the filter output y is the position and Re(mu[j] y) the velocity
+    over omega: mu = lambda+/omega for one section, -1j for two (whose
+    Im y is taken as it is). branches[j] tags an oscillator's regime;
+    mu and branches are None on the general path.
     """
 
     kind: str
     retained: tuple
-    sos: np.ndarray  # (m, 1, 6) general, (m, 2, 6) structural; complex
+    sos: tuple  # per mode, (1, 6) or (2, 6) complex
     start: np.ndarray  # (m, 2) complex
+    mu: np.ndarray | None = None  # (m,) complex
     branches: tuple | None = None
 
 
@@ -171,7 +189,7 @@ def build_kernel_weights(spectral: SpectralData, dt: float) -> KernelWeights:
     _check_dt(dt)
     retained = tuple(spectral.retained)
     cols = list(retained)
-    branches = None
+    mu = branches = None
     if spectral.kind == "general":
         lams = spectral.eigenvalues[cols]
         filters = [
@@ -179,18 +197,25 @@ def build_kernel_weights(spectral: SpectralData, dt: float) -> KernelWeights:
             for lam, pole in zip(lams, np.exp(lams * dt))
         ]
     else:
-        branches = []
-        filters = []
+        branches, filters, mu = [], [], []
         for w, z in zip(spectral.omega[cols], spectral.zeta[cols]):
-            Q, branch = qmat_structural(w, z, dt)
-            E = scipy.linalg.expm(_block_matrix(w, z) * dt)
-            poles = np.exp(np.array(_oscillator_roots(w, z)) * dt)
-            branches.append(branch)
-            filters.append(_oscillator_filter(E, Q, poles, w))
-        branches = tuple(branches)
-    sos, start = (np.array(f) for f in zip(*filters))
+            branches.append(_regime(w, z))
+            roots = _oscillator_roots(w, z)
+            if z < _ONE_SECTION_ZETA:
+                lam = roots[0]  # -zeta omega + i omega_d
+                q = qvec_general(lam, dt) * (-1j / lam.imag)
+                filters.append(_exponent_filter(q, np.exp(lam * dt)))
+                mu.append(lam / w)
+            else:
+                Q, _ = qmat_structural(w, z, dt)
+                E = scipy.linalg.expm(_block_matrix(w, z) * dt)
+                filters.append(_oscillator_filter(E, Q, np.exp(np.array(roots) * dt), w))
+                mu.append(-1j)
+        branches, mu = tuple(branches), np.array(mu, dtype=complex)
+    sos, start = zip(*filters)
     return KernelWeights(
-        kind=spectral.kind, retained=retained, sos=sos, start=start, branches=branches
+        kind=spectral.kind, retained=retained, sos=sos, start=np.array(start), mu=mu,
+        branches=branches,
     )
 
 
@@ -203,8 +228,8 @@ class Carry:
     propagate_order_newmark) with each following block of the same order
     continues the recursion where the previous block ended; the call
     updates it in place. state is None until the first block has run,
-    then what the propagator needs: the (m, sections, 2) sosfilt state
-    of the retained modes' filters, or for Newmark the last (x, v, a).
+    then what the propagator needs: the list of the retained modes'
+    (sections, 2) sosfilt states, or for Newmark the last (x, v, a).
     """
 
     state: object = None
@@ -215,7 +240,9 @@ def _exponent_filter(q: np.ndarray, pole: complex):
     + q[1] u[k] for one general mode, pole = e^{lambda dt}.
 
     Unstarted, it gives w[0] = q[1] u[0], which the fresh state
-    -start u[0], start = (q[1], 0), cancels.
+    -start u[0], start = (q[1], 0), cancels. An underdamped oscillator
+    runs it on its root lambda+ with q scaled by -i/omega_d (see
+    build_kernel_weights).
     """
     sos = np.array([[q[1], q[0], 0.0, 1.0, -pole, 0.0]])
     return sos, np.array([q[1], 0.0])
@@ -250,40 +277,56 @@ def _oscillator_filter(E: np.ndarray, Q: np.ndarray, poles, omega: float):
 
 
 def _modal_response(
-    spectral: SpectralData, weights: KernelWeights, phi: np.ndarray, carry: Carry
+    spectral: SpectralData,
+    weights: KernelWeights,
+    phi: np.ndarray,
+    carry: Carry,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """project, filter each retained mode, reconstruct: complex on the
     general path, real on the structural one, whose filter outputs go
-    straight into the real (2, m, B) stack that reconstruct takes.
+    straight into the real (2, m, B) stack of positions and velocities
+    over omega that reconstruct takes (into out, if given, on that path).
 
     A fresh carry starts each filter's first section from -start u[0],
     which makes the mode's state zero at the first sample.
     """
     modal_u = spectral.project(phi)  # (m, B)
     if carry.state is None:
-        carry.state = np.zeros(weights.sos.shape[:2] + (2,), dtype=complex)
-        carry.state[:, 0] = -weights.start * modal_u[:, :1]
+        carry.state = [np.zeros((len(sos), 2), dtype=complex) for sos in weights.sos]
+        for zi, start, u0 in zip(carry.state, weights.start, modal_u[:, 0]):
+            zi[0] = -start * u0
     structural = spectral.kind == "structural"
     X = np.empty((2,) + modal_u.shape) if structural else np.empty(modal_u.shape, complex)
-    for j, zi in enumerate(carry.state):
-        y, carry.state[j] = sosfilt(weights.sos[j], modal_u[j], zi=zi)
-        if structural:
+    for j, (sos, zi) in enumerate(zip(weights.sos, carry.state)):
+        y, carry.state[j] = sosfilt(sos, modal_u[j], zi=zi)
+        if not structural:
+            X[j] = y
+        elif len(sos) == 2:
             X[0, j], X[1, j] = y.real, y.imag
         else:
-            X[j] = y
-    return spectral.reconstruct(X)
+            # Re(mu y), elementwise: a matrix product would round it
+            # differently on blocks of other lengths
+            mu = weights.mu[j]
+            X[0, j] = y.real
+            np.multiply(y.imag, -mu.imag, out=X[1, j])
+            X[1, j] += mu.real * X[0, j]
+    return spectral.reconstruct(X, out=out)
 
 
 def _enforce_real(Z: np.ndarray, context: str) -> np.ndarray:
     """The one realness policy of every modal sum: a real Z is returned
     unchanged, a complex one as its real part unless its largest imaginary
-    part exceeds 1e-10 x its largest magnitude (RealnessCheckFailed)."""
+    part exceeds 1e-10 x its largest magnitude (RealnessCheckFailed).
+
+    The largest magnitude is at least the largest real part, so a residue
+    within 1e-10 x the latter passes without the magnitude pass."""
     if not np.iscomplexobj(Z):
         return Z
-    scale = np.abs(Z).max(initial=0.0)
-    if scale > 0.0:
-        resid = np.abs(Z.imag).max()
-        if resid > _REALNESS_TOL * scale:
+    resid = np.abs(Z.imag).max(initial=0.0)
+    if resid > _REALNESS_TOL * np.abs(Z.real).max(initial=0.0):
+        scale = np.abs(Z).max()
+        if scale > 0.0 and resid > _REALNESS_TOL * scale:
             raise RealnessCheckFailed(
                 f"{context}: imaginary residue {resid:.3e} exceeds "
                 f"{_REALNESS_TOL:g} x scale {scale:.3e}"
@@ -296,6 +339,7 @@ def propagate_order(
     weights: KernelWeights,
     phi: np.ndarray,
     carry: Carry | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Propagate one order's inhomogeneity grid to its coefficient grid.
 
@@ -314,11 +358,15 @@ def propagate_order(
         fresh Carry, makes phi the start of the grid (at least 2 samples);
         the blocks' results equal the whole grid's up to the rounding of
         the modal matrix products.
+    out : (state_dim, B) real array, optional
+        Where to write the result, for instance a block of a coefficient
+        tensor's slot; the structural path reconstructs into it with no
+        temporary, with the same bits as a call without out.
 
     Returns
     -------
-    (state_dim, B) real array: _modal_response, one path for both kinds,
-    through _enforce_real, the one realness policy.
+    (state_dim, B) real array (out, if given): _modal_response, one path
+    for both kinds, through _enforce_real, the one realness policy.
     """
     phi = np.asarray(phi)
     carry = Carry() if carry is None else carry
@@ -330,7 +378,13 @@ def propagate_order(
         raise GridMismatch("grid needs at least 2 samples")
     if weights.kind != spectral.kind or tuple(weights.retained) != tuple(spectral.retained):
         raise GridMismatch("weights were built for a different retained set")
-    return _enforce_real(_modal_response(spectral, weights, phi, carry), "modal assembly")
+    if out is not None and out.shape != phi.shape:
+        raise GridMismatch(f"out has shape {out.shape}, expected {phi.shape}")
+    Z = _enforce_real(_modal_response(spectral, weights, phi, carry, out), "modal assembly")
+    if out is None or Z is out:
+        return Z
+    out[...] = Z
+    return out
 
 
 def propagate_order_newmark(

@@ -96,16 +96,17 @@ class SpectralData:
             return self.modal_input[cols] @ phi
         return self.U[:, cols].T @ phi[: self.state_dim // 2]
 
-    def reconstruct(self, X: np.ndarray) -> np.ndarray:
+    def reconstruct(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(state_dim, ...) state of retained modal coordinates: V @ X
         (general), or U @ X[0] and U omega @ X[1] written into the two
         halves for a (2, m, ...) stack of positions and velocities over
-        omega (structural)."""
+        omega (structural); on the structural path the halves are written
+        into out when it is given, and out is returned."""
         cols = list(self.retained)
         if self.kind == "general":
             return self.V[:, cols] @ X
         n = self.state_dim // 2
-        Z = np.empty((2 * n,) + X.shape[2:], dtype=X.dtype)
+        Z = np.empty((2 * n,) + X.shape[2:], dtype=X.dtype) if out is None else out
         np.matmul(self.U[:, cols], X[0], out=Z[:n])
         np.matmul(self.U[:, cols] * self.omega[cols], X[1], out=Z[n:])
         return Z

@@ -192,9 +192,11 @@ class TestComputeTaylor:
         sys_ = _oscillator_of_degrees((3,))
         f = _two_tone(duration=20.0, delta=0.3)
         kw = dict(order=7, backend="qp", base_frequencies=(1.3, 0.45), harmonic_budget=7)
-        a = compute_taylor_gss(sys_, f, **kw)
+        with pytest.warns(HarmonicFitIllConditioned):
+            a = compute_taylor_gss(sys_, f, **kw)
         monkeypatch.setattr(gss, "_decompose", decompose_general)
-        b = compute_taylor_gss(sys_, f, **kw)
+        with pytest.warns(HarmonicFitIllConditioned):
+            b = compute_taylor_gss(sys_, f, **kw)
         assert (a.spectral.kind, b.spectral.kind) == ("structural", "general")
         diff = np.abs(a.tensor.data - b.tensor.data).max()
         assert diff <= 1e-9 * np.abs(a.tensor.data).max()
@@ -439,8 +441,13 @@ def _every_order_live(monkeypatch):
 
 
 def _live_run(system, forcing, backend, order=7):
-    kw = dict(base_frequencies=(1.3, 0.45), harmonic_budget=order) if backend == "qp" else {}
-    return compute_taylor_gss(system, forcing, order=order, backend=backend, **kw)
+    if backend != "qp":
+        return compute_taylor_gss(system, forcing, order=order, backend=backend)
+    # a budget-7 ball on these short records is an ill-conditioned fit, on
+    # purpose: the tests compare paths bit for bit on the same coefficients
+    with pytest.warns(HarmonicFitIllConditioned):
+        return compute_taylor_gss(system, forcing, order=order, backend=backend,
+                                  base_frequencies=(1.3, 0.45), harmonic_budget=order)
 
 
 class TestLiveOrders:

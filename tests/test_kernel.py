@@ -29,7 +29,7 @@ from steadystate.errors import (
     RealnessCheckFailed,
     ZeroEigenvalue,
 )
-from steadystate.kernel import Carry, _block_matrix, _enforce_real
+from steadystate.kernel import _ONE_SECTION_ZETA, Carry, _block_matrix, _enforce_real
 from tests.conftest import random_system
 
 E1 = math.exp(-1.0)
@@ -164,17 +164,22 @@ class TestBuildWeights:
         spec = decompose_general(sys_)
         w = build_kernel_weights(spec, 0.05)
         assert w.kind == "general"
-        assert w.sos.shape == (4, 1, 6)
+        assert [sos.shape for sos in w.sos] == [(1, 6)] * 4
         assert w.start.shape == (4, 2)
-        assert np.abs(-w.sos[:, 0, 4] - np.exp(spec.eigenvalues * 0.05)).max() < 1e-15
+        assert w.mu is None
+        poles = np.array([-sos[0, 4] for sos in w.sos])
+        assert np.abs(poles - np.exp(spec.eigenvalues * 0.05)).max() < 1e-15
 
     def test_structural_fields(self, rng):
         sys_ = random_system(rng, 3, structural=True, n_terms=0)
         spec = decompose_structural(sys_)
         w = build_kernel_weights(spec, 0.05)
         assert w.kind == "structural"
-        assert w.sos.shape == (3, 2, 6)
+        # one section below the zeta cut-over, two from it on
+        sections = [1 if z < _ONE_SECTION_ZETA else 2 for z in spec.zeta]
+        assert [sos.shape for sos in w.sos] == [(k, 6) for k in sections]
         assert w.start.shape == (3, 2)
+        assert w.mu.shape == (3,)
         assert len(w.branches) == 3
 
     def test_retained_subset(self, rng):
@@ -182,7 +187,8 @@ class TestBuildWeights:
         spec = with_retained(decompose_structural(sys_), (0, 2))
         w = build_kernel_weights(spec, 0.05)
         assert w.retained == (0, 2)
-        assert w.sos.shape == (2, 2, 6)
+        sections = [1 if spec.zeta[j] < _ONE_SECTION_ZETA else 2 for j in (0, 2)]
+        assert [sos.shape for sos in w.sos] == [(k, 6) for k in sections]
 
     def test_bad_dt(self, rng):
         sys_ = random_system(rng, 2, structural=True, n_terms=0)
@@ -282,6 +288,27 @@ class TestPropagateOrder:
         with pytest.raises(GridMismatch):
             propagate_order(with_retained(spec, (0,)), w, np.zeros((6, 50)))
 
+    @pytest.mark.parametrize("structural", [True, False], ids=["structural", "general"])
+    def test_out_view_keeps_bits(self, rng, structural):
+        # writing into a strided view (one order's block of a tensor slot)
+        # returns that view with the bits of the call without out, also
+        # across a Carry
+        sys_ = random_system(rng, 3, structural=structural, n_terms=0)
+        spec = decompose_structural(sys_) if structural else decompose_general(sys_)
+        w = build_kernel_weights(spec, 0.02)
+        phi = np.zeros((6, 400))
+        phi[:3] = rng.standard_normal((3, 400))
+        free, carry = Carry(), Carry()
+        tensor = np.full((6, 3, 400), np.nan)
+        for block in (slice(0, 150), slice(150, 400)):
+            want = propagate_order(spec, w, phi[:, block], free)
+            view = tensor[:, 1, block]
+            got = propagate_order(spec, w, phi[:, block], carry, out=view)
+            assert got is view
+            assert np.array_equal(view, want)
+        with pytest.raises(GridMismatch):
+            propagate_order(spec, w, phi, out=tensor[:, 0, :-1])
+
     def test_linearity(self, rng):
         sys_ = random_system(rng, 2, structural=True, n_terms=0)
         spec = decompose_structural(sys_)
@@ -338,7 +365,10 @@ def _one_general_mode(lam):
 
 class TestStructuralRecursion:
     @pytest.mark.parametrize(
-        "zeta", [1e-3, 0.05, 0.5, 0.9999, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 1.001, 1.5, 10.0]
+        "zeta",
+        # 0.98 and 0.989 run one section, 0.99 and above two
+        [1e-3, 0.05, 0.5, 0.98, 0.989, 0.99, 0.995, 0.9999, 1.0 - 1e-7, 1.0, 1.0 + 1e-7,
+         1.001, 1.5, 10.0],
     )
     @pytest.mark.parametrize("omega_dt", [1e-4, 1e-3, 1e-2, 0.1, 1.0])
     def test_matches_longdouble_recursion(self, zeta, omega_dt):
@@ -396,18 +426,35 @@ class TestScalarRecursion:
             assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
+def _mixed_chain():
+    """Uncoupled oscillators on both sides of the one-section cut-over:
+    zeta 0.05 and 0.5 run one section, 0.995 and 1 two; the identity mode
+    shapes keep every modal product exact."""
+    return SpectralData(
+        kind="structural",
+        state_dim=8,
+        retained=(0, 1, 2, 3),
+        omega=np.array([2.0, 30.0, 5.0, 12.0]),
+        zeta=np.array([0.05, 0.5, 0.995, 1.0]),
+        U=np.eye(4),
+    )
+
+
 class TestBlockedFilters:
     @pytest.mark.parametrize(
         "spec,dt",
-        [(_one_oscillator(2.0, 0.05), 0.01), (_one_general_mode(-5.0 + 200.0j), 0.01)],
-        ids=["structural", "general"],
+        [(_one_oscillator(2.0, 0.05), 0.01), (_one_general_mode(-5.0 + 200.0j), 0.01),
+         (_mixed_chain(), 0.01)],
+        ids=["structural", "general", "mixed"],
     )
     def test_two_blocks_equal_one_pass(self, spec, dt):
         # one Carry across a split of the 1,500 samples gives the
         # one-pass result bit for bit
         w = build_kernel_weights(spec, dt)
+        if spec.state_dim == 8:
+            assert [len(sos) for sos in w.sos] == [1, 1, 2, 2]
         rng = np.random.default_rng(7)
-        phi = rng.standard_normal((2, 1500))
+        phi = rng.standard_normal((spec.state_dim, 1500))
         whole = propagate_order(spec, w, phi)
         carry = Carry()
         blocks = [propagate_order(spec, w, phi[:, :611], carry),
@@ -473,6 +520,44 @@ class TestRealness:
         Z = np.ones((2, 4)) + 1e-3j
         with pytest.raises(RealnessCheckFailed):
             _enforce_real(Z, "test")
+
+    @staticmethod
+    def _hypot_rule(Z):
+        """The policy as first written: one magnitude pass over Z."""
+        scale = np.abs(Z).max(initial=0.0)
+        if scale > 0.0:
+            resid = np.abs(Z.imag).max()
+            if resid > 1e-10 * scale:
+                raise RealnessCheckFailed(
+                    f"test: imaginary residue {resid:.3e} exceeds 1e-10 x scale {scale:.3e}"
+                )
+        return np.ascontiguousarray(Z.real)
+
+    @pytest.mark.parametrize("case", [
+        np.zeros((2, 3), complex),
+        np.array([[1.0 + 1e-10j, 0.5]]),
+        np.array([[1.0 + 1.0000001e-10j, 0.5]]),
+        np.array([[1.0, 3.0 + 2.9999999e-10j]]),
+        np.array([[0.0, 1e-300j]]),
+        np.array([[1.0, 1j]]),
+        np.array([[np.nan, 1.0 + 1j]]),
+        np.array([[1.0, complex(0.0, np.nan)]]),
+        np.array([[np.inf, 1.0 + 1j]]),
+        np.array([[1e308 + 1e308j, 1e308 - 1e308j]]),
+        np.array([[1.7e308 + 1.7e308j]]),
+    ], ids=["zeros", "at-bound", "above-bound", "below-bound", "imaginary", "failing",
+            "nan-real", "nan-imag", "inf", "large", "magnitude-overflows"])
+    def test_same_verdicts_as_hypot_rule(self, case):
+        try:
+            want = self._hypot_rule(case)
+        except RealnessCheckFailed as exc:
+            with pytest.raises(RealnessCheckFailed) as caught:
+                _enforce_real(case, "test")
+            assert str(caught.value) == str(exc)
+        else:
+            got = _enforce_real(case, "test")
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 def _general_2dof():
