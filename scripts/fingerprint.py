@@ -15,10 +15,12 @@ stored; a tensor that stores every order hashes as its data array.
 --save writes the outputs to an .npz; --against reads one saved from
 another checkout and adds to each line the largest absolute difference
 over the saved output's largest magnitude (or says the output is not
-in the file).
+in the file). --only NAME[,NAME...] computes, prints, saves and compares
+only the named outputs, running only the workloads they come from.
 
     python3 scripts/fingerprint.py --save before.npz
     python3 scripts/fingerprint.py --against before.npz
+    python3 scripts/fingerprint.py --only frc-chain --against before.npz
 
 The chain-noise tensor alone is about 310 MiB, so a run holds a few times
 that; --against compares in slices of the time axis to stay near it.
@@ -43,31 +45,49 @@ import numpy as np  # noqa: E402
 from perfbench import workloads  # noqa: E402
 from steadystate import gss  # noqa: E402
 
-TENSORS = ("chain-noise", "duffing-critical", "dashpot-roundtrip")
+# the outputs of each workload, in the order they are printed
+OUTPUTS = {
+    "chain-noise": ("chain-noise",),
+    "duffing-critical": ("duffing-critical",),
+    "dashpot-roundtrip": (
+        "dashpot-roundtrip", "dashpot-pade-den", "dashpot-pade-num", "dashpot-evaluate",
+    ),
+    "frc-chain": ("frc-chain",),
+}
+ALL = [name for made in OUTPUTS.values() for name in made]
 SLICE = 8192
 
 
-def outputs():
-    """(name, array) of every fingerprinted output, computed one at a time."""
-    for name in TENSORS + ("frc-chain",):
-        work = workloads.WORKLOADS[name]
-        spec = work.spec("full")
-        inputs = work.setup(spec, 0)
-        if name == "frc-chain":
-            yield name, np.asarray(workloads.sweep(inputs, spec, 1).amplitude)
-        else:
-            expansion = workloads.quiet(
-                gss.compute_taylor_gss, inputs["system"], inputs["forcing"], spec["order"]
-            )
-            tensor = expansion.tensor
-            orders = range(1, tensor.order_max + 1)
-            yield name, np.stack([tensor.order_slice(nu) for nu in orders], axis=1)
-            if name == "dashpot-roundtrip":
-                pade = gss.pade_resum(expansion, *spec["pade"])
-                yield "dashpot-pade-den", pade.den
-                yield "dashpot-pade-num", pade.num
-                delta = inputs["forcing"].max_magnitude
-                yield "dashpot-evaluate", gss.evaluate_at_amplitude(expansion, delta)
+def _workload_outputs(name):
+    """(name, array) of every output of one workload, one at a time."""
+    work = workloads.WORKLOADS[name]
+    spec = work.spec("full")
+    inputs = work.setup(spec, 0)
+    if name == "frc-chain":
+        yield name, np.asarray(workloads.sweep(inputs, spec, 1).amplitude)
+        return
+    expansion = workloads.quiet(
+        gss.compute_taylor_gss, inputs["system"], inputs["forcing"], spec["order"]
+    )
+    tensor = expansion.tensor
+    orders = range(1, tensor.order_max + 1)
+    yield name, np.stack([tensor.order_slice(nu) for nu in orders], axis=1)
+    if name == "dashpot-roundtrip":
+        pade = gss.pade_resum(expansion, *spec["pade"])
+        yield "dashpot-pade-den", pade.den
+        yield "dashpot-pade-num", pade.num
+        delta = inputs["forcing"].max_magnitude
+        yield "dashpot-evaluate", gss.evaluate_at_amplitude(expansion, delta)
+
+
+def outputs(names=None):
+    """(name, array) of the fingerprinted outputs in names (default:
+    all), computed one at a time; a workload runs only if it makes one
+    of them."""
+    names = set(names or ALL)
+    for workload, made in OUTPUTS.items():
+        if not names.isdisjoint(made):
+            yield from ((n, a) for n, a in _workload_outputs(workload) if n in names)
 
 
 def relative_difference(a, b):
@@ -87,10 +107,17 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--save", metavar="NPZ", help="write the outputs to this .npz")
     parser.add_argument("--against", metavar="NPZ", help="compare with outputs saved here")
+    parser.add_argument(
+        "--only", metavar="NAME[,NAME...]", help="fingerprint only these outputs"
+    )
     args = parser.parse_args(argv)
+    names = args.only.split(",") if args.only else None
+    unknown = sorted(set(names or ()) - set(ALL))
+    if unknown:
+        parser.error(f"unknown outputs {unknown}; choose from {ALL}")
     saved = np.load(args.against) if args.against else None
     kept = {}
-    for name, array in outputs():
+    for name, array in outputs(names):
         digest = hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
         line = f"{name:18s} {digest}  shape {array.shape}"
         if saved is not None and name not in saved:

@@ -126,6 +126,17 @@ def _rossler_series(duration, dt, seed, components, skip_time=100.0):
     return out
 
 
+def _target_dofs(dofs, n):
+    """The forced dofs as a list of ints, every dof for None; raises
+    InvalidParameters unless each one is an integer in 0..n-1."""
+    if dofs is None:
+        return list(range(n))
+    targets = list(dofs)
+    if not all(isinstance(d, numbers.Integral) and 0 <= d < n for d in targets):
+        raise InvalidParameters(f"dofs {targets!r} must be integers in 0..{n - 1}")
+    return [int(d) for d in targets]
+
+
 def generate_forcing(
     kind: str,
     n: int,
@@ -140,7 +151,8 @@ def generate_forcing(
     """Reproducible forcing grids on a uniform grid of step dt.
 
     kind: 'chirp', 'filtered_gaussian', 'rossler', or 'two_tone'. dofs
-    selects the target indices (default: all); other columns are zero.
+    selects the target indices (default: all), integers in 0..n-1;
+    other columns are zero.
     seed, a non-negative integer or None, seeds the random kinds.
     duration is the unpadded signal length in time units; pad leading
     zero rows are prepended by the signal container; a grid of over
@@ -158,9 +170,7 @@ def generate_forcing(
     if n < 1 or not 0 < duration < np.inf:
         raise InvalidParameters(f"need n >= 1 and a finite duration > 0, got {n}, {duration}")
     _check_dt(dt)
-    targets = list(range(n)) if dofs is None else [int(d) for d in dofs]
-    if any(not 0 <= d < n for d in targets):
-        raise InvalidParameters(f"dofs {targets} outside 0..{n - 1}")
+    targets = _target_dofs(dofs, n)
     if seed is not None and seed < 0:
         raise InvalidParameters(f"seed must be a non-negative integer, got {seed}")
     if not duration / dt < 2**31:  # 16 GiB a column, refused before allocating
@@ -252,12 +262,11 @@ def _frc_point(system, omega, delta, order, harmonic_budget, resonance_tol, dofs
     period of _FRC_SAMPLES_PER_PERIOD samples, endpoint excluded. The
     'qp' orbit is exactly periodic, so no transient period precedes it,
     and on this grid the harmonic fit is the exact discrete Fourier
-    transform."""
+    transform. dofs lists the forced dofs."""
     dt = 2.0 * np.pi / omega / _FRC_SAMPLES_PER_PERIOD
     t = dt * np.arange(_FRC_SAMPLES_PER_PERIOD)
     samples = np.zeros((_FRC_SAMPLES_PER_PERIOD, system.n))
-    targets = list(range(system.n)) if dofs is None else list(dofs)
-    for d in targets:
+    for d in dofs:
         samples[:, d] = delta * np.sin(omega * t)
     forcing = load_forcing(samples, dt=dt)
     expansion = compute_taylor_gss(
@@ -289,13 +298,22 @@ def frc_sweep(
     samples, and a closed-form quasiperiodic solve at the given order;
     points that trip the resonance guard are flagged and reported as NaN
     rather than aborting the sweep. Results are assembled by grid index,
-    so the output is identical for any thread count. A harmonic_budget
-    of 128 or more raises InvalidParameters: its 2 budget + 1 harmonics
+    so the output is identical for any thread count. dofs selects the
+    forced dofs (default: all), integers in 0..n-1.
+
+    Raises InvalidParameters before any point is solved unless every
+    frequency is finite and > 0, delta is finite and the dofs are valid,
+    and for a harmonic_budget of 128 or more: its 2 budget + 1 harmonics
     would not all be told apart on 256 samples.
     """
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
-    if np.any(omega_grid <= 0):
-        raise InvalidParameters("forcing frequencies must be positive")
+    if not np.all(np.isfinite(omega_grid) & (omega_grid > 0)):
+        raise InvalidParameters(
+            f"omega_grid must hold finite frequencies > 0, got {omega_grid.tolist()}"
+        )
+    if not np.isfinite(delta):
+        raise InvalidParameters(f"delta must be finite, got {delta!r}")
+    dofs = _target_dofs(dofs, system.n)
     if threads < 1:
         raise InvalidParameters("threads must be >= 1")
     # on the period's samples, harmonics k and k +- 256 are one column of

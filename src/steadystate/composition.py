@@ -21,6 +21,18 @@ coefficient of the product along the expansion is
 and H = 0 whenever nu < d (each factor contributes at least order one).
 Phi_nu is then one contraction per order, C @ stack(H) over the terms.
 
+The recursion runs on a batch of factor lists of one degree at a time,
+as the columns of their (rows, d) factor matrix: the pivot column picks
+rows of the order's grid (a slice when they are consecutive), and each
+product multiplies (rows, length) arrays, so a batch costs the NumPy
+calls of one factor list. Every row is computed by the same operations
+in the same order as on its own, so batching changes no bit.
+compose_field batches up to max(1, _BATCH_SAMPLES // length) rows: on
+the 'qp' backend's few harmonics a field's whole degree runs as one
+batch and the per-call overhead is paid once per order, while a time
+block of 8,192 samples stays at one row per product, since there a batch
+of rows would only push the products out of cache.
+
 Not every order is reached. Order 1 is live; order nu >= 2 is live iff
 nu is a sum of d live orders for some monomial degree d of the field
 that drives the cascade, since a product of d factors can be nonzero
@@ -36,15 +48,17 @@ no slot for them, and they read as zeros.
 
 The recursion only multiplies and adds what component returns, and the
 multiplication is a parameter: elementwise on time grids (the default),
-a truncated convolution on harmonic coefficient arrays (the 'qp'
-backend, where a product of Fourier series convolves their
-coefficients). Every product below the top degree (what is left after
-peeling a first factor) is cached once per order and shared by all
-monomials ending in it, across all orders of one time block.
+a truncated convolution along the last axis of harmonic coefficient
+arrays (the 'qp' backend, where a product of Fourier series convolves
+their coefficients). Every product below the top degree (what is left of
+a batch after peeling its pivot column) is cached once per order and
+shared by every batch ending in the same columns, across all orders of
+one time block.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 
@@ -60,6 +74,11 @@ __all__ = [
     "compose_field",
     "assemble_phi",
 ]
+
+# samples per composition product: compose_field batches up to
+# max(1, _BATCH_SAMPLES // length) rows of one degree into a product, so
+# a time block of 8,192 samples keeps one row per product
+_BATCH_SAMPLES = 8192
 
 
 @dataclass
@@ -187,8 +206,9 @@ class CoefficientTensor:
         return self._grids[nu]
 
     def component(self, i, nu):
-        """Row i of order nu (its whole grid for i = slice(None)); the
-        lookup the composition recursion uses.
+        """Rows i of order nu (an int, a slice or an index array; its
+        whole grid for i = slice(None)); the lookup the composition
+        recursion uses.
 
         It does not validate nu: an unfilled order reads its slot as
         allocated (zeros) or as a previous block left it, an order
@@ -222,13 +242,15 @@ class CompositionCache:
     the live orders, see reaches. The default, one quadratic degree,
     makes every order live and skips nothing.
 
-    Only what is left of a monomial after peeling its first factor
-    (degree < max_degree) is kept: the top-degree products are consumed
-    exactly once, so storing them would only cost memory. hits / misses
-    count lookups of cacheable entries. A cache is tied to the
-    coefficient grids it was filled from, and to the field if its forms
-    are not the identity (its products are over that field's forms);
-    never reuse one across tensors or such fields without clear().
+    The store is keyed by a batch's factor columns and order (see
+    _product). Only what is left of a batch after peeling its pivot
+    column (degree < max_degree) is kept: the top-degree products are
+    consumed exactly once, so storing them would only cost memory.
+    hits / misses count lookups of cacheable entries, one per batch. A
+    cache is tied to the coefficient grids it was filled from, and to
+    the field if its forms are not the identity (its products are over
+    that field's forms); never reuse one across tensors or such fields
+    without clear().
     compute_taylor_gss keeps one cache for the run and clears it at each
     time block, so its products and form grids are block-length.
     """
@@ -292,8 +314,9 @@ class CompositionCache:
 def assemble_H(gamma, nu, component, length, cache, dtype=float):
     """Order-nu coefficient grid of the monomial with exponent vector gamma.
 
-    component(i, m) must return the (length,) grid of state entry i at
-    order m, for any 1 <= m <= nu - |gamma| + 1.
+    component(i, m) must return rows i (a slice or an index array) of
+    the (., length) grid of order m, for any 1 <= m <= nu - |gamma| + 1.
+    The one-row batch of the recursion (_product).
     """
     gamma = tuple(int(g) for g in gamma)
     if any(g < 0 for g in gamma):
@@ -303,21 +326,42 @@ def assemble_H(gamma, nu, component, length, cache, dtype=float):
         raise DimensionMismatch("monomial must have positive degree")
     if not cache.reaches(len(factors), nu):
         return np.zeros(length, dtype=dtype)
-    return _product(factors, nu, component, cache)
+    return _product(tuple((f,) for f in factors), nu, component, cache)[0]
 
 
-def _product(factors, nu, component, cache, product=operator.mul):
-    """H[factors, nu] where cache.reaches(len(factors), nu): peel
-    factors[0] and recurse on the rest, over the splits (a, nu - a) at
+@functools.lru_cache(maxsize=1024)
+def _rows(column):
+    """The index of a factor column's rows: a slice when they are
+    consecutive and ascending, so component returns a view, else a
+    read-only index array (it is shared by every caller)."""
+    first = column[0]
+    if column == tuple(range(first, first + len(column))):
+        return slice(first, first + len(column))
+    index = np.array(column, dtype=np.intp)
+    index.flags.writeable = False
+    return index
+
+
+def _product(columns, nu, component, cache, product=operator.mul):
+    """H[factors, nu] of a batch of factor lists of one degree d =
+    len(columns), shape (rows, length), where cache.reaches(d, nu).
+
+    columns[c] holds factor c of every list of the batch, so row r is
+    H[(columns[0][r], ..., columns[d-1][r]), nu]. Peel the pivot column
+    columns[0] and recurse on the rest, over the splits (a, nu - a) at
     which both the rest's product and the pivot's order can be nonzero
-    (cache.splits); the others would add exact zeros. product multiplies
-    two of what component returns."""
-    pivot, rest = factors[0], factors[1:]
+    (cache.splits); the others would add exact zeros. The pivot selects
+    rows of each order's grid (_rows). product multiplies two of what
+    component returns, row by row; each row gets the operations of its
+    factor list alone, in the same order, so its bits do not depend on
+    the batch. The cache keys an entry by (columns, nu).
+    """
+    pivot, rest = _rows(columns[0]), columns[1:]
     if not rest:
-        return np.asarray(component(pivot, nu))
+        return component(pivot, nu)
 
-    cacheable = len(factors) < cache.max_degree
-    key = (factors, nu)
+    cacheable = len(columns) < cache.max_degree
+    key = (columns, nu)
     if cacheable:
         got = cache._store.get(key)
         if got is not None:
@@ -337,7 +381,7 @@ def _product(factors, nu, component, cache, product=operator.mul):
 
 
 def _form_component(forms, component, cache):
-    """component over the forms y = forms @ z: row k of y_m, where y_m =
+    """component over the forms y = forms @ z: rows k of y_m, where y_m =
     forms @ z_m is computed from order m's whole grid,
     component(slice(None), m), once per order and kept in cache._forms
     until the cache is cleared."""
@@ -352,6 +396,24 @@ def _form_component(forms, component, cache):
     return form
 
 
+@functools.lru_cache(maxsize=256)
+def _batches(factors, degrees, size):
+    """The plan of compose_field for the terms whose degree is in
+    degrees: (live, batches), live the indices of those terms in term
+    order and batches a (rows, columns) pair per product, rows the
+    positions in live of up to size terms of one degree (a slice when
+    consecutive) and columns their factor lists' columns. Terms of one
+    degree batch in term order."""
+    live = tuple(k for k, f in enumerate(factors) if len(f) in degrees)
+    batches = []
+    for d in degrees:
+        positions = [p for p, k in enumerate(live) if len(factors[k]) == d]
+        for s in range(0, len(positions), size):
+            chunk = tuple(positions[s : s + size])
+            batches.append((_rows(chunk), tuple(zip(*(factors[live[p]] for p in chunk)))))
+    return live, tuple(batches)
+
+
 def compose_field(
     fld: PolynomialField, component, nu, length, cache, dtype=float, product=operator.mul
 ):
@@ -363,20 +425,23 @@ def compose_field(
     forms @ z_m otherwise (component(slice(None), m) must then return
     order m's whole grid). Terms whose degree cannot reach nu (see
     CompositionCache.reaches) contribute nothing and are skipped; the
-    others' products H are stacked in the field's term order, and the
+    others run in batches of one degree and up to
+    max(1, _BATCH_SAMPLES // length) terms (see the module docstring),
+    their products H are stacked in the field's term order, and the
     result is one contraction C @ H with the coefficient matrix, so the
-    floating point result is deterministic.
-    product is handed to the recursion (see _product).
+    floating point result is deterministic and does not depend on the
+    batches. product is handed to the recursion (see _product).
     """
-    live = [k for k, f in enumerate(fld._factors) if cache.reaches(len(f), nu)]
-    if not live:
+    degrees = tuple(d for d in fld.degrees if cache.reaches(d, nu))
+    if not degrees:
         return np.zeros((fld.out_dim, length), dtype=dtype)
     if fld.forms is not None:
         component = _form_component(fld.forms, component, cache)
+    live, batches = _batches(fld._factors, degrees, max(1, _BATCH_SAMPLES // length))
     H = np.empty((len(live), length), dtype=dtype)
-    for row, k in zip(H, live):
-        row[...] = _product(fld._factors[k], nu, component, cache, product)
-    coef = fld._coef if len(live) == fld.n_terms else fld._coef[:, live]
+    for rows, columns in batches:
+        H[rows] = _product(columns, nu, component, cache, product)
+    coef = fld._coef if len(live) == fld.n_terms else fld._coef[:, list(live)]
     return np.matmul(coef, H, out=np.empty((fld.out_dim, length), dtype=dtype))
 
 

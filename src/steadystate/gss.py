@@ -67,7 +67,7 @@ from .model import ForcingSignal, MechanicalSystem, ReducedModel
 from .spectral import (
     _STABILITY_TOL,
     SpectralData,
-    _oscillator_roots,
+    _oscillator_root_pairs,
     decompose_general,
     decompose_structural,
     select_modes,
@@ -137,10 +137,12 @@ def _harmonic_ball(dims: int, budget: int):
 def _lattice_product(dims: int, budget: int):
     """The product of two Fourier series on _harmonic_ball(dims, budget).
 
-    Returns product(a, b) for (K,) coefficient arrays on the ball: out[l]
-    sums a[i] b[j] over the index pairs with k_i + k_j = k_l, and sums
-    that leave the ball are dropped (a truncated lattice convolution).
-    Built once per (dims, budget).
+    Returns product(a, b) for (..., K) coefficient arrays on the ball,
+    along the last axis: out[..., l] sums a[..., i] b[..., j] over the
+    index pairs with k_i + k_j = k_l, and sums that leave the ball are
+    dropped (a truncated lattice convolution). Each row is summed as on
+    its own, so a batch of rows (see composition._product) keeps every
+    row's bits. Built once per (dims, budget).
     """
     ks = _harmonic_ball(dims, budget)
     index = {k: l for l, k in enumerate(ks)}
@@ -154,7 +156,7 @@ def _lattice_product(dims: int, budget: int):
     starts = np.flatnonzero(np.diff(out, prepend=-1))
 
     def product(a, b):
-        return np.add.reduceat(a[left] * b[right], starts)
+        return np.add.reduceat(a[..., left] * b[..., right], starts, axis=-1)
 
     return product
 
@@ -238,7 +240,8 @@ class _HarmonicOrbit:
     composes only live lower orders, which _qp_propagate has written.
     product multiplies two coefficient rows. kappas are the ball's
     frequencies and phases the (K, T) matrix exp(i kappa t) on the
-    output grid.
+    output grid. denominators and velocity are the retained modes'
+    transfer at each kappa (_modal_transfer), built once per solve.
     """
 
     Omega: np.ndarray
@@ -249,6 +252,22 @@ class _HarmonicOrbit:
     product: object
     kappas: np.ndarray
     phases: np.ndarray
+    denominators: np.ndarray
+    velocity: np.ndarray | None
+
+
+def _modal_transfer(spectral, kappas):
+    """The retained modes' transfer at each harmonic: (denominators,
+    velocity) as (m, K) arrays. A modal input u maps to u / denominators,
+    with denominators i kappa - lambda on the general path (velocity
+    None), and omega^2 - kappa^2 + 2i zeta omega kappa on the structural
+    one, where that is the oscillator's position and velocity = i kappa /
+    omega times it is its velocity over omega."""
+    retained = list(spectral.retained)
+    if spectral.kind == "general":
+        return 1j * kappas - spectral.eigenvalues[retained, None], None
+    w, z = spectral.omega[retained, None], spectral.zeta[retained, None]
+    return w * w - kappas * kappas + 2j * z * w * kappas, 1j * kappas / w
 
 
 def _qp_propagate(spectral, phi, nu, orbit):
@@ -264,14 +283,13 @@ def _qp_propagate(spectral, phi, nu, orbit):
     composed from lower orders by lattice convolution. The kernel's
     modal pair maps them: project, the modal transfer at each kappa
     (1/(i kappa - lambda), or (1, i kappa/omega)/(omega^2 - kappa^2 +
-    2i zeta omega kappa) for an oscillator), reconstruct into
-    orbit.coeffs; the orbit on the grid takes the kernel's realness
-    policy (_enforce_real).
+    2i zeta omega kappa) for an oscillator, built once per solve in
+    the orbit), reconstruct into orbit.coeffs; the orbit on the
+    grid takes the kernel's realness policy (_enforce_real).
 
     With forcing on sum |k_i| <= 1, order nu only reaches sum |k_i| <= nu,
     so the orbit is exact while the budget is at least the order.
     """
-    retained = list(spectral.retained)
     if nu == 1:
         forced = np.flatnonzero(phi[: spectral.state_dim // 2].any(axis=1))
         window = slice(orbit.fit_from, None)
@@ -283,14 +301,8 @@ def _qp_propagate(spectral, phi, nu, orbit):
         forcing = 0.5 * (forcing + forcing[:, ::-1].conj())
         phi = np.zeros((spectral.state_dim, len(orbit.kappas)), dtype=complex)
         phi[forced] = forcing
-    kappas = orbit.kappas
-    u = spectral.project(phi)  # (m, K)
-    if spectral.kind == "general":
-        X = u / (1j * kappas - spectral.eigenvalues[retained, None])
-    else:
-        w, z = spectral.omega[retained, None], spectral.zeta[retained, None]
-        r = u / (w * w - kappas * kappas + 2j * z * w * kappas)
-        X = np.stack([r, (1j * kappas / w) * r])
+    r = spectral.project(phi) / orbit.denominators  # (m, K)
+    X = r if orbit.velocity is None else np.stack([r, orbit.velocity * r])
     Z = spectral.reconstruct(X)
     orbit.coeffs.insert_slice(nu, Z)
     return _enforce_real(Z @ orbit.phases, "qp modal assembly")
@@ -309,8 +321,7 @@ def _qp_guard(spectral, kappas, resonance_tol):
         roots, scales = lams[:, None], np.abs(lams)
     else:
         w, z = spectral.omega[retained], spectral.zeta[retained]
-        roots = np.array([_oscillator_roots(*wz) for wz in zip(w, z)], dtype=complex)
-        roots, scales = roots.reshape(len(retained), 2), w
+        roots, scales = _oscillator_root_pairs(w, z), w
     tol = resonance_tol if resonance_tol is not None else 1e-6 * scales
     dist = np.abs(1j * kappas[None, :, None] - roots[:, None, :]).min(axis=2)  # (modes, K)
     nearest = dist.argmin(axis=1)
@@ -470,6 +481,7 @@ def compute_taylor_gss(
         kappas = _ball_frequencies(Omega, harmonic_budget)
         _qp_guard(spectral, kappas, resonance_tol)
         times = forcing.times()
+        denominators, velocity = _modal_transfer(spectral, kappas)
         orbit = _HarmonicOrbit(
             Omega=Omega,
             budget=harmonic_budget,
@@ -482,6 +494,8 @@ def compute_taylor_gss(
             product=_lattice_product(len(Omega), harmonic_budget),
             kappas=kappas,
             phases=np.exp(1j * np.outer(kappas, times)),
+            denominators=denominators,
+            velocity=velocity,
         )
 
     def compose(window, nu, normalized):
@@ -717,9 +731,10 @@ def evaluate_pade(pade: PadeGss, delta: float) -> np.ndarray:
 
     delta must be finite (InvalidParameters otherwise). The numerator is
     the power contraction of evaluate_at_amplitudes over the L numerator
-    grids. Raises DenominatorNearZero when any coordinate's denominator
-    magnitude falls below 1e-8 at this amplitude (a pole of the fit; the
-    offending coordinate index is attached).
+    grids, divided by the denominators in place, so the call allocates
+    one (dim, T) array. Raises DenominatorNearZero when any coordinate's
+    denominator magnitude falls below 1e-8 at this amplitude (a pole of
+    the fit; the offending coordinate index is attached).
     """
     s = _amplitudes([delta]) / pade.sigma
     numerator = _power_sum(s, range(1, pade.L + 1), pade.num)[:, 0]
@@ -733,7 +748,8 @@ def evaluate_pade(pade: PadeGss, delta: float) -> np.ndarray:
             coordinate=worst,
             delta=float(delta),
         )
-    return numerator / denominator[:, None]
+    numerator /= denominator[:, None]
+    return numerator
 
 
 def reduced_gss(

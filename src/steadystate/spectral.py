@@ -25,6 +25,7 @@ zeta_j = (c_M + c_K omega_j^2) / (2 omega_j).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -79,22 +80,29 @@ class SpectralData:
         """Per unit, retained or not, the slowest real part (closest to zero)."""
         if self.kind == "general":
             return self.eigenvalues.real.copy()
-        return np.array(
-            [max(r.real for r in _oscillator_roots(w, z)) for w, z in zip(self.omega, self.zeta)]
-        )
+        return _oscillator_root_pairs(self.omega, self.zeta)[:, 0].real
 
     @property
     def gamma(self) -> float:
         """max_j 1 / |Re lambda_j| over every mode, retained or not."""
         return float(np.max(1.0 / np.abs(self.slow_real_parts())))
 
+    @cached_property
+    def _maps(self):
+        """The retained columns of the modal pair, built once per
+        instance: (modal_input rows, V columns) on the general path, (U
+        columns, U columns times omega) on the structural one."""
+        cols = list(self.retained)
+        if self.kind == "general":
+            return self.modal_input[cols], self.V[:, cols]
+        return self.U[:, cols], self.U[:, cols] * self.omega[cols]
+
     def project(self, phi: np.ndarray) -> np.ndarray:
         """(m, ...) modal inputs of the retained units: modal_input @ phi
         (general), U^T @ phi[:n], the force block (structural)."""
-        cols = list(self.retained)
         if self.kind == "general":
-            return self.modal_input[cols] @ phi
-        return self.U[:, cols].T @ phi[: self.state_dim // 2]
+            return self._maps[0] @ phi
+        return self._maps[0].T @ phi[: self.state_dim // 2]
 
     def reconstruct(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(state_dim, ...) state of retained modal coordinates: V @ X
@@ -102,25 +110,37 @@ class SpectralData:
         halves for a (2, m, ...) stack of positions and velocities over
         omega (structural); on the structural path the halves are written
         into out when it is given, and out is returned."""
-        cols = list(self.retained)
         if self.kind == "general":
-            return self.V[:, cols] @ X
+            return self._maps[1] @ X
         n = self.state_dim // 2
         Z = np.empty((2 * n,) + X.shape[2:], dtype=X.dtype) if out is None else out
-        np.matmul(self.U[:, cols], X[0], out=Z[:n])
-        np.matmul(self.U[:, cols] * self.omega[cols], X[1], out=Z[n:])
+        positions, velocities = self._maps
+        np.matmul(positions, X[0], out=Z[:n])
+        np.matmul(velocities, X[1], out=Z[n:])
         return Z
 
 
 def _oscillator_roots(omega: float, zeta: float):
-    if zeta < 1.0:
-        wd = omega * np.sqrt(1.0 - zeta * zeta)
-        return (
-            complex(-zeta * omega, wd),
-            complex(-zeta * omega, -wd),
-        )
-    s = omega * np.sqrt(zeta * zeta - 1.0)
-    return (complex(-zeta * omega + s), complex(-zeta * omega - s))
+    """The two roots of s^2 + 2 zeta omega s + omega^2, the slower first:
+    the one-oscillator case of _oscillator_root_pairs."""
+    return tuple(complex(r) for r in _oscillator_root_pairs(omega, zeta))
+
+
+def _oscillator_root_pairs(omega: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """The roots of every oscillator (omega, zeta) at once, shape
+    omega.shape + (2,): -zeta omega +- i omega sqrt(1 - zeta^2) below
+    critical damping, -zeta omega +- omega sqrt(zeta^2 - 1) from it on.
+    Column 0 holds the root with the larger real part (the slower one)."""
+    omega, zeta = np.asarray(omega, dtype=float), np.asarray(zeta, dtype=float)
+    under = zeta < 1.0
+    center = -zeta * omega
+    spread = omega * np.sqrt(np.where(under, 1.0 - zeta * zeta, zeta * zeta - 1.0))
+    roots = np.empty(omega.shape + (2,), dtype=complex)
+    roots.real[..., 0] = np.where(under, center, center + spread)
+    roots.real[..., 1] = np.where(under, center, center - spread)
+    roots.imag[..., 0] = np.where(under, spread, 0.0)
+    roots.imag[..., 1] = np.where(under, -spread, 0.0)
+    return roots
 
 
 def _sign_fix(v: np.ndarray) -> np.ndarray:
@@ -263,11 +283,9 @@ def decompose_structural(system: MechanicalSystem) -> SpectralData:
         raise UnstableLinearPart(
             f"modal damping ratio {zeta.min():.3e} <= 0; system is not asymptotically stable"
         )
-    for j in range(U.shape[1]):
-        col = U[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        if col[idx] < 0.0:
-            U[:, j] = -col
+    # each mode's sign: its largest-magnitude entry positive
+    flip = U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])] < 0.0
+    U[:, flip] = -U[:, flip]
     return SpectralData(
         kind="structural",
         state_dim=system.state_dim,
@@ -289,11 +307,9 @@ def select_modes(spectral: SpectralData, dt: float, eps: float = 1e-3) -> tuple:
         raise InvalidParameters(f"eps must lie in (0, 1), got {eps}")
     _check_dt(dt)
     reals = spectral.slow_real_parts()
-    keep = [j for j, r in enumerate(reals) if np.exp(dt * r) > eps]
-    slowest = int(np.argmax(reals))
-    if slowest not in keep:
-        keep.append(slowest)
-    return tuple(sorted(keep))
+    keep = np.exp(dt * reals) > eps
+    keep[np.argmax(reals)] = True
+    return tuple(np.flatnonzero(keep).tolist())
 
 
 def with_retained(spectral: SpectralData, retained: tuple) -> SpectralData:

@@ -181,9 +181,10 @@ class TestGenerateForcing:
         for dt in (0.0, float("nan"), float("inf")):
             with pytest.raises(InvalidParameters):
                 generate_forcing("two_tone", n=1, duration=1.0, dt=dt, delta=1.0)
-        with pytest.raises(InvalidParameters):
-            generate_forcing("two_tone", n=2, duration=1.0, dt=0.1, delta=1.0,
-                             dofs=(2,))
+        for dofs in [(2,), (-1,), (0.5,), ("x",)]:
+            with pytest.raises(InvalidParameters, match="dofs"):
+                generate_forcing("two_tone", n=2, duration=1.0, dt=0.1, delta=1.0,
+                                 dofs=dofs)
         with pytest.raises(InvalidParameters):
             generate_forcing("sawtooth", n=1, duration=1.0, dt=0.1, delta=1.0)
         for kind, extra in (("filtered_gaussian", {"f_cut": 1.0}), ("rossler", {})):
@@ -273,9 +274,19 @@ class TestFrcSweep:
             frc_sweep(sys_, [0.0, 1.0], delta=0.1)
         with pytest.raises(InvalidParameters):
             frc_sweep(sys_, [1.0], delta=0.1, threads=0)
-        # 2 budget + 1 harmonics do not fit a 256-sample period; refused
-        # before any point is solved
+        # every check below runs before any point is solved
         monkeypatch.setattr(bench, "_frc_point", None)
+        chain = build_oscillator_chain(3)
+        for dofs in [(5,), (3,), (-1,), (1.0,), ("0",), (0, 7)]:
+            with pytest.raises(InvalidParameters, match="dofs"):
+                frc_sweep(chain, [1.0], delta=0.1, dofs=dofs)
+        for omega in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(InvalidParameters, match="omega_grid"):
+                frc_sweep(sys_, [1.0, omega], delta=0.1)
+        for delta in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(InvalidParameters, match="delta"):
+                frc_sweep(sys_, [1.0], delta=delta)
+        # 2 budget + 1 harmonics do not fit a 256-sample period
         for budget in (128, 200):
             with pytest.raises(InvalidParameters, match="share one column"):
                 frc_sweep(sys_, [1.0], delta=0.1, harmonic_budget=budget)

@@ -507,7 +507,7 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("case", [
         "eps-trunc", "pad", "diagnose-delta", "diagnose-dt", "damping", "csv-cell",
         "dofs", "points", "seed", "compute-dt-inf", "diagnose-dt-nan", "compute-delta-nan",
-        "pade-delta-nan", "frc-harmonic",
+        "pade-delta-nan", "frc-harmonic", "frc-dof", "frc-omega-nan", "frc-delta-inf",
     ])
     def test_bad_input_is_2(self, tmp_path, capsys, case):
         cfg = _config(tmp_path)
@@ -535,6 +535,12 @@ class TestCliExitCodes:
                        "--omega-max", "1.4", "--points", "-1"],
             "frc-harmonic": ["frc", "--config", cfg, "--omega-min", "0.6",
                              "--omega-max", "1.4", "--points", "3", "--harmonic", "200"],
+            "frc-dof": ["frc", "--config", cfg, "--omega-min", "0.6",
+                        "--omega-max", "1.4", "--points", "3", "--dof", "7"],
+            "frc-omega-nan": ["frc", "--config", cfg, "--omega-min", "nan",
+                              "--omega-max", "1.4", "--points", "3"],
+            "frc-delta-inf": ["frc", "--config", cfg, "--omega-min", "0.6",
+                              "--omega-max", "1.4", "--points", "3", "--delta", "inf"],
             "seed": [*compute, "filtered_gaussian,duration=2,dt=0.05,f_cut=2", "--seed", "-1"],
             "compute-dt-inf": [*compute, str(untimed), "--dt", "inf"],
             "diagnose-dt-nan": ["diagnose", "--config", cfg, "--delta", "0.5", "--dt", "nan"],

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from steadystate import (
     build_oscillator_chain,
     build_system,
     compose_field,
+    composition,
     evaluate_field,
     faadibruno_phi,
     field_jacobian,
@@ -557,3 +560,106 @@ class TestAgainstDirectEnumeration:
         a = assemble_phi(sys_, t, 5)
         b = faadibruno_phi(sys_, t, 5)
         assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
+
+
+def _per_term(factors, nu, component, cache, product=operator.mul):
+    """H[factors, nu] of one factor list by the recursion written per
+    term, without a cache: the reference the batches must match."""
+    pivot, rest = factors[0], factors[1:]
+    if not rest:
+        return np.asarray(component(pivot, nu))
+    splits = cache.splits(len(rest), nu)
+    out = product(_per_term(rest, splits[0], component, cache, product),
+                  component(pivot, nu - splits[0]))
+    for a in splits[1:]:
+        out += product(_per_term(rest, a, component, cache, product), component(pivot, nu - a))
+    return out
+
+
+def _mixed_field(rng, n, r=None, terms=9):
+    """A random field on 2n state coordinates, on r random forms (the
+    identity for None), with terms of degrees 2 to 4 in random order."""
+    width = 2 * n if r is None else r
+    raw = []
+    for k in range(terms):
+        e = [0] * width
+        for _ in range(2 + k % 3):
+            e[int(rng.integers(width))] += 1
+        raw.append((e, rng.standard_normal(n) + 0.5j * rng.standard_normal(n)))
+    forms = None if r is None else rng.standard_normal((r, 2 * n))
+    return polynomial_field(2 * n, n, raw, forms=forms)
+
+
+def _harmonic_tensor(rng, dim, order_max):
+    """Complex coefficients on the budget-5 ball of one frequency."""
+    shape = (dim, order_max, 11)
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return CoefficientTensor(data, 0.1, 0.0, 0)
+
+
+class TestBatchedRecursion:
+    """The batched recursion keeps the bits of the recursion run term by
+    term, for any batch of rows and either product."""
+
+    @pytest.mark.parametrize("r", [None, 5], ids=["identity", "forms"])
+    @pytest.mark.parametrize("harmonic", [False, True], ids=["grid", "lattice"])
+    @pytest.mark.parametrize("size", ["one", "all"])
+    def test_compose_field_matches_per_term(self, rng, monkeypatch, r, harmonic, size):
+        n, order = 3, 7
+        fld = _mixed_field(rng, n, r)
+        assert fld.degrees == (2, 3, 4)
+        if harmonic:
+            t, product = _harmonic_tensor(rng, 2 * n, order - 1), _lattice_product(1, 5)
+        else:
+            t, product = _filled_tensor(rng, 2 * n, order - 1, 23), operator.mul
+        length = t.length
+        # the batch size is max(1, _BATCH_SAMPLES // length) rows
+        monkeypatch.setattr(composition, "_BATCH_SAMPLES", length if size == "one" else 10**6)
+        if fld.forms is None:
+            component = t.component
+        else:
+            def component(k, m):
+                return (fld.forms @ t.component(slice(None), m))[k]
+        cache = CompositionCache(max_degree=4)
+        for nu in range(2, order + 1):
+            got = compose_field(fld, t.component, nu, length, cache, dtype=complex,
+                                product=product)
+            live = [f for f in fld._factors if len(f) <= nu]
+            H = np.array([_per_term(f, nu, component, cache, product) for f in live])
+            coef = fld._coef[:, [k for k, f in enumerate(fld._factors) if len(f) <= nu]]
+            want = np.matmul(coef, H, out=np.empty((n, length), dtype=complex))
+            assert got.tobytes() == want.tobytes(), nu
+
+    @pytest.mark.parametrize("harmonic", [False, True], ids=["grid", "lattice"])
+    def test_consecutive_and_gathered_rows(self, rng, harmonic):
+        dim, order = 7, 6
+        if harmonic:
+            t, product = _harmonic_tensor(rng, dim, order), _lattice_product(1, 5)
+        else:
+            t, product = _filled_tensor(rng, dim, order, 19), operator.mul
+        batches = {
+            "consecutive": [(2, 2, 5), (3, 3, 0), (4, 4, 1), (5, 5, 6)],
+            "gathered": [(6, 1, 1), (0, 2, 3), (4, 0, 0), (1, 6, 2)],
+            "one row": [(3, 1, 4)],
+        }
+        for name, lists in batches.items():
+            columns = tuple(zip(*lists))
+            cache = CompositionCache(max_degree=3)
+            for nu in range(3, order + 1):
+                got = composition._product(columns, nu, t.component, cache, product)
+                assert got.shape == (len(lists), t.length)
+                for row, f in zip(got, lists):
+                    want = _per_term(f, nu, t.component, cache, product)
+                    assert row.tobytes() == want.tobytes(), (name, nu, f)
+            # the rest of a batch is stored once per order, keyed by its columns
+            assert {key for key, _ in cache._store} == {columns[1:]}
+
+    def test_assemble_h_is_the_one_row_batch(self, rng):
+        t = _filled_tensor(rng, 4, 5, 20)
+        cache = CompositionCache(max_degree=4)
+        for gamma in [(2, 0, 1, 0), (0, 1, 0, 3), (1, 1, 1, 0), (0, 0, 2, 0)]:
+            factors = tuple(i for i, e in enumerate(gamma) for _ in range(e))
+            for nu in range(len(factors), 6):
+                got = assemble_H(gamma, nu, t.component, 20, cache)
+                want = _per_term(factors, nu, t.component, cache)
+                assert got.shape == (20,) and got.tobytes() == want.tobytes()

@@ -9,12 +9,31 @@ from steadystate import (
     decompose_general,
     decompose_structural,
     first_order_blocks,
+    gss,
     select_modes,
     with_retained,
 )
-from steadystate.errors import DefectiveSpectrum, NotStructural, UnstableLinearPart
-from steadystate.spectral import _oscillator_roots
+from steadystate.errors import (
+    DefectiveSpectrum,
+    NearResonance,
+    NotStructural,
+    UnstableLinearPart,
+)
+from steadystate.spectral import SpectralData, _oscillator_root_pairs, _oscillator_roots
 from tests.conftest import random_system
+
+# underdamped, both sides of critical by an ulp-scale step, critical, overdamped
+_ZETAS = (0.3, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0)
+
+
+def _mode_roots(omega, zeta):
+    """One oscillator's roots, written per mode: the reference of the
+    array expressions."""
+    if zeta < 1.0:
+        wd = omega * np.sqrt(1.0 - zeta * zeta)
+        return (complex(-zeta * omega, wd), complex(-zeta * omega, -wd))
+    s = omega * np.sqrt(zeta * zeta - 1.0)
+    return (complex(-zeta * omega + s), complex(-zeta * omega - s))
 
 
 class TestGeneralDecomposition:
@@ -138,6 +157,44 @@ class TestStructuralDecomposition:
         sys_ = build_system(M, C, K)
         with pytest.raises(UnstableLinearPart):
             decompose_structural(sys_)
+
+
+class TestOscillatorRootArrays:
+    """The array expressions against the roots written per mode, bit for bit."""
+
+    @staticmethod
+    def _spectral(omega, zeta):
+        n = len(omega)
+        return SpectralData(kind="structural", state_dim=2 * n, retained=tuple(range(n)),
+                            omega=np.asarray(omega), zeta=np.asarray(zeta), U=np.eye(n))
+
+    def test_root_pairs(self):
+        omega, zeta = np.meshgrid([0.37, 1.0, 13.1], _ZETAS)
+        pairs = _oscillator_root_pairs(omega.ravel(), zeta.ravel())
+        for got, w, z in zip(pairs, omega.ravel(), zeta.ravel()):
+            want = np.array(_mode_roots(w, z), dtype=complex)
+            assert got.tobytes() == want.tobytes(), (w, z)
+            one = np.array(_oscillator_roots(w, z), dtype=complex)
+            assert one.tobytes() == want.tobytes(), (w, z)
+
+    def test_slow_real_parts(self):
+        omega = np.array([0.37, 1.0, 13.1, 2.5, 0.8])
+        spec = self._spectral(omega, _ZETAS)
+        want = np.array([max(r.real for r in _mode_roots(w, z))
+                         for w, z in zip(omega, _ZETAS)])
+        assert spec.slow_real_parts().tobytes() == want.tobytes()
+
+    def test_guard_roots(self):
+        # a tolerance that every mode trips: the guard reports the first
+        # mode's distance to its nearest harmonic, from its roots
+        omega, kappas = np.array([0.37, 1.0, 13.1, 2.5, 0.8]), np.arange(-3.0, 4.0)
+        for j, (w, z) in enumerate(zip(omega, _ZETAS)):
+            spec = self._spectral(omega[j:], _ZETAS[j:])
+            roots = np.array(_mode_roots(w, z))
+            want = np.abs(1j * kappas[:, None] - roots[None, :]).min(axis=1).min()
+            with pytest.raises(NearResonance) as excinfo:
+                gss._qp_guard(spec, kappas, 1e3)
+            assert excinfo.value.distance == float(want), (w, z)
 
 
 class TestSelectModes:
