@@ -39,7 +39,6 @@ def parse_args():
     p.add_argument("--harmonics", type=int, default=None,
                    help="harmonic budget (default: the order, which keeps the "
                         "expansion free of truncation)")
-    p.add_argument("--threads", type=int, default=4)
     p.add_argument("--out-dir", default="out_frc")
     return p.parse_args()
 
@@ -54,7 +53,7 @@ def main():
         result = frc_sweep(system, omegas, delta=args.delta, order=args.order,
                            harmonic_budget=(args.harmonics if args.harmonics is not None
                                             else args.order),
-                           threads=args.threads, dofs=(args.dof,))
+                           dofs=(args.dof,))
         path = os.path.join(args.out_dir, f"frc_c{c:g}.csv")
         header = "omega," + ",".join(
             f"amp_z{j}" for j in range(result.amplitude.shape[1]))

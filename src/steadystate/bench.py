@@ -10,15 +10,15 @@ of the row 2-norm equals delta exactly.
 
 from __future__ import annotations
 
-import concurrent.futures
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidCutoff, InvalidParameters, NearResonance
 from .gss import compute_taylor_gss, evaluate_at_amplitude
-from .model import ForcingSignal, MechanicalSystem, _check_dt, build_system, load_forcing
+from .model import (
+    ForcingSignal, MechanicalSystem, _check_dt, _check_int, build_system, load_forcing,
+)
 
 __all__ = [
     "build_oscillator_chain",
@@ -129,11 +129,9 @@ def _rossler_series(duration, dt, seed, components, skip_time=100.0):
 def _target_dofs(dofs, n):
     """The forced dofs as a list of ints, every dof for None; raises
     InvalidParameters unless each one is an integer in 0..n-1."""
-    if dofs is None:
-        return list(range(n))
-    targets = list(dofs)
-    if not all(isinstance(d, numbers.Integral) and 0 <= d < n for d in targets):
-        raise InvalidParameters(f"dofs {targets!r} must be integers in 0..{n - 1}")
+    targets = list(range(n) if dofs is None else dofs)
+    for d in targets:
+        _check_int(d, f"each of dofs {targets!r}", 0, n - 1)
     return [int(d) for d in targets]
 
 
@@ -171,8 +169,8 @@ def generate_forcing(
         raise InvalidParameters(f"need n >= 1 and a finite duration > 0, got {n}, {duration}")
     _check_dt(dt)
     targets = _target_dofs(dofs, n)
-    if seed is not None and seed < 0:
-        raise InvalidParameters(f"seed must be a non-negative integer, got {seed}")
+    if seed is not None:
+        _check_int(seed, "seed", 0)
     if not duration / dt < 2**31:  # 16 GiB a column, refused before allocating
         raise InvalidParameters(f"duration / dt = {duration / dt:.3g} asks for over 2^31 samples")
     T = int(round(duration / dt)) + 1
@@ -262,7 +260,8 @@ def _frc_point(system, omega, delta, order, harmonic_budget, resonance_tol, dofs
     period of _FRC_SAMPLES_PER_PERIOD samples, endpoint excluded. The
     'qp' orbit is exactly periodic, so no transient period precedes it,
     and on this grid the harmonic fit is the exact discrete Fourier
-    transform. dofs lists the forced dofs."""
+    transform. Each of the forced dofs is driven by delta sin(omega t), so
+    the expansion is evaluated at the forcing's sup row norm."""
     dt = 2.0 * np.pi / omega / _FRC_SAMPLES_PER_PERIOD
     t = dt * np.arange(_FRC_SAMPLES_PER_PERIOD)
     samples = np.zeros((_FRC_SAMPLES_PER_PERIOD, system.n))
@@ -279,7 +278,7 @@ def _frc_point(system, omega, delta, order, harmonic_budget, resonance_tol, dofs
         resonance_tol=resonance_tol,
         check_divergence=False,
     )
-    return np.abs(evaluate_at_amplitude(expansion, delta)).max(axis=1)
+    return np.abs(evaluate_at_amplitude(expansion, forcing.max_magnitude)).max(axis=1)
 
 
 def frc_sweep(
@@ -292,19 +291,20 @@ def frc_sweep(
     resonance_tol: float | None = None,
     dofs=None,
 ) -> FrcResult:
-    """Steady amplitude versus forcing frequency, delta sin(omega t) input.
+    """Steady amplitude versus forcing frequency, delta sin(omega t) on
+    each forced dof.
 
     Each grid point gets its own grid, one forcing period of 256
     samples, and a closed-form quasiperiodic solve at the given order;
     points that trip the resonance guard are flagged and reported as NaN
-    rather than aborting the sweep. Results are assembled by grid index,
-    so the output is identical for any thread count. dofs selects the
-    forced dofs (default: all), integers in 0..n-1.
+    rather than aborting the sweep. dofs selects the forced dofs
+    (default: all), integers in 0..n-1. threads, an integer >= 1, has no
+    effect: the points are solved one after another.
 
     Raises InvalidParameters before any point is solved unless every
-    frequency is finite and > 0, delta is finite and the dofs are valid,
-    and for a harmonic_budget of 128 or more: its 2 budget + 1 harmonics
-    would not all be told apart on 256 samples.
+    frequency is finite and > 0, delta is finite, the dofs and threads
+    are valid and harmonic_budget is an integer >= 0 below 128: 2 budget
+    + 1 harmonics from 128 on would not all be told apart on 256 samples.
     """
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     if not np.all(np.isfinite(omega_grid) & (omega_grid > 0)):
@@ -314,11 +314,10 @@ def frc_sweep(
     if not np.isfinite(delta):
         raise InvalidParameters(f"delta must be finite, got {delta!r}")
     dofs = _target_dofs(dofs, system.n)
-    if threads < 1:
-        raise InvalidParameters("threads must be >= 1")
-    # on the period's samples, harmonics k and k +- 256 are one column of
-    # the fit; a budget that is not an int is refused by the qp backend
-    harmonics = 2 * harmonic_budget + 1 if isinstance(harmonic_budget, numbers.Integral) else 0
+    _check_int(threads, "threads", 1)
+    _check_int(harmonic_budget, "harmonic_budget", 0)
+    # on the period's samples, harmonics k and k +- 256 are one column of the fit
+    harmonics = 2 * harmonic_budget + 1
     if harmonics > _FRC_SAMPLES_PER_PERIOD:
         raise InvalidParameters(
             f"harmonic_budget {harmonic_budget} asks for {harmonics} harmonics on the "
@@ -326,23 +325,19 @@ def frc_sweep(
             f"k and k +- {_FRC_SAMPLES_PER_PERIOD} would share one column of the fit"
         )
 
-    def work(omega):
+    amplitude = np.full((len(omega_grid), system.state_dim), np.nan)
+    flags = [None] * len(omega_grid)
+    for i, omega in enumerate(omega_grid):
         try:
-            point = _frc_point(system, omega, delta, order, harmonic_budget, resonance_tol, dofs)
-            return point, None
+            amplitude[i] = _frc_point(
+                system, omega, delta, order, harmonic_budget, resonance_tol, dofs
+            )
         except NearResonance as exc:
-            return np.full(system.state_dim, np.nan), str(exc)
-
-    if threads == 1:
-        points = list(map(work, omega_grid))
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(work, omega_grid))
-
+            flags[i] = str(exc)
     return FrcResult(
         omega=omega_grid,
-        amplitude=np.array([a for a, _ in points]).reshape(len(omega_grid), system.state_dim),
-        flags=tuple(f for _, f in points),
+        amplitude=amplitude,
+        flags=tuple(flags),
         delta=delta,
         order=order,
     )

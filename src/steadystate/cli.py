@@ -114,19 +114,18 @@ def _print(obj):
     print(json.dumps(obj, sort_keys=True))
 
 
+def _expand(args, system, forcing, delta):
+    """compute_taylor_gss with the solver options compute and compare share."""
+    return compute_taylor_gss(
+        system, forcing, args.order, backend=args.backend, eps_trunc=args.eps_trunc,
+        delta=delta, base_frequencies=args.base_freq, harmonic_budget=args.harmonic,
+    )
+
+
 def _cmd_compute(args):
     system = serialize.load_system(args.config)
     forcing = _load_forcing_arg(args, system)
-    expansion = compute_taylor_gss(
-        system,
-        forcing,
-        args.order,
-        backend=args.backend,
-        eps_trunc=args.eps_trunc,
-        delta=args.delta,
-        base_frequencies=args.base_freq,
-        harmonic_budget=args.harmonic,
-    )
+    expansion = _expand(args, system, forcing, args.delta)
     if args.out:
         serialize.save_expansion(expansion, args.out)
     if args.trajectory:
@@ -154,16 +153,7 @@ def _cmd_compare(args):
     system = serialize.load_system(args.config)
     forcing = _load_forcing_arg(args, system)
     delta = args.delta if args.delta is not None else forcing.max_magnitude
-    expansion = compute_taylor_gss(
-        system,
-        forcing,
-        args.order,
-        backend=args.backend,
-        eps_trunc=args.eps_trunc,
-        delta=delta,
-        base_frequencies=args.base_freq,
-        harmonic_budget=args.harmonic,
-    )
+    expansion = _expand(args, system, forcing, delta)
     taylor = evaluate_at_amplitude(expansion, delta)
     scale = delta / forcing.max_magnitude if forcing.max_magnitude > 0 else 0.0
     reference = newmark_full(system, forcing.scaled(scale))
@@ -352,7 +342,7 @@ def _build_parser():
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--order", type=int, default=5)
     p.add_argument("--harmonic", type=int, default=5, help="harmonic index budget")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="an integer >= 1; no effect")
     p.add_argument("--dof", type=int, nargs="*", default=None, help="forced dofs (default: all)")
     p.add_argument("--out", default=None, help="amplitude CSV")
     p.set_defaults(func=_cmd_frc)

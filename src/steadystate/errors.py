@@ -192,7 +192,7 @@ class NoConvergence(SteadyStateError):
 
 
 class QuadratureFailure(SteadyStateError):
-    """Adaptive quadrature did not reach the requested accuracy."""
+    """The quadrature reference did not reach the requested accuracy."""
 
 
 class InstanceTooLarge(SteadyStateError):

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -63,7 +62,7 @@ from .kernel import (
     propagate_order,
     propagate_order_newmark,
 )
-from .model import ForcingSignal, MechanicalSystem, ReducedModel
+from .model import ForcingSignal, MechanicalSystem, ReducedModel, _check_int
 from .spectral import (
     _STABILITY_TOL,
     SpectralData,
@@ -212,8 +211,7 @@ def _qp_base_frequencies(base_frequencies, budget):
     budget is an int >= 0."""
     if base_frequencies is None:
         raise InvalidParameters("qp backend needs base_frequencies")
-    if not isinstance(budget, numbers.Integral) or budget < 0:
-        raise InvalidParameters(f"harmonic_budget must be an int >= 0, got {budget!r}")
+    _check_int(budget, "harmonic_budget", 0)
     Omega = np.atleast_1d(np.asarray(base_frequencies, dtype=float))
     if Omega.ndim != 1 or Omega.size == 0 or not np.all(np.isfinite(Omega) & (Omega > 0)):
         raise InvalidParameters(
@@ -447,8 +445,7 @@ def compute_taylor_gss(
         Warn (DivergenceWarning) when the top-order term at the
         reference amplitude exceeds 10x the mid-order term.
     """
-    if order < 1:
-        raise InvalidParameters(f"order must be >= 1, got {order}")
+    _check_int(order, "order", 1)
     if backend not in _BACKENDS:
         raise InvalidParameters(f"backend {backend!r} not one of {_BACKENDS}")
     if backend == "qp":
@@ -591,9 +588,8 @@ def evaluate_at_amplitudes(
     writable array, also when the tensor is a read-only memory map.
     """
     tensor = expansion.tensor
-    top = expansion.order if max_order is None else int(max_order)
-    if not 1 <= top <= tensor.orders_complete:
-        raise InvalidParameters(f"max_order {top} outside 1..{tensor.orders_complete}")
+    top = expansion.order if max_order is None else max_order
+    _check_int(top, "max_order", 1, tensor.orders_complete)
     orders = [nu for nu in tensor.stored if nu <= top]
     return _power_sum(_amplitudes(deltas), orders, tensor.data[:, : len(orders)])
 
@@ -669,8 +665,8 @@ def pade_resum(expansion: GssExpansion, L: int, M: int) -> PadeGss:
     contraction of a (state_dim, L, s) coefficient array with the stored
     slots.
     """
-    if L < 1 or M < 1:
-        raise InvalidParameters(f"need L, M >= 1, got ({L}, {M})")
+    _check_int(L, "L", 1)
+    _check_int(M, "M", 1)
     tensor = expansion.tensor
     if tensor.orders_complete < L + M:
         raise InvalidParameters(
@@ -795,8 +791,7 @@ def reduced_gss(
         raise DimensionMismatch(
             f"forcing has {forcing.n} columns, decomposition has {n2 // 2} dofs"
         )
-    if order < 1:
-        raise InvalidParameters(f"order must be >= 1, got {order}")
+    _check_int(order, "order", 1)
 
     # linear part of R and its spectrum (first-order form, B = I)
     R = reduced.R

@@ -115,7 +115,7 @@ def qvec_general(lam: complex, dt: float) -> np.ndarray:
     Returns the complex pair (weight on Phi(t), weight on Phi(t+dt))
     defined by the kernel integrals in the module docstring, by the same
     series-plus-doubling evaluation as the structural weights. Verified
-    against adaptive quadrature to better than 1e-12 relative across
+    against Gauss quadrature to better than 1e-12 relative across
     |lambda dt| in [1e-6, 1e4].
 
     Raises ZeroEigenvalue when Re(lambda) == 0.

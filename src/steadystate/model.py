@@ -18,6 +18,7 @@ shape (state_dim, T); forcing samples are (T, n).
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -65,6 +66,15 @@ def _check_dt(dt):
     """Raise InvalidParameters unless the grid step dt is finite and > 0."""
     if dt is None or not 0.0 < dt < np.inf:
         raise InvalidParameters(f"dt must be finite and > 0, got {dt}")
+
+
+def _check_int(value, name, low, high=None):
+    """Raise InvalidParameters unless value is an integer, not a bool, in
+    low..high (from low up when high is None)."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integer or value < low or (high is not None and value > high):
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise InvalidParameters(f"{name} must be an integer {span}, got {value!r}")
 
 
 def _factor_list(exponents):
@@ -562,7 +572,7 @@ def load_forcing(samples, dt=None, t0=0.0, pad_length=0, time=None):
     Parameters
     ----------
     samples : (T, n) or (T,) array
-        Force per DOF per time step, before padding.
+        Force per DOF per time step, before padding; every entry finite.
     dt : float or None
         Sample spacing. May be omitted when a time column is given.
     t0 : float
@@ -581,6 +591,8 @@ def load_forcing(samples, dt=None, t0=0.0, pad_length=0, time=None):
     T = samples.shape[0]
     if T < 2:
         raise EmptySignal(f"forcing needs at least 2 samples, got {T}")
+    if not np.all(np.isfinite(samples)):
+        raise InvalidParameters("forcing samples contain non-finite entries")
     if time is not None:
         time = np.asarray(time, dtype=float)
         if time.shape != (T,):
@@ -596,9 +608,8 @@ def load_forcing(samples, dt=None, t0=0.0, pad_length=0, time=None):
         dt = mean_dt
         t0 = float(time[0])
     _check_dt(dt)
+    _check_int(pad_length, "pad_length", 0)
     pad_length = int(pad_length)
-    if pad_length < 0:
-        raise InvalidParameters("pad_length must be nonnegative")
     padded = np.vstack([np.zeros((pad_length, samples.shape[1])), samples])
     return ForcingSignal(
         samples=_freeze(padded),

@@ -12,8 +12,9 @@ Everything here exists to check the main pipeline from a second route:
                          propagation for its linear solves, so it checks
                          the composition/expansion stages, not the kernel
   quadrature_weight_reference
-                         adaptive quadrature of the defining weight
-                         integrals, no closed forms involved
+                         Gauss quadrature of the defining weight
+                         integrals in long double, no closed forms of
+                         the weights involved
   faadibruno_phi         inhomogeneity assembly by direct enumeration of
                          order compositions, no shared-product recursion
 
@@ -29,8 +30,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.integrate import quad_vec
 
 from .composition import CoefficientTensor
 from .errors import (
@@ -181,8 +180,9 @@ def picard_gss(
     oracle exists to check the amplitude-expansion bookkeeping, and a
     fixed point of the iteration is exact for the propagated dynamics.
 
-    Warns when the sampled contraction certificate does not hold at the
-    forcing amplitude. Raises NoConvergence (carrying the last iterate)
+    Warns when the contraction certificate (check_contraction, on a ball
+    of twice the linear response's sup) does not hold at the forcing
+    amplitude. Raises NoConvergence (carrying the last iterate)
     after max_iter sweeps.
     """
     n = system.n
@@ -235,17 +235,59 @@ def picard_gss(
     )
 
 
+def _gauss_rule(n):
+    """The n-point Gauss-Legendre nodes and weights on [0, 1] in long
+    double: numpy's double-precision nodes polished by Newton steps on
+    P_n, whose last moves them far below their rounding."""
+    x = np.polynomial.legendre.leggauss(n)[0].astype(np.longdouble)
+    for _ in range(4):
+        p_prev, p = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp = n * (x * p - p_prev) / (x * x - 1)
+        x = x - p / dp
+    return (x + 1) / 2, 1 / ((1 - x * x) * dp * dp)
+
+
+def _expm(A, tau):
+    """exp(A tau) of a 2 x 2 matrix at each tau, shape (len(tau), 2, 2),
+    in long double: a degree-20 Taylor sum of A tau / 2^k, each tau's k
+    taking the 1-norm to 1/2 or below, then k squarings."""
+    X = np.multiply.outer(tau, A.astype(np.longdouble))
+    k = np.maximum(np.frexp(2.0 * np.abs(X).sum(axis=1).max(axis=1).astype(float))[1], 0)
+    X = np.ldexp(X, -k[:, None, None])
+    E = eye = np.eye(2, dtype=np.longdouble)
+    for j in range(20, 0, -1):
+        E = eye + X @ E / j
+    for step in range(int(k.max())):
+        E = np.where((k > step)[:, None, None], E @ E, E)
+    return E
+
+
+def _hat_integrals(kernel, dt, edges):
+    """The integrals over [0, dt] of kernel(tau) times 1 - s/dt and s/dt,
+    s = dt - tau, shape (rows of kernel, 2), by the 20- and the 10-point
+    Gauss rule on each piece between consecutive edges, in long double."""
+    width = np.diff(edges)[:, None]
+    for nodes in (20, 10):
+        x, w = _gauss_rule(nodes)
+        tau = (edges[:-1, None] + width * x).ravel()
+        weight = (width * w).ravel()
+        hat = tau / dt
+        yield kernel(tau) @ np.stack([weight * hat, weight * (1 - hat)], axis=1)
+
+
 def quadrature_weight_reference(dt, lam=None, omega=None, zeta=None):
-    """Weight pair / matrix by adaptive quadrature of the kernel integral.
+    """Weight pair / matrix by Gauss quadrature of the kernel integral.
 
     Either lam (complex scalar mode) or omega and zeta (structural
     oscillator) must be given. Returns a complex (2,) array or a real
     (2, 2) array in the layout of qvec_general and qmat_structural.
-    The accuracy target scales with the weights: 1e-12 of the largest
-    of them, so that small weights get the same relative accuracy as
-    large ones. Raises QuadratureFailure when the integrator's error
-    bound, which includes a rounding floor proportional to the integral
-    of the kernel's magnitude, exceeds 1e-11 x max(1, largest weight).
+    The kernel (exp(lam tau), or the oscillator's matrix exponential on
+    the state (omega x, x')) is evaluated and summed in long double: the
+    weights can be 1e-6 of the integral of its magnitude, where double
+    sums keep only 1e-10 of them. Raises QuadratureFailure when the 20-
+    and 10-node rules differ by more than 1e-11 x the largest weight.
     """
     _check_dt(dt)
     if (lam is None) == (omega is None):
@@ -254,43 +296,38 @@ def quadrature_weight_reference(dt, lam=None, omega=None, zeta=None):
     if lam is not None:
         lam = complex(lam)
 
-        def integrand(s):
-            k = np.exp(lam * (dt - s)) * np.array([1.0 - s / dt, s / dt])
-            return np.concatenate([k.real, k.imag])
+        def kernel(tau):
+            return np.exp(np.clongdouble(lam) * tau)[None]
 
     else:
         if zeta is None:
             raise InvalidParameters("structural reference needs both omega and zeta")
         if omega <= 0 or zeta <= 0:
             raise InvalidParameters("need omega > 0 and zeta > 0")
-        L = np.array([[0.0, 1.0], [-omega * omega, -2.0 * zeta * omega]])
+        balanced = np.array([[0.0, omega], [-omega, -2.0 * zeta * omega]])
 
-        def integrand(s):
-            col = scipy.linalg.expm(L * (dt - s))[:, 1]
-            return np.concatenate([col * (1.0 - s / dt), col * (s / dt)])
+        def kernel(tau):
+            E = _expm(balanced, tau)
+            return np.stack([E[:, 0, 1] / np.longdouble(omega), E[:, 1, 1]])
 
-    # breakpoints a radian of oscillation apart (at most 1024) where the
-    # kernel exceeds e^-46: a cancelling integral then meets the relative
-    # target before quad_vec's rounding estimate stops refining. Both the
-    # slowest and the fastest decay place theirs, so the boundary layer
-    # of a stiff overdamped root at the step's end is sampled too; the
-    # decays differ only for real roots, one breakpoint each
+    # pieces of at most a radian and an e-fold (at most 1024 per decay)
+    # where the kernel exceeds e^-46; the slowest and the fastest decay
+    # place theirs, so a stiff overdamped root's layer at tau = 0 is too
     roots = [lam] if lam is not None else _oscillator_roots(omega, zeta)
     freq = max(abs(r.imag) for r in roots)
-    points = set()
+    edges = {0.0, float(dt)}
     for decay in {min(abs(r.real) for r in roots), max(abs(r.real) for r in roots)}:
         span = dt if decay * dt <= 46.0 else 46.0 / decay
-        pieces = min(1024, max(1, math.ceil(span * freq)))
-        points.update(np.linspace(dt - span, dt, pieces + 1)[:-1])
-    val, err = quad_vec(
-        integrand, 0.0, dt, epsabs=0.0, epsrel=1e-12, norm="max",
-        points=sorted(p for p in points if p > 0.0),
-    )
-    if err > 1e-11 * max(1.0, float(np.abs(val).max())):
-        raise QuadratureFailure(f"certified error {err:.3e} too large")
+        pieces = min(1024, max(1, math.ceil(span * max(freq, decay))))
+        edges.update(np.linspace(0.0, span, pieces + 1).tolist())
+    edges = np.array(sorted(edges), dtype=np.longdouble)
+    val, coarse = _hat_integrals(kernel, dt, edges)
+    err = np.abs(val - coarse).max()
+    if not err <= 1e-11 * np.abs(val).max():
+        raise QuadratureFailure(f"Gauss rules differ by {float(err):.3e}")
     if lam is not None:
-        return val[:2] + 1j * val[2:]
-    return np.column_stack([val[:2], val[2:]])
+        return val[0].astype(complex)
+    return val.astype(float)
 
 
 def _compositions(total: int, parts: int):

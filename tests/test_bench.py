@@ -191,6 +191,14 @@ class TestGenerateForcing:
             with pytest.raises(InvalidParameters, match="seed"):
                 generate_forcing(kind, n=1, duration=1.0, dt=0.1, delta=1.0, seed=-1, **extra)
 
+    def test_integer_arguments(self):
+        for seed in (1.5, True):
+            with pytest.raises(InvalidParameters, match="seed"):
+                generate_forcing("filtered_gaussian", n=1, duration=1.0, dt=0.1, delta=1.0,
+                                 seed=seed, f_cut=1.0)
+        with pytest.raises(InvalidParameters, match="dofs"):
+            generate_forcing("two_tone", n=2, duration=1.0, dt=0.1, delta=1.0, dofs=(True,))
+
     def test_unused_parameters_rejected(self):
         with pytest.raises(InvalidParameters, match="w3"):
             generate_forcing("two_tone", n=1, duration=1.0, dt=0.1, delta=1.0,
@@ -246,6 +254,17 @@ class TestFrcSweep:
         assert one.delta == four.delta == 0.05
         assert one.order == four.order == 3
 
+    @pytest.mark.parametrize("dofs", [(0, 1), None])
+    def test_two_forced_dofs_match_the_frf(self, dofs):
+        # linear chain, delta sin(omega t) on both masses: each mass moves
+        # at |(K - omega^2 M + i omega C)^{-1} F|, F = (delta, delta)
+        sys_ = build_oscillator_chain(2, kappa3=0.0)
+        omega, delta = 0.7, 0.1
+        res = frc_sweep(sys_, [omega], delta=delta, order=1, dofs=dofs)
+        dyn = sys_.K - omega**2 * sys_.M + 1j * omega * sys_.C
+        expected = np.abs(np.linalg.solve(dyn, np.full(2, delta)))
+        assert res.amplitude[0, :2] == pytest.approx(expected, rel=1e-3)
+
     def test_amplitude_peaks_near_resonance(self):
         sys_ = build_duffing(zeta=0.08, kappa3=0.0)
         grid = np.array([0.5, 1.0, 1.8])
@@ -276,6 +295,9 @@ class TestFrcSweep:
             frc_sweep(sys_, [1.0], delta=0.1, threads=0)
         # every check below runs before any point is solved
         monkeypatch.setattr(bench, "_frc_point", None)
+        for threads in (1.5, True, "2"):
+            with pytest.raises(InvalidParameters, match="threads"):
+                frc_sweep(sys_, [1.0], delta=0.1, threads=threads)
         chain = build_oscillator_chain(3)
         for dofs in [(5,), (3,), (-1,), (1.0,), ("0",), (0, 7)]:
             with pytest.raises(InvalidParameters, match="dofs"):

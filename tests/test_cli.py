@@ -477,6 +477,16 @@ class TestCliExitCodes:
         assert main(["compute", "--config", cfg, "--forcing", _GEN,
                      "--order", "0"]) == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_forcing_csv_is_2(self, tmp_path, capsys, bad):
+        cfg = _config(tmp_path)
+        rows = [f"{0.1 * k:.1f},{0.01 * k}" for k in range(20)]
+        rows[7] = f"0.7,{bad}"
+        path = tmp_path / "forcing.csv"
+        path.write_text("t,f0\n" + "\n".join(rows) + "\n")
+        assert main(["compute", "--config", cfg, "--forcing", str(path), "--order", "2"]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_numerical_failure_is_3(self, tmp_path, capsys):
         undamped = build_system(np.eye(1), np.zeros((1, 1)), np.eye(1),
                                 terms=[((3, 0), 0, 1.0)])

@@ -277,6 +277,19 @@ class TestComputeTaylor:
                     harmonic_budget=budget,
                 )
 
+    def test_integer_arguments(self):
+        # order and the qp budget are integers: a float or a bool is refused
+        # before any work, not truncated or run as 1
+        sys_ = build_duffing()
+        f = _two_tone()
+        for order in (2.5, True, 2.0):
+            with pytest.raises(InvalidParameters, match="order"):
+                compute_taylor_gss(sys_, f, order=order)
+        with pytest.raises(InvalidParameters, match="harmonic_budget"):
+            compute_taylor_gss(sys_, f, order=2, backend="qp", base_frequencies=(1.3, 0.45),
+                               harmonic_budget=True)
+        assert compute_taylor_gss(sys_, f, order=np.int64(2)).order == 2
+
     def test_mode_truncation_reduces_retained(self):
         # one fast, strongly damped mode: a coarse grid drops it
         M = np.eye(2)
@@ -560,6 +573,12 @@ class TestEvaluate:
         with pytest.raises(InvalidParameters):
             evaluate_at_amplitude(exp, 0.02, max_order=0)
 
+    def test_max_order_must_be_an_integer(self):
+        exp = compute_taylor_gss(build_duffing(kappa3=0.7), _two_tone(delta=0.05), order=4)
+        for top in (2.7, True, 2.0):
+            with pytest.raises(InvalidParameters, match="max_order"):
+                evaluate_at_amplitudes(exp, [0.02], max_order=top)
+
     def test_amplitude_scaling_first_order(self, rng):
         sys_ = random_system(rng, 2, structural=True, n_terms=0)
         f = _two_tone(n=2)
@@ -605,6 +624,12 @@ class TestPade:
         closed = base * (r * d / (1.0 - r * d))
         out = evaluate_pade(pade, d)
         assert np.abs(out - closed).max() < 1e-10 * np.abs(closed).max()
+
+    def test_orders_must_be_integers(self, rng):
+        _, exp = _geometric_expansion(rng, 2.0, sigma=0.25, orders=4)
+        for L, M in ((1.5, 1), (1, 1.0), (True, 1), (1, 0)):
+            with pytest.raises(InvalidParameters):
+                pade_resum(exp, L, M)
 
     def test_pole_raises(self, rng):
         r = 2.0
@@ -913,6 +938,15 @@ class TestReduced:
             a = red.tensor.order_slice(nu)
             b = full.tensor.order_slice(nu)
             assert np.abs(a - b).max() < 1e-10 * max(np.abs(b).max(), 1e-12)
+
+    def test_order_must_be_an_integer(self, rng):
+        sys_ = random_system(rng, 2, structural=True, n_terms=2)
+        dim = sys_.state_dim
+        model = reduced_model(first_order_field(sys_), identity_lift(dim), np.eye(dim), np.eye(dim))
+        spec = decompose_structural(sys_)
+        for order in (1.5, True, 0):
+            with pytest.raises(InvalidParameters, match="order"):
+                reduced_gss(model, spec, _two_tone(n=2), order=order)
 
     def test_fields_on_forms_match_the_identity(self, rng):
         # R and W given on permuted coordinates as their forms: the linear

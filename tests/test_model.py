@@ -14,10 +14,12 @@ from steadystate import (
     load_forcing,
     polynomial_field,
 )
+from steadystate.model import _check_int
 from steadystate.errors import (
     DampingIndefinite,
     DimensionMismatch,
     EmptySignal,
+    InvalidParameters,
     NonlinearTermDegreeTooLow,
     NonuniformInput,
     NotPositiveDefinite,
@@ -250,6 +252,15 @@ class TestForcingSignal:
         with pytest.raises(EmptySignal):
             load_forcing(np.ones((1, 1)), dt=0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        samples = np.ones((6, 2))
+        samples[3, 1] = bad
+        with pytest.raises(InvalidParameters, match="non-finite"):
+            load_forcing(samples, dt=0.1)
+        with pytest.raises(InvalidParameters, match="non-finite"):
+            load_forcing(samples, time=0.1 * np.arange(6))
+
     def test_one_dimensional_input_becomes_column(self):
         sig = load_forcing(np.arange(6.0), dt=0.1)
         assert sig.samples.shape == (6, 1)
@@ -257,3 +268,15 @@ class TestForcingSignal:
     def test_damping_class_frozen_defaults(self):
         d = DampingClass(kind="general")
         assert d.c_M == 0.0 and d.c_K == 0.0
+
+
+class TestIntegerCheck:
+    def test_accepts_integers_in_range(self):
+        for value in (0, 3, np.int64(3), np.uint8(2)):
+            _check_int(value, "k", 0, 3)
+        _check_int(10**30, "k", 1)
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, False, np.bool_(True), None, "2", -1, 4])
+    def test_refuses_the_rest(self, value):
+        with pytest.raises(InvalidParameters, match="k must be an integer in 0..3"):
+            _check_int(value, "k", 0, 3)

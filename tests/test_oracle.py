@@ -184,13 +184,22 @@ class TestQuadratureReference:
     def test_breakpoints_are_capped(self, monkeypatch):
         seen = {}
 
-        def spy(f, a, b, points=(), **kw):
-            seen["points"] = len(points)
-            return np.zeros(4), 0.0
+        def spy(kernel, dt, edges):
+            seen["pieces"] = len(edges) - 1
+            return np.ones((1, 2)), np.ones((1, 2))
 
-        monkeypatch.setattr(oracle, "quad_vec", spy)
+        monkeypatch.setattr(oracle, "_hat_integrals", spy)
         quadrature_weight_reference(1.0, lam=-1e-3 + 1e5j)
-        assert seen["points"] <= 1024
+        assert seen["pieces"] <= 1024
+
+    def test_cancelling_oscillator_integral(self):
+        # omega dt is 300 pi to 1e-5: the weights are 1e-6 of the
+        # integral of the kernel's magnitude; exact values from the closed
+        # form in 50-digit arithmetic
+        q = quadrature_weight_reference(1.0, omega=942.484375, zeta=0.001953125)
+        exact = np.array([[-1.7864636228102736e-07, 1.1257703806727866e-06],
+                          [-1.4207209214947518e-07, 9.4712401839175929e-07]])
+        assert np.abs(q - exact).max() <= 1e-12 * np.abs(exact).max()
 
     def test_structural_critical_frozen_value(self):
         q = quadrature_weight_reference(1.0, omega=1.0, zeta=1.0)

@@ -4,10 +4,12 @@ import pytest
 from steadystate import (
     build_duffing,
     build_gyroscopic_2dof,
+    build_oscillator_chain,
     build_system,
     check_contraction,
     decompose_general,
     decompose_structural,
+    field_jacobian,
     first_order_blocks,
     gss,
     select_modes,
@@ -267,6 +269,34 @@ class TestContraction:
         a = check_contraction(sys_, spec, delta=0.3, forcing_delta=0.1)
         b = check_contraction(sys_, spec, delta=0.3, forcing_delta=0.1)
         assert a.lipschitz_F == b.lipschitz_F
+
+    @pytest.mark.parametrize(
+        "system, delta, worst",
+        [
+            # the spring stretches x0 and x2 - x1 peak together off every
+            # axis: a sampled sup over the ball missed this point
+            (build_oscillator_chain(3, kappa3=0.2), 0.1, (-1, 2, -1, 0, 0, 0)),
+            (build_duffing(omega=1.0, zeta=0.1, kappa3=1.0), 0.3, (1, 0)),
+            (build_gyroscopic_2dof(kappa3=0.7), 0.5, (1, 0, 0, 0)),
+            (random_system(np.random.default_rng(5), 2, max_degree=4, n_terms=5), 0.4, None),
+            (random_system(np.random.default_rng(6), 3, structural=False), 0.2, None),
+        ],
+    )
+    def test_lipschitz_bounds_jacobian_on_ball(self, system, delta, worst):
+        spec = (decompose_structural if system.damping_class.kind == "structural"
+                else decompose_general)(system)
+        rep = check_contraction(system, spec, delta=delta, forcing_delta=0.0)
+        assert rep.lipschitz_F == rep.lipschitz_F_analytic
+        rng = np.random.default_rng(11)
+        directions = rng.standard_normal((400, system.state_dim))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        points = directions * delta * rng.random((400, 1)) ** (1.0 / system.state_dim)
+        points[::2] = directions[::2] * delta  # half of them on the sphere
+        if worst is not None:
+            points = np.vstack([points, delta * np.array(worst) / np.linalg.norm(worst)])
+        for z in points:
+            jac = field_jacobian(system.nonlinearity, z)
+            assert np.linalg.norm(jac, 2) <= rep.lipschitz_F
 
     def test_defective_basis_gives_unsatisfied_certificate(self):
         # at zeta = 1 the first-order eigenbasis is defective, so ||V|| has
