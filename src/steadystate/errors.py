@@ -103,8 +103,10 @@ class RealnessCheckFailed(SteadyStateError):
     1e-10 times the result scale.
 
     The one policy for every complex modal sum that must be real: the
-    general kernel path, the general qp orbit and each lifted order of a
-    reduced model raise this; a smaller residue is discarded."""
+    general kernel path where it does not fold its conjugate pairs (a
+    split pair, a complex input), the general qp orbit and each lifted
+    order of a reduced model raise this; a smaller residue is
+    discarded."""
 
 
 # ---------------------------------------------------------- composition

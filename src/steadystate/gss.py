@@ -162,9 +162,17 @@ def _lattice_product(dims: int, budget: int):
 
 def _ball_frequencies(base_frequencies, budget):
     """The frequencies kappa = <k, Omega> of _harmonic_ball(len(Omega),
-    budget), in its order."""
+    budget), in its order, read-only: a 'qp' solve checks, guards and
+    fits the same ball, and builds it once (_ball_frequencies_of)."""
     Omega = np.atleast_1d(np.asarray(base_frequencies, dtype=float))
-    return np.array(_harmonic_ball(len(Omega), budget), dtype=float) @ Omega
+    return _ball_frequencies_of(tuple(Omega.tolist()), budget)
+
+
+@functools.lru_cache(maxsize=8)
+def _ball_frequencies_of(Omega: tuple, budget: int) -> np.ndarray:
+    kappas = np.array(_harmonic_ball(len(Omega), budget), dtype=float) @ np.array(Omega)
+    kappas.flags.writeable = False
+    return kappas
 
 
 _FIT_CONDITION_LIMIT = 1e10
@@ -177,7 +185,8 @@ def fit_harmonics(
 
     rows: (m, T) real or complex samples; returns (kappas, coeffs) with
     coeffs of shape (m, K) such that rows ~ coeffs @ exp(i kappa t), over
-    the index ball sum |k_i| <= budget of the base frequencies. The 'qp'
+    the index ball sum |k_i| <= budget of the base frequencies (kappas
+    read-only, see _ball_frequencies). The 'qp'
     backend calls it once per solve, on the order-1 forcing rows; higher
     orders are composed from these coefficients, never fit. phases, the
     (K, T) matrix exp(i kappa t) on times, is used as the design matrix

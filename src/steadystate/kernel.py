@@ -20,18 +20,25 @@ exactly 1, and never divides by an eigenvalue or an eigenvalue
 difference.
 
 Both kinds then take one path: SpectralData.project, one sosfilt per
-mode started so that its state is zero at the first sample,
+unit started so that its state is zero at the first sample,
 SpectralData.reconstruct, and _enforce_real, the one realness policy of
 every modal sum in the package. A general mode is one first-order
-section. An oscillator whose roots are a complex pair lambda+-, with zeta
-below a cut-over, is one first-order section too: its positive-frequency
-mode y, scaled by -i/omega_d so that Re y is the position and Re(mu y),
-mu = lambda+/omega, the velocity over omega (the input is real, so the
+section. When the input is real and every retained mode has its exact
+conjugate beside it (SpectralData._folded), a conjugate pair runs as one
+unit, the section of its positive-imaginary member, whose response the
+real sum 2 Re(V+ y) adds, and a real eigenvalue as its own unit;
+otherwise (a split pair, reduced coordinates, complex input) every
+member runs and the complex modal sum goes through _enforce_real. An
+oscillator whose roots are a complex pair lambda+-, with zeta below a
+cut-over, is one first-order section too: its positive-frequency mode
+y, scaled by -i/omega_d so that Re y is the position and Re(mu y), mu =
+lambda+/omega, the velocity over omega (the input is real, so the
 conjugate mode adds nothing else). A near-critical or overdamped
 oscillator, whose two roots come close, is one complex filter of two
 sections whose real part is the position and whose imaginary part is
-the velocity over omega. The kernel route writes the reconstruction
-straight into the caller's grid (propagate_order's out).
+the velocity over omega. Both real sums, the folded general one and the
+structural one, are written straight into the caller's grid
+(propagate_order's out).
 
 Every propagator is a causal filter, so a grid can be propagated in
 consecutive time blocks: a Carry hands the filter state at the end of
@@ -173,7 +180,11 @@ class KernelWeights:
     the filter output y is the position and Re(mu[j] y) the velocity
     over omega: mu = lambda+/omega for one section, -1j for two (whose
     Im y is taken as it is). branches[j] tags an oscillator's regime;
-    mu and branches are None on the general path.
+    mu and branches are None on the general path. units, on the general
+    path, holds the positions of the folded units' first members (see
+    SpectralData._folded) when every pair's filters are exact conjugates
+    too and a real eigenvalue's filter is real; a real input then runs
+    only those filters. It is None when the retained set does not fold.
     """
 
     kind: str
@@ -182,6 +193,7 @@ class KernelWeights:
     start: np.ndarray  # (m, 2) complex
     mu: np.ndarray | None = None  # (m,) complex
     branches: tuple | None = None
+    units: tuple | None = None
 
 
 def build_kernel_weights(spectral: SpectralData, dt: float) -> KernelWeights:
@@ -189,13 +201,21 @@ def build_kernel_weights(spectral: SpectralData, dt: float) -> KernelWeights:
     _check_dt(dt)
     retained = tuple(spectral.retained)
     cols = list(retained)
-    mu = branches = None
+    mu = branches = units = None
     if spectral.kind == "general":
         lams = spectral.eigenvalues[cols]
         filters = [
             _exponent_filter(qvec_general(lam, dt), pole)
             for lam, pole in zip(lams, np.exp(lams * dt))
         ]
+        folded = spectral._folded
+        # a pair's second member sits next to its first; a real
+        # eigenvalue is its own conjugate
+        if folded is not None and all(
+            np.array_equal(filters[p + (lams[p].imag > 0.0)][0], np.conj(filters[p][0]))
+            for p in folded[0]
+        ):
+            units = folded[0]
     else:
         branches, filters, mu = [], [], []
         for w, z in zip(spectral.omega[cols], spectral.zeta[cols]):
@@ -215,7 +235,7 @@ def build_kernel_weights(spectral: SpectralData, dt: float) -> KernelWeights:
     sos, start = zip(*filters)
     return KernelWeights(
         kind=spectral.kind, retained=retained, sos=sos, start=np.array(start), mu=mu,
-        branches=branches,
+        branches=branches, units=units,
     )
 
 
@@ -228,8 +248,9 @@ class Carry:
     propagate_order_newmark) with each following block of the same order
     continues the recursion where the previous block ended; the call
     updates it in place. state is None until the first block has run,
-    then what the propagator needs: the list of the retained modes'
-    (sections, 2) sosfilt states, or for Newmark the last (x, v, a).
+    then what the propagator needs: the list of the propagated units'
+    (sections, 2) sosfilt states (one per folded unit, see KernelWeights,
+    else one per retained mode), or for Newmark the last (x, v, a).
     """
 
     state: object = None
@@ -283,34 +304,42 @@ def _modal_response(
     carry: Carry,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """project, filter each retained mode, reconstruct: complex on the
-    general path, real on the structural one, whose filter outputs go
-    straight into the real (2, m, B) stack of positions and velocities
-    over omega that reconstruct takes (into out, if given, on that path).
+    """project, filter each unit, reconstruct. The structural path and,
+    for a real phi, the folded general path (weights.units) are real:
+    their filter outputs go straight into the real (2, m, B) stack that
+    reconstruct takes, positions and velocities over omega or [Re y; Im
+    y] of the units' first members, and reconstruct writes into out,
+    if given. Otherwise every retained general mode runs and the modal
+    sum is complex.
 
     A fresh carry starts each filter's first section from -start u[0],
-    which makes the mode's state zero at the first sample.
+    which makes the unit's state zero at the first sample.
     """
-    modal_u = spectral.project(phi)  # (m, B)
+    folded = weights.units is not None and not np.iscomplexobj(phi)
+    members = weights.units if folded else range(len(weights.sos))
+    modal_u = spectral.project(phi, folded)  # (units, B)
     if carry.state is None:
-        carry.state = [np.zeros((len(sos), 2), dtype=complex) for sos in weights.sos]
-        for zi, start, u0 in zip(carry.state, weights.start, modal_u[:, 0]):
-            zi[0] = -start * u0
-    structural = spectral.kind == "structural"
-    X = np.empty((2,) + modal_u.shape) if structural else np.empty(modal_u.shape, complex)
-    for j, (sos, zi) in enumerate(zip(weights.sos, carry.state)):
-        y, carry.state[j] = sosfilt(sos, modal_u[j], zi=zi)
-        if not structural:
-            X[j] = y
-        elif len(sos) == 2:
-            X[0, j], X[1, j] = y.real, y.imag
+        carry.state = [np.zeros((len(weights.sos[j]), 2), dtype=complex) for j in members]
+        for zi, j, u0 in zip(carry.state, members, modal_u[:, 0]):
+            zi[0] = -weights.start[j] * u0
+    elif len(carry.state) != len(members):
+        raise GridMismatch("carry was started on a phi of the other dtype")
+    stacked = folded or spectral.kind == "structural"
+    X = np.empty((2,) + modal_u.shape) if stacked else np.empty(modal_u.shape, complex)
+    for k, j in enumerate(members):
+        sos = weights.sos[j]
+        y, carry.state[k] = sosfilt(sos, modal_u[k], zi=carry.state[k])
+        if not stacked:
+            X[k] = y
+        elif weights.mu is None or len(sos) == 2:
+            X[0, k], X[1, k] = y.real, y.imag
         else:
             # Re(mu y), elementwise: a matrix product would round it
             # differently on blocks of other lengths
             mu = weights.mu[j]
-            X[0, j] = y.real
-            np.multiply(y.imag, -mu.imag, out=X[1, j])
-            X[1, j] += mu.real * X[0, j]
+            X[0, k] = y.real
+            np.multiply(y.imag, -mu.imag, out=X[1, k])
+            X[1, k] += mu.real * X[0, k]
     return spectral.reconstruct(X, out=out)
 
 
@@ -360,13 +389,17 @@ def propagate_order(
         the modal matrix products.
     out : (state_dim, B) real array, optional
         Where to write the result, for instance a block of a coefficient
-        tensor's slot; the structural path reconstructs into it with no
-        temporary, with the same bits as a call without out.
+        tensor's slot. The structural path and the folded general path
+        (a real phi, every retained pair exact conjugates: see
+        KernelWeights.units) reconstruct into it with no temporary, with
+        the same bits as a call without out; the complex route copies
+        its real part in.
 
     Returns
     -------
     (state_dim, B) real array (out, if given): _modal_response, one path
-    for both kinds, through _enforce_real, the one realness policy.
+    for both kinds, through _enforce_real, the one realness policy (a
+    real sum passes as it is).
     """
     phi = np.asarray(phi)
     carry = Carry() if carry is None else carry

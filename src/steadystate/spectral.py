@@ -96,21 +96,78 @@ class SpectralData:
             return self.modal_input[cols], self.V[:, cols]
         return self.U[:, cols], self.U[:, cols] * self.omega[cols]
 
-    def project(self, phi: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _folded(self):
+        """The retained eigenvalues as real units, built once per
+        instance, or None (structural, or a retained member without its
+        exact conjugate beside it).
+
+        A unit is a pair, positive-imaginary member first, whose
+        eigenvalues, V columns and modal-input rows are exact
+        conjugates, or a real eigenvalue whose V column and modal-input
+        row are both real or both imaginary: for a real phi its response
+        is then exactly f Re(V+ y+), f = 2 for a pair and 1 for a real
+        eigenvalue. Returns (members, rows, cols): the positions in
+        retained of the units' first members, their modal-input rows W+
+        as the real stack [Re W+; Im W+], and their V columns V+ as the
+        real map [f Re V+, -f Im V+].
+        """
+        if self.kind != "general":
+            return None
+        lams, V, W = self.eigenvalues, self.V, self.modal_input
+        retained, members, factors, p = list(self.retained), [], [], 0
+        while p < len(retained):
+            i = retained[p]
+            k = retained[p + 1] if p + 1 < len(retained) else i
+            vw = np.concatenate([V[:, i], W[i]])
+            if lams[i].imag == 0.0 and not (vw.real.any() and vw.imag.any()):
+                factors.append(1.0)
+            elif (
+                lams[i].imag > 0.0
+                and lams[k] == np.conj(lams[i])
+                and np.array_equal(V[:, k], np.conj(V[:, i]))
+                and np.array_equal(W[k], np.conj(W[i]))
+            ):
+                factors.append(2.0)
+            else:
+                return None
+            members.append(p)
+            p += int(factors[-1])
+        first, f = [retained[p] for p in members], np.array(factors)
+        rows = np.concatenate([W[first].real, W[first].imag])
+        cols = np.hstack([V[:, first].real * f, V[:, first].imag * -f])
+        return tuple(members), rows, cols
+
+    def project(self, phi: np.ndarray, folded: bool = False) -> np.ndarray:
         """(m, ...) modal inputs of the retained units: modal_input @ phi
-        (general), U^T @ phi[:n], the force block (structural)."""
+        (general), U^T @ phi[:n], the force block (structural). folded
+        (general path, real phi, _folded not None) gives the complex
+        inputs of the folded units' first members instead, projected
+        through the real stacked rows, so phi is never cast to complex."""
         if self.kind == "general":
-            return self._maps[0] @ phi
+            if not folded:
+                return self._maps[0] @ phi
+            rows = self._folded[1]
+            m = len(rows) // 2
+            stacked = rows @ phi
+            u = np.empty((m,) + stacked.shape[1:], dtype=complex)
+            u.real, u.imag = stacked[:m], stacked[m:]
+            return u
         return self._maps[0].T @ phi[: self.state_dim // 2]
 
     def reconstruct(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """(state_dim, ...) state of retained modal coordinates: V @ X
-        (general), or U @ X[0] and U omega @ X[1] written into the two
-        halves for a (2, m, ...) stack of positions and velocities over
-        omega (structural); on the structural path the halves are written
-        into out when it is given, and out is returned."""
+        """(state_dim, ...) state of retained modal coordinates: V @ X for
+        complex modal coordinates (general); a real X on the general path
+        is the (2, m, ...) stack [Re y; Im y] of the folded units (see
+        _folded), summed in real arithmetic as [f Re V+, -f Im V+] @ X; U
+        @ X[0] and U omega @ X[1] written into the two halves for a (2, m,
+        ...) stack of positions and velocities over omega (structural).
+        The real sums are written into out when it is given, and out is
+        returned."""
         if self.kind == "general":
-            return self._maps[1] @ X
+            if np.iscomplexobj(X):
+                return self._maps[1] @ X
+            return np.matmul(self._folded[2], X.reshape((-1,) + X.shape[2:]), out=out)
         n = self.state_dim // 2
         Z = np.empty((2 * n,) + X.shape[2:], dtype=X.dtype) if out is None else out
         positions, velocities = self._maps

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from steadystate.errors import (
     RealnessCheckFailed,
     ZeroEigenvalue,
 )
+from steadystate import kernel
+from steadystate.bench import build_gyroscopic_2dof
 from steadystate.kernel import _ONE_SECTION_ZETA, Carry, _block_matrix, _enforce_real
 from tests.conftest import random_system
 
@@ -463,6 +466,117 @@ class TestBlockedFilters:
         assert np.array_equal(np.hstack(blocks), whole)
 
 
+def _general_system(name):
+    """General-damping systems for the conjugate fold: two random ones
+    (skew damping), a dashpot heavy enough to leave two real
+    eigenvalues, and the gyroscopic pair, plain and with real ones."""
+    rng = np.random.default_rng(11)
+    if name.startswith("random"):
+        return random_system(rng, int(name[-1]), structural=False, n_terms=0)
+    if name == "overdamped":
+        K = np.array([[2.0, -1.0], [-1.0, 2.0]])
+        return build_system(np.eye(2), np.diag([6.0, 0.2]), K, damping="general")
+    return build_gyroscopic_2dof(c=3.0 if name == "gyroscopic-real" else 0.1)
+
+
+_GENERAL = ["random3", "random4", "overdamped", "gyroscopic", "gyroscopic-real"]
+
+
+def _general_case(name, T=900, dt=0.02):
+    spec = decompose_general(_general_system(name))
+    phi = np.zeros((spec.state_dim, T))
+    phi[: spec.state_dim // 2] = np.random.default_rng(5).standard_normal(
+        (spec.state_dim // 2, T)
+    )
+    return spec, build_kernel_weights(spec, dt), phi
+
+
+class TestConjugateFold:
+    """A real input on the general path runs one first-order section per
+    conjugate pair (and per real eigenvalue) and sums in real
+    arithmetic; the complex route over every member is the reference."""
+
+    @pytest.mark.parametrize("name", _GENERAL)
+    def test_matches_complex_route(self, name):
+        spec, w, phi = _general_case(name)
+        lams = spec.eigenvalues
+        reals = int(np.sum(lams.imag == 0.0))
+        assert reals == (2 if name in ("overdamped", "gyroscopic-real") else 0)
+        assert len(w.units) == reals + (len(lams) - reals) // 2
+        assert len(w.retained) == len(lams)
+        got = propagate_order(spec, w, phi)
+        want = propagate_order(spec, replace(w, units=None), phi)
+        assert got.dtype == np.float64
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        # a complex input runs every member: the fold is for real inputs
+        both = kernel._modal_response(spec, w, phi + 0.5j * phi[:, ::-1], Carry())
+        assert np.iscomplexobj(both)
+        reverse = propagate_order(spec, w, phi[:, ::-1])
+        assert np.abs(both - (got + 0.5j * reverse)).max() <= 1e-13 * np.abs(got).max()
+
+    @pytest.mark.parametrize("name", _GENERAL)
+    def test_blocks_match_whole_grid(self, name):
+        spec, w, phi = _general_case(name)
+        whole = propagate_order(spec, w, phi)
+        carry = Carry()
+        blocks = [propagate_order(spec, w, phi[:, :377], carry),
+                  propagate_order(spec, w, phi[:, 377:], carry)]
+        assert len(carry.state) == len(w.units)
+        assert np.abs(np.hstack(blocks) - whole).max() <= 1e-13 * np.abs(whole).max()
+        # a folded carry holds no state for the second members
+        with pytest.raises(GridMismatch):
+            kernel._modal_response(spec, w, phi + 0j, carry)
+
+    @pytest.mark.parametrize("name", _GENERAL)
+    def test_out_written_in_place(self, monkeypatch, name):
+        # the real sum lands in out itself: no temporary is copied in
+        spec, w, phi = _general_case(name)
+        want = propagate_order(spec, w, phi)
+        inner, seen = kernel._modal_response, []
+
+        def spied(*args):
+            Z = inner(*args)
+            seen.append(Z is args[-1])
+            return Z
+
+        monkeypatch.setattr(kernel, "_modal_response", spied)
+        tensor = np.full((spec.state_dim, 3, phi.shape[1]), np.nan)
+        view = tensor[:, 1]
+        Z = propagate_order(spec, w, phi, out=view)
+        assert Z is view and seen == [True]
+        assert np.array_equal(view, want)
+        assert np.isnan(tensor[:, [0, 2]]).all()
+
+    def test_split_pair_takes_complex_route(self, monkeypatch):
+        spec, w, phi = _general_case("random3")
+        # the first pair retained whole folds; one member of it does not
+        assert build_kernel_weights(with_retained(spec, (0, 1)), 0.02).units == (0,)
+        split = with_retained(spec, (0, 2, 3))
+        ws = build_kernel_weights(split, 0.02)
+        assert ws.units is None
+        inner, sums = kernel._modal_response, []
+
+        def spied(*args):
+            Z = inner(*args)
+            sums.append(Z)
+            return Z
+
+        monkeypatch.setattr(kernel, "_modal_response", spied)
+        with pytest.raises(RealnessCheckFailed):
+            propagate_order(split, ws, phi)
+        assert np.iscomplexobj(sums[0])
+
+    def test_conjugate_order_not_folded(self):
+        # a pair stored negative-imaginary member first is not a unit
+        spec = _one_general_mode(-5.0 + 200.0j)
+        assert build_kernel_weights(spec, 0.01).units == (0,)
+        swapped = replace(
+            spec, eigenvalues=spec.eigenvalues[::-1], V=spec.V[:, ::-1],
+            modal_input=spec.modal_input[::-1],
+        )
+        assert build_kernel_weights(swapped, 0.01).units is None
+
+
 class TestNewmark:
     def test_matches_kernel_on_linear_system(self, rng):
         sys_ = random_system(rng, 2, structural=True, n_terms=0)
@@ -521,6 +635,20 @@ class TestRealness:
         Z = np.ones((2, 4)) + 1e-3j
         with pytest.raises(RealnessCheckFailed):
             _enforce_real(Z, "test")
+
+    def test_perturbed_conjugate_row_raises(self):
+        # a modal-input row 1e-6 off its partner's conjugate is no pair:
+        # the complex route's residue check raises instead of a fold
+        # keeping the real part
+        spec = decompose_general(_general_system("random3"))
+        W = spec.modal_input.copy()
+        W[1] += 1e-6 * np.abs(W[1]).max()
+        bad = replace(spec, modal_input=W)
+        w = build_kernel_weights(bad, 0.02)
+        assert w.units is None
+        _, _, phi = _general_case("random3")
+        with pytest.raises(RealnessCheckFailed):
+            propagate_order(bad, w, phi)
 
     @staticmethod
     def _hypot_rule(Z):
