@@ -278,7 +278,6 @@ def _cmd_diagnose(args):
             "contraction_factor": report.contraction_factor,
             "admissible_delta_bound": report.admissible_delta_bound,
             "satisfied": report.satisfied,
-            "strict_factor": report.strict_factor,
             "strict_satisfied": report.strict_satisfied,
         }
     _print(summary)

@@ -246,7 +246,8 @@ class CompositionCache:
     _product). Only what is left of a batch after peeling its pivot
     column (degree < max_degree) is kept: the top-degree products are
     consumed exactly once, so storing them would only cost memory.
-    hits / misses count lookups of cacheable entries, one per batch. A
+    hits / misses count the rows of cacheable lookups: unless two
+    terms share a sub-product, they do not depend on the batching. A
     cache is tied to the coefficient grids it was filled from, and to
     the field if its forms are not the identity (its products are over
     that field's forms); never reuse one across tensors or such fields
@@ -305,10 +306,11 @@ class CompositionCache:
         self._forms.clear()
 
     def stats(self):
-        """hits and misses since the cache was made (summed over the
-        blocks of a blocked run); entries is the size of the store now,
-        one block's products after a blocked run."""
-        return {"hits": self.hits, "misses": self.misses, "entries": len(self._store)}
+        """hits and misses, in rows, since the cache was made (summed
+        over the blocks of a blocked run); entries is the number of rows
+        stored now, one block's products after a blocked run."""
+        entries = sum(len(columns[0]) for columns, _ in self._store)
+        return {"hits": self.hits, "misses": self.misses, "entries": entries}
 
 
 def assemble_H(gamma, nu, component, length, cache, dtype=float):
@@ -365,9 +367,9 @@ def _product(columns, nu, component, cache, product=operator.mul):
     if cacheable:
         got = cache._store.get(key)
         if got is not None:
-            cache.hits += 1
+            cache.hits += len(columns[0])
             return got
-        cache.misses += 1
+        cache.misses += len(columns[0])
 
     splits = cache.splits(len(rest), nu)
     out = product(

@@ -104,9 +104,11 @@ class RealnessCheckFailed(SteadyStateError):
 
     The one policy for every complex modal sum that must be real: the
     general kernel path where it does not fold its conjugate pairs (a
-    split pair, a complex input), the general qp orbit and each lifted
-    order of a reduced model raise this; a smaller residue is
-    discarded."""
+    split pair), the general qp orbit and each lifted order of a reduced
+    model raise this; a smaller residue is discarded. propagate_order
+    applies it to its input too, on both damping kinds: a complex phi
+    with a larger imaginary part raises, a smaller one is dropped
+    before the modes run."""
 
 
 # ---------------------------------------------------------- composition

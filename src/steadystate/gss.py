@@ -100,8 +100,9 @@ class GssExpansion:
     normalized forcing; delta_ref is the reference amplitude (the
     forcing's own sup norm unless overridden), which also scales the
     rational resummation below. cache_stats records product reuse in the
-    composition stage: hits and misses summed over the time blocks of
-    the run, entries the size of one block's product store.
+    composition stage, counted in rows of products: hits and misses
+    summed over the time blocks of the run, entries the rows of one
+    block's product store.
     """
 
     system: MechanicalSystem
@@ -811,11 +812,9 @@ def reduced_gss(
             A_r[:, factors[0]] += term[1]
         else:
             nonlinear_terms.append(term)
-    if R.forms is None:
-        nonlinear = replace(R, terms=tuple(nonlinear_terms))
-    else:
+    if R.forms is not None:
         A_r = A_r @ R.forms
-        nonlinear = replace(R, form_terms=tuple(nonlinear_terms))
+    nonlinear = replace(R, form_terms=tuple(nonlinear_terms))
     eigvals, V_r = np.linalg.eig(A_r)
     if np.any(eigvals.real >= -_STABILITY_TOL):
         raise UnstableLinearPart(

@@ -27,7 +27,7 @@ section. When the input is real and every retained mode has its exact
 conjugate beside it (SpectralData._folded), a conjugate pair runs as one
 unit, the section of its positive-imaginary member, whose response the
 real sum 2 Re(V+ y) adds, and a real eigenvalue as its own unit;
-otherwise (a split pair, reduced coordinates, complex input) every
+otherwise (a split pair, the complex input of reduced coordinates) every
 member runs and the complex modal sum goes through _enforce_real. An
 oscillator whose roots are a complex pair lambda+-, with zeta below a
 cut-over, is one first-order section too: its positive-frequency mode
@@ -382,6 +382,10 @@ def propagate_order(
         Inhomogeneity sampled on the forcing grid, or on one time block
         of it (for mechanical systems the lower block is identically zero
         and, on the structural path, only the top block is consumed).
+        The response of a real system to a real phi is real, so phi
+        takes the realness policy on entry: a complex phi runs as its
+        real part, or raises RealnessCheckFailed if its imaginary part
+        is not negligible.
     carry : Carry, optional
         The order's state between time blocks (see Carry). None, or a
         fresh Carry, makes phi the start of the grid (at least 2 samples);
@@ -400,8 +404,12 @@ def propagate_order(
     (state_dim, B) real array (out, if given): _modal_response, one path
     for both kinds, through _enforce_real, the one realness policy (a
     real sum passes as it is).
+
+    Raises GridMismatch if phi, out, the weights or the carry do not fit
+    the grid, and RealnessCheckFailed if phi or the modal sum keeps an
+    imaginary part above 1e-10 x its scale.
     """
-    phi = np.asarray(phi)
+    phi = _enforce_real(np.asarray(phi), "phi")
     carry = Carry() if carry is None else carry
     if phi.ndim != 2 or phi.shape[0] != spectral.state_dim:
         raise GridMismatch(

@@ -104,23 +104,6 @@ class _Polynomial(NamedTuple):
         return y[self.factors].prod(axis=1)
 
 
-class _StateTerms:
-    """The terms field of PolynomialField: its monomials in the state
-    coordinates. A field on forms derives them from its form terms on
-    first read and caches them on the instance, like _packed."""
-
-    def __get__(self, fld, owner=None):
-        if fld is None:
-            return ()  # the field's default: no terms
-        got = fld.__dict__.get("terms")
-        if got is None:
-            got = fld.__dict__["terms"] = fld._expand()
-        return got
-
-    def __set__(self, fld, value):
-        fld.__dict__["terms"] = value
-
-
 @dataclass(frozen=True)
 class PolynomialField:
     """Sparse multivariate polynomial map R^dim -> C^out_dim, written in
@@ -130,35 +113,39 @@ class PolynomialField:
     identity (r = dim, y = z), and such a field pays no product with it.
     form_terms maps each exponent multi-index m over the r forms to a
     coefficient vector F_m (a column of C), so the field value is
-    sum_m F_m * prod_k y_k^{m_k}. terms is the same field in the state
-    coordinates, monomials in z: for the identity it is form_terms
-    itself, otherwise the expansion of form_terms through the forms,
-    built on first read. A finite-element force is a few powers of each
-    element's strains, so its form terms are far fewer than its
-    expanded monomials; composition and evaluation run on the forms.
-    Multi-indices are stored in lexicographic order; iteration order is
-    therefore deterministic and all downstream sums are reproducible.
-
-    For the identity, terms is the stored list (dataclasses.replace it
-    to change the field); for a field on forms, forms and form_terms
-    are, and a terms argument is not read.
+    sum_m F_m * prod_k y_k^{m_k}. forms and form_terms are the stored
+    field; everything else is derived from them on first read and
+    cached on the instance, so dataclasses.replace of form_terms (or of
+    forms) changes the field and its derived values together. terms is
+    the same field in the state coordinates, monomials in z: form_terms
+    itself for the identity, otherwise their expansion through the
+    forms. max_degree is the largest total degree (0 without terms).
+    A finite-element force is a few powers of each element's strains,
+    so its form terms are far fewer than its expanded monomials;
+    composition and evaluation run on the forms. Multi-indices are
+    stored in lexicographic order; iteration order is therefore
+    deterministic and all downstream sums are reproducible.
     """
 
     dim: int
     out_dim: int
-    max_degree: int
     min_degree: int
-    terms: tuple = _StateTerms()  # ((exponents over z, coeff ndarray), ...) lexicographic
+    form_terms: tuple = ()  # ((exponents over y, coeff ndarray), ...) lexicographic
     forms: np.ndarray | None = None  # (r, dim); None is the identity
-    form_terms: tuple | None = None  # ((exponents over y, coeff ndarray), ...) lexicographic
 
     def __post_init__(self):
-        if self.forms is None:
-            object.__setattr__(self, "form_terms", self.terms)
-        else:
-            self.__dict__["terms"] = None  # derived from the forms on first read
         for m, c in self.form_terms:
             c.flags.writeable = False
+
+    @cached_property
+    def terms(self):
+        """((exponents over z, coeff ndarray), ...): the monomials in the
+        state coordinates, lexicographic."""
+        return self.form_terms if self.forms is None else self._expand()
+
+    @cached_property
+    def max_degree(self) -> int:
+        return max(self.degrees, default=0)
 
     @property
     def n_terms(self) -> int:
@@ -314,15 +301,8 @@ def polynomial_field(dim, out_dim, terms, min_degree=2, forms=None):
     ordered = tuple(
         (m, np.asarray(merged[m], dtype=dtype)) for m in sorted(merged)
     )
-    max_degree = max((sum(m) for m, _ in ordered), default=0)
     return PolynomialField(
-        dim=dim,
-        out_dim=out_dim,
-        terms=ordered if forms is None else None,
-        max_degree=max_degree,
-        min_degree=min_degree,
-        forms=forms,
-        form_terms=None if forms is None else ordered,
+        dim=dim, out_dim=out_dim, min_degree=min_degree, form_terms=ordered, forms=forms
     )
 
 

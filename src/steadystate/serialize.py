@@ -77,10 +77,11 @@ def _system_dict(system: MechanicalSystem) -> dict:
         "M": system.M.tolist(),
         "C": system.C.tolist(),
         "K": system.K.tolist(),
-        "terms": _term_entries(fld.terms),
         "damping": system.damping_class.kind,
     }
-    if fld.forms is not None:
+    if fld.forms is None:
+        out["terms"] = _term_entries(fld.form_terms)
+    else:
         out["forms"] = fld.forms.tolist()
         out["form_terms"] = _term_entries(fld.form_terms)
     return out
@@ -89,10 +90,10 @@ def _system_dict(system: MechanicalSystem) -> dict:
 def save_system(system: MechanicalSystem, path: str) -> None:
     """Write a system config as JSON (matrices, polynomial terms, damping).
 
-    "terms" holds the field's monomials in the state coordinates. A field
-    on forms also writes "forms" (its form matrix, one row per form) and
-    "form_terms" (its terms over the forms, in the same entry format),
-    from which load_system rebuilds it.
+    The field is written once, as stored: a field on the identity as
+    "terms" (its monomials in the state coordinates), a field on forms
+    as "forms" (its form matrix, one row per form) and "form_terms" (its
+    terms over the forms, in the same entry format), with no expansion.
     """
     with open(path, "w") as fh:
         json.dump(_system_dict(system), fh, indent=1)
@@ -109,9 +110,9 @@ def _read_terms(entries):
 def load_system(path: str) -> MechanicalSystem:
     """Build a system from a JSON config.
 
-    With "forms" the field is built on them from "form_terms" ("terms",
-    their expansion, is not read); without, from "terms" with the
-    identity as its forms.
+    With "forms" the field is built on them from "form_terms"; without,
+    from "terms" with the identity as its forms. A "terms" key beside
+    "forms" (the expansion older configs also wrote) is not read.
 
     Structural problems (missing keys, ragged matrices, bad term
     entries) raise ConfigError; the physical validations (symmetry,

@@ -382,8 +382,8 @@ class ContractionReport:
     admissible_delta_bound = delta (1/(||V|| ||V*|| Gamma) - 2(L^F+L^G))
     - sup_ball ||F||, which reduces to delta / (||V|| ||V*|| Gamma) for a
     linear system. The stricter variant 4 ||V|| ||V*|| Gamma (L^F + L^G)
-    <= 1 is reported alongside, labeled strict_*. lipschitz_F, a bound on
-    the Jacobian norm over the ball, equals lipschitz_F_analytic.
+    <= 1 is reported alongside as strict_satisfied. lipschitz_F bounds
+    the Jacobian norm over the ball.
     """
 
     delta: float
@@ -394,9 +394,7 @@ class ContractionReport:
     admissible_delta_bound: float
     contraction_factor: float
     satisfied: bool
-    lipschitz_F_analytic: float
     sup_F: float
-    strict_factor: float
     strict_satisfied: bool
 
 
@@ -447,8 +445,6 @@ def check_contraction(
         admissible_delta_bound=float(bound),
         contraction_factor=float(factor),
         satisfied=bool(factor < 1.0 and forcing_delta <= bound),
-        lipschitz_F_analytic=float(lip_F),
         sup_F=float(sup_f),
-        strict_factor=float(2.0 * factor),
         strict_satisfied=bool(2.0 * factor <= 1.0),
     )

@@ -68,6 +68,39 @@ class TestSystemConfig:
             tensor.insert_slice(nu, rng.standard_normal((8, 20)))
         assert np.array_equal(assemble_phi(back, tensor, 3), assemble_phi(sys_, tensor, 3))
 
+    def test_config_on_forms_is_written_once(self, tmp_path):
+        # forms and form_terms are the field; its expansion is not written
+        sys_ = build_oscillator_chain(4, kappa3=0.3)
+        path, again = tmp_path / "chain.json", tmp_path / "again.json"
+        serialize.save_system(sys_, path)
+        assert "terms" not in json.loads(path.read_text())
+        back = serialize.load_system(path)
+        serialize.save_system(back, again)
+        assert again.read_bytes() == path.read_bytes()
+        fld, got = sys_.nonlinearity, back.nonlinearity
+        assert got.forms.tobytes() == fld.forms.tobytes()
+        assert [(m, c.tobytes()) for m, c in got.form_terms] == [
+            (m, c.tobytes()) for m, c in fld.form_terms
+        ]
+
+    def test_config_with_the_expansion_beside_the_forms_loads(self, tmp_path):
+        # configs written with all three keys: "terms" is not read
+        sys_ = build_oscillator_chain(4, kappa3=0.3)
+        path = tmp_path / "chain.json"
+        serialize.save_system(sys_, path)
+        raw = json.loads(path.read_text())
+        raw["terms"] = serialize._term_entries(sys_.nonlinearity.terms)
+        assert len(raw["terms"]) > len(raw["form_terms"])
+        path.write_text(json.dumps(raw))
+        fld, got = sys_.nonlinearity, serialize.load_system(path).nonlinearity
+        assert np.array_equal(got.forms, fld.forms)
+        assert [(m, c.tobytes()) for m, c in got.form_terms] == [
+            (m, c.tobytes()) for m, c in fld.form_terms
+        ]
+        assert [(m, c.tobytes()) for m, c in got.terms] == [
+            (m, c.tobytes()) for m, c in fld.terms
+        ]
+
     def test_config_without_forms_loads_on_the_identity(self, tmp_path):
         path = tmp_path / "duffing.json"
         serialize.save_system(build_duffing(kappa3=0.7), path)

@@ -43,7 +43,7 @@ from steadystate.errors import (
     RealnessCheckFailed,
     UnstableLinearPart,
 )
-from steadystate import gss, serialize
+from steadystate import composition, gss, serialize
 from steadystate.composition import CompositionCache, compose_field
 from steadystate.gss import fit_harmonics
 from steadystate.model import first_order_blocks, polynomial_field
@@ -397,6 +397,30 @@ class TestBlockedCascade:
                 ref = one.tensor.order_slice(nu)
                 diff = np.abs(got.tensor.order_slice(nu) - ref).max()
                 assert diff <= 1e-13 * np.abs(ref).max(), (size, nu)
+
+    def test_cache_counters_do_not_depend_on_the_batching(self, monkeypatch):
+        # the counters count rows of products: one row per batch and
+        # every row of a degree in one batch read the same, on time
+        # blocks of any length and on the qp harmonics
+        sys_ = build_oscillator_chain(6, kappa3=0.3)
+        f = generate_forcing("filtered_gaussian", n=6, duration=299 * 0.05, dt=0.05,
+                             delta=0.3, seed=5, f_cut=1.0)
+        tones = generate_forcing("two_tone", n=6, duration=60.0, dt=0.05, delta=0.1,
+                                 w1=1.3, w2=0.45, dofs=(0, 5))
+        runs = [(f, dict(order=7), block) for block in (f.length, 128, 16)]
+        runs.append((tones, dict(order=5, backend="qp", base_frequencies=(1.3, 0.45)), None))
+        seen = []
+        for forcing, kw, block in runs:
+            monkeypatch.setattr(gss, "_BLOCK", block or gss._BLOCK)
+            stats = []
+            for batch in (1, 10**6):  # rows per batch: max(1, batch // length)
+                monkeypatch.setattr(composition, "_BATCH_SAMPLES", batch)
+                stats.append(compute_taylor_gss(sys_, forcing, **kw).cache_stats)
+            assert stats[0] == stats[1], (block, stats)
+            seen.append(stats[0])
+        # each spring's cube keeps one row per order of its square
+        assert seen[0] == {"hits": 21, "misses": 21, "entries": 21}
+        assert seen[2]["entries"] == 21 and seen[2]["hits"] > seen[0]["hits"]
 
     def test_repeated_runs_are_bit_identical(self):
         sys_ = _cubic_chain()

@@ -325,6 +325,24 @@ class TestPropagateOrder:
         Zb = 2.0 * propagate_order(spec, w, phi1) - 0.5 * propagate_order(spec, w, phi2)
         assert np.abs(Za - Zb).max() < 1e-12 * max(np.abs(Zb).max(), 1e-30)
 
+    @pytest.mark.parametrize("structural", [True, False], ids=["structural", "general"])
+    def test_complex_phi_takes_the_realness_policy(self, structural):
+        # the response to a real phi is real: an imaginary phi raises on
+        # both kinds instead of returning a real grid for it, and a
+        # complex phi with a zero imaginary part runs as the real one
+        sys_ = random_system(np.random.default_rng(1), 2, structural=structural, n_terms=0)
+        spec = decompose_structural(sys_) if structural else decompose_general(sys_)
+        w = build_kernel_weights(spec, 0.02)
+        t = 0.02 * np.arange(400)
+        phi = np.zeros((4, 400))
+        phi[:2] = np.sin(1.3 * t), np.cos(0.7 * t)
+        with pytest.raises(RealnessCheckFailed):
+            propagate_order(spec, w, phi * 1j)
+        want = propagate_order(spec, w, phi)
+        got = propagate_order(spec, w, phi + 0j)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+
 
 def _longdouble_recursion(E, Q, u):
     """x[k] = E x[k-1] + Q[:, 0] u[k-1] + Q[:, 1] u[k] from x[0] = 0, in long double."""

@@ -133,10 +133,35 @@ class TestPolynomialField:
         fld = polynomial_field(2, 1, [((2, 0), np.array([1.0])), ((1, 1), np.array([2.0]))])
         z = np.array([0.5, -1.5])
         assert evaluate_field(fld, z) == pytest.approx([0.25 - 1.5])
-        cubic = dataclasses.replace(fld, terms=(((0, 3), np.array([3.0])),))
+        cubic = dataclasses.replace(fld, form_terms=(((0, 3), np.array([3.0])),))
         assert evaluate_field(cubic, z) == pytest.approx([3.0 * (-1.5) ** 3])
         assert field_jacobian(cubic, z) == pytest.approx(np.array([[0.0, 9.0 * 1.5**2]]))
         assert evaluate_field(fld, z) == pytest.approx([0.25 - 1.5])
+
+    @pytest.mark.parametrize("forms", [None, [[1.0, -1.0], [0.0, 1.0], [2.0, 0.0]]],
+                             ids=["identity", "forms"])
+    def test_replace_derives_degree_and_terms(self, rng, forms):
+        # form_terms is the stored field: a replace of it moves max_degree,
+        # degrees and terms with it, however much of the old field was read
+        width = 2 if forms is None else 3
+        cubic = polynomial_field(2, 2, [((3,) + (0,) * (width - 1), 0, 1.0),
+                                        ((1, 2) + (0,) * (width - 2), 1, 0.5)], forms=forms)
+        z = rng.standard_normal(2)
+        assert (cubic.max_degree, cubic.degrees) == (3, (3,))
+        assert {sum(m) for m, _ in cubic.terms} == {3} and evaluate_field(cubic, z).any()
+        quartic = (((0,) * (width - 1) + (4,), np.array([2.0, 0.0])),
+                   ((1, 3) + (0,) * (width - 2), np.array([0.0, -1.0])))
+        fld = dataclasses.replace(cubic, form_terms=quartic)
+        assert (fld.max_degree, fld.degrees) == (4, (4,))
+        y = z if forms is None else np.asarray(forms) @ z
+        want = [2.0 * y[-1] ** 4, -y[0] * y[1] ** 3]
+        assert evaluate_field(fld, z) == pytest.approx(want, rel=1e-13)
+        if forms is None:
+            assert fld.terms is fld.form_terms is quartic
+        assert {sum(m) for m, _ in fld.terms} == {4}
+        monomials = sum(c * np.prod(z ** np.array(m)) for m, c in fld.terms)
+        assert monomials == pytest.approx(want, rel=1e-13)
+        assert dataclasses.replace(cubic, form_terms=()).max_degree == 0
 
 
 class TestBuildSystem:
