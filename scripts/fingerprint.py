@@ -8,6 +8,10 @@ coefficient tensors of chain-noise, duffing-critical and dashpot-roundtrip
 Pade den and num (pade_resum at the workload's [L/M]) and its trajectory
 at the forcing sup (evaluate_at_amplitude), and the frc-chain amplitudes
 (the one-thread sweep), each with its shape and the SHA-256 of its bytes.
+Each noise workload also gives its forcing record (chain-noise-forcing,
+duffing-forcing, dashpot-forcing): forcing.samples, flattened, followed
+by forcing.max_magnitude, so one digest covers both; a run that asks
+only for records builds them and solves nothing.
 A tensor is hashed order by order, every order 1..order_max stacked on
 axis 1 (state, order, time), so an order the tensor does not store
 counts as its zeros and the digest does not depend on which orders are
@@ -45,12 +49,19 @@ import numpy as np  # noqa: E402
 from perfbench import workloads  # noqa: E402
 from steadystate import gss  # noqa: E402
 
+# the forcing record of each noise workload, the first of its outputs
+FORCING = {
+    "chain-noise": "chain-noise-forcing",
+    "duffing-critical": "duffing-forcing",
+    "dashpot-roundtrip": "dashpot-forcing",
+}
 # the outputs of each workload, in the order they are printed
 OUTPUTS = {
-    "chain-noise": ("chain-noise",),
-    "duffing-critical": ("duffing-critical",),
+    "chain-noise": ("chain-noise-forcing", "chain-noise"),
+    "duffing-critical": ("duffing-forcing", "duffing-critical"),
     "dashpot-roundtrip": (
-        "dashpot-roundtrip", "dashpot-pade-den", "dashpot-pade-num", "dashpot-evaluate",
+        "dashpot-forcing", "dashpot-roundtrip", "dashpot-pade-den", "dashpot-pade-num",
+        "dashpot-evaluate",
     ),
     "frc-chain": ("frc-chain",),
 }
@@ -58,11 +69,18 @@ ALL = [name for made in OUTPUTS.values() for name in made]
 SLICE = 8192
 
 
-def _workload_outputs(name):
-    """(name, array) of every output of one workload, one at a time."""
+def _workload_outputs(name, names):
+    """(name, array) of the outputs of one workload, one at a time; the
+    solve runs only if names holds one of its outputs besides the
+    forcing record."""
     work = workloads.WORKLOADS[name]
     spec = work.spec("full")
     inputs = work.setup(spec, 0)
+    if name in FORCING:
+        forcing = inputs["forcing"]
+        yield FORCING[name], np.append(forcing.samples, forcing.max_magnitude)
+    if names.isdisjoint(set(OUTPUTS[name]) - {FORCING.get(name)}):
+        return
     if name == "frc-chain":
         yield name, np.asarray(workloads.sweep(inputs, spec, 1).amplitude)
         return
@@ -87,7 +105,7 @@ def outputs(names=None):
     names = set(names or ALL)
     for workload, made in OUTPUTS.items():
         if not names.isdisjoint(made):
-            yield from ((n, a) for n, a in _workload_outputs(workload) if n in names)
+            yield from ((n, a) for n, a in _workload_outputs(workload, names) if n in names)
 
 
 def relative_difference(a, b):
@@ -119,7 +137,7 @@ def main(argv=None):
     kept = {}
     for name, array in outputs(names):
         digest = hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
-        line = f"{name:18s} {digest}  shape {array.shape}"
+        line = f"{name:19s} {digest}  shape {array.shape}"
         if saved is not None and name not in saved:
             line += "  not in the saved file"
         elif saved is not None:

@@ -13,11 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .errors import InvalidCutoff, InvalidParameters, NearResonance
 from .gss import compute_taylor_gss, evaluate_at_amplitude
 from .model import (
-    ForcingSignal, MechanicalSystem, _check_dt, _check_int, build_system, load_forcing,
+    ForcingSignal,
+    MechanicalSystem,
+    _check_dt,
+    _check_int,
+    _forcing_signal,
+    build_system,
+    load_forcing,
 )
 
 __all__ = [
@@ -128,10 +135,15 @@ def _rossler_series(duration, dt, seed, components, skip_time=100.0):
 
 def _target_dofs(dofs, n):
     """The forced dofs as a list of ints, every dof for None; raises
-    InvalidParameters unless each one is an integer in 0..n-1."""
+    InvalidParameters unless they are one or more distinct integers in
+    0..n-1."""
     targets = list(range(n) if dofs is None else dofs)
+    if not targets:
+        raise InvalidParameters("dofs must name at least one dof, got none")
     for d in targets:
         _check_int(d, f"each of dofs {targets!r}", 0, n - 1)
+    if len(set(targets)) < len(targets):
+        raise InvalidParameters(f"dofs must be distinct, got {targets!r}")
     return [int(d) for d in targets]
 
 
@@ -149,8 +161,8 @@ def generate_forcing(
     """Reproducible forcing grids on a uniform grid of step dt.
 
     kind: 'chirp', 'filtered_gaussian', 'rossler', or 'two_tone'. dofs
-    selects the target indices (default: all), integers in 0..n-1;
-    other columns are zero.
+    selects the target indices (default: all), one or more distinct
+    integers in 0..n-1; other columns are zero. delta must be finite.
     seed, a non-negative integer or None, seeds the random kinds.
     duration is the unpadded signal length in time units; pad leading
     zero rows are prepended by the signal container; a grid of over
@@ -164,31 +176,43 @@ def generate_forcing(
                        100 time units of transient discarded, each
                        column peak-normalized to delta
     two_tone:          delta (sin w1 t + sin w2 t) / 2; params w1, w2
+
+    The record is built once: the forced columns as one (T, k) block,
+    whose row norms give the filtered_gaussian scale and max_magnitude,
+    written straight into the padded read-only samples. The transforms
+    are scipy.fft's, which keeps the plan of a length between calls, so
+    the cost follows the FFT length T (a prime factor above 5 takes the
+    slower chirp-z path). On 1, 2 or all n forced dofs in order a row
+    norm is bit-equal to np.linalg.norm(samples, axis=1); on 3 to n-1
+    its sum of squares is added in another order, so max_magnitude (and
+    the filtered_gaussian scale) can differ from it in the last bit.
     """
     if n < 1 or not 0 < duration < np.inf:
         raise InvalidParameters(f"need n >= 1 and a finite duration > 0, got {n}, {duration}")
     _check_dt(dt)
+    if not np.isfinite(delta):
+        raise InvalidParameters(f"delta must be finite, got {delta!r}")
     targets = _target_dofs(dofs, n)
     if seed is not None:
         _check_int(seed, "seed", 0)
+    _check_int(pad, "pad", 0)
+    pad = int(pad)
     if not duration / dt < 2**31:  # 16 GiB a column, refused before allocating
         raise InvalidParameters(f"duration / dt = {duration / dt:.3g} asks for over 2^31 samples")
     T = int(round(duration / dt)) + 1
-    t = dt * np.arange(T)
-    samples = np.zeros((T, n))
+    k = len(targets)
 
-    if kind == "chirp":
-        f0 = params.pop("f0", 0.1)
-        rate = params.pop("rate", 0.05)
-        wave = delta * np.sin(2.0 * np.pi * (0.5 * rate * t * t + f0 * t))
-        for d in targets:
-            samples[:, d] = wave
-    elif kind == "two_tone":
-        w1 = params.pop("w1", 1.0)
-        w2 = params.pop("w2", np.sqrt(2.0))
-        wave = 0.5 * delta * (np.sin(w1 * t) + np.sin(w2 * t))
-        for d in targets:
-            samples[:, d] = wave
+    if kind in ("chirp", "two_tone"):
+        t = dt * np.arange(T)
+        if kind == "chirp":
+            f0 = params.pop("f0", 0.1)
+            rate = params.pop("rate", 0.05)
+            wave = delta * np.sin(2.0 * np.pi * (0.5 * rate * t * t + f0 * t))
+        else:
+            w1 = params.pop("w1", 1.0)
+            w2 = params.pop("w2", np.sqrt(2.0))
+            wave = 0.5 * delta * (np.sin(w1 * t) + np.sin(w2 * t))
+        forced = np.repeat(wave[:, None], k, axis=1)
     elif kind == "filtered_gaussian":
         f_cut = params.pop("f_cut", None)
         if f_cut is None:
@@ -197,29 +221,28 @@ def generate_forcing(
         if not 0.0 < f_cut < nyquist:
             raise InvalidCutoff(f"f_cut {f_cut} outside (0, {nyquist})")
         rng = np.random.default_rng(seed)
-        noise = rng.standard_normal((T, len(targets)))
-        freqs = np.fft.rfftfreq(T, d=dt)
-        spec = np.fft.rfft(noise, axis=0)
-        spec[freqs > f_cut] = 0.0
-        smooth = np.fft.irfft(spec, n=T, axis=0)
-        block = np.zeros((T, n))
-        block[:, targets] = smooth
-        sup = np.linalg.norm(block, axis=1).max()
+        spec = scipy.fft.rfft(rng.standard_normal((T, k)), axis=0)
+        spec[np.fft.rfftfreq(T, d=dt) > f_cut] = 0.0
+        forced = scipy.fft.irfft(spec, n=T, axis=0)
+        sup = np.linalg.norm(forced, axis=1).max()
         if sup == 0.0:
             raise InvalidCutoff("filter removed the whole signal")
-        samples = block * (delta / sup)
+        forced *= delta / sup
     elif kind == "rossler":
-        comps = [d % 3 for d in range(len(targets))]
-        raw = _rossler_series(duration, dt, seed, comps)
-        for j, d in enumerate(targets):
-            col = raw[:, j]
+        forced = _rossler_series(duration, dt, seed, [d % 3 for d in range(k)])
+        for col in forced.T:
             peak = np.abs(col).max()
-            samples[:, d] = delta * col / peak if peak > 0 else 0.0
+            col[:] = delta * col / peak if peak > 0 else 0.0
     else:
         raise InvalidParameters(f"unknown forcing kind {kind!r}")
     if params:
         raise InvalidParameters(f"unused parameters for {kind}: {sorted(params)}")
-    return load_forcing(samples, dt=dt, pad_length=pad)
+    if not np.all(np.isfinite(forced)):
+        raise InvalidParameters("forcing samples contain non-finite entries")
+    samples = np.zeros((pad + T, n))
+    samples[pad:, targets] = forced
+    # the record starts at t = 0 (0.0 - 0 * dt is +0.0)
+    return _forcing_signal(samples, dt, 0.0 - pad * float(dt), pad, forced)
 
 
 def nmte(pred: np.ndarray, ref: np.ndarray, skip: int = 0) -> float:

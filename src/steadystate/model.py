@@ -240,6 +240,8 @@ def polynomial_field(dim, out_dim, terms, min_degree=2, forms=None):
         vector, or (exponents, target_dof, coefficient) addressing a single
         output row. The exponents run over the forms (over the state
         coordinates when forms is None). Duplicate multi-indices are summed.
+        Coefficients may be complex, as in a reduced model's R and W; one
+        complex coefficient, in either format, makes them all complex.
     min_degree : int
         Smallest admissible total degree. System nonlinearities use 2 so
         the origin stays a fixed point; reduced dynamics use 1.
@@ -274,7 +276,7 @@ def polynomial_field(dim, out_dim, terms, min_degree=2, forms=None):
             dof = int(dof)
             if not 0 <= dof < out_dim:
                 raise DimensionMismatch(f"target_dof {dof} outside [0, {out_dim})")
-            coeff = np.zeros(out_dim)
+            coeff = np.zeros(out_dim, dtype=complex if np.iscomplexobj(value) else float)
             coeff[dof] = value
         else:
             raise DimensionMismatch("term entries must be 2- or 3-tuples")
@@ -401,7 +403,9 @@ def build_system(M, C, K, terms=(), damping=None, forms=None):
     terms : iterable
         Nonlinear force terms, each of total degree >= 2, in the formats
         accepted by polynomial_field: monomials in the state (x, x'), or
-        in the forms when forms is given.
+        in the forms when forms is given. The force is real: a coefficient
+        with a nonzero imaginary part raises InvalidParameters, and
+        complex coefficients with zero imaginary parts are stored real.
     damping : str or None
         'structural' or 'general' to override the automatic class
         detection. Forcing 'structural' on a system whose damping fails
@@ -456,6 +460,11 @@ def build_system(M, C, K, terms=(), damping=None, forms=None):
         damping_class = DampingClass("general")
 
     fld = polynomial_field(2 * n, n, terms, min_degree=2, forms=forms)
+    if fld.form_terms and np.iscomplexobj(fld.form_terms[0][1]):
+        if any(c.imag.any() for _, c in fld.form_terms):
+            raise InvalidParameters("force coefficients must be real, got a nonzero imaginary part")
+        real = tuple((m, c.real.copy()) for m, c in fld.form_terms)
+        fld = dataclasses.replace(fld, form_terms=real)
     return MechanicalSystem(
         n=n,
         M=_freeze(M),
@@ -515,7 +524,7 @@ class ForcingSignal:
     samples includes the pad block: the first pad_length rows are exactly
     zero and t0 is the time of the first stored row (original start time
     minus pad_length * dt). max_magnitude is the supremum over rows of the
-    Euclidean norm.
+    Euclidean norm. samples is read-only; scaled() makes one copy.
     """
 
     samples: np.ndarray  # (T, n), pad rows included
@@ -536,14 +545,24 @@ class ForcingSignal:
         return self.t0 + self.dt * np.arange(self.length)
 
     def scaled(self, factor: float) -> "ForcingSignal":
-        scaled = self.samples * factor
-        return dataclasses.replace(
-            self,
-            samples=_freeze(scaled),
-            max_magnitude=float(
-                np.linalg.norm(scaled, axis=1).max(initial=0.0)
-            ),
-        )
+        return _forcing_signal(self.samples * factor, self.dt, self.t0, self.pad_length)
+
+
+def _forcing_signal(samples, dt, t0, pad_length, forced=None) -> ForcingSignal:
+    """The ForcingSignal on samples, a padded (T, n) float64 array the
+    caller has just made: it is flagged read-only, not copied. t0 is the
+    time of its first row. max_magnitude is the sup row norm of forced,
+    the C-contiguous (T', k) block of the columns that can be nonzero
+    (samples itself when None), in one np.linalg.norm pass."""
+    samples.flags.writeable = False
+    rows = samples if forced is None else forced
+    return ForcingSignal(
+        samples=samples,
+        dt=float(dt),
+        t0=float(t0),
+        pad_length=pad_length,
+        max_magnitude=float(np.linalg.norm(rows, axis=1).max(initial=0.0)),
+    )
 
 
 def load_forcing(samples, dt=None, t0=0.0, pad_length=0, time=None):
@@ -562,6 +581,10 @@ def load_forcing(samples, dt=None, t0=0.0, pad_length=0, time=None):
     time : (T,) array, optional
         Explicit time stamps; spacing must be uniform to 1e-9 relative
         and overrides dt/t0.
+
+    The signal's samples are one copy of the input written below the pad
+    rows (+0.0) of a new read-only, C-contiguous float64 array, and
+    max_magnitude is np.linalg.norm(samples, axis=1).max() on it.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
@@ -590,14 +613,9 @@ def load_forcing(samples, dt=None, t0=0.0, pad_length=0, time=None):
     _check_dt(dt)
     _check_int(pad_length, "pad_length", 0)
     pad_length = int(pad_length)
-    padded = np.vstack([np.zeros((pad_length, samples.shape[1])), samples])
-    return ForcingSignal(
-        samples=_freeze(padded),
-        dt=float(dt),
-        t0=float(t0) - pad_length * float(dt),
-        pad_length=pad_length,
-        max_magnitude=float(np.linalg.norm(padded, axis=1).max(initial=0.0)),
-    )
+    padded = np.zeros((pad_length + T, samples.shape[1]))
+    padded[pad_length:] = samples
+    return _forcing_signal(padded, dt, float(t0) - pad_length * float(dt), pad_length)
 
 
 @dataclass(frozen=True)

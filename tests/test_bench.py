@@ -199,6 +199,53 @@ class TestGenerateForcing:
         with pytest.raises(InvalidParameters, match="dofs"):
             generate_forcing("two_tone", n=2, duration=1.0, dt=0.1, delta=1.0, dofs=(True,))
 
+    @pytest.mark.parametrize(
+        "n, duration, dt, delta, seed, f_cut, pad, dofs",
+        [
+            (20, 100.0, 1e-3, 2.8, 42, 7.5, 1000, (0, 19)),  # S1: T = 100,001 = 11 x 9,091
+            (1, 20.0, 1e-2, 0.5, 42, 2.0, 300, (0,)),
+            (3, 9.99, 1e-2, 1.2, 7, 4.0, 0, (2, 0)),  # T = 1,000, even
+            (6, 20.0, 1e-2, 0.7, 3, 4.0, 10, tuple(range(6))),
+        ],
+    )
+    def test_filtered_gaussian_matches_the_numpy_fft_path(
+        self, n, duration, dt, delta, seed, f_cut, pad, dofs
+    ):
+        # the record as numpy.fft and a full (T, n) block made it, bit for bit
+        T = int(round(duration / dt)) + 1
+        noise = np.random.default_rng(seed).standard_normal((T, len(dofs)))
+        spec = np.fft.rfft(noise, axis=0)
+        spec[np.fft.rfftfreq(T, d=dt) > f_cut] = 0.0
+        block = np.zeros((T, n))
+        block[:, list(dofs)] = np.fft.irfft(spec, n=T, axis=0)
+        samples = block * (delta / np.linalg.norm(block, axis=1).max())
+        padded = np.vstack([np.zeros((pad, n)), samples])
+
+        f = generate_forcing("filtered_gaussian", n=n, duration=duration, dt=dt, delta=delta,
+                             seed=seed, f_cut=f_cut, pad=pad, dofs=dofs)
+        assert f.samples.tobytes() == padded.tobytes()
+        assert f.max_magnitude == np.linalg.norm(padded, axis=1).max()
+        assert f.samples.flags.c_contiguous and not f.samples.flags.writeable
+        assert np.float64(f.t0).tobytes() == np.float64(0.0 - pad * dt).tobytes()  # +0.0 unpadded
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("chirp", {}), ("two_tone", {}), ("rossler", {}), ("filtered_gaussian", {"f_cut": 1.0}),
+    ])
+    def test_dofs_must_name_distinct_dofs(self, kind, extra):
+        for dofs in [(), [], (1, 1)]:
+            with pytest.raises(InvalidParameters, match="dofs"):
+                generate_forcing(kind, n=2, duration=1.0, dt=0.1, delta=1.0, seed=0,
+                                 dofs=dofs, **extra)
+
+    @pytest.mark.parametrize("delta", [float("inf"), -float("inf"), float("nan")])
+    def test_non_finite_delta_rejected_first(self, delta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in ("chirp", "two_tone", "rossler", "filtered_gaussian"):
+                with pytest.raises(InvalidParameters, match="delta"):
+                    generate_forcing(kind, n=1, duration=1.0, dt=0.1, delta=delta, seed=0,
+                                     f_cut=1.0)
+
     def test_unused_parameters_rejected(self):
         with pytest.raises(InvalidParameters, match="w3"):
             generate_forcing("two_tone", n=1, duration=1.0, dt=0.1, delta=1.0,
@@ -299,7 +346,7 @@ class TestFrcSweep:
             with pytest.raises(InvalidParameters, match="threads"):
                 frc_sweep(sys_, [1.0], delta=0.1, threads=threads)
         chain = build_oscillator_chain(3)
-        for dofs in [(5,), (3,), (-1,), (1.0,), ("0",), (0, 7)]:
+        for dofs in [(5,), (3,), (-1,), (1.0,), ("0",), (0, 7), (), (1, 1)]:
             with pytest.raises(InvalidParameters, match="dofs"):
                 frc_sweep(chain, [1.0], delta=0.1, dofs=dofs)
         for omega in (float("nan"), float("inf"), -1.0):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +238,22 @@ class TestBuildSystem:
         with pytest.raises(ValueError):
             sys_.M[0, 0] = 5.0
 
+    @pytest.mark.parametrize("term", [((3, 0), [1 + 2j]), ((3, 0), 0, 1 + 2j)])
+    def test_complex_force_coefficient_rejected(self, term):
+        with pytest.raises(InvalidParameters, match="imaginary"):
+            build_system(np.eye(1), [[0.1]], [[1.0]], terms=[term])
+
+    def test_complex_coefficient_without_imaginary_part_stored_real(self):
+        sys_ = build_system(np.eye(1), [[0.1]], [[1.0]], terms=[((3, 0), np.array([2 + 0j]))])
+        (m, coeff), = sys_.nonlinearity.terms
+        assert coeff.dtype == np.float64 and coeff.tolist() == [2.0]
+
+    def test_reduced_fields_keep_complex_coefficients(self):
+        # R and W of a reduced model are complex, in either term format
+        for term in (((2,), [1 + 2j]), ((2,), 0, 1 + 2j)):
+            fld = polynomial_field(1, 1, [term], min_degree=1)
+            assert fld.terms[0][1].tolist() == [1 + 2j]
+
 
 class TestForcingSignal:
     def test_pad_prepends_zeros_and_shifts_t0(self):
@@ -256,6 +273,39 @@ class TestForcingSignal:
         sig = load_forcing(np.ones((5, 1)), dt=1.0).scaled(2.5)
         assert sig.max_magnitude == pytest.approx(2.5)
         assert np.all(sig.samples == 2.5)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_record_is_one_frozen_copy(self, rng, order):
+        samples = np.asarray(rng.standard_normal((300, 7)) + 0.1, order=order)
+        sig = load_forcing(samples, dt=0.1, pad_length=5)
+        padded = np.vstack([np.zeros((5, 7)), samples])
+        assert sig.samples.dtype == np.float64
+        assert sig.samples.flags.c_contiguous and not sig.samples.flags.writeable
+        assert not np.shares_memory(sig.samples, samples)
+        assert np.array_equal(sig.samples, padded)
+        assert not np.signbit(sig.samples[:5]).any()  # +0.0, not -0.0
+        # every column nonzero: the sup over the full rows, bit for bit
+        assert sig.max_magnitude == np.linalg.norm(padded, axis=1).max()
+        for factor in (-1.7, 0.3):
+            scaled = sig.scaled(factor)
+            assert scaled.max_magnitude == np.linalg.norm(sig.samples * factor, axis=1).max()
+            assert scaled.samples.flags.c_contiguous and not scaled.samples.flags.writeable
+            assert (scaled.dt, scaled.t0, scaled.pad_length) == (sig.dt, sig.t0, 5)
+
+    def test_record_and_scaled_make_one_copy(self, rng):
+        # the record, the norm's squares, and no second copy of either
+        samples = rng.standard_normal((20_000, 10))
+        tracemalloc.start()
+        try:
+            sig = load_forcing(samples, dt=0.1, pad_length=100)
+            held, loaded = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            sig.scaled(2.0)
+            _, scaled = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded < 2.5 * samples.nbytes
+        assert scaled - held < 2.5 * samples.nbytes
 
     def test_time_column_sets_grid(self):
         time = 0.25 * np.arange(8) + 3.0
