@@ -111,26 +111,34 @@ def build_gyroscopic_2dof(
 
 
 def _rossler_series(duration, dt, seed, components, skip_time=100.0):
-    """Sampled Rossler components after discarding the transient window."""
+    """Sampled Rossler components after discarding the transient window.
+
+    Classical RK4 on Python floats, one scalar per coordinate, in the
+    operation order of the vector form: k2 = f(s + (dt/2) k1), and so on,
+    then s + (dt/6) (k1 + 2 k2 + 2 k3 + k4).
+    """
     a, b, c = 0.2, 0.2, 5.7
     rng = np.random.default_rng(seed)
-    state = np.array([1.0, 1.0, 1.0]) + 0.01 * rng.standard_normal(3)
+    x, y, z = (np.array([1.0, 1.0, 1.0]) + 0.01 * rng.standard_normal(3)).tolist()
+    half, sixth = 0.5 * dt, dt / 6.0
 
-    def deriv(s):
-        return np.array([-s[1] - s[2], s[0] + a * s[1], b + s[2] * (s[0] - c)])
+    def deriv(x, y, z):
+        return -y - z, x + a * y, b + z * (x - c)
 
     n_skip = int(round(skip_time / dt))
     n_keep = int(round(duration / dt)) + 1
-    out = np.empty((n_keep, len(components)))
+    kept = []
     for k in range(n_skip + n_keep):
         if k >= n_skip:
-            out[k - n_skip] = state[components]
-        k1 = deriv(state)
-        k2 = deriv(state + 0.5 * dt * k1)
-        k3 = deriv(state + 0.5 * dt * k2)
-        k4 = deriv(state + dt * k3)
-        state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return out
+            kept.append((x, y, z))
+        k1x, k1y, k1z = deriv(x, y, z)
+        k2x, k2y, k2z = deriv(x + half * k1x, y + half * k1y, z + half * k1z)
+        k3x, k3y, k3z = deriv(x + half * k2x, y + half * k2y, z + half * k2z)
+        k4x, k4y, k4z = deriv(x + dt * k3x, y + dt * k3y, z + dt * k3z)
+        x = x + sixth * (k1x + 2 * k2x + 2 * k3x + k4x)
+        y = y + sixth * (k1y + 2 * k2y + 2 * k3y + k4y)
+        z = z + sixth * (k1z + 2 * k2z + 2 * k3z + k4z)
+    return np.ascontiguousarray(np.array(kept)[:, components])
 
 
 def _target_dofs(dofs, n):
@@ -145,6 +153,18 @@ def _target_dofs(dofs, n):
     if len(set(targets)) < len(targets):
         raise InvalidParameters(f"dofs must be distinct, got {targets!r}")
     return [int(d) for d in targets]
+
+
+def _waveform_params(params, **defaults):
+    """Pop each named waveform parameter from params, its default when
+    absent; InvalidParameters names the first one that is not finite."""
+    values = []
+    for name, default in defaults.items():
+        value = params.pop(name, default)
+        if not np.isfinite(value):
+            raise InvalidParameters(f"{name} must be finite, got {value!r}")
+        values.append(value)
+    return values
 
 
 def generate_forcing(
@@ -177,6 +197,10 @@ def generate_forcing(
                        column peak-normalized to delta
     two_tone:          delta (sin w1 t + sin w2 t) / 2; params w1, w2
 
+    A waveform parameter that is not finite raises InvalidParameters,
+    naming it, before any sample is made; so does a record whose sup row
+    norm overflows float64 (see load_forcing).
+
     The record is built once: the forced columns as one (T, k) block,
     whose row norms give the filtered_gaussian scale and max_magnitude,
     written straight into the padded read-only samples. The transforms
@@ -205,12 +229,10 @@ def generate_forcing(
     if kind in ("chirp", "two_tone"):
         t = dt * np.arange(T)
         if kind == "chirp":
-            f0 = params.pop("f0", 0.1)
-            rate = params.pop("rate", 0.05)
+            f0, rate = _waveform_params(params, f0=0.1, rate=0.05)
             wave = delta * np.sin(2.0 * np.pi * (0.5 * rate * t * t + f0 * t))
         else:
-            w1 = params.pop("w1", 1.0)
-            w2 = params.pop("w2", np.sqrt(2.0))
+            w1, w2 = _waveform_params(params, w1=1.0, w2=np.sqrt(2.0))
             wave = 0.5 * delta * (np.sin(w1 * t) + np.sin(w2 * t))
         forced = np.repeat(wave[:, None], k, axis=1)
     elif kind == "filtered_gaussian":
@@ -232,7 +254,9 @@ def generate_forcing(
         forced = _rossler_series(duration, dt, seed, [d % 3 for d in range(k)])
         for col in forced.T:
             peak = np.abs(col).max()
-            col[:] = delta * col / peak if peak > 0 else 0.0
+            # a delta near the float64 limit overflows: refused below
+            with np.errstate(over="ignore"):
+                col[:] = delta * col / peak if peak > 0 else 0.0
     else:
         raise InvalidParameters(f"unknown forcing kind {kind!r}")
     if params:

@@ -356,9 +356,12 @@ def _decompose(system: MechanicalSystem) -> SpectralData:
 
 
 def _cascade(dim, forcing, order, cache, compose, propagate, lift=None, orders=None, step=None):
-    """The order cascade of every solver: fills and returns a tensor of
-    orders 1..order on the forcing's grid, time blocks of step (default
-    _BLOCK) samples outer.
+    """The order cascade of every solver: fills a tensor of orders
+    1..order on the forcing's grid, time blocks of step (default _BLOCK)
+    samples outer, and returns it with norms: norms[nu - 1] is order
+    nu's largest state 2-norm on the grid (0.0 without a slot), taken
+    from each block once the order is final in the tensor's window,
+    bit-equal to np.linalg.norm(grid, axis=0).max().
 
     Per block it clears cache, so products are block-length, normalizes
     the block's forcing to the signal's unit sup and runs each order nu:
@@ -388,6 +391,7 @@ def _cascade(dim, forcing, order, cache, compose, propagate, lift=None, orders=N
     )
     sup = forcing.max_magnitude
     carries = [Carry() for _ in range(order)]
+    squares = np.zeros(order)
     T, step = forcing.length, step or _BLOCK
     for block in (slice(s, min(s + step, T)) for s in range(0, T, step)):
         cache.clear()
@@ -403,8 +407,11 @@ def _cascade(dim, forcing, order, cache, compose, propagate, lift=None, orders=N
                 store.insert_zeros(nu)
             if lift is not None:
                 window.insert_slice(nu, lift(store, nu, normalized))
-    tensor._filled.update(range(1, order + 1))
-    return tensor
+            if nu in stored:
+                z = window.slot(nu)
+                squares[nu - 1] = np.maximum(squares[nu - 1], np.einsum("ij,ij->j", z, z).max())
+    tensor._filled.update(every)
+    return tensor, np.sqrt(squares)
 
 
 def compute_taylor_gss(
@@ -452,8 +459,8 @@ def compute_taylor_gss(
         i kappa lies within this distance of a retained mode's root;
         defaults to 1e-6 x the mode's |lambda| or omega.
     check_divergence : bool
-        Warn (DivergenceWarning) when the top-order term at the
-        reference amplitude exceeds 10x the mid-order term.
+        Warn (DivergenceWarning) when the top order pair's larger term,
+        the cascade's sup norm x delta^nu, passes 10x the mid pair's.
     """
     _check_int(order, "order", 1)
     if backend not in _BACKENDS:
@@ -517,27 +524,19 @@ def compute_taylor_gss(
             return propagate_order_newmark(system, phi, forcing.dt, carry=carry)
         return _qp_propagate(spectral, phi, nu, orbit)
 
-    # the harmonic cascade has no time axis to split: one block
-    step = forcing.length if backend == "qp" else None
-    tensor = _cascade(system.state_dim, forcing, order, cache, compose, propagate, step=step)
+    tensor, norms = _cascade(
+        system.state_dim, forcing, order, cache, compose, propagate,
+        # the harmonic cascade has no time axis to split: one block
+        step=forcing.length if backend == "qp" else None,
+    )
 
     if check_divergence and order >= 2:
-        # parity-robust: a purely odd (or even) series has zero slices at
-        # alternating orders, so compare adjacent-order pairs
+        # adjacent-order pairs: an odd (or even) series is zero at every other order
         half = (order + 1) // 2
-
-        def scaled(nu):
-            # the largest state norm of order nu, times delta_ref^nu; read a
-            # block at a time, so its temporaries stay block-length
-            if nu not in tensor.stored:
-                return 0.0
-            z = tensor.order_slice(nu)
-            starts = range(0, z.shape[1], _BLOCK)
-            peak = max(np.linalg.norm(z[:, s : s + _BLOCK], axis=0).max() for s in starts)
-            return float(peak * delta_ref**nu)
-
-        m_half = max(scaled(half), scaled(min(half + 1, order)))
-        m_top = max(scaled(order), scaled(max(order - 1, 1)))
+        m_half, m_top = (
+            max(float(norms[nu - 1] * delta_ref**nu) if norms[nu - 1] else 0.0 for nu in pair)
+            for pair in ((half, half + 1), (order - 1, order))
+        )
         if m_half > 0.0 and m_top > 10.0 * m_half:
             warnings.warn(
                 f"top-order term is {m_top / m_half:.1f}x the mid-order term "
@@ -873,7 +872,7 @@ def reduced_gss(
 
     block = np.zeros((d, order, min(_BLOCK, forcing.length)), dtype=complex)
     orders = CoefficientTensor(block, forcing.dt, forcing.t0, 0)
-    tensor = _cascade(n2, forcing, order, cache, compose, propagate, lift, orders)
+    tensor, _ = _cascade(n2, forcing, order, cache, compose, propagate, lift, orders)
 
     sup = forcing.max_magnitude
     return GssExpansion(

@@ -553,15 +553,24 @@ def _forcing_signal(samples, dt, t0, pad_length, forced=None) -> ForcingSignal:
     caller has just made: it is flagged read-only, not copied. t0 is the
     time of its first row. max_magnitude is the sup row norm of forced,
     the C-contiguous (T', k) block of the columns that can be nonzero
-    (samples itself when None), in one np.linalg.norm pass."""
+    (samples itself when None), in one np.linalg.norm pass. A record
+    whose sup row norm overflows float64 (entries near 1.3e154 or more)
+    raises InvalidParameters: every order of a solve would divide by it."""
     samples.flags.writeable = False
     rows = samples if forced is None else forced
+    with np.errstate(over="ignore"):
+        sup = float(np.linalg.norm(rows, axis=1).max(initial=0.0))
+    if not np.isfinite(sup):
+        raise InvalidParameters(
+            f"forcing record's sup row norm overflows float64 (largest entry "
+            f"{np.abs(rows).max():.3g}); rescale the record"
+        )
     return ForcingSignal(
         samples=samples,
         dt=float(dt),
         t0=float(t0),
         pad_length=pad_length,
-        max_magnitude=float(np.linalg.norm(rows, axis=1).max(initial=0.0)),
+        max_magnitude=sup,
     )
 
 
@@ -584,7 +593,8 @@ def load_forcing(samples, dt=None, t0=0.0, pad_length=0, time=None):
 
     The signal's samples are one copy of the input written below the pad
     rows (+0.0) of a new read-only, C-contiguous float64 array, and
-    max_magnitude is np.linalg.norm(samples, axis=1).max() on it.
+    max_magnitude is np.linalg.norm(samples, axis=1).max() on it; a
+    record whose row norm overflows float64 raises InvalidParameters.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:

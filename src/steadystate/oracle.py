@@ -72,7 +72,6 @@ def newmark_full(
     forcing: ForcingSignal,
     newton_tol: float = 1e-10,
     max_newton: int = 25,
-    fd_jacobian: bool = False,
 ) -> np.ndarray:
     """Average-acceleration integration of the full nonlinear system.
 
@@ -80,9 +79,8 @@ def newmark_full(
     iteration in every step until the residual is at most newton_tol x
     max(initial residual, sup |g|) or the increment is at the rounding
     level of x (4 eps |x|), below which the residual, about c0 eps |x|,
-    cannot fall. Returns the (2n, T) trajectory on the forcing grid.
-    fd_jacobian switches the Newton matrix to finite differences; the
-    default uses the analytic polynomial Jacobian.
+    cannot fall. Returns the (2n, T) trajectory on the forcing grid. The
+    Newton matrix uses the analytic polynomial Jacobian (field_jacobian).
 
     Raises NewtonDivergence (with step index and last residual) when an
     increment fails to converge.
@@ -107,7 +105,6 @@ def newmark_full(
     v = np.zeros(n)
     a = np.linalg.solve(M, g[0] - force(x, v))
     out = np.zeros((2 * n, T))
-    eye = np.eye(n)
     g_scale = float(np.linalg.norm(g, axis=1).max())
     rounding = 4.0 * np.finfo(float).eps
 
@@ -130,17 +127,8 @@ def newmark_full(
                     step=k + 1,
                     residual=float(rn),
                 )
-            if fd_jacobian:
-                Jx = np.empty((n, n))
-                h = 1e-7 * max(1.0, np.abs(xn).max())
-                for j in range(n):
-                    rp, _, _ = residual(xn + h * eye[j])
-                    Jx[:, j] = (rp - r) / h
-                J = Jx
-            else:
-                Jf = field_jacobian(fld, np.concatenate([xn, vn]))
-                J = K_eff + Jf[:, :n] + c1 * Jf[:, n:]
-            dx = np.linalg.solve(J, r)
+            Jf = field_jacobian(fld, np.concatenate([xn, vn]))
+            dx = np.linalg.solve(K_eff + Jf[:, :n] + c1 * Jf[:, n:], r)
             xn = xn - dx
             r, vn, an = residual(xn)
             rn = np.linalg.norm(r)

@@ -355,16 +355,17 @@ def decompose_structural(system: MechanicalSystem) -> SpectralData:
 def select_modes(spectral: SpectralData, dt: float, eps: float = 1e-3) -> tuple:
     """Retained index set { j : exp(dt * Re lambda_j) > eps }.
 
-    The slowest mode is always kept, so the selection is never empty. For
-    structural data the criterion uses each oscillator's slowest root, so
-    conjugate pairs are retained or dropped jointly in both kinds.
+    The slowest unit is always kept, with every unit tied at its real
+    part, so the selection is never empty and never splits a conjugate
+    pair (decompose_general makes pairs exact conjugates). For structural
+    data the criterion uses each oscillator's slowest root, so conjugate
+    pairs are retained or dropped jointly in both kinds.
     """
     if not 0.0 < eps < 1.0:
         raise InvalidParameters(f"eps must lie in (0, 1), got {eps}")
     _check_dt(dt)
     reals = spectral.slow_real_parts()
-    keep = np.exp(dt * reals) > eps
-    keep[np.argmax(reals)] = True
+    keep = (np.exp(dt * reals) > eps) | (reals == reals.max())
     return tuple(np.flatnonzero(keep).tolist())
 
 

@@ -246,6 +246,57 @@ class TestGenerateForcing:
                     generate_forcing(kind, n=1, duration=1.0, dt=0.1, delta=delta, seed=0,
                                      f_cut=1.0)
 
+    @pytest.mark.parametrize("kind, name", [
+        ("chirp", "f0"), ("chirp", "rate"), ("two_tone", "w1"), ("two_tone", "w2"),
+    ])
+    def test_non_finite_waveform_parameters_named(self, kind, name):
+        # refused before the waveform is built, so no NumPy warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for value in (float("inf"), -float("inf"), float("nan")):
+                with pytest.raises(InvalidParameters, match=f"^{name} must be finite"):
+                    generate_forcing(kind, n=1, duration=1.0, dt=0.1, delta=1.0,
+                                     **{name: value})
+
+    def test_record_whose_norm_overflows_is_refused(self):
+        # every entry is finite, but the row norm squares past float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameters, match="overflows"):
+                generate_forcing("two_tone", n=2, duration=10.0, dt=0.1, delta=1.7e308)
+            with pytest.raises(InvalidParameters, match="non-finite"):
+                generate_forcing("rossler", n=1, duration=1.0, dt=0.1, delta=1.7e308, seed=0)
+            f = generate_forcing("two_tone", n=2, duration=10.0, dt=0.1, delta=1e150)
+        assert f.max_magnitude == np.linalg.norm(f.samples, axis=1).max()
+
+    @pytest.mark.parametrize("duration, dt, seed, components", [
+        (10.0, 0.01, 1, [0, 1]),
+        (5.0, 0.003, 7, [0, 1, 2, 0]),
+    ])
+    def test_rossler_series_matches_vector_rk4(self, duration, dt, seed, components):
+        # the same RK4 on a NumPy state vector, bit for bit
+        a, b, c = 0.2, 0.2, 5.7
+        rng = np.random.default_rng(seed)
+        state = np.array([1.0, 1.0, 1.0]) + 0.01 * rng.standard_normal(3)
+
+        def deriv(s):
+            return np.array([-s[1] - s[2], s[0] + a * s[1], b + s[2] * (s[0] - c)])
+
+        n_skip = int(round(100.0 / dt))
+        n_keep = int(round(duration / dt)) + 1
+        want = np.empty((n_keep, len(components)))
+        for k in range(n_skip + n_keep):
+            if k >= n_skip:
+                want[k - n_skip] = state[components]
+            k1 = deriv(state)
+            k2 = deriv(state + 0.5 * dt * k1)
+            k3 = deriv(state + 0.5 * dt * k2)
+            k4 = deriv(state + dt * k3)
+            state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        got = bench._rossler_series(duration, dt, seed, components)
+        assert got.flags.c_contiguous and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
     def test_unused_parameters_rejected(self):
         with pytest.raises(InvalidParameters, match="w3"):
             generate_forcing("two_tone", n=1, duration=1.0, dt=0.1, delta=1.0,

@@ -459,6 +459,90 @@ _LIVE = {
 }
 
 
+def _read_back_norms(tensor):
+    """Each order's largest state 2-norm, read back from the finished
+    tensor _BLOCK columns at a time, as the divergence check once did;
+    0.0 for an order without a slot."""
+    norms = []
+    for nu in range(1, tensor.order_max + 1):
+        if nu not in tensor.stored:
+            norms.append(0.0)
+            continue
+        z = tensor.order_slice(nu)
+        starts = range(0, z.shape[1], gss._BLOCK)
+        norms.append(max(np.linalg.norm(z[:, s : s + gss._BLOCK], axis=0).max() for s in starts))
+    return np.array(norms)
+
+
+def _capture_norms(monkeypatch):
+    """Wrap gss._cascade; the returned list collects each call's norms."""
+    seen, cascade = [], gss._cascade
+
+    def wrapper(*args, **kwargs):
+        tensor, norms = cascade(*args, **kwargs)
+        seen.append(norms)
+        return tensor, norms
+
+    monkeypatch.setattr(gss, "_cascade", wrapper)
+    return seen
+
+
+class TestOrderNorms:
+    @pytest.mark.parametrize("block", ["T", 7, 2])
+    @pytest.mark.parametrize("backend,general", [
+        ("kernel", False), ("kernel", True), ("newmark", False), ("qp", False),
+    ], ids=["kernel-structural", "kernel-general", "newmark", "qp"])
+    def test_norms_equal_the_read_back_pass(self, monkeypatch, backend, general, block):
+        sys_ = _cubic_chain(general)
+        if backend == "qp":
+            f = generate_forcing("two_tone", n=3, duration=60.0, dt=0.05, delta=0.3,
+                                 w1=1.3, w2=0.45, dofs=(0, 2))
+            kw = dict(base_frequencies=(1.3, 0.45))
+        else:
+            f, kw = _chain_noise(300, pad=20), {}
+        monkeypatch.setattr(gss, "_BLOCK", f.length if block == "T" else block)
+        seen = _capture_norms(monkeypatch)
+        exp = compute_taylor_gss(sys_, f, order=5, backend=backend, **kw)
+        assert exp.spectral.kind == ("general" if general else "structural")
+        (norms,) = seen
+        want = _read_back_norms(exp.tensor)
+        assert norms.tobytes() == want.tobytes()
+        assert want[0] > 0.0 and want[4] > 0.0 and want[1] == want[3] == 0.0
+
+    def test_no_order_is_read_back_after_the_cascade(self, monkeypatch):
+        def refuse(tensor, nu):
+            raise AssertionError(f"order {nu} read back from the tensor")
+
+        monkeypatch.setattr(CoefficientTensor, "order_slice", refuse)
+        for order in (2, 5):
+            compute_taylor_gss(_cubic_chain(), _chain_noise(300), order=order)
+
+    @pytest.mark.parametrize("system,delta,warns", [
+        ("cubic", 0.3, False), ("quadratic", 2.0, False), ("quadratic", 3.0, True),
+    ])
+    def test_verdict_follows_the_read_back_rule(self, system, delta, warns):
+        # the divergence rule on the read-back norms, against the warning
+        # the cascade's norms raise; the quadratic field makes every order
+        # live, so each of the four compared orders has a slot
+        if system == "cubic":
+            sys_, f = _cubic_chain(), _chain_noise(300)  # delta 0.3
+        else:
+            sys_, f = _oscillator_of_degrees((2,)), _two_tone(duration=20.0, delta=delta)
+        order = 6
+        ref = compute_taylor_gss(sys_, f, order=order, check_divergence=False)
+        assert ref.tensor.stored == ((1, 3, 5) if system == "cubic" else tuple(range(1, 7)))
+        scaled = _read_back_norms(ref.tensor) * ref.delta_ref ** np.arange(1.0, order + 1)
+        ratio = max(scaled[order - 2 :]) / max(scaled[2:4])
+        assert (ratio > 10.0) == warns
+        if warns:
+            with pytest.warns(DivergenceWarning, match=f"{ratio:.1f}x"):
+                compute_taylor_gss(sys_, f, order=order)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DivergenceWarning)
+                compute_taylor_gss(sys_, f, order=order)
+
+
 def _oscillator_of_degrees(degrees):
     """A damped one-mass oscillator with a position and a mixed term of
     each degree."""

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +269,18 @@ class TestForcingSignal:
         samples = np.array([[3.0, 4.0], [1.0, 0.0]])
         sig = load_forcing(samples, dt=1.0)
         assert sig.max_magnitude == pytest.approx(5.0)
+
+    def test_norm_overflow_refused(self):
+        # finite entries whose row norm squares past float64: refused
+        # without a NumPy overflow warning, as is a scale that overflows it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameters, match="overflows"):
+                load_forcing(np.full((5, 2), 1e200), dt=0.1)
+            sig = load_forcing(np.full((5, 2), 1e150), dt=0.1)
+            assert sig.max_magnitude == np.linalg.norm(sig.samples, axis=1).max()
+            with pytest.raises(InvalidParameters, match="overflows"):
+                sig.scaled(1e10)
 
     def test_scaled(self):
         sig = load_forcing(np.ones((5, 1)), dt=1.0).scaled(2.5)

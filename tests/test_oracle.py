@@ -69,15 +69,6 @@ class TestNewmarkFull:
         assert np.abs(nm[:, tail] - pc[:, tail]).max() <= 3e-3 * scale
         assert scale > 0.0
 
-    def test_fd_jacobian_matches_analytic(self):
-        sys_ = build_duffing(omega=1.2, zeta=0.1, kappa3=2.0)
-        f = _two_tone(duration=10.0, delta=0.4)
-        analytic = newmark_full(sys_, f, fd_jacobian=False)
-        fd = newmark_full(sys_, f, fd_jacobian=True)
-        # both iterate to the same per-step tolerance; the Jacobian only
-        # steers the path there
-        assert np.abs(analytic - fd).max() <= 1e-8 * max(1.0, np.abs(analytic).max())
-
     def test_newton_divergence_payload(self):
         sys_ = build_duffing(kappa3=5.0)
         f = load_forcing(np.ones((50, 1)), dt=0.1)

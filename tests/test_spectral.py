@@ -7,11 +7,13 @@ from steadystate import (
     build_oscillator_chain,
     build_system,
     check_contraction,
+    compute_taylor_gss,
     decompose_general,
     decompose_structural,
     field_jacobian,
     first_order_blocks,
     gss,
+    load_forcing,
     select_modes,
     with_retained,
 )
@@ -219,6 +221,21 @@ class TestSelectModes:
         spec = decompose_structural(sys_)
         kept = select_modes(spec, dt=10.0, eps=0.5)
         assert len(kept) >= 1
+
+    def test_slowest_conjugate_pair_kept_whole(self):
+        # at dt 8 every mode decays below eps: the slowest pair is kept,
+        # both members, so it folds into one real unit and propagates
+        sys_ = build_gyroscopic_2dof(c=2.0, g=0.4)
+        spec = decompose_general(sys_)
+        assert np.all(np.exp(8.0 * spec.eigenvalues.real) <= 1e-3)
+        kept = select_modes(spec, dt=8.0)
+        assert kept == (0, 1)
+        assert spec.eigenvalues[0] == np.conj(spec.eigenvalues[1])
+        assert with_retained(spec, kept)._folded[0] == (0,)
+        forcing = load_forcing(np.sin(0.3 * 8.0 * np.arange(50))[:, None] * [1.0, 0.0], dt=8.0)
+        exp = compute_taylor_gss(sys_, forcing, order=1)
+        assert exp.spectral.retained == (0, 1)
+        assert np.abs(exp.tensor.order_slice(1)).max() > 0.0
 
     def test_with_retained_roundtrip(self):
         sys_ = build_duffing()
