@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .errors import InvalidCutoff, InvalidParameters, NearResonance
+from .errors import EmptySignal, InvalidCutoff, InvalidParameters, NearResonance
 from .gss import compute_taylor_gss, evaluate_at_amplitude
 from .model import (
     ForcingSignal,
@@ -186,7 +186,8 @@ def generate_forcing(
     seed, a non-negative integer or None, seeds the random kinds.
     duration is the unpadded signal length in time units; pad leading
     zero rows are prepended by the signal container; a grid of over
-    2^31 samples raises InvalidParameters.
+    2^31 samples raises InvalidParameters, one of fewer than 2 samples
+    (duration / dt rounds to 0) EmptySignal.
 
     chirp:             sin(2 pi (rate t^2 / 2 + f0 t)); params f0, rate
     filtered_gaussian: white noise low-passed at f_cut (Hz), exact sup
@@ -224,6 +225,8 @@ def generate_forcing(
     if not duration / dt < 2**31:  # 16 GiB a column, refused before allocating
         raise InvalidParameters(f"duration / dt = {duration / dt:.3g} asks for over 2^31 samples")
     T = int(round(duration / dt)) + 1
+    if T < 2:
+        raise EmptySignal(f"duration {duration} at dt {dt} gives {T} sample; need at least 2")
     k = len(targets)
 
     if kind in ("chirp", "two_tone"):

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -460,7 +461,7 @@ def compute_taylor_gss(
         defaults to 1e-6 x the mode's |lambda| or omega.
     check_divergence : bool
         Warn (DivergenceWarning) when the top order pair's larger term,
-        the cascade's sup norm x delta^nu, passes 10x the mid pair's.
+        the cascade's sup norm x |delta|^nu, passes 10x the mid pair's.
     """
     _check_int(order, "order", 1)
     if backend not in _BACKENDS:
@@ -530,16 +531,22 @@ def compute_taylor_gss(
         step=forcing.length if backend == "qp" else None,
     )
 
-    if check_divergence and order >= 2:
-        # adjacent-order pairs: an odd (or even) series is zero at every other order
+    if check_divergence and order >= 2 and delta_ref != 0.0:
+        # adjacent-order pairs: an odd (or even) series is zero at every
+        # other order; the terms are compared as logarithms, so no power
+        # of delta overflows and its sign does not matter
         half = (order + 1) // 2
-        m_half, m_top = (
-            max(float(norms[nu - 1] * delta_ref**nu) if norms[nu - 1] else 0.0 for nu in pair)
+        log_delta = math.log(abs(delta_ref))
+        l_half, l_top = (
+            max((math.log(norms[nu - 1]) + nu * log_delta for nu in pair if norms[nu - 1]),
+                default=-math.inf)
             for pair in ((half, half + 1), (order - 1, order))
         )
-        if m_half > 0.0 and m_top > 10.0 * m_half:
+        gap = l_top - l_half
+        if l_half > -math.inf and gap > math.log(10.0):
+            ratio = f"{math.exp(gap):.1f}" if gap < 700.0 else f"1e{gap / math.log(10.0):.0f}"
             warnings.warn(
-                f"top-order term is {m_top / m_half:.1f}x the mid-order term "
+                f"top-order term is {ratio}x the mid-order term "
                 f"at delta={delta_ref:.3g}; the series looks divergent there "
                 "(consider rational resummation)",
                 DivergenceWarning,
@@ -617,8 +624,9 @@ class PadeGss:
 
     One denominator per coordinate is fit over all grid times; the
     numerator then varies with time. Coefficients are stored in the
-    scaled variable s = delta / sigma with sigma = the expansion's
-    reference amplitude, which keeps the least-squares problem balanced.
+    scaled variable s = delta / sigma with sigma = the magnitude of the
+    expansion's reference amplitude (1 when it is 0), which keeps the
+    least-squares problem balanced.
     ill_conditioned lists coordinates whose denominator fit had singular
     values below 1e-12 of the largest (reported, not raised: the
     evaluation may still be fine away from spurious poles).
@@ -681,7 +689,7 @@ def pade_resum(expansion: GssExpansion, L: int, M: int) -> PadeGss:
         raise InvalidParameters(
             f"[{L}/{M}] needs {L + M} orders, tensor holds {tensor.orders_complete}"
         )
-    sigma = expansion.delta_ref if expansion.delta_ref > 0 else 1.0
+    sigma = abs(expansion.delta_ref) or 1.0
     dim = expansion.state_dim
 
     orders = [nu for nu in tensor.stored if nu <= L + M]

@@ -13,11 +13,11 @@ relation is
     Q[:, 0] = int_0^dt e^{L (dt-s)} b (1 - s/dt) ds,
     Q[:, 1] = int_0^dt e^{L (dt-s)} b (s/dt) ds.
 
-One routine evaluates these integrals for both kinds: a power series on
-a base step short enough for it to converge fast, then interval doubling
-up to dt. It works for every eigenvalue and every zeta, including
-exactly 1, and never divides by an eigenvalue or an eigenvalue
-difference.
+One routine evaluates these integrals for both kinds, together with
+e^{L dt}: they are blocks of the exponential of one block matrix, which
+scipy.linalg.expm computes by scaling and squaring. It works for every
+eigenvalue and every zeta, including exactly 1, and never divides by an
+eigenvalue or an eigenvalue difference.
 
 Both kinds then take one path: SpectralData.project, one sosfilt per
 unit started so that its state is zero at the first sample,
@@ -75,7 +75,6 @@ __all__ = [
     "propagate_order_newmark",
 ]
 
-_SERIES_SWITCH = 0.25
 _CRITICAL_TAG = 1e-9  # reported branch tag
 # oscillators with zeta below this run as one first-order section; closer
 # to zeta = 1 the 1/omega_d scaling of that form loses digits, so the
@@ -84,36 +83,21 @@ _ONE_SECTION_ZETA = 0.99
 _REALNESS_TOL = 1e-10
 
 
-def _series_doubling(L: np.ndarray, b: np.ndarray, fast: float, dt: float) -> np.ndarray:
-    """The (dim, 2) weights [Q0, Q1] of x' = L x + b u over one step dt.
+def _step_weights(L: np.ndarray, b: np.ndarray, dt: float):
+    """The (dim, 2) weights Q = [Q0, Q1] of x' = L x + b u over one step
+    dt, and the step propagator E = e^{L dt}, from one exponential.
 
-    fast bounds the magnitude of L's eigenvalues. The base step
-    h = dt / 2^halvings keeps fast * h <= 0.25, so the series converges
-    fast. The doubling identity for piecewise-linear forcing over a
-    doubled step (midpoint value is the endpoint average) is
-        Q0(2h) = E Q0 + (E Q1 + Q0)/2,   Q1(2h) = Q1 + (E Q1 + Q0)/2.
+    F = expm([[L dt, b dt, 0], [0, 0, 1], [0, 0, 0]]) is E in its leading
+    block; its next two columns are the responses from x = 0 to a unit
+    input and to the unit ramp s/dt, Q0 + Q1 and Q1 (Van Loan 1978).
     """
-    halvings = 0
-    h = dt
-    while fast * h > _SERIES_SWITCH:
-        h *= 0.5
-        halvings += 1
-    u = b * h  # L^k b h^{k+1} / k!
-    q0 = u / 2.0
-    q1 = u / 2.0
-    for k in range(1, 64):
-        u = (L @ u) * (h / k)
-        q0 = q0 + u / (k + 2)
-        q1 = q1 + u / ((k + 1) * (k + 2))
-        if np.abs(u).max() < 1e-22 * max(np.abs(q0).max(), 1e-300):
-            break
-    E = scipy.linalg.expm(L * h)
-    for _ in range(halvings):
-        mid = 0.5 * (E @ q1 + q0)
-        q0 = E @ q0 + mid
-        q1 = q1 + mid
-        E = E @ E
-    return np.column_stack([q0, q1])
+    d = len(b)
+    A = np.zeros((d + 2, d + 2), dtype=np.result_type(L, float))
+    A[:d, :d] = L * dt
+    A[:d, d] = b * dt
+    A[d, d + 1] = 1.0
+    F = scipy.linalg.expm(A)
+    return np.column_stack([F[:d, d] - F[:d, d + 1], F[:d, d + 1]]), F[:d, :d]
 
 
 def qvec_general(lam: complex, dt: float) -> np.ndarray:
@@ -121,9 +105,9 @@ def qvec_general(lam: complex, dt: float) -> np.ndarray:
 
     Returns the complex pair (weight on Phi(t), weight on Phi(t+dt))
     defined by the kernel integrals in the module docstring, by the same
-    series-plus-doubling evaluation as the structural weights. Verified
-    against Gauss quadrature to better than 1e-12 relative across
-    |lambda dt| in [1e-6, 1e4].
+    block exponential as the structural weights. Verified against Gauss
+    quadrature to better than 1e-12 relative across |lambda dt| in
+    [1e-6, 1e4].
 
     Raises ZeroEigenvalue when Re(lambda) == 0.
     """
@@ -131,7 +115,10 @@ def qvec_general(lam: complex, dt: float) -> np.ndarray:
     _check_dt(dt)
     if lam.real == 0.0:
         raise ZeroEigenvalue("weights require Re(lambda) != 0")
-    return _series_doubling(np.array([[lam]]), np.array([1.0]), abs(lam), dt)[0]
+    return _step_weights(np.array([[lam]]), np.array([1.0]), dt)[0][0]
+
+
+_VELOCITY = np.array([0.0, 1.0])  # an oscillator's input vector b
 
 
 def _block_matrix(omega: float, zeta: float) -> np.ndarray:
@@ -145,17 +132,15 @@ def qmat_structural(omega: float, zeta: float, dt: float):
     weights on the modal force at the step start and end. Returns
     (Q, branch) with branch in {'underdamped', 'critical', 'overdamped'};
     the tag is critical for |zeta - 1| <= 1e-9 and only reports the
-    regime: every zeta is computed the same way, by the series-plus-
-    doubling evaluation of the kernel integrals, which is continuous
-    through zeta = 1 without substituting zeta = 1.
+    regime: every zeta is computed the same way, by the block
+    exponential of the kernel integrals, which is continuous through
+    zeta = 1 without substituting zeta = 1.
 
     Raises InvalidParameters for omega <= 0 or zeta <= 0.
     """
     branch = _regime(omega, zeta)
     _check_dt(dt)
-    fast = max(abs(r) for r in _oscillator_roots(omega, zeta))
-    Q = _series_doubling(_block_matrix(omega, zeta), np.array([0.0, 1.0]), fast, dt)
-    return Q, branch
+    return _step_weights(_block_matrix(omega, zeta), _VELOCITY, dt)[0], branch
 
 
 def _regime(omega: float, zeta: float) -> str:
@@ -227,8 +212,7 @@ def build_kernel_weights(spectral: SpectralData, dt: float) -> KernelWeights:
                 filters.append(_exponent_filter(q, np.exp(lam * dt)))
                 mu.append(lam / w)
             else:
-                Q, _ = qmat_structural(w, z, dt)
-                E = scipy.linalg.expm(_block_matrix(w, z) * dt)
+                Q, E = _step_weights(_block_matrix(w, z), _VELOCITY, dt)
                 filters.append(_oscillator_filter(E, Q, np.exp(np.array(roots) * dt), w))
                 mu.append(-1j)
         branches, mu = tuple(branches), np.array(mu, dtype=complex)

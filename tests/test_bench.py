@@ -22,6 +22,7 @@ from steadystate import (
     nmte,
 )
 from steadystate.errors import (
+    EmptySignal,
     HarmonicFitIllConditioned,
     InvalidCutoff,
     InvalidParameters,
@@ -268,6 +269,16 @@ class TestGenerateForcing:
                 generate_forcing("rossler", n=1, duration=1.0, dt=0.1, delta=1.7e308, seed=0)
             f = generate_forcing("two_tone", n=2, duration=10.0, dt=0.1, delta=1e150)
         assert f.max_magnitude == np.linalg.norm(f.samples, axis=1).max()
+
+    @pytest.mark.parametrize("kind, params", [
+        ("chirp", {}), ("two_tone", {}), ("filtered_gaussian", {"f_cut": 1.0}), ("rossler", {}),
+    ])
+    def test_one_sample_record_is_refused(self, kind, params):
+        # duration / dt rounds to 0: one sample, no grid step
+        with pytest.raises(EmptySignal, match="1 sample"):
+            generate_forcing(kind, n=1, duration=0.01, dt=0.1, delta=1.0, pad=4, **params)
+        f = generate_forcing(kind, n=1, duration=0.06, dt=0.1, delta=1.0, seed=0, **params)
+        assert f.samples.shape == (2, 1)
 
     @pytest.mark.parametrize("duration, dt, seed, components", [
         (10.0, 0.01, 1, [0, 1]),

@@ -505,6 +505,12 @@ class TestCliExitCodes:
                      "--forcing", "two_tone,duration=1,dt=0.1,delta=bad",
                      "--order", "2"]) == 2
 
+    def test_one_sample_forcing_is_2(self, tmp_path, capsys):
+        cfg = _config(tmp_path)
+        assert main(["compute", "--config", cfg, "--forcing", "chirp,duration=0.01,dt=0.1",
+                     "--order", "2"]) == 2
+        assert "EmptySignal" in capsys.readouterr().err
+
     def test_invalid_order_is_2(self, tmp_path, capsys):
         cfg = _config(tmp_path)
         assert main(["compute", "--config", cfg, "--forcing", _GEN,

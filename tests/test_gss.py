@@ -543,6 +543,39 @@ class TestOrderNorms:
                 compute_taylor_gss(sys_, f, order=order)
 
 
+class TestSignedAmplitude:
+    """The divergence verdict and the Pade scale read only |delta|."""
+
+    @staticmethod
+    def _verdicts(delta):
+        f = generate_forcing("two_tone", n=1, duration=20.0, dt=0.05, delta=1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DivergenceWarning)
+            exp = compute_taylor_gss(build_duffing(kappa3=5.0), f, order=7, delta=delta)
+        return exp, [str(w.message) for w in caught if w.category is DivergenceWarning]
+
+    @pytest.mark.parametrize("delta", [50.0, 0.3, 1e200, 1e-200])
+    def test_sign_does_not_change_the_verdict(self, delta):
+        _, plus = self._verdicts(delta)
+        _, minus = self._verdicts(-delta)
+        assert len(plus) == len(minus) == (delta > 1.0)
+        assert [m.split(" at delta=")[0] for m in minus] == [m.split(" at delta=")[0] for m in plus]
+
+    def test_huge_amplitude_gives_a_verdict(self):
+        # the ratio of the compared terms, 1e402, is printed, not computed
+        _, (message,) = self._verdicts(1e200)
+        assert "is 1e402x the mid-order term" in message
+
+    def test_pade_fits_equal_at_either_sign(self):
+        plus, _ = self._verdicts(0.3)
+        minus, _ = self._verdicts(-0.3)
+        a, b = pade_resum(plus, 3, 2), pade_resum(minus, 3, 2)
+        assert a.sigma == b.sigma == 0.3
+        assert a.den.tobytes() == b.den.tobytes()
+        assert a.num.tobytes() == b.num.tobytes()
+        assert np.array_equal(evaluate_pade(a, -0.2), evaluate_pade(b, -0.2))
+
+
 def _oscillator_of_degrees(degrees):
     """A damped one-mass oscillator with a position and a mixed term of
     each degree."""
@@ -792,7 +825,7 @@ def _dense_pade(expansion, L, M):
     x M) least-squares system over every grid time, and the numerators
     accumulated order by order. Returns (den, num, ill_conditioned)."""
     tensor = expansion.tensor
-    sigma = expansion.delta_ref if expansion.delta_ref > 0 else 1.0
+    sigma = abs(expansion.delta_ref) or 1.0
     dim, T = tensor.state_dim, tensor.length
 
     def c(j, k):

@@ -65,13 +65,13 @@ class TestScalarWeights:
             qvec_general(-1.0, 0.0)
         with pytest.raises(InvalidParameters):
             qvec_general(-1.0, -0.5)
-        # an infinite step would halve forever in the series-plus-doubling
+        # a step that is not finite has no exponential
         for dt in (float("inf"), float("nan")):
             with pytest.raises(InvalidParameters):
                 qvec_general(-1.0 + 2.0j, dt)
 
     def test_continuity_at_series_switch(self):
-        # the two steps straddle the first halving of the base step
+        # a quadrature spot check on either side of |lambda dt| = 0.25
         for dt in (0.2499, 0.2501):
             a = qvec_general(-1.0, dt)
             b = quadrature_weight_reference(dt, lam=-1.0)
@@ -85,11 +85,25 @@ class TestScalarWeights:
     )
     @example(re=-1e-3, im=0.0, dt=1e-3)  # |x| ~ 1e-6: heavy cancellation zone
     @example(re=-1e4, im=0.0, dt=1.0)  # saturated exponential
+    @example(re=-1e-3, im=50.0, dt=1.0)  # slow decay, 8 turns a step
+    @example(re=-1e-3, im=-50.0, dt=1.0)
     def test_matches_quadrature(self, re, im, dt):
         lam = complex(re, im)
         q = qvec_general(lam, dt)
         ref = quadrature_weight_reference(dt, lam=lam)
         assert np.abs(q - ref).max() <= 1e-10 * max(np.abs(ref).max(), 1e-30)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        re=st.floats(min_value=-1e4, max_value=-1e-3),
+        im=st.floats(min_value=-50.0, max_value=50.0),
+        dt=st.floats(min_value=1e-5, max_value=1.0),
+    )
+    def test_conjugate_eigenvalue_gives_conjugate_weights(self, re, im, dt):
+        # bit for bit: the conjugate fold (KernelWeights.units) compares
+        # a pair's filters with array_equal
+        lam = complex(re, im)
+        assert np.array_equal(qvec_general(lam.conjugate(), dt), np.conj(qvec_general(lam, dt)))
 
 
 class TestStructuralWeights:
@@ -156,6 +170,10 @@ class TestStructuralWeights:
     @example(omega=121.4, zeta=0.0044, dt=0.416)  # |lambda| dt ~ 50, Re small
     @example(omega=657.0, zeta=0.03125, dt=0.8994030697050379)  # peak weight 2.6e-6
     @example(omega=942.484375, zeta=0.001953125, dt=1.0)  # weights 1e-6 of the kernel's integral
+    @example(omega=1e3, zeta=1e-3, dt=1.0)  # |lambda| dt = 1e3 on either side of zeta = 1
+    @example(omega=1e3, zeta=1.0, dt=1.0)
+    @example(omega=1e3, zeta=10.0, dt=1.0)
+    @example(omega=1e3, zeta=1.0 - 1e-9, dt=1.0)
     def test_matches_quadrature(self, omega, zeta, dt):
         Q, _ = qmat_structural(omega, zeta, dt)
         ref = quadrature_weight_reference(dt, omega=omega, zeta=zeta)
@@ -200,6 +218,21 @@ class TestBuildWeights:
         for dt in (0.0, float("inf"), float("nan")):
             with pytest.raises(InvalidParameters):
                 build_kernel_weights(spec, dt)
+
+    @pytest.mark.parametrize("name", ["mixed", "random3", "gyroscopic-real"])
+    def test_one_exponential_per_mode(self, monkeypatch, name):
+        # a near-critical oscillator's step propagator comes out of the
+        # same exponential as its weights
+        spec = _mixed_chain() if name == "mixed" else decompose_general(_general_system(name))
+        calls, expm = [], scipy.linalg.expm
+
+        def spied(A):
+            calls.append(A.shape)
+            return expm(A)
+
+        monkeypatch.setattr(scipy.linalg, "expm", spied)
+        build_kernel_weights(spec, 0.01)
+        assert len(calls) == len(spec.retained) == (4 if name == "mixed" else len(spec.eigenvalues))
 
 
 def _harmonic_phi(n, dof, Omega, dt, T):
@@ -404,6 +437,11 @@ class TestStructuralRecursion:
             w = build_kernel_weights(spec, dt)
             E = scipy.linalg.expm(_block_matrix(omega, zeta) * dt)
             Q, _ = qmat_structural(omega, zeta, dt)
+            if zeta >= _ONE_SECTION_ZETA:
+                # the two-section filter takes its E from the exponential
+                # that gives its weights
+                step = kernel._step_weights(_block_matrix(omega, zeta), np.array([0.0, 1.0]), dt)
+                assert np.abs(step[1] - E).max() <= 1e-14 * np.abs(E).max()
             rng = np.random.default_rng(7)
             for first in (0.0, 1.0):
                 phi = np.zeros((2, 1500))
