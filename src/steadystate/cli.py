@@ -306,7 +306,7 @@ def _build_parser():
     p = sub.add_parser("compute", help="compute an amplitude expansion")
     common(p)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--backend", choices=("kernel", "newmark", "qp"), default="kernel")
+    p.add_argument("--backend", choices=("kernel", "qp"), default="kernel")
     p.add_argument("--delta", type=float, default=None, help="evaluation amplitude")
     p.add_argument("--base-freq", type=float, nargs="*", default=None, help="qp backend base frequencies")
     p.add_argument("--harmonic", type=int, default=5, help="qp backend harmonic index budget")
@@ -317,7 +317,7 @@ def _build_parser():
     p = sub.add_parser("compare", help="expansion vs full nonlinear integration")
     common(p)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--backend", choices=("kernel", "newmark", "qp"), default="kernel")
+    p.add_argument("--backend", choices=("kernel", "qp"), default="kernel")
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--base-freq", type=float, nargs="*", default=None)
     p.add_argument("--harmonic", type=int, default=5, help="qp backend harmonic index budget")

@@ -77,10 +77,6 @@ class GridMismatch(SteadyStateError):
     disagree."""
 
 
-class SingularEffectiveStiffness(SteadyStateError):
-    """Newmark effective stiffness matrix is singular."""
-
-
 class NearResonance(SteadyStateError):
     """A forcing harmonic sits within tolerance of an eigenvalue.
 
@@ -187,7 +183,8 @@ class NoConvergence(SteadyStateError):
     Attributes
     ----------
     last_iterate : numpy.ndarray or None
-        Trajectory from the final completed sweep.
+        Trajectory from the final completed sweep, or from the last
+        sweep before the iterate stopped being finite.
     """
 
     def __init__(self, message, last_iterate=None):

@@ -10,11 +10,9 @@ order-nu grid is the response coefficient when the physical forcing is
 delta times the normalized signal. All orders share one linear flow;
 they differ only in the inhomogeneity assembled from lower orders.
 
-Three propagation backends share the assembly:
+Two propagation backends share the assembly:
 
   'kernel'   exponential one-step convolution per retained mode
-  'newmark'  average-acceleration time stepping per order (no modal
-             reduction; an independent linear integrator)
   'qp'       closed-form bounded orbit for quasiperiodic forcing: the
              forcing is fit once with harmonics of the given base
              frequencies; higher orders compose harmonic coefficients
@@ -61,7 +59,6 @@ from .kernel import (
     _modal_response,
     build_kernel_weights,
     propagate_order,
-    propagate_order_newmark,
 )
 from .model import ForcingSignal, MechanicalSystem, ReducedModel, _check_int
 from .spectral import (
@@ -86,7 +83,7 @@ __all__ = [
     "fit_harmonics",
 ]
 
-_BACKENDS = ("kernel", "newmark", "qp")
+_BACKENDS = ("kernel", "qp")
 # samples per time block of the cascade: every order is composed and
 # propagated one block at a time, so composition products and per-order
 # temporaries stay block-length and in cache
@@ -445,13 +442,13 @@ def compute_taylor_gss(
         computed for the unit-sup normalization of the signal.
     order : int
         Highest expansion order N.
-    backend : {'kernel', 'newmark', 'qp'}
+    backend : {'kernel', 'qp'}
         Per-order linear solver; see the module docstring. 'qp' needs
         base_frequencies.
     eps_trunc : float
         Mode retention threshold: modes whose one-step decay factor
-        exp(dt Re lambda) is below eps_trunc are dropped ('kernel' and
-        'qp' paths; 'newmark' integrates the full system).
+        exp(dt Re lambda) is below eps_trunc are dropped, on both
+        backends.
     delta : float, optional
         Reference amplitude for divergence checks and resummation
         scaling; defaults to the forcing sup norm. Must be finite.
@@ -521,8 +518,6 @@ def compute_taylor_gss(
     def propagate(phi, nu, carry, out):
         if backend == "kernel":
             return propagate_order(spectral, weights, phi, carry=carry, out=out)
-        if backend == "newmark":
-            return propagate_order_newmark(system, phi, forcing.dt, carry=carry)
         return _qp_propagate(spectral, phi, nu, orbit)
 
     tensor, norms = _cascade(
@@ -574,17 +569,33 @@ def _amplitudes(deltas):
     return values
 
 
-def _power_sum(values, orders, data):
-    """sum_k values[a]**orders[k] * data[:, k, :] for every a, shape (dim,
-    A, T): one contraction of the (A x K) power matrix with the K slots of
-    data.
+def _powers(values, orders, deltas):
+    """The (A x K) power matrix values[a]**orders[k], checked before any
+    contraction: InvalidParameters, naming the amplitude deltas[a] and
+    the order, when a power overflows (a power that underflows to 0 is
+    the term's own limit and passes)."""
+    orders = np.asarray(orders, dtype=float)
+    with np.errstate(over="ignore"):
+        powers = values[:, None] ** orders
+    if not np.isfinite(powers).all():
+        a, k = np.argwhere(~np.isfinite(powers))[0]
+        raise InvalidParameters(
+            f"delta={deltas[a]:.6g} overflows at order {orders[k]:.0f}: its power is not a "
+            "finite float"
+        )
+    return powers
+
+
+def _power_sum(powers, data):
+    """sum_k powers[a, k] * data[:, k, :] for every a, shape (dim, A, T):
+    one contraction of the (A x K) power matrix (_powers) with the K
+    slots of data.
 
     np.einsum, not matmul: its unoptimized loop adds the slots in order,
     one product at a time, in every output element, so the bits depend
     neither on the BLAS threads nor on whether data is a memory map, and a
     slot of zeros leaves the sum unchanged.
     """
-    powers = values[:, None] ** np.asarray(orders, dtype=float)
     return np.einsum("ak,jkt->jat", powers, data)
 
 
@@ -595,19 +606,21 @@ def evaluate_at_amplitudes(
     (state_dim, len(deltas), T).
 
     Each delta is a physical forcing amplitude multiplying the normalized
-    signal the expansion was computed for, and must be finite
-    (InvalidParameters otherwise). The sums through max_order (default:
-    the expansion's order) are one contraction of the (amplitudes x
-    stored orders) power matrix with the tensor's stored slots
-    (_power_sum): each stored order is read once for every amplitude, and
-    an order the tensor does not store costs nothing. The result is a new
-    writable array, also when the tensor is a read-only memory map.
+    signal the expansion was computed for, and must be finite, as must
+    each of its powers delta^nu (InvalidParameters otherwise). The sums
+    through max_order (default: the expansion's order) are one
+    contraction of the (amplitudes x stored orders) power matrix with the
+    tensor's stored slots (_power_sum): each stored order is read once
+    for every amplitude, and an order the tensor does not store costs
+    nothing. The result is a new writable array, also when the tensor is
+    a read-only memory map.
     """
     tensor = expansion.tensor
     top = expansion.order if max_order is None else max_order
     _check_int(top, "max_order", 1, tensor.orders_complete)
     orders = [nu for nu in tensor.stored if nu <= top]
-    return _power_sum(_amplitudes(deltas), orders, tensor.data[:, : len(orders)])
+    values = _amplitudes(deltas)
+    return _power_sum(_powers(values, orders, values), tensor.data[:, : len(orders)])
 
 
 def evaluate_at_amplitude(
@@ -681,6 +694,11 @@ def pade_resum(expansion: GssExpansion, L: int, M: int) -> PadeGss:
     The numerators sum_{mu<k} b_mu c_{k-mu}, b_0 = 1, are then one
     contraction of a (state_dim, L, s) coefficient array with the stored
     slots.
+
+    Raises InvalidParameters, before any factorization, when sigma^k
+    over the fitted orders is not a finite nonzero float (a reference
+    amplitude so large or so small that the scaled variable cannot hold
+    it).
     """
     _check_int(L, "L", 1)
     _check_int(M, "M", 1)
@@ -693,7 +711,16 @@ def pade_resum(expansion: GssExpansion, L: int, M: int) -> PadeGss:
     dim = expansion.state_dim
 
     orders = [nu for nu in tensor.stored if nu <= L + M]
-    scale = sigma ** np.asarray(orders, dtype=float)
+    with np.errstate(over="ignore"):
+        scale = sigma ** np.asarray(orders, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(scale) | (scale == 0.0))
+    if bad.size:
+        nu = orders[bad[0]]
+        raise InvalidParameters(
+            f"[{L}/{M}] fit scales order {nu} by |delta_ref|^{nu} = {scale[bad[0]]:g} at "
+            f"delta_ref={expansion.delta_ref:.6g}; refit at a reference amplitude whose "
+            "powers are finite and nonzero"
+        )
     # slot of order k in R's columns; the padded column len(orders) is
     # the zero grid of the orders below 1 and of those not stored
     slot = {nu: i for i, nu in enumerate(orders)}
@@ -742,16 +769,19 @@ def pade_resum(expansion: GssExpansion, L: int, M: int) -> PadeGss:
 def evaluate_pade(pade: PadeGss, delta: float) -> np.ndarray:
     """Evaluate the rational representation at a physical amplitude.
 
-    delta must be finite (InvalidParameters otherwise). The numerator is
-    the power contraction of evaluate_at_amplitudes over the L numerator
-    grids, divided by the denominators in place, so the call allocates
-    one (dim, T) array. Raises DenominatorNearZero when any coordinate's
-    denominator magnitude falls below 1e-8 at this amplitude (a pole of
-    the fit; the offending coordinate index is attached).
+    delta must be finite, as must every power of delta / sigma that the
+    numerator and denominator take (InvalidParameters otherwise, before
+    any contraction). The numerator is the power contraction of
+    evaluate_at_amplitudes over the L numerator grids, divided by the
+    denominators in place, so the call allocates one (dim, T) array.
+    Raises DenominatorNearZero when any coordinate's denominator
+    magnitude falls below 1e-8 at this amplitude (a pole of the fit; the
+    offending coordinate index is attached).
     """
     s = _amplitudes([delta]) / pade.sigma
-    numerator = _power_sum(s, range(1, pade.L + 1), pade.num)[:, 0]
-    powers_den = s[0] ** np.arange(1, pade.M + 1)
+    powers_num = _powers(s, range(1, pade.L + 1), [delta])
+    powers_den = _powers(s, range(1, pade.M + 1), [delta])[0]
+    numerator = _power_sum(powers_num, pade.num)[:, 0]
     denominator = 1.0 + pade.den @ powers_den  # (dim,)
     worst = int(np.argmin(np.abs(denominator)))
     if abs(denominator[worst]) < 1e-8:

@@ -55,14 +55,8 @@ import numpy as np
 import scipy.linalg
 from scipy.signal import sosfilt
 
-from .errors import (
-    GridMismatch,
-    InvalidParameters,
-    RealnessCheckFailed,
-    SingularEffectiveStiffness,
-    ZeroEigenvalue,
-)
-from .model import MechanicalSystem, NewmarkStep, _check_dt
+from .errors import GridMismatch, InvalidParameters, RealnessCheckFailed, ZeroEigenvalue
+from .model import _check_dt
 from .spectral import SpectralData, _oscillator_roots
 
 __all__ = [
@@ -72,7 +66,6 @@ __all__ = [
     "qmat_structural",
     "build_kernel_weights",
     "propagate_order",
-    "propagate_order_newmark",
 ]
 
 _CRITICAL_TAG = 1e-9  # reported branch tag
@@ -228,16 +221,15 @@ class Carry:
     """One order's propagation state from one time block to the next.
 
     A fresh Carry starts the grid: the recursion runs from the zero state
-    at its first sample. Handing the same Carry to propagate_order (or
-    propagate_order_newmark) with each following block of the same order
-    continues the recursion where the previous block ended; the call
-    updates it in place. state is None until the first block has run,
-    then what the propagator needs: the list of the propagated units'
+    at its first sample. Handing the same Carry to propagate_order with
+    each following block of the same order continues the recursion where
+    the previous block ended; the call updates it in place. state is None
+    until the first block has run, then the list of the propagated units'
     (sections, 2) sosfilt states (one per folded unit, see KernelWeights,
-    else one per retained mode), or for Newmark the last (x, v, a).
+    else one per retained mode).
     """
 
-    state: object = None
+    state: list | None = None
 
 
 def _exponent_filter(q: np.ndarray, pole: complex):
@@ -409,61 +401,4 @@ def propagate_order(
     if out is None or Z is out:
         return Z
     out[...] = Z
-    return out
-
-
-def propagate_order_newmark(
-    system: MechanicalSystem, phi: np.ndarray, dt: float, carry: Carry | None = None
-) -> np.ndarray:
-    """Average-acceleration Newmark solution of M x'' + C x' + K x = phi.
-
-    phi is the n-row top block of the order inhomogeneity (a (2n, B)
-    grid with a zero lower block is also accepted). Zero initial
-    conditions at the first block; carry, as in propagate_order, hands
-    the last (x, v, a) to the next block. Output contract matches
-    propagate_order. Raises SingularEffectiveStiffness if the effective
-    matrix cannot be factorized.
-    """
-    phi = np.asarray(phi, dtype=float)
-    carry = Carry() if carry is None else carry
-    n = system.n
-    if phi.ndim != 2:
-        raise GridMismatch(f"phi must be 2-d, got shape {phi.shape}")
-    if phi.shape[0] == 2 * n:
-        if np.any(phi[n:] != 0.0):
-            raise GridMismatch("lower block of phi must be zero for a mechanical system")
-        phi = phi[:n]
-    elif phi.shape[0] != n:
-        raise GridMismatch(f"phi has {phi.shape[0]} rows, expected {n} or {2 * n}")
-    _check_dt(dt)
-    T = phi.shape[1]
-
-    nm = NewmarkStep(dt)
-    c0, c1, c2, c3, c4, c5 = nm.c0, nm.c1, nm.c2, nm.c3, nm.c4, nm.c5
-    S = system.K + c1 * system.C + c0 * system.M
-    try:
-        lu = scipy.linalg.lu_factor(S)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularEffectiveStiffness(str(exc)) from None
-    if not np.all(np.isfinite(lu[0])) or np.any(np.abs(np.diag(lu[0])) == 0.0):
-        raise SingularEffectiveStiffness("effective stiffness factorization is singular")
-
-    M, C = system.M, system.C
-    out = np.zeros((2 * n, T))
-    if carry.state is None:
-        x = np.zeros(n)
-        v = np.zeros(n)
-        a = np.linalg.solve(M, phi[:, 0])
-        first = 1  # out[:, 0] is the zero initial state
-    else:
-        x, v, a = carry.state
-        first = 0
-    for k in range(first, T):
-        rhs = phi[:, k] + M @ (c0 * x + c2 * v + c3 * a) + C @ (c1 * x + c4 * v + c5 * a)
-        x_new = scipy.linalg.lu_solve(lu, rhs)
-        v, a = nm.advance(x, v, a, x_new)
-        x = x_new
-        out[:n, k] = x
-        out[n:, k] = v
-    carry.state = (x, v, a)
     return out

@@ -5,8 +5,7 @@ Everything here exists to check the main pipeline from a second route:
   newmark_full           nonlinear time integration of the physical
                          equations (Newton in each step); shares no code
                          with the kernel or composition stages, only
-                         model.NewmarkStep (with the 'newmark' backend)
-                         and model's field evaluator
+                         model.NewmarkStep and model's field evaluator
   picard_gss             fixed-point iteration on the full nonlinear
                          balance; deliberately reuses the kernel
                          propagation for its linear solves, so it checks
@@ -170,8 +169,9 @@ def picard_gss(
 
     Warns when the contraction certificate (check_contraction, on a ball
     of twice the linear response's sup) does not hold at the forcing
-    amplitude. Raises NoConvergence (carrying the last iterate)
-    after max_iter sweeps.
+    amplitude. Raises NoConvergence after max_iter sweeps, carrying the
+    last iterate, or at the first sweep whose correction is not finite
+    (the iterate has overflowed), carrying the last finite iterate.
     """
     n = system.n
     if forcing.n != n:
@@ -206,6 +206,12 @@ def picard_gss(
             phi[:n] = g.T - evaluate_field(fld, z)
         z_new = propagate_order(spectral, weights, phi)
         d = float(np.linalg.norm(z_new - z, axis=0).max())
+        if not math.isfinite(d):
+            raise NoConvergence(
+                f"no fixed point: sweep {it} gave a non-finite correction ({d}); "
+                "the iteration diverged",
+                last_iterate=z,
+            )
         diffs.append(d)
         z = z_new
         if d < tol:

@@ -255,6 +255,27 @@ class TestExpansionContainer:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "manifest.json", "tensor.npy"]
 
+    def test_backend_is_only_a_label(self, tmp_path):
+        # a container saved by the per-order newmark backend of earlier
+        # versions still loads: the field names the backend, it selects
+        # nothing, so the grids evaluate and refit as they were written
+        exp = self._expansion()
+        serialize.save_expansion(exp, tmp_path / "kernel")
+        serialize.save_expansion(exp, tmp_path / "old")
+        manifest = tmp_path / "old" / "manifest.json"
+        fields = json.loads(manifest.read_text())
+        fields["backend"] = "newmark"
+        manifest.write_text(json.dumps(fields))
+        old = serialize.load_expansion(tmp_path / "old")
+        ref = serialize.load_expansion(tmp_path / "kernel")
+        assert (old.backend, ref.backend) == ("newmark", "kernel")
+        for k in (1, 2, 3):
+            assert np.array_equal(evaluate_at_amplitude(old, 0.07, max_order=k),
+                                  evaluate_at_amplitude(ref, 0.07, max_order=k))
+        pade_old, pade_ref = pade_resum(old, 2, 1), pade_resum(ref, 2, 1)
+        assert pade_old.backend == "newmark"
+        assert np.array_equal(evaluate_pade(pade_old, 0.06), evaluate_pade(pade_ref, 0.06))
+
     def test_not_a_container(self, tmp_path):
         with pytest.raises(ConfigError):
             serialize.load_expansion(tmp_path)
@@ -616,6 +637,16 @@ class TestCliExitCodes:
                     if isinstance(exc, ast.Name) and exc.id in builtin_errors:
                         found.append(f"{path.name}:{node.lineno} {exc.id}")
         assert found == []
+
+    @pytest.mark.parametrize("command", ["compute", "compare"])
+    def test_newmark_backend_is_a_usage_error(self, tmp_path, capsys, command):
+        # newmark names no backend: compare runs newmark_full as its
+        # reference whatever the backend
+        with pytest.raises(SystemExit) as ei:
+            main([command, "--config", _config(tmp_path), "--forcing", _GEN,
+                  "--order", "2", "--backend", "newmark"])
+        assert ei.value.code == 2
+        assert "invalid choice: 'newmark'" in capsys.readouterr().err
 
     def test_usage_errors_exit_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as ei:

@@ -17,7 +17,6 @@ from steadystate import (
     evaluate_at_amplitude,
     load_forcing,
     propagate_order,
-    propagate_order_newmark,
     qmat_structural,
     quadrature_weight_reference,
     qvec_general,
@@ -631,54 +630,6 @@ class TestConjugateFold:
             modal_input=spec.modal_input[::-1],
         )
         assert build_kernel_weights(swapped, 0.01).units is None
-
-
-class TestNewmark:
-    def test_matches_kernel_on_linear_system(self, rng):
-        sys_ = random_system(rng, 2, structural=True, n_terms=0)
-        spec = decompose_structural(sys_)
-        dt = 0.01
-        T = 2000
-        t = np.arange(T) * dt
-        phi = np.zeros((4, T))
-        phi[0] = np.sin(1.1 * t)
-        phi[1] = 0.5 * np.sin(0.4 * t + 1.0)
-        Zk = propagate_order(spec, build_kernel_weights(spec, dt), phi)
-        Zn = propagate_order_newmark(sys_, phi, dt)
-        assert np.abs(Zk - Zn).max() < 5e-4 * np.abs(Zk).max()
-
-    def test_second_order_convergence(self, rng):
-        sys_ = random_system(rng, 2, structural=True, n_terms=0)
-
-        def error(dt):
-            T = int(20.0 / dt)
-            t = np.arange(T) * dt
-            phi = np.zeros((4, T))
-            phi[0] = np.sin(1.1 * t)
-            phi[1] = 0.5 * np.sin(0.4 * t + 1.0)
-            spec = decompose_structural(sys_)
-            Zk = propagate_order(spec, build_kernel_weights(spec, dt), phi)
-            Zn = propagate_order_newmark(sys_, phi, dt)
-            return np.abs(Zk - Zn).max()
-
-        ratio = error(0.02) / error(0.01)
-        assert 3.0 < ratio < 5.0
-
-    def test_accepts_top_block_only(self, rng):
-        sys_ = random_system(rng, 2, structural=True, n_terms=0)
-        T = 200
-        phi_full = np.zeros((4, T))
-        phi_full[0] = np.sin(0.2 * np.arange(T))
-        a = propagate_order_newmark(sys_, phi_full, 0.05)
-        b = propagate_order_newmark(sys_, phi_full[:2], 0.05)
-        assert np.array_equal(a, b)
-
-    def test_nonzero_lower_block_rejected(self, rng):
-        sys_ = random_system(rng, 2, structural=True, n_terms=0)
-        phi = np.zeros((4, 100))
-        phi[3, 10] = 1.0
-        with pytest.raises(GridMismatch):
-            propagate_order_newmark(sys_, phi, 0.05)
 
 
 class TestRealness:

@@ -26,8 +26,8 @@ from steadystate.errors import (
     NewtonDivergence,
     NoConvergence,
 )
-from steadystate.kernel import propagate_order_newmark, qmat_structural, qvec_general
-from steadystate.model import load_forcing
+from steadystate.kernel import qmat_structural, qvec_general
+from steadystate.model import NewmarkStep, load_forcing
 from tests.conftest import random_system
 
 E1 = math.exp(-1.0)
@@ -45,13 +45,22 @@ def _two_tone(n=1, duration=40.0, dt=0.02, delta=0.02, **kw):
 class TestNewmarkFull:
     def test_linear_system_matches_linear_propagator(self, rng):
         # with no nonlinearity the Newton loop converges in one step, so
-        # the full integrator must reproduce the per-order Newmark solve
+        # the full integrator must reproduce one linear solve per step
         sys_ = random_system(rng, 2, structural=True, n_terms=0)
         f = _two_tone(n=2, duration=20.0, delta=0.3)
         traj = newmark_full(sys_, f)
-        phi = np.zeros((2 * sys_.n, f.length))
-        phi[: sys_.n] = f.samples.T
-        ref = propagate_order_newmark(sys_, phi, f.dt)
+        nm, (M, C, K), g = NewmarkStep(f.dt), (sys_.M, sys_.C, sys_.K), f.samples
+        S = K + nm.c1 * C + nm.c0 * M
+        x, v, a = np.zeros(sys_.n), np.zeros(sys_.n), np.linalg.solve(M, g[0])
+        ref = np.zeros((2 * sys_.n, f.length))
+        for k in range(1, f.length):
+            rhs = g[k] + M @ (nm.c0 * x + nm.c2 * v + nm.c3 * a) + C @ (
+                nm.c1 * x + nm.c4 * v + nm.c5 * a
+            )
+            x_new = np.linalg.solve(S, rhs)
+            v, a = nm.advance(x, v, a, x_new)
+            x = x_new
+            ref[: sys_.n, k], ref[sys_.n :, k] = x, v
         assert traj.shape == ref.shape == (4, f.length)
         assert np.abs(traj - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
 
@@ -141,6 +150,32 @@ class TestPicard:
             with pytest.raises(NoConvergence) as ei:
                 picard_gss(sys_, f, max_iter=3)
         assert ei.value.last_iterate.shape == (2, f.length)
+
+    # the iterate overflows; its RuntimeWarning is ignored here, so the
+    # stop comes from the correction check, not from pytest's filter
+    @pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
+    def test_stops_at_the_first_non_finite_correction(self, monkeypatch):
+        # criterion 7's Duffing at delta 1.6, past the series radius,
+        # where the iteration from zero diverges
+        sys_ = build_duffing(omega=1.0, zeta=0.5, kappa3=1.0)
+        base = generate_forcing("two_tone", n=1, duration=40.0, dt=0.02, delta=1.0,
+                                pad=200, w1=1.3, w2=0.45)
+        f = base.scaled(1.6 / base.max_magnitude)
+        calls = []
+        inner = oracle.propagate_order
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "propagate_order", counted)
+        with pytest.raises(NoConvergence, match="non-finite correction") as ei:
+            picard_gss(sys_, f, max_iter=200)
+        sweeps = len(calls) - 1  # the first call is the linear response
+        assert sweeps < 50
+        assert f"sweep {sweeps} gave" in str(ei.value)
+        assert ei.value.last_iterate.shape == (2, f.length)
+        assert np.isfinite(ei.value.last_iterate).all()
 
     def test_forcing_dimension_checked(self):
         sys_ = build_duffing()
