@@ -15,8 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .errors import EmptySignal, InvalidCutoff, InvalidParameters, NearResonance
-from .gss import compute_taylor_gss, evaluate_at_amplitude
+from .errors import EmptySignal, InvalidCutoff, InvalidParameters
+from .gss import _qp_sweep
+
+# Not called here since the sweep is one batched solve (_qp_sweep), but kept
+# importable from this module: perfbench's tracer wraps both names on it,
+# and tests/test_tracer_contract.py checks that they exist.
+from .gss import compute_taylor_gss, evaluate_at_amplitude  # noqa: F401
 from .model import (
     ForcingSignal,
     MechanicalSystem,
@@ -305,32 +310,6 @@ class FrcResult:
 _FRC_SAMPLES_PER_PERIOD = 256
 
 
-def _frc_point(system, omega, delta, order, harmonic_budget, resonance_tol, dofs):
-    """The steady amplitudes at one frequency, solved on one forcing
-    period of _FRC_SAMPLES_PER_PERIOD samples, endpoint excluded. The
-    'qp' orbit is exactly periodic, so no transient period precedes it,
-    and on this grid the harmonic fit is the exact discrete Fourier
-    transform. Each of the forced dofs is driven by delta sin(omega t), so
-    the expansion is evaluated at the forcing's sup row norm."""
-    dt = 2.0 * np.pi / omega / _FRC_SAMPLES_PER_PERIOD
-    t = dt * np.arange(_FRC_SAMPLES_PER_PERIOD)
-    samples = np.zeros((_FRC_SAMPLES_PER_PERIOD, system.n))
-    for d in dofs:
-        samples[:, d] = delta * np.sin(omega * t)
-    forcing = load_forcing(samples, dt=dt)
-    expansion = compute_taylor_gss(
-        system,
-        forcing,
-        order,
-        backend="qp",
-        base_frequencies=(omega,),
-        harmonic_budget=harmonic_budget,
-        resonance_tol=resonance_tol,
-        check_divergence=False,
-    )
-    return np.abs(evaluate_at_amplitude(expansion, forcing.max_magnitude)).max(axis=1)
-
-
 def frc_sweep(
     system: MechanicalSystem,
     omega_grid,
@@ -344,17 +323,26 @@ def frc_sweep(
     """Steady amplitude versus forcing frequency, delta sin(omega t) on
     each forced dof.
 
-    Each grid point gets its own grid, one forcing period of 256
-    samples, and a closed-form quasiperiodic solve at the given order;
-    points that trip the resonance guard are flagged and reported as NaN
-    rather than aborting the sweep. dofs selects the forced dofs
-    (default: all), integers in 0..n-1. threads, an integer >= 1, has no
-    effect: the points are solved one after another.
+    Each grid point is solved on one forcing period of 256 samples,
+    endpoint excluded, by the closed-form quasiperiodic backend at the
+    given order: the orbit is exactly periodic, so no transient period
+    precedes it, and on this grid the harmonic fit is the exact discrete
+    Fourier transform. The sweep is one batched solve (gss._qp_sweep): the
+    system is decomposed once, each point selects its modes and is
+    guarded for resonance on its own, and the points that keep the same
+    modes share one harmonic cascade. Points that trip the resonance
+    guard are flagged, with the message a 'qp' compute_taylor_gss of the
+    point would raise, and reported as NaN rather than aborting the sweep.
+    A budget below the order warns once (HarmonicTruncationWarning). dofs
+    selects the forced dofs (default: all), integers in 0..n-1. threads,
+    an integer >= 1, has no effect.
 
     Raises InvalidParameters before any point is solved unless every
     frequency is finite and > 0, delta is finite, the dofs and threads
-    are valid and harmonic_budget is an integer >= 0 below 128: 2 budget
-    + 1 harmonics from 128 on would not all be told apart on 256 samples.
+    are valid and harmonic_budget is an integer from 1 to 127: the
+    forcing sits at the harmonics k = +-1, outside a budget-0 ball, and
+    2 budget + 1 harmonics from 128 on would not all be told apart on
+    256 samples.
     """
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     if not np.all(np.isfinite(omega_grid) & (omega_grid > 0)):
@@ -365,7 +353,8 @@ def frc_sweep(
         raise InvalidParameters(f"delta must be finite, got {delta!r}")
     dofs = _target_dofs(dofs, system.n)
     _check_int(threads, "threads", 1)
-    _check_int(harmonic_budget, "harmonic_budget", 0)
+    # delta sin(omega t) is the harmonics k = +-1: a budget of 0 drops it
+    _check_int(harmonic_budget, "harmonic_budget", 1)
     # on the period's samples, harmonics k and k +- 256 are one column of the fit
     harmonics = 2 * harmonic_budget + 1
     if harmonics > _FRC_SAMPLES_PER_PERIOD:
@@ -375,15 +364,13 @@ def frc_sweep(
             f"k and k +- {_FRC_SAMPLES_PER_PERIOD} would share one column of the fit"
         )
 
-    amplitude = np.full((len(omega_grid), system.state_dim), np.nan)
-    flags = [None] * len(omega_grid)
-    for i, omega in enumerate(omega_grid):
-        try:
-            amplitude[i] = _frc_point(
-                system, omega, delta, order, harmonic_budget, resonance_tol, dofs
-            )
-        except NearResonance as exc:
-            flags[i] = str(exc)
+    # one period at frequency 1: every point's record in sample-index terms
+    dt = 2.0 * np.pi / _FRC_SAMPLES_PER_PERIOD
+    samples = np.zeros((_FRC_SAMPLES_PER_PERIOD, system.n))
+    samples[:, dofs] = delta * np.sin(dt * np.arange(_FRC_SAMPLES_PER_PERIOD))[:, None]
+    amplitude, flags = _qp_sweep(
+        system, load_forcing(samples, dt=dt), order, omega_grid, harmonic_budget, resonance_tol
+    )
     return FrcResult(
         omega=omega_grid,
         amplitude=amplitude,

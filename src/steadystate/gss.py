@@ -20,7 +20,11 @@ Two propagation backends share the assembly:
              is mapped through 1/(i<k,Omega> - lambda). Exact when the
              harmonic budget is at least the order and the forcing sits
              on sum |k_i| <= 1; a lower budget drops harmonics and warns
-             (HarmonicTruncationWarning)
+             (HarmonicTruncationWarning). A frequency sweep
+             (bench.frc_sweep) runs it batched (_qp_sweep): one
+             decomposition, one fit of the shared forcing period, and the
+             points that keep the same modes side by side on the
+             coefficients' last axis, each with its own transfer
 
 Divergent-looking expansions are flagged with DivergenceWarning, never
 silently truncated. Amplitude evaluation past the radius of convergence
@@ -64,7 +68,6 @@ from .model import ForcingSignal, MechanicalSystem, ReducedModel, _check_int
 from .spectral import (
     _STABILITY_TOL,
     SpectralData,
-    _oscillator_root_pairs,
     decompose_general,
     decompose_structural,
     select_modes,
@@ -131,16 +134,24 @@ def _harmonic_ball(dims: int, budget: int):
     return tuple(sorted(out))
 
 
+# pair products per chunk of rows in a lattice product: 128 KiB of complex
+_LATTICE_TERMS = 8192
+
+
 @functools.lru_cache(maxsize=None)
 def _lattice_product(dims: int, budget: int):
     """The product of two Fourier series on _harmonic_ball(dims, budget).
 
-    Returns product(a, b) for (..., K) coefficient arrays on the ball,
-    along the last axis: out[..., l] sums a[..., i] b[..., j] over the
-    index pairs with k_i + k_j = k_l, and sums that leave the ball are
-    dropped (a truncated lattice convolution). Each row is summed as on
-    its own, so a batch of rows (see composition._product) keeps every
-    row's bits. Built once per (dims, budget).
+    Returns product(a, b) for coefficient arrays of one shape whose last
+    axis holds P >= 1 sets of the ball's K coefficients side by side:
+    in each set, out[..., l] sums a[..., i] b[..., j] over the index
+    pairs with k_i + k_j = k_l, and sums that leave the ball are dropped
+    (a truncated lattice convolution). Each row of K is summed as on its
+    own, so a batch of rows (see composition._product) or of sets (a
+    sweep's points, _qp_sweep) keeps every row's bits. The rows run in
+    chunks of at most _LATTICE_TERMS pair products, so a large batch's
+    temporaries stay in cache instead of paging through fresh memory.
+    Built once per (dims, budget).
     """
     ks = _harmonic_ball(dims, budget)
     index = {k: l for l, k in enumerate(ks)}
@@ -152,9 +163,17 @@ def _lattice_product(dims: int, budget: int):
                 triples.append((l, i, j))
     out, left, right = np.array(sorted(triples)).T
     starts = np.flatnonzero(np.diff(out, prepend=-1))
+    chunk = max(1, _LATTICE_TERMS // len(left))
 
     def product(a, b):
-        return np.add.reduceat(a[..., left] * b[..., right], starts, axis=-1)
+        rows_a, rows_b = a.reshape(-1, len(ks)), b.reshape(-1, len(ks))
+        rows = np.empty(rows_a.shape, dtype=np.result_type(a, b))
+        for s in range(0, len(rows), chunk):
+            block = slice(s, s + chunk)
+            rows[block] = np.add.reduceat(
+                rows_a[block, left] * rows_b[block, right], starts, axis=-1
+            )
+        return rows.reshape(a.shape)
 
     return product
 
@@ -236,18 +255,32 @@ def _qp_base_frequencies(base_frequencies, budget):
     return Omega
 
 
+def _warn_truncation(budget, order):
+    """HarmonicTruncationWarning when a 'qp' budget is below the order."""
+    if budget < order:
+        warnings.warn(
+            f"harmonic_budget {budget} is below order {order}: orders above "
+            "it drop the harmonics outside sum |k_i| <= budget",
+            HarmonicTruncationWarning,
+        )
+
+
 @dataclass
 class _HarmonicOrbit:
-    """The 'qp' backend's state across the orders of one solve.
+    """The 'qp' backend's state across the orders of one solve, at P >= 1
+    points that share one forcing record and its harmonic ball.
 
     coeffs holds each order's harmonic coefficients, shape (state_dim,
-    order, K) with the last axis on _harmonic_ball(len(Omega), budget);
-    it starts as zeros with every order counted filled, since the cascade
-    composes only live lower orders, which _qp_propagate has written.
-    product multiplies two coefficient rows. kappas are the ball's
-    frequencies and phases the (K, T) matrix exp(i kappa t) on the
-    output grid. denominators and velocity are the retained modes'
-    transfer at each kappa (_modal_transfer), built once per solve.
+    order, P K), point p's K harmonics at p K .. p K + K - 1, each point's
+    in the order of _harmonic_ball(len(Omega), budget); it starts as
+    zeros with every order counted filled, since the cascade composes
+    only live lower orders, which _qp_propagate has written. product
+    multiplies two coefficient rows, each point's harmonics on their own
+    (_lattice_product). phases is the (K, T) matrix exp(i kappa t) on the
+    record's times at the base frequencies Omega, which every point
+    shares. denominators and velocity are the retained modes' transfer
+    at the P K physical frequencies (_modal_transfer), built once per
+    solve.
     """
 
     Omega: np.ndarray
@@ -256,10 +289,33 @@ class _HarmonicOrbit:
     fit_from: int
     coeffs: CoefficientTensor
     product: object
-    kappas: np.ndarray
     phases: np.ndarray
     denominators: np.ndarray
     velocity: np.ndarray | None
+
+
+def _harmonic_orbit(spectral, forcing, order, Omega, budget, kappas):
+    """The _HarmonicOrbit of a 'qp' solve of the forcing record with the
+    ball of Omega and budget, K harmonics, at the P K frequencies kappas:
+    point p meets the retained modes at kappas[p K : p K + K]. One point
+    at the ball's own frequencies is compute_taylor_gss; several, with
+    one record in sample-index terms, the batched sweep (_qp_sweep)."""
+    times = forcing.times()
+    denominators, velocity = _modal_transfer(spectral, kappas)
+    return _HarmonicOrbit(
+        Omega=Omega,
+        budget=budget,
+        times=times,
+        fit_from=forcing.pad_length,
+        coeffs=CoefficientTensor(
+            np.zeros((spectral.state_dim, order, len(kappas)), dtype=complex),
+            forcing.dt, forcing.t0, 0, _filled=set(range(1, order + 1)),
+        ),
+        product=_lattice_product(len(Omega), budget),
+        phases=np.exp(1j * np.outer(_ball_frequencies(Omega, budget), times)),
+        denominators=denominators,
+        velocity=velocity,
+    )
 
 
 def _modal_transfer(spectral, kappas):
@@ -277,21 +333,23 @@ def _modal_transfer(spectral, kappas):
 
 
 def _qp_propagate(spectral, phi, nu, orbit):
-    """Exact bounded orbit of order nu, solved harmonic by harmonic.
+    """Exact bounded orbit of order nu, solved harmonic by harmonic at
+    every point of the orbit: its (state_dim, P K) coefficients, also
+    written into orbit.coeffs.
 
     At order 1, phi is the forcing grid: its nonzero rows are fit once
     (fit_harmonics), over the grid from orbit.fit_from on, since a zero
     pad is a kernel-backend start-up device, not part of the
     quasiperiodic signal, and including it would bias the coefficients.
     The forcing is real, so the fit is made conjugate-symmetric, c_k <-
-    (c_k + conj c_{-k}) / 2, an equally good least-squares solution. For
-    nu >= 2, phi already holds the harmonic coefficients of Phi_nu,
-    composed from lower orders by lattice convolution. The kernel's
-    modal pair maps them: project, the modal transfer at each kappa
-    (1/(i kappa - lambda), or (1, i kappa/omega)/(omega^2 - kappa^2 +
-    2i zeta omega kappa) for an oscillator, built once per solve in
-    the orbit), reconstruct into orbit.coeffs; the orbit on the
-    grid takes the kernel's realness policy (_enforce_real).
+    (c_k + conj c_{-k}) / 2, an equally good least-squares solution, and
+    every point takes it: in sample-index terms the points share the
+    record. For nu >= 2, phi already holds the harmonic coefficients of
+    Phi_nu, composed from lower orders by lattice convolution. The
+    kernel's modal pair maps them: project, the modal transfer at each
+    kappa (1/(i kappa - lambda), or (1, i kappa/omega)/(omega^2 - kappa^2
+    + 2i zeta omega kappa) for an oscillator, built once per solve in the
+    orbit), reconstruct.
 
     With forcing on sum |k_i| <= 1, order nu only reaches sum |k_i| <= nu,
     so the orbit is exact while the budget is at least the order.
@@ -305,13 +363,13 @@ def _qp_propagate(spectral, phi, nu, orbit):
         )
         # the ball is symmetric and sorted, so harmonic -k sits at K-1-i
         forcing = 0.5 * (forcing + forcing[:, ::-1].conj())
-        phi = np.zeros((spectral.state_dim, len(orbit.kappas)), dtype=complex)
-        phi[forced] = forcing
-    r = spectral.project(phi) / orbit.denominators  # (m, K)
+        phi = np.zeros((spectral.state_dim, orbit.coeffs.length), dtype=complex)
+        phi[forced] = np.tile(forcing, orbit.coeffs.length // len(orbit.phases))
+    r = spectral.project(phi) / orbit.denominators  # (m, P K)
     X = r if orbit.velocity is None else np.stack([r, orbit.velocity * r])
     Z = spectral.reconstruct(X)
     orbit.coeffs.insert_slice(nu, Z)
-    return _enforce_real(Z @ orbit.phases, "qp modal assembly")
+    return Z
 
 
 def _qp_guard(spectral, kappas, resonance_tol):
@@ -322,12 +380,13 @@ def _qp_guard(spectral, kappas, resonance_tol):
     distance array measures every mode; the first offending mode raises,
     naming its nearest harmonic."""
     retained = list(spectral.retained)
+    roots = spectral._roots[retained]
     if spectral.kind == "general":
         lams = spectral.eigenvalues[retained]
-        roots, scales = lams[:, None], np.abs(lams)
+        scales = np.abs(lams)
     else:
         w, z = spectral.omega[retained], spectral.zeta[retained]
-        roots, scales = _oscillator_root_pairs(w, z), w
+        scales = w
     tol = resonance_tol if resonance_tol is not None else 1e-6 * scales
     dist = np.abs(1j * kappas[None, :, None] - roots[:, None, :]).min(axis=2)  # (modes, K)
     nearest = dist.argmin(axis=1)
@@ -465,12 +524,7 @@ def compute_taylor_gss(
         raise InvalidParameters(f"backend {backend!r} not one of {_BACKENDS}")
     if backend == "qp":
         Omega = _qp_base_frequencies(base_frequencies, harmonic_budget)
-        if harmonic_budget < order:
-            warnings.warn(
-                f"harmonic_budget {harmonic_budget} is below order {order}: orders above "
-                "it drop the harmonics outside sum |k_i| <= budget",
-                HarmonicTruncationWarning,
-            )
+        _warn_truncation(harmonic_budget, order)
     if forcing.n != system.n:
         raise DimensionMismatch(
             f"forcing has {forcing.n} columns, system has {system.n} dofs"
@@ -492,23 +546,7 @@ def compute_taylor_gss(
         # a harmonic at a root has no bounded orbit: refuse before any fit
         kappas = _ball_frequencies(Omega, harmonic_budget)
         _qp_guard(spectral, kappas, resonance_tol)
-        times = forcing.times()
-        denominators, velocity = _modal_transfer(spectral, kappas)
-        orbit = _HarmonicOrbit(
-            Omega=Omega,
-            budget=harmonic_budget,
-            times=times,
-            fit_from=forcing.pad_length,
-            coeffs=CoefficientTensor(
-                np.zeros((system.state_dim, order, len(kappas)), dtype=complex),
-                forcing.dt, forcing.t0, 0, _filled=set(range(1, order + 1)),
-            ),
-            product=_lattice_product(len(Omega), harmonic_budget),
-            kappas=kappas,
-            phases=np.exp(1j * np.outer(kappas, times)),
-            denominators=denominators,
-            velocity=velocity,
-        )
+        orbit = _harmonic_orbit(spectral, forcing, order, Omega, harmonic_budget, kappas)
 
     def compose(window, nu, normalized):
         if backend == "qp" and nu > 1:
@@ -518,7 +556,8 @@ def compute_taylor_gss(
     def propagate(phi, nu, carry, out):
         if backend == "kernel":
             return propagate_order(spectral, weights, phi, carry=carry, out=out)
-        return _qp_propagate(spectral, phi, nu, orbit)
+        Z = _qp_propagate(spectral, phi, nu, orbit)
+        return _enforce_real(Z @ orbit.phases, "qp modal assembly")
 
     tensor, norms = _cascade(
         system.state_dim, forcing, order, cache, compose, propagate,
@@ -629,6 +668,73 @@ def evaluate_at_amplitude(
     """Partial sum sum_nu z_nu delta^nu on the grid, shape (state_dim, T):
     the one-amplitude case of evaluate_at_amplitudes, bit for bit."""
     return evaluate_at_amplitudes(expansion, [delta], max_order)[:, 0]
+
+
+def _qp_sweep(system, forcing, order, omegas, budget, resonance_tol):
+    """The 'qp' steady amplitudes of one forcing record played at each
+    frequency of omegas (a 1-D array); the batched solve of
+    bench.frc_sweep.
+
+    forcing is whole periods at base frequency 1, so point p is the
+    record at step forcing.dt / omegas[p] and base frequency omegas[p].
+    Returns (amplitude, flags): amplitude[p] is, per state coordinate,
+    the largest magnitude on the record's samples of point p's steady
+    state at the record's own amplitude (its sup row norm), NaN when
+    flags[p] holds the point's NearResonance message (else None).
+
+    The system is decomposed once. Each point selects its modes at its
+    step and is guarded at its harmonics omegas[p] k, as a 'qp'
+    compute_taylor_gss of its record would be. The unflagged points that
+    keep the same modes run as one harmonic cascade: in sample-index
+    terms they share the record, its fit and its phases, and differ only
+    in the modal transfer at omegas[p] k. The orders stay harmonic
+    coefficients; their partial sum is put on the samples once per
+    point. A budget below the order warns once.
+    """
+    _warn_truncation(budget, order)
+    spectral = _decompose(system)
+    ball = _ball_frequencies((1.0,), budget)
+    flags = [None] * len(omegas)
+    groups = {}  # retained modes -> (their spectral data, the unflagged points)
+    for p, omega in enumerate(omegas):
+        retained = select_modes(spectral, forcing.dt / omega)
+        if retained not in groups:
+            groups[retained] = (with_retained(spectral, retained), [])
+        kept, points = groups[retained]
+        try:
+            _qp_guard(kept, omega * ball, resonance_tol)
+        except NearResonance as exc:
+            flags[p] = str(exc)
+        else:
+            points.append(p)
+
+    sup = forcing.max_magnitude
+    phi = np.zeros((system.state_dim, forcing.length))
+    if sup > 0.0:
+        phi[: system.n] = (forcing.samples / sup).T
+    powers = _powers(np.array([sup]), range(1, order + 1), [sup])
+    fld = system.nonlinearity
+    amplitude = np.full((len(omegas), system.state_dim), np.nan)
+    for kept, points in groups.values():
+        if not points:
+            continue
+        cache = CompositionCache(max_degree=max(fld.max_degree, 2), degrees=fld.degrees)
+        orbit = _harmonic_orbit(
+            kept, forcing, order, (1.0,), budget, np.outer(omegas[points], ball).ravel()
+        )
+        for nu in range(1, order + 1):
+            if cache.reaches(1, nu):
+                composed = phi if nu == 1 else assemble_phi(
+                    system, orbit.coeffs, nu, cache=cache, product=orbit.product
+                )
+                _qp_propagate(kept, composed, nu, orbit)
+        summed = _power_sum(powers, orbit.coeffs.data)[:, 0].reshape(
+            system.state_dim, len(points), len(ball)
+        )
+        for i, p in enumerate(points):
+            grid = _enforce_real(summed[:, i] @ orbit.phases, "qp modal assembly")
+            amplitude[p] = np.abs(grid).max(axis=1)
+    return amplitude, flags
 
 
 @dataclass(frozen=True)

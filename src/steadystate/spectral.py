@@ -75,11 +75,22 @@ class SpectralData:
     zeta: np.ndarray | None = None  # (n,)
     U: np.ndarray | None = None  # (n, n) real
 
+    @cached_property
+    def _roots(self):
+        """Per unit, retained or not, its roots, the slower first, built
+        once per instance and read-only: (2n, 1), each eigenvalue, on the
+        general path; (n, 2), each oscillator's two
+        (_oscillator_root_pairs), on the structural one."""
+        if self.kind == "general":
+            roots = self.eigenvalues[:, None]
+        else:
+            roots = _oscillator_root_pairs(self.omega, self.zeta)
+        roots.flags.writeable = False
+        return roots
+
     def slow_real_parts(self) -> np.ndarray:
         """Per unit, retained or not, the slowest real part (closest to zero)."""
-        if self.kind == "general":
-            return self.eigenvalues.real.copy()
-        return _oscillator_root_pairs(self.omega, self.zeta)[:, 0].real
+        return self._roots[:, 0].real.copy()
 
     @property
     def gamma(self) -> float:

@@ -12,6 +12,7 @@ from steadystate import (
     build_duffing,
     build_gyroscopic_2dof,
     build_oscillator_chain,
+    build_system,
     compute_taylor_gss,
     decompose_general,
     decompose_structural,
@@ -20,10 +21,12 @@ from steadystate import (
     generate_forcing,
     load_forcing,
     nmte,
+    select_modes,
 )
 from steadystate.errors import (
     EmptySignal,
     HarmonicFitIllConditioned,
+    HarmonicTruncationWarning,
     InvalidCutoff,
     InvalidParameters,
     NearResonance,
@@ -403,7 +406,7 @@ class TestFrcSweep:
         with pytest.raises(InvalidParameters):
             frc_sweep(sys_, [1.0], delta=0.1, threads=0)
         # every check below runs before any point is solved
-        monkeypatch.setattr(bench, "_frc_point", None)
+        monkeypatch.setattr(bench, "_qp_sweep", None)
         for threads in (1.5, True, "2"):
             with pytest.raises(InvalidParameters, match="threads"):
                 frc_sweep(sys_, [1.0], delta=0.1, threads=threads)
@@ -451,3 +454,83 @@ class TestFrcSweep:
             assert sweep.flags[i] is None
             np.testing.assert_allclose(sweep.amplitude[i], ref, rtol=1e-12, atol=0.0)
         assert [f is None for f in sweep.flags] == [True, False, True]
+
+    def test_budget_below_one_is_refused(self, monkeypatch):
+        # delta sin(omega t) sits at k = +-1, outside the budget-0 ball:
+        # refused before any point is solved, not a sweep of zeros
+        monkeypatch.setattr(bench, "_qp_sweep", None)
+        with pytest.raises(InvalidParameters, match="harmonic_budget"):
+            frc_sweep(build_duffing(zeta=0.1, kappa3=0.5), [0.7, 1.3], delta=0.1, order=3,
+                      harmonic_budget=0)
+
+    def test_one_truncation_warning_per_sweep(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            frc_sweep(build_duffing(zeta=0.1, kappa3=0.5), [0.7, 1.0, 1.3], delta=0.1,
+                      order=5, harmonic_budget=2)
+        truncations = [w for w in caught if issubclass(w.category, HarmonicTruncationWarning)]
+        assert len(truncations) == 1
+
+
+def _stiff_pair():
+    # Rayleigh damping C = 0.396 M + 1e-3 K on modes at 2 and 1000: the
+    # stiff mode decays at sigma = zeta omega = 500.2, so a sweep point's
+    # step 2 pi / omega / 256 drops it at omega = 0.5 (dt 0.049) and keeps
+    # it at omega = 5 (dt 0.0049)
+    c, s = math.cos(0.3), math.sin(0.3)
+    U = np.array([[c, -s], [s, c]])
+    K = U @ np.diag([4.0, 1e6]) @ U.T
+    terms = [((3, 0, 0, 0), 0, 2.0), ((1, 2, 0, 0), 1, 0.5)]
+    return build_system(np.eye(2), 0.396 * np.eye(2) + 1e-3 * K, K, terms=terms)
+
+
+def _quadratic_chain():
+    # a quadratic term makes every order live
+    chain = build_oscillator_chain(3, kappa3=0.0)
+    terms = [((2, 0, 0, 0, 0, 0), 1, 0.3), ((3, 0, 0, 0, 0, 0), 0, 0.5),
+             ((0, 1, 1, 0, 0, 0), 2, 0.2)]
+    return build_system(chain.M, chain.C, chain.K, terms=terms)
+
+
+class TestBatchedSweep:
+    """The sweep solves its points together; each point must equal a 'qp'
+    compute_taylor_gss of its own period, the route the sweep replaces."""
+
+    @staticmethod
+    def _per_point(system, omega, delta, dofs, **kw):
+        dt = 2.0 * math.pi / omega / 256
+        samples = np.zeros((256, system.n))
+        samples[:, dofs] = delta * np.sin(omega * dt * np.arange(256))[:, None]
+        forcing = load_forcing(samples, dt=dt)
+        expansion = compute_taylor_gss(system, forcing, backend="qp", base_frequencies=(omega,),
+                                       check_divergence=False, **kw)
+        return np.abs(evaluate_at_amplitude(expansion, forcing.max_magnitude)).max(axis=1)
+
+    @pytest.mark.parametrize("case", ["quadratic", "retained-set-changes", "flagged-between",
+                                      "general-damping"])
+    def test_points_match_their_own_solve(self, case):
+        delta, dofs, kw = 0.2, [0], dict(order=5, harmonic_budget=5)
+        if case == "quadratic":
+            system, grid, dofs = _quadratic_chain(), np.linspace(0.3, 3.0, 7), [0, 2]
+        elif case == "retained-set-changes":
+            system, grid = _stiff_pair(), np.array([0.5, 5.0, 1.3, 7.0])
+            retained = {select_modes(decompose_structural(system), 2 * math.pi / w / 256)
+                        for w in grid}
+            assert retained == {(0,), (0, 1)}
+        elif case == "flagged-between":
+            # the middle point sits on the resonance at 1.0
+            system, grid, delta = build_duffing(zeta=1e-5, kappa3=0.5), np.array([0.37, 1.0, 1.6]), 0.01
+            kw = dict(order=3, harmonic_budget=3, resonance_tol=1e-2)
+        else:
+            system, grid, dofs = build_gyroscopic_2dof(kappa3=0.3), np.linspace(0.4, 2.5, 5), [0, 1]
+        sweep = frc_sweep(system, grid, delta=delta, dofs=dofs, **kw)
+        for i, omega in enumerate(grid):
+            try:
+                ref = self._per_point(system, omega, delta, dofs, **kw)
+            except NearResonance as exc:
+                assert sweep.flags[i] == str(exc)
+                assert np.all(np.isnan(sweep.amplitude[i]))
+                continue
+            assert sweep.flags[i] is None
+            np.testing.assert_allclose(sweep.amplitude[i], ref, rtol=1e-12, atol=0.0)
+        assert (sweep.flags[1] is not None) == (case == "flagged-between")

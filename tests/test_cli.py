@@ -473,6 +473,13 @@ class TestCliFrc:
         assert rows[0].startswith("omega,amp_z0")
         assert len(rows) == 6
 
+    def test_budget_zero_is_a_usage_error(self, tmp_path, capsys):
+        # the forcing sits at harmonics +-1, outside a budget-0 ball
+        code = main(["frc", "--config", _config(tmp_path), "--omega-min", "0.6",
+                     "--omega-max", "1.4", "--points", "3", "--harmonic", "0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("InvalidParameters: harmonic_budget")
+
 
 class TestCliDiagnose:
     def test_structural_summary(self, tmp_path, capsys):
