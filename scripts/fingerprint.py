@@ -8,6 +8,9 @@ coefficient tensors of chain-noise, duffing-critical and dashpot-roundtrip
 Pade den and num (pade_resum at the workload's [L/M]) and its trajectory
 at the forcing sup (evaluate_at_amplitude), and the frc-chain amplitudes
 (the one-thread sweep), each with its shape and the SHA-256 of its bytes.
+One output comes from no workload: qp-duffing is the 'qp' backend's
+tensor (compute_taylor_gss) of the acceptance criterion 8(a) Duffing
+oscillator under its two-tone forcing at dt 0.02, order 5.
 Each noise workload also gives its forcing record (chain-noise-forcing,
 duffing-forcing, dashpot-forcing): forcing.samples, flattened, followed
 by forcing.max_magnitude, so one digest covers both; a run that asks
@@ -47,7 +50,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from perfbench import workloads  # noqa: E402
-from steadystate import gss  # noqa: E402
+from steadystate import build_duffing, generate_forcing, gss  # noqa: E402
 
 # the forcing record of each noise workload, the first of its outputs
 FORCING = {
@@ -55,7 +58,8 @@ FORCING = {
     "duffing-critical": "duffing-forcing",
     "dashpot-roundtrip": "dashpot-forcing",
 }
-# the outputs of each workload, in the order they are printed
+# the outputs of each workload (and of qp-duffing, which is none), in the
+# order they are printed
 OUTPUTS = {
     "chain-noise": ("chain-noise-forcing", "chain-noise"),
     "duffing-critical": ("duffing-forcing", "duffing-critical"),
@@ -64,6 +68,7 @@ OUTPUTS = {
         "dashpot-evaluate",
     ),
     "frc-chain": ("frc-chain",),
+    "qp-duffing": ("qp-duffing",),
 }
 ALL = [name for made in OUTPUTS.values() for name in made]
 SLICE = 8192
@@ -87,9 +92,7 @@ def _workload_outputs(name, names):
     expansion = workloads.quiet(
         gss.compute_taylor_gss, inputs["system"], inputs["forcing"], spec["order"]
     )
-    tensor = expansion.tensor
-    orders = range(1, tensor.order_max + 1)
-    yield name, np.stack([tensor.order_slice(nu) for nu in orders], axis=1)
+    yield name, _stacked(expansion.tensor)
     if name == "dashpot-roundtrip":
         pade = gss.pade_resum(expansion, *spec["pade"])
         yield "dashpot-pade-den", pade.den
@@ -98,14 +101,33 @@ def _workload_outputs(name, names):
         yield "dashpot-evaluate", gss.evaluate_at_amplitude(expansion, delta)
 
 
+def _stacked(tensor):
+    """Every order 1..order_max of a tensor on axis 1 (state, order, time)."""
+    orders = range(1, tensor.order_max + 1)
+    return np.stack([tensor.order_slice(nu) for nu in orders], axis=1)
+
+
+def _qp_outputs(name, names):
+    """(name, array) of the 'qp' tensor of criterion 8(a)'s Duffing."""
+    system = build_duffing(omega=1.0, zeta=0.5, kappa3=1.0)
+    forcing = generate_forcing(
+        "two_tone", n=1, duration=60.0, dt=0.02, delta=0.4, pad=150, w1=1.3, w2=0.45
+    )
+    expansion = workloads.quiet(
+        gss.compute_taylor_gss, system, forcing, 5, backend="qp", base_frequencies=(1.3, 0.45)
+    )
+    yield name, _stacked(expansion.tensor)
+
+
 def outputs(names=None):
     """(name, array) of the fingerprinted outputs in names (default:
     all), computed one at a time; a workload runs only if it makes one
     of them."""
     names = set(names or ALL)
-    for workload, made in OUTPUTS.items():
+    for source, made in OUTPUTS.items():
         if not names.isdisjoint(made):
-            yield from ((n, a) for n, a in _workload_outputs(workload, names) if n in names)
+            run = _qp_outputs if source == "qp-duffing" else _workload_outputs
+            yield from ((n, a) for n, a in run(source, names) if n in names)
 
 
 def relative_difference(a, b):

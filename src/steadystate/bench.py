@@ -16,7 +16,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import EmptySignal, InvalidCutoff, InvalidParameters
-from .gss import _qp_sweep
+from .gss import _check_resonance_tol, _qp_sweep
 
 # Not called here since the sweep is one batched solve (_qp_sweep), but kept
 # importable from this module: perfbench's tracer wraps both names on it,
@@ -338,11 +338,13 @@ def frc_sweep(
     an integer >= 1, has no effect.
 
     Raises InvalidParameters before any point is solved unless every
-    frequency is finite and > 0, delta is finite, the dofs and threads
-    are valid and harmonic_budget is an integer from 1 to 127: the
-    forcing sits at the harmonics k = +-1, outside a budget-0 ball, and
-    2 budget + 1 harmonics from 128 on would not all be told apart on
-    256 samples.
+    frequency is finite and > 0, delta is finite, order is an integer
+    >= 1, resonance_tol is None or finite and > 0 (a NaN or negative
+    tolerance would switch the guard off), the dofs and threads are
+    valid and harmonic_budget is an integer from 1 to 127: the forcing
+    sits at the harmonics k = +-1, outside a budget-0 ball, and 2 budget
+    + 1 harmonics from 128 on would not all be told apart on 256
+    samples.
     """
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     if not np.all(np.isfinite(omega_grid) & (omega_grid > 0)):
@@ -351,6 +353,8 @@ def frc_sweep(
         )
     if not np.isfinite(delta):
         raise InvalidParameters(f"delta must be finite, got {delta!r}")
+    _check_int(order, "order", 1)
+    _check_resonance_tol(resonance_tol)
     dofs = _target_dofs(dofs, system.n)
     _check_int(threads, "threads", 1)
     # delta sin(omega t) is the harmonics k = +-1: a budget of 0 drops it

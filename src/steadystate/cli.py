@@ -303,24 +303,24 @@ def _build_parser():
             p.add_argument("--seed", type=int, default=None, help="seed for generated forcing")
         p.add_argument("--eps-trunc", type=float, default=1e-3, help="mode retention threshold")
 
+    def solver(p):  # the expansion options of _expand
+        p.add_argument("--order", type=int, required=True)
+        p.add_argument("--backend", choices=("kernel", "qp"), default="kernel")
+        p.add_argument("--base-freq", type=float, nargs="*", default=None, help="qp backend base frequencies")
+        p.add_argument("--harmonic", type=int, default=5, help="qp backend harmonic index budget")
+
     p = sub.add_parser("compute", help="compute an amplitude expansion")
     common(p)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--backend", choices=("kernel", "qp"), default="kernel")
+    solver(p)
     p.add_argument("--delta", type=float, default=None, help="evaluation amplitude")
-    p.add_argument("--base-freq", type=float, nargs="*", default=None, help="qp backend base frequencies")
-    p.add_argument("--harmonic", type=int, default=5, help="qp backend harmonic index budget")
     p.add_argument("--out", default=None, help="expansion container directory")
     p.add_argument("--trajectory", default=None, help="evaluated trajectory CSV")
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("compare", help="expansion vs full nonlinear integration")
     common(p)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--backend", choices=("kernel", "qp"), default="kernel")
+    solver(p)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--base-freq", type=float, nargs="*", default=None)
-    p.add_argument("--harmonic", type=int, default=5, help="qp backend harmonic index budget")
     p.add_argument("--skip", type=int, default=None, help="samples to skip in metrics (default: pad)")
     p.add_argument("--trajectory", default=None)
     p.set_defaults(func=_cmd_compare)

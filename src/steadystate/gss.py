@@ -12,19 +12,19 @@ they differ only in the inhomogeneity assembled from lower orders.
 
 Two propagation backends share the assembly:
 
-  'kernel'   exponential one-step convolution per retained mode
-  'qp'       closed-form bounded orbit for quasiperiodic forcing: the
-             forcing is fit once with harmonics of the given base
-             frequencies; higher orders compose harmonic coefficients
-             by lattice convolution (harmonic balance) and each harmonic
-             is mapped through 1/(i<k,Omega> - lambda). Exact when the
-             harmonic budget is at least the order and the forcing sits
-             on sum |k_i| <= 1; a lower budget drops harmonics and warns
+  'kernel'   exponential one-step convolution per retained mode, in
+             time blocks (_cascade, which reduced_gss shares)
+  'qp'       closed-form bounded orbit for quasiperiodic forcing, with no
+             time axis (_harmonic_cascade): the forcing is fit once with
+             harmonics of the given base frequencies; higher orders
+             compose harmonic coefficients by lattice convolution
+             (harmonic balance) and each harmonic is mapped through
+             1/(i<k,Omega> - lambda). Exact when the harmonic budget is
+             at least the order and the forcing sits on sum |k_i| <= 1; a
+             lower budget drops harmonics and warns
              (HarmonicTruncationWarning). A frequency sweep
-             (bench.frc_sweep) runs it batched (_qp_sweep): one
-             decomposition, one fit of the shared forcing period, and the
-             points that keep the same modes side by side on the
-             coefficients' last axis, each with its own transfer
+             (bench.frc_sweep, _qp_sweep) runs the same cascade with the
+             points that keep the same modes side by side
 
 Divergent-looking expansions are flagged with DivergenceWarning, never
 silently truncated. Amplitude evaluation past the radius of convergence
@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -265,59 +266,6 @@ def _warn_truncation(budget, order):
         )
 
 
-@dataclass
-class _HarmonicOrbit:
-    """The 'qp' backend's state across the orders of one solve, at P >= 1
-    points that share one forcing record and its harmonic ball.
-
-    coeffs holds each order's harmonic coefficients, shape (state_dim,
-    order, P K), point p's K harmonics at p K .. p K + K - 1, each point's
-    in the order of _harmonic_ball(len(Omega), budget); it starts as
-    zeros with every order counted filled, since the cascade composes
-    only live lower orders, which _qp_propagate has written. product
-    multiplies two coefficient rows, each point's harmonics on their own
-    (_lattice_product). phases is the (K, T) matrix exp(i kappa t) on the
-    record's times at the base frequencies Omega, which every point
-    shares. denominators and velocity are the retained modes' transfer
-    at the P K physical frequencies (_modal_transfer), built once per
-    solve.
-    """
-
-    Omega: np.ndarray
-    budget: int
-    times: np.ndarray
-    fit_from: int
-    coeffs: CoefficientTensor
-    product: object
-    phases: np.ndarray
-    denominators: np.ndarray
-    velocity: np.ndarray | None
-
-
-def _harmonic_orbit(spectral, forcing, order, Omega, budget, kappas):
-    """The _HarmonicOrbit of a 'qp' solve of the forcing record with the
-    ball of Omega and budget, K harmonics, at the P K frequencies kappas:
-    point p meets the retained modes at kappas[p K : p K + K]. One point
-    at the ball's own frequencies is compute_taylor_gss; several, with
-    one record in sample-index terms, the batched sweep (_qp_sweep)."""
-    times = forcing.times()
-    denominators, velocity = _modal_transfer(spectral, kappas)
-    return _HarmonicOrbit(
-        Omega=Omega,
-        budget=budget,
-        times=times,
-        fit_from=forcing.pad_length,
-        coeffs=CoefficientTensor(
-            np.zeros((spectral.state_dim, order, len(kappas)), dtype=complex),
-            forcing.dt, forcing.t0, 0, _filled=set(range(1, order + 1)),
-        ),
-        product=_lattice_product(len(Omega), budget),
-        phases=np.exp(1j * np.outer(_ball_frequencies(Omega, budget), times)),
-        denominators=denominators,
-        velocity=velocity,
-    )
-
-
 def _modal_transfer(spectral, kappas):
     """The retained modes' transfer at each harmonic: (denominators,
     velocity) as (m, K) arrays. A modal input u maps to u / denominators,
@@ -332,44 +280,79 @@ def _modal_transfer(spectral, kappas):
     return w * w - kappas * kappas + 2j * z * w * kappas, 1j * kappas / w
 
 
-def _qp_propagate(spectral, phi, nu, orbit):
-    """Exact bounded orbit of order nu, solved harmonic by harmonic at
-    every point of the orbit: its (state_dim, P K) coefficients, also
-    written into orbit.coeffs.
-
-    At order 1, phi is the forcing grid: its nonzero rows are fit once
-    (fit_harmonics), over the grid from orbit.fit_from on, since a zero
-    pad is a kernel-backend start-up device, not part of the
-    quasiperiodic signal, and including it would bias the coefficients.
-    The forcing is real, so the fit is made conjugate-symmetric, c_k <-
-    (c_k + conj c_{-k}) / 2, an equally good least-squares solution, and
-    every point takes it: in sample-index terms the points share the
-    record. For nu >= 2, phi already holds the harmonic coefficients of
-    Phi_nu, composed from lower orders by lattice convolution. The
-    kernel's modal pair maps them: project, the modal transfer at each
-    kappa (1/(i kappa - lambda), or (1, i kappa/omega)/(omega^2 - kappa^2
-    + 2i zeta omega kappa) for an oscillator, built once per solve in the
-    orbit), reconstruct.
+def _qp_propagate(spectral, phi, denominators, velocity):
+    """Exact bounded orbit of one order, solved harmonic by harmonic: the
+    (state_dim, P K) coefficients of the response to phi, the harmonic
+    coefficients of Phi_nu at P K frequencies kappa. The kernel's modal
+    pair maps them: project, the modal transfer at each kappa
+    (_modal_transfer: 1/(i kappa - lambda), or (1, i kappa/omega) /
+    (omega^2 - kappa^2 + 2i zeta omega kappa) for an oscillator),
+    reconstruct.
 
     With forcing on sum |k_i| <= 1, order nu only reaches sum |k_i| <= nu,
     so the orbit is exact while the budget is at least the order.
     """
-    if nu == 1:
-        forced = np.flatnonzero(phi[: spectral.state_dim // 2].any(axis=1))
-        window = slice(orbit.fit_from, None)
-        _, forcing = fit_harmonics(
-            phi[forced, window], orbit.times[window], orbit.Omega, orbit.budget,
-            phases=orbit.phases[:, window],
-        )
-        # the ball is symmetric and sorted, so harmonic -k sits at K-1-i
-        forcing = 0.5 * (forcing + forcing[:, ::-1].conj())
-        phi = np.zeros((spectral.state_dim, orbit.coeffs.length), dtype=complex)
-        phi[forced] = np.tile(forcing, orbit.coeffs.length // len(orbit.phases))
-    r = spectral.project(phi) / orbit.denominators  # (m, P K)
-    X = r if orbit.velocity is None else np.stack([r, orbit.velocity * r])
-    Z = spectral.reconstruct(X)
-    orbit.coeffs.insert_slice(nu, Z)
-    return Z
+    r = spectral.project(phi) / denominators  # (m, P K)
+    X = r if velocity is None else np.stack([r, velocity * r])
+    return spectral.reconstruct(X)
+
+
+def _harmonic_cascade(system, spectral, forcing, order, Omega, budget, kappas):
+    """The one 'qp' order cascade: orders 1..order of the bounded orbit
+    of the forcing record on the ball of Omega and budget (K harmonics),
+    at P >= 1 points that share the record, point p meeting the retained
+    modes at kappas[p K : p K + K]: one point is compute_taylor_gss,
+    several the batched sweep (_qp_sweep).
+
+    The normalized forced columns are fit once (fit_harmonics) from the
+    end of the pad on, since a zero pad is a kernel-backend start-up
+    device that would bias the fit, and made conjugate-symmetric, c_k <-
+    (c_k + conj c_{-k}) / 2, an equally good least-squares solution for
+    a real forcing. Each live order (cache.reaches) is composed from
+    order 2 on by lattice convolution (assemble_phi, _lattice_product)
+    and solved by _qp_propagate at the modal transfer of kappas.
+
+    Returns (coeffs, phases, cache): coeffs, (state_dim, order, P K),
+    every order filled, point p's harmonics at p K .. p K + K - 1 in the
+    ball's order, zeros at orders that are not live; phases, the (K, T)
+    matrix exp(i kappa t) on the record's times; the composition cache.
+    """
+    fld = system.nonlinearity
+    cache = CompositionCache(max_degree=max(fld.max_degree, 2), degrees=fld.degrees)
+    sup = forcing.max_magnitude
+    normalized = forcing.samples / sup if sup > 0.0 else np.zeros_like(forcing.samples)
+    times = forcing.times()
+    phases = np.exp(1j * np.outer(_ball_frequencies(Omega, budget), times))
+    forced = np.flatnonzero(normalized.any(axis=0))
+    window = slice(forcing.pad_length, None)
+    _, fit = fit_harmonics(
+        normalized[window, forced].T, times[window], Omega, budget, phases=phases[:, window]
+    )
+    # the ball is symmetric and sorted, so harmonic -k sits at K-1-i
+    fit = 0.5 * (fit + fit[:, ::-1].conj())
+    phi = np.zeros((spectral.state_dim, len(kappas)), dtype=complex)
+    phi[forced] = np.tile(fit, len(kappas) // len(phases))
+
+    coeffs = CoefficientTensor(
+        np.zeros((spectral.state_dim, order, len(kappas)), dtype=complex),
+        forcing.dt, forcing.t0, 0, _filled=set(range(1, order + 1)),
+    )
+    product = _lattice_product(len(Omega), budget)
+    transfer = _modal_transfer(spectral, kappas)
+    for nu in range(1, order + 1):
+        if cache.reaches(1, nu):
+            if nu > 1:
+                phi = assemble_phi(system, coeffs, nu, cache=cache, product=product)
+            coeffs.insert_slice(nu, _qp_propagate(spectral, phi, *transfer))
+    return coeffs, phases, cache
+
+
+def _check_resonance_tol(tol):
+    """InvalidParameters unless a 'qp' resonance tolerance is None or a
+    finite real > 0: a NaN or negative one trips on no harmonic."""
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    if tol is not None and not (real and math.isfinite(tol) and tol > 0):
+        raise InvalidParameters(f"resonance_tol must be None or a finite value > 0, got {tol!r}")
 
 
 def _qp_guard(spectral, kappas, resonance_tol):
@@ -412,13 +395,18 @@ def _decompose(system: MechanicalSystem) -> SpectralData:
     return decompose_general(system)
 
 
-def _cascade(dim, forcing, order, cache, compose, propagate, lift=None, orders=None, step=None):
-    """The order cascade of every solver: fills a tensor of orders
-    1..order on the forcing's grid, time blocks of step (default _BLOCK)
-    samples outer, and returns it with norms: norms[nu - 1] is order
-    nu's largest state 2-norm on the grid (0.0 without a slot), taken
-    from each block once the order is final in the tensor's window,
-    bit-equal to np.linalg.norm(grid, axis=0).max().
+def _sup_square(z):
+    """The largest squared column 2-norm of z: its root is np.linalg.norm(z, axis=0).max()."""
+    return np.einsum("ij,ij->j", z, z).max()
+
+
+def _cascade(dim, forcing, order, cache, compose, propagate, lift=None, orders=None):
+    """The order cascade of the time-domain solvers (compute_taylor_gss's
+    'kernel' backend and reduced_gss): fills a tensor of orders 1..order
+    on the forcing's grid, time blocks of _BLOCK samples outer, and
+    returns it with norms: norms[nu - 1] is order nu's largest state
+    2-norm on the grid (0.0 without a slot), taken from each block once
+    the order is final in the tensor's window (_sup_square).
 
     Per block it clears cache, so products are block-length, normalizes
     the block's forcing to the signal's unit sup and runs each order nu:
@@ -449,8 +437,8 @@ def _cascade(dim, forcing, order, cache, compose, propagate, lift=None, orders=N
     sup = forcing.max_magnitude
     carries = [Carry() for _ in range(order)]
     squares = np.zeros(order)
-    T, step = forcing.length, step or _BLOCK
-    for block in (slice(s, min(s + step, T)) for s in range(0, T, step)):
+    T = forcing.length
+    for block in (slice(s, min(s + _BLOCK, T)) for s in range(0, T, _BLOCK)):
         cache.clear()
         samples = forcing.samples[block]
         normalized = samples / sup if sup > 0.0 else np.zeros_like(samples)
@@ -465,10 +453,36 @@ def _cascade(dim, forcing, order, cache, compose, propagate, lift=None, orders=N
             if lift is not None:
                 window.insert_slice(nu, lift(store, nu, normalized))
             if nu in stored:
-                z = window.slot(nu)
-                squares[nu - 1] = np.maximum(squares[nu - 1], np.einsum("ij,ij->j", z, z).max())
+                squares[nu - 1] = np.maximum(squares[nu - 1], _sup_square(window.slot(nu)))
     tensor._filled.update(every)
     return tensor, np.sqrt(squares)
+
+
+def _warn_divergence(norms, order, delta):
+    """The divergence verdict of both backends: DivergenceWarning when the
+    top order pair's larger term, norms[nu - 1] |delta|^nu with norms[nu
+    - 1] order nu's sup norm on the grid, passes 10x the mid pair's."""
+    if order < 2 or delta == 0.0:
+        return
+    # adjacent-order pairs: an odd (or even) series is zero at every
+    # other order; the terms are compared as logarithms, so no power
+    # of delta overflows and its sign does not matter
+    half = (order + 1) // 2
+    log_delta = math.log(abs(delta))
+    l_half, l_top = (
+        max((math.log(norms[nu - 1]) + nu * log_delta for nu in pair if norms[nu - 1]),
+            default=-math.inf)
+        for pair in ((half, half + 1), (order - 1, order))
+    )
+    gap = l_top - l_half
+    if l_half > -math.inf and gap > math.log(10.0):
+        ratio = f"{math.exp(gap):.1f}" if gap < 700.0 else f"1e{gap / math.log(10.0):.0f}"
+        warnings.warn(
+            f"top-order term is {ratio}x the mid-order term "
+            f"at delta={delta:.3g}; the series looks divergent there "
+            "(consider rational resummation)",
+            DivergenceWarning,
+        )
 
 
 def compute_taylor_gss(
@@ -485,10 +499,11 @@ def compute_taylor_gss(
 ) -> GssExpansion:
     """Amplitude expansion of the steady response to a sampled forcing.
 
-    The orders run through the blocked cascade (_cascade) that
+    'kernel' runs the orders through the blocked cascade (_cascade) that
     reduced_gss shares, composed by assemble_phi on the tensor's view of
-    each block; cache_stats are summed over the blocks, and 'qp' runs as
-    one block over its harmonic coefficients. Only the live orders run
+    each block, with cache_stats summed over the blocks; 'qp' runs the
+    sweep's harmonic cascade (_harmonic_cascade) and puts each order on
+    the grid. Only the live orders run
     (see the composition module): the odd ones for a cubic field, all of
     them with a quadratic term; the others are exact zeros that take no
     slot in the tensor, and each live order keeps the bits of the full
@@ -514,16 +529,19 @@ def compute_taylor_gss(
     resonance_tol : float, optional
         'qp': raise NearResonance, before any fit, when some harmonic
         i kappa lies within this distance of a retained mode's root;
-        defaults to 1e-6 x the mode's |lambda| or omega.
+        defaults to 1e-6 x the mode's |lambda| or omega. Must be finite
+        and > 0 (InvalidParameters otherwise).
     check_divergence : bool
         Warn (DivergenceWarning) when the top order pair's larger term,
-        the cascade's sup norm x |delta|^nu, passes 10x the mid pair's.
+        the order's sup norm on the grid x |delta|^nu, passes 10x the
+        mid pair's (_warn_divergence).
     """
     _check_int(order, "order", 1)
     if backend not in _BACKENDS:
         raise InvalidParameters(f"backend {backend!r} not one of {_BACKENDS}")
     if backend == "qp":
         Omega = _qp_base_frequencies(base_frequencies, harmonic_budget)
+        _check_resonance_tol(resonance_tol)
         _warn_truncation(harmonic_budget, order)
     if forcing.n != system.n:
         raise DimensionMismatch(
@@ -539,52 +557,39 @@ def compute_taylor_gss(
     sup = forcing.max_magnitude
     delta_ref = float(delta) if delta is not None else (sup if sup > 0.0 else 1.0)
 
-    fld = system.nonlinearity
-    cache = CompositionCache(max_degree=max(fld.max_degree, 2), degrees=fld.degrees)
-    weights = build_kernel_weights(spectral, forcing.dt) if backend == "kernel" else None
     if backend == "qp":
         # a harmonic at a root has no bounded orbit: refuse before any fit
         kappas = _ball_frequencies(Omega, harmonic_budget)
         _qp_guard(spectral, kappas, resonance_tol)
-        orbit = _harmonic_orbit(spectral, forcing, order, Omega, harmonic_budget, kappas)
-
-    def compose(window, nu, normalized):
-        if backend == "qp" and nu > 1:
-            return assemble_phi(system, orbit.coeffs, nu, cache=cache, product=orbit.product)
-        return assemble_phi(system, window, nu, forcing_grid=normalized, cache=cache)
-
-    def propagate(phi, nu, carry, out):
-        if backend == "kernel":
-            return propagate_order(spectral, weights, phi, carry=carry, out=out)
-        Z = _qp_propagate(spectral, phi, nu, orbit)
-        return _enforce_real(Z @ orbit.phases, "qp modal assembly")
-
-    tensor, norms = _cascade(
-        system.state_dim, forcing, order, cache, compose, propagate,
-        # the harmonic cascade has no time axis to split: one block
-        step=forcing.length if backend == "qp" else None,
-    )
-
-    if check_divergence and order >= 2 and delta_ref != 0.0:
-        # adjacent-order pairs: an odd (or even) series is zero at every
-        # other order; the terms are compared as logarithms, so no power
-        # of delta overflows and its sign does not matter
-        half = (order + 1) // 2
-        log_delta = math.log(abs(delta_ref))
-        l_half, l_top = (
-            max((math.log(norms[nu - 1]) + nu * log_delta for nu in pair if norms[nu - 1]),
-                default=-math.inf)
-            for pair in ((half, half + 1), (order - 1, order))
+        coeffs, phases, cache = _harmonic_cascade(
+            system, spectral, forcing, order, Omega, harmonic_budget, kappas
         )
-        gap = l_top - l_half
-        if l_half > -math.inf and gap > math.log(10.0):
-            ratio = f"{math.exp(gap):.1f}" if gap < 700.0 else f"1e{gap / math.log(10.0):.0f}"
-            warnings.warn(
-                f"top-order term is {ratio}x the mid-order term "
-                f"at delta={delta_ref:.3g}; the series looks divergent there "
-                "(consider rational resummation)",
-                DivergenceWarning,
-            )
+        live = [nu for nu in range(1, order + 1) if cache.reaches(1, nu)]
+        tensor = CoefficientTensor.empty(
+            system.state_dim, order, forcing.length, forcing.dt, t0=forcing.t0,
+            pad_length=forcing.pad_length, stored=live,
+        )
+        norms = np.zeros(order)
+        for nu in live:
+            grid = _enforce_real(coeffs.order_slice(nu) @ phases, "qp modal assembly")
+            tensor.insert_slice(nu, grid)
+            norms[nu - 1] = np.sqrt(_sup_square(tensor.slot(nu)))
+        tensor._filled.update(range(1, order + 1))
+    else:
+        fld = system.nonlinearity
+        cache = CompositionCache(max_degree=max(fld.max_degree, 2), degrees=fld.degrees)
+        weights = build_kernel_weights(spectral, forcing.dt)
+
+        def compose(window, nu, normalized):
+            return assemble_phi(system, window, nu, forcing_grid=normalized, cache=cache)
+
+        def propagate(phi, nu, carry, out):
+            return propagate_order(spectral, weights, phi, carry=carry, out=out)
+
+        tensor, norms = _cascade(system.state_dim, forcing, order, cache, compose, propagate)
+
+    if check_divergence:
+        _warn_divergence(norms, order, delta_ref)
 
     return GssExpansion(
         system=system,
@@ -687,9 +692,9 @@ def _qp_sweep(system, forcing, order, omegas, budget, resonance_tol):
     compute_taylor_gss of its record would be. The unflagged points that
     keep the same modes run as one harmonic cascade: in sample-index
     terms they share the record, its fit and its phases, and differ only
-    in the modal transfer at omegas[p] k. The orders stay harmonic
-    coefficients; their partial sum is put on the samples once per
-    point. A budget below the order warns once.
+    in the modal transfer at omegas[p] k (_harmonic_cascade). The orders
+    stay harmonic coefficients; their partial sum is put on the samples
+    once per point. A budget below the order warns once.
     """
     _warn_truncation(budget, order)
     spectral = _decompose(system)
@@ -709,30 +714,19 @@ def _qp_sweep(system, forcing, order, omegas, budget, resonance_tol):
             points.append(p)
 
     sup = forcing.max_magnitude
-    phi = np.zeros((system.state_dim, forcing.length))
-    if sup > 0.0:
-        phi[: system.n] = (forcing.samples / sup).T
     powers = _powers(np.array([sup]), range(1, order + 1), [sup])
-    fld = system.nonlinearity
     amplitude = np.full((len(omegas), system.state_dim), np.nan)
     for kept, points in groups.values():
         if not points:
             continue
-        cache = CompositionCache(max_degree=max(fld.max_degree, 2), degrees=fld.degrees)
-        orbit = _harmonic_orbit(
-            kept, forcing, order, (1.0,), budget, np.outer(omegas[points], ball).ravel()
+        coeffs, phases, _ = _harmonic_cascade(
+            system, kept, forcing, order, (1.0,), budget, np.outer(omegas[points], ball).ravel()
         )
-        for nu in range(1, order + 1):
-            if cache.reaches(1, nu):
-                composed = phi if nu == 1 else assemble_phi(
-                    system, orbit.coeffs, nu, cache=cache, product=orbit.product
-                )
-                _qp_propagate(kept, composed, nu, orbit)
-        summed = _power_sum(powers, orbit.coeffs.data)[:, 0].reshape(
+        summed = _power_sum(powers, coeffs.data)[:, 0].reshape(
             system.state_dim, len(points), len(ball)
         )
         for i, p in enumerate(points):
-            grid = _enforce_real(summed[:, i] @ orbit.phases, "qp modal assembly")
+            grid = _enforce_real(summed[:, i] @ phases, "qp modal assembly")
             amplitude[p] = np.abs(grid).max(axis=1)
     return amplitude, flags
 

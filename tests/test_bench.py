@@ -420,6 +420,9 @@ class TestFrcSweep:
         for delta in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(InvalidParameters, match="delta"):
                 frc_sweep(sys_, [1.0], delta=delta)
+        for order in (0, -1, 1.5, True):
+            with pytest.raises(InvalidParameters, match="order"):
+                frc_sweep(sys_, [1.0], delta=0.1, order=order)
         # 2 budget + 1 harmonics do not fit a 256-sample period
         for budget in (128, 200):
             with pytest.raises(InvalidParameters, match="share one column"):

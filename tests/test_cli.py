@@ -539,10 +539,14 @@ class TestCliExitCodes:
                      "--order", "2"]) == 2
         assert "EmptySignal" in capsys.readouterr().err
 
-    def test_invalid_order_is_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [
+        ["compute", "--forcing", _GEN],
+        ["frc", "--omega-min", "0.5", "--omega-max", "1.5", "--points", "3"],
+    ], ids=["compute", "frc"])
+    def test_invalid_order_is_2(self, tmp_path, capsys, command):
         cfg = _config(tmp_path)
-        assert main(["compute", "--config", cfg, "--forcing", _GEN,
-                     "--order", "0"]) == 2
+        assert main(command[:1] + ["--config", cfg] + command[1:] + ["--order", "0"]) == 2
+        assert "InvalidParameters" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_forcing_csv_is_2(self, tmp_path, capsys, bad):

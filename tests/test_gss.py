@@ -108,6 +108,23 @@ class TestComputeTaylor:
                 base_frequencies=(1.0, 0.37), resonance_tol=1e-2,
             )
 
+    @pytest.mark.parametrize("entry", ["compute", "frc"])
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf"), "1e-2", True])
+    def test_bad_resonance_tol_is_refused_before_any_fit(self, monkeypatch, entry, tol):
+        # criterion 8(b)'s resonant Duffing, where a NaN or negative
+        # tolerance would switch the guard off (an orbit of 2e7): every bad
+        # value is refused before any fit
+        sharp = build_duffing(omega=1.0, zeta=1e-4, kappa3=0.5)
+        f = generate_forcing("two_tone", n=1, duration=30.0, dt=0.02, delta=0.01,
+                             pad=100, w1=1.0, w2=0.45)
+        monkeypatch.setattr(gss, "fit_harmonics", None)
+        with pytest.raises(InvalidParameters, match="resonance_tol"):
+            if entry == "compute":
+                compute_taylor_gss(sharp, f, order=3, backend="qp",
+                                   base_frequencies=(1.0, 0.45), resonance_tol=tol)
+            else:
+                frc_sweep(sharp, [0.45, 1.0], delta=0.01, order=3, resonance_tol=tol)
+
     @pytest.mark.parametrize("kind", ["structural", "general"])
     def test_resonance_guard_names_the_first_mode(self, monkeypatch, kind):
         # both modes trip: the guard names the first one, as a loop over
@@ -465,15 +482,15 @@ def _read_back_norms(tensor):
 
 
 def _capture_norms(monkeypatch):
-    """Wrap gss._cascade; the returned list collects each call's norms."""
-    seen, cascade = [], gss._cascade
+    """Wrap gss._warn_divergence, the verdict both backends hand their
+    norms to; the returned list collects each call's norms."""
+    seen, verdict = [], gss._warn_divergence
 
-    def wrapper(*args, **kwargs):
-        tensor, norms = cascade(*args, **kwargs)
+    def wrapper(norms, *args, **kwargs):
         seen.append(norms)
-        return tensor, norms
+        return verdict(norms, *args, **kwargs)
 
-    monkeypatch.setattr(gss, "_cascade", wrapper)
+    monkeypatch.setattr(gss, "_warn_divergence", wrapper)
     return seen
 
 
