@@ -252,8 +252,10 @@ class CompositionCache:
     the field if its forms are not the identity (its products are over
     that field's forms); never reuse one across tensors or such fields
     without clear().
-    compute_taylor_gss keeps one cache for the run and clears it at each
-    time block, so its products and form grids are block-length.
+    compute_taylor_gss and reduced_gss keep their caches for the run,
+    and their per-order steps clear them at order 1, the first of each
+    time block of the cascade, so products and form grids are
+    block-length.
     """
 
     max_degree: int

@@ -13,7 +13,8 @@ they differ only in the inhomogeneity assembled from lower orders.
 Two propagation backends share the assembly:
 
   'kernel'   exponential one-step convolution per retained mode, in
-             time blocks (_cascade, which reduced_gss shares)
+             time blocks (_cascade, shared with reduced_gss: it keeps
+             blocks, carries and norms, each solver one step per order)
   'qp'       closed-form bounded orbit for quasiperiodic forcing, with no
              time axis (_harmonic_cascade): the forcing is fit once with
              harmonics of the given base frequencies; higher orders
@@ -216,9 +217,10 @@ def fit_harmonics(
     1e10, or when T < K: harmonics it cannot tell apart then share the
     signal arbitrarily. On whole periods of one base frequency, sampled
     without the endpoint and with T >= K, the fit is the discrete
-    Fourier transform and the condition number is 1.
+    Fourier transform and the condition number is 1. Arguments that a
+    'qp' solve refuses raise InvalidParameters (_qp_base_frequencies).
     """
-    kappas = _ball_frequencies(base_frequencies, budget)
+    kappas = _ball_frequencies(_qp_base_frequencies(base_frequencies, budget), budget)
     A = np.exp(1j * np.outer(times, kappas)) if phases is None else phases.T  # (T, K)
     coeffs, _, _, svals = np.linalg.lstsq(A, np.asarray(rows).T, rcond=None)
     cond = svals[0] / svals[-1] if A.shape[0] >= A.shape[1] and svals[-1] > 0.0 else np.inf
@@ -400,36 +402,25 @@ def _sup_square(z):
     return np.einsum("ij,ij->j", z, z).max()
 
 
-def _cascade(dim, forcing, order, cache, compose, propagate, lift=None, orders=None):
+def _cascade(dim, forcing, order, stored, solve):
     """The order cascade of the time-domain solvers (compute_taylor_gss's
     'kernel' backend and reduced_gss): fills a tensor of orders 1..order
-    on the forcing's grid, time blocks of _BLOCK samples outer, and
+    on the forcing's grid that keeps a slot for each order in stored
+    (ascending, order 1 first), time blocks of _BLOCK samples outer, and
     returns it with norms: norms[nu - 1] is order nu's largest state
     2-norm on the grid (0.0 without a slot), taken from each block once
     the order is final in the tensor's window (_sup_square).
 
-    Per block it clears cache, so products are block-length, normalizes
-    the block's forcing to the signal's unit sup and runs each order nu:
-    exact zeros if nu is not live (cache.reaches), else propagate(phi,
-    nu, carry, out) of phi = compose(store, nu, normalized): the order-1
-    rows of the normalized forcing, or a composition of the lower orders
-    in store. out is store's slot of order nu; propagate returns it
-    filled in place (the kernel backend) or a grid of its own, which is
-    copied in. The order's Carry hands the filter state on from block to
-    block. Composition is pointwise and the filters causal, so the
+    Per block it normalizes the forcing to the signal's unit sup once
+    and walks the orders up: a stored order nu gets the grid that
+    solve(window, nu, normalized, carry) returns (window, the tensor's
+    view of the block, holds the lower orders; solve may fill
+    window.slot(nu) in place and return it), the others exact zeros.
+    The order's Carry hands the filter state on from block to block.
+    Order 1 is a block's first call, where a solver clears its per-block
+    caches. Composition is pointwise and the filters causal, so the
     result equals one block's up to the rounding of the modal products.
-    store is the tensor's view of the block or, in coordinates of the
-    caller's own, orders' view (one block long, reused), which
-    lift(store, nu, normalized) maps pointwise to the tensor's grid at
-    every order.
-
-    Without a lift the tensor stores only the live orders, shape (dim,
-    live, T), and the others read as zeros; a lift may fill every order
-    (its field's degrees need not match cache's), so then every order is
-    stored.
     """
-    every = range(1, order + 1)
-    stored = every if lift is not None else [nu for nu in every if cache.reaches(1, nu)]
     tensor = CoefficientTensor.empty(
         dim, order, forcing.length, forcing.dt, t0=forcing.t0, pad_length=forcing.pad_length,
         stored=stored,
@@ -439,22 +430,16 @@ def _cascade(dim, forcing, order, cache, compose, propagate, lift=None, orders=N
     squares = np.zeros(order)
     T = forcing.length
     for block in (slice(s, min(s + _BLOCK, T)) for s in range(0, T, _BLOCK)):
-        cache.clear()
         samples = forcing.samples[block]
         normalized = samples / sup if sup > 0.0 else np.zeros_like(samples)
         window = tensor.window(block)
-        store = window if orders is None else orders.window(slice(0, window.length))
         for nu, carry in enumerate(carries, start=1):
-            if cache.reaches(1, nu):
-                phi = compose(store, nu, normalized)
-                store.insert_slice(nu, propagate(phi, nu, carry, store.slot(nu)))
-            else:
-                store.insert_zeros(nu)
-            if lift is not None:
-                window.insert_slice(nu, lift(store, nu, normalized))
-            if nu in stored:
+            if nu in tensor.stored:
+                window.insert_slice(nu, solve(window, nu, normalized, carry))
                 squares[nu - 1] = np.maximum(squares[nu - 1], _sup_square(window.slot(nu)))
-    tensor._filled.update(every)
+            else:
+                window.insert_zeros(nu)
+    tensor._filled.update(range(1, order + 1))
     return tensor, np.sqrt(squares)
 
 
@@ -499,11 +484,12 @@ def compute_taylor_gss(
 ) -> GssExpansion:
     """Amplitude expansion of the steady response to a sampled forcing.
 
-    'kernel' runs the orders through the blocked cascade (_cascade) that
-    reduced_gss shares, composed by assemble_phi on the tensor's view of
-    each block, with cache_stats summed over the blocks; 'qp' runs the
-    sweep's harmonic cascade (_harmonic_cascade) and puts each order on
-    the grid. Only the live orders run
+    'kernel' runs the blocked cascade (_cascade) that reduced_gss shares
+    with one step per order: assemble_phi on the tensor's view of the
+    block, then propagate_order into the order's slot; the step clears
+    the cache at order 1, so cache_stats are summed over the blocks;
+    'qp' runs the sweep's harmonic cascade (_harmonic_cascade) and puts
+    each order on the grid. Only the live orders run
     (see the composition module): the odd ones for a cubic field, all of
     them with a quadratic term; the others are exact zeros that take no
     slot in the tensor, and each live order keeps the bits of the full
@@ -579,14 +565,15 @@ def compute_taylor_gss(
         fld = system.nonlinearity
         cache = CompositionCache(max_degree=max(fld.max_degree, 2), degrees=fld.degrees)
         weights = build_kernel_weights(spectral, forcing.dt)
+        live = [nu for nu in range(1, order + 1) if cache.reaches(1, nu)]
 
-        def compose(window, nu, normalized):
-            return assemble_phi(system, window, nu, forcing_grid=normalized, cache=cache)
+        def solve(window, nu, normalized, carry):
+            if nu == 1:  # a new block: the products are block-length
+                cache.clear()
+            phi = assemble_phi(system, window, nu, forcing_grid=normalized, cache=cache)
+            return propagate_order(spectral, weights, phi, carry=carry, out=window.slot(nu))
 
-        def propagate(phi, nu, carry, out):
-            return propagate_order(spectral, weights, phi, carry=carry, out=out)
-
-        tensor, norms = _cascade(system.state_dim, forcing, order, cache, compose, propagate)
+        tensor, norms = _cascade(system.state_dim, forcing, order, live, solve)
 
     if check_divergence:
         _warn_divergence(norms, order, delta_ref)
@@ -908,18 +895,21 @@ def reduced_gss(
     form (B = I), each live order through _modal_response on the
     eigenvectors of R's linear part; its forcing rows P B^{-1}[:, :n]
     come once per solve from the decomposition's modal pair over every
-    unit. Each order of a block is lifted through W and, at order 1,
-    joined by the carried linear response of the complement modes (those
-    not in spectral.retained, which designates the reduced subspace), so
-    every per-order array is block-length; the lift takes the kernel's
+    unit. The cascade's step fills reduced order nu in a one-block store
+    (zeros where R cannot reach it), clearing both caches at order 1,
+    and returns it lifted through W and, at order 1, joined by the
+    carried linear response of the complement modes (those not in
+    spectral.retained, which designates the reduced subspace), so every
+    per-order array is block-length; the lift takes the kernel's
     realness policy. A trivial reduction (d = state_dim, W = identity)
     reproduces the full expansion.
 
     Raises DimensionMismatch if the fields, the decomposition and the
-    forcing disagree, UnstableLinearPart if R's linear part has an
-    eigenvalue with real part >= -1e-12, and RealnessCheckFailed if a
-    lifted order keeps an imaginary residue above 1e-10 x its scale on
-    some time block.
+    forcing disagree, or if the retained units (one state per
+    eigenvalue, two per oscillator) do not number d; UnstableLinearPart
+    if R's linear part has an eigenvalue with real part >= -1e-12; and
+    RealnessCheckFailed if a lifted order keeps an imaginary residue
+    above 1e-10 x its scale on some time block.
 
     Returns a GssExpansion whose tensor holds the lifted full-state
     grids of every order (W's degrees can fill an order R cannot
@@ -938,6 +928,9 @@ def reduced_gss(
         raise DimensionMismatch(
             f"forcing has {forcing.n} columns, decomposition has {n2 // 2} dofs"
         )
+    # one state per retained eigenvalue, two per retained oscillator
+    if len(spectral.retained) * (1 if spectral.kind == "general" else 2) != d:
+        raise DimensionMismatch(f"retained units {spectral.retained} do not span {d} states")
     _check_int(order, "order", 1)
 
     # linear part of R and its spectrum (first-order form, B = I)
@@ -990,17 +983,22 @@ def reduced_gss(
         max_degree=max(reduced.W.max_degree, 2), degrees=nonlinear.degrees
     )
 
-    def compose(w, nu, normalized):
-        if nu == 1:
-            return forcing_rows @ normalized.T
-        return compose_field(nonlinear, w.component, nu, w.length, cache, dtype=complex)
+    # the reduced orders of one block, reused block after block
+    block = np.zeros((d, order, min(_BLOCK, forcing.length)), dtype=complex)
+    orders = CoefficientTensor(block, forcing.dt, forcing.t0, 0)
 
-    def propagate(phi, nu, carry, out):
-        return _modal_response(reduced_spec, reduced_weights, phi, carry)
-
-    def lift(w, nu, normalized):
-        if nu == 1:  # the first order of a new block
+    def solve(window, nu, normalized, carry):
+        w = orders.window(slice(0, window.length))
+        if nu == 1:  # a new block: the products are block-length
+            cache.clear()
             lift_cache.clear()
+        if cache.reaches(1, nu):
+            phi = forcing_rows @ normalized.T if nu == 1 else compose_field(
+                nonlinear, w.component, nu, w.length, cache, dtype=complex
+            )
+            w.insert_slice(nu, _modal_response(reduced_spec, reduced_weights, phi, carry))
+        else:
+            w.insert_zeros(nu)  # R cannot reach order nu
         z = compose_field(reduced.W, w.component, nu, w.length, lift_cache, dtype=complex)
         if nu == 1 and comp_modes:
             phi1 = np.zeros((n2, w.length))
@@ -1008,9 +1006,7 @@ def reduced_gss(
             z += propagate_order(comp_spec, comp_weights, phi1, carry=comp_carry)
         return _enforce_real(z, f"reduced order {nu} lift")
 
-    block = np.zeros((d, order, min(_BLOCK, forcing.length)), dtype=complex)
-    orders = CoefficientTensor(block, forcing.dt, forcing.t0, 0)
-    tensor, _ = _cascade(n2, forcing, order, cache, compose, propagate, lift, orders)
+    tensor, _ = _cascade(n2, forcing, order, range(1, order + 1), solve)
 
     sup = forcing.max_magnitude
     return GssExpansion(

@@ -57,7 +57,7 @@ from scipy.signal import sosfilt
 
 from .errors import GridMismatch, InvalidParameters, RealnessCheckFailed, ZeroEigenvalue
 from .model import _check_dt
-from .spectral import SpectralData, _oscillator_roots
+from .spectral import SpectralData
 
 __all__ = [
     "Carry",
@@ -196,9 +196,10 @@ def build_kernel_weights(spectral: SpectralData, dt: float) -> KernelWeights:
             units = folded[0]
     else:
         branches, filters, mu = [], [], []
-        for w, z in zip(spectral.omega[cols], spectral.zeta[cols]):
+        # Python complex roots: lam / w divides, where NumPy multiplies by 1 / w
+        for w, z, roots in zip(spectral.omega[cols], spectral.zeta[cols],
+                               spectral._roots[cols].tolist()):
             branches.append(_regime(w, z))
-            roots = _oscillator_roots(w, z)
             if z < _ONE_SECTION_ZETA:
                 lam = roots[0]  # -zeta omega + i omega_d
                 q = qvec_general(lam, dt) * (-1j / lam.imag)

@@ -236,6 +236,14 @@ class TestComputeTaylor:
         assert np.allclose(coeffs[0, [4, 6]], [0.5j, -0.5j])  # harmonics -1 and +1
         assert np.allclose(np.delete(coeffs[0], [4, 6]), 0.0)
 
+    @pytest.mark.parametrize("base_frequencies,budget", [
+        ((np.nan,), 5), ((1.0,), -1), ((1.0,), 1.5), ((), 5), ((1.0, 1.0), 5),
+    ], ids=["nan", "negative-budget", "fractional-budget", "empty", "repeated"])
+    def test_fit_harmonics_checks_its_arguments(self, base_frequencies, budget):
+        t = 0.1 * np.arange(256)
+        with pytest.raises(InvalidParameters):
+            fit_harmonics(np.sin(t)[None], t, base_frequencies, budget)
+
     def test_criterion_8_fits_are_well_conditioned(self):
         # the solves of criterion 8: (a), (b), whose guard refuses before
         # any fit, and the sweep points of (c)
@@ -432,7 +440,7 @@ class TestBlockedCascade:
     def test_repeated_runs_are_bit_identical(self):
         sys_ = _cubic_chain()
         f = _chain_noise(3 * gss._BLOCK + 1000, pad=500)
-        for backend in ("kernel", "reduced"):
+        for backend in ("kernel", "reduced", "reduced-modal"):
             a = _blocked_run(sys_, f, backend, order=3)
             b = _blocked_run(sys_, f, backend, order=3)
             assert a.tensor.data.tobytes() == b.tensor.data.tobytes(), backend
@@ -1209,6 +1217,17 @@ class TestReduced:
         one_dof = reduced_model(first_order_field(duffing), identity_lift(2), np.eye(2), np.eye(2))
         with pytest.raises(DimensionMismatch):
             reduced_gss(one_dof, decompose_structural(duffing), f, order=1)
+        # the retained units span the model's d states: two per oscillator
+        # on the structural path, one per eigenvalue on the general one
+        three = random_system(rng, 3, structural=True, n_terms=0)
+        spec3 = decompose_structural(three)
+        modal = _modal_reduced_model(three, spec3, 0)
+        for retained in ((0, 1), (0, 1, 2)):
+            with pytest.raises(DimensionMismatch, match="retained"):
+                reduced_gss(modal, with_retained(spec3, retained), _two_tone(n=3), order=1)
+        general = decompose_general(duffing)
+        with pytest.raises(DimensionMismatch, match="retained"):
+            reduced_gss(one_dof, with_retained(general, (0,)), _two_tone(), order=1)
 
 
 class TestForcingNormalization:
