@@ -16,11 +16,11 @@ import numpy as np
 import scipy.fft
 
 from .errors import EmptySignal, InvalidCutoff, InvalidParameters
-from .gss import _check_resonance_tol, _qp_sweep
+from .gss import _FRC_SAMPLES_PER_PERIOD, _check_resonance_tol, _qp_sweep
 
 # Not called here since the sweep is one batched solve (_qp_sweep), but kept
-# importable from this module: perfbench's tracer wraps both names on it,
-# and tests/test_tracer_contract.py checks that they exist.
+# importable: perfbench's tracer wraps the first two on this module (see
+# tests/test_tracer_contract.py), and its frc-chain reference calls load_forcing.
 from .gss import compute_taylor_gss, evaluate_at_amplitude  # noqa: F401
 from .model import (
     ForcingSignal,
@@ -29,8 +29,8 @@ from .model import (
     _check_int,
     _forcing_signal,
     build_system,
-    load_forcing,
 )
+from .model import load_forcing  # noqa: F401
 
 __all__ = [
     "build_oscillator_chain",
@@ -307,9 +307,6 @@ class FrcResult:
     order: int
 
 
-_FRC_SAMPLES_PER_PERIOD = 256
-
-
 def frc_sweep(
     system: MechanicalSystem,
     omega_grid,
@@ -323,33 +320,32 @@ def frc_sweep(
     """Steady amplitude versus forcing frequency, delta sin(omega t) on
     each forced dof.
 
-    Each grid point is solved on one forcing period of 256 samples,
-    endpoint excluded, by the closed-form quasiperiodic backend at the
-    given order: the orbit is exactly periodic, so no transient period
-    precedes it, and on this grid the harmonic fit is the exact discrete
-    Fourier transform. The sweep is one batched solve (gss._qp_sweep): the
-    system is decomposed once, each point selects its modes and is
-    guarded for resonance on its own, and the points that keep the same
-    modes share one harmonic cascade. Points that trip the resonance
-    guard are flagged, with the message a 'qp' compute_taylor_gss of the
-    point would raise, and reported as NaN rather than aborting the sweep.
-    A budget below the order warns once (HarmonicTruncationWarning). dofs
-    selects the forced dofs (default: all), integers in 0..n-1. threads,
-    an integer >= 1, has no effect.
+    Each grid point is solved by the closed-form quasiperiodic backend at
+    the given order from the forcing's harmonics, +-delta / 2i at k =
+    +-1, with no period sampled or fit, and its amplitude read on one
+    period of 256 samples, endpoint excluded: the orbit is exactly
+    periodic, so no transient precedes it. The sweep is one batched solve
+    (gss._qp_sweep). Points that trip the resonance guard are flagged,
+    with the message a 'qp' compute_taylor_gss of the point's sampled
+    period would raise, and reported as NaN rather than aborting the
+    sweep. A budget below the order warns once
+    (HarmonicTruncationWarning). dofs selects the forced dofs (default:
+    all), integers in 0..n-1. threads, an integer >= 1, has no effect.
 
-    Raises InvalidParameters before any point is solved unless every
-    frequency is finite and > 0, delta is finite, order is an integer
-    >= 1, resonance_tol is None or finite and > 0 (a NaN or negative
-    tolerance would switch the guard off), the dofs and threads are
-    valid and harmonic_budget is an integer from 1 to 127: the forcing
-    sits at the harmonics k = +-1, outside a budget-0 ball, and 2 budget
-    + 1 harmonics from 128 on would not all be told apart on 256
-    samples.
+    Raises InvalidParameters before any point is solved unless
+    omega_grid is a scalar or a 1-D grid of finite frequencies > 0,
+    delta is finite and its sup row norm |delta| sqrt(len(dofs)) does
+    not overflow float64, order is an integer >= 1, resonance_tol is
+    None or finite and > 0 (a NaN or negative tolerance would switch the
+    guard off), the dofs and threads are valid and harmonic_budget is an
+    integer from 1 to 127: the forcing sits at the harmonics k = +-1,
+    outside a budget-0 ball, and 2 budget + 1 harmonics from 128 on
+    would not all be told apart on 256 samples.
     """
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
-    if not np.all(np.isfinite(omega_grid) & (omega_grid > 0)):
+    if omega_grid.ndim != 1 or not np.all(np.isfinite(omega_grid) & (omega_grid > 0)):
         raise InvalidParameters(
-            f"omega_grid must hold finite frequencies > 0, got {omega_grid.tolist()}"
+            f"omega_grid must be a 1-D grid of finite frequencies > 0, got {omega_grid.tolist()}"
         )
     if not np.isfinite(delta):
         raise InvalidParameters(f"delta must be finite, got {delta!r}")
@@ -359,22 +355,17 @@ def frc_sweep(
     _check_int(threads, "threads", 1)
     # delta sin(omega t) is the harmonics k = +-1: a budget of 0 drops it
     _check_int(harmonic_budget, "harmonic_budget", 1)
-    # on the period's samples, harmonics k and k +- 256 are one column of the fit
+    # on the period's samples, harmonics k and k +- 256 are one column of the phase matrix
     harmonics = 2 * harmonic_budget + 1
     if harmonics > _FRC_SAMPLES_PER_PERIOD:
         raise InvalidParameters(
             f"harmonic_budget {harmonic_budget} asks for {harmonics} harmonics on the "
             f"{_FRC_SAMPLES_PER_PERIOD} samples of a sweep point's period, where harmonics "
-            f"k and k +- {_FRC_SAMPLES_PER_PERIOD} would share one column of the fit"
+            f"k and k +- {_FRC_SAMPLES_PER_PERIOD} would share one column of the phase matrix"
         )
 
-    # one period at frequency 1: every point's record in sample-index terms
-    dt = 2.0 * np.pi / _FRC_SAMPLES_PER_PERIOD
-    samples = np.zeros((_FRC_SAMPLES_PER_PERIOD, system.n))
-    samples[:, dofs] = delta * np.sin(dt * np.arange(_FRC_SAMPLES_PER_PERIOD))[:, None]
-    amplitude, flags = _qp_sweep(
-        system, load_forcing(samples, dt=dt), order, omega_grid, harmonic_budget, resonance_tol
-    )
+    amplitude, flags = _qp_sweep(system, delta, dofs, order, omega_grid, harmonic_budget,
+                                 resonance_tol)
     return FrcResult(
         omega=omega_grid,
         amplitude=amplitude,

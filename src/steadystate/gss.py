@@ -16,16 +16,16 @@ Two propagation backends share the assembly:
              time blocks (_cascade, shared with reduced_gss: it keeps
              blocks, carries and norms, each solver one step per order)
   'qp'       closed-form bounded orbit for quasiperiodic forcing, with no
-             time axis (_harmonic_cascade): the forcing is fit once with
-             harmonics of the given base frequencies; higher orders
-             compose harmonic coefficients by lattice convolution
-             (harmonic balance) and each harmonic is mapped through
-             1/(i<k,Omega> - lambda). Exact when the harmonic budget is
-             at least the order and the forcing sits on sum |k_i| <= 1; a
-             lower budget drops harmonics and warns
-             (HarmonicTruncationWarning). A frequency sweep
-             (bench.frc_sweep, _qp_sweep) runs the same cascade with the
-             points that keep the same modes side by side
+             time axis (_harmonic_cascade): the forcing's harmonics of
+             the given base frequencies are fit once from a record, or
+             written in closed form for a sweep; higher orders compose
+             harmonic coefficients by lattice convolution (harmonic
+             balance) and each harmonic is mapped through 1/(i<k,Omega>
+             - lambda). Exact when the harmonic budget is at least the
+             order and the forcing sits on sum |k_i| <= 1; a lower budget
+             drops harmonics and warns (HarmonicTruncationWarning). A
+             frequency sweep (bench.frc_sweep, _qp_sweep) runs the cascade
+             with the points that keep the same modes side by side
 
 Divergent-looking expansions are flagged with DivergenceWarning, never
 silently truncated. Amplitude evaluation past the radius of convergence
@@ -206,9 +206,9 @@ def fit_harmonics(
     rows: (m, T) real or complex samples; returns (kappas, coeffs) with
     coeffs of shape (m, K) such that rows ~ coeffs @ exp(i kappa t), over
     the index ball sum |k_i| <= budget of the base frequencies (kappas
-    read-only, see _ball_frequencies). The 'qp'
-    backend calls it once per solve, on the order-1 forcing rows; higher
-    orders are composed from these coefficients, never fit. phases, the
+    read-only, see _ball_frequencies). A 'qp' compute_taylor_gss calls
+    it once, on the order-1 forcing rows of its record; higher orders are
+    composed from these coefficients, never fit. phases, the
     (K, T) matrix exp(i kappa t) on times, is used as the design matrix
     when the caller already holds it.
 
@@ -299,45 +299,28 @@ def _qp_propagate(spectral, phi, denominators, velocity):
     return spectral.reconstruct(X)
 
 
-def _harmonic_cascade(system, spectral, forcing, order, Omega, budget, kappas):
+def _harmonic_cascade(system, spectral, phi1, order, Omega, budget, kappas):
     """The one 'qp' order cascade: orders 1..order of the bounded orbit
-    of the forcing record on the ball of Omega and budget (K harmonics),
-    at P >= 1 points that share the record, point p meeting the retained
-    modes at kappas[p K : p K + K]: one point is compute_taylor_gss,
-    several the batched sweep (_qp_sweep).
+    on the ball of Omega and budget (K harmonics) of phi1, (state_dim, K),
+    the normalized forcing's harmonic coefficients in the ball's order,
+    at P >= 1 points that share them, point p meeting the retained modes
+    at kappas[p K : p K + K]: one point is compute_taylor_gss, several
+    the batched sweep (_qp_sweep). Each live order (cache.reaches) is
+    composed from order 2 on by lattice convolution (assemble_phi,
+    _lattice_product) and solved by _qp_propagate at the modal transfer
+    of kappas.
 
-    The normalized forced columns are fit once (fit_harmonics) from the
-    end of the pad on, since a zero pad is a kernel-backend start-up
-    device that would bias the fit, and made conjugate-symmetric, c_k <-
-    (c_k + conj c_{-k}) / 2, an equally good least-squares solution for
-    a real forcing. Each live order (cache.reaches) is composed from
-    order 2 on by lattice convolution (assemble_phi, _lattice_product)
-    and solved by _qp_propagate at the modal transfer of kappas.
-
-    Returns (coeffs, phases, cache): coeffs, (state_dim, order, P K),
-    every order filled, point p's harmonics at p K .. p K + K - 1 in the
-    ball's order, zeros at orders that are not live; phases, the (K, T)
-    matrix exp(i kappa t) on the record's times; the composition cache.
+    Returns (coeffs, cache): coeffs, (state_dim, order, P K), every order
+    filled, point p's harmonics at p K .. p K + K - 1 in the ball's order,
+    zeros at orders that are not live; the composition cache.
     """
     fld = system.nonlinearity
     cache = CompositionCache(max_degree=max(fld.max_degree, 2), degrees=fld.degrees)
-    sup = forcing.max_magnitude
-    normalized = forcing.samples / sup if sup > 0.0 else np.zeros_like(forcing.samples)
-    times = forcing.times()
-    phases = np.exp(1j * np.outer(_ball_frequencies(Omega, budget), times))
-    forced = np.flatnonzero(normalized.any(axis=0))
-    window = slice(forcing.pad_length, None)
-    _, fit = fit_harmonics(
-        normalized[window, forced].T, times[window], Omega, budget, phases=phases[:, window]
-    )
-    # the ball is symmetric and sorted, so harmonic -k sits at K-1-i
-    fit = 0.5 * (fit + fit[:, ::-1].conj())
-    phi = np.zeros((spectral.state_dim, len(kappas)), dtype=complex)
-    phi[forced] = np.tile(fit, len(kappas) // len(phases))
-
+    phi = np.tile(phi1, len(kappas) // phi1.shape[1])
+    # harmonics, not samples: the tensor's dt and t0 describe no grid
     coeffs = CoefficientTensor(
         np.zeros((spectral.state_dim, order, len(kappas)), dtype=complex),
-        forcing.dt, forcing.t0, 0, _filled=set(range(1, order + 1)),
+        1.0, 0.0, 0, _filled=set(range(1, order + 1)),
     )
     product = _lattice_product(len(Omega), budget)
     transfer = _modal_transfer(spectral, kappas)
@@ -346,7 +329,7 @@ def _harmonic_cascade(system, spectral, forcing, order, Omega, budget, kappas):
             if nu > 1:
                 phi = assemble_phi(system, coeffs, nu, cache=cache, product=product)
             coeffs.insert_slice(nu, _qp_propagate(spectral, phi, *transfer))
-    return coeffs, phases, cache
+    return coeffs, cache
 
 
 def _check_resonance_tol(tol):
@@ -357,13 +340,15 @@ def _check_resonance_tol(tol):
         raise InvalidParameters(f"resonance_tol must be None or a finite value > 0, got {tol!r}")
 
 
-def _qp_guard(spectral, kappas, resonance_tol):
-    """Raise NearResonance when some i kappa lies within the tolerance
+def _qp_guard(spectral, kappas, ball, resonance_tol):
+    """Per point, NearResonance or None: kappas, (P, K), holds the
+    frequencies of the multi-indices in ball at P points that keep the
+    same modes. A point trips when some i kappa lies within the tolerance
     of a retained mode's roots: its eigenvalue on the general path, its
     oscillator roots on the structural path. The tolerance defaults to
-    1e-6 x the mode's scale, |lambda| or omega. One (modes, K, roots)
-    distance array measures every mode; the first offending mode raises,
-    naming its nearest harmonic."""
+    1e-6 x the mode's scale, |lambda| or omega. One (modes, P, K, roots)
+    distance array measures every mode at every point; a point's first
+    offending mode names its nearest harmonic's frequency, k and distance."""
     retained = list(spectral.retained)
     roots = spectral._roots[retained]
     if spectral.kind == "general":
@@ -373,22 +358,24 @@ def _qp_guard(spectral, kappas, resonance_tol):
         w, z = spectral.omega[retained], spectral.zeta[retained]
         scales = w
     tol = resonance_tol if resonance_tol is not None else 1e-6 * scales
-    dist = np.abs(1j * kappas[None, :, None] - roots[:, None, :]).min(axis=2)  # (modes, K)
-    nearest = dist.argmin(axis=1)
-    gaps = dist[np.arange(len(retained)), nearest]
-    hits = np.flatnonzero(gaps < tol)
-    if hits.size:
-        m = hits[0]
-        j, gap = nearest[m], float(gaps[m])
+    dist = np.abs(1j * kappas[None, :, :, None] - roots[:, None, None, :]).min(axis=3)
+    nearest = dist.argmin(axis=2)
+    gaps = np.take_along_axis(dist, nearest[..., None], axis=2)[..., 0]
+    trips = gaps < np.reshape(tol, (-1, 1))
+    found = [None] * len(kappas)
+    for p in np.flatnonzero(trips.any(axis=0)):
+        m = trips[:, p].argmax()
+        j, gap = nearest[m, p], float(gaps[m, p])
         if spectral.kind == "general":
             what = f"eigenvalue {lams[m]:.6g}"
         else:
             what = f"oscillator roots (omega={w[m]:.6g}, zeta={z[m]:.6g})"
-        raise NearResonance(
-            f"harmonic frequency {kappas[j]:.6g} within {gap:.3e} of {what}",
-            k=None,
+        found[p] = NearResonance(
+            f"harmonic frequency {kappas[p, j]:.6g} within {gap:.3e} of {what}",
+            k=ball[j],
             distance=gap,
         )
+    return found
 
 
 def _decompose(system: MechanicalSystem) -> SpectralData:
@@ -488,8 +475,9 @@ def compute_taylor_gss(
     with one step per order: assemble_phi on the tensor's view of the
     block, then propagate_order into the order's slot; the step clears
     the cache at order 1, so cache_stats are summed over the blocks;
-    'qp' runs the sweep's harmonic cascade (_harmonic_cascade) and puts
-    each order on the grid. Only the live orders run
+    'qp' fits the record's order-1 harmonics once, runs the sweep's
+    harmonic cascade (_harmonic_cascade) and puts each order on the
+    grid. Only the live orders run
     (see the composition module): the odd ones for a cubic field, all of
     them with a quadratic term; the others are exact zeros that take no
     slot in the tensor, and each live order keeps the bits of the full
@@ -546,10 +534,24 @@ def compute_taylor_gss(
     if backend == "qp":
         # a harmonic at a root has no bounded orbit: refuse before any fit
         kappas = _ball_frequencies(Omega, harmonic_budget)
-        _qp_guard(spectral, kappas, resonance_tol)
-        coeffs, phases, cache = _harmonic_cascade(
-            system, spectral, forcing, order, Omega, harmonic_budget, kappas
-        )
+        ball = _harmonic_ball(len(Omega), harmonic_budget)
+        (resonance,) = _qp_guard(spectral, kappas[None], ball, resonance_tol)
+        if resonance is not None:
+            raise resonance
+        # the normalized forced columns, fit from the end of the pad on (a
+        # zero pad would bias the fit) and made conjugate-symmetric, c_k <-
+        # (c_k + conj c_{-k}) / 2, as good a least-squares fit of a real forcing
+        normalized = forcing.samples / sup if sup > 0.0 else np.zeros_like(forcing.samples)
+        times, w = forcing.times(), forcing.pad_length
+        phases = np.exp(1j * np.outer(kappas, times))
+        forced = np.flatnonzero(normalized.any(axis=0))
+        _, fit = fit_harmonics(normalized[w:, forced].T, times[w:], Omega, harmonic_budget,
+                               phases=phases[:, w:])
+        # the ball is symmetric and sorted, so harmonic -k sits at K-1-i
+        phi1 = np.zeros((system.state_dim, len(kappas)), dtype=complex)
+        phi1[forced] = 0.5 * (fit + fit[:, ::-1].conj())
+        coeffs, cache = _harmonic_cascade(system, spectral, phi1, order, Omega, harmonic_budget,
+                                          kappas)
         live = [nu for nu in range(1, order + 1) if cache.reaches(1, nu)]
         tensor = CoefficientTensor.empty(
             system.state_dim, order, forcing.length, forcing.dt, t0=forcing.t0,
@@ -662,57 +664,61 @@ def evaluate_at_amplitude(
     return evaluate_at_amplitudes(expansion, [delta], max_order)[:, 0]
 
 
-def _qp_sweep(system, forcing, order, omegas, budget, resonance_tol):
-    """The 'qp' steady amplitudes of one forcing record played at each
-    frequency of omegas (a 1-D array); the batched solve of
-    bench.frc_sweep.
+# samples of one period on which a sweep point's amplitude is read
+_FRC_SAMPLES_PER_PERIOD = 256
 
-    forcing is whole periods at base frequency 1, so point p is the
-    record at step forcing.dt / omegas[p] and base frequency omegas[p].
-    Returns (amplitude, flags): amplitude[p] is, per state coordinate,
-    the largest magnitude on the record's samples of point p's steady
-    state at the record's own amplitude (its sup row norm), NaN when
-    flags[p] holds the point's NearResonance message (else None).
 
-    The system is decomposed once. Each point selects its modes at its
-    step and is guarded at its harmonics omegas[p] k, as a 'qp'
-    compute_taylor_gss of its record would be. The unflagged points that
-    keep the same modes run as one harmonic cascade: in sample-index
-    terms they share the record, its fit and its phases, and differ only
-    in the modal transfer at omegas[p] k (_harmonic_cascade). The orders
-    stay harmonic coefficients; their partial sum is put on the samples
-    once per point. A budget below the order warns once.
+def _qp_sweep(system, delta, dofs, order, omegas, budget, resonance_tol):
+    """The 'qp' steady amplitudes of delta sin(omega t) on the dofs at
+    each frequency of omegas (a 1-D array); the batched solve of
+    bench.frc_sweep. Returns (amplitude, flags): amplitude[p] is, per
+    state coordinate, the largest magnitude of point p's steady state on
+    the 256 samples of its period, NaN when flags[p] holds the point's
+    NearResonance message (else None).
+
+    Normalized to its sup row norm |delta| sqrt(m) (InvalidParameters if
+    it overflows), the forcing on m dofs is sign(delta) / (2i sqrt(m)) at
+    k = +1 and its negative at k = -1: no period is sampled or fit. The
+    system is decomposed once; each point selects its modes at its
+    period's sample step, and the points that keep the same modes run one
+    resonance pass (_qp_guard), with the messages a 'qp'
+    compute_taylor_gss of the sampled period would raise, and their
+    unflagged points one harmonic cascade, differing only in the modal
+    transfer at omega k. The orders' partial sum at the sup is put on the
+    period's samples once per point. A budget below the order warns once.
     """
+    with np.errstate(over="ignore"):
+        sup = float(np.linalg.norm(np.full(len(dofs), float(delta))))
+    if not math.isfinite(sup):
+        raise InvalidParameters(f"delta={delta:.6g}: the forcing's sup row norm overflows float64")
     _warn_truncation(budget, order)
     spectral = _decompose(system)
-    ball = _ball_frequencies((1.0,), budget)
-    flags = [None] * len(omegas)
-    groups = {}  # retained modes -> (their spectral data, the unflagged points)
+    dt = 2.0 * np.pi / _FRC_SAMPLES_PER_PERIOD  # the sample step at frequency 1
+    groups = {}  # retained modes -> the points that keep them
     for p, omega in enumerate(omegas):
-        retained = select_modes(spectral, forcing.dt / omega)
-        if retained not in groups:
-            groups[retained] = (with_retained(spectral, retained), [])
-        kept, points = groups[retained]
-        try:
-            _qp_guard(kept, omega * ball, resonance_tol)
-        except NearResonance as exc:
-            flags[p] = str(exc)
-        else:
-            points.append(p)
+        groups.setdefault(select_modes(spectral, dt / omega), []).append(p)
 
-    sup = forcing.max_magnitude
+    ks, ball = _harmonic_ball(1, budget), _ball_frequencies((1.0,), budget)
+    phi1 = np.zeros((system.state_dim, len(ks)), dtype=complex)
+    coefficient = -0.5j * np.sign(delta) / math.sqrt(len(dofs))  # sign(delta) / (2i sqrt(m))
+    phi1[dofs, ks.index((1,))] = coefficient
+    phi1[dofs, ks.index((-1,))] = -coefficient
+    phases = np.exp(1j * np.outer(ball, dt * np.arange(_FRC_SAMPLES_PER_PERIOD)))
     powers = _powers(np.array([sup]), range(1, order + 1), [sup])
     amplitude = np.full((len(omegas), system.state_dim), np.nan)
-    for kept, points in groups.values():
-        if not points:
+    flags = [None] * len(omegas)
+    for retained, points in groups.items():
+        kept = with_retained(spectral, retained)
+        for p, resonance in zip(points, _qp_guard(kept, np.outer(omegas[points], ball), ks,
+                                                  resonance_tol)):
+            flags[p] = None if resonance is None else str(resonance)
+        solved = [p for p in points if flags[p] is None]
+        if not solved:
             continue
-        coeffs, phases, _ = _harmonic_cascade(
-            system, kept, forcing, order, (1.0,), budget, np.outer(omegas[points], ball).ravel()
-        )
-        summed = _power_sum(powers, coeffs.data)[:, 0].reshape(
-            system.state_dim, len(points), len(ball)
-        )
-        for i, p in enumerate(points):
+        kappas = np.outer(omegas[solved], ball).ravel()
+        coeffs, _ = _harmonic_cascade(system, kept, phi1, order, (1.0,), budget, kappas)
+        summed = _power_sum(powers, coeffs.data)[:, 0].reshape(system.state_dim, len(solved), -1)
+        for i, p in enumerate(solved):
             grid = _enforce_real(summed[:, i] @ phases, "qp modal assembly")
             amplitude[p] = np.abs(grid).max(axis=1)
     return amplitude, flags

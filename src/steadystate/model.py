@@ -545,7 +545,10 @@ class ForcingSignal:
         return self.t0 + self.dt * np.arange(self.length)
 
     def scaled(self, factor: float) -> "ForcingSignal":
-        return _forcing_signal(self.samples * factor, self.dt, self.t0, self.pad_length)
+        if not np.isfinite(factor):  # nan, or inf x the pad's zeros, would read as overflow
+            raise InvalidParameters(f"scale factor must be finite, got {factor!r}")
+        with np.errstate(over="ignore"):  # an overflowing norm is refused as in load_forcing
+            return _forcing_signal(self.samples * factor, self.dt, self.t0, self.pad_length)
 
 
 def _forcing_signal(samples, dt, t0, pad_length, forced=None) -> ForcingSignal:

@@ -19,6 +19,7 @@ from steadystate import (
     evaluate_at_amplitude,
     frc_sweep,
     generate_forcing,
+    gss,
     load_forcing,
     nmte,
     select_modes,
@@ -410,6 +411,8 @@ class TestFrcSweep:
         for threads in (1.5, True, "2"):
             with pytest.raises(InvalidParameters, match="threads"):
                 frc_sweep(sys_, [1.0], delta=0.1, threads=threads)
+        with pytest.raises(InvalidParameters, match="1-D"):
+            frc_sweep(sys_, [[1.0, 2.0]], delta=1.0)
         chain = build_oscillator_chain(3)
         for dofs in [(5,), (3,), (-1,), (1.0,), ("0",), (0, 7), (), (1, 1)]:
             with pytest.raises(InvalidParameters, match="dofs"):
@@ -427,6 +430,17 @@ class TestFrcSweep:
         for budget in (128, 200):
             with pytest.raises(InvalidParameters, match="share one column"):
                 frc_sweep(sys_, [1.0], delta=0.1, harmonic_budget=budget)
+
+    def test_zero_delta_gives_exact_zeros(self):
+        res = frc_sweep(_quadratic_chain(), [0.4, 1.1, 2.7], delta=0.0, order=4, dofs=[0, 2])
+        assert res.flags == (None, None, None)
+        assert np.all(res.amplitude == 0.0)
+
+    def test_overflowing_sup_refused_before_any_point(self, monkeypatch):
+        # each entry is finite, but the sup row norm |delta| sqrt(2) is not
+        monkeypatch.setattr(gss, "_decompose", None)
+        with pytest.raises(InvalidParameters, match="overflows"):
+            frc_sweep(build_oscillator_chain(3), [1.0], delta=-1.5e308, dofs=[0, 2])
 
     def test_one_period_matches_eight_period_route(self):
         # the reference solves 8 periods and the endpoint and takes the
@@ -510,11 +524,16 @@ class TestBatchedSweep:
         return np.abs(evaluate_at_amplitude(expansion, forcing.max_magnitude)).max(axis=1)
 
     @pytest.mark.parametrize("case", ["quadratic", "retained-set-changes", "flagged-between",
-                                      "general-damping"])
+                                      "general-damping", "negative-delta"])
     def test_points_match_their_own_solve(self, case):
         delta, dofs, kw = 0.2, [0], dict(order=5, harmonic_budget=5)
         if case == "quadratic":
             system, grid, dofs = _quadratic_chain(), np.linspace(0.3, 3.0, 7), [0, 2]
+        elif case == "negative-delta":
+            # 1 / sqrt(m) on m = 3 dofs, and a negative sign, which amplitudes
+            # cannot see: -delta is delta half a period (128 samples) later
+            system, grid, dofs = _quadratic_chain(), np.linspace(0.3, 3.0, 7), [0, 1, 2]
+            delta = -0.2
         elif case == "retained-set-changes":
             system, grid = _stiff_pair(), np.array([0.5, 5.0, 1.3, 7.0])
             retained = {select_modes(decompose_structural(system), 2 * math.pi / w / 256)

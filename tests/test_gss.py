@@ -144,14 +144,15 @@ class TestComputeTaylor:
             j = int(np.argmin(dist))
             if dist[j] < tol:
                 tripped.append((f"harmonic frequency {kappas[j]:.6g} within {dist[j]:.3e} "
-                                f"of {what}", float(dist[j])))
+                                f"of {what}", float(dist[j]), (int(kappas[j]),)))
         assert len(tripped) == len(units) >= 2
         t = 0.05 * np.arange(400)
         forcing = load_forcing(np.column_stack([np.sin(t), np.zeros_like(t)]), dt=0.05)
         with pytest.raises(NearResonance) as excinfo:
             compute_taylor_gss(sys_, forcing, order=1, backend="qp", base_frequencies=(1.0,),
                                harmonic_budget=2, resonance_tol=tol)
-        assert (str(excinfo.value), excinfo.value.distance) == tripped[0]
+        # the multi-index of the nearest harmonic on the budget-2 ball of (1.0,)
+        assert (str(excinfo.value), excinfo.value.distance, excinfo.value.k) == tripped[0]
 
     @pytest.mark.parametrize("case", ["duffing_two_tone", "general_cubic"])
     def test_qp_matches_grid_refit(self, case):

@@ -279,8 +279,16 @@ class TestForcingSignal:
                 load_forcing(np.full((5, 2), 1e200), dt=0.1)
             sig = load_forcing(np.full((5, 2), 1e150), dt=0.1)
             assert sig.max_magnitude == np.linalg.norm(sig.samples, axis=1).max()
-            with pytest.raises(InvalidParameters, match="overflows"):
-                sig.scaled(1e10)
+            for factor in (1e10, 1e300):
+                with pytest.raises(InvalidParameters, match="overflows"):
+                    sig.scaled(factor)
+
+    @pytest.mark.parametrize("factor", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scale_refused(self, factor):
+        # nan, and inf times the pad's zeros, would read as an overflow
+        sig = load_forcing(np.ones((5, 1)), dt=1.0, pad_length=2)
+        with pytest.raises(InvalidParameters, match=f"scale factor must be finite, got {factor!r}"):
+            sig.scaled(factor)
 
     def test_scaled(self):
         sig = load_forcing(np.ones((5, 1)), dt=1.0).scaled(2.5)
