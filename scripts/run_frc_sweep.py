@@ -5,8 +5,11 @@ Sweeps a sinusoidal forcing frequency over a grid, computes the steady
 amplitude of a chosen mass from the closed-form quasiperiodic route at
 each point, and repeats the sweep for several dashpot values. The result
 is one CSV per damping level with columns omega, amp_z0, amp_z1, ...;
-grid points whose harmonics fall too close to a resonance are flagged
-and reported as NaN rows.
+grid points whose harmonics fall too close to a resonance, and points
+whose series looks divergent at the forcing amplitude, are flagged and
+reported as NaN rows. Per damping level the script prints the CSV's path,
+how many points were flagged for resonance and how many for divergence,
+and the frequencies of each kind.
 
 Example:
     python3 scripts/run_frc_sweep.py --omega-min 2 --omega-max 20 \
@@ -59,9 +62,16 @@ def main():
             f"amp_z{j}" for j in range(result.amplitude.shape[1]))
         np.savetxt(path, np.column_stack([result.omega, result.amplitude]),
                    fmt="%.17g", delimiter=",", header=header, comments="")
-        flagged = [f"{omegas[i]:g}" for i, fl in enumerate(result.flags) if fl]
-        note = f", flagged near resonance: {', '.join(flagged)}" if flagged else ""
-        print(f"c = {c:g}: {path}{note}")
+        # a divergent point's flag is the series' verdict, any other the resonance
+        resonant, divergent = [], []
+        for omega, flag in zip(omegas, result.flags):
+            if flag:
+                kind = divergent if "the series looks divergent" in flag else resonant
+                kind.append(f"{omega:g}")
+        note = "".join(f"; {kind}: {', '.join(points)}" for kind, points in
+                       (("near resonance", resonant), ("divergent", divergent)) if points)
+        print(f"c = {c:g}: {path}, {len(resonant)} flagged for resonance, "
+              f"{len(divergent)} for divergence{note}")
 
 
 if __name__ == "__main__":

@@ -297,8 +297,8 @@ def nmte(pred: np.ndarray, ref: np.ndarray, skip: int = 0) -> float:
 class FrcResult:
     """Forced-response sweep: per grid frequency, the steady amplitude of
     every state coordinate (max |coordinate| over one forcing period),
-    with flags[i] carrying the resonance message for skipped points
-    (amplitudes NaN there)."""
+    with flags[i] carrying the message of a skipped point, its resonance
+    or its series' divergence at delta (amplitudes NaN there)."""
 
     omega: np.ndarray
     amplitude: np.ndarray  # (len(omega), state_dim)
@@ -328,7 +328,11 @@ def frc_sweep(
     (gss._qp_sweep). Points that trip the resonance guard are flagged,
     with the message a 'qp' compute_taylor_gss of the point's sampled
     period would raise, and reported as NaN rather than aborting the
-    sweep. A budget below the order warns once
+    sweep. So are points whose series looks divergent at the sweep's sup
+    row norm |delta| sqrt(len(dofs)): compute_taylor_gss's divergence
+    verdict on each point's orders, order nu's norm the bound max over
+    coordinates of sum_k |c_k| of its harmonic coefficients; one
+    DivergenceWarning counts them. A budget below the order warns once
     (HarmonicTruncationWarning). dofs selects the forced dofs (default:
     all), integers in 0..n-1. threads, an integer >= 1, has no effect.
 

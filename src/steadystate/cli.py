@@ -191,11 +191,13 @@ def _cmd_pade(args):
     pade = pade_resum(expansion, L, M)
     if args.out:
         serialize.save_pade(pade, args.out)
+    poles = pade.poles
     summary = {
         "L": L,
         "M": M,
         "sigma": pade.sigma,
         "ill_conditioned": list(pade.ill_conditioned),
+        "nearest_pole": [poles[0].real, poles[0].imag] if poles.size else None,
         "out": args.out,
     }
     if args.delta is not None:

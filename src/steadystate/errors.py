@@ -119,19 +119,17 @@ class OrderUnavailable(SteadyStateError):
 
 
 class DenominatorNearZero(SteadyStateError):
-    """Pade denominator magnitude below 1e-8 at the requested amplitude.
+    """The Pade fit's one denominator has magnitude below 1e-8 at a
+    requested amplitude: the amplitude sits at a pole of the fit.
 
     Attributes
     ----------
-    coordinate : int
-        State coordinate whose denominator degenerated.
     delta : float
-        Amplitude at which evaluation was attempted.
+        The first amplitude, in the order given, at which it does.
     """
 
-    def __init__(self, message, coordinate=None, delta=None):
+    def __init__(self, message, delta=None):
         super().__init__(message)
-        self.coordinate = coordinate
         self.delta = delta
 
 

@@ -84,6 +84,7 @@ __all__ = [
     "PadeGss",
     "pade_resum",
     "evaluate_pade",
+    "evaluate_pade_at_amplitudes",
     "reduced_gss",
     "fit_harmonics",
 ]
@@ -430,31 +431,40 @@ def _cascade(dim, forcing, order, stored, solve):
     return tensor, np.sqrt(squares)
 
 
-def _warn_divergence(norms, order, delta):
-    """The divergence verdict of both backends: DivergenceWarning when the
-    top order pair's larger term, norms[nu - 1] |delta|^nu with norms[nu
-    - 1] order nu's sup norm on the grid, passes 10x the mid pair's."""
+def _divergence(norms, delta):
+    """The divergence verdict of both backends, for each column p of norms
+    (orders x points, norms[nu - 1, p] order nu's sup norm at point p):
+    the message of a point whose top order pair's larger term, norms[nu -
+    1, p] |delta|^nu, passes 10x the mid pair's, None at the others."""
+    order, points = norms.shape
+    verdicts = [None] * points
     if order < 2 or delta == 0.0:
-        return
+        return verdicts
     # adjacent-order pairs: an odd (or even) series is zero at every
     # other order; the terms are compared as logarithms, so no power
-    # of delta overflows and its sign does not matter
+    # of delta overflows and its sign does not matter; a zero norm is a
+    # term of -inf
     half = (order + 1) // 2
-    log_delta = math.log(abs(delta))
-    l_half, l_top = (
-        max((math.log(norms[nu - 1]) + nu * log_delta for nu in pair if norms[nu - 1]),
-            default=-math.inf)
-        for pair in ((half, half + 1), (order - 1, order))
-    )
-    gap = l_top - l_half
-    if l_half > -math.inf and gap > math.log(10.0):
-        ratio = f"{math.exp(gap):.1f}" if gap < 700.0 else f"1e{gap / math.log(10.0):.0f}"
-        warnings.warn(
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.log(norms) + np.arange(1.0, order + 1)[:, None] * math.log(abs(delta))
+        l_half = terms[half - 1 : half + 1].max(axis=0)
+        gap = terms[order - 2 :].max(axis=0) - l_half
+    for p in np.flatnonzero((l_half > -np.inf) & (gap > math.log(10.0))):
+        ratio = f"{math.exp(gap[p]):.1f}" if gap[p] < 700.0 else f"1e{gap[p] / math.log(10.0):.0f}"
+        verdicts[p] = (
             f"top-order term is {ratio}x the mid-order term "
             f"at delta={delta:.3g}; the series looks divergent there "
-            "(consider rational resummation)",
-            DivergenceWarning,
+            "(consider rational resummation)"
         )
+    return verdicts
+
+
+def _warn_divergence(norms, order, delta):
+    """DivergenceWarning when the one-point verdict (_divergence) fails on
+    norms, norms[nu - 1] order nu's sup norm on the grid, nu = 1..order."""
+    (verdict,) = _divergence(np.reshape(norms, (order, 1)), delta)
+    if verdict is not None:
+        warnings.warn(verdict, DivergenceWarning)
 
 
 def compute_taylor_gss(
@@ -674,7 +684,7 @@ def _qp_sweep(system, delta, dofs, order, omegas, budget, resonance_tol):
     bench.frc_sweep. Returns (amplitude, flags): amplitude[p] is, per
     state coordinate, the largest magnitude of point p's steady state on
     the 256 samples of its period, NaN when flags[p] holds the point's
-    NearResonance message (else None).
+    NearResonance message or its divergence verdict (else None).
 
     Normalized to its sup row norm |delta| sqrt(m) (InvalidParameters if
     it overflows), the forcing on m dofs is sign(delta) / (2i sqrt(m)) at
@@ -684,8 +694,12 @@ def _qp_sweep(system, delta, dofs, order, omegas, budget, resonance_tol):
     resonance pass (_qp_guard), with the messages a 'qp'
     compute_taylor_gss of the sampled period would raise, and their
     unflagged points one harmonic cascade, differing only in the modal
-    transfer at omega k. The orders' partial sum at the sup is put on the
-    period's samples once per point. A budget below the order warns once.
+    transfer at omega k. Each solved point gets compute_taylor_gss's
+    divergence verdict (_divergence) at the sup, order nu's norm taken as
+    max over coordinates of sum_k |c_k|, a bound on the orbit's sup; the
+    orders' partial sum at the sup is put on the period's samples once
+    per point that passes. One DivergenceWarning counts the points that
+    fail; a budget below the order warns once.
     """
     with np.errstate(over="ignore"):
         sup = float(np.linalg.norm(np.full(len(dofs), float(delta))))
@@ -707,6 +721,7 @@ def _qp_sweep(system, delta, dofs, order, omegas, budget, resonance_tol):
     powers = _powers(np.array([sup]), range(1, order + 1), [sup])
     amplitude = np.full((len(omegas), system.state_dim), np.nan)
     flags = [None] * len(omegas)
+    diverged = 0
     for retained, points in groups.items():
         kept = with_retained(spectral, retained)
         for p, resonance in zip(points, _qp_guard(kept, np.outer(omegas[points], ball), ks,
@@ -717,37 +732,55 @@ def _qp_sweep(system, delta, dofs, order, omegas, budget, resonance_tol):
             continue
         kappas = np.outer(omegas[solved], ball).ravel()
         coeffs, _ = _harmonic_cascade(system, kept, phi1, order, (1.0,), budget, kappas)
+        bounds = np.abs(coeffs.data).reshape(system.state_dim, order, len(solved), -1)
+        verdicts = _divergence(bounds.sum(axis=3).max(axis=0), sup)
         summed = _power_sum(powers, coeffs.data)[:, 0].reshape(system.state_dim, len(solved), -1)
         for i, p in enumerate(solved):
-            grid = _enforce_real(summed[:, i] @ phases, "qp modal assembly")
-            amplitude[p] = np.abs(grid).max(axis=1)
+            flags[p] = verdicts[i]
+            if flags[p] is None:
+                grid = _enforce_real(summed[:, i] @ phases, "qp modal assembly")
+                amplitude[p] = np.abs(grid).max(axis=1)
+        diverged += len(solved) - verdicts.count(None)
+    if diverged:
+        warnings.warn(
+            f"{diverged} of {len(omegas)} sweep points look divergent at delta={sup:.3g}; "
+            "their amplitudes are NaN and their flags hold the verdict",
+            DivergenceWarning,
+        )
     return amplitude, flags
 
 
 @dataclass(frozen=True)
 class PadeGss:
-    """Rational [L/M] resummation of an expansion, per state coordinate.
-
-    One denominator per coordinate is fit over all grid times; the
-    numerator then varies with time. Coefficients are stored in the
-    scaled variable s = delta / sigma with sigma = the magnitude of the
-    expansion's reference amplitude (1 when it is 0), which keeps the
-    least-squares problem balanced.
-    ill_conditioned lists coordinates whose denominator fit had singular
-    values below 1e-12 of the largest (reported, not raised: the
-    evaluation may still be fine away from spurious poles).
+    """Vector rational [L/M] resummation of an expansion: one denominator,
+    shared by every coordinate and grid time (the GSS is one analytic
+    function of delta, so it has one set of singularities; Graves-Morris
+    & Jenkins, Constr. Approx. 2, 1986), over time-varying numerators.
+    Coefficients are in the scaled variable s = delta / sigma, sigma the
+    magnitude of the expansion's reference amplitude (1 when it is 0),
+    which keeps the least-squares problem balanced. ill_conditioned names
+    every coordinate when the fit had singular values below 1e-12 of the
+    largest, else () (reported, not raised: the evaluation may still be
+    fine away from spurious poles).
     """
 
     L: int
     M: int
     sigma: float
     num: np.ndarray  # (state_dim, L, T), scaled variable
-    den: np.ndarray  # (state_dim, M), scaled variable
+    den: np.ndarray  # (M,), scaled variable
     ill_conditioned: tuple
     dt: float
     t0: float
     pad_length: int
     backend: str
+
+    @property
+    def poles(self) -> np.ndarray:
+        """The fit's poles in delta, nearest first: the roots of 1 +
+        sum_mu den[mu - 1] (delta / sigma)^mu, complex, at most M."""
+        roots = np.roots(np.concatenate([self.den[::-1], [1.0]])) * self.sigma
+        return roots[np.argsort(np.abs(roots), kind="stable")]
 
 
 def _stored_r(data, scale):
@@ -769,24 +802,23 @@ def _stored_r(data, scale):
 def pade_resum(expansion: GssExpansion, L: int, M: int) -> PadeGss:
     """Fit a vector [L/M] rational representation to the expansion.
 
-    Needs L + M completed orders. For each coordinate j the denominator
-    coefficients solve, in least squares over all grid times t and
-    offsets r = 1..M,
+    Needs L + M completed orders. The one denominator's coefficients
+    solve, in least squares over every coordinate j, grid time t and
+    offset r = 1..M,
 
-        sum_mu b_mu c_{L+r-mu}(t) = -c_{L+r}(t),   c_k = 0 for k < 1,
+        sum_mu b_mu c_{L+r-mu}(j, t) = -c_{L+r}(j, t),   c_k = 0 for k < 1,
 
-    where c_k = z_k sigma^k are the coordinate's Taylor grids in the
-    scaled variable. The fit never forms that (M T x M) system. With C_j
-    the (T x s) matrix of the coordinate's s stored orders k <= L + M,
-    scaled, block r of the system is C_j S_r | C_j e_{L+r}, where S_r
-    puts order L+r-mu in column mu (an order that is not stored is a zero
-    column). So with C_j = Q_j R_j (_stored_r, by TSQR) the system is
+    where c_k = z_k sigma^k are the Taylor grids in the scaled variable.
+    The fit never forms that (dim M T x M) system. With C_j the (T x s)
+    matrix of coordinate j's s stored orders k <= L + M, scaled, block
+    (j, r) of the system is C_j S_r | C_j e_{L+r}, where S_r puts order
+    L+r-mu in column mu (an order that is not stored is a zero column).
+    So with C_j = Q_j R_j (_stored_r, by TSQR) the system is
     blockdiag(Q_j) times the stacked small blocks R_j S_r | R_j e_{L+r};
-    Q_j has orthonormal columns, so the (M s x M) least-squares problem
-    on those blocks has the same solution and the same singular values.
-    The numerators sum_{mu<k} b_mu c_{k-mu}, b_0 = 1, are then one
-    contraction of a (state_dim, L, s) coefficient array with the stored
-    slots.
+    Q_j has orthonormal columns, so the one (dim M s x M) least-squares
+    problem on those blocks has the same solution and the same singular
+    values. The numerators sum_{mu<k} b_mu c_{k-mu}, b_0 = 1, are then
+    one contraction of an (L, s) weight array with the stored slots.
 
     Raises InvalidParameters, before any factorization, when sigma^k
     over the fitted orders is not a finite nonzero float (a reference
@@ -801,7 +833,6 @@ def pade_resum(expansion: GssExpansion, L: int, M: int) -> PadeGss:
             f"[{L}/{M}] needs {L + M} orders, tensor holds {tensor.orders_complete}"
         )
     sigma = abs(expansion.delta_ref) or 1.0
-    dim = expansion.state_dim
 
     orders = [nu for nu in tensor.stored if nu <= L + M]
     with np.errstate(over="ignore"):
@@ -821,29 +852,21 @@ def pade_resum(expansion: GssExpansion, L: int, M: int) -> PadeGss:
     zero = len(orders)
     cols = [[slot.get(L + r - mu, zero) for mu in range(1, M + 1)] for r in range(1, M + 1)]
     rhs = [slot.get(L + r, zero) for r in range(1, M + 1)]
-    rows = R.shape[1]
-    # (dim, M blocks r, rows, M columns mu), the blocks stacked
-    design = R[:, :, cols].transpose(0, 2, 1, 3).reshape(dim, M * rows, M)
-    target = -R[:, :, rhs].transpose(0, 2, 1).reshape(dim, M * rows)
-
-    den = np.zeros((dim, M))
-    flagged = []
-    for j in range(dim):
-        den[j], _, _, svals = np.linalg.lstsq(design[j], target[j], rcond=1e-12)
-        if svals.size and svals[-1] < 1e-12 * svals[0]:
-            flagged.append(j)
+    # every coordinate's M blocks r of R's rows, stacked, by M columns mu
+    design = R[:, :, cols].transpose(0, 2, 1, 3).reshape(-1, M)
+    target = -R[:, :, rhs].transpose(0, 2, 1).ravel()
+    den, _, _, svals = np.linalg.lstsq(design, target, rcond=1e-12)
+    rank_deficient = svals.size and svals[-1] < 1e-12 * svals[0]
 
     # num_k = sum over mu = 0..min(k-1, M) of b_mu c_{k-mu}, on the slots
-    # of the stored orders <= L
+    # of the stored orders <= L: order nu enters num_k, k = nu..nu+M, at b_{k-nu}
     low = [nu for nu in orders if nu <= L]
-    weights = np.zeros((dim, L, len(low)))
-    b = np.concatenate([np.ones((dim, 1)), den], axis=1)
-    for k in range(1, L + 1):
-        for mu in range(min(k - 1, M) + 1):
-            if k - mu in slot:
-                weights[:, k - 1, slot[k - mu]] = b[:, mu]
+    weights = np.zeros((L, len(low)))
+    b = np.concatenate([[1.0], den])
+    for i, nu in enumerate(low):
+        weights[nu - 1 : nu + M, i] = b[: L - nu + 1]
     weights *= scale[: len(low)]
-    num = np.einsum("jki,jit->jkt", weights, tensor.data[:, : len(low)])
+    num = np.einsum("ki,jit->jkt", weights, tensor.data[:, : len(low)])
 
     return PadeGss(
         L=L,
@@ -851,7 +874,7 @@ def pade_resum(expansion: GssExpansion, L: int, M: int) -> PadeGss:
         sigma=sigma,
         num=num,
         den=den,
-        ill_conditioned=tuple(flagged),
+        ill_conditioned=tuple(range(expansion.state_dim)) if rank_deficient else (),
         dt=tensor.dt,
         t0=tensor.t0,
         pad_length=tensor.pad_length,
@@ -859,33 +882,36 @@ def pade_resum(expansion: GssExpansion, L: int, M: int) -> PadeGss:
     )
 
 
-def evaluate_pade(pade: PadeGss, delta: float) -> np.ndarray:
-    """Evaluate the rational representation at a physical amplitude.
+def evaluate_pade_at_amplitudes(pade: PadeGss, deltas) -> np.ndarray:
+    """The rational representation at several physical amplitudes, shape
+    (state_dim, len(deltas), T): the numerators' power contraction
+    (_power_sum), divided in place by one scalar per amplitude.
 
-    delta must be finite, as must every power of delta / sigma that the
-    numerator and denominator take (InvalidParameters otherwise, before
-    any contraction). The numerator is the power contraction of
-    evaluate_at_amplitudes over the L numerator grids, divided by the
-    denominators in place, so the call allocates one (dim, T) array.
-    Raises DenominatorNearZero when any coordinate's denominator
-    magnitude falls below 1e-8 at this amplitude (a pole of the fit; the
-    offending coordinate index is attached).
+    Each delta and each power of delta / sigma taken must be finite
+    (InvalidParameters otherwise). Every denominator is checked before the
+    contraction: DenominatorNearZero names the first delta where one's
+    magnitude falls below 1e-8 (a pole of the fit).
     """
-    s = _amplitudes([delta]) / pade.sigma
-    powers_num = _powers(s, range(1, pade.L + 1), [delta])
-    powers_den = _powers(s, range(1, pade.M + 1), [delta])[0]
-    numerator = _power_sum(powers_num, pade.num)[:, 0]
-    denominator = 1.0 + pade.den @ powers_den  # (dim,)
-    worst = int(np.argmin(np.abs(denominator)))
-    if abs(denominator[worst]) < 1e-8:
-        raise DenominatorNearZero(
-            f"denominator of coordinate {worst} is {denominator[worst]:.3e} "
-            f"at delta={delta:.6g}",
-            coordinate=worst,
-            delta=float(delta),
-        )
-    numerator /= denominator[:, None]
-    return numerator
+    values = _amplitudes(deltas)
+    with np.errstate(over="ignore"):  # _powers refuses an infinite s
+        s = values / pade.sigma
+    powers_num = _powers(s, range(1, pade.L + 1), values)
+    denominator = 1.0 + _powers(s, range(1, pade.M + 1), values) @ pade.den
+    near = np.flatnonzero(np.abs(denominator) < 1e-8)
+    if near.size:
+        a = near[0]
+        message = f"denominator is {denominator[a]:.3e} at delta={values[a]:.6g}"
+        raise DenominatorNearZero(message, delta=float(values[a]))
+    out = _power_sum(powers_num, pade.num)
+    out /= denominator[:, None]
+    return out
+
+
+def evaluate_pade(pade: PadeGss, delta: float) -> np.ndarray:
+    """The rational representation at one physical amplitude, shape
+    (state_dim, T): the one-row case of evaluate_pade_at_amplitudes, bit
+    for bit."""
+    return evaluate_pade_at_amplitudes(pade, [delta])[:, 0]
 
 
 def reduced_gss(

@@ -8,8 +8,11 @@ reproduce saved grids bit for bit.
 A container (version 2) is a directory holding manifest.json (format,
 version, dtype, dimensions, grid and metadata) plus one NumPy .npy file
 per array: tensor.npy for an expansion, num.npy and den.npy for a
-resummation. An expansion's tensor.npy holds only the orders its
-tensor stores, listed in the manifest's "orders"; the others are zero.
+resummation (den.npy holds the one denominator, shape (M,); a
+container with one denominator per coordinate, shape (state_dim, M),
+is refused with ConfigError: refit it with pade_resum). An expansion's
+tensor.npy holds only the orders its tensor stores, listed in the
+manifest's "orders"; the others are zero.
 A manifest without that key stores every order (as every container did
 before the key was added). The arrays are stored as raw float64 and
 loaded as read-only memory maps, so a round trip is bit-exact and a
@@ -283,7 +286,8 @@ def _map_array(directory: str, name: str, shape: tuple, dtype: str) -> np.ndarra
     if array.shape != tuple(shape) or array.dtype != np.dtype(dtype):
         raise ConfigError(
             f"{path} holds {array.dtype} {array.shape}; "
-            f"the manifest says {np.dtype(dtype)} {tuple(shape)}"
+            f"the manifest says {np.dtype(dtype)} {tuple(shape)} (recompute an expansion, "
+            "or refit with pade_resum, and save it again)"
         )
     return array
 
@@ -373,8 +377,8 @@ def load_expansion(directory: str) -> GssExpansion:
 def save_pade(pade: PadeGss, directory: str) -> None:
     """Resummation container: manifest.json, num.npy and den.npy.
 
-    num.npy has shape (state_dim, L, length) and den.npy (state_dim, M),
-    both in the scaled variable s = delta / sigma.
+    num.npy has shape (state_dim, L, length) and den.npy (M,), the one
+    denominator, both in the scaled variable s = delta / sigma.
     """
     manifest = {
         "format": "gss-pade",
@@ -404,7 +408,7 @@ def load_pade(directory: str) -> PadeGss:
         M=M,
         sigma=manifest["sigma"],
         num=_map_array(directory, "num", (dim, L, T), dtype),
-        den=_map_array(directory, "den", (dim, M), dtype),
+        den=_map_array(directory, "den", (M,), dtype),
         ill_conditioned=tuple(manifest.get("ill_conditioned", [])),
         dt=manifest["dt"],
         t0=manifest["t0"],

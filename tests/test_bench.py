@@ -25,6 +25,7 @@ from steadystate import (
     select_modes,
 )
 from steadystate.errors import (
+    DivergenceWarning,
     EmptySignal,
     HarmonicFitIllConditioned,
     HarmonicTruncationWarning,
@@ -511,17 +512,22 @@ def _quadratic_chain():
 
 class TestBatchedSweep:
     """The sweep solves its points together; each point must equal a 'qp'
-    compute_taylor_gss of its own period, the route the sweep replaces."""
+    compute_taylor_gss of its own period, the route the sweep replaces,
+    and be flagged where that solve's divergence verdict fails."""
 
     @staticmethod
     def _per_point(system, omega, delta, dofs, **kw):
+        """The point's amplitudes and whether its solve warned of divergence."""
         dt = 2.0 * math.pi / omega / 256
         samples = np.zeros((256, system.n))
         samples[:, dofs] = delta * np.sin(omega * dt * np.arange(256))[:, None]
         forcing = load_forcing(samples, dt=dt)
-        expansion = compute_taylor_gss(system, forcing, backend="qp", base_frequencies=(omega,),
-                                       check_divergence=False, **kw)
-        return np.abs(evaluate_at_amplitude(expansion, forcing.max_magnitude)).max(axis=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DivergenceWarning)
+            expansion = compute_taylor_gss(system, forcing, backend="qp",
+                                           base_frequencies=(omega,), **kw)
+        amplitude = np.abs(evaluate_at_amplitude(expansion, forcing.max_magnitude)).max(axis=1)
+        return amplitude, any(w.category is DivergenceWarning for w in caught)
 
     @pytest.mark.parametrize("case", ["quadratic", "retained-set-changes", "flagged-between",
                                       "general-damping", "negative-delta"])
@@ -545,14 +551,81 @@ class TestBatchedSweep:
             kw = dict(order=3, harmonic_budget=3, resonance_tol=1e-2)
         else:
             system, grid, dofs = build_gyroscopic_2dof(kappa3=0.3), np.linspace(0.4, 2.5, 5), [0, 1]
-        sweep = frc_sweep(system, grid, delta=delta, dofs=dofs, **kw)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DivergenceWarning)
+            sweep = frc_sweep(system, grid, delta=delta, dofs=dofs, **kw)
+        diverged = 0
         for i, omega in enumerate(grid):
             try:
-                ref = self._per_point(system, omega, delta, dofs, **kw)
+                ref, divergent = self._per_point(system, omega, delta, dofs, **kw)
             except NearResonance as exc:
                 assert sweep.flags[i] == str(exc)
                 assert np.all(np.isnan(sweep.amplitude[i]))
                 continue
+            if divergent:  # the point lies past the series' radius at delta
+                diverged += 1
+                assert "the series looks divergent" in sweep.flags[i]
+                assert np.all(np.isnan(sweep.amplitude[i]))
+                continue
             assert sweep.flags[i] is None
             np.testing.assert_allclose(sweep.amplitude[i], ref, rtol=1e-12, atol=0.0)
-        assert (sweep.flags[1] is not None) == (case == "flagged-between")
+        assert diverged == (case in ("quadratic", "general-damping", "negative-delta"))
+        warned = [str(w.message) for w in caught if w.category is DivergenceWarning]
+        assert len(warned) == (diverged > 0)
+        assert all(m.startswith(f"{diverged} of {len(grid)} sweep points") for m in warned)
+        resonant = [f is not None and "looks divergent" not in f for f in sweep.flags]
+        assert resonant[1] == (case == "flagged-between")
+
+
+class TestSweepDivergence:
+    """A sweep point whose series diverges at the sweep's amplitude is
+    flagged and NaN, never returned: the verdict of compute_taylor_gss,
+    on each point's l1 bound of its orders' harmonic coefficients."""
+
+    # steady amplitudes of x'' + 0.1 x' + x + x^3 = delta sin(Omega t),
+    # newmark_full over 400 time units at 256 samples per period, read
+    # on the last period: {Omega: (delta 0.05, 0.2, 0.5)}
+    REFERENCE = {0.8: (0.1312, 0.4105, 0.7067), 1.0: (0.3604, 0.6382, 0.8849),
+                 1.1: (0.2573, 0.7782, 0.9909), 1.3: (0.07158, 0.3193, 1.223)}
+    # the points whose order-15 series sum is off by a factor of 87 to 1e18
+    DIVERGENT = {(0.05, 1.0), (0.2, 0.8), (0.2, 1.0), (0.2, 1.1),
+                 (0.5, 0.8), (0.5, 1.0), (0.5, 1.1), (0.5, 1.3)}
+
+    def test_lightly_damped_duffing_flagged_exactly_where_it_diverges(self):
+        system = build_duffing(omega=1.0, zeta=0.05, kappa3=1.0)
+        grid = np.array(sorted(self.REFERENCE))
+        for i, delta in enumerate((0.05, 0.2, 0.5)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", DivergenceWarning)
+                sweep = frc_sweep(system, grid, delta=delta, order=15, harmonic_budget=15)
+            diverged = 0
+            for p, omega in enumerate(grid):
+                if (delta, omega) in self.DIVERGENT:
+                    diverged += 1
+                    assert sweep.flags[p].startswith("top-order term is ")
+                    assert f"at delta={delta:.3g}; the series looks divergent" in sweep.flags[p]
+                    assert np.all(np.isnan(sweep.amplitude[p]))
+                else:
+                    assert sweep.flags[p] is None
+                    ref = self.REFERENCE[omega][i]
+                    assert abs(sweep.amplitude[p, 0] - ref) <= 0.02 * ref, (delta, omega)
+            warned = [str(w.message) for w in caught if w.category is DivergenceWarning]
+            assert len(warned) == (diverged > 0)
+            assert all(m.startswith(f"{diverged} of 4 sweep points look divergent at "
+                                    f"delta={delta:.3g}") for m in warned)
+
+    def test_point_verdicts_are_one_point_verdicts(self, rng):
+        # a column's verdict does not depend on its neighbours, and the
+        # one-point form is compute_taylor_gss's warning
+        norms = 10.0 ** rng.uniform(-3.0, 3.0, size=(9, 40))
+        norms[1::2, ::3] = 0.0  # odd series
+        norms[4:6, 7] = 0.0  # no mid pair: no verdict
+        verdicts = gss._divergence(norms, -0.7)
+        assert 0 < sum(v is not None for v in verdicts) < 40
+        assert verdicts[7] is None
+        for p, verdict in enumerate(verdicts):
+            assert gss._divergence(norms[:, p : p + 1], -0.7) == [verdict]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", DivergenceWarning)
+                gss._warn_divergence(norms[:, p], 9, -0.7)
+            assert [str(w.message) for w in caught] == ([] if verdict is None else [verdict])

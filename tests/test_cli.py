@@ -369,6 +369,15 @@ class TestExpansionContainer:
         with pytest.raises(ConfigError):
             serialize.load_expansion(tmp_path)
 
+    def test_per_coordinate_denominator_refused(self, tmp_path):
+        # a container of the earlier fit, one denominator per coordinate:
+        # den.npy (state_dim, M) against the manifest's (M,)
+        pade = pade_resum(self._expansion(), 2, 1)
+        serialize.save_pade(pade, tmp_path)
+        np.save(tmp_path / "den.npy", np.tile(pade.den, (pade.num.shape[0], 1)))
+        with pytest.raises(ConfigError, match=r"\(1,\).*refit with pade_resum"):
+            serialize.load_pade(tmp_path)
+
     def test_truncated_or_missing_array(self, tmp_path):
         pade = pade_resum(self._expansion(), 2, 1)
         serialize.save_pade(pade, tmp_path)
@@ -436,6 +445,21 @@ class TestCliCompute:
         summary = _last_json(capsys)
         assert (summary["L"], summary["M"]) == (2, 1)
         assert summary["sup_amplitude"] > 0.0
+
+    def test_pade_reports_its_nearest_pole(self, tmp_path, capsys):
+        for kappa3, name in ((1.0, "cubic"), (0.0, "linear")):
+            cfg = _config(tmp_path, build_duffing(zeta=0.2, kappa3=kappa3), f"{name}.json")
+            out = tmp_path / name
+            assert main(["compute", "--config", cfg, "--forcing", _GEN,
+                         "--order", "4", "--out", str(out)]) == 0
+            capsys.readouterr()
+            assert main(["pade", "--expansion", str(out), "--pade", "2:2"]) == 0
+            poles = pade_resum(serialize.load_expansion(out), 2, 2).poles
+            pole = _last_json(capsys)["nearest_pole"]
+            if kappa3:
+                assert pole == [poles[0].real, poles[0].imag]
+            else:  # a linear series has no pole: every order above 1 is zero
+                assert poles.size == 0 and pole is None
 
     def test_compare_reports_small_error(self, tmp_path, capsys):
         cfg = _config(tmp_path)

@@ -23,6 +23,7 @@ from steadystate import (
     evaluate_at_amplitude,
     evaluate_at_amplitudes,
     evaluate_pade,
+    evaluate_pade_at_amplitudes,
     frc_sweep,
     generate_forcing,
     load_forcing,
@@ -809,7 +810,7 @@ class TestPade:
         r = 2.0
         base, exp = _geometric_expansion(rng, r, sigma=0.25, orders=4)
         pade = pade_resum(exp, 1, 1)
-        assert pade.den.shape == (2, 1)
+        assert pade.den.shape == (1,)
         assert np.abs(pade.den + r * 0.25).max() < 1e-12
         d = 0.45  # r*d = 0.9: near the pole, Taylor converges slowly
         closed = base * (r * d / (1.0 - r * d))
@@ -829,7 +830,22 @@ class TestPade:
         with pytest.raises(DenominatorNearZero) as info:
             evaluate_pade(pade, 0.5)  # r * delta = 1: the pole
         assert info.value.delta == pytest.approx(0.5)
-        assert 0 <= info.value.coordinate < 2
+
+    def test_pole_is_one_over_the_ratio(self, rng):
+        # 1 - r delta: the [1/1] fit's one pole is 1 / r, at every sigma
+        for r, sigma in ((2.0, 0.25), (-3.0, 1.7), (0.5, 1e-3)):
+            _, exp = _geometric_expansion(rng, r, sigma=sigma, orders=4)
+            (pole,) = pade_resum(exp, 1, 1).poles
+            assert abs(pole - 1.0 / r) < 1e-12
+
+    def test_poles_are_the_denominator_roots_nearest_first(self, rng):
+        pade = pade_resum(_random_expansion(rng, 5, T=40), 2, 3)
+        poles = pade.poles
+        assert poles.shape == (3,)
+        assert np.all(np.diff(np.abs(poles)) >= 0.0)
+        s = poles / pade.sigma
+        values = 1.0 + np.stack([s, s**2, s**3], axis=1) @ pade.den
+        assert np.abs(values).max() < 1e-9
 
     def test_overparameterized_flags_but_still_evaluates(self, rng):
         # [2/2] on exactly-geometric data: the denominator system is
@@ -871,9 +887,10 @@ class TestPade:
 
 
 def _dense_pade(expansion, L, M):
-    """pade_resum's fit by the dense route: per coordinate, the full (M T
-    x M) least-squares system over every grid time, and the numerators
-    accumulated order by order. Returns (den, num, ill_conditioned)."""
+    """pade_resum's fit by the dense route: the full (dim M T x M)
+    least-squares system over every coordinate and grid time, stacked,
+    and the numerators accumulated order by order. Returns (den, num,
+    ill_conditioned)."""
     tensor = expansion.tensor
     sigma = abs(expansion.delta_ref) or 1.0
     dim, T = tensor.state_dim, tensor.length
@@ -881,24 +898,22 @@ def _dense_pade(expansion, L, M):
     def c(j, k):
         return tensor.order_slice(k)[j] * sigma**k if k >= 1 else np.zeros(T)
 
-    den, flagged = np.zeros((dim, M)), []
+    rows, rhs = np.empty((dim * M * T, M)), np.empty(dim * M * T)
     for j in range(dim):
-        rows, rhs = np.empty((M * T, M)), np.empty(M * T)
         for r in range(1, M + 1):
-            block = slice((r - 1) * T, r * T)
+            block = slice((j * M + r - 1) * T, (j * M + r) * T)
             rhs[block] = -c(j, L + r)
             for mu in range(1, M + 1):
                 rows[block, mu - 1] = c(j, L + r - mu)
-        den[j], _, _, svals = np.linalg.lstsq(rows, rhs, rcond=1e-12)
-        if svals.size and svals[-1] < 1e-12 * svals[0]:
-            flagged.append(j)
+    den, _, _, svals = np.linalg.lstsq(rows, rhs, rcond=1e-12)
+    flagged = tuple(range(dim)) if svals.size and svals[-1] < 1e-12 * svals[0] else ()
     num = np.empty((dim, L, T))
     for j in range(dim):
         for k in range(1, L + 1):
             num[j, k - 1] = c(j, k) + sum(
-                den[j, mu - 1] * c(j, k - mu) for mu in range(1, min(k - 1, M) + 1)
+                den[mu - 1] * c(j, k - mu) for mu in range(1, min(k - 1, M) + 1)
             )
-    return den, num, tuple(flagged)
+    return den, num, flagged
 
 
 def _horner(expansion, delta, max_order):
@@ -1034,6 +1049,60 @@ class TestEvaluateAmplitudes:
             warnings.simplefilter("error")
             with pytest.raises(InvalidParameters):
                 evaluate_pade(pade, bad)
+
+
+class TestEvaluatePadeAmplitudes:
+    DELTAS = (0.031, -0.02, 0.0, 0.4, 0.12)
+
+    @pytest.mark.parametrize("build,LM", [
+        (_duffing_expansion, (2, 2)), (_duffing_expansion, (3, 2)),
+        (_cubic_general_expansion, (1, 3)),
+    ])
+    def test_rows_are_single_evaluations(self, build, LM):
+        pade = pade_resum(build(), *LM)
+        many = evaluate_pade_at_amplitudes(pade, self.DELTAS)
+        assert many.shape == (pade.num.shape[0], len(self.DELTAS), pade.num.shape[2])
+        for a, d in enumerate(self.DELTAS):
+            assert np.array_equal(many[:, a], evaluate_pade(pade, d)), d
+        assert not np.any(many[:, 2])
+
+    def test_rows_from_a_memory_map(self, tmp_path):
+        pade = pade_resum(_duffing_expansion(), 2, 2)
+        serialize.save_pade(pade, tmp_path)
+        back = serialize.load_pade(tmp_path)
+        assert isinstance(back.num, np.memmap) and isinstance(back.den, np.memmap)
+        many = evaluate_pade_at_amplitudes(back, self.DELTAS)
+        assert type(many) is np.ndarray and many.flags.writeable
+        assert np.array_equal(many, evaluate_pade_at_amplitudes(pade, self.DELTAS))
+
+    def test_is_the_taylor_contraction_over_one_scalar(self):
+        pade = pade_resum(_duffing_expansion(), 2, 2)
+        s = np.array(self.DELTAS) / pade.sigma
+        numerator = np.einsum("ak,jkt->jat", s[:, None] ** [1.0, 2.0], pade.num)
+        denominator = 1.0 + (s[:, None] ** [1.0, 2.0]) @ pade.den
+        got = evaluate_pade_at_amplitudes(pade, self.DELTAS)
+        assert np.abs(got - numerator / denominator[:, None]).max() <= 1e-15 * np.abs(got).max()
+
+    def test_first_pole_named_before_any_contraction(self, rng, monkeypatch):
+        # r = 2: the [1/1] fit's pole is at 0.5
+        _, exp = _geometric_expansion(rng, 2.0, sigma=0.25, orders=4)
+        pade = pade_resum(exp, 1, 1)
+
+        def refuse(*args):
+            raise AssertionError("contracted before the denominators were checked")
+
+        monkeypatch.setattr(gss, "_power_sum", refuse)
+        with pytest.raises(DenominatorNearZero, match=r"at delta=0\.5$") as info:
+            evaluate_pade_at_amplitudes(pade, [0.1, 0.5, 0.2, 0.5 + 1e-12])
+        assert info.value.delta == 0.5
+
+    def test_bad_amplitudes_refused(self, rng):
+        _, exp = _geometric_expansion(rng, 2.0, sigma=0.25, orders=4)
+        pade = pade_resum(exp, 1, 1)
+        # 1e308 / sigma overflows: refused, not a RuntimeWarning
+        for bad in ([0.1, np.nan], [[0.1]], [0.1, 1e308]):
+            with pytest.raises(InvalidParameters):
+                evaluate_pade_at_amplitudes(pade, bad)
 
 
 class TestBlasThreads:
