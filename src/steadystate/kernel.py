@@ -19,32 +19,42 @@ scipy.linalg.expm computes by scaling and squaring. It works for every
 eigenvalue and every zeta, including exactly 1, and never divides by an
 eigenvalue or an eigenvalue difference.
 
-Both kinds then take one path: SpectralData.project, one sosfilt per
+Both kinds then take one path: SpectralData.project, one filter per
 unit started so that its state is zero at the first sample,
 SpectralData.reconstruct, and _enforce_real, the one realness policy of
-every modal sum in the package. A general mode is one first-order
-section. When the input is real and every retained mode has its exact
-conjugate beside it (SpectralData._folded), a conjugate pair runs as one
-unit, the section of its positive-imaginary member, whose response the
-real sum 2 Re(V+ y) adds, and a real eigenvalue as its own unit;
-otherwise (a split pair, the complex input of reduced coordinates) every
-member runs and the complex modal sum goes through _enforce_real. An
-oscillator whose roots are a complex pair lambda+-, with zeta below a
-cut-over, is one first-order section too: its positive-frequency mode
-y, scaled by -i/omega_d so that Re y is the position and Re(mu y), mu =
-lambda+/omega, the velocity over omega (the input is real, so the
-conjugate mode adds nothing else). A near-critical or overdamped
-oscillator, whose two roots come close, is one complex filter of two
-sections whose real part is the position and whose imaginary part is
-the velocity over omega. Both real sums, the folded general one and the
-structural one, are written straight into the caller's grid
-(propagate_order's out).
+every modal sum in the package. A filter is a cascade of first-order
+sections, y[k] = p y[k-1] + v[k], the first of which takes the
+numerator taps v[k] = b0 u[k] + b1 u[k-1] + b2 u[k-2] of the unit's
+input u and every later one the previous section's output. NumPy
+applies the taps, and each section is a unit lower-bidiagonal solve,
+BLAS ztbsv on a band with -p below its diagonal (Dongarra, Du Croz,
+Hammarling & Hanson, ACM TOMS 14, 1988). A general mode is one
+first-order section. When the input is real and every retained mode
+has its exact conjugate beside it (SpectralData._folded), a conjugate
+pair runs as one unit, the section of its positive-imaginary member,
+whose response the real sum 2 Re(V+ y) adds, and a real eigenvalue as
+its own unit; otherwise (a split pair, the complex input of reduced
+coordinates) every member runs and the complex modal sum goes through
+_enforce_real. An oscillator whose roots are a complex pair lambda+-,
+with zeta below a cut-over, is one first-order section too: its
+positive-frequency mode y, scaled by -i/omega_d so that Re y is the
+position and Re(mu y), mu = lambda+/omega, the velocity over omega (the
+input is real, so the conjugate mode adds nothing else). A
+near-critical or overdamped oscillator, whose two roots come close, is
+one complex filter of two sections whose real part is the position and
+whose imaginary part is the velocity over omega. Both real sums, the
+folded general one and the structural one, are written straight into
+the caller's grid (propagate_order's out).
 
 Every propagator is a causal filter, so a grid can be propagated in
-consecutive time blocks: a Carry hands the filter state at the end of
-one block to the next. The filters run sample by sample, so the blocks
-reproduce the whole-grid recursion exactly; only the modal matrix
-products round differently on blocks of other lengths.
+consecutive time blocks: a Carry hands the last two inputs and each
+section's last output at the end of one block to the next.
+propagate_order walks a grid longer than _CHUNK samples in such blocks
+itself, and a ztbsv call solves at most _SOLVE rows. Each solve starts
+from the output before its rows as its row 0, so every row takes the
+same BLAS step as in one pass, and the blocks reproduce the whole-grid
+recursion exactly; only the modal matrix products round differently on
+blocks of other lengths.
 """
 
 from __future__ import annotations
@@ -53,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.signal import sosfilt
+from scipy.linalg.blas import ztbsv
 
 from .errors import GridMismatch, InvalidParameters, RealnessCheckFailed, ZeroEigenvalue
 from .model import _check_dt
@@ -74,6 +84,14 @@ _CRITICAL_TAG = 1e-9  # reported branch tag
 # two-section filter takes over
 _ONE_SECTION_ZETA = 0.99
 _REALNESS_TOL = 1e-10
+# samples per _modal_response call of propagate_order, one cascade block
+# (gss._BLOCK), so that a long grid's modal temporaries stay this long
+_CHUNK = 8192
+# rows per ztbsv call. The weights, bands included, are built anew per
+# solve, and bands as long as a block (256 KiB a section) grew the heap
+# past what glibc malloc keeps between solves, so each solve faulted its
+# pages in again; 2,048-row bands (64 KiB) cost a few more calls instead
+_SOLVE = 2048
 
 
 def _step_weights(L: np.ndarray, b: np.ndarray, dt: float):
@@ -149,17 +167,20 @@ def _regime(omega: float, zeta: float) -> str:
 class KernelWeights:
     """Per retained mode: the filter that propagates it.
 
-    sos[j] is mode j's (sections, 6) complex sosfilt filter, built once
-    so that every time block reuses it: one first-order section for a
-    general mode and for an oscillator with zeta below the cut-over (see
-    _exponent_filter), two sections for any other oscillator (see
-    _oscillator_filter). start[j] holds the two taps of its first
-    section that a fresh start cancels. On the structural path Re y of
-    the filter output y is the position and Re(mu[j] y) the velocity
-    over omega: mu = lambda+/omega for one section, -1j for two (whose
-    Im y is taken as it is). branches[j] tags an oscillator's regime;
-    mu and branches are None on the general path. units, on the general
-    path, holds the positions of the folded units' first members (see
+    sos[j] is mode j's filter as (sections, 6) complex rows (b0, b1, b2,
+    1, -p, 0), built once so that every time block reuses it: one
+    first-order section for a general mode and for an oscillator with
+    zeta below the cut-over (see _exponent_filter), two sections for any
+    other oscillator (see _oscillator_filter). Only the first section
+    has taps; a later one has b = (1, 0, 0) and filters the output of the
+    one before. bands[j] holds each section's band for ztbsv (see
+    _band). start[j] holds the two taps of its first section that a
+    fresh start cancels. On the structural path Re y of the filter
+    output y is the position and Re(mu[j] y) the velocity over omega:
+    mu = lambda+/omega for one section, -1j for two (whose Im y is taken
+    as it is). branches[j] tags an oscillator's regime; mu and branches
+    are None on the general path. units, on the general path, holds the
+    positions of the folded units' first members (see
     SpectralData._folded) when every pair's filters are exact conjugates
     too and a real eigenvalue's filter is real; a real input then runs
     only those filters. It is None when the retained set does not fold.
@@ -168,6 +189,7 @@ class KernelWeights:
     kind: str
     retained: tuple
     sos: tuple  # per mode, (1, 6) or (2, 6) complex
+    bands: tuple  # per mode, one (2, _SOLVE + 1) complex band per section
     start: np.ndarray  # (m, 2) complex
     mu: np.ndarray | None = None  # (m,) complex
     branches: tuple | None = None
@@ -212,9 +234,19 @@ def build_kernel_weights(spectral: SpectralData, dt: float) -> KernelWeights:
         branches, mu = tuple(branches), np.array(mu, dtype=complex)
     sos, start = zip(*filters)
     return KernelWeights(
-        kind=spectral.kind, retained=retained, sos=sos, start=np.array(start), mu=mu,
-        branches=branches, units=units,
+        kind=spectral.kind, retained=retained, sos=sos,
+        bands=tuple(tuple(_band(section[4]) for section in f) for f in sos),
+        start=np.array(start), mu=mu, branches=branches, units=units,
     )
+
+
+def _band(minus_pole: complex) -> np.ndarray:
+    """One section's band for ztbsv: the unit lower-bidiagonal matrix of
+    y[k] - p y[k-1] in (2, _SOLVE + 1) Fortran-ordered band storage, the
+    diagonal 1 in row 0 (never read at diag=1) and minus_pole (-p) in
+    row 1. band[:, :n] is still Fortran-contiguous, so a shorter solve
+    takes no copy."""
+    return np.tile(np.array([1.0, minus_pole]), _SOLVE + 1).reshape(-1, 2).T
 
 
 @dataclass
@@ -224,23 +256,28 @@ class Carry:
     A fresh Carry starts the grid: the recursion runs from the zero state
     at its first sample. Handing the same Carry to propagate_order with
     each following block of the same order continues the recursion where
-    the previous block ended; the call updates it in place. state is None
-    until the first block has run, then the list of the propagated units'
-    (sections, 2) sosfilt states (one per folded unit, see KernelWeights,
-    else one per retained mode).
+    the previous block ended; the call updates it in place. state and
+    weights are None until the first block has run. Then weights is the
+    KernelWeights that block ran under, and a block under any other
+    weights raises GridMismatch. state is the list of the propagated
+    units' complex states, one per folded unit (see KernelWeights) or
+    else per retained mode: the unit's last two inputs u[-2] and u[-1],
+    then each section's last output.
     """
 
     state: list | None = None
+    weights: KernelWeights | None = None
 
 
 def _exponent_filter(q: np.ndarray, pole: complex):
     """The one-section filter that runs w[k] = pole w[k-1] + q[0] u[k-1]
-    + q[1] u[k] for one general mode, pole = e^{lambda dt}.
+    + q[1] u[k] for one general mode, pole = e^{lambda dt}: the taps
+    (q[1], q[0], 0) over the pole.
 
-    Unstarted, it gives w[0] = q[1] u[0], which the fresh state
-    -start u[0], start = (q[1], 0), cancels. An underdamped oscillator
-    runs it on its root lambda+ with q scaled by -i/omega_d (see
-    build_kernel_weights).
+    Unstarted, it gives w[0] = q[1] u[0], which a fresh start cancels:
+    it subtracts start u[0], start = (q[1], 0), from the taps at the
+    first two samples. An underdamped oscillator runs it on its root
+    lambda+ with q scaled by -i/omega_d (see build_kernel_weights).
     """
     sos = np.array([[q[1], q[0], 0.0, 1.0, -pole, 0.0]])
     return sos, np.array([q[1], 0.0])
@@ -255,13 +292,14 @@ def _oscillator_filter(E: np.ndarray, Q: np.ndarray, poles, omega: float):
     eigenvalues of E. Each row of x is a real 3-tap numerator over D(w),
     (I - w adj E)(Q1 + w Q0); D(w) and the taps are real, so one complex
     numerator carries both rows, and the 1/omega keeps the velocity's
-    rounding out of the position. sos is that numerator over the two
-    complex first-order sections, so nothing divides by p+ - p-.
+    rounding out of the position. The filter is that numerator over
+    the pole p+, then a second section on p- alone, so nothing divides
+    by p+ - p-.
 
     Unstarted, the filter gives x[0] = Q1 u[0] and its homogeneous tail
     E^k Q1 u[0] = (I - w adj E) Q1 / D(w) applied to u[0]; start holds
-    the two taps of (I - w adj E) Q1 in the same packing, which the first
-    block's initial state subtracts.
+    the two taps of (I - w adj E) Q1 in the same packing, which a fresh
+    start subtracts, times u[0], from the taps at the first two samples.
     """
     adj = np.array([[E[1, 1], -E[0, 1]], [-E[1, 0], E[0, 0]]])
     q0, q1 = Q[:, 0], Q[:, 1]
@@ -289,23 +327,59 @@ def _modal_response(
     if given. Otherwise every retained general mode runs and the modal
     sum is complex.
 
-    A fresh carry starts each filter's first section from -start u[0],
-    which makes the unit's state zero at the first sample.
+    Each unit runs in one buffer x: row 0 holds a section's carried
+    output and rows 1.. the first section's taps of the block's inputs,
+    then each section solves x in place, _SOLVE rows per ztbsv, each
+    solve's row 0 the output before its rows, and hands its output to
+    the next. So every row takes the same BLAS step wherever a block or
+    a solve starts; a tap's products of the carried inputs and of the
+    block's are NumPy array products alike, which round the same at
+    every length. A fresh carry subtracts u[0] start from the taps at
+    the first two samples, which makes the unit's state zero at the
+    first sample. Raises GridMismatch if the carry was started under
+    other weights or on a phi of the other dtype.
     """
     folded = weights.units is not None and not np.iscomplexobj(phi)
     members = weights.units if folded else range(len(weights.sos))
     modal_u = spectral.project(phi, folded)  # (units, B)
-    if carry.state is None:
-        carry.state = [np.zeros((len(weights.sos[j]), 2), dtype=complex) for j in members]
-        for zi, j, u0 in zip(carry.state, members, modal_u[:, 0]):
-            zi[0] = -weights.start[j] * u0
+    fresh = carry.state is None
+    if fresh:
+        carry.weights = weights
+        carry.state = [np.zeros(2 + len(weights.sos[j]), dtype=complex) for j in members]
+    elif carry.weights is not weights:
+        raise GridMismatch("carry was started under other weights")
     elif len(carry.state) != len(members):
         raise GridMismatch("carry was started on a phi of the other dtype")
     stacked = folded or spectral.kind == "structural"
     X = np.empty((2,) + modal_u.shape) if stacked else np.empty(modal_u.shape, complex)
+    B = modal_u.shape[1]
+    x = np.empty(B + 1, dtype=complex)  # a section's carried output, then its rows
+    tap = np.empty(B, dtype=complex)  # the inputs, cast once and scaled by a tap
+    y = x[1:]
     for k, j in enumerate(members):
-        sos = weights.sos[j]
-        y, carry.state[k] = sosfilt(sos, modal_u[k], zi=carry.state[k])
+        sos, state, u = weights.sos[j], carry.state[k], modal_u[k]
+        tap[:] = u
+        np.multiply(tap, sos[0, 0], out=y)
+        for lag in (1, 2):
+            if sos[0, lag] != 0.0:
+                if lag == 2:  # lag 1 scaled the inputs in place
+                    tap[:] = u
+                tap *= sos[0, lag]
+                # the inputs lag samples back: the carried ones, then u's
+                h = min(lag, B)
+                y[:h] += state[2 - lag : 2 - lag + h] * sos[0, lag]
+                y[lag:] += tap[: B - lag]
+        if fresh:
+            y[:2] -= u[0] * weights.start[j]
+        state[:2] = u[-2:] if B > 1 else (state[1], u[0])
+        for i, band in enumerate(weights.bands[j], start=2):
+            x[0] = state[i]
+            for r in range(0, B, _SOLVE):
+                n = min(_SOLVE, B - r)
+                # rows r .. r + n of x, row r the output before them; the
+                # arguments after x: incx, offx, lower, trans, diag, overwrite_x
+                ztbsv(1, band[:, : n + 1], x, 1, r, 1, 0, 1, 1)
+            state[i] = x[B]
         if not stacked:
             X[k] = y
         elif weights.mu is None or len(sos) == 2:
@@ -323,7 +397,7 @@ def _modal_response(
 def _enforce_real(Z: np.ndarray, context: str) -> np.ndarray:
     """The one realness policy of every modal sum: a real Z is returned
     unchanged, a complex one as its real part unless its largest imaginary
-    part exceeds 1e-10 x its largest magnitude (RealnessCheckFailed).
+    part exceeds 1e-10 x its largest magnitude (_check_residue).
 
     The largest magnitude is at least the largest real part, so a residue
     within 1e-10 x the latter passes without the magnitude pass."""
@@ -331,13 +405,18 @@ def _enforce_real(Z: np.ndarray, context: str) -> np.ndarray:
         return Z
     resid = np.abs(Z.imag).max(initial=0.0)
     if resid > _REALNESS_TOL * np.abs(Z.real).max(initial=0.0):
-        scale = np.abs(Z).max()
-        if scale > 0.0 and resid > _REALNESS_TOL * scale:
-            raise RealnessCheckFailed(
-                f"{context}: imaginary residue {resid:.3e} exceeds "
-                f"{_REALNESS_TOL:g} x scale {scale:.3e}"
-            )
+        _check_residue(resid, np.abs(Z).max(), context)
     return np.ascontiguousarray(Z.real)
+
+
+def _check_residue(resid: float, scale: float, context: str) -> None:
+    """RealnessCheckFailed if the largest imaginary part resid of a
+    complex sum exceeds 1e-10 x its largest magnitude scale."""
+    if scale > 0.0 and resid > _REALNESS_TOL * scale:
+        raise RealnessCheckFailed(
+            f"{context}: imaginary residue {resid:.3e} exceeds "
+            f"{_REALNESS_TOL:g} x scale {scale:.3e}"
+        )
 
 
 def propagate_order(
@@ -367,7 +446,8 @@ def propagate_order(
         The order's state between time blocks (see Carry). None, or a
         fresh Carry, makes phi the start of the grid (at least 2 samples);
         the blocks' results equal the whole grid's up to the rounding of
-        the modal matrix products.
+        the modal matrix products. A carry belongs to the weights it was
+        started with.
     out : (state_dim, B) real array, optional
         Where to write the result, for instance a block of a coefficient
         tensor's slot. The structural path and the folded general path
@@ -379,8 +459,10 @@ def propagate_order(
     Returns
     -------
     (state_dim, B) real array (out, if given): _modal_response, one path
-    for both kinds, through _enforce_real, the one realness policy (a
-    real sum passes as it is).
+    for both kinds, run on at most _CHUNK samples at a time, so that its
+    modal temporaries do not grow with B; a complex modal sum takes the
+    realness policy of _enforce_real over the whole grid (a real sum
+    passes as it is).
 
     Raises GridMismatch if phi, out, the weights or the carry do not fit
     the grid, and RealnessCheckFailed if phi or the modal sum keeps an
@@ -398,8 +480,14 @@ def propagate_order(
         raise GridMismatch("weights were built for a different retained set")
     if out is not None and out.shape != phi.shape:
         raise GridMismatch(f"out has shape {out.shape}, expected {phi.shape}")
-    Z = _enforce_real(_modal_response(spectral, weights, phi, carry, out), "modal assembly")
-    if out is None or Z is out:
-        return Z
-    out[...] = Z
-    return out
+    Z = np.empty(phi.shape) if out is None else out
+    resid = scale = 0.0
+    for s in range(0, phi.shape[1], _CHUNK):
+        part = Z[:, s : s + _CHUNK]
+        sums = _modal_response(spectral, weights, phi[:, s : s + _CHUNK], carry, part)
+        if sums is not part:  # the complex route
+            resid = max(resid, np.abs(sums.imag).max())
+            scale = max(scale, np.abs(sums).max())
+            part[...] = sums.real
+    _check_residue(resid, scale, "modal assembly")
+    return Z

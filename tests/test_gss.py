@@ -1151,6 +1151,43 @@ class TestBlasThreads:
         assert digests[0] == digests[1]
 
 
+class TestImportFootprint:
+    def test_solves_never_import_scipy_signal(self):
+        # a fresh interpreter runs each filter route and a sweep: the
+        # package needs only scipy.linalg and scipy.fft
+        script = textwrap.dedent('''
+            import sys
+            import numpy as np
+            from steadystate import (build_duffing, build_gyroscopic_2dof, build_oscillator_chain,
+                                     compute_taylor_gss, decompose_structural, frc_sweep,
+                                     generate_forcing, polynomial_field, reduced_gss, reduced_model)
+
+            def tones(n):
+                return generate_forcing("two_tone", n=n, duration=20.0, dt=0.02, delta=0.05,
+                                        dofs=(0,), w1=1.1, w2=0.37)
+
+            # one-section oscillators, two-section ones, a folded general system
+            for system in (build_oscillator_chain(3), build_duffing(zeta=1.0),
+                           build_gyroscopic_2dof(kappa3=0.5)):
+                compute_taylor_gss(system, tones(system.n), order=3, check_divergence=False)
+            # the complex route: the Duffing oscillator in reduced coordinates
+            R = polynomial_field(2, 2, [((1, 0), [0.0, -1.0]), ((0, 1), [1.0, -0.1]),
+                                        ((3, 0), [0.0, -1.0])], min_degree=1)
+            W = polynomial_field(2, 2, [((1, 0), [1.0, 0.0]), ((0, 1), [0.0, 1.0])], min_degree=1)
+            reduced_gss(reduced_model(R, W, np.eye(2), np.eye(2)),
+                        decompose_structural(build_duffing(zeta=0.05)), tones(1), order=3)
+            frc_sweep(build_oscillator_chain(3), np.linspace(0.5, 1.5, 3), 0.05, order=3)
+            print("scipy.signal" in sys.modules)
+        ''')
+        src = str(pathlib.Path(gss.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["False"]
+
+
 def _modal_reduced_model(sys_, spec, mode):
     """Exact invariant-pair reduced model of one structural mode."""
     n = sys_.n

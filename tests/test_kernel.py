@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -519,6 +520,65 @@ class TestBlockedFilters:
         blocks = [propagate_order(spec, w, phi[:, :611], carry),
                   propagate_order(spec, w, phi[:, 611:], carry)]
         assert np.array_equal(np.hstack(blocks), whole)
+
+
+_LONG = [(_mixed_chain(), 0.01), (_one_general_mode(-5.0 + 200.0j), 0.01)]
+
+
+class TestLongGrids:
+    """A grid several kernel._CHUNK blocks long: propagate_order walks
+    it a block at a time with its own carry."""
+
+    @pytest.mark.parametrize("spec,dt", _LONG, ids=["structural", "general"])
+    def test_one_call_equals_two_blocks(self, spec, dt):
+        # one call over 3.5 blocks equals a Carry across a split that
+        # falls inside a block, bit for bit (the modal products are exact)
+        w = build_kernel_weights(spec, dt)
+        T = 7 * kernel._CHUNK // 2
+        phi = np.random.default_rng(3).standard_normal((spec.state_dim, T))
+        whole = propagate_order(spec, w, phi)
+        carry = Carry()
+        split = 2 * kernel._CHUNK - 1001
+        blocks = [propagate_order(spec, w, phi[:, :split], carry),
+                  propagate_order(spec, w, phi[:, split:], carry)]
+        assert np.array_equal(np.hstack(blocks), whole)
+
+    @pytest.mark.parametrize("spec,dt", _LONG, ids=["structural", "general"])
+    def test_memory_beyond_the_grids_does_not_grow(self, spec, dt):
+        # the weights' bands and every temporary are at most block-sized:
+        # a grid 4x longer only grows phi and the result
+        extra = []
+        for blocks in (2, 8):
+            T = blocks * kernel._CHUNK + 7
+            phi = np.random.default_rng(3).standard_normal((spec.state_dim, T))
+            tracemalloc.start()
+            try:
+                Z = propagate_order(spec, build_kernel_weights(spec, dt), phi)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - Z.nbytes)
+        assert extra[1] <= 1.05 * extra[0]
+
+    def test_carry_belongs_to_its_weights(self):
+        # a carry started under one set of weights refuses any other:
+        # another dt, another retained set, or the same weights rebuilt
+        spec = _mixed_chain()
+        w = build_kernel_weights(spec, 0.02)
+        phi = np.random.default_rng(3).standard_normal((spec.state_dim, 300))
+        whole = propagate_order(spec, w, phi)
+        carry = Carry()
+        head = propagate_order(spec, w, phi[:, :100], carry)
+        assert carry.weights is w
+        sub = with_retained(spec, (0, 1))
+        for other_spec, other in [(spec, build_kernel_weights(spec, 0.04)),
+                                  (sub, build_kernel_weights(sub, 0.02)),
+                                  (spec, build_kernel_weights(spec, 0.02))]:
+            with pytest.raises(GridMismatch, match="other weights"):
+                propagate_order(other_spec, other, phi[:, 100:], carry)
+        # a refused block leaves the carry as it was
+        tail = propagate_order(spec, w, phi[:, 100:], carry)
+        assert np.array_equal(np.hstack([head, tail]), whole)
 
 
 def _general_system(name):
