@@ -8,9 +8,14 @@ coefficient tensors of chain-noise, duffing-critical and dashpot-roundtrip
 Pade den and num (pade_resum at the workload's [L/M]) and its trajectory
 at the forcing sup (evaluate_at_amplitude), and the frc-chain amplitudes
 (the one-thread sweep), each with its shape and the SHA-256 of its bytes.
-One output comes from no workload: qp-duffing is the 'qp' backend's
+Two outputs come from no workload: qp-duffing is the 'qp' backend's
 tensor (compute_taylor_gss) of the acceptance criterion 8(a) Duffing
-oscillator under its two-tone forcing at dt 0.02, order 5.
+oscillator under its two-tone forcing at dt 0.02, order 5; reduced is
+the reduced_gss tensor, order 5, of the trivial reduction of the 4-mass
+S1 chain (R its first-order field and W the identity lift, built as in
+the test suite, the tangent matrices the identity) on an S1 record over
+three cascade blocks long, the one output whose kernel filters take a
+complex modal input.
 Each noise workload also gives its forcing record (chain-noise-forcing,
 duffing-forcing, dashpot-forcing): forcing.samples, flattened, followed
 by forcing.max_magnitude, so one digest covers both; a run that asks
@@ -50,7 +55,14 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from perfbench import workloads  # noqa: E402
-from steadystate import build_duffing, generate_forcing, gss  # noqa: E402
+from steadystate import (  # noqa: E402
+    build_duffing,
+    decompose_structural,
+    generate_forcing,
+    gss,
+    reduced_model,
+)
+from tests.conftest import first_order_field, identity_lift  # noqa: E402
 
 # the forcing record of each noise workload, the first of its outputs
 FORCING = {
@@ -58,8 +70,8 @@ FORCING = {
     "duffing-critical": "duffing-forcing",
     "dashpot-roundtrip": "dashpot-forcing",
 }
-# the outputs of each workload (and of qp-duffing, which is none), in the
-# order they are printed
+# the outputs of each workload (and of qp-duffing and reduced, which are
+# none), in the order they are printed
 OUTPUTS = {
     "chain-noise": ("chain-noise-forcing", "chain-noise"),
     "duffing-critical": ("duffing-forcing", "duffing-critical"),
@@ -69,6 +81,7 @@ OUTPUTS = {
     ),
     "frc-chain": ("frc-chain",),
     "qp-duffing": ("qp-duffing",),
+    "reduced": ("reduced",),
 }
 ALL = [name for made in OUTPUTS.values() for name in made]
 SLICE = 8192
@@ -119,6 +132,20 @@ def _qp_outputs(name, names):
     yield name, _stacked(expansion.tensor)
 
 
+def _reduced_outputs(name, names):
+    """(name, array) of the reduced_gss tensor of the 4-mass S1 chain's
+    trivial reduction."""
+    system = workloads._s1_chain(4)
+    dim = system.state_dim
+    forcing = workloads._s1_forcing(dict(n=4, duration=25.0, pad=1000))
+    eye = np.eye(dim)
+    model = reduced_model(first_order_field(system), identity_lift(dim), eye, eye)
+    expansion = workloads.quiet(
+        gss.reduced_gss, model, decompose_structural(system), forcing, 5
+    )
+    yield name, _stacked(expansion.tensor)
+
+
 def outputs(names=None):
     """(name, array) of the fingerprinted outputs in names (default:
     all), computed one at a time; a workload runs only if it makes one
@@ -126,7 +153,9 @@ def outputs(names=None):
     names = set(names or ALL)
     for source, made in OUTPUTS.items():
         if not names.isdisjoint(made):
-            run = _qp_outputs if source == "qp-duffing" else _workload_outputs
+            run = {"qp-duffing": _qp_outputs, "reduced": _reduced_outputs}.get(
+                source, _workload_outputs
+            )
             yield from ((n, a) for n, a in run(source, names) if n in names)
 
 

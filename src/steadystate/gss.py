@@ -60,6 +60,7 @@ from .errors import (
     UnstableLinearPart,
 )
 from .kernel import (
+    _CHUNK,
     Carry,
     _enforce_real,
     _modal_response,
@@ -92,8 +93,9 @@ __all__ = [
 _BACKENDS = ("kernel", "qp")
 # samples per time block of the cascade: every order is composed and
 # propagated one block at a time, so composition products and per-order
-# temporaries stay block-length and in cache
-_BLOCK = 8192
+# temporaries stay block-length and in cache; the kernel's own block, so
+# that propagate_order runs each cascade block in one piece
+_BLOCK = _CHUNK
 
 
 @dataclass(frozen=True)

@@ -22,33 +22,33 @@ eigenvalue or an eigenvalue difference.
 Both kinds then take one path: SpectralData.project, one filter per
 unit started so that its state is zero at the first sample,
 SpectralData.reconstruct, and _enforce_real, the one realness policy of
-every modal sum in the package. A filter is a cascade of first-order
-sections, y[k] = p y[k-1] + v[k], the first of which takes the
-numerator taps v[k] = b0 u[k] + b1 u[k-1] + b2 u[k-2] of the unit's
-input u and every later one the previous section's output. NumPy
-applies the taps, and each section is a unit lower-bidiagonal solve,
-BLAS ztbsv on a band with -p below its diagonal (Dongarra, Du Croz,
-Hammarling & Hanson, ACM TOMS 14, 1988). A general mode is one
-first-order section. When the input is real and every retained mode
+every modal sum in the package. A filter is three numerator taps over
+one or two poles: the taps give v[k] = b0 u[k] + b1 u[k-1] + b2 u[k-2]
+of the unit's input u, and each pole p in turn a first-order section
+y[k] = p y[k-1] + v[k], the first on v and a second on the first's
+output. NumPy applies the taps, and each section is a unit
+lower-bidiagonal solve, BLAS ztbsv on a band with -p below its diagonal
+(Dongarra, Du Croz, Hammarling & Hanson, ACM TOMS 14, 1988). A general
+mode is one pole. When the input is real and every retained mode
 has its exact conjugate beside it (SpectralData._folded), a conjugate
-pair runs as one unit, the section of its positive-imaginary member,
+pair runs as one unit, the filter of its positive-imaginary member,
 whose response the real sum 2 Re(V+ y) adds, and a real eigenvalue as
 its own unit; otherwise (a split pair, the complex input of reduced
 coordinates) every member runs and the complex modal sum goes through
 _enforce_real. An oscillator whose roots are a complex pair lambda+-,
-with zeta below a cut-over, is one first-order section too: its
-positive-frequency mode y, scaled by -i/omega_d so that Re y is the
-position and Re(mu y), mu = lambda+/omega, the velocity over omega (the
-input is real, so the conjugate mode adds nothing else). A
+with zeta below a cut-over, is one pole too: its positive-frequency
+mode y, scaled by -i/omega_d so that Re y is the position and Re(mu y),
+mu = lambda+/omega, the velocity over omega (the input is real, so the
+conjugate mode adds nothing else). A
 near-critical or overdamped oscillator, whose two roots come close, is
-one complex filter of two sections whose real part is the position and
+one complex filter of two poles whose real part is the position and
 whose imaginary part is the velocity over omega. Both real sums, the
 folded general one and the structural one, are written straight into
 the caller's grid (propagate_order's out).
 
 Every propagator is a causal filter, so a grid can be propagated in
 consecutive time blocks: a Carry hands the last two inputs and each
-section's last output at the end of one block to the next.
+pole's last output at the end of one block to the next.
 propagate_order walks a grid longer than _CHUNK samples in such blocks
 itself, and a ztbsv call solves at most _SOLVE rows. Each solve starts
 from the output before its rows as its row 0, so every row takes the
@@ -79,18 +79,18 @@ __all__ = [
 ]
 
 _CRITICAL_TAG = 1e-9  # reported branch tag
-# oscillators with zeta below this run as one first-order section; closer
-# to zeta = 1 the 1/omega_d scaling of that form loses digits, so the
-# two-section filter takes over
+# oscillators with zeta below this run on one pole; closer to zeta = 1
+# the 1/omega_d scaling of that form loses digits, so the two-pole
+# filter takes over
 _ONE_SECTION_ZETA = 0.99
 _REALNESS_TOL = 1e-10
-# samples per _modal_response call of propagate_order, one cascade block
-# (gss._BLOCK), so that a long grid's modal temporaries stay this long
+# samples per _modal_response call of propagate_order, and gss._BLOCK,
+# one cascade block, so that a long grid's modal temporaries stay this long
 _CHUNK = 8192
-# rows per ztbsv call. The weights, bands included, are built anew per
-# solve, and bands as long as a block (256 KiB a section) grew the heap
-# past what glibc malloc keeps between solves, so each solve faulted its
-# pages in again; 2,048-row bands (64 KiB) cost a few more calls instead
+# rows per ztbsv call: the length of the band each _modal_response call
+# fills per pole with its -p. A band as long as a block (256 KiB) made
+# glibc malloc trim and refault heap pages every solve, and its fill cost
+# more than the calls it saved; a 2,048-row band (64 KiB) costs a few calls
 _SOLVE = 2048
 
 
@@ -167,19 +167,16 @@ def _regime(omega: float, zeta: float) -> str:
 class KernelWeights:
     """Per retained mode: the filter that propagates it.
 
-    sos[j] is mode j's filter as (sections, 6) complex rows (b0, b1, b2,
-    1, -p, 0), built once so that every time block reuses it: one
-    first-order section for a general mode and for an oscillator with
-    zeta below the cut-over (see _exponent_filter), two sections for any
-    other oscillator (see _oscillator_filter). Only the first section
-    has taps; a later one has b = (1, 0, 0) and filters the output of the
-    one before. bands[j] holds each section's band for ztbsv (see
-    _band). start[j] holds the two taps of its first section that a
-    fresh start cancels. On the structural path Re y of the filter
-    output y is the position and Re(mu[j] y) the velocity over omega:
-    mu = lambda+/omega for one section, -1j for two (whose Im y is taken
-    as it is). branches[j] tags an oscillator's regime; mu and branches
-    are None on the general path. units, on the general path, holds the
+    Mode j's filter is its numerator taps[j] = (b0, b1, b2) over
+    poles[j], built once so that every time block reuses it: one pole
+    for a general mode and for an oscillator with zeta below the
+    cut-over (see _exponent_filter), two for any other oscillator (see
+    _oscillator_filter). start[j] holds the two taps that a fresh start
+    cancels. On the structural path Re y of the filter output y is the
+    position and Re(mu[j] y) the velocity over omega: mu = lambda+/omega
+    for one pole, -1j for two (whose Im y is taken as it is).
+    branches[j] tags an oscillator's regime; mu and branches are None
+    on the general path. units, on the general path, holds the
     positions of the folded units' first members (see
     SpectralData._folded) when every pair's filters are exact conjugates
     too and a real eigenvalue's filter is real; a real input then runs
@@ -188,8 +185,8 @@ class KernelWeights:
 
     kind: str
     retained: tuple
-    sos: tuple  # per mode, (1, 6) or (2, 6) complex
-    bands: tuple  # per mode, one (2, _SOLVE + 1) complex band per section
+    taps: np.ndarray  # (m, 3) complex
+    poles: tuple  # per mode, (p,) or (p+, p-)
     start: np.ndarray  # (m, 2) complex
     mu: np.ndarray | None = None  # (m,) complex
     branches: tuple | None = None
@@ -212,8 +209,8 @@ def build_kernel_weights(spectral: SpectralData, dt: float) -> KernelWeights:
         # a pair's second member sits next to its first; a real
         # eigenvalue is its own conjugate
         if folded is not None and all(
-            np.array_equal(filters[p + (lams[p].imag > 0.0)][0], np.conj(filters[p][0]))
-            for p in folded[0]
+            np.array_equal(filters[p + (lams[p].imag > 0.0)][i], np.conj(filters[p][i]))
+            for p in folded[0] for i in (0, 1)
         ):
             units = folded[0]
     else:
@@ -232,21 +229,11 @@ def build_kernel_weights(spectral: SpectralData, dt: float) -> KernelWeights:
                 filters.append(_oscillator_filter(E, Q, np.exp(np.array(roots) * dt), w))
                 mu.append(-1j)
         branches, mu = tuple(branches), np.array(mu, dtype=complex)
-    sos, start = zip(*filters)
+    taps, poles, start = zip(*filters)
     return KernelWeights(
-        kind=spectral.kind, retained=retained, sos=sos,
-        bands=tuple(tuple(_band(section[4]) for section in f) for f in sos),
+        kind=spectral.kind, retained=retained, taps=np.array(taps), poles=poles,
         start=np.array(start), mu=mu, branches=branches, units=units,
     )
-
-
-def _band(minus_pole: complex) -> np.ndarray:
-    """One section's band for ztbsv: the unit lower-bidiagonal matrix of
-    y[k] - p y[k-1] in (2, _SOLVE + 1) Fortran-ordered band storage, the
-    diagonal 1 in row 0 (never read at diag=1) and minus_pole (-p) in
-    row 1. band[:, :n] is still Fortran-contiguous, so a shorter solve
-    takes no copy."""
-    return np.tile(np.array([1.0, minus_pole]), _SOLVE + 1).reshape(-1, 2).T
 
 
 @dataclass
@@ -262,7 +249,7 @@ class Carry:
     weights raises GridMismatch. state is the list of the propagated
     units' complex states, one per folded unit (see KernelWeights) or
     else per retained mode: the unit's last two inputs u[-2] and u[-1],
-    then each section's last output.
+    then each pole's last output.
     """
 
     state: list | None = None
@@ -270,22 +257,21 @@ class Carry:
 
 
 def _exponent_filter(q: np.ndarray, pole: complex):
-    """The one-section filter that runs w[k] = pole w[k-1] + q[0] u[k-1]
-    + q[1] u[k] for one general mode, pole = e^{lambda dt}: the taps
-    (q[1], q[0], 0) over the pole.
+    """(taps, poles, start) of the filter that runs w[k] = pole w[k-1]
+    + q[0] u[k-1] + q[1] u[k] for one general mode, pole = e^{lambda dt}:
+    the taps (q[1], q[0], 0) over the one pole.
 
     Unstarted, it gives w[0] = q[1] u[0], which a fresh start cancels:
     it subtracts start u[0], start = (q[1], 0), from the taps at the
     first two samples. An underdamped oscillator runs it on its root
     lambda+ with q scaled by -i/omega_d (see build_kernel_weights).
     """
-    sos = np.array([[q[1], q[0], 0.0, 1.0, -pole, 0.0]])
-    return sos, np.array([q[1], 0.0])
+    return np.array([q[1], q[0], 0.0]), (pole,), np.array([q[1], 0.0])
 
 
 def _oscillator_filter(E: np.ndarray, Q: np.ndarray, poles, omega: float):
-    """The filter that runs x[k] = E x[k-1] + Q0 u[k-1] + Q1 u[k] as
-    y = x[0] + 1j x[1] / omega.
+    """(taps, poles, start) of the filter that runs x[k] = E x[k-1]
+    + Q0 u[k-1] + Q1 u[k] as y = x[0] + 1j x[1] / omega.
 
     With w the one-step delay, (I - w E)^{-1} = (I - w adj E) / D(w) and
     D(w) = (1 - p+ w)(1 - p- w), where poles = (p+, p-) are the
@@ -298,18 +284,15 @@ def _oscillator_filter(E: np.ndarray, Q: np.ndarray, poles, omega: float):
 
     Unstarted, the filter gives x[0] = Q1 u[0] and its homogeneous tail
     E^k Q1 u[0] = (I - w adj E) Q1 / D(w) applied to u[0]; start holds
-    the two taps of (I - w adj E) Q1 in the same packing, which a fresh
-    start subtracts, times u[0], from the taps at the first two samples.
+    the two taps of (I - w adj E) Q1, packed as the numerator is, which
+    a fresh start subtracts, times u[0], from the taps at the first two
+    samples.
     """
     adj = np.array([[E[1, 1], -E[0, 1]], [-E[1, 0], E[0, 0]]])
     q0, q1 = Q[:, 0], Q[:, 1]
     pack = np.array([1.0, 1.0j / omega])
-    sos = np.zeros((2, 6), dtype=complex)
-    sos[0, :3] = pack @ np.column_stack([q1, q0 - adj @ q1, -(adj @ q0)])
-    sos[1, 0] = 1.0
-    sos[:, 3] = 1.0
-    sos[:, 4] = -np.asarray(poles)
-    return sos, pack @ np.column_stack([q1, -(adj @ q1)])
+    taps = pack @ np.column_stack([q1, q0 - adj @ q1, -(adj @ q0)])
+    return taps, tuple(poles), pack @ np.column_stack([q1, -(adj @ q1)])
 
 
 def _modal_response(
@@ -327,25 +310,26 @@ def _modal_response(
     if given. Otherwise every retained general mode runs and the modal
     sum is complex.
 
-    Each unit runs in one buffer x: row 0 holds a section's carried
-    output and rows 1.. the first section's taps of the block's inputs,
-    then each section solves x in place, _SOLVE rows per ztbsv, each
-    solve's row 0 the output before its rows, and hands its output to
-    the next. So every row takes the same BLAS step wherever a block or
-    a solve starts; a tap's products of the carried inputs and of the
-    block's are NumPy array products alike, which round the same at
-    every length. A fresh carry subtracts u[0] start from the taps at
-    the first two samples, which makes the unit's state zero at the
-    first sample. Raises GridMismatch if the carry was started under
-    other weights or on a phi of the other dtype.
+    Each unit's inputs go into one buffer v behind its two carried
+    ones, so the taps take one product per tap of a shifted view of v,
+    the carried inputs and the block's alike, which rounds the same at
+    every length. The taps' sum goes into rows 1.. of a buffer x whose
+    row 0 holds a pole's carried output; each pole in turn fills the
+    call's one band with its -p and solves x in place, _SOLVE rows per
+    ztbsv, each solve's row 0 the output before its rows. So every row
+    takes the same BLAS step wherever a block or a solve starts. A fresh
+    carry subtracts u[0] start from the taps at the first two samples,
+    which makes the unit's state zero at the first sample. Raises
+    GridMismatch if the carry was started under other weights or on a
+    phi of the other dtype.
     """
     folded = weights.units is not None and not np.iscomplexobj(phi)
-    members = weights.units if folded else range(len(weights.sos))
+    members = weights.units if folded else range(len(weights.poles))
     modal_u = spectral.project(phi, folded)  # (units, B)
     fresh = carry.state is None
     if fresh:
         carry.weights = weights
-        carry.state = [np.zeros(2 + len(weights.sos[j]), dtype=complex) for j in members]
+        carry.state = [np.zeros(2 + len(weights.poles[j]), dtype=complex) for j in members]
     elif carry.weights is not weights:
         raise GridMismatch("carry was started under other weights")
     elif len(carry.state) != len(members):
@@ -353,26 +337,27 @@ def _modal_response(
     stacked = folded or spectral.kind == "structural"
     X = np.empty((2,) + modal_u.shape) if stacked else np.empty(modal_u.shape, complex)
     B = modal_u.shape[1]
-    x = np.empty(B + 1, dtype=complex)  # a section's carried output, then its rows
-    tap = np.empty(B, dtype=complex)  # the inputs, cast once and scaled by a tap
+    v = np.empty(B + 2, dtype=complex)  # the two carried inputs, then the block's
+    x = np.empty(B + 1, dtype=complex)  # a pole's carried output, then its rows
+    tap = np.empty(B, dtype=complex)  # the inputs lag samples back, times a tap
+    # y[k] - p y[k-1] as a unit lower-bidiagonal band, Fortran-ordered so
+    # that band[:, :n] is too, -p in row 1; row 0, the diagonal, is unread
+    # at diag=1, so one contiguous fill of both rows sets it (a strided
+    # fill of row 1 alone takes about 4x as long)
+    band = np.empty((2, _SOLVE + 1), dtype=complex, order="F")
     y = x[1:]
     for k, j in enumerate(members):
-        sos, state, u = weights.sos[j], carry.state[k], modal_u[k]
-        tap[:] = u
-        np.multiply(tap, sos[0, 0], out=y)
+        b, state, u = weights.taps[j], carry.state[k], modal_u[k]
+        v[:2], v[2:] = state[:2], u
+        np.multiply(v[2:], b[0], out=y)
         for lag in (1, 2):
-            if sos[0, lag] != 0.0:
-                if lag == 2:  # lag 1 scaled the inputs in place
-                    tap[:] = u
-                tap *= sos[0, lag]
-                # the inputs lag samples back: the carried ones, then u's
-                h = min(lag, B)
-                y[:h] += state[2 - lag : 2 - lag + h] * sos[0, lag]
-                y[lag:] += tap[: B - lag]
+            if b[lag] != 0.0:
+                y += np.multiply(v[2 - lag : B + 2 - lag], b[lag], out=tap)
         if fresh:
             y[:2] -= u[0] * weights.start[j]
-        state[:2] = u[-2:] if B > 1 else (state[1], u[0])
-        for i, band in enumerate(weights.bands[j], start=2):
+        state[:2] = v[B:]
+        for i, pole in enumerate(weights.poles[j], start=2):
+            band.fill(-pole)
             x[0] = state[i]
             for r in range(0, B, _SOLVE):
                 n = min(_SOLVE, B - r)
@@ -382,7 +367,7 @@ def _modal_response(
             state[i] = x[B]
         if not stacked:
             X[k] = y
-        elif weights.mu is None or len(sos) == 2:
+        elif weights.mu is None or len(weights.poles[j]) == 2:
             X[0, k], X[1, k] = y.real, y.imag
         else:
             # Re(mu y), elementwise: a matrix product would round it

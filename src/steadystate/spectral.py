@@ -75,6 +75,21 @@ class SpectralData:
     zeta: np.ndarray | None = None  # (n,)
     U: np.ndarray | None = None  # (n, n) real
 
+    def __post_init__(self):
+        """InvalidParameters unless retained is a non-empty set of
+        distinct unit indices: integers, not bools, in 0..units-1."""
+        units = len(self.eigenvalues if self.kind == "general" else self.omega)
+        r = self.retained
+        if not (
+            len(r) > 0
+            and all(isinstance(j, (int, np.integer)) and not isinstance(j, bool) for j in r)
+            and len(set(r)) == len(r)
+            and all(0 <= j < units for j in r)
+        ):
+            raise InvalidParameters(
+                f"retained must be distinct unit indices in 0..{units - 1}, got {r}"
+            )
+
     @cached_property
     def _roots(self):
         """Per unit, retained or not, its roots, the slower first, built

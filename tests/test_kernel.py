@@ -186,10 +186,11 @@ class TestBuildWeights:
         spec = decompose_general(sys_)
         w = build_kernel_weights(spec, 0.05)
         assert w.kind == "general"
-        assert [sos.shape for sos in w.sos] == [(1, 6)] * 4
+        assert w.taps.shape == (4, 3)
+        assert [len(p) for p in w.poles] == [1] * 4
         assert w.start.shape == (4, 2)
         assert w.mu is None
-        poles = np.array([-sos[0, 4] for sos in w.sos])
+        poles = np.array([p[0] for p in w.poles])
         assert np.abs(poles - np.exp(spec.eigenvalues * 0.05)).max() < 1e-15
 
     def test_structural_fields(self, rng):
@@ -199,7 +200,8 @@ class TestBuildWeights:
         assert w.kind == "structural"
         # one section below the zeta cut-over, two from it on
         sections = [1 if z < _ONE_SECTION_ZETA else 2 for z in spec.zeta]
-        assert [sos.shape for sos in w.sos] == [(k, 6) for k in sections]
+        assert w.taps.shape == (3, 3)
+        assert [len(p) for p in w.poles] == sections
         assert w.start.shape == (3, 2)
         assert w.mu.shape == (3,)
         assert len(w.branches) == 3
@@ -210,7 +212,8 @@ class TestBuildWeights:
         w = build_kernel_weights(spec, 0.05)
         assert w.retained == (0, 2)
         sections = [1 if spec.zeta[j] < _ONE_SECTION_ZETA else 2 for j in (0, 2)]
-        assert [sos.shape for sos in w.sos] == [(k, 6) for k in sections]
+        assert w.taps.shape == (2, 3)
+        assert [len(p) for p in w.poles] == sections
 
     def test_bad_dt(self, rng):
         sys_ = random_system(rng, 2, structural=True, n_terms=0)
@@ -508,18 +511,20 @@ class TestBlockedFilters:
         ids=["structural", "general", "mixed"],
     )
     def test_two_blocks_equal_one_pass(self, spec, dt):
-        # one Carry across a split of the 1,500 samples gives the
-        # one-pass result bit for bit
+        # one Carry across splits of the 1,500 samples gives the
+        # one-pass result bit for bit, also where blocks of one and two
+        # samples read both carried inputs
         w = build_kernel_weights(spec, dt)
         if spec.state_dim == 8:
-            assert [len(sos) for sos in w.sos] == [1, 1, 2, 2]
+            assert [len(p) for p in w.poles] == [1, 1, 2, 2]
         rng = np.random.default_rng(7)
         phi = rng.standard_normal((spec.state_dim, 1500))
         whole = propagate_order(spec, w, phi)
-        carry = Carry()
-        blocks = [propagate_order(spec, w, phi[:, :611], carry),
-                  propagate_order(spec, w, phi[:, 611:], carry)]
-        assert np.array_equal(np.hstack(blocks), whole)
+        for cuts in ([611], [2, 3, 4, 6, 7], [1498], [1499]):
+            carry, edges = Carry(), [0, *cuts, phi.shape[1]]
+            blocks = [propagate_order(spec, w, phi[:, s:e], carry)
+                      for s, e in zip(edges, edges[1:])]
+            assert np.array_equal(np.hstack(blocks), whole), cuts
 
 
 _LONG = [(_mixed_chain(), 0.01), (_one_general_mode(-5.0 + 200.0j), 0.01)]
@@ -545,8 +550,8 @@ class TestLongGrids:
 
     @pytest.mark.parametrize("spec,dt", _LONG, ids=["structural", "general"])
     def test_memory_beyond_the_grids_does_not_grow(self, spec, dt):
-        # the weights' bands and every temporary are at most block-sized:
-        # a grid 4x longer only grows phi and the result
+        # every temporary, the one band a call fills included, is at most
+        # block-sized: a grid 4x longer only grows phi and the result
         extra = []
         for blocks in (2, 8):
             T = blocks * kernel._CHUNK + 7

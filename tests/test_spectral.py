@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from steadystate import (
 )
 from steadystate.errors import (
     DefectiveSpectrum,
+    InvalidParameters,
     NearResonance,
     NotStructural,
     UnstableLinearPart,
@@ -243,6 +246,23 @@ class TestSelectModes:
         spec2 = with_retained(spec, (0,))
         assert spec2.retained == (0,)
         assert spec2.omega is spec.omega
+
+    @pytest.mark.parametrize("kind", ["structural", "general"])
+    def test_retained_set_is_validated(self, kind):
+        # a repeated unit would add its response twice and a negative
+        # index would wrap to the last unit: every decomposition refuses a
+        # set that is not distinct unit indices, however it is made
+        if kind == "structural":
+            spec = decompose_structural(build_oscillator_chain(3))
+        else:
+            spec = decompose_general(build_gyroscopic_2dof())
+        units = len(spec.omega if kind == "structural" else spec.eigenvalues)
+        for bad in [(0, 0), (0, 1, 0, 1), (-1,), (5,), (units,), (), (True,), (0, 1.0)]:
+            with pytest.raises(InvalidParameters, match="retained"):
+                with_retained(spec, bad)
+            with pytest.raises(InvalidParameters, match="retained"):
+                dataclasses.replace(spec, retained=bad)
+        assert with_retained(spec, (np.int64(units - 1), 0)).retained == (units - 1, 0)
 
 
 class TestContraction:
