@@ -9,7 +9,9 @@ composed with the partial sums, collected per total order.
 A field is F(z) = C m(y), monomials m in its linear forms y = Lambda z
 (PolynomialField; Lambda is the identity unless given). Since the forms
 are linear, their order-nu coefficients are y_nu = Lambda z_nu, computed
-once per live order and time block and kept in the CompositionCache.
+once per live order and time block from the columns of z_nu that some
+form reads (a spring chain's positions, not its velocities) and kept in
+the CompositionCache.
 A monomial is handled as its factor list, the form PolynomialField
 builds: its form indices in ascending order, each repeated as often as
 its exponent. For a factor list (i, rest...) of degree d, the order-nu
@@ -19,7 +21,13 @@ coefficient of the product along the expansion is
     H[(i, rest...), nu] = sum_{a=d-1}^{nu-1} H[(rest...), a] * y^i_{nu-a},
 
 and H = 0 whenever nu < d (each factor contributes at least order one).
-Phi_nu is then one contraction per order, C @ stack(H) over the terms.
+Phi_nu's force block is then one contraction per order, -C @ stack(H)
+over the terms. The solvers never form it: what the kernel filters
+take is its image P g_nu under a linear map P, the retained units' rows
+of the modal projection (SpectralData.force_rows), and since the map is
+linear it goes into the contraction's matrix, (-P C) @ stack(H). So the
+products meet the filters' modal inputs in one matmul, with no state
+grid between them (assemble_phi with a basis, compose_field with coef).
 
 The recursion runs on a batch of factor lists of one degree at a time,
 as the columns of their (rows, d) factor matrix: the pivot column picks
@@ -384,17 +392,19 @@ def _product(columns, nu, component, cache, product=operator.mul):
     return out
 
 
-def _form_component(forms, component, cache):
-    """component over the forms y = forms @ z: rows k of y_m, where y_m =
-    forms @ z_m is computed from order m's whole grid,
-    component(slice(None), m), once per order and kept in cache._forms
-    until the cache is cleared."""
+def _form_component(fld, component, cache):
+    """component over the forms y = forms @ z of fld: rows k of y_m,
+    where y_m is computed from the rows of order m's grid that some form
+    reads, component(columns, m) (fld._read_forms: on a spring chain the
+    positions, not the velocities), once per order and kept in
+    cache._forms until the cache is cleared."""
     grids = cache._forms
+    columns, forms = fld._read_forms
 
     def form(k, m):
         y = grids.get(m)
         if y is None:
-            y = grids[m] = forms @ component(slice(None), m)
+            y = grids[m] = forms @ component(columns, m)
         return y[k]
 
     return form
@@ -419,34 +429,42 @@ def _batches(factors, degrees, size):
 
 
 def compose_field(
-    fld: PolynomialField, component, nu, length, cache, dtype=float, product=operator.mul
+    fld: PolynomialField, component, nu, length, cache, dtype=float, product=operator.mul,
+    coef=None,
 ):
-    """Order-nu grid of fld evaluated along the expansion, shape (out_dim, length).
+    """Order-nu grid of fld evaluated along the expansion, shape (out_dim, length),
+    or of a linear map of it, shape (k, length).
 
     No sign convention applied; callers add their own. The recursion
     runs on the factor lists of the field's form terms: over the state
     rows component returns for the identity, over the forms y_m =
-    forms @ z_m otherwise (component(slice(None), m) must then return
-    order m's whole grid). Terms whose degree cannot reach nu (see
-    CompositionCache.reaches) contribute nothing and are skipped; the
-    others run in batches of one degree and up to
-    max(1, _BATCH_SAMPLES // length) terms (see the module docstring),
-    their products H are stacked in the field's term order, and the
-    result is one contraction C @ H with the coefficient matrix, so the
-    floating point result is deterministic and does not depend on the
-    batches. product is handed to the recursion (see _product).
+    forms @ z_m otherwise (component(columns, m) must then return the
+    rows of order m's grid that the forms read, see _form_component).
+    Terms whose degree cannot reach nu (see CompositionCache.reaches)
+    contribute nothing and are skipped; the others run in batches of one
+    degree and up to max(1, _BATCH_SAMPLES // length) terms (see the
+    module docstring), their products H are stacked in the field's term
+    order, and the result is one contraction coef @ H, so the floating
+    point result is deterministic and does not depend on the batches.
+    coef, (k, n_terms), defaults to the field's coefficient matrix C; a
+    caller that wants P F for a linear map P passes P C, so the map
+    costs no pass of its own. The result has the dtype of coef @ H.
+    product is handed to the recursion (see _product).
     """
+    coef = fld._coef if coef is None else coef
+    out_dtype = np.result_type(coef, dtype)
     degrees = tuple(d for d in fld.degrees if cache.reaches(d, nu))
     if not degrees:
-        return np.zeros((fld.out_dim, length), dtype=dtype)
+        return np.zeros((coef.shape[0], length), dtype=out_dtype)
     if fld.forms is not None:
-        component = _form_component(fld.forms, component, cache)
+        component = _form_component(fld, component, cache)
     live, batches = _batches(fld._factors, degrees, max(1, _BATCH_SAMPLES // length))
     H = np.empty((len(live), length), dtype=dtype)
     for rows, columns in batches:
         H[rows] = _product(columns, nu, component, cache, product)
-    coef = fld._coef if len(live) == fld.n_terms else fld._coef[:, list(live)]
-    return np.matmul(coef, H, out=np.empty((fld.out_dim, length), dtype=dtype))
+    if len(live) != fld.n_terms:
+        coef = coef[:, list(live)]
+    return np.matmul(coef, H, out=np.empty((coef.shape[0], length), dtype=out_dtype))
 
 
 def assemble_phi(
@@ -456,28 +474,40 @@ def assemble_phi(
     forcing_grid=None,
     cache: CompositionCache | None = None,
     product=operator.mul,
+    basis=None,
 ):
-    """Inhomogeneity grid Phi_nu for a mechanical system, shape (2n, T).
+    """Inhomogeneity Phi_nu for a mechanical system: its grid, shape
+    (2n, T), or with a basis P, shape (k, n), the image P g_nu of its
+    force block g_nu, shape (k, T).
 
-    Order 1 is the normalized forcing itself: forcing_grid must be the
-    (T, n) sample array with unit sup row norm, and the result is its
-    transpose stacked over a zero lower block. For nu >= 2 the top block
-    is minus the order-nu composition of the internal force field (the
-    field enters the balance on the left-hand side), the lower block is
-    identically zero, and orders 1..nu-1 of the tensor must be filled.
-    Those orders are composed with product (see _product) and the result
-    has the tensor's dtype, so a complex tensor of harmonic coefficients
-    (T then counts harmonics) gives Phi_nu's harmonic coefficients.
-    Without a cache, every order of the tensor counts as live, so any
-    filled grids compose; compute_taylor_gss passes a cache built from
-    the field's degrees, whose tensor reads as zeros at the orders the
-    field cannot reach.
+    Phi_nu = (g_nu, 0): its lower block is identically zero. Order 1 is
+    the normalized forcing itself: forcing_grid must be the (T, n)
+    sample array with unit sup row norm, and g_1 is its transpose. For
+    nu >= 2, g_nu is minus the order-nu composition C @ H of the
+    internal force field (the field enters the balance on the left-hand
+    side), and orders 1..nu-1 of the tensor must be filled. The map is
+    linear, so the basis goes into the composition's one contraction:
+    P g_nu is (-P C) @ H, with no (2n, T) grid, negation pass or (n, T)
+    force block made; order 1 is P g_1. The cascades pass
+    SpectralData.force_rows as P and get the modal inputs
+    propagate_order takes. Without a basis the same contraction, with
+    -C, gives the top block of the (2n, T) grid.
+
+    The orders are composed with product (see _product) and the result
+    has the dtype of the tensor's and P's product, so a complex tensor
+    of harmonic coefficients (T then counts harmonics) gives Phi_nu's
+    harmonic coefficients. Without a cache, every order of the tensor
+    counts as live, so any filled grids compose; compute_taylor_gss
+    passes a cache built from the field's degrees, whose tensor reads as
+    zeros at the orders the field cannot reach.
     """
     n = system.n
     if tensor.state_dim != 2 * n:
         raise DimensionMismatch(
             f"tensor state dim {tensor.state_dim} != system state dim {2 * n}"
         )
+    if basis is not None and (np.ndim(basis) != 2 or np.shape(basis)[1] != n):
+        raise DimensionMismatch(f"basis has shape {np.shape(basis)}, expected (k, {n})")
     T = tensor.length
     if nu == 1:
         if forcing_grid is None:
@@ -485,6 +515,8 @@ def assemble_phi(
         g = np.asarray(forcing_grid, dtype=float)
         if g.shape != (T, n):
             raise GridMismatch(f"forcing grid shape {g.shape} != ({T}, {n})")
+        if basis is not None:
+            return basis @ g.T
         out = np.zeros((2 * n, T))
         out[:n] = g.T
         return out
@@ -496,12 +528,14 @@ def assemble_phi(
             f"{tensor.orders_complete}"
         )
     fld = system.nonlinearity
-    dtype = tensor.data.dtype
-    if fld.n_terms == 0:
-        return np.zeros((2 * n, T), dtype=dtype)
     if cache is None:
         cache = CompositionCache(max_degree=fld.max_degree)
-    out = np.zeros((2 * n, T), dtype=dtype)
-    f = compose_field(fld, tensor.component, nu, T, cache, dtype=dtype, product=product)
-    np.negative(f, out=out[:n])
+    coef = -fld._coef if basis is None else -(basis @ fld._coef)
+    f = compose_field(
+        fld, tensor.component, nu, T, cache, dtype=tensor.data.dtype, product=product, coef=coef
+    )
+    if basis is not None:
+        return f
+    out = np.zeros((2 * n, T), dtype=f.dtype)
+    out[:n] = f
     return out

@@ -8,7 +8,9 @@ is expanded as z(t; delta) = sum_nu z_nu(t) delta^nu, with coefficients
 computed for the unit-sup normalization of the forcing: the stored
 order-nu grid is the response coefficient when the physical forcing is
 delta times the normalized signal. All orders share one linear flow;
-they differ only in the inhomogeneity assembled from lower orders.
+they differ only in the inhomogeneity assembled from lower orders, which
+every cascade composes straight into the retained units' modal inputs
+(composition.assemble_phi with the basis SpectralData.force_rows).
 
 Two propagation backends share the assembly:
 
@@ -285,33 +287,36 @@ def _modal_transfer(spectral, kappas):
     return w * w - kappas * kappas + 2j * z * w * kappas, 1j * kappas / w
 
 
-def _qp_propagate(spectral, phi, denominators, velocity):
+def _qp_propagate(spectral, inputs, denominators, velocity):
     """Exact bounded orbit of one order, solved harmonic by harmonic: the
-    (state_dim, P K) coefficients of the response to phi, the harmonic
-    coefficients of Phi_nu at P K frequencies kappa. The kernel's modal
-    pair maps them: project, the modal transfer at each kappa
-    (_modal_transfer: 1/(i kappa - lambda), or (1, i kappa/omega) /
-    (omega^2 - kappa^2 + 2i zeta omega kappa) for an oscillator),
-    reconstruct.
+    (state_dim, P K) coefficients of the response to inputs, the modal
+    inputs (SpectralData.project, unfolded) of the harmonic coefficients
+    of Phi_nu at P K frequencies kappa, as _harmonic_cascade composes
+    them. The modal transfer at each kappa (_modal_transfer: 1/(i kappa
+    - lambda), or (1, i kappa/omega) / (omega^2 - kappa^2 + 2i zeta
+    omega kappa) for an oscillator) maps them to modal coordinates, and
+    the kernel's reconstruct to the state.
 
     With forcing on sum |k_i| <= 1, order nu only reaches sum |k_i| <= nu,
     so the orbit is exact while the budget is at least the order.
     """
-    r = spectral.project(phi) / denominators  # (m, P K)
+    r = inputs / denominators  # (m, P K)
     X = r if velocity is None else np.stack([r, velocity * r])
     return spectral.reconstruct(X)
 
 
-def _harmonic_cascade(system, spectral, phi1, order, Omega, budget, kappas):
+def _harmonic_cascade(system, spectral, g1, order, Omega, budget, kappas):
     """The one 'qp' order cascade: orders 1..order of the bounded orbit
-    on the ball of Omega and budget (K harmonics) of phi1, (state_dim, K),
-    the normalized forcing's harmonic coefficients in the ball's order,
-    at P >= 1 points that share them, point p meeting the retained modes
+    on the ball of Omega and budget (K harmonics) of g1, (n, K), the
+    normalized forcing's harmonic coefficients in the ball's order, at
+    P >= 1 points that share them, point p meeting the retained modes
     at kappas[p K : p K + K]: one point is compute_taylor_gss, several
-    the batched sweep (_qp_sweep). Each live order (cache.reaches) is
-    composed from order 2 on by lattice convolution (assemble_phi,
-    _lattice_product) and solved by _qp_propagate at the modal transfer
-    of kappas.
+    the batched sweep (_qp_sweep). Each live order (cache.reaches) goes
+    to _qp_propagate as modal inputs, solved at the modal transfer of
+    kappas: order 1 is g1 through SpectralData.force_rows, projected
+    once and repeated per point, and each order from 2 on is composed by
+    lattice convolution straight into them (assemble_phi with that
+    basis, _lattice_product).
 
     Returns (coeffs, cache): coeffs, (state_dim, order, P K), every order
     filled, point p's harmonics at p K .. p K + K - 1 in the ball's order,
@@ -319,7 +324,8 @@ def _harmonic_cascade(system, spectral, phi1, order, Omega, budget, kappas):
     """
     fld = system.nonlinearity
     cache = CompositionCache(max_degree=max(fld.max_degree, 2), degrees=fld.degrees)
-    phi = np.tile(phi1, len(kappas) // phi1.shape[1])
+    basis = spectral.force_rows()
+    inputs = np.tile(basis @ g1, len(kappas) // g1.shape[1])
     # harmonics, not samples: the tensor's dt and t0 describe no grid
     coeffs = CoefficientTensor(
         np.zeros((spectral.state_dim, order, len(kappas)), dtype=complex),
@@ -330,8 +336,9 @@ def _harmonic_cascade(system, spectral, phi1, order, Omega, budget, kappas):
     for nu in range(1, order + 1):
         if cache.reaches(1, nu):
             if nu > 1:
-                phi = assemble_phi(system, coeffs, nu, cache=cache, product=product)
-            coeffs.insert_slice(nu, _qp_propagate(spectral, phi, *transfer))
+                inputs = assemble_phi(system, coeffs, nu, cache=cache, product=product,
+                                      basis=basis)
+            coeffs.insert_slice(nu, _qp_propagate(spectral, inputs, *transfer))
     return coeffs, cache
 
 
@@ -484,11 +491,14 @@ def compute_taylor_gss(
     """Amplitude expansion of the steady response to a sampled forcing.
 
     'kernel' runs the blocked cascade (_cascade) that reduced_gss shares
-    with one step per order: assemble_phi on the tensor's view of the
-    block, then propagate_order into the order's slot; the step clears
-    the cache at order 1, so cache_stats are summed over the blocks;
-    'qp' fits the record's order-1 harmonics once, runs the sweep's
-    harmonic cascade (_harmonic_cascade) and puts each order on the
+    with one step per order: assemble_phi composes the order on the
+    tensor's view of the block straight into the retained units' modal
+    inputs (its basis SpectralData.force_rows, real rows when the
+    retained set folds), and propagate_order filters them into the
+    order's slot; the step clears the cache at order 1, so cache_stats
+    are summed over the blocks; 'qp' fits the record's order-1
+    harmonics once, runs the sweep's harmonic cascade
+    (_harmonic_cascade, on modal inputs too) and puts each order on the
     grid. Only the live orders run
     (see the composition module): the odd ones for a cubic field, all of
     them with a quadratic term; the others are exact zeros that take no
@@ -560,9 +570,9 @@ def compute_taylor_gss(
         _, fit = fit_harmonics(normalized[w:, forced].T, times[w:], Omega, harmonic_budget,
                                phases=phases[:, w:])
         # the ball is symmetric and sorted, so harmonic -k sits at K-1-i
-        phi1 = np.zeros((system.state_dim, len(kappas)), dtype=complex)
-        phi1[forced] = 0.5 * (fit + fit[:, ::-1].conj())
-        coeffs, cache = _harmonic_cascade(system, spectral, phi1, order, Omega, harmonic_budget,
+        g1 = np.zeros((system.n, len(kappas)), dtype=complex)
+        g1[forced] = 0.5 * (fit + fit[:, ::-1].conj())
+        coeffs, cache = _harmonic_cascade(system, spectral, g1, order, Omega, harmonic_budget,
                                           kappas)
         live = [nu for nu in range(1, order + 1) if cache.reaches(1, nu)]
         tensor = CoefficientTensor.empty(
@@ -580,12 +590,18 @@ def compute_taylor_gss(
         cache = CompositionCache(max_degree=max(fld.max_degree, 2), degrees=fld.degrees)
         weights = build_kernel_weights(spectral, forcing.dt)
         live = [nu for nu in range(1, order + 1) if cache.reaches(1, nu)]
+        # the forcing is real, so a retained set that folds takes real rows
+        basis = spectral.force_rows(weights.units is not None)
 
         def solve(window, nu, normalized, carry):
             if nu == 1:  # a new block: the products are block-length
                 cache.clear()
-            phi = assemble_phi(system, window, nu, forcing_grid=normalized, cache=cache)
-            return propagate_order(spectral, weights, phi, carry=carry, out=window.slot(nu))
+            inputs = assemble_phi(
+                system, window, nu, forcing_grid=normalized, cache=cache, basis=basis
+            )
+            return propagate_order(
+                spectral, weights, carry=carry, out=window.slot(nu), inputs=inputs
+            )
 
         tensor, norms = _cascade(system.state_dim, forcing, order, live, solve)
 
@@ -715,10 +731,10 @@ def _qp_sweep(system, delta, dofs, order, omegas, budget, resonance_tol):
         groups.setdefault(select_modes(spectral, dt / omega), []).append(p)
 
     ks, ball = _harmonic_ball(1, budget), _ball_frequencies((1.0,), budget)
-    phi1 = np.zeros((system.state_dim, len(ks)), dtype=complex)
+    g1 = np.zeros((system.n, len(ks)), dtype=complex)
     coefficient = -0.5j * np.sign(delta) / math.sqrt(len(dofs))  # sign(delta) / (2i sqrt(m))
-    phi1[dofs, ks.index((1,))] = coefficient
-    phi1[dofs, ks.index((-1,))] = -coefficient
+    g1[dofs, ks.index((1,))] = coefficient
+    g1[dofs, ks.index((-1,))] = -coefficient
     phases = np.exp(1j * np.outer(ball, dt * np.arange(_FRC_SAMPLES_PER_PERIOD)))
     powers = _powers(np.array([sup]), range(1, order + 1), [sup])
     amplitude = np.full((len(omegas), system.state_dim), np.nan)
@@ -733,7 +749,7 @@ def _qp_sweep(system, delta, dofs, order, omegas, budget, resonance_tol):
         if not solved:
             continue
         kappas = np.outer(omegas[solved], ball).ravel()
-        coeffs, _ = _harmonic_cascade(system, kept, phi1, order, (1.0,), budget, kappas)
+        coeffs, _ = _harmonic_cascade(system, kept, g1, order, (1.0,), budget, kappas)
         bounds = np.abs(coeffs.data).reshape(system.state_dim, order, len(solved), -1)
         verdicts = _divergence(bounds.sum(axis=3).max(axis=0), sup)
         summed = _power_sum(powers, coeffs.data)[:, 0].reshape(system.state_dim, len(solved), -1)
@@ -929,7 +945,13 @@ def reduced_gss(
     form (B = I), each live order through _modal_response on the
     eigenvectors of R's linear part; its forcing rows P B^{-1}[:, :n]
     come once per solve from the decomposition's modal pair over every
-    unit. The cascade's step fills reduced order nu in a one-block store
+    unit. Like the other cascades, every order reaches the filters as
+    modal inputs: R's modal input map is folded once per solve into the
+    forcing rows (order 1) and into the coefficient matrix of R's
+    nonlinear terms, so each order from 2 on is one contraction of its
+    products (compose_field with that coef); the complement modes take
+    the forcing through their own force_rows. The cascade's step fills
+    reduced order nu in a one-block store
     (zeros where R cannot reach it), clearing both caches at order 1,
     and returns it lifted through W and, at order 1, joined by the
     carried linear response of the complement modes (those not in
@@ -1000,16 +1022,20 @@ def reduced_gss(
     if comp_modes:
         comp_spec = with_retained(spectral, comp_modes)
         comp_weights = build_kernel_weights(comp_spec, forcing.dt)
+        comp_basis = comp_spec.force_rows(comp_weights.units is not None)
         comp_carry = Carry()
 
     # B^{-1} (I_n, 0) in modal coordinates: the input itself on the
     # general path, zero position and velocity u on the structural one
     every = with_retained(spectral, range(total))
-    u = every.project(np.eye(n2, n2 // 2))
+    u = every.force_rows()
     if spectral.kind == "structural":
         u = np.stack([np.zeros_like(u), u / every.omega[:, None]])
     b_inverse = _enforce_real(every.reconstruct(u), "B^{-1} forcing")
-    forcing_rows = reduced.tangent_rows @ b_inverse  # (d, n)
+    # the reduced filters' modal inputs: project is linear, so it goes
+    # into the forcing rows and R's coefficient matrix once per solve
+    forcing_inputs = reduced_spec.project(reduced.tangent_rows @ b_inverse)  # (d, n)
+    coef = reduced_spec.project(nonlinear._coef)
 
     cache = CompositionCache(max_degree=max(R.max_degree, 2), degrees=nonlinear.degrees)
     # the lift multiplies reduced orders, which the same table describes
@@ -1027,17 +1053,17 @@ def reduced_gss(
             cache.clear()
             lift_cache.clear()
         if cache.reaches(1, nu):
-            phi = forcing_rows @ normalized.T if nu == 1 else compose_field(
-                nonlinear, w.component, nu, w.length, cache, dtype=complex
+            inputs = forcing_inputs @ normalized.T if nu == 1 else compose_field(
+                nonlinear, w.component, nu, w.length, cache, dtype=complex, coef=coef
             )
-            w.insert_slice(nu, _modal_response(reduced_spec, reduced_weights, phi, carry))
+            w.insert_slice(nu, _modal_response(reduced_spec, reduced_weights, inputs, carry))
         else:
             w.insert_zeros(nu)  # R cannot reach order nu
         z = compose_field(reduced.W, w.component, nu, w.length, lift_cache, dtype=complex)
         if nu == 1 and comp_modes:
-            phi1 = np.zeros((n2, w.length))
-            phi1[: n2 // 2] = normalized.T
-            z += propagate_order(comp_spec, comp_weights, phi1, carry=comp_carry)
+            z += propagate_order(
+                comp_spec, comp_weights, carry=comp_carry, inputs=comp_basis @ normalized.T
+            )
         return _enforce_real(z, f"reduced order {nu} lift")
 
     tensor, _ = _cascade(n2, forcing, order, range(1, order + 1), solve)

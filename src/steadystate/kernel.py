@@ -19,10 +19,14 @@ scipy.linalg.expm computes by scaling and squaring. It works for every
 eigenvalue and every zeta, including exactly 1, and never divides by an
 eigenvalue or an eigenvalue difference.
 
-Both kinds then take one path: SpectralData.project, one filter per
-unit started so that its state is zero at the first sample,
+Both kinds then take one path from the units' modal inputs: one filter
+per unit started so that its state is zero at the first sample,
 SpectralData.reconstruct, and _enforce_real, the one realness policy of
-every modal sum in the package. A filter is three numerator taps over
+every modal sum in the package. The cascades compose each order
+straight into those inputs (composition.assemble_phi with a basis,
+SpectralData.force_rows) and hand them to propagate_order; a physical
+grid phi is first put through SpectralData.project, which gives the
+same rows. A filter is three numerator taps over
 one or two poles: the taps give v[k] = b0 u[k] + b1 u[k-1] + b2 u[k-2]
 of the unit's input u, and each pole p in turn a first-order section
 y[k] = p y[k-1] + v[k], the first on v and a second on the first's
@@ -298,45 +302,56 @@ def _oscillator_filter(E: np.ndarray, Q: np.ndarray, poles, omega: float):
 def _modal_response(
     spectral: SpectralData,
     weights: KernelWeights,
-    phi: np.ndarray,
+    u: np.ndarray,
     carry: Carry,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """project, filter each unit, reconstruct. The structural path and,
-    for a real phi, the folded general path (weights.units) are real:
-    their filter outputs go straight into the real (2, m, B) stack that
-    reconstruct takes, positions and velocities over omega or [Re y; Im
-    y] of the units' first members, and reconstruct writes into out,
-    if given. Otherwise every retained general mode runs and the modal
-    sum is complex.
+    """Filter each unit on its modal inputs u, then reconstruct: the one
+    core of propagate_order, whichever way u was made. u holds the rows
+    SpectralData.project gives: (m, B) real on the structural path; on
+    the general path, real, the folded stack [Re u+; Im u+] of 2 x units
+    rows (weights.units), or complex, the inputs of every retained mode.
+    The structural path and the folded one are real: their filter
+    outputs go straight into the real (2, m, B) stack that reconstruct
+    takes, positions and velocities over omega or [Re y; Im y] of the
+    units' first members, and reconstruct writes into out, if given.
+    Otherwise every retained general mode runs and the modal sum is
+    complex.
 
     Each unit's inputs go into one buffer v behind its two carried
-    ones, so the taps take one product per tap of a shifted view of v,
-    the carried inputs and the block's alike, which rounds the same at
-    every length. The taps' sum goes into rows 1.. of a buffer x whose
-    row 0 holds a pole's carried output; each pole in turn fills the
-    call's one band with its -p and solves x in place, _SOLVE rows per
-    ztbsv, each solve's row 0 the output before its rows. So every row
-    takes the same BLAS step wherever a block or a solve starts. A fresh
+    ones (a folded unit's as the real and imaginary parts of v), so the
+    taps take one product per tap of a shifted view of v, the carried
+    inputs and the block's alike, which rounds the same at every
+    length. The taps' sum goes into rows 1.. of a buffer x whose row 0
+    holds a pole's carried output; each pole in turn fills the call's
+    one band with its -p and solves x in place, _SOLVE rows per ztbsv,
+    each solve's row 0 the output before its rows. So every row takes
+    the same BLAS step wherever a block or a solve starts. A fresh
     carry subtracts u[0] start from the taps at the first two samples,
     which makes the unit's state zero at the first sample. Raises
-    GridMismatch if the carry was started under other weights or on a
-    phi of the other dtype.
+    GridMismatch if u does not have the rows of its route, or if the
+    carry was started under other weights or on inputs of the other
+    route.
     """
-    folded = weights.units is not None and not np.iscomplexobj(phi)
+    general = spectral.kind == "general"
+    folded = general and weights.units is not None and not np.iscomplexobj(u)
     members = weights.units if folded else range(len(weights.poles))
-    modal_u = spectral.project(phi, folded)  # (units, B)
+    m = len(members)
+    if u.ndim != 2 or u.shape[0] != (2 * m if folded else m):
+        raise GridMismatch(
+            f"modal inputs have shape {u.shape}, expected ({2 * m if folded else m}, B)"
+        )
     fresh = carry.state is None
     if fresh:
         carry.weights = weights
         carry.state = [np.zeros(2 + len(weights.poles[j]), dtype=complex) for j in members]
     elif carry.weights is not weights:
         raise GridMismatch("carry was started under other weights")
-    elif len(carry.state) != len(members):
-        raise GridMismatch("carry was started on a phi of the other dtype")
-    stacked = folded or spectral.kind == "structural"
-    X = np.empty((2,) + modal_u.shape) if stacked else np.empty(modal_u.shape, complex)
-    B = modal_u.shape[1]
+    elif len(carry.state) != m:
+        raise GridMismatch("carry was started on inputs of the other route")
+    stacked = folded or not general
+    B = u.shape[1]
+    X = np.empty((2, m, B)) if stacked else np.empty((m, B), complex)
     v = np.empty(B + 2, dtype=complex)  # the two carried inputs, then the block's
     x = np.empty(B + 1, dtype=complex)  # a pole's carried output, then its rows
     tap = np.empty(B, dtype=complex)  # the inputs lag samples back, times a tap
@@ -347,14 +362,18 @@ def _modal_response(
     band = np.empty((2, _SOLVE + 1), dtype=complex, order="F")
     y = x[1:]
     for k, j in enumerate(members):
-        b, state, u = weights.taps[j], carry.state[k], modal_u[k]
-        v[:2], v[2:] = state[:2], u
+        b, state = weights.taps[j], carry.state[k]
+        v[:2] = state[:2]
+        if folded:
+            v.real[2:], v.imag[2:] = u[k], u[m + k]
+        else:
+            v[2:] = u[k]
         np.multiply(v[2:], b[0], out=y)
         for lag in (1, 2):
             if b[lag] != 0.0:
                 y += np.multiply(v[2 - lag : B + 2 - lag], b[lag], out=tap)
         if fresh:
-            y[:2] -= u[0] * weights.start[j]
+            y[:2] -= v[2] * weights.start[j]
         state[:2] = v[B:]
         for i, pole in enumerate(weights.poles[j], start=2):
             band.fill(-pole)
@@ -407,11 +426,17 @@ def _check_residue(resid: float, scale: float, context: str) -> None:
 def propagate_order(
     spectral: SpectralData,
     weights: KernelWeights,
-    phi: np.ndarray,
+    phi: np.ndarray | None = None,
     carry: Carry | None = None,
     out: np.ndarray | None = None,
+    *,
+    inputs: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Propagate one order's inhomogeneity grid to its coefficient grid.
+    """Propagate one order's inhomogeneity to its coefficient grid.
+
+    The inhomogeneity comes either as the physical grid phi or as its
+    modal inputs; the physical route is SpectralData.project followed
+    by the same core (_modal_response) as the modal one.
 
     Parameters
     ----------
@@ -419,57 +444,82 @@ def propagate_order(
         Decomposition whose retained set matches the weights.
     weights : KernelWeights
         Output of build_kernel_weights at the grid step.
-    phi : (state_dim, B) array
+    phi : (state_dim, B) array, optional
         Inhomogeneity sampled on the forcing grid, or on one time block
         of it (for mechanical systems the lower block is identically zero
         and, on the structural path, only the top block is consumed).
         The response of a real system to a real phi is real, so phi
         takes the realness policy on entry: a complex phi runs as its
         real part, or raises RealnessCheckFailed if its imaginary part
-        is not negligible.
+        is not negligible. It is projected per chunk, through the real
+        stacked rows when the retained set folds (KernelWeights.units).
     carry : Carry, optional
         The order's state between time blocks (see Carry). None, or a
-        fresh Carry, makes phi the start of the grid (at least 2 samples);
-        the blocks' results equal the whole grid's up to the rounding of
-        the modal matrix products. A carry belongs to the weights it was
-        started with.
+        fresh Carry, makes the block the start of the grid (at least 2
+        samples); the blocks' results equal the whole grid's up to the
+        rounding of the modal matrix products. A carry belongs to the
+        weights it was started with.
     out : (state_dim, B) real array, optional
         Where to write the result, for instance a block of a coefficient
         tensor's slot. The structural path and the folded general path
-        (a real phi, every retained pair exact conjugates: see
+        (real inputs, every retained pair exact conjugates: see
         KernelWeights.units) reconstruct into it with no temporary, with
         the same bits as a call without out; the complex route copies
         its real part in.
+    inputs : (k, B) array, keyword only
+        The modal inputs of the inhomogeneity instead of phi, the rows
+        project would give (see _modal_response): the force block's
+        image under SpectralData.force_rows, as assemble_phi(...,
+        basis=...) composes it. Real inputs on the general path are the
+        folded stack and need weights.units; complex ones run every
+        retained mode. Exactly one of phi and inputs is given.
 
     Returns
     -------
-    (state_dim, B) real array (out, if given): _modal_response, one path
-    for both kinds, run on at most _CHUNK samples at a time, so that its
-    modal temporaries do not grow with B; a complex modal sum takes the
-    realness policy of _enforce_real over the whole grid (a real sum
-    passes as it is).
+    (state_dim, B) real array (out, if given): _modal_response, one core
+    for both kinds and both routes, run on at most _CHUNK samples at a
+    time, so that its modal temporaries do not grow with B; a complex
+    modal sum takes the realness policy of _enforce_real over the whole
+    grid (a real sum passes as it is).
 
-    Raises GridMismatch if phi, out, the weights or the carry do not fit
-    the grid, and RealnessCheckFailed if phi or the modal sum keeps an
-    imaginary part above 1e-10 x its scale.
+    Raises InvalidParameters unless exactly one of phi and inputs is
+    given, GridMismatch if phi, inputs, out, the weights or the carry do
+    not fit the grid, and RealnessCheckFailed if phi or the modal sum
+    keeps an imaginary part above 1e-10 x its scale.
     """
-    phi = _enforce_real(np.asarray(phi), "phi")
+    if (phi is None) == (inputs is None):
+        raise InvalidParameters("propagate_order takes exactly one of phi and inputs")
     carry = Carry() if carry is None else carry
-    if phi.ndim != 2 or phi.shape[0] != spectral.state_dim:
-        raise GridMismatch(
-            f"phi has shape {phi.shape}, expected ({spectral.state_dim}, T)"
-        )
-    if phi.shape[1] < (2 if carry.state is None else 1):
-        raise GridMismatch("grid needs at least 2 samples")
     if weights.kind != spectral.kind or tuple(weights.retained) != tuple(spectral.retained):
         raise GridMismatch("weights were built for a different retained set")
-    if out is not None and out.shape != phi.shape:
-        raise GridMismatch(f"out has shape {out.shape}, expected {phi.shape}")
-    Z = np.empty(phi.shape) if out is None else out
+    if inputs is None:
+        phi = _enforce_real(np.asarray(phi), "phi")
+        if phi.ndim != 2 or phi.shape[0] != spectral.state_dim:
+            raise GridMismatch(
+                f"phi has shape {phi.shape}, expected ({spectral.state_dim}, T)"
+            )
+        length = phi.shape[1]
+    else:
+        inputs = np.asarray(inputs)
+        if inputs.ndim != 2:
+            raise GridMismatch(f"inputs have shape {inputs.shape}, expected (k, B)")
+        length = inputs.shape[1]
+    if length < (2 if carry.state is None else 1):
+        raise GridMismatch("grid needs at least 2 samples")
+    if out is not None and out.shape != (spectral.state_dim, length):
+        raise GridMismatch(
+            f"out has shape {out.shape}, expected ({spectral.state_dim}, {length})"
+        )
+    Z = np.empty((spectral.state_dim, length)) if out is None else out
     resid = scale = 0.0
-    for s in range(0, phi.shape[1], _CHUNK):
-        part = Z[:, s : s + _CHUNK]
-        sums = _modal_response(spectral, weights, phi[:, s : s + _CHUNK], carry, part)
+    for s in range(0, length, _CHUNK):
+        chunk = slice(s, s + _CHUNK)
+        u = (
+            inputs[:, chunk] if phi is None
+            else spectral.project(phi[:, chunk], weights.units is not None)
+        )
+        part = Z[:, chunk]
+        sums = _modal_response(spectral, weights, u, carry, part)
         if sums is not part:  # the complex route
             resid = max(resid, np.abs(sums.imag).max())
             scale = max(scale, np.abs(sums).max())

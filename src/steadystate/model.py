@@ -167,6 +167,22 @@ class PolynomialField:
         return tuple(sorted({len(f) for f in self._factors}))
 
     @cached_property
+    def _read_forms(self):
+        """(columns, forms[:, columns]) of a field on forms: the state
+        coordinates some form reads (the nonzero columns of forms), as a
+        slice when they are consecutive, else a read-only index array,
+        and the forms on them, so that forms @ z is the second times
+        z[columns]; cached like _packed."""
+        columns = np.flatnonzero(self.forms.any(axis=0))  # ascending
+        if columns.size == 0:
+            columns = slice(0, 0)
+        elif columns[-1] - columns[0] == columns.size - 1:
+            columns = slice(int(columns[0]), int(columns[-1]) + 1)
+        else:
+            columns.flags.writeable = False
+        return columns, np.ascontiguousarray(self.forms[:, columns])
+
+    @cached_property
     def _coef(self):
         """C: the coefficient vectors of form_terms as the columns of one
         (out_dim, n_terms) matrix."""

@@ -166,6 +166,11 @@ def picard_gss(
     The linear solves reuse the kernel propagation on purpose: this
     oracle exists to check the amplitude-expansion bookkeeping, and a
     fixed point of the iteration is exact for the propagated dynamics.
+    They keep its physical route, the grid (g - f(z_l), 0) handed to
+    propagate_order and projected there, where the cascades compose
+    each order straight into modal inputs: so the field, its forms and
+    the modal projection reach the filters here by code the expansion
+    does not run.
 
     Warns when the contraction certificate (check_contraction, on a ball
     of twice the linear response's sup) does not hold at the forcing

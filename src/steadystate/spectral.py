@@ -165,21 +165,26 @@ class SpectralData:
         return tuple(members), rows, cols
 
     def project(self, phi: np.ndarray, folded: bool = False) -> np.ndarray:
-        """(m, ...) modal inputs of the retained units: modal_input @ phi
+        """Modal inputs of the retained units: (m, ...) modal_input @ phi
         (general), U^T @ phi[:n], the force block (structural). folded
-        (general path, real phi, _folded not None) gives the complex
-        inputs of the folded units' first members instead, projected
-        through the real stacked rows, so phi is never cast to complex."""
+        (general path, real phi, _folded not None) gives the inputs of
+        the folded units' first members instead, as the real stack [Re
+        u+; Im u+] = [Re W+; Im W+] @ phi of 2 x units rows, so phi is
+        never cast to complex."""
         if self.kind == "general":
-            if not folded:
-                return self._maps[0] @ phi
-            rows = self._folded[1]
-            m = len(rows) // 2
-            stacked = rows @ phi
-            u = np.empty((m,) + stacked.shape[1:], dtype=complex)
-            u.real, u.imag = stacked[:m], stacked[m:]
-            return u
+            return (self._folded[1] if folded else self._maps[0]) @ phi
         return self._maps[0].T @ phi[: self.state_dim // 2]
+
+    def force_rows(self, folded: bool = False) -> np.ndarray:
+        """The (k, n) map from a force block g to the rows project gives
+        for the state (g, 0): U^T (structural), the first n columns of
+        modal_input's retained rows (general), or of [Re W+; Im W+] when
+        folded. A view of the modal pair, so a solver that composes
+        straight into modal inputs contracts with it once per order."""
+        n = self.state_dim // 2
+        if self.kind == "general":
+            return (self._folded[1] if folded else self._maps[0])[:, :n]
+        return self._maps[0].T
 
     def reconstruct(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(state_dim, ...) state of retained modal coordinates: V @ X for

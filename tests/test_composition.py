@@ -1,4 +1,5 @@
 import operator
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from steadystate import (
     build_system,
     compose_field,
     composition,
+    decompose_general,
+    decompose_structural,
     evaluate_field,
     faadibruno_phi,
     field_jacobian,
@@ -382,6 +385,31 @@ class TestFormFields:
         for (_, c), (_, w) in zip(got, want):
             assert c.dtype == w.dtype and c.tobytes() == w.tobytes()
 
+    def test_forms_read_only_their_columns(self, rng):
+        # forms on the positions x0 and x2 and the velocity v1 of a
+        # 3-dof state, skipping x1 between them: each order's forms are
+        # the product of those three columns, with the bits of the whole
+        # form matrix's product
+        forms = np.zeros((3, 6))
+        forms[0, [0, 2]] = (1.0, -1.0)
+        forms[1, [2, 4]] = (0.5, 2.0)
+        forms[2, 4] = -1.5
+        terms = [((3, 0, 0), rng.standard_normal(3)), ((1, 1, 0), rng.standard_normal(3)),
+                 ((0, 1, 2), rng.standard_normal(3))]
+        fld = polynomial_field(6, 3, terms, forms=forms)
+        columns, read = fld._read_forms
+        assert np.array_equal(columns, [0, 2, 4]) and not columns.flags.writeable
+        assert np.array_equal(read, forms[:, [0, 2, 4]])
+        whole = replace(fld)
+        whole.__dict__["_read_forms"] = (slice(None), fld.forms)
+        t = _filled_tensor(rng, 6, 5, 23, orders=4)
+        for nu in range(2, 6):
+            got = compose_field(fld, t.component, nu, 23, CompositionCache(max_degree=3))
+            want = compose_field(whole, t.component, nu, 23, CompositionCache(max_degree=3))
+            assert np.array_equal(got, want), nu
+        # a chain's springs read the positions, a slice of each grid
+        assert build_oscillator_chain(20).nonlinearity._read_forms[0] == slice(0, 20)
+
     def test_forms_validated(self):
         with pytest.raises(DimensionMismatch):
             polynomial_field(4, 2, [((3, 0), np.ones(2))], forms=np.ones((2, 3)))
@@ -536,6 +564,28 @@ class TestAssemblePhi:
         t = _filled_tensor(rng, 4, 2, 12, orders=1)
         with pytest.raises(DimensionMismatch):
             assemble_phi(sys_, t, 2)
+
+    @pytest.mark.parametrize("kind", ["structural", "general"])
+    def test_basis_gives_the_projected_force_block(self, rng, kind):
+        # P g_nu in one contraction equals the projection of Phi_nu, on
+        # every route of the modal pair: U^T, the complex modal-input
+        # rows, and the folded real rows
+        sys_ = random_system(rng, 3, structural=kind == "structural")
+        spec = (decompose_structural if kind == "structural" else decompose_general)(sys_)
+        folds = (False,) if spec._folded is None else (False, True)
+        assert kind == "structural" or folds == (False, True)
+        t = _filled_tensor(rng, 6, 4, 17, orders=3)
+        grid = rng.normal(size=(17, 3))
+        for folded in folds:
+            basis = spec.force_rows(folded)
+            for nu in range(1, 5):
+                phi = assemble_phi(sys_, t, nu, forcing_grid=grid)
+                want = spec.project(phi, folded)
+                got = assemble_phi(sys_, t, nu, forcing_grid=grid, basis=basis)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (folded, nu)
+        with pytest.raises(DimensionMismatch):
+            assemble_phi(sys_, t, 2, basis=np.ones((2, 6)))
 
 
 class TestAgainstDirectEnumeration:

@@ -14,6 +14,8 @@ import pytest
 from steadystate import (
     CoefficientTensor,
     GssExpansion,
+    assemble_phi,
+    build_kernel_weights,
     build_duffing,
     build_oscillator_chain,
     build_system,
@@ -29,8 +31,10 @@ from steadystate import (
     load_forcing,
     pade_resum,
     picard_gss,
+    propagate_order,
     reduced_gss,
     reduced_model,
+    select_modes,
     with_retained,
 )
 from steadystate.errors import (
@@ -47,6 +51,7 @@ from steadystate.errors import (
 from steadystate import composition, gss, serialize
 from steadystate.composition import CompositionCache, compose_field
 from steadystate.gss import fit_harmonics
+from steadystate.kernel import Carry
 from steadystate.model import first_order_blocks, polynomial_field
 from steadystate.spectral import _oscillator_roots
 from tests.conftest import first_order_field, identity_lift, random_system
@@ -464,6 +469,67 @@ class TestBlockedCascade:
                     tracemalloc.stop()
                 extra.append(peak - exp.tensor.data.nbytes)
             assert extra[1] <= 1.05 * extra[0], backend
+
+
+def _both_routes(system, forcing, order, spectral):
+    """The kernel cascade of compute_taylor_gss, each order's step run
+    on both routes: the modal inputs it propagates (assemble_phi with
+    the basis force_rows) and, on carries of their own, the physical
+    grid Phi_nu through propagate_order's projection. Returns the modal
+    route's tensor and, per (block start, order), the largest difference
+    of the two steps over the physical step's largest magnitude."""
+    fld = system.nonlinearity
+    cache = CompositionCache(max_degree=max(fld.max_degree, 2), degrees=fld.degrees)
+    weights = build_kernel_weights(spectral, forcing.dt)
+    basis = spectral.force_rows(weights.units is not None)
+    live = [nu for nu in range(1, order + 1) if cache.reaches(1, nu)]
+    physical = {nu: Carry() for nu in live}
+    gaps = {}
+
+    def solve(window, nu, normalized, carry):
+        if nu == 1:
+            cache.clear()
+        phi = assemble_phi(system, window, nu, forcing_grid=normalized, cache=cache)
+        want = propagate_order(spectral, weights, phi, carry=physical[nu])
+        inputs = assemble_phi(system, window, nu, forcing_grid=normalized, cache=cache,
+                              basis=basis)
+        got = propagate_order(spectral, weights, carry=carry, out=window.slot(nu),
+                              inputs=inputs)
+        gaps[window.t0, nu] = np.abs(got - want).max() / np.abs(want).max()
+        return got
+
+    tensor, _ = gss._cascade(system.state_dim, forcing, order, live, solve)
+    return tensor, gaps
+
+
+class TestModalRoute:
+    """Each order composed straight into its modal inputs agrees with
+    its physical grid projected, on the structural path, the folded
+    general path, and the complex route of a general retained set that
+    no pair folds in, at every live order and block, carries included."""
+
+    @pytest.mark.parametrize("case", ["structural", "folded", "split"])
+    def test_modal_inputs_match_the_physical_route(self, monkeypatch, case):
+        monkeypatch.setattr(gss, "_BLOCK", 128)
+        sys_ = _cubic_chain(general=case != "structural")
+        f = _chain_noise(3 * 128 + 50)
+        spec = gss._decompose(sys_)
+        retained = select_modes(spec, f.dt)
+        if case == "split":
+            # each pair's members apart: the fold needs the partner next
+            assert np.all(spec.eigenvalues.imag[0::2] > 0.0)
+            retained = retained[0::2] + retained[1::2]
+        spec = with_retained(spec, retained)
+        assert len(retained) == (3 if case == "structural" else 6)
+        assert (build_kernel_weights(spec, f.dt).units is not None) == (case == "folded")
+        tensor, gaps = _both_routes(sys_, f, 5, spec)
+        assert sorted(gaps) == [(f.t0 + s * f.dt, nu) for s in range(0, f.length, 128)
+                                for nu in (1, 3, 5)]
+        assert max(gaps.values()) <= 1e-13, max(gaps.items(), key=lambda g: g[1])
+        if case != "split":  # the helper is compute_taylor_gss's step, bit for bit
+            want = compute_taylor_gss(sys_, f, order=5).tensor
+            assert tensor.stored == want.stored
+            assert np.array_equal(tensor.data, want.data)
 
 
 # monomial degrees of a one-mass system's nonlinearity, and the orders
