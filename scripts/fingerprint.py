@@ -15,7 +15,11 @@ the reduced_gss tensor, order 5, of the trivial reduction of the 4-mass
 S1 chain (R its first-order field and W the identity lift, built as in
 the test suite, the tangent matrices the identity) on an S1 record over
 three cascade blocks long, the one output whose kernel filters take a
-complex modal input.
+complex modal input; picard-chain and picard-dashpot are the picard_gss
+trajectories on the tiny inputs of chain-noise (structural path) and of
+dashpot-roundtrip (general path, its conjugate pairs folded), the one
+caller that hands propagate_order the modal inputs of a whole
+iterate's force block.
 Each noise workload also gives its forcing record (chain-noise-forcing,
 duffing-forcing, dashpot-forcing): forcing.samples, flattened, followed
 by forcing.max_magnitude, so one digest covers both; a run that asks
@@ -60,6 +64,7 @@ from steadystate import (  # noqa: E402
     decompose_structural,
     generate_forcing,
     gss,
+    oracle,
     reduced_model,
 )
 from tests.conftest import first_order_field, identity_lift  # noqa: E402
@@ -70,8 +75,8 @@ FORCING = {
     "duffing-critical": "duffing-forcing",
     "dashpot-roundtrip": "dashpot-forcing",
 }
-# the outputs of each workload (and of qp-duffing and reduced, which are
-# none), in the order they are printed
+# the outputs of each workload (and of qp-duffing, reduced and picard,
+# which are none), in the order they are printed
 OUTPUTS = {
     "chain-noise": ("chain-noise-forcing", "chain-noise"),
     "duffing-critical": ("duffing-forcing", "duffing-critical"),
@@ -82,6 +87,7 @@ OUTPUTS = {
     "frc-chain": ("frc-chain",),
     "qp-duffing": ("qp-duffing",),
     "reduced": ("reduced",),
+    "picard": ("picard-chain", "picard-dashpot"),
 }
 ALL = [name for made in OUTPUTS.values() for name in made]
 SLICE = 8192
@@ -146,6 +152,18 @@ def _reduced_outputs(name, names):
     yield name, _stacked(expansion.tensor)
 
 
+def _picard_outputs(source, names):
+    """(name, array) of the picard_gss trajectories on the tiny inputs
+    of chain-noise and dashpot-roundtrip."""
+    for name, workload in (("picard-chain", "chain-noise"),
+                           ("picard-dashpot", "dashpot-roundtrip")):
+        if name in names:
+            work = workloads.WORKLOADS[workload]
+            inputs = work.setup(work.spec("tiny"), 0)
+            result = workloads.quiet(oracle.picard_gss, inputs["system"], inputs["forcing"])
+            yield name, result.trajectory
+
+
 def outputs(names=None):
     """(name, array) of the fingerprinted outputs in names (default:
     all), computed one at a time; a workload runs only if it makes one
@@ -153,9 +171,10 @@ def outputs(names=None):
     names = set(names or ALL)
     for source, made in OUTPUTS.items():
         if not names.isdisjoint(made):
-            run = {"qp-duffing": _qp_outputs, "reduced": _reduced_outputs}.get(
-                source, _workload_outputs
-            )
+            run = {
+                "qp-duffing": _qp_outputs, "reduced": _reduced_outputs,
+                "picard": _picard_outputs,
+            }.get(source, _workload_outputs)
             yield from ((n, a) for n, a in run(source, names) if n in names)
 
 

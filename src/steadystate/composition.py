@@ -21,13 +21,14 @@ coefficient of the product along the expansion is
     H[(i, rest...), nu] = sum_{a=d-1}^{nu-1} H[(rest...), a] * y^i_{nu-a},
 
 and H = 0 whenever nu < d (each factor contributes at least order one).
-Phi_nu's force block is then one contraction per order, -C @ stack(H)
-over the terms. The solvers never form it: what the kernel filters
-take is its image P g_nu under a linear map P, the retained units' rows
-of the modal projection (SpectralData.force_rows), and since the map is
-linear it goes into the contraction's matrix, (-P C) @ stack(H). So the
-products meet the filters' modal inputs in one matmul, with no state
-grid between them (assemble_phi with a basis, compose_field with coef).
+Phi_nu = (g_nu, 0), and its force block g_nu is one contraction per
+order, -C @ stack(H) over the terms; the lower block is zero and is
+never built. What the kernel filters take is the image P g_nu under a
+linear map P, the retained units' rows of the modal projection
+(SpectralData.force_rows), and since the map is linear it goes into the
+contraction's matrix, (-P C) @ stack(H). So the products meet the
+filters' modal inputs in one matmul, with no state grid between them
+(assemble_phi with a basis, compose_field with coef).
 
 The recursion runs on a batch of factor lists of one degree at a time,
 as the columns of their (rows, d) factor matrix: the pivot column picks
@@ -476,22 +477,21 @@ def assemble_phi(
     product=operator.mul,
     basis=None,
 ):
-    """Inhomogeneity Phi_nu for a mechanical system: its grid, shape
-    (2n, T), or with a basis P, shape (k, n), the image P g_nu of its
-    force block g_nu, shape (k, T).
+    """The image P g_nu, shape (k, T), of the force block g_nu of the
+    order-nu inhomogeneity Phi_nu = (g_nu, 0) under a basis P, shape
+    (k, n); P defaults to the identity, which gives g_nu itself, shape
+    (n, T). The lower block of Phi_nu is identically zero and is not built.
 
-    Phi_nu = (g_nu, 0): its lower block is identically zero. Order 1 is
-    the normalized forcing itself: forcing_grid must be the (T, n)
-    sample array with unit sup row norm, and g_1 is its transpose. For
-    nu >= 2, g_nu is minus the order-nu composition C @ H of the
-    internal force field (the field enters the balance on the left-hand
-    side), and orders 1..nu-1 of the tensor must be filled. The map is
-    linear, so the basis goes into the composition's one contraction:
-    P g_nu is (-P C) @ H, with no (2n, T) grid, negation pass or (n, T)
-    force block made; order 1 is P g_1. The cascades pass
+    Order 1 is the normalized forcing itself: forcing_grid must be the
+    (T, n) sample array with unit sup row norm, and g_1 is its
+    transpose. For nu >= 2, g_nu is minus the order-nu composition C @ H
+    of the internal force field (the field enters the balance on the
+    left-hand side), and orders 1..nu-1 of the tensor must be filled.
+    The map is linear, so the basis goes into the composition's one
+    contraction: P g_nu is (-P C) @ H, with no negation pass or force
+    block made; order 1 is P g_1. The cascades pass
     SpectralData.force_rows as P and get the modal inputs
-    propagate_order takes. Without a basis the same contraction, with
-    -C, gives the top block of the (2n, T) grid.
+    propagate_order takes.
 
     The orders are composed with product (see _product) and the result
     has the dtype of the tensor's and P's product, so a complex tensor
@@ -515,11 +515,7 @@ def assemble_phi(
         g = np.asarray(forcing_grid, dtype=float)
         if g.shape != (T, n):
             raise GridMismatch(f"forcing grid shape {g.shape} != ({T}, {n})")
-        if basis is not None:
-            return basis @ g.T
-        out = np.zeros((2 * n, T))
-        out[:n] = g.T
-        return out
+        return g.T.copy() if basis is None else basis @ g.T
     if nu < 1:
         raise OrderUnavailable(f"order must be >= 1, got {nu}")
     if tensor.orders_complete < nu - 1:
@@ -531,11 +527,6 @@ def assemble_phi(
     if cache is None:
         cache = CompositionCache(max_degree=fld.max_degree)
     coef = -fld._coef if basis is None else -(basis @ fld._coef)
-    f = compose_field(
+    return compose_field(
         fld, tensor.component, nu, T, cache, dtype=tensor.data.dtype, product=product, coef=coef
     )
-    if basis is not None:
-        return f
-    out = np.zeros((2 * n, T), dtype=f.dtype)
-    out[:n] = f
-    return out

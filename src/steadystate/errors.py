@@ -102,9 +102,9 @@ class RealnessCheckFailed(SteadyStateError):
     general kernel path where it does not fold its conjugate pairs (a
     split pair), the general qp orbit and each lifted order of a reduced
     model raise this; a smaller residue is discarded. propagate_order
-    applies it to its input too, on both damping kinds: a complex phi
-    with a larger imaginary part raises, a smaller one is dropped
-    before the modes run."""
+    applies it to structural modal inputs too, which run as real: a
+    complex input with a larger imaginary part raises, a smaller one is
+    dropped before the modes run."""
 
 
 # ---------------------------------------------------------- composition

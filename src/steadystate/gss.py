@@ -590,8 +590,8 @@ def compute_taylor_gss(
         cache = CompositionCache(max_degree=max(fld.max_degree, 2), degrees=fld.degrees)
         weights = build_kernel_weights(spectral, forcing.dt)
         live = [nu for nu in range(1, order + 1) if cache.reaches(1, nu)]
-        # the forcing is real, so a retained set that folds takes real rows
-        basis = spectral.force_rows(weights.units is not None)
+        # the forcing is real: a retained set that folds takes real rows
+        basis = spectral.force_rows(real=True)
 
         def solve(window, nu, normalized, carry):
             if nu == 1:  # a new block: the products are block-length
@@ -599,9 +599,7 @@ def compute_taylor_gss(
             inputs = assemble_phi(
                 system, window, nu, forcing_grid=normalized, cache=cache, basis=basis
             )
-            return propagate_order(
-                spectral, weights, carry=carry, out=window.slot(nu), inputs=inputs
-            )
+            return propagate_order(spectral, weights, inputs, carry, out=window.slot(nu))
 
         tensor, norms = _cascade(system.state_dim, forcing, order, live, solve)
 
@@ -649,8 +647,9 @@ def _powers(values, orders, deltas):
 
 def _power_sum(powers, data):
     """sum_k powers[a, k] * data[:, k, :] for every a, shape (dim, A, T):
-    one contraction of the (A x K) power matrix (_powers) with the K
-    slots of data.
+    one contraction of an (A x K) matrix with the K slots of data, the
+    one routine that sums stored slots: the power matrix of amplitudes
+    (_powers), or pade_resum's numerator weights.
 
     np.einsum, not matmul: its unoptimized loop adds the slots in order,
     one product at a time, in every output element, so the bits depend
@@ -836,7 +835,8 @@ def pade_resum(expansion: GssExpansion, L: int, M: int) -> PadeGss:
     Q_j has orthonormal columns, so the one (dim M s x M) least-squares
     problem on those blocks has the same solution and the same singular
     values. The numerators sum_{mu<k} b_mu c_{k-mu}, b_0 = 1, are then
-    one contraction of an (L, s) weight array with the stored slots.
+    one contraction of an (L, s) weight array with the stored slots
+    (_power_sum).
 
     Raises InvalidParameters, before any factorization, when sigma^k
     over the fitted orders is not a finite nonzero float (a reference
@@ -884,7 +884,7 @@ def pade_resum(expansion: GssExpansion, L: int, M: int) -> PadeGss:
     for i, nu in enumerate(low):
         weights[nu - 1 : nu + M, i] = b[: L - nu + 1]
     weights *= scale[: len(low)]
-    num = np.einsum("ki,jit->jkt", weights, tensor.data[:, : len(low)])
+    num = _power_sum(weights, tensor.data[:, : len(low)])
 
     return PadeGss(
         L=L,
@@ -1022,7 +1022,7 @@ def reduced_gss(
     if comp_modes:
         comp_spec = with_retained(spectral, comp_modes)
         comp_weights = build_kernel_weights(comp_spec, forcing.dt)
-        comp_basis = comp_spec.force_rows(comp_weights.units is not None)
+        comp_basis = comp_spec.force_rows(real=True)
         comp_carry = Carry()
 
     # B^{-1} (I_n, 0) in modal coordinates: the input itself on the
@@ -1061,9 +1061,7 @@ def reduced_gss(
             w.insert_zeros(nu)  # R cannot reach order nu
         z = compose_field(reduced.W, w.component, nu, w.length, lift_cache, dtype=complex)
         if nu == 1 and comp_modes:
-            z += propagate_order(
-                comp_spec, comp_weights, carry=comp_carry, inputs=comp_basis @ normalized.T
-            )
+            z += propagate_order(comp_spec, comp_weights, comp_basis @ normalized.T, comp_carry)
         return _enforce_real(z, f"reduced order {nu} lift")
 
     tensor, _ = _cascade(n2, forcing, order, range(1, order + 1), solve)

@@ -19,14 +19,15 @@ scipy.linalg.expm computes by scaling and squaring. It works for every
 eigenvalue and every zeta, including exactly 1, and never divides by an
 eigenvalue or an eigenvalue difference.
 
-Both kinds then take one path from the units' modal inputs: one filter
-per unit started so that its state is zero at the first sample,
+Both kinds then take one path from the units' modal inputs, the one
+format in which an inhomogeneity reaches the kernel: one filter per
+unit started so that its state is zero at the first sample,
 SpectralData.reconstruct, and _enforce_real, the one realness policy of
-every modal sum in the package. The cascades compose each order
-straight into those inputs (composition.assemble_phi with a basis,
-SpectralData.force_rows) and hand them to propagate_order; a physical
-grid phi is first put through SpectralData.project, which gives the
-same rows. A filter is three numerator taps over
+every modal sum in the package. The inputs are P g_nu, the image of the
+order's force block under P = SpectralData.force_rows: the cascades
+compose each order straight into them (composition.assemble_phi with P
+as its basis) and hand them to propagate_order, and the Picard oracle
+applies P to its force block. A filter is three numerator taps over
 one or two poles: the taps give v[k] = b0 u[k] + b1 u[k-1] + b2 u[k-2]
 of the unit's input u, and each pole p in turn a first-order section
 y[k] = p y[k-1] + v[k], the first on v and a second on the first's
@@ -34,7 +35,8 @@ output. NumPy applies the taps, and each section is a unit
 lower-bidiagonal solve, BLAS ztbsv on a band with -p below its diagonal
 (Dongarra, Du Croz, Hammarling & Hanson, ACM TOMS 14, 1988). A general
 mode is one pole. When the input is real and every retained mode
-has its exact conjugate beside it (SpectralData._folded), a conjugate
+has its exact conjugate beside it (SpectralData._folded, the one record
+of that decision, which force_rows and reconstruct read too), a conjugate
 pair runs as one unit, the filter of its positive-imaginary member,
 whose response the real sum 2 Re(V+ y) adds, and a real eigenvalue as
 its own unit; otherwise (a split pair, the complex input of reduced
@@ -180,11 +182,11 @@ class KernelWeights:
     position and Re(mu[j] y) the velocity over omega: mu = lambda+/omega
     for one pole, -1j for two (whose Im y is taken as it is).
     branches[j] tags an oscillator's regime; mu and branches are None
-    on the general path. units, on the general path, holds the
-    positions of the folded units' first members (see
-    SpectralData._folded) when every pair's filters are exact conjugates
-    too and a real eigenvalue's filter is real; a real input then runs
-    only those filters. It is None when the retained set does not fold.
+    on the general path. A conjugate pair's members get filters that
+    are exact conjugates, and a real eigenvalue a real one (np.exp and
+    the block exponential are conjugate-equivariant), so whether a real
+    input runs only the folded units' first members is decided by
+    SpectralData._folded alone.
     """
 
     kind: str
@@ -194,7 +196,6 @@ class KernelWeights:
     start: np.ndarray  # (m, 2) complex
     mu: np.ndarray | None = None  # (m,) complex
     branches: tuple | None = None
-    units: tuple | None = None
 
 
 def build_kernel_weights(spectral: SpectralData, dt: float) -> KernelWeights:
@@ -202,21 +203,13 @@ def build_kernel_weights(spectral: SpectralData, dt: float) -> KernelWeights:
     _check_dt(dt)
     retained = tuple(spectral.retained)
     cols = list(retained)
-    mu = branches = units = None
+    mu = branches = None
     if spectral.kind == "general":
         lams = spectral.eigenvalues[cols]
         filters = [
             _exponent_filter(qvec_general(lam, dt), pole)
             for lam, pole in zip(lams, np.exp(lams * dt))
         ]
-        folded = spectral._folded
-        # a pair's second member sits next to its first; a real
-        # eigenvalue is its own conjugate
-        if folded is not None and all(
-            np.array_equal(filters[p + (lams[p].imag > 0.0)][i], np.conj(filters[p][i]))
-            for p in folded[0] for i in (0, 1)
-        ):
-            units = folded[0]
     else:
         branches, filters, mu = [], [], []
         # Python complex roots: lam / w divides, where NumPy multiplies by 1 / w
@@ -236,7 +229,7 @@ def build_kernel_weights(spectral: SpectralData, dt: float) -> KernelWeights:
     taps, poles, start = zip(*filters)
     return KernelWeights(
         kind=spectral.kind, retained=retained, taps=np.array(taps), poles=poles,
-        start=np.array(start), mu=mu, branches=branches, units=units,
+        start=np.array(start), mu=mu, branches=branches,
     )
 
 
@@ -251,9 +244,9 @@ class Carry:
     weights are None until the first block has run. Then weights is the
     KernelWeights that block ran under, and a block under any other
     weights raises GridMismatch. state is the list of the propagated
-    units' complex states, one per folded unit (see KernelWeights) or
-    else per retained mode: the unit's last two inputs u[-2] and u[-1],
-    then each pole's last output.
+    units' complex states, one per folded unit (see
+    SpectralData._folded) or else per retained mode: the unit's last two
+    inputs u[-2] and u[-1], then each pole's last output.
     """
 
     state: list | None = None
@@ -307,10 +300,12 @@ def _modal_response(
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Filter each unit on its modal inputs u, then reconstruct: the one
-    core of propagate_order, whichever way u was made. u holds the rows
-    SpectralData.project gives: (m, B) real on the structural path; on
-    the general path, real, the folded stack [Re u+; Im u+] of 2 x units
-    rows (weights.units), or complex, the inputs of every retained mode.
+    core of propagate_order and of reduced_gss. u holds the rows
+    SpectralData.force_rows maps a force block to: (m, B) real on the
+    structural path; on the general path, real, the folded stack [Re
+    u+; Im u+] of 2 x units rows when the retained set folds
+    (SpectralData._folded), or complex, the inputs of every retained
+    mode.
     The structural path and the folded one are real: their filter
     outputs go straight into the real (2, m, B) stack that reconstruct
     takes, positions and velocities over omega or [Re y; Im y] of the
@@ -334,8 +329,8 @@ def _modal_response(
     route.
     """
     general = spectral.kind == "general"
-    folded = general and weights.units is not None and not np.iscomplexobj(u)
-    members = weights.units if folded else range(len(weights.poles))
+    folded = general and not np.iscomplexobj(u) and spectral._folded is not None
+    members = spectral._folded[0] if folded else range(len(weights.poles))
     m = len(members)
     if u.ndim != 2 or u.shape[0] != (2 * m if folded else m):
         raise GridMismatch(
@@ -426,17 +421,11 @@ def _check_residue(resid: float, scale: float, context: str) -> None:
 def propagate_order(
     spectral: SpectralData,
     weights: KernelWeights,
-    phi: np.ndarray | None = None,
+    inputs: np.ndarray,
     carry: Carry | None = None,
     out: np.ndarray | None = None,
-    *,
-    inputs: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Propagate one order's inhomogeneity to its coefficient grid.
-
-    The inhomogeneity comes either as the physical grid phi or as its
-    modal inputs; the physical route is SpectralData.project followed
-    by the same core (_modal_response) as the modal one.
+    """Propagate one order's modal inputs to its coefficient grid.
 
     Parameters
     ----------
@@ -444,15 +433,18 @@ def propagate_order(
         Decomposition whose retained set matches the weights.
     weights : KernelWeights
         Output of build_kernel_weights at the grid step.
-    phi : (state_dim, B) array, optional
-        Inhomogeneity sampled on the forcing grid, or on one time block
-        of it (for mechanical systems the lower block is identically zero
-        and, on the structural path, only the top block is consumed).
-        The response of a real system to a real phi is real, so phi
-        takes the realness policy on entry: a complex phi runs as its
-        real part, or raises RealnessCheckFailed if its imaginary part
-        is not negligible. It is projected per chunk, through the real
-        stacked rows when the retained set folds (KernelWeights.units).
+    inputs : (k, B) array
+        The modal inputs of the order's inhomogeneity, sampled on the
+        forcing grid or on one time block of it: P g_nu, the image of
+        its force block under P = SpectralData.force_rows, as
+        assemble_phi(..., basis=P) composes it. On the structural path
+        they are (m, B) and real, since the response of a real system to
+        a real force is real: complex inputs take the realness policy on
+        entry, running as their real part, or raising
+        RealnessCheckFailed if their imaginary part is not negligible.
+        On the general path real inputs are the folded stack of
+        force_rows(real=True) when the retained set folds
+        (SpectralData._folded), and complex ones run every retained mode.
     carry : Carry, optional
         The order's state between time blocks (see Carry). None, or a
         fresh Carry, makes the block the start of the grid (at least 2
@@ -462,48 +454,30 @@ def propagate_order(
     out : (state_dim, B) real array, optional
         Where to write the result, for instance a block of a coefficient
         tensor's slot. The structural path and the folded general path
-        (real inputs, every retained pair exact conjugates: see
-        KernelWeights.units) reconstruct into it with no temporary, with
-        the same bits as a call without out; the complex route copies
-        its real part in.
-    inputs : (k, B) array, keyword only
-        The modal inputs of the inhomogeneity instead of phi, the rows
-        project would give (see _modal_response): the force block's
-        image under SpectralData.force_rows, as assemble_phi(...,
-        basis=...) composes it. Real inputs on the general path are the
-        folded stack and need weights.units; complex ones run every
-        retained mode. Exactly one of phi and inputs is given.
+        reconstruct into it with no temporary, with the same bits as a
+        call without out; the complex route copies its real part in.
 
     Returns
     -------
     (state_dim, B) real array (out, if given): _modal_response, one core
-    for both kinds and both routes, run on at most _CHUNK samples at a
-    time, so that its modal temporaries do not grow with B; a complex
-    modal sum takes the realness policy of _enforce_real over the whole
-    grid (a real sum passes as it is).
+    for both kinds, run on at most _CHUNK samples at a time, so that its
+    modal temporaries do not grow with B; a complex modal sum takes the
+    realness policy of _enforce_real over the whole grid (a real sum
+    passes as it is).
 
-    Raises InvalidParameters unless exactly one of phi and inputs is
-    given, GridMismatch if phi, inputs, out, the weights or the carry do
-    not fit the grid, and RealnessCheckFailed if phi or the modal sum
-    keeps an imaginary part above 1e-10 x its scale.
+    Raises GridMismatch if inputs, out, the weights or the carry do not
+    fit the grid, and RealnessCheckFailed if structural inputs or the
+    modal sum keep an imaginary part above 1e-10 x its scale.
     """
-    if (phi is None) == (inputs is None):
-        raise InvalidParameters("propagate_order takes exactly one of phi and inputs")
     carry = Carry() if carry is None else carry
     if weights.kind != spectral.kind or tuple(weights.retained) != tuple(spectral.retained):
         raise GridMismatch("weights were built for a different retained set")
-    if inputs is None:
-        phi = _enforce_real(np.asarray(phi), "phi")
-        if phi.ndim != 2 or phi.shape[0] != spectral.state_dim:
-            raise GridMismatch(
-                f"phi has shape {phi.shape}, expected ({spectral.state_dim}, T)"
-            )
-        length = phi.shape[1]
-    else:
-        inputs = np.asarray(inputs)
-        if inputs.ndim != 2:
-            raise GridMismatch(f"inputs have shape {inputs.shape}, expected (k, B)")
-        length = inputs.shape[1]
+    inputs = np.asarray(inputs)
+    if spectral.kind == "structural":
+        inputs = _enforce_real(inputs, "structural modal inputs")
+    if inputs.ndim != 2:
+        raise GridMismatch(f"inputs have shape {inputs.shape}, expected (k, B)")
+    length = inputs.shape[1]
     if length < (2 if carry.state is None else 1):
         raise GridMismatch("grid needs at least 2 samples")
     if out is not None and out.shape != (spectral.state_dim, length):
@@ -513,13 +487,8 @@ def propagate_order(
     Z = np.empty((spectral.state_dim, length)) if out is None else out
     resid = scale = 0.0
     for s in range(0, length, _CHUNK):
-        chunk = slice(s, s + _CHUNK)
-        u = (
-            inputs[:, chunk] if phi is None
-            else spectral.project(phi[:, chunk], weights.units is not None)
-        )
-        part = Z[:, chunk]
-        sums = _modal_response(spectral, weights, u, carry, part)
+        part = Z[:, s : s + _CHUNK]
+        sums = _modal_response(spectral, weights, inputs[:, s : s + _CHUNK], carry, part)
         if sums is not part:  # the complex route
             resid = max(resid, np.abs(sums.imag).max())
             scale = max(scale, np.abs(sums).max())

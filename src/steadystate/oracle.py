@@ -8,8 +8,9 @@ Everything here exists to check the main pipeline from a second route:
                          model.NewmarkStep and model's field evaluator
   picard_gss             fixed-point iteration on the full nonlinear
                          balance; deliberately reuses the kernel
-                         propagation for its linear solves, so it checks
-                         the composition/expansion stages, not the kernel
+                         propagation and its modal input map for its
+                         linear solves, so it checks the composition/
+                         expansion stages, not the kernel
   quadrature_weight_reference
                          Gauss quadrature of the defining weight
                          integrals in long double, no closed forms of
@@ -166,11 +167,12 @@ def picard_gss(
     The linear solves reuse the kernel propagation on purpose: this
     oracle exists to check the amplitude-expansion bookkeeping, and a
     fixed point of the iteration is exact for the propagated dynamics.
-    They keep its physical route, the grid (g - f(z_l), 0) handed to
-    propagate_order and projected there, where the cascades compose
-    each order straight into modal inputs: so the field, its forms and
-    the modal projection reach the filters here by code the expansion
-    does not run.
+    Each sweep hands propagate_order the modal inputs P (g - f(z_l)),
+    P = SpectralData.force_rows(real=True), the map the cascades
+    contract with too: so the modal input map and the filters are
+    shared with the expansion, and what this oracle checks independently
+    is the field, evaluated by evaluate_field on the whole iterate
+    rather than composed order by order.
 
     Warns when the contraction certificate (check_contraction, on a ball
     of twice the linear response's sup) does not hold at the forcing
@@ -185,13 +187,12 @@ def picard_gss(
     spectral = with_retained(spectral, select_modes(spectral, forcing.dt, eps=eps_trunc))
     weights = build_kernel_weights(spectral, forcing.dt)
 
-    T = forcing.length
-    g = forcing.samples
+    g = forcing.samples.T
     fld = system.nonlinearity
+    basis = spectral.force_rows(real=True)
 
-    phi = np.zeros((2 * n, T))
-    phi[:n] = g.T
-    z = propagate_order(spectral, weights, phi)
+    inputs = basis @ g
+    z = propagate_order(spectral, weights, inputs)
 
     ball = 2.0 * float(np.linalg.norm(z, axis=0).max())
     if ball > 0.0:
@@ -208,8 +209,8 @@ def picard_gss(
     diffs = []
     for it in range(1, max_iter + 1):
         if fld.n_terms:
-            phi[:n] = g.T - evaluate_field(fld, z)
-        z_new = propagate_order(spectral, weights, phi)
+            inputs = basis @ (g - evaluate_field(fld, z))
+        z_new = propagate_order(spectral, weights, inputs)
         d = float(np.linalg.norm(z_new - z, axis=0).max())
         if not math.isfinite(d):
             raise NoConvergence(
@@ -340,7 +341,8 @@ def _compositions(total: int, parts: int):
 
 
 def faadibruno_phi(system: MechanicalSystem, tensor: CoefficientTensor, nu: int):
-    """Order-nu inhomogeneity by direct enumeration, shape (2n, T).
+    """Order-nu force block g_nu of Phi_nu = (g_nu, 0) by direct
+    enumeration, shape (n, T).
 
     For every monomial gamma of the internal force and every way of
     assigning expansion orders to its factors, accumulates
@@ -350,8 +352,9 @@ def faadibruno_phi(system: MechanicalSystem, tensor: CoefficientTensor, nu: int)
     over the set {(k, l): rows of k nonzero, l strictly increasing,
     column sums k = gamma, order-weighted sum = nu}. No shared-product
     recursion, no caching: this is the reference the fast assembly is
-    checked against. Same sign and shape conventions as the fast path
-    (top block negated, zero lower block; order 1 is not handled here).
+    checked against. Same sign and shape conventions as the fast path,
+    assemble_phi without a basis (negated, force block only; order 1 is
+    not handled here).
 
     Guards: state dimension at most 8, nu at most 6, degree at most 4;
     anything larger raises InstanceTooLarge.
@@ -374,7 +377,7 @@ def faadibruno_phi(system: MechanicalSystem, tensor: CoefficientTensor, nu: int)
 
     T = tensor.length
     dim = 2 * n
-    out = np.zeros((dim, T))
+    out = np.zeros((n, T))
 
     for gamma, coeff in system.nonlinearity.terms:
         degree = sum(gamma)
@@ -402,5 +405,5 @@ def faadibruno_phi(system: MechanicalSystem, tensor: CoefficientTensor, nu: int)
                             term = term * tensor.component(i, l[j]) ** kji
                             weight /= math.factorial(kji)
                     accum += weight * term
-        out[:n] -= np.asarray(coeff)[:, None] * accum[None, :]
+        out -= np.asarray(coeff)[:, None] * accum[None, :]
     return out

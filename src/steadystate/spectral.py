@@ -62,7 +62,8 @@ class SpectralData:
     'structural': natural frequencies (ascending), damping ratios and the
     mass-normalized mode matrix U. retained indexes eigenvalues (general)
     or oscillators (structural). gamma = max_j 1 / |Re lambda_j|.
-    project and reconstruct are the modal basis of the retained units.
+    force_rows, project and reconstruct are the modal basis of the
+    retained units.
     """
 
     kind: str
@@ -131,9 +132,11 @@ class SpectralData:
         A unit is a pair, positive-imaginary member first, whose
         eigenvalues, V columns and modal-input rows are exact
         conjugates, or a real eigenvalue whose V column and modal-input
-        row are both real or both imaginary: for a real phi its response
-        is then exactly f Re(V+ y+), f = 2 for a pair and 1 for a real
-        eigenvalue. Returns (members, rows, cols): the positions in
+        row are both real or both imaginary: for a real input its
+        response is then exactly f Re(V+ y+), f = 2 for a pair and 1 for
+        a real eigenvalue. The one record of the fold: force_rows,
+        reconstruct and the kernel's filters (kernel._modal_response)
+        read it. Returns (members, rows, cols): the positions in
         retained of the units' first members, their modal-input rows W+
         as the real stack [Re W+; Im W+], and their V columns V+ as the
         real map [f Re V+, -f Im V+].
@@ -164,26 +167,29 @@ class SpectralData:
         cols = np.hstack([V[:, first].real * f, V[:, first].imag * -f])
         return tuple(members), rows, cols
 
-    def project(self, phi: np.ndarray, folded: bool = False) -> np.ndarray:
-        """Modal inputs of the retained units: (m, ...) modal_input @ phi
-        (general), U^T @ phi[:n], the force block (structural). folded
-        (general path, real phi, _folded not None) gives the inputs of
-        the folded units' first members instead, as the real stack [Re
-        u+; Im u+] = [Re W+; Im W+] @ phi of 2 x units rows, so phi is
-        never cast to complex."""
+    def project(self, phi: np.ndarray) -> np.ndarray:
+        """Modal inputs of the retained units, unfolded: (m, ...)
+        modal_input @ phi (general), U^T @ phi[:n], the force block
+        (structural)."""
         if self.kind == "general":
-            return (self._folded[1] if folded else self._maps[0]) @ phi
+            return self._maps[0] @ phi
         return self._maps[0].T @ phi[: self.state_dim // 2]
 
-    def force_rows(self, folded: bool = False) -> np.ndarray:
-        """The (k, n) map from a force block g to the rows project gives
-        for the state (g, 0): U^T (structural), the first n columns of
-        modal_input's retained rows (general), or of [Re W+; Im W+] when
-        folded. A view of the modal pair, so a solver that composes
-        straight into modal inputs contracts with it once per order."""
+    def force_rows(self, real: bool = False) -> np.ndarray:
+        """The (k, n) map P from a force block g to the modal inputs of
+        the state (g, 0), the rows the kernel filters take: U^T
+        (structural); on the general path the first n columns of
+        modal_input's retained rows, or, for a real input (real) when
+        the retained set folds (_folded), of the real stack [Re W+; Im
+        W+], whose inputs [Re u+; Im u+] are those of the folded units'
+        first members. A retained set that does not fold takes the
+        complex rows for a real input too. A view of the modal pair, so
+        a solver that composes straight into modal inputs contracts with
+        it once per order."""
         n = self.state_dim // 2
         if self.kind == "general":
-            return (self._folded[1] if folded else self._maps[0])[:, :n]
+            folded = self._folded if real else None
+            return (self._maps[0] if folded is None else folded[1])[:, :n]
         return self._maps[0].T
 
     def reconstruct(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

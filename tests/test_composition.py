@@ -525,10 +525,9 @@ class TestAssemblePhi:
         sys_ = build_duffing()
         t = CoefficientTensor.empty(2, 3, 12, dt=0.1)
         grid = rng.normal(size=(12, 1))
-        phi = assemble_phi(sys_, t, 1, forcing_grid=grid)
-        assert phi.shape == (2, 12)
-        assert np.array_equal(phi[0], grid[:, 0])
-        assert np.all(phi[1] == 0.0)
+        g = assemble_phi(sys_, t, 1, forcing_grid=grid)
+        assert g.shape == (1, 12)
+        assert np.array_equal(g[0], grid[:, 0])
 
     def test_order_one_requires_grid(self):
         sys_ = build_duffing()
@@ -541,17 +540,19 @@ class TestAssemblePhi:
     def test_cubic_has_no_order_two_forcing(self, rng):
         sys_ = build_duffing(kappa3=2.0)
         t = _filled_tensor(rng, 2, 3, 12, orders=1)
-        phi = assemble_phi(sys_, t, 2)
-        assert np.all(phi == 0.0)
+        g = assemble_phi(sys_, t, 2)
+        assert g.shape == (1, 12)
+        assert np.all(g == 0.0)
 
     def test_duffing_order_three_identity(self, rng):
-        # Phi_3 = (-kappa3 x_1^3, 0) for the cubic oscillator
+        # Phi_3 = (-kappa3 x_1^3, 0) for the cubic oscillator: its force
+        # block g_3 = -kappa3 x_1^3
         kappa = 1.7
         sys_ = build_duffing(kappa3=kappa)
         t = _filled_tensor(rng, 2, 3, 12, orders=2)
-        phi = assemble_phi(sys_, t, 3)
-        assert np.abs(phi[0] + kappa * t.component(0, 1) ** 3).max() < 1e-13
-        assert np.all(phi[1] == 0.0)
+        g = assemble_phi(sys_, t, 3)
+        assert g.shape == (1, 12)
+        assert np.abs(g[0] + kappa * t.component(0, 1) ** 3).max() < 1e-13
 
     def test_missing_orders_raise(self, rng):
         sys_ = build_duffing()
@@ -567,23 +568,27 @@ class TestAssemblePhi:
 
     @pytest.mark.parametrize("kind", ["structural", "general"])
     def test_basis_gives_the_projected_force_block(self, rng, kind):
-        # P g_nu in one contraction equals the projection of Phi_nu, on
-        # every route of the modal pair: U^T, the complex modal-input
-        # rows, and the folded real rows
+        # P g_nu in one contraction equals P applied to g_nu, on every
+        # route of the modal pair: U^T, the complex modal-input rows, and
+        # the folded real rows; on the complex rows it equals project of
+        # the state (g_nu, 0)
         sys_ = random_system(rng, 3, structural=kind == "structural")
         spec = (decompose_structural if kind == "structural" else decompose_general)(sys_)
-        folds = (False,) if spec._folded is None else (False, True)
-        assert kind == "structural" or folds == (False, True)
+        assert kind == "structural" or spec._folded is not None
         t = _filled_tensor(rng, 6, 4, 17, orders=3)
         grid = rng.normal(size=(17, 3))
-        for folded in folds:
-            basis = spec.force_rows(folded)
+        for real in (False, True):
+            basis = spec.force_rows(real)
             for nu in range(1, 5):
-                phi = assemble_phi(sys_, t, nu, forcing_grid=grid)
-                want = spec.project(phi, folded)
+                g = assemble_phi(sys_, t, nu, forcing_grid=grid)
+                assert g.shape == (3, 17)
+                want = basis @ g
                 got = assemble_phi(sys_, t, nu, forcing_grid=grid, basis=basis)
                 assert got.shape == want.shape and got.dtype == want.dtype
-                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (folded, nu)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (real, nu)
+                if not real:
+                    phi = np.vstack([g, np.zeros_like(g)])
+                    assert np.abs(got - spec.project(phi)).max() <= 1e-13 * np.abs(want).max()
         with pytest.raises(DimensionMismatch):
             assemble_phi(sys_, t, 2, basis=np.ones((2, 6)))
 

@@ -474,27 +474,27 @@ class TestBlockedCascade:
 def _both_routes(system, forcing, order, spectral):
     """The kernel cascade of compute_taylor_gss, each order's step run
     on both routes: the modal inputs it propagates (assemble_phi with
-    the basis force_rows) and, on carries of their own, the physical
-    grid Phi_nu through propagate_order's projection. Returns the modal
-    route's tensor and, per (block start, order), the largest difference
-    of the two steps over the physical step's largest magnitude."""
+    the basis P = force_rows, P inside the contraction) and, on carries
+    of their own, P applied after the contraction to the force block
+    g_nu (assemble_phi without a basis). Returns the first route's
+    tensor and, per (block start, order), the largest difference of the
+    two steps over the second step's largest magnitude."""
     fld = system.nonlinearity
     cache = CompositionCache(max_degree=max(fld.max_degree, 2), degrees=fld.degrees)
     weights = build_kernel_weights(spectral, forcing.dt)
-    basis = spectral.force_rows(weights.units is not None)
+    basis = spectral.force_rows(real=True)
     live = [nu for nu in range(1, order + 1) if cache.reaches(1, nu)]
-    physical = {nu: Carry() for nu in live}
+    mapped = {nu: Carry() for nu in live}
     gaps = {}
 
     def solve(window, nu, normalized, carry):
         if nu == 1:
             cache.clear()
-        phi = assemble_phi(system, window, nu, forcing_grid=normalized, cache=cache)
-        want = propagate_order(spectral, weights, phi, carry=physical[nu])
+        g = assemble_phi(system, window, nu, forcing_grid=normalized, cache=cache)
+        want = propagate_order(spectral, weights, basis @ g, mapped[nu])
         inputs = assemble_phi(system, window, nu, forcing_grid=normalized, cache=cache,
                               basis=basis)
-        got = propagate_order(spectral, weights, carry=carry, out=window.slot(nu),
-                              inputs=inputs)
+        got = propagate_order(spectral, weights, inputs, carry, out=window.slot(nu))
         gaps[window.t0, nu] = np.abs(got - want).max() / np.abs(want).max()
         return got
 
@@ -504,9 +504,10 @@ def _both_routes(system, forcing, order, spectral):
 
 class TestModalRoute:
     """Each order composed straight into its modal inputs agrees with
-    its physical grid projected, on the structural path, the folded
-    general path, and the complex route of a general retained set that
-    no pair folds in, at every live order and block, carries included."""
+    its force block mapped by the same rows afterwards, on the
+    structural path, the folded general path, and the complex route of
+    a general retained set that no pair folds in, at every live order
+    and block, carries included."""
 
     @pytest.mark.parametrize("case", ["structural", "folded", "split"])
     def test_modal_inputs_match_the_physical_route(self, monkeypatch, case):
@@ -521,7 +522,7 @@ class TestModalRoute:
             retained = retained[0::2] + retained[1::2]
         spec = with_retained(spec, retained)
         assert len(retained) == (3 if case == "structural" else 6)
-        assert (build_kernel_weights(spec, f.dt).units is not None) == (case == "folded")
+        assert (spec._folded is not None) == (case == "folded")
         tensor, gaps = _both_routes(sys_, f, 5, spec)
         assert sorted(gaps) == [(f.t0 + s * f.dt, nu) for s in range(0, f.length, 128)
                                 for nu in (1, 3, 5)]

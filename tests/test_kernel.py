@@ -31,7 +31,7 @@ from steadystate.errors import (
     ZeroEigenvalue,
 )
 from steadystate import kernel
-from steadystate.bench import build_gyroscopic_2dof
+from steadystate.bench import build_gyroscopic_2dof, build_oscillator_chain
 from steadystate.kernel import _ONE_SECTION_ZETA, Carry, _block_matrix, _enforce_real
 from tests.conftest import random_system
 
@@ -100,8 +100,8 @@ class TestScalarWeights:
         dt=st.floats(min_value=1e-5, max_value=1.0),
     )
     def test_conjugate_eigenvalue_gives_conjugate_weights(self, re, im, dt):
-        # bit for bit: the conjugate fold (KernelWeights.units) compares
-        # a pair's filters with array_equal
+        # bit for bit: the conjugate fold runs a pair's first member
+        # alone (TestConjugateFold.test_pairs_get_conjugate_filters)
         lam = complex(re, im)
         assert np.array_equal(qvec_general(lam.conjugate(), dt), np.conj(qvec_general(lam, dt)))
 
@@ -238,11 +238,17 @@ class TestBuildWeights:
         assert len(calls) == len(spec.retained) == (4 if name == "mixed" else len(spec.eigenvalues))
 
 
-def _harmonic_phi(n, dof, Omega, dt, T):
+def _harmonic_force(n, dof, Omega, dt, T):
     t = np.arange(T) * dt
-    phi = np.zeros((2 * n, T))
-    phi[dof] = np.sin(Omega * t)
-    return t, phi
+    g = np.zeros((n, T))
+    g[dof] = np.sin(Omega * t)
+    return t, g
+
+
+def _propagate(spec, w, g, carry=None, out=None):
+    """propagate_order on the modal inputs P g of a real force block g,
+    P = spec.force_rows(real=True)."""
+    return propagate_order(spec, w, spec.force_rows(real=True) @ g, carry, out)
 
 
 class TestPropagateOrder:
@@ -256,8 +262,8 @@ class TestPropagateOrder:
         spec = decompose_structural(sys_)
         w = build_kernel_weights(spec, dt)
         T = int(120.0 / dt)
-        t, phi = _harmonic_phi(1, 0, Omega, dt, T)
-        Z = propagate_order(spec, w, phi)
+        t, g = _harmonic_force(1, 0, Omega, dt, T)
+        Z = _propagate(spec, w, g)
         period = int(round(2 * np.pi / Omega / dt))
         tail = slice(T - 4 * period, T)
         design = np.column_stack([np.sin(Omega * t[tail]), np.cos(Omega * t[tail])])
@@ -279,8 +285,8 @@ class TestPropagateOrder:
         spec = decompose_general(sys_)
         w = build_kernel_weights(spec, dt)
         T = int(120.0 / dt)
-        t, phi = _harmonic_phi(1, 0, Omega, dt, T)
-        Z = propagate_order(spec, w, phi)
+        t, g = _harmonic_force(1, 0, Omega, dt, T)
+        Z = _propagate(spec, w, g)
         tail = slice(T - 19000, T)
         design = np.column_stack([np.sin(Omega * t[tail]), np.cos(Omega * t[tail])])
         coef, *_ = np.linalg.lstsq(design, Z[0, tail], rcond=None)
@@ -290,7 +296,7 @@ class TestPropagateOrder:
         assert float(np.hypot(*coef)) == pytest.approx(expected, rel=1e-6)
 
     def test_dual_route_agreement(self, rng):
-        # the same inhomogeneity through the structural and the general
+        # the same force through the structural and the general
         # decompositions gives the same trajectory
         sys_ = random_system(rng, 3, structural=True, n_terms=0)
         spec_s = decompose_structural(sys_)
@@ -298,10 +304,9 @@ class TestPropagateOrder:
         dt = 0.02
         T = 600
         t = np.arange(T) * dt
-        phi = np.zeros((6, T))
-        phi[:3] = np.sin(np.outer((0.7, 1.1, 0.3), t)) * np.array([[1.0], [0.4], [-0.8]])
-        Zs = propagate_order(spec_s, build_kernel_weights(spec_s, dt), phi)
-        Zg = propagate_order(spec_g, build_kernel_weights(spec_g, dt), phi)
+        g = np.sin(np.outer((0.7, 1.1, 0.3), t)) * np.array([[1.0], [0.4], [-0.8]])
+        Zs = _propagate(spec_s, build_kernel_weights(spec_s, dt), g)
+        Zg = _propagate(spec_g, build_kernel_weights(spec_g, dt), g)
         scale = np.abs(Zs).max()
         assert np.abs(Zs - Zg).max() < 1e-8 * scale
 
@@ -309,7 +314,8 @@ class TestPropagateOrder:
         sys_ = random_system(rng, 2, structural=True, n_terms=0)
         spec = decompose_structural(sys_)
         w = build_kernel_weights(spec, 0.1)
-        Z = propagate_order(spec, w, np.zeros((4, 50)))
+        Z = propagate_order(spec, w, np.zeros((2, 50)))
+        assert Z.shape == (4, 50)
         assert np.all(Z == 0.0)
 
     def test_grid_mismatch_shapes(self, rng):
@@ -319,35 +325,34 @@ class TestPropagateOrder:
         with pytest.raises(GridMismatch):
             propagate_order(spec, w, np.zeros((3, 50)))
         with pytest.raises(GridMismatch):
-            propagate_order(spec, w, np.zeros((4, 1)))
+            propagate_order(spec, w, np.zeros((2, 1)))
 
     @pytest.mark.parametrize("structural", [True, False], ids=["structural", "general"])
     def test_modal_inputs(self, rng, structural):
-        # the physical route is project followed by the same core: its
-        # inputs, handed over directly, give the same bits
+        # the real rows and the complex rows of force_rows take the same
+        # force to the same grid (on the structural path they are one
+        # map), and inputs without the rows of their route are refused
         sys_ = random_system(rng, 2, structural=structural, n_terms=0)
         spec = (decompose_structural if structural else decompose_general)(sys_)
         w = build_kernel_weights(spec, 0.1)
-        assert structural or w.units is not None
-        phi = np.zeros((4, 60))
-        phi[:2] = rng.standard_normal((2, 60))
-        u = spec.project(phi, w.units is not None)
-        assert np.array_equal(propagate_order(spec, w, inputs=u), propagate_order(spec, w, phi))
-        with pytest.raises(InvalidParameters):
-            propagate_order(spec, w, phi, inputs=u)
-        with pytest.raises(InvalidParameters):
-            propagate_order(spec, w)
+        assert structural or spec._folded is not None
+        g = rng.standard_normal((2, 60))
+        u = spec.force_rows(real=True) @ g
+        assert not np.iscomplexobj(u)
+        want = propagate_order(spec, w, u)
+        got = propagate_order(spec, w, spec.force_rows() @ g)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         with pytest.raises(GridMismatch):
-            propagate_order(spec, w, inputs=u[1:])
+            propagate_order(spec, w, u[1:])
         with pytest.raises(GridMismatch):
-            propagate_order(spec, w, inputs=u[0])
+            propagate_order(spec, w, u[0])
 
     def test_retained_mismatch(self, rng):
         sys_ = random_system(rng, 3, structural=True, n_terms=0)
         spec = decompose_structural(sys_)
         w = build_kernel_weights(spec, 0.1)
         with pytest.raises(GridMismatch):
-            propagate_order(with_retained(spec, (0,)), w, np.zeros((6, 50)))
+            propagate_order(with_retained(spec, (0,)), w, np.zeros((1, 50)))
 
     @pytest.mark.parametrize("structural", [True, False], ids=["structural", "general"])
     def test_out_view_keeps_bits(self, rng, structural):
@@ -357,48 +362,52 @@ class TestPropagateOrder:
         sys_ = random_system(rng, 3, structural=structural, n_terms=0)
         spec = decompose_structural(sys_) if structural else decompose_general(sys_)
         w = build_kernel_weights(spec, 0.02)
-        phi = np.zeros((6, 400))
-        phi[:3] = rng.standard_normal((3, 400))
+        g = rng.standard_normal((3, 400))
         free, carry = Carry(), Carry()
         tensor = np.full((6, 3, 400), np.nan)
         for block in (slice(0, 150), slice(150, 400)):
-            want = propagate_order(spec, w, phi[:, block], free)
+            want = _propagate(spec, w, g[:, block], free)
             view = tensor[:, 1, block]
-            got = propagate_order(spec, w, phi[:, block], carry, out=view)
+            got = _propagate(spec, w, g[:, block], carry, out=view)
             assert got is view
             assert np.array_equal(view, want)
         with pytest.raises(GridMismatch):
-            propagate_order(spec, w, phi, out=tensor[:, 0, :-1])
+            _propagate(spec, w, g, out=tensor[:, 0, :-1])
 
     def test_linearity(self, rng):
         sys_ = random_system(rng, 2, structural=True, n_terms=0)
         spec = decompose_structural(sys_)
         w = build_kernel_weights(spec, 0.05)
-        phi1 = np.zeros((4, 100))
-        phi2 = np.zeros((4, 100))
-        phi1[0] = np.sin(0.3 * np.arange(100))
-        phi2[1] = np.cos(0.8 * np.arange(100))
-        Za = propagate_order(spec, w, 2.0 * phi1 - 0.5 * phi2)
-        Zb = 2.0 * propagate_order(spec, w, phi1) - 0.5 * propagate_order(spec, w, phi2)
+        g1 = np.zeros((2, 100))
+        g2 = np.zeros((2, 100))
+        g1[0] = np.sin(0.3 * np.arange(100))
+        g2[1] = np.cos(0.8 * np.arange(100))
+        Za = _propagate(spec, w, 2.0 * g1 - 0.5 * g2)
+        Zb = 2.0 * _propagate(spec, w, g1) - 0.5 * _propagate(spec, w, g2)
         assert np.abs(Za - Zb).max() < 1e-12 * max(np.abs(Zb).max(), 1e-30)
 
     @pytest.mark.parametrize("structural", [True, False], ids=["structural", "general"])
-    def test_complex_phi_takes_the_realness_policy(self, structural):
-        # the response to a real phi is real: an imaginary phi raises on
-        # both kinds instead of returning a real grid for it, and a
-        # complex phi with a zero imaginary part runs as the real one
-        sys_ = random_system(np.random.default_rng(1), 2, structural=structural, n_terms=0)
+    def test_complex_inputs_take_the_realness_policy(self, structural):
+        # the response to a real force is real: the modal inputs of an
+        # imaginary force raise on both kinds instead of returning a real
+        # grid for them (on the structural path at entry, where only
+        # their real parts would be filtered; on the general path at the
+        # complex modal sum), and complex inputs of a real force run as
+        # the real ones
+        sys_ = random_system(np.random.default_rng(1), 3, structural=structural, n_terms=0)
         spec = decompose_structural(sys_) if structural else decompose_general(sys_)
-        w = build_kernel_weights(spec, 0.02)
-        t = 0.02 * np.arange(400)
-        phi = np.zeros((4, 400))
-        phi[:2] = np.sin(1.3 * t), np.cos(0.7 * t)
+        w = build_kernel_weights(spec, 0.05)
+        t = 0.05 * np.arange(400)
+        g = np.array([np.sin(1.3 * t), np.cos(0.7 * t), np.sin(0.4 * t)])
         with pytest.raises(RealnessCheckFailed):
-            propagate_order(spec, w, phi * 1j)
-        want = propagate_order(spec, w, phi)
-        got = propagate_order(spec, w, phi + 0j)
+            propagate_order(spec, w, spec.force_rows() @ (1j * g))
+        want = _propagate(spec, w, g)
+        got = propagate_order(spec, w, spec.force_rows() @ (g + 0j))
         assert got.dtype == np.float64
-        assert np.array_equal(got, want)
+        if structural:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def _longdouble_recursion(E, Q, u):
@@ -417,7 +426,8 @@ def _longdouble_recursion(E, Q, u):
 
 def _one_oscillator(omega, zeta):
     """A one-oscillator decomposition with a unit mode shape:
-    propagate_order returns its (position, velocity) rows."""
+    propagate_order returns its (position, velocity) rows driven by its
+    one row of inputs."""
     return SpectralData(
         kind="structural",
         state_dim=2,
@@ -430,8 +440,10 @@ def _one_oscillator(omega, zeta):
 
 def _one_general_mode(lam):
     """A general decomposition of lam and its conjugate in which
-    propagate_order returns (Re w, Im w) of lam's mode driven by
-    u = phi[0] + 1j phi[1]; every modal product is exact."""
+    propagate_order returns (Re w, Im w) of lam's mode driven by u, on
+    the inputs _state_inputs gives for the state [Re u; Im u]: for a
+    complex lam the pair folds into one unit, and these are the real
+    inputs [Re u; Im u] themselves. Every modal product is exact."""
     return SpectralData(
         kind="general",
         state_dim=2,
@@ -440,6 +452,14 @@ def _one_general_mode(lam):
         V=0.5 * np.array([[1.0, 1.0], [-1.0j, 1.0j]]),
         modal_input=np.array([[1.0, 1.0j], [1.0, -1.0j]]),
     )
+
+
+def _state_inputs(spec, x):
+    """The modal inputs of a real state grid x as force_rows(real=True)
+    maps a force block: the folded rows when the retained set folds,
+    else project's complex rows."""
+    folded = spec._folded
+    return spec.project(x) if folded is None else folded[1] @ x
 
 
 class TestStructuralRecursion:
@@ -468,11 +488,10 @@ class TestStructuralRecursion:
                 assert np.abs(step[1] - E).max() <= 1e-14 * np.abs(E).max()
             rng = np.random.default_rng(7)
             for first in (0.0, 1.0):
-                phi = np.zeros((2, 1500))
-                phi[0] = rng.standard_normal(1500)
-                phi[0, 0] = first
-                Z = propagate_order(spec, w, phi)
-                ref = _longdouble_recursion(E, Q, phi[0]).astype(float)
+                u = rng.standard_normal(1500)
+                u[0] = first
+                Z = propagate_order(spec, w, u[None])
+                ref = _longdouble_recursion(E, Q, u).astype(float)
                 for row in range(2):
                     scale = np.abs(ref[row]).max()
                     assert np.abs(Z[row] - ref[row]).max() <= 1e-11 * scale
@@ -503,7 +522,7 @@ class TestScalarRecursion:
         for first in (0.0, 1.0 - 0.5j):
             u = rng.standard_normal(1500) + 1j * rng.standard_normal(1500)
             u[0] = first
-            Z = propagate_order(spec, w, np.array([u.real, u.imag]))
+            Z = propagate_order(spec, w, _state_inputs(spec, np.array([u.real, u.imag])))
             got = Z[0] + 1j * Z[1]
             ref = _clongdouble_recursion(E, q0, q1, u).astype(complex)
             assert got[0] == 0.0
@@ -539,11 +558,11 @@ class TestBlockedFilters:
         if spec.state_dim == 8:
             assert [len(p) for p in w.poles] == [1, 1, 2, 2]
         rng = np.random.default_rng(7)
-        phi = rng.standard_normal((spec.state_dim, 1500))
-        whole = propagate_order(spec, w, phi)
+        u = rng.standard_normal((len(spec.retained), 1500))
+        whole = propagate_order(spec, w, u)
         for cuts in ([611], [2, 3, 4, 6, 7], [1498], [1499]):
-            carry, edges = Carry(), [0, *cuts, phi.shape[1]]
-            blocks = [propagate_order(spec, w, phi[:, s:e], carry)
+            carry, edges = Carry(), [0, *cuts, u.shape[1]]
+            blocks = [propagate_order(spec, w, u[:, s:e], carry)
                       for s, e in zip(edges, edges[1:])]
             assert np.array_equal(np.hstack(blocks), whole), cuts
 
@@ -561,25 +580,25 @@ class TestLongGrids:
         # falls inside a block, bit for bit (the modal products are exact)
         w = build_kernel_weights(spec, dt)
         T = 7 * kernel._CHUNK // 2
-        phi = np.random.default_rng(3).standard_normal((spec.state_dim, T))
-        whole = propagate_order(spec, w, phi)
+        u = np.random.default_rng(3).standard_normal((len(spec.retained), T))
+        whole = propagate_order(spec, w, u)
         carry = Carry()
         split = 2 * kernel._CHUNK - 1001
-        blocks = [propagate_order(spec, w, phi[:, :split], carry),
-                  propagate_order(spec, w, phi[:, split:], carry)]
+        blocks = [propagate_order(spec, w, u[:, :split], carry),
+                  propagate_order(spec, w, u[:, split:], carry)]
         assert np.array_equal(np.hstack(blocks), whole)
 
     @pytest.mark.parametrize("spec,dt", _LONG, ids=["structural", "general"])
     def test_memory_beyond_the_grids_does_not_grow(self, spec, dt):
         # every temporary, the one band a call fills included, is at most
-        # block-sized: a grid 4x longer only grows phi and the result
+        # block-sized: a grid 4x longer only grows the inputs and the result
         extra = []
         for blocks in (2, 8):
             T = blocks * kernel._CHUNK + 7
-            phi = np.random.default_rng(3).standard_normal((spec.state_dim, T))
+            u = np.random.default_rng(3).standard_normal((len(spec.retained), T))
             tracemalloc.start()
             try:
-                Z = propagate_order(spec, build_kernel_weights(spec, dt), phi)
+                Z = propagate_order(spec, build_kernel_weights(spec, dt), u)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -591,32 +610,39 @@ class TestLongGrids:
         # another dt, another retained set, or the same weights rebuilt
         spec = _mixed_chain()
         w = build_kernel_weights(spec, 0.02)
-        phi = np.random.default_rng(3).standard_normal((spec.state_dim, 300))
-        whole = propagate_order(spec, w, phi)
+        u = np.random.default_rng(3).standard_normal((4, 300))
+        whole = propagate_order(spec, w, u)
         carry = Carry()
-        head = propagate_order(spec, w, phi[:, :100], carry)
+        head = propagate_order(spec, w, u[:, :100], carry)
         assert carry.weights is w
         sub = with_retained(spec, (0, 1))
         for other_spec, other in [(spec, build_kernel_weights(spec, 0.04)),
                                   (sub, build_kernel_weights(sub, 0.02)),
                                   (spec, build_kernel_weights(spec, 0.02))]:
+            rows = len(other_spec.retained)
             with pytest.raises(GridMismatch, match="other weights"):
-                propagate_order(other_spec, other, phi[:, 100:], carry)
+                propagate_order(other_spec, other, u[:rows, 100:], carry)
         # a refused block leaves the carry as it was
-        tail = propagate_order(spec, w, phi[:, 100:], carry)
+        tail = propagate_order(spec, w, u[:, 100:], carry)
         assert np.array_equal(np.hstack([head, tail]), whole)
 
 
 def _general_system(name):
     """General-damping systems for the conjugate fold: two random ones
     (skew damping), a dashpot heavy enough to leave two real
-    eigenvalues, and the gyroscopic pair, plain and with real ones."""
+    eigenvalues, the gyroscopic pair, plain and with real ones, and the
+    20-mass S1 chain with a dashpot on its first mass."""
     rng = np.random.default_rng(11)
     if name.startswith("random"):
         return random_system(rng, int(name[-1]), structural=False, n_terms=0)
     if name == "overdamped":
         K = np.array([[2.0, -1.0], [-1.0, 2.0]])
         return build_system(np.eye(2), np.diag([6.0, 0.2]), K, damping="general")
+    if name == "dashpot":
+        chain = build_oscillator_chain(20, m=0.1, k_lin=100.0, c=0.1)
+        C = chain.C.copy()
+        C[0, 0] += 0.5
+        return build_system(chain.M, C, chain.K, damping="general")
     return build_gyroscopic_2dof(c=3.0 if name == "gyroscopic-real" else 0.1)
 
 
@@ -624,12 +650,10 @@ _GENERAL = ["random3", "random4", "overdamped", "gyroscopic", "gyroscopic-real"]
 
 
 def _general_case(name, T=900, dt=0.02):
+    """The decomposition, its weights at dt and a random force block."""
     spec = decompose_general(_general_system(name))
-    phi = np.zeros((spec.state_dim, T))
-    phi[: spec.state_dim // 2] = np.random.default_rng(5).standard_normal(
-        (spec.state_dim // 2, T)
-    )
-    return spec, build_kernel_weights(spec, dt), phi
+    g = np.random.default_rng(5).standard_normal((spec.state_dim // 2, T))
+    return spec, build_kernel_weights(spec, dt), g
 
 
 class TestConjugateFold:
@@ -637,42 +661,61 @@ class TestConjugateFold:
     conjugate pair (and per real eigenvalue) and sums in real
     arithmetic; the complex route over every member is the reference."""
 
+    @pytest.mark.parametrize("name", _GENERAL + ["dashpot"])
+    def test_pairs_get_conjugate_filters(self, name):
+        # the fold runs only a pair's first member, so the second's
+        # filter must be its exact conjugate, and a real eigenvalue's
+        # filter real: bit for bit, as SpectralData._folded decides the
+        # fold without comparing the filters
+        spec = decompose_general(_general_system(name))
+        w = build_kernel_weights(spec, 0.02)
+        units = spec._folded[0]
+        assert len(units) < len(spec.retained)
+        for p in units:
+            # a pair's second member sits next to its first; a real
+            # eigenvalue is its own conjugate
+            q = p + int(spec.eigenvalues[p].imag > 0.0)
+            assert np.array_equal(w.taps[q], np.conj(w.taps[p]))
+            assert np.array_equal(np.array(w.poles[q]), np.conj(w.poles[p]))
+            assert np.array_equal(w.start[q], np.conj(w.start[p]))
+
     @pytest.mark.parametrize("name", _GENERAL)
     def test_matches_complex_route(self, name):
-        spec, w, phi = _general_case(name)
+        spec, w, g = _general_case(name)
         lams = spec.eigenvalues
         reals = int(np.sum(lams.imag == 0.0))
         assert reals == (2 if name in ("overdamped", "gyroscopic-real") else 0)
-        assert len(w.units) == reals + (len(lams) - reals) // 2
+        assert len(spec._folded[0]) == reals + (len(lams) - reals) // 2
         assert len(w.retained) == len(lams)
-        got = propagate_order(spec, w, phi)
-        want = propagate_order(spec, replace(w, units=None), phi)
+        got = _propagate(spec, w, g)
+        want = propagate_order(spec, w, spec.force_rows() @ g)
         assert got.dtype == np.float64
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         # a complex input runs every member: the fold is for real inputs
-        both = kernel._modal_response(spec, w, spec.project(phi + 0.5j * phi[:, ::-1]), Carry())
+        both = kernel._modal_response(spec, w, spec.force_rows() @ (g + 0.5j * g[:, ::-1]),
+                                      Carry())
         assert np.iscomplexobj(both)
-        reverse = propagate_order(spec, w, phi[:, ::-1])
+        reverse = _propagate(spec, w, g[:, ::-1])
         assert np.abs(both - (got + 0.5j * reverse)).max() <= 1e-13 * np.abs(got).max()
 
     @pytest.mark.parametrize("name", _GENERAL)
     def test_blocks_match_whole_grid(self, name):
-        spec, w, phi = _general_case(name)
-        whole = propagate_order(spec, w, phi)
+        spec, w, g = _general_case(name)
+        whole = _propagate(spec, w, g)
         carry = Carry()
-        blocks = [propagate_order(spec, w, phi[:, :377], carry),
-                  propagate_order(spec, w, phi[:, 377:], carry)]
-        assert len(carry.state) == len(w.units)
+        blocks = [_propagate(spec, w, g[:, :377], carry),
+                  _propagate(spec, w, g[:, 377:], carry)]
+        assert len(carry.state) == len(spec._folded[0])
         assert np.abs(np.hstack(blocks) - whole).max() <= 1e-13 * np.abs(whole).max()
         # a folded carry holds no state for the second members
         with pytest.raises(GridMismatch):
-            kernel._modal_response(spec, w, spec.project(phi + 0j), carry)
+            kernel._modal_response(spec, w, spec.force_rows() @ (g + 0j), carry)
 
     @pytest.mark.parametrize("name", _GENERAL)
     def test_out_written_in_place(self, monkeypatch, name):
         # the real sum lands in out itself: no temporary is copied in
-        spec, w, phi = _general_case(name)
-        want = propagate_order(spec, w, phi)
+        spec, w, g = _general_case(name)
+        want = _propagate(spec, w, g)
         inner, seen = kernel._modal_response, []
 
         def spied(*args):
@@ -681,20 +724,20 @@ class TestConjugateFold:
             return Z
 
         monkeypatch.setattr(kernel, "_modal_response", spied)
-        tensor = np.full((spec.state_dim, 3, phi.shape[1]), np.nan)
+        tensor = np.full((spec.state_dim, 3, g.shape[1]), np.nan)
         view = tensor[:, 1]
-        Z = propagate_order(spec, w, phi, out=view)
+        Z = _propagate(spec, w, g, out=view)
         assert Z is view and seen == [True]
         assert np.array_equal(view, want)
         assert np.isnan(tensor[:, [0, 2]]).all()
 
     def test_split_pair_takes_complex_route(self, monkeypatch):
-        spec, w, phi = _general_case("random3")
+        spec, w, g = _general_case("random3")
         # the first pair retained whole folds; one member of it does not
-        assert build_kernel_weights(with_retained(spec, (0, 1)), 0.02).units == (0,)
+        assert with_retained(spec, (0, 1))._folded[0] == (0,)
         split = with_retained(spec, (0, 2, 3))
+        assert split._folded is None
         ws = build_kernel_weights(split, 0.02)
-        assert ws.units is None
         inner, sums = kernel._modal_response, []
 
         def spied(*args):
@@ -704,18 +747,32 @@ class TestConjugateFold:
 
         monkeypatch.setattr(kernel, "_modal_response", spied)
         with pytest.raises(RealnessCheckFailed):
-            propagate_order(split, ws, phi)
+            _propagate(split, ws, g)
         assert np.iscomplexobj(sums[0])
+
+    def test_split_set_takes_complex_rows(self):
+        # a retained set that splits every pair does not fold: force_rows
+        # gives a real input the complex rows, which run every member
+        # into a complex modal sum whose imaginary part is not negligible
+        # (the real routes never raise this)
+        spec = with_retained(decompose_general(build_gyroscopic_2dof()), (0, 2))
+        assert spec._folded is None
+        rows = spec.force_rows(real=True)
+        assert np.iscomplexobj(rows)
+        assert np.array_equal(rows, spec.force_rows())
+        g = np.random.default_rng(5).standard_normal((2, 300))
+        with pytest.raises(RealnessCheckFailed):
+            propagate_order(spec, build_kernel_weights(spec, 0.02), rows @ g)
 
     def test_conjugate_order_not_folded(self):
         # a pair stored negative-imaginary member first is not a unit
         spec = _one_general_mode(-5.0 + 200.0j)
-        assert build_kernel_weights(spec, 0.01).units == (0,)
+        assert spec._folded[0] == (0,)
         swapped = replace(
             spec, eigenvalues=spec.eigenvalues[::-1], V=spec.V[:, ::-1],
             modal_input=spec.modal_input[::-1],
         )
-        assert build_kernel_weights(swapped, 0.01).units is None
+        assert swapped._folded is None
 
 
 class TestRealness:
@@ -738,10 +795,10 @@ class TestRealness:
         W[1] += 1e-6 * np.abs(W[1]).max()
         bad = replace(spec, modal_input=W)
         w = build_kernel_weights(bad, 0.02)
-        assert w.units is None
-        _, _, phi = _general_case("random3")
+        assert bad._folded is None
+        _, _, g = _general_case("random3")
         with pytest.raises(RealnessCheckFailed):
-            propagate_order(bad, w, phi)
+            _propagate(bad, w, g)
 
     @staticmethod
     def _hypot_rule(Z):
