@@ -17,9 +17,10 @@ the test suite, the tangent matrices the identity) on an S1 record over
 three cascade blocks long, the one output whose kernel filters take a
 complex modal input; picard-chain and picard-dashpot are the picard_gss
 trajectories on the tiny inputs of chain-noise (structural path) and of
-dashpot-roundtrip (general path, its conjugate pairs folded), the one
-caller that hands propagate_order the modal inputs of a whole
-iterate's force block.
+dashpot-roundtrip (general path, its conjugate pairs folded), and
+picard-long the picard_gss trajectory on the tiny chain-noise system
+over duration 12 (12,101 samples, two cascade blocks) at 0.3x its
+forcing, the one output that walks Picard's sweeps over time blocks.
 Each noise workload also gives its forcing record (chain-noise-forcing,
 duffing-forcing, dashpot-forcing): forcing.samples, flattened, followed
 by forcing.max_magnitude, so one digest covers both; a run that asks
@@ -87,7 +88,7 @@ OUTPUTS = {
     "frc-chain": ("frc-chain",),
     "qp-duffing": ("qp-duffing",),
     "reduced": ("reduced",),
-    "picard": ("picard-chain", "picard-dashpot"),
+    "picard": ("picard-chain", "picard-dashpot", "picard-long"),
 }
 ALL = [name for made in OUTPUTS.values() for name in made]
 SLICE = 8192
@@ -154,13 +155,21 @@ def _reduced_outputs(name, names):
 
 def _picard_outputs(source, names):
     """(name, array) of the picard_gss trajectories on the tiny inputs
-    of chain-noise and dashpot-roundtrip."""
-    for name, workload in (("picard-chain", "chain-noise"),
-                           ("picard-dashpot", "dashpot-roundtrip")):
+    of chain-noise and dashpot-roundtrip, and on the tiny chain-noise
+    system over a two-block record at 0.3x its forcing."""
+    for name, workload, duration, scale in (
+        ("picard-chain", "chain-noise", None, 1.0),
+        ("picard-dashpot", "dashpot-roundtrip", None, 1.0),
+        ("picard-long", "chain-noise", 12.0, 0.3),
+    ):
         if name in names:
             work = workloads.WORKLOADS[workload]
-            inputs = work.setup(work.spec("tiny"), 0)
-            result = workloads.quiet(oracle.picard_gss, inputs["system"], inputs["forcing"])
+            spec = work.spec("tiny")
+            if duration is not None:
+                spec = dict(spec, duration=duration)
+            inputs = work.setup(spec, 0)
+            forcing = inputs["forcing"] if scale == 1.0 else inputs["forcing"].scaled(scale)
+            result = workloads.quiet(oracle.picard_gss, inputs["system"], forcing)
             yield name, result.trajectory
 
 

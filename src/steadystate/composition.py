@@ -3,8 +3,10 @@
 The coefficient grids z_nu(t) of the amplitude expansion satisfy, order
 by order, the same linear dynamics with an inhomogeneity Phi_nu built
 from lower orders. Order 1 is forced by the (unit-normalized) input
-itself; higher orders are forced by the polynomial nonlinearity
-composed with the partial sums, collected per total order.
+itself, which each cascade maps into its modal inputs on its own;
+higher orders are forced by the polynomial nonlinearity composed with
+the partial sums, collected per total order, and those are what this
+module builds (assemble_phi refuses orders below 2).
 
 A field is F(z) = C m(y), monomials m in its linear forms y = Lambda z
 (PolynomialField; Lambda is the identity unless given). Since the forms
@@ -73,7 +75,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridMismatch, OrderUnavailable
+from .errors import DimensionMismatch, GridMismatch, InvalidParameters, OrderUnavailable
 from .model import MechanicalSystem, PolynomialField, _factor_list
 
 __all__ = [
@@ -472,26 +474,25 @@ def assemble_phi(
     system: MechanicalSystem,
     tensor: CoefficientTensor,
     nu: int,
-    forcing_grid=None,
     cache: CompositionCache | None = None,
     product=operator.mul,
     basis=None,
 ):
     """The image P g_nu, shape (k, T), of the force block g_nu of the
-    order-nu inhomogeneity Phi_nu = (g_nu, 0) under a basis P, shape
-    (k, n); P defaults to the identity, which gives g_nu itself, shape
-    (n, T). The lower block of Phi_nu is identically zero and is not built.
+    order-nu inhomogeneity Phi_nu = (g_nu, 0), nu >= 2, under a basis P,
+    shape (k, n); P defaults to the identity, which gives g_nu itself,
+    shape (n, T). The lower block of Phi_nu is identically zero and is
+    not built.
 
-    Order 1 is the normalized forcing itself: forcing_grid must be the
-    (T, n) sample array with unit sup row norm, and g_1 is its
-    transpose. For nu >= 2, g_nu is minus the order-nu composition C @ H
-    of the internal force field (the field enters the balance on the
-    left-hand side), and orders 1..nu-1 of the tensor must be filled.
-    The map is linear, so the basis goes into the composition's one
-    contraction: P g_nu is (-P C) @ H, with no negation pass or force
-    block made; order 1 is P g_1. The cascades pass
-    SpectralData.force_rows as P and get the modal inputs
-    propagate_order takes.
+    g_nu is minus the order-nu composition C @ H of the internal force
+    field (the field enters the balance on the left-hand side), and
+    orders 1..nu-1 of the tensor must be filled. The map is linear, so
+    the basis goes into the composition's one contraction: P g_nu is
+    (-P C) @ H, with no negation pass or force block made. The cascades
+    pass SpectralData.force_rows as P and get the modal inputs
+    propagate_order takes. Order 1 is the normalized forcing, which
+    every caller maps itself (P g_1 = P @ forcing.T); nu < 2 raises
+    InvalidParameters, as faadibruno_phi does.
 
     The orders are composed with product (see _product) and the result
     has the dtype of the tensor's and P's product, so a complex tensor
@@ -508,16 +509,8 @@ def assemble_phi(
         )
     if basis is not None and (np.ndim(basis) != 2 or np.shape(basis)[1] != n):
         raise DimensionMismatch(f"basis has shape {np.shape(basis)}, expected (k, {n})")
-    T = tensor.length
-    if nu == 1:
-        if forcing_grid is None:
-            raise DimensionMismatch("order 1 needs the forcing grid")
-        g = np.asarray(forcing_grid, dtype=float)
-        if g.shape != (T, n):
-            raise GridMismatch(f"forcing grid shape {g.shape} != ({T}, {n})")
-        return g.T.copy() if basis is None else basis @ g.T
-    if nu < 1:
-        raise OrderUnavailable(f"order must be >= 1, got {nu}")
+    if nu < 2:
+        raise InvalidParameters(f"composition covers orders >= 2, got {nu}")
     if tensor.orders_complete < nu - 1:
         raise OrderUnavailable(
             f"order {nu} needs orders 1..{nu - 1}; tensor holds "
@@ -528,5 +521,6 @@ def assemble_phi(
         cache = CompositionCache(max_degree=fld.max_degree)
     coef = -fld._coef if basis is None else -(basis @ fld._coef)
     return compose_field(
-        fld, tensor.component, nu, T, cache, dtype=tensor.data.dtype, product=product, coef=coef
+        fld, tensor.component, nu, tensor.length, cache, dtype=tensor.data.dtype,
+        product=product, coef=coef,
     )

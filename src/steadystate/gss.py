@@ -39,7 +39,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -62,14 +61,13 @@ from .errors import (
     UnstableLinearPart,
 )
 from .kernel import (
-    _CHUNK,
     Carry,
     _enforce_real,
     _modal_response,
     build_kernel_weights,
     propagate_order,
 )
-from .model import ForcingSignal, MechanicalSystem, ReducedModel, _check_int
+from .model import ForcingSignal, MechanicalSystem, ReducedModel, _check_int, _check_real
 from .spectral import (
     _STABILITY_TOL,
     SpectralData,
@@ -93,11 +91,11 @@ __all__ = [
 ]
 
 _BACKENDS = ("kernel", "qp")
-# samples per time block of the cascade: every order is composed and
-# propagated one block at a time, so composition products and per-order
-# temporaries stay block-length and in cache; the kernel's own block, so
-# that propagate_order runs each cascade block in one piece
-_BLOCK = _CHUNK
+# samples per time block: the cascades compose and propagate every order,
+# and picard_gss runs every sweep, one block at a time, so composition
+# products, modal inputs and filter temporaries stay block-length and in
+# cache (propagate_order filters whatever grid it is given in one pass)
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -290,12 +288,13 @@ def _modal_transfer(spectral, kappas):
 def _qp_propagate(spectral, inputs, denominators, velocity):
     """Exact bounded orbit of one order, solved harmonic by harmonic: the
     (state_dim, P K) coefficients of the response to inputs, the modal
-    inputs (SpectralData.project, unfolded) of the harmonic coefficients
-    of Phi_nu at P K frequencies kappa, as _harmonic_cascade composes
-    them. The modal transfer at each kappa (_modal_transfer: 1/(i kappa
-    - lambda), or (1, i kappa/omega) / (omega^2 - kappa^2 + 2i zeta
-    omega kappa) for an oscillator) maps them to modal coordinates, and
-    the kernel's reconstruct to the state.
+    inputs (SpectralData.force_rows' complex rows, unfolded) of the
+    harmonic coefficients of Phi_nu at P K frequencies kappa, as
+    _harmonic_cascade composes them. The modal transfer at each kappa
+    (_modal_transfer: 1/(i kappa - lambda), or (1, i kappa/omega) /
+    (omega^2 - kappa^2 + 2i zeta omega kappa) for an oscillator) maps
+    them to modal coordinates, and the kernel's reconstruct to the
+    state.
 
     With forcing on sum |k_i| <= 1, order nu only reaches sum |k_i| <= nu,
     so the orbit is exact while the budget is at least the order.
@@ -313,7 +312,7 @@ def _harmonic_cascade(system, spectral, g1, order, Omega, budget, kappas):
     at kappas[p K : p K + K]: one point is compute_taylor_gss, several
     the batched sweep (_qp_sweep). Each live order (cache.reaches) goes
     to _qp_propagate as modal inputs, solved at the modal transfer of
-    kappas: order 1 is g1 through SpectralData.force_rows, projected
+    kappas: order 1 is g1 through SpectralData.force_rows, mapped
     once and repeated per point, and each order from 2 on is composed by
     lattice convolution straight into them (assemble_phi with that
     basis, _lattice_product).
@@ -345,9 +344,8 @@ def _harmonic_cascade(system, spectral, g1, order, Omega, budget, kappas):
 def _check_resonance_tol(tol):
     """InvalidParameters unless a 'qp' resonance tolerance is None or a
     finite real > 0: a NaN or negative one trips on no harmonic."""
-    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-    if tol is not None and not (real and math.isfinite(tol) and tol > 0):
-        raise InvalidParameters(f"resonance_tol must be None or a finite value > 0, got {tol!r}")
+    if tol is not None:
+        _check_real(tol, "resonance_tol", positive=True)
 
 
 def _qp_guard(spectral, kappas, ball, resonance_tol):
@@ -491,13 +489,14 @@ def compute_taylor_gss(
     """Amplitude expansion of the steady response to a sampled forcing.
 
     'kernel' runs the blocked cascade (_cascade) that reduced_gss shares
-    with one step per order: assemble_phi composes the order on the
-    tensor's view of the block straight into the retained units' modal
-    inputs (its basis SpectralData.force_rows, real rows when the
-    retained set folds), and propagate_order filters them into the
-    order's slot; the step clears the cache at order 1, so cache_stats
-    are summed over the blocks; 'qp' fits the record's order-1
-    harmonics once, runs the sweep's harmonic cascade
+    with one step per order: the step maps the block's normalized
+    forcing (order 1) by SpectralData.force_rows (real rows when the
+    retained set folds), or has assemble_phi compose the order (from 2
+    on) on the tensor's view of the block straight into those modal
+    inputs with the same rows as its basis, and propagate_order filters
+    them into the order's slot; the step clears the cache at order 1,
+    so cache_stats are summed over the blocks; 'qp' fits the record's
+    order-1 harmonics once, runs the sweep's harmonic cascade
     (_harmonic_cascade, on modal inputs too) and puts each order on the
     grid. Only the live orders run
     (see the composition module): the odd ones for a cubic field, all of
@@ -596,9 +595,9 @@ def compute_taylor_gss(
         def solve(window, nu, normalized, carry):
             if nu == 1:  # a new block: the products are block-length
                 cache.clear()
-            inputs = assemble_phi(
-                system, window, nu, forcing_grid=normalized, cache=cache, basis=basis
-            )
+                inputs = basis @ normalized.T
+            else:
+                inputs = assemble_phi(system, window, nu, cache=cache, basis=basis)
             return propagate_order(spectral, weights, inputs, carry, out=window.slot(nu))
 
         tensor, norms = _cascade(system.state_dim, forcing, order, live, solve)
@@ -1032,10 +1031,11 @@ def reduced_gss(
     if spectral.kind == "structural":
         u = np.stack([np.zeros_like(u), u / every.omega[:, None]])
     b_inverse = _enforce_real(every.reconstruct(u), "B^{-1} forcing")
-    # the reduced filters' modal inputs: project is linear, so it goes
-    # into the forcing rows and R's coefficient matrix once per solve
-    forcing_inputs = reduced_spec.project(reduced.tangent_rows @ b_inverse)  # (d, n)
-    coef = reduced_spec.project(nonlinear._coef)
+    # the reduced filters' modal inputs: R's modal input map (every unit
+    # is retained) is linear, so it goes into the forcing rows and R's
+    # coefficient matrix once per solve
+    forcing_inputs = reduced_spec.modal_input @ (reduced.tangent_rows @ b_inverse)  # (d, n)
+    coef = reduced_spec.modal_input @ nonlinear._coef
 
     cache = CompositionCache(max_degree=max(R.max_degree, 2), degrees=nonlinear.degrees)
     # the lift multiplies reduced orders, which the same table describes

@@ -25,9 +25,10 @@ unit started so that its state is zero at the first sample,
 SpectralData.reconstruct, and _enforce_real, the one realness policy of
 every modal sum in the package. The inputs are P g_nu, the image of the
 order's force block under P = SpectralData.force_rows: the cascades
-compose each order straight into them (composition.assemble_phi with P
-as its basis) and hand them to propagate_order, and the Picard oracle
-applies P to its force block. A filter is three numerator taps over
+map order 1's forcing block by P, compose each order from 2 on straight
+into them (composition.assemble_phi with P as its basis) and hand them
+to propagate_order, and the Picard oracle applies P to each time block
+of its force block. A filter is three numerator taps over
 one or two poles: the taps give v[k] = b0 u[k] + b1 u[k-1] + b2 u[k-2]
 of the unit's input u, and each pole p in turn a first-order section
 y[k] = p y[k-1] + v[k], the first on v and a second on the first's
@@ -55,12 +56,14 @@ the caller's grid (propagate_order's out).
 Every propagator is a causal filter, so a grid can be propagated in
 consecutive time blocks: a Carry hands the last two inputs and each
 pole's last output at the end of one block to the next.
-propagate_order walks a grid longer than _CHUNK samples in such blocks
-itself, and a ztbsv call solves at most _SOLVE rows. Each solve starts
-from the output before its rows as its row 0, so every row takes the
-same BLAS step as in one pass, and the blocks reproduce the whole-grid
-recursion exactly; only the modal matrix products round differently on
-blocks of other lengths.
+propagate_order filters the grid it is given in one pass, so its
+temporaries are as long as that grid; the callers with long records
+(the cascades and the Picard oracle) hand it one time block of
+gss._BLOCK samples at a time with a Carry. A ztbsv call solves at most
+_SOLVE rows. Each solve starts from the output before its rows as its
+row 0, so every row takes the same BLAS step as in one pass, and the
+blocks reproduce the whole-grid recursion exactly; only the modal
+matrix products round differently on blocks of other lengths.
 """
 
 from __future__ import annotations
@@ -90,9 +93,6 @@ _CRITICAL_TAG = 1e-9  # reported branch tag
 # filter takes over
 _ONE_SECTION_ZETA = 0.99
 _REALNESS_TOL = 1e-10
-# samples per _modal_response call of propagate_order, and gss._BLOCK,
-# one cascade block, so that a long grid's modal temporaries stay this long
-_CHUNK = 8192
 # rows per ztbsv call: the length of the band each _modal_response call
 # fills per pole with its -p. A band as long as a block (256 KiB) made
 # glibc malloc trim and refault heap pages every solve, and its fill cost
@@ -395,8 +395,9 @@ def _modal_response(
 
 def _enforce_real(Z: np.ndarray, context: str) -> np.ndarray:
     """The one realness policy of every modal sum: a real Z is returned
-    unchanged, a complex one as its real part unless its largest imaginary
-    part exceeds 1e-10 x its largest magnitude (_check_residue).
+    unchanged, a complex one as its real part unless its largest
+    imaginary part exceeds 1e-10 x its largest magnitude, which raises
+    RealnessCheckFailed.
 
     The largest magnitude is at least the largest real part, so a residue
     within 1e-10 x the latter passes without the magnitude pass."""
@@ -404,18 +405,13 @@ def _enforce_real(Z: np.ndarray, context: str) -> np.ndarray:
         return Z
     resid = np.abs(Z.imag).max(initial=0.0)
     if resid > _REALNESS_TOL * np.abs(Z.real).max(initial=0.0):
-        _check_residue(resid, np.abs(Z).max(), context)
+        scale = np.abs(Z).max()
+        if resid > _REALNESS_TOL * scale:
+            raise RealnessCheckFailed(
+                f"{context}: imaginary residue {resid:.3e} exceeds "
+                f"{_REALNESS_TOL:g} x scale {scale:.3e}"
+            )
     return np.ascontiguousarray(Z.real)
-
-
-def _check_residue(resid: float, scale: float, context: str) -> None:
-    """RealnessCheckFailed if the largest imaginary part resid of a
-    complex sum exceeds 1e-10 x its largest magnitude scale."""
-    if scale > 0.0 and resid > _REALNESS_TOL * scale:
-        raise RealnessCheckFailed(
-            f"{context}: imaginary residue {resid:.3e} exceeds "
-            f"{_REALNESS_TOL:g} x scale {scale:.3e}"
-        )
 
 
 def propagate_order(
@@ -437,7 +433,8 @@ def propagate_order(
         The modal inputs of the order's inhomogeneity, sampled on the
         forcing grid or on one time block of it: P g_nu, the image of
         its force block under P = SpectralData.force_rows, as
-        assemble_phi(..., basis=P) composes it. On the structural path
+        assemble_phi(..., basis=P) composes it from order 2 on (order 1
+        is P applied to the normalized forcing). On the structural path
         they are (m, B) and real, since the response of a real system to
         a real force is real: complex inputs take the realness policy on
         entry, running as their real part, or raising
@@ -459,11 +456,12 @@ def propagate_order(
 
     Returns
     -------
-    (state_dim, B) real array (out, if given): _modal_response, one core
-    for both kinds, run on at most _CHUNK samples at a time, so that its
-    modal temporaries do not grow with B; a complex modal sum takes the
-    realness policy of _enforce_real over the whole grid (a real sum
-    passes as it is).
+    (state_dim, B) real array (out, if given): one _modal_response call,
+    the core of both kinds, over the whole grid; a complex modal sum
+    takes the realness policy of _enforce_real (a real sum passes as it
+    is). Its modal temporaries are as long as the grid, so a caller
+    with a long record hands it one time block at a time with a Carry
+    (the cascades and picard_gss run blocks of gss._BLOCK samples).
 
     Raises GridMismatch if inputs, out, the weights or the carry do not
     fit the grid, and RealnessCheckFailed if structural inputs or the
@@ -484,14 +482,8 @@ def propagate_order(
         raise GridMismatch(
             f"out has shape {out.shape}, expected ({spectral.state_dim}, {length})"
         )
-    Z = np.empty((spectral.state_dim, length)) if out is None else out
-    resid = scale = 0.0
-    for s in range(0, length, _CHUNK):
-        part = Z[:, s : s + _CHUNK]
-        sums = _modal_response(spectral, weights, inputs[:, s : s + _CHUNK], carry, part)
-        if sums is not part:  # the complex route
-            resid = max(resid, np.abs(sums.imag).max())
-            scale = max(scale, np.abs(sums).max())
-            part[...] = sums.real
-    _check_residue(resid, scale, "modal assembly")
-    return Z
+    Z = _enforce_real(_modal_response(spectral, weights, inputs, carry, out), "modal assembly")
+    if out is None or Z is out:
+        return Z
+    out[...] = Z
+    return out

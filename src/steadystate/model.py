@@ -18,6 +18,7 @@ shape (state_dim, T); forcing samples are (T, n).
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -75,6 +76,15 @@ def _check_int(value, name, low, high=None):
     if not integer or value < low or (high is not None and value > high):
         span = f">= {low}" if high is None else f"in {low}..{high}"
         raise InvalidParameters(f"{name} must be an integer {span}, got {value!r}")
+
+
+def _check_real(value, name, positive=False):
+    """Raise InvalidParameters unless value is a finite real, not a bool,
+    > 0 (positive) or >= 0."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        bound = "> 0" if positive else ">= 0"
+        raise InvalidParameters(f"{name} must be a finite value {bound}, got {value!r}")
 
 
 def _factor_list(exponents):

@@ -7,10 +7,10 @@ Everything here exists to check the main pipeline from a second route:
                          with the kernel or composition stages, only
                          model.NewmarkStep and model's field evaluator
   picard_gss             fixed-point iteration on the full nonlinear
-                         balance; deliberately reuses the kernel
-                         propagation and its modal input map for its
-                         linear solves, so it checks the composition/
-                         expansion stages, not the kernel
+                         balance, one time block at a time; deliberately
+                         reuses the kernel propagation and its modal
+                         input map for its linear solves, so it checks
+                         the composition/expansion stages, not the kernel
   quadrature_weight_reference
                          Gauss quadrature of the defining weight
                          integrals in long double, no closed forms of
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gss
 from .composition import CoefficientTensor
 from .errors import (
     DimensionMismatch,
@@ -41,13 +42,14 @@ from .errors import (
     NoConvergence,
     QuadratureFailure,
 )
-from .gss import _decompose
-from .kernel import build_kernel_weights, propagate_order
+from .kernel import Carry, build_kernel_weights, propagate_order
 from .model import (
     ForcingSignal,
     MechanicalSystem,
     NewmarkStep,
     _check_dt,
+    _check_int,
+    _check_real,
     evaluate_field,
     field_jacobian,
 )
@@ -82,12 +84,18 @@ def newmark_full(
     cannot fall. Returns the (2n, T) trajectory on the forcing grid. The
     Newton matrix uses the analytic polynomial Jacobian (field_jacobian).
 
+    newton_tol must be a finite real >= 0 and max_newton an integer >= 0
+    (InvalidParameters otherwise): a NaN tolerance would stop no step
+    and return the explicit predictor. max_newton 0 takes no Newton
+    step, so any step whose predictor misses the tolerance raises.
     Raises NewtonDivergence (with step index and last residual) when an
     increment fails to converge.
     """
     n = system.n
     if forcing.n != n:
         raise DimensionMismatch(f"forcing has {forcing.n} columns, system needs {n}")
+    _check_real(newton_tol, "newton_tol")
+    _check_int(max_newton, "max_newton", 0)
     g = forcing.samples  # (T, n), physical amplitude
     dt = forcing.dt
     T = g.shape[0]
@@ -167,37 +175,56 @@ def picard_gss(
     The linear solves reuse the kernel propagation on purpose: this
     oracle exists to check the amplitude-expansion bookkeeping, and a
     fixed point of the iteration is exact for the propagated dynamics.
-    Each sweep hands propagate_order the modal inputs P (g - f(z_l)),
-    P = SpectralData.force_rows(real=True), the map the cascades
-    contract with too: so the modal input map and the filters are
-    shared with the expansion, and what this oracle checks independently
-    is the field, evaluated by evaluate_field on the whole iterate
-    rather than composed order by order.
+    Each sweep runs one time block of gss._BLOCK samples (read at call
+    time) after another with one Carry: per block it hands
+    propagate_order the modal inputs P (g - f(z_l)), P =
+    SpectralData.force_rows(real=True), the map the cascades contract
+    with too, and the filters write into the block's columns of the new
+    iterate. So the modal input map and the filters are shared with the
+    expansion, and what this oracle checks independently is the field,
+    evaluated by evaluate_field on the iterate block by block rather
+    than composed order by order. A sweep holds the two iterates and
+    block-length temporaries.
 
-    Warns when the contraction certificate (check_contraction, on a ball
-    of twice the linear response's sup) does not hold at the forcing
-    amplitude. Raises NoConvergence after max_iter sweeps, carrying the
-    last iterate, or at the first sweep whose correction is not finite
-    (the iterate has overflowed), carrying the last finite iterate.
+    tol must be a finite real > 0 and max_iter an integer >= 1
+    (InvalidParameters otherwise, before any solve); a linear system
+    then stops at sweep 1, whose correction is exactly 0. Warns when
+    the contraction certificate (check_contraction, on a ball of twice
+    the linear response's sup) does not hold at the forcing amplitude.
+    Raises NoConvergence after max_iter sweeps, carrying the last
+    iterate, or at the first sweep whose correction is not finite (the
+    iterate has overflowed), carrying the last finite iterate.
     """
     n = system.n
     if forcing.n != n:
         raise DimensionMismatch(f"forcing has {forcing.n} columns, system needs {n}")
-    spectral = _decompose(system)
+    _check_real(tol, "tol", positive=True)
+    _check_int(max_iter, "max_iter", 1)
+    spectral = gss._decompose(system)
     spectral = with_retained(spectral, select_modes(spectral, forcing.dt, eps=eps_trunc))
     weights = build_kernel_weights(spectral, forcing.dt)
 
     g = forcing.samples.T
     fld = system.nonlinearity
     basis = spectral.force_rows(real=True)
+    T, size = forcing.length, gss._BLOCK
+    blocks = [slice(s, s + size) for s in range(0, T, size)]
 
-    inputs = basis @ g
-    z = propagate_order(spectral, weights, inputs)
+    def sweep(z):
+        """The next iterate and its correction sup_t |z_new - z|_2."""
+        z_new, carry, d = np.empty_like(z), Carry(), 0.0
+        for b in blocks:
+            inputs = basis @ (g[:, b] - evaluate_field(fld, z[:, b]))
+            step = propagate_order(spectral, weights, inputs, carry, out=z_new[:, b]) - z[:, b]
+            # np.maximum, not max: a NaN correction must survive the blocks
+            d = np.maximum(d, np.linalg.norm(step, axis=0).max())
+        return z_new, float(d)
 
-    ball = 2.0 * float(np.linalg.norm(z, axis=0).max())
-    if ball > 0.0:
+    # from zero, where the field vanishes: the linear response and its sup
+    z, sup = sweep(np.zeros((2 * n, T)))
+    if sup > 0.0:
         report = check_contraction(
-            system, spectral, delta=ball, forcing_delta=forcing.max_magnitude
+            system, spectral, delta=2.0 * sup, forcing_delta=forcing.max_magnitude
         )
         if not report.satisfied:
             warnings.warn(
@@ -208,10 +235,7 @@ def picard_gss(
 
     diffs = []
     for it in range(1, max_iter + 1):
-        if fld.n_terms:
-            inputs = basis @ (g - evaluate_field(fld, z))
-        z_new = propagate_order(spectral, weights, inputs)
-        d = float(np.linalg.norm(z_new - z, axis=0).max())
+        z_new, d = sweep(z)
         if not math.isfinite(d):
             raise NoConvergence(
                 f"no fixed point: sweep {it} gave a non-finite correction ({d}); "
@@ -224,10 +248,6 @@ def picard_gss(
             ratio = diffs[-1] / diffs[-2] if len(diffs) >= 2 and diffs[-2] > 0 else float("nan")
             return PicardResult(
                 trajectory=z, iterations=it, contraction_estimate=ratio, tol=tol
-            )
-        if fld.n_terms == 0:
-            return PicardResult(
-                trajectory=z, iterations=it, contraction_estimate=0.0, tol=tol
             )
     raise NoConvergence(
         f"no fixed point after {max_iter} sweeps (last correction {diffs[-1]:.3e})",
@@ -352,9 +372,10 @@ def faadibruno_phi(system: MechanicalSystem, tensor: CoefficientTensor, nu: int)
     over the set {(k, l): rows of k nonzero, l strictly increasing,
     column sums k = gamma, order-weighted sum = nu}. No shared-product
     recursion, no caching: this is the reference the fast assembly is
-    checked against. Same sign and shape conventions as the fast path,
-    assemble_phi without a basis (negated, force block only; order 1 is
-    not handled here).
+    checked against. Same sign and shape conventions and the same orders
+    as the fast path, assemble_phi without a basis: negated, force block
+    only, nu >= 2 (order 1 is the normalized forcing, which both refuse
+    with InvalidParameters).
 
     Guards: state dimension at most 8, nu at most 6, degree at most 4;
     anything larger raises InstanceTooLarge.

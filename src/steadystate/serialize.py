@@ -24,6 +24,7 @@ Version 1 (CSV per order) containers are rejected with ConfigError.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -54,6 +55,24 @@ _EXPANSION_KEYS = (
     "pad_length", "delta_ref", "forcing_sup", "backend", "eps_trunc",
 )
 _PADE_KEYS = ("dtype", "L", "M", "sigma", "state_dim", "length", "dt", "t0", "pad_length")
+# what a loader needs of each manifest value it reads, and the test of it
+# on what JSON gives (a bool is not an int here: its type is bool)
+_TYPES = {
+    **dict.fromkeys(
+        ("state_dim", "order", "orders_complete", "length", "pad_length", "L", "M"),
+        ("an integer", lambda v: type(v) is int),
+    ),
+    **dict.fromkeys(
+        ("dt", "t0", "delta_ref", "forcing_sup", "eps_trunc", "sigma"),
+        ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
+    ),
+    "backend": ("a string", lambda v: type(v) is str),
+    **dict.fromkeys(
+        ("orders", "ill_conditioned"),
+        ("a list of integers", lambda v: type(v) is list and all(type(i) is int for i in v)),
+    ),
+    "cache_stats": ("an object", lambda v: type(v) is dict),
+}
 
 
 def _term_entries(terms) -> list:
@@ -248,7 +267,8 @@ def _stage(directory: str, name: str, write) -> tuple[str, str]:
 
 def _read_manifest(directory: str, fmt: str, what: str, keys: tuple) -> dict:
     """The container's manifest, checked: format, version, every one of
-    keys present and a dtype NumPy understands, or ConfigError."""
+    keys present, each value of a key in _TYPES of its type, and a dtype
+    NumPy understands, or ConfigError naming the key."""
     manifest_path = os.path.join(directory, "manifest.json")
     try:
         with open(manifest_path) as fh:
@@ -266,6 +286,9 @@ def _read_manifest(directory: str, fmt: str, what: str, keys: tuple) -> dict:
     missing = [key for key in keys if key not in manifest]
     if missing:
         raise ConfigError(f"{manifest_path} lacks the key(s) {', '.join(missing)}")
+    for key, (kind, ok) in _TYPES.items():
+        if key in manifest and not ok(manifest[key]):
+            raise ConfigError(f"{manifest_path}: {key} is {manifest[key]!r}, not {kind}")
     dtype = manifest["dtype"]
     try:
         if isinstance(dtype, str):
@@ -341,8 +364,6 @@ def load_expansion(directory: str) -> GssExpansion:
     )
     complete = manifest["orders_complete"]
     orders = manifest.get("orders", list(range(1, complete + 1)))
-    if not isinstance(orders, list) or not all(type(nu) is int for nu in orders):
-        raise ConfigError(f"{directory}: orders {orders!r} is not a list of orders")
     data = _map_array(
         directory,
         "tensor",

@@ -62,8 +62,9 @@ class SpectralData:
     'structural': natural frequencies (ascending), damping ratios and the
     mass-normalized mode matrix U. retained indexes eigenvalues (general)
     or oscillators (structural). gamma = max_j 1 / |Re lambda_j|.
-    force_rows, project and reconstruct are the modal basis of the
-    retained units.
+    force_rows and reconstruct are the modal basis of the retained
+    units: force_rows maps a force block to their modal inputs, and
+    reconstruct maps their modal coordinates back to the state.
     """
 
     kind: str
@@ -166,14 +167,6 @@ class SpectralData:
         rows = np.concatenate([W[first].real, W[first].imag])
         cols = np.hstack([V[:, first].real * f, V[:, first].imag * -f])
         return tuple(members), rows, cols
-
-    def project(self, phi: np.ndarray) -> np.ndarray:
-        """Modal inputs of the retained units, unfolded: (m, ...)
-        modal_input @ phi (general), U^T @ phi[:n], the force block
-        (structural)."""
-        if self.kind == "general":
-            return self._maps[0] @ phi
-        return self._maps[0].T @ phi[: self.state_dim // 2]
 
     def force_rows(self, real: bool = False) -> np.ndarray:
         """The (k, n) map P from a force block g to the modal inputs of

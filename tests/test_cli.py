@@ -310,6 +310,36 @@ class TestExpansionContainer:
         with pytest.raises(ConfigError, match=f"lacks the key\\(s\\) {key}$"):
             load(tmp_path)
 
+    @pytest.mark.parametrize("save,load,key,value", [
+        *((serialize.save_expansion, serialize.load_expansion, key, value)
+          for key in ("state_dim", "order", "orders_complete", "length", "pad_length")
+          for value in ("4", 4.0, True, None)),
+        *((serialize.save_expansion, serialize.load_expansion, key, value)
+          for key in ("dt", "t0", "delta_ref", "forcing_sup", "eps_trunc")
+          for value in ("x", None, True, float("nan"), float("inf"))),
+        (serialize.save_expansion, serialize.load_expansion, "backend", 3),
+        (serialize.save_expansion, serialize.load_expansion, "cache_stats", [1]),
+        *((serialize.save_pade, serialize.load_pade, key, value)
+          for key in ("L", "M", "state_dim", "length", "pad_length")
+          for value in ("2", 2.0, False)),
+        *((serialize.save_pade, serialize.load_pade, key, value)
+          for key in ("sigma", "dt", "t0") for value in ("x", None, float("nan"))),
+        (serialize.save_pade, serialize.load_pade, "backend", None),
+        (serialize.save_pade, serialize.load_pade, "ill_conditioned", 5),
+        (serialize.save_pade, serialize.load_pade, "ill_conditioned", "ab"),
+        (serialize.save_pade, serialize.load_pade, "ill_conditioned", [0.0]),
+    ])
+    def test_manifest_value_of_the_wrong_type(self, tmp_path, save, load, key, value):
+        # each value a loader reads is checked and named: a string count
+        # or a null time once escaped as a bare TypeError or ValueError
+        exp = self._expansion()
+        save(exp if save is serialize.save_expansion else pade_resum(exp, 2, 1), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest[key] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match=f": {key} is "):
+            load(tmp_path)
+
     @pytest.mark.parametrize("dtype", ["float128x", None, 8])
     @pytest.mark.parametrize("save,load", [
         (serialize.save_expansion, serialize.load_expansion),
@@ -608,6 +638,18 @@ class TestCliExitCodes:
         assert main(["compute", "--config", cfg, "--forcing", _GEN,
                      "--order", "3", "--out", str(out)]) == 0
         assert main(["pade", "--expansion", str(out), "--pade", "22"]) == 2
+
+    def test_malformed_manifest_value_is_2(self, tmp_path, capsys):
+        cfg = _config(tmp_path)
+        out = tmp_path / "expansion"
+        assert main(["compute", "--config", cfg, "--forcing", _GEN,
+                     "--order", "3", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["delta_ref"] = "x"
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["pade", "--expansion", str(out), "--pade", "2:1"]) == 2
+        assert "ConfigError" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", [
         "eps-trunc", "pad", "diagnose-delta", "diagnose-dt", "damping", "csv-cell",

@@ -521,21 +521,16 @@ class TestLiveOrders:
 
 
 class TestAssemblePhi:
-    def test_order_one_stacks_forcing(self, rng):
+    def test_orders_below_two_refused(self, rng):
+        # order 1 is the normalized forcing, which every caller maps
+        # itself: composition, like its reference, covers orders >= 2
         sys_ = build_duffing()
-        t = CoefficientTensor.empty(2, 3, 12, dt=0.1)
-        grid = rng.normal(size=(12, 1))
-        g = assemble_phi(sys_, t, 1, forcing_grid=grid)
-        assert g.shape == (1, 12)
-        assert np.array_equal(g[0], grid[:, 0])
-
-    def test_order_one_requires_grid(self):
-        sys_ = build_duffing()
-        t = CoefficientTensor.empty(2, 3, 12, dt=0.1)
-        with pytest.raises(DimensionMismatch):
-            assemble_phi(sys_, t, 1)
-        with pytest.raises(GridMismatch):
-            assemble_phi(sys_, t, 1, forcing_grid=np.zeros((5, 1)))
+        t = _filled_tensor(rng, 2, 3, 12, orders=2)
+        for nu in (1, 0, -1):
+            with pytest.raises(InvalidParameters):
+                assemble_phi(sys_, t, nu)
+            with pytest.raises(InvalidParameters):
+                faadibruno_phi(sys_, t, nu)
 
     def test_cubic_has_no_order_two_forcing(self, rng):
         sys_ = build_duffing(kappa3=2.0)
@@ -570,25 +565,29 @@ class TestAssemblePhi:
     def test_basis_gives_the_projected_force_block(self, rng, kind):
         # P g_nu in one contraction equals P applied to g_nu, on every
         # route of the modal pair: U^T, the complex modal-input rows, and
-        # the folded real rows; on the complex rows it equals project of
-        # the state (g_nu, 0)
+        # the folded real rows; on the complex rows it equals the modal
+        # inputs of the state (g_nu, 0): U^T g_nu, or the retained
+        # modal-input rows applied to the state
         sys_ = random_system(rng, 3, structural=kind == "structural")
         spec = (decompose_structural if kind == "structural" else decompose_general)(sys_)
         assert kind == "structural" or spec._folded is not None
         t = _filled_tensor(rng, 6, 4, 17, orders=3)
-        grid = rng.normal(size=(17, 3))
+        cols = list(spec.retained)
         for real in (False, True):
             basis = spec.force_rows(real)
-            for nu in range(1, 5):
-                g = assemble_phi(sys_, t, nu, forcing_grid=grid)
+            for nu in range(2, 5):
+                g = assemble_phi(sys_, t, nu)
                 assert g.shape == (3, 17)
                 want = basis @ g
-                got = assemble_phi(sys_, t, nu, forcing_grid=grid, basis=basis)
+                got = assemble_phi(sys_, t, nu, basis=basis)
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (real, nu)
                 if not real:
-                    phi = np.vstack([g, np.zeros_like(g)])
-                    assert np.abs(got - spec.project(phi)).max() <= 1e-13 * np.abs(want).max()
+                    if kind == "structural":
+                        modal = spec.U[:, cols].T @ g
+                    else:
+                        modal = spec.modal_input[cols] @ np.vstack([g, np.zeros_like(g)])
+                    assert np.abs(got - modal).max() <= 1e-13 * np.abs(want).max()
         with pytest.raises(DimensionMismatch):
             assemble_phi(sys_, t, 2, basis=np.ones((2, 6)))
 

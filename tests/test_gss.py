@@ -476,7 +476,8 @@ def _both_routes(system, forcing, order, spectral):
     on both routes: the modal inputs it propagates (assemble_phi with
     the basis P = force_rows, P inside the contraction) and, on carries
     of their own, P applied after the contraction to the force block
-    g_nu (assemble_phi without a basis). Returns the first route's
+    g_nu (assemble_phi without a basis); at order 1 both are P applied
+    to the block's normalized forcing. Returns the first route's
     tensor and, per (block start, order), the largest difference of the
     two steps over the second step's largest magnitude."""
     fld = system.nonlinearity
@@ -490,10 +491,12 @@ def _both_routes(system, forcing, order, spectral):
     def solve(window, nu, normalized, carry):
         if nu == 1:
             cache.clear()
-        g = assemble_phi(system, window, nu, forcing_grid=normalized, cache=cache)
+            g = normalized.T
+            inputs = basis @ g
+        else:
+            g = assemble_phi(system, window, nu, cache=cache)
+            inputs = assemble_phi(system, window, nu, cache=cache, basis=basis)
         want = propagate_order(spectral, weights, basis @ g, mapped[nu])
-        inputs = assemble_phi(system, window, nu, forcing_grid=normalized, cache=cache,
-                              basis=basis)
         got = propagate_order(spectral, weights, inputs, carry, out=window.slot(nu))
         gaps[window.t0, nu] = np.abs(got - want).max() / np.abs(want).max()
         return got

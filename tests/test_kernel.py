@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +29,7 @@ from steadystate.errors import (
     RealnessCheckFailed,
     ZeroEigenvalue,
 )
-from steadystate import kernel
+from steadystate import gss, kernel
 from steadystate.bench import build_gyroscopic_2dof, build_oscillator_chain
 from steadystate.kernel import _ONE_SECTION_ZETA, Carry, _block_matrix, _enforce_real
 from tests.conftest import random_system
@@ -457,9 +456,10 @@ def _one_general_mode(lam):
 def _state_inputs(spec, x):
     """The modal inputs of a real state grid x as force_rows(real=True)
     maps a force block: the folded rows when the retained set folds,
-    else project's complex rows."""
+    else the retained complex modal-input rows."""
     folded = spec._folded
-    return spec.project(x) if folded is None else folded[1] @ x
+    rows = spec.modal_input[list(spec.retained)] if folded is None else folded[1]
+    return rows @ x
 
 
 class TestStructuralRecursion:
@@ -571,39 +571,22 @@ _LONG = [(_mixed_chain(), 0.01), (_one_general_mode(-5.0 + 200.0j), 0.01)]
 
 
 class TestLongGrids:
-    """A grid several kernel._CHUNK blocks long: propagate_order walks
-    it a block at a time with its own carry."""
+    """A grid several cascade blocks (gss._BLOCK) long: propagate_order
+    filters it in one pass, and a Carry splits it anywhere."""
 
     @pytest.mark.parametrize("spec,dt", _LONG, ids=["structural", "general"])
     def test_one_call_equals_two_blocks(self, spec, dt):
         # one call over 3.5 blocks equals a Carry across a split that
         # falls inside a block, bit for bit (the modal products are exact)
         w = build_kernel_weights(spec, dt)
-        T = 7 * kernel._CHUNK // 2
+        T = 7 * gss._BLOCK // 2
         u = np.random.default_rng(3).standard_normal((len(spec.retained), T))
         whole = propagate_order(spec, w, u)
         carry = Carry()
-        split = 2 * kernel._CHUNK - 1001
+        split = 2 * gss._BLOCK - 1001
         blocks = [propagate_order(spec, w, u[:, :split], carry),
                   propagate_order(spec, w, u[:, split:], carry)]
         assert np.array_equal(np.hstack(blocks), whole)
-
-    @pytest.mark.parametrize("spec,dt", _LONG, ids=["structural", "general"])
-    def test_memory_beyond_the_grids_does_not_grow(self, spec, dt):
-        # every temporary, the one band a call fills included, is at most
-        # block-sized: a grid 4x longer only grows the inputs and the result
-        extra = []
-        for blocks in (2, 8):
-            T = blocks * kernel._CHUNK + 7
-            u = np.random.default_rng(3).standard_normal((len(spec.retained), T))
-            tracemalloc.start()
-            try:
-                Z = propagate_order(spec, build_kernel_weights(spec, dt), u)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            extra.append(peak - Z.nbytes)
-        assert extra[1] <= 1.05 * extra[0]
 
     def test_carry_belongs_to_its_weights(self):
         # a carry started under one set of weights refuses any other:

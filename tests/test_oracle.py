@@ -2,6 +2,9 @@
 point iteration, quadrature weights, direct-enumeration assembly)."""
 
 import math
+import pathlib
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from steadystate import (
     evaluate_at_amplitude,
     faadibruno_phi,
     generate_forcing,
+    gss,
     newmark_full,
     oracle,
     picard_gss,
@@ -30,7 +34,18 @@ from steadystate.kernel import qmat_structural, qvec_general
 from steadystate.model import NewmarkStep, load_forcing
 from tests.conftest import random_system
 
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+from perfbench import workloads  # noqa: E402
+
 E1 = math.exp(-1.0)
+
+
+def _tiny(workload, **sizes):
+    """The system and forcing of a benchmark workload's tiny inputs, its
+    sizes (duration, ...) overridden by sizes."""
+    work = workloads.WORKLOADS[workload]
+    inputs = work.setup(dict(work.spec("tiny"), **sizes), 0)
+    return inputs["system"], inputs["forcing"]
 
 
 def _two_tone(n=1, duration=40.0, dt=0.02, delta=0.02, **kw):
@@ -91,6 +106,23 @@ class TestNewmarkFull:
         f = _two_tone(n=2, duration=5.0)
         with pytest.raises(DimensionMismatch):
             newmark_full(sys_, f)
+
+    @pytest.mark.parametrize("kw", [
+        dict(newton_tol=math.nan), dict(newton_tol=math.inf), dict(newton_tol=-1e-10),
+        dict(newton_tol=True), dict(newton_tol="1e-10"), dict(newton_tol=None),
+        dict(max_newton=-1), dict(max_newton=2.0), dict(max_newton=True),
+        dict(max_newton=None),
+    ], ids=repr)
+    def test_bad_newton_settings_refused(self, kw):
+        # a NaN tolerance stopped no step: the integrator returned the
+        # explicit predictor, 100% off, without a word
+        sys_ = build_duffing(kappa3=2.0)
+        t = 0.05 * np.arange(400)
+        f = load_forcing(0.3 * np.sin(1.3 * t), dt=0.05)
+        with pytest.raises(InvalidParameters):
+            newmark_full(sys_, f, **kw)
+        ref = newmark_full(sys_, f)
+        assert np.array_equal(newmark_full(sys_, f, newton_tol=1e-10, max_newton=25), ref)
 
     def test_residual_rounding_floor_does_not_stall(self):
         # at dt = 1e-4 the residual of a converged step keeps about
@@ -182,6 +214,71 @@ class TestPicard:
         f = _two_tone(n=2, duration=5.0)
         with pytest.raises(DimensionMismatch):
             picard_gss(sys_, f)
+
+    @pytest.mark.parametrize("kw", [
+        dict(tol=0.0), dict(tol=-1e-10), dict(tol=math.nan), dict(tol=math.inf),
+        dict(tol=True), dict(tol="1e-10"), dict(tol=None),
+        dict(max_iter=0), dict(max_iter=-1), dict(max_iter=3.0), dict(max_iter=True),
+    ], ids=repr)
+    def test_bad_tolerance_or_budget_refused(self, monkeypatch, kw):
+        # refused before any solve: max_iter 0 once raised a bare
+        # IndexError, and a NaN tol ran every sweep into NoConvergence
+        def solve(*args, **kwargs):
+            raise AssertionError("a linear solve ran")
+
+        monkeypatch.setattr(oracle, "propagate_order", solve)
+        t = 0.05 * np.arange(200)
+        f = load_forcing(0.1 * np.sin(1.3 * t), dt=0.05)
+        with pytest.raises(InvalidParameters):
+            picard_gss(build_duffing(kappa3=0.5), f, **kw)
+
+    # the certificate is conservative on these chains; its warning is moot
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("workload", ["chain-noise", "dashpot-roundtrip"])
+    @pytest.mark.parametrize("block,length", [(128, None), (7, None), (7, 7 * 80 + 1)],
+                             ids=["128", "7", "7-last-block-of-1"])
+    def test_blocks_match_one_block(self, monkeypatch, workload, block, length):
+        # each sweep walks the record in blocks of gss._BLOCK with one
+        # carry; the iterates match the one-block sweep to rounding
+        system, f = _tiny(workload)
+        if length is not None:
+            pad = f.pad_length
+            f = load_forcing(f.samples[pad:length], dt=f.dt, pad_length=pad)
+            assert f.length % block == 1
+        monkeypatch.setattr(gss, "_BLOCK", f.length)
+        one = picard_gss(system, f)
+        calls, inner = [], oracle.propagate_order
+
+        def counted(spectral, weights, inputs, carry, out):
+            calls.append(inputs.shape[1])
+            return inner(spectral, weights, inputs, carry, out=out)
+
+        monkeypatch.setattr(oracle, "propagate_order", counted)
+        monkeypatch.setattr(gss, "_BLOCK", block)
+        got = picard_gss(system, f)
+        assert got.iterations == one.iterations
+        blocks = -(-f.length // block)
+        # the linear response's sweep, then one sweep per iteration
+        assert len(calls) == blocks * (got.iterations + 1) and max(calls) == block
+        assert calls[blocks - 1] == f.length - (blocks - 1) * block
+        scale = np.abs(one.trajectory).max()
+        assert np.abs(got.trajectory - one.trajectory).max() <= 1e-13 * scale
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_memory_stays_below_four_iterates(self):
+        # the tiny dashpot chain on 48,101 samples, 6 blocks: a sweep
+        # holds the two iterates and block-length temporaries, where the
+        # whole-record sweep peaked at about 8 iterates
+        system, f = _tiny("dashpot-roundtrip", duration=48.0)
+        assert -(-f.length // gss._BLOCK) == 6
+        tracemalloc.start()
+        try:
+            result = picard_gss(system, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.iterations > 2
+        assert peak < 4 * result.trajectory.nbytes, peak / result.trajectory.nbytes
 
 
 class TestQuadratureReference:

@@ -95,10 +95,10 @@ class TestGeneralDecomposition:
         g = np.eye(4, 2)  # (I_n, 0): every force direction
         if kind == "general":
             spec = decompose_general(sys_)
-            X = spec.project(g)
+            X = spec.force_rows()
         else:
             spec = decompose_structural(sys_)
-            u = spec.project(g)
+            u = spec.force_rows()
             X = np.stack([np.zeros_like(u), u / spec.omega[:, None]])
         got = spec.reconstruct(X).real
         ref = np.linalg.solve(B, g)
@@ -112,6 +112,58 @@ class TestGeneralDecomposition:
         lhs = np.linalg.solve(B, A)
         rhs = (spec.V @ np.diag(spec.eigenvalues) @ spec.modal_input @ B).real
         assert np.abs(lhs - rhs).max() < 1e-8 * max(1.0, np.abs(lhs).max())
+
+    @staticmethod
+    def _order_one(system, samples, dt=0.05):
+        """The physical order-1 response of a system to a record."""
+        f = load_forcing(samples, dt=dt)
+        return gss.evaluate_at_amplitude(compute_taylor_gss(system, f, order=1),
+                                         f.max_magnitude)
+
+    def _check_cluster(self, sys_):
+        # a repeated eigenvalue: Gram-Schmidt inside its cluster still
+        # gives a biorthonormal basis, and every pair folds
+        spec = decompose_general(sys_)
+        lams = spec.eigenvalues
+        assert abs(lams[0] - lams[2]) <= 1e-8 * np.abs(lams).max()
+        B, _ = first_order_blocks(sys_)
+        gram = spec.modal_input @ B @ spec.V
+        assert np.abs(gram - np.eye(sys_.state_dim)).max() <= 1e-12
+        assert spec._folded is not None
+
+    def test_self_dual_cluster(self, rng):
+        # M = K = I, C = 0.1 I: both dofs share one conjugate pair, and
+        # symmetric damping takes the self-dual branch (W = V); the
+        # order-1 response equals that of its structural twin
+        M = K = np.eye(2)
+        C = 0.1 * np.eye(2)
+        general = build_system(M, C, K, damping="general")
+        self._check_cluster(general)
+        samples = rng.standard_normal((400, 2))
+        got = self._order_one(general, samples)
+        twin = build_system(M, C, K)
+        assert twin.damping_class.kind == "structural"
+        ref = self._order_one(twin, samples)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_gyroscopic_cluster(self, rng):
+        # two uncoupled copies of the gyroscope: non-symmetric damping
+        # takes the left-vector branch, each eigenvalue twice; each
+        # copy's order-1 response equals the single gyroscope's
+        one = build_gyroscopic_2dof()
+        Z = np.zeros((2, 2))
+
+        def doubled(X):
+            return np.block([[X, Z], [Z, X]])
+
+        sys_ = build_system(doubled(one.M), doubled(one.C), doubled(one.K))
+        assert sys_.damping_class.kind == "general"
+        self._check_cluster(sys_)
+        samples = rng.standard_normal((400, 4))
+        got = self._order_one(sys_, samples)
+        for dofs, rows in (((0, 1), [0, 1, 4, 5]), ((2, 3), [2, 3, 6, 7])):
+            ref = self._order_one(one, samples[:, dofs])
+            assert np.abs(got[rows] - ref).max() <= 1e-12 * np.abs(ref).max(), dofs
 
     def test_unstable_part_rejected(self):
         # negative damping on a mode makes Re(lambda) > 0
