@@ -5,7 +5,9 @@ suite and the example scripts; the forcing generators produce seeded,
 reproducible ForcingSignal grids. Amplitude semantics of `delta` per
 kind: chirp, two_tone and rossler scale each target dof's waveform to
 peak amplitude delta; filtered_gaussian rescales so the sup over time
-of the row 2-norm equals delta exactly.
+of the row 2-norm equals delta exactly. Only filtered_gaussian needs an
+FFT, so it alone imports scipy.fft, on its first record: importing the
+package, sweeps and solves on given records load no FFT stack.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import EmptySignal, InvalidCutoff, InvalidParameters
 from .gss import _FRC_SAMPLES_PER_PERIOD, _check_resonance_tol, _qp_sweep
@@ -210,12 +211,14 @@ def generate_forcing(
     The record is built once: the forced columns as one (T, k) block,
     whose row norms give the filtered_gaussian scale and max_magnitude,
     written straight into the padded read-only samples. The transforms
-    are scipy.fft's, which keeps the plan of a length between calls, so
-    the cost follows the FFT length T (a prime factor above 5 takes the
-    slower chirp-z path). On 1, 2 or all n forced dofs in order a row
-    norm is bit-equal to np.linalg.norm(samples, axis=1); on 3 to n-1
-    its sum of squares is added in another order, so max_magnitude (and
-    the filtered_gaussian scale) can differ from it in the last bit.
+    are scipy.fft's, imported by the first filtered_gaussian record
+    (no other kind loads it). It keeps the plan of a length between
+    calls, so the cost follows the FFT length T (a prime factor above 5
+    takes the slower chirp-z path). On 1, 2 or all n forced dofs in
+    order a row norm is bit-equal to np.linalg.norm(samples, axis=1); on
+    3 to n-1 its sum of squares is added in another order, so
+    max_magnitude (and the filtered_gaussian scale) can differ from it
+    in the last bit.
     """
     if n < 1 or not 0 < duration < np.inf:
         raise InvalidParameters(f"need n >= 1 and a finite duration > 0, got {n}, {duration}")
@@ -250,6 +253,8 @@ def generate_forcing(
         nyquist = 0.5 / dt
         if not 0.0 < f_cut < nyquist:
             raise InvalidCutoff(f"f_cut {f_cut} outside (0, {nyquist})")
+        import scipy.fft  # only this kind needs it: kept out of `import steadystate`
+
         rng = np.random.default_rng(seed)
         spec = scipy.fft.rfft(rng.standard_normal((T, k)), axis=0)
         spec[np.fft.rfftfreq(T, d=dt) > f_cut] = 0.0
@@ -281,11 +286,14 @@ def nmte(pred: np.ndarray, ref: np.ndarray, skip: int = 0) -> float:
     """Normalized mean trajectory error over samples from index `skip` on.
 
     mean_t |pred - ref|_2 / max_t |ref|_2, both trajectories (dim, T).
+    skip must be an integer in 0..T-1 (InvalidParameters otherwise), so
+    at least one sample is measured.
     """
     pred = np.asarray(pred)
     ref = np.asarray(ref)
-    if pred.shape != ref.shape:
-        raise InvalidParameters(f"shape mismatch {pred.shape} vs {ref.shape}")
+    if pred.shape != ref.shape or pred.ndim != 2:
+        raise InvalidParameters(f"need two (dim, T) trajectories, got {pred.shape} vs {ref.shape}")
+    _check_int(skip, "skip", 0, pred.shape[1] - 1)
     diff = np.linalg.norm(pred[:, skip:] - ref[:, skip:], axis=0)
     scale = np.linalg.norm(ref[:, skip:], axis=0).max()
     if scale == 0.0:

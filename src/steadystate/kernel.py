@@ -397,13 +397,16 @@ def _enforce_real(Z: np.ndarray, context: str) -> np.ndarray:
     """The one realness policy of every modal sum: a real Z is returned
     unchanged, a complex one as its real part unless its largest
     imaginary part exceeds 1e-10 x its largest magnitude, which raises
-    RealnessCheckFailed.
+    RealnessCheckFailed. So does an imaginary part that is not finite
+    (NaN or inf), which no comparison with the scale would catch.
 
     The largest magnitude is at least the largest real part, so a residue
     within 1e-10 x the latter passes without the magnitude pass."""
     if not np.iscomplexobj(Z):
         return Z
     resid = np.abs(Z.imag).max(initial=0.0)
+    if not np.isfinite(resid):
+        raise RealnessCheckFailed(f"{context}: imaginary residue {resid} is not finite")
     if resid > _REALNESS_TOL * np.abs(Z.real).max(initial=0.0):
         scale = np.abs(Z).max()
         if resid > _REALNESS_TOL * scale:

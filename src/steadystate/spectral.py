@@ -36,7 +36,7 @@ from .errors import (
     NotStructural,
     UnstableLinearPart,
 )
-from .model import MechanicalSystem, _check_dt, first_order_blocks
+from .model import MechanicalSystem, _check_dt, _check_real, first_order_blocks
 
 __all__ = [
     "SpectralData",
@@ -445,9 +445,13 @@ def check_contraction(
     here. When the first-order eigenbasis is defective (a critically
     damped mode), ||V|| is unbounded and the certificate is returned
     unsatisfied: factor inf, admissible bound 0.
+
+    delta must be a finite real > 0 and forcing_delta a finite real >= 0
+    (InvalidParameters otherwise): a NaN would read as NaN bounds or as
+    an unsatisfied certificate.
     """
-    if delta <= 0.0:
-        raise InvalidParameters("delta must be positive")
+    _check_real(delta, "delta", positive=True)
+    _check_real(forcing_delta, "forcing_delta")
     try:
         V = spectral.V if spectral.kind == "general" else decompose_general(system).V
         vnorm_product = float(np.linalg.norm(V, 2)) ** 2  # ||V*||_2 == ||V||_2

@@ -342,6 +342,21 @@ class TestNmte:
         assert nmte(pred, ref, skip=5) == 0.0
         assert nmte(pred, ref) > 1.0
 
+    @pytest.mark.parametrize("skip", [-5, -1, 100, 101, 2.5, np.float64(3.0), True, None],
+                             ids=["negative", "minus-one", "at-length", "past-length",
+                                  "fraction", "float", "bool", "none"])
+    def test_skip_outside_the_record_refused(self, rng, skip):
+        # a negative skip would measure only the last samples, one at or
+        # past the length nothing at all
+        pred, ref = rng.standard_normal((2, 4, 100))
+        with pytest.raises(InvalidParameters, match=r"skip must be an integer in 0\.\.99"):
+            nmte(pred, ref, skip=skip)
+
+    def test_skip_to_the_last_sample(self, rng):
+        pred, ref = rng.standard_normal((2, 4, 100))
+        want = np.linalg.norm(pred[:, 99] - ref[:, 99]) / np.linalg.norm(ref[:, 99])
+        assert nmte(pred, ref, skip=np.int64(99)) == pytest.approx(want, rel=1e-15)
+
     def test_zero_reference(self):
         zero = np.zeros((2, 5))
         assert nmte(zero, zero) == 0.0
@@ -400,6 +415,19 @@ class TestFrcSweep:
         assert res.flags[1] is not None
         assert np.all(np.isnan(res.amplitude[1]))
         assert np.all(np.isfinite(res.amplitude[0]))
+
+    @pytest.mark.parametrize("fractions", [(1.0,), (0.5,), (1.0, 0.5)],
+                             ids=["at-resonance", "second-harmonic", "both"])
+    def test_group_with_every_point_flagged(self, fractions):
+        # one mode, so one group of points: when the guard flags each of
+        # them (at 0.5 omega_d through the k = +-2 harmonic) no cascade
+        # runs and every amplitude is NaN
+        sys_ = build_duffing(omega=1.0, zeta=1e-9, kappa3=0.1)
+        omega_d = math.sqrt(1.0 - 1e-18)
+        res = frc_sweep(sys_, [f * omega_d for f in fractions], delta=0.05, order=3)
+        assert all(flag is not None and "harmonic frequency" in flag for flag in res.flags)
+        assert res.amplitude.shape == (len(fractions), 2)
+        assert np.all(np.isnan(res.amplitude))
 
     def test_argument_validation(self, monkeypatch):
         sys_ = build_duffing()

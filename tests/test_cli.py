@@ -655,6 +655,8 @@ class TestCliExitCodes:
         "eps-trunc", "pad", "diagnose-delta", "diagnose-dt", "damping", "csv-cell",
         "dofs", "points", "seed", "compute-dt-inf", "diagnose-dt-nan", "compute-delta-nan",
         "pade-delta-nan", "frc-harmonic", "frc-dof", "frc-omega-nan", "frc-delta-inf",
+        "compare-skip-negative", "compare-skip-past-end", "diagnose-delta-nan",
+        "diagnose-forcing-delta-nan",
     ])
     def test_bad_input_is_2(self, tmp_path, capsys, case):
         cfg = _config(tmp_path)
@@ -694,6 +696,13 @@ class TestCliExitCodes:
             "compute-delta-nan": [*compute, _GEN, "--delta", "nan"],
             "pade-delta-nan": ["pade", "--expansion", str(tmp_path / "expansion"),
                                "--pade", "1:1", "--delta", "nan"],
+            "compare-skip-negative": ["compare", "--config", cfg, "--order", "2",
+                                      "--forcing", _GEN, "--skip", "-5"],
+            "compare-skip-past-end": ["compare", "--config", cfg, "--order", "2",
+                                      "--forcing", _GEN, "--skip", "100000"],
+            "diagnose-delta-nan": ["diagnose", "--config", cfg, "--delta", "nan"],
+            "diagnose-forcing-delta-nan": ["diagnose", "--config", cfg, "--delta", "0.5",
+                                           "--forcing-delta", "nan"],
         }[case]
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()

@@ -1223,8 +1223,8 @@ class TestBlasThreads:
 
 class TestImportFootprint:
     def test_solves_never_import_scipy_signal(self):
-        # a fresh interpreter runs each filter route and a sweep: the
-        # package needs only scipy.linalg and scipy.fft
+        # a fresh interpreter runs each filter route and a sweep: no route
+        # filters with scipy.signal
         script = textwrap.dedent('''
             import sys
             import numpy as np
@@ -1256,6 +1256,55 @@ class TestImportFootprint:
                              text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         assert run.stdout.split() == ["False"]
+
+    def test_only_a_filtered_record_loads_scipy_fft(self):
+        # sweeps and runs on a given record need scipy.linalg alone; the
+        # first filtered_gaussian record loads scipy.fft, to the same bits
+        script = textwrap.dedent('''
+            import hashlib, json, sys, tempfile
+            import numpy as np
+
+            def scipy_loaded():
+                return sorted(m for m in sys.modules if m.startswith("scipy.")
+                              and m.count(".") == 1 and not m.split(".")[1].startswith("_"))
+
+            stages = {}
+            import steadystate
+            import steadystate.cli
+            stages["import"] = scipy_loaded()
+            from steadystate import (build_duffing, build_oscillator_chain, compute_taylor_gss,
+                                     evaluate_pade, frc_sweep, generate_forcing, load_forcing,
+                                     pade_resum)
+            from steadystate.serialize import load_expansion, save_expansion
+            frc_sweep(build_oscillator_chain(3), np.linspace(0.5, 1.5, 3), 0.05, order=3)
+            stages["frc_sweep"] = scipy_loaded()
+            t = 0.05 * np.arange(401)
+            record = load_forcing(0.2 * np.sin(1.1 * t) + 0.1 * np.cos(0.37 * t), dt=0.05)
+            expansion = compute_taylor_gss(build_duffing(kappa3=0.5), record, order=4,
+                                           check_divergence=False)
+            with tempfile.TemporaryDirectory() as directory:
+                save_expansion(expansion, directory)
+                evaluate_pade(pade_resum(load_expansion(directory), 2, 2), 0.5)
+            stages["given_record"] = scipy_loaded()
+            forcing = generate_forcing("filtered_gaussian", n=3, duration=1.0, dt=0.01,
+                                       delta=1.0, seed=1, f_cut=5.0)
+            stages["filtered"] = sorted(set(scipy_loaded()) & {"scipy.fft", "scipy.special"})
+            stages["sha256"] = hashlib.sha256(np.ascontiguousarray(forcing.samples)).hexdigest()
+            print(json.dumps(stages))
+        ''')
+        src = str(pathlib.Path(gss.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        stages = json.loads(run.stdout)
+        for stage in ("import", "frc_sweep", "given_record"):
+            assert stages[stage] == ["scipy.linalg", "scipy.version"], stage
+        assert stages["filtered"] == ["scipy.fft", "scipy.special"]
+        # the digest of the record when scipy.fft was imported with the package
+        assert stages["sha256"] == (
+            "606403983bc53ceb85ef83872245578a432254d503ab2ee2a3cedaf4302a2d28")
 
 
 def _modal_reduced_model(sys_, spec, mode):

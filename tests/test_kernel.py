@@ -783,16 +783,36 @@ class TestRealness:
         with pytest.raises(RealnessCheckFailed):
             _propagate(bad, w, g)
 
+    @pytest.mark.parametrize("residue", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_residue_raises(self, residue):
+        # a NaN residue fails every comparison, and an infinite one meets an
+        # infinite magnitude: neither may pass as its real part
+        with pytest.raises(RealnessCheckFailed, match="not finite"):
+            _enforce_real(np.array([[complex(1.0, residue), 2.0]]), "test")
+
+    @pytest.mark.parametrize("residue", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_structural_inputs_raise(self, residue):
+        # propagate_order's entry check on complex structural inputs
+        sys_ = random_system(np.random.default_rng(1), 3, structural=True, n_terms=0)
+        spec = decompose_structural(sys_)
+        t = 0.05 * np.arange(400)
+        inputs = spec.force_rows() @ np.array([np.sin(1.3 * t), np.cos(0.7 * t), t]) + 0j
+        inputs[1, 7] = complex(inputs[1, 7].real, residue)
+        with pytest.raises(RealnessCheckFailed, match="structural modal inputs"):
+            propagate_order(spec, build_kernel_weights(spec, 0.05), inputs)
+
     @staticmethod
     def _hypot_rule(Z):
-        """The policy as first written: one magnitude pass over Z."""
+        """The policy as first written: one magnitude pass over Z, with
+        the later refusal of a residue that is not finite."""
+        resid = np.abs(Z.imag).max(initial=0.0)
+        if not np.isfinite(resid):
+            raise RealnessCheckFailed(f"test: imaginary residue {resid} is not finite")
         scale = np.abs(Z).max(initial=0.0)
-        if scale > 0.0:
-            resid = np.abs(Z.imag).max()
-            if resid > 1e-10 * scale:
-                raise RealnessCheckFailed(
-                    f"test: imaginary residue {resid:.3e} exceeds 1e-10 x scale {scale:.3e}"
-                )
+        if scale > 0.0 and resid > 1e-10 * scale:
+            raise RealnessCheckFailed(
+                f"test: imaginary residue {resid:.3e} exceeds 1e-10 x scale {scale:.3e}"
+            )
         return np.ascontiguousarray(Z.real)
 
     @pytest.mark.parametrize("case", [

@@ -15,6 +15,7 @@ from steadystate import (
     first_order_blocks,
     load_forcing,
     polynomial_field,
+    reduced_model,
 )
 from steadystate.model import _check_int
 from steadystate.errors import (
@@ -68,6 +69,37 @@ class TestPolynomialField:
             c[lead] * np.prod([z[i] ** e for i, e in enumerate(m)], axis=0)
             for m, c in terms
         )
+
+    @pytest.mark.parametrize("terms, forms, error, match", [
+        ([((1,), [1.0])], np.array([[1.0, 1j]]), InvalidParameters, "forms must be real"),
+        ([((2, 0), [1.0, 2.0])], None, DimensionMismatch, r"shape \(2,\), expected \(1,\)"),
+        ([((2, 0), 1, 1.0)], None, DimensionMismatch, r"target_dof 1 outside \[0, 1\)"),
+        ([((2, 0), -1, 1.0)], None, DimensionMismatch, "target_dof -1"),
+        ([((2, 0),)], None, DimensionMismatch, "2- or 3-tuples"),
+        ([((2, 0), 0, 1.0, 2.0)], None, DimensionMismatch, "2- or 3-tuples"),
+        ([((3, -1), [1.0])], None, InvalidParameters, "negative exponent"),
+        ([((2, 0), [np.nan])], None, InvalidParameters, "non-finite coefficient"),
+        ([((1, 1), 0, np.inf)], None, InvalidParameters, "non-finite coefficient"),
+        ([((2, 0), [complex(1.0, np.nan)])], None, InvalidParameters, "non-finite coefficient"),
+    ], ids=["complex-forms", "vector-shape", "dof-above", "dof-below", "one-tuple",
+            "four-tuple", "negative-exponent", "nan", "inf", "complex-nan"])
+    def test_bad_terms_refused(self, terms, forms, error, match):
+        with pytest.raises(error, match=match):
+            polynomial_field(2, 1, terms, forms=forms)
+
+    @pytest.mark.parametrize("evaluate, z", [
+        (evaluate_field, np.zeros(3)),
+        (evaluate_field, np.zeros((3, 5))),
+        (evaluate_field, np.zeros((2, 5, 1))),
+        (evaluate_field, np.zeros(())),
+        (field_jacobian, np.zeros(3)),
+        (field_jacobian, np.zeros((2, 1))),
+    ], ids=["field-vector", "field-grid", "field-3d", "field-scalar", "jacobian-vector",
+            "jacobian-column"])
+    def test_state_of_the_wrong_shape_refused(self, evaluate, z):
+        fld = polynomial_field(2, 1, [((2, 0), [1.0]), ((1, 1), [0.5])])
+        with pytest.raises(DimensionMismatch, match="state has shape"):
+            evaluate(fld, z)
 
     def test_evaluate_matches_naive(self, rng):
         # real coefficients, and complex ones as reduced models carry
@@ -215,6 +247,20 @@ class TestBuildSystem:
         with pytest.raises(DimensionMismatch):
             build_system(np.eye(2), np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("which, bad, error, match", [
+        ("M", np.ones((1, 2)), DimensionMismatch, "M has shape"),
+        ("M", np.ones(2), DimensionMismatch, "M has shape"),
+        ("M", np.ones((2, 2, 2)), DimensionMismatch, "M has shape"),
+        ("M", np.array([[1.0, 0.0], [0.0, np.nan]]), InvalidParameters, "M contains non-finite"),
+        ("C", np.array([[np.inf, 0.0], [0.0, 0.1]]), InvalidParameters, "C contains non-finite"),
+        ("K", np.array([[1.0, -np.inf], [0.0, 1.0]]), InvalidParameters, "K contains non-finite"),
+    ], ids=["M-wide", "M-vector", "M-3d", "M-nan", "C-inf", "K-inf"])
+    def test_bad_matrices_refused(self, which, bad, error, match):
+        matrices = {"M": np.eye(2), "C": 0.1 * np.eye(2), "K": np.eye(2)}
+        matrices[which] = bad
+        with pytest.raises(error, match=match):
+            build_system(matrices["M"], matrices["C"], matrices["K"])
+
     def test_term_exponent_length_checked(self):
         M, C, K = duffing_matrices()
         with pytest.raises(DimensionMismatch):
@@ -357,6 +403,16 @@ class TestForcingSignal:
         with pytest.raises(InvalidParameters, match="non-finite"):
             load_forcing(samples, time=0.1 * np.arange(6))
 
+    @pytest.mark.parametrize("samples, time, match", [
+        (np.ones((4, 2, 1)), None, r"samples must be 2-d, got shape \(4, 2, 1\)"),
+        (np.ones((4, 1)), 0.1 * np.arange(5), "time column length"),
+        (np.ones((4, 1)), 0.1 * np.arange(3), "time column length"),
+        (np.ones((4, 1)), 0.1 * np.arange(4)[:, None], "time column length"),
+    ], ids=["samples-3d", "time-long", "time-short", "time-column-2d"])
+    def test_bad_shapes_refused(self, samples, time, match):
+        with pytest.raises(DimensionMismatch, match=match):
+            load_forcing(samples, dt=None if time is not None else 0.1, time=time)
+
     def test_one_dimensional_input_becomes_column(self):
         sig = load_forcing(np.arange(6.0), dt=0.1)
         assert sig.samples.shape == (6, 1)
@@ -376,3 +432,45 @@ class TestIntegerCheck:
     def test_refuses_the_rest(self, value):
         with pytest.raises(InvalidParameters, match="k must be an integer in 0..3"):
             _check_int(value, "k", 0, 3)
+
+
+class TestReducedModel:
+    @staticmethod
+    def _parts(d=2, full=4):
+        """A linear R on R^d and the lift of r into the first d of full coordinates."""
+        R = polynomial_field(d, d, [((1, 0), [0.0, -1.0]), ((0, 1), [1.0, -0.1])], min_degree=1)
+        W = polynomial_field(d, full, [((1, 0), 0, 1.0), ((0, 1), 1, 1.0)], min_degree=1)
+        return R, W, np.eye(d, full), np.eye(full, d)
+
+    def test_valid_parts_assemble(self):
+        model = reduced_model(*self._parts())
+        assert model.d == 2 and model.W.out_dim == 4
+
+    @pytest.mark.parametrize("case, match", [
+        ("R-out-dim", r"R must map R\^d to R\^d"),
+        ("R-constant", "must vanish at the origin"),
+        ("W-constant", "must vanish at the origin"),
+        ("W-dim", r"W must be a map from R\^d"),
+        ("rows-shape", "tangent matrices have shapes"),
+        ("cols-shape", "tangent matrices have shapes"),
+        ("not-inverse", "deviates from the identity"),
+    ])
+    def test_bad_parts_refused(self, case, match):
+        R, W, rows, cols = self._parts()
+        if case == "R-out-dim":
+            R = polynomial_field(2, 3, [((1, 0), 0, 1.0)], min_degree=1)
+        elif case == "R-constant":
+            R = polynomial_field(2, 2, [((1, 0), [0.0, -1.0]), ((0, 1), [1.0, -0.1])],
+                                 min_degree=0)
+        elif case == "W-constant":
+            W = polynomial_field(2, 4, [((1, 0), 0, 1.0)], min_degree=0)
+        elif case == "W-dim":
+            W = polynomial_field(3, 4, [((1, 0, 0), 0, 1.0)], min_degree=1)
+        elif case == "rows-shape":
+            rows = np.eye(2, 3)
+        elif case == "cols-shape":
+            cols = np.eye(4, 3)
+        else:
+            rows = 2.0 * rows
+        with pytest.raises(DimensionMismatch, match=match):
+            reduced_model(R, W, rows, cols)

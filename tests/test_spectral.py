@@ -174,6 +174,15 @@ class TestGeneralDecomposition:
             sys_ = build_system(M, C, K)
             decompose_general(sys_)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_undamped_general_system_rejected(self, n):
+        # C = 0 forced to general damping: every eigenvalue sits on the
+        # imaginary axis, which the stability check refuses
+        sys_ = build_system(np.eye(n), np.zeros((n, n)), np.diag(1.0 + np.arange(n)),
+                            damping="general")
+        with pytest.raises(UnstableLinearPart, match=">= -1e-12"):
+            decompose_general(sys_)
+
     def test_gamma_is_slowest_decay(self):
         sys_ = build_duffing(omega=2.0, zeta=0.25)
         spec = decompose_general(build_system(sys_.M, sys_.C, sys_.K, damping="general"))
@@ -383,6 +392,19 @@ class TestContraction:
         for z in points:
             jac = field_jacobian(system.nonlinearity, z)
             assert np.linalg.norm(jac, 2) <= rep.lipschitz_F
+
+    @pytest.mark.parametrize("delta, forcing_delta", [
+        (np.nan, 0.1), (np.inf, 0.1), (0.0, 0.1), (-0.3, 0.1), (True, 0.1),
+        (0.3, np.nan), (0.3, np.inf), (0.3, -0.1),
+    ], ids=["delta-nan", "delta-inf", "delta-zero", "delta-negative", "delta-bool",
+            "forcing-nan", "forcing-inf", "forcing-negative"])
+    def test_bad_amplitude_refused(self, delta, forcing_delta):
+        # a NaN amplitude read as NaN bounds or an unsatisfied certificate
+        sys_ = build_duffing(omega=1.0, zeta=0.1, kappa3=1.0)
+        name = "delta" if forcing_delta == 0.1 else "forcing_delta"
+        with pytest.raises(InvalidParameters, match=f"^{name} must be"):
+            check_contraction(sys_, decompose_structural(sys_), delta=delta,
+                              forcing_delta=forcing_delta)
 
     def test_defective_basis_gives_unsatisfied_certificate(self):
         # at zeta = 1 the first-order eigenbasis is defective, so ||V|| has
