@@ -9,13 +9,17 @@ Subcommands:
   frc        forced-response sweep over a frequency grid
   diagnose   decomposition summary and contraction certificate
 
-Exit codes: 0 success; 2 configuration or usage problems; 3 numerical
-failures (one `Category: message` line on stderr); 4 resonance guard.
+Exit codes: 0 success; 2 the input's fault, any errors.InputError (a
+malformed config or forcing, an argument out of range, an output path
+that cannot be written); 3 any other library error, a numerical failure;
+4 resonance guard. Exits 2, 3 and 4 print one `Category: message` line
+on stderr and no traceback.
 
 The --forcing argument takes either a CSV path or a generator
 expression `kind,key=value,...` (kinds: chirp, filtered_gaussian,
 rossler, two_tone) with keys duration, dt, delta, plus the kind's own
-parameters; --seed feeds the seeded kinds.
+parameters; --seed feeds the seeded kinds and --pad sets the leading
+zeros (the keys seed, pad, n and kind are refused).
 """
 
 from __future__ import annotations
@@ -28,38 +32,14 @@ import sys
 import numpy as np
 
 from . import bench, serialize
-from .errors import (
-    ConfigError,
-    DampingIndefinite,
-    DimensionMismatch,
-    EmptySignal,
-    InvalidCutoff,
-    InvalidParameters,
-    NearResonance,
-    NonlinearTermDegreeTooLow,
-    NonuniformInput,
-    NotPositiveDefinite,
-    NotStructural,
-    NotSymmetric,
-    SteadyStateError,
-)
+from .errors import ConfigError, InputError, NearResonance, SteadyStateError
 from .gss import _decompose, compute_taylor_gss, evaluate_at_amplitude, evaluate_pade, pade_resum
+from .model import _check_int
 from .oracle import newmark_full
 from .spectral import check_contraction, select_modes
 
-_CONFIG_ERRORS = (
-    ConfigError,
-    InvalidParameters,
-    InvalidCutoff,
-    NotSymmetric,
-    NotPositiveDefinite,
-    DampingIndefinite,
-    NonlinearTermDegreeTooLow,
-    DimensionMismatch,
-    NonuniformInput,
-    EmptySignal,
-    NotStructural,
-)
+# generator keys that would collide with generate_forcing's own arguments
+_RESERVED_KEYS = {"seed", "pad", "n", "kind"}
 
 
 def _parse_generator(expr: str) -> tuple[str, dict]:
@@ -91,6 +71,12 @@ def _load_forcing_arg(args, system):
     kind, params = _parse_generator(expr)
     if kind not in ("chirp", "filtered_gaussian", "rossler", "two_tone"):
         raise ConfigError(f"--forcing {expr!r}: no such file and no such generator")
+    clash = sorted(_RESERVED_KEYS & params.keys())
+    if clash:
+        raise ConfigError(
+            f"generator key(s) {', '.join(clash)} not allowed: the seed comes from --seed, "
+            "the pad from --pad, n from the config and the kind from the expression"
+        )
     duration = params.pop("duration", None)
     dt = params.pop("dt", None)
     delta = params.pop("delta", 1.0)
@@ -152,12 +138,13 @@ def _cmd_compute(args):
 def _cmd_compare(args):
     system = serialize.load_system(args.config)
     forcing = _load_forcing_arg(args, system)
+    skip = args.skip if args.skip is not None else forcing.pad_length
+    _check_int(skip, "skip", 0, forcing.length - 1)  # before either solve
     delta = args.delta if args.delta is not None else forcing.max_magnitude
     expansion = _expand(args, system, forcing, delta)
     taylor = evaluate_at_amplitude(expansion, delta)
     scale = delta / forcing.max_magnitude if forcing.max_magnitude > 0 else 0.0
     reference = newmark_full(system, forcing.scaled(scale))
-    skip = args.skip if args.skip is not None else forcing.pad_length
     err = bench.nmte(taylor, reference, skip=skip)
     sup = float(np.linalg.norm(taylor - reference, axis=0).max())
     if args.trajectory:
@@ -226,14 +213,7 @@ def _cmd_frc(args):
     )
     if args.out:
         header = "omega," + ",".join(f"amp_z{j}" for j in range(result.amplitude.shape[1]))
-        np.savetxt(
-            args.out,
-            np.column_stack([result.omega, result.amplitude]),
-            fmt="%.17g",
-            delimiter=",",
-            header=header,
-            comments="",
-        )
+        serialize._write_csv(args.out, header, np.column_stack([result.omega, result.amplitude]))
     flagged = [i for i, f in enumerate(result.flags) if f]
     _print(
         {
@@ -367,7 +347,7 @@ def main(argv=None) -> int:
     except NearResonance as exc:
         print(f"NearResonance: {exc}", file=sys.stderr)
         return 4
-    except _CONFIG_ERRORS as exc:
+    except InputError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except SteadyStateError as exc:

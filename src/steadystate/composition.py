@@ -76,12 +76,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch, InvalidParameters, OrderUnavailable
-from .model import MechanicalSystem, PolynomialField, _factor_list
+from .model import MechanicalSystem, PolynomialField
 
 __all__ = [
     "CoefficientTensor",
     "CompositionCache",
-    "assemble_H",
     "compose_field",
     "assemble_phi",
 ]
@@ -107,11 +106,12 @@ class CoefficientTensor:
     zeros (pages the system hands out zeroed, with no fill pass), so an
     unfilled slot is not marked by its values: order_slice and
     assemble_phi refuse an order that is not filled. dt / t0 /
-    pad_length describe the grid (t0 is the time of the first stored
-    sample, pad included). A tensor loaded from a container holds the
-    stored slots of its completed orders, as a read-only memory map of
-    the saved file. The 'qp' backend also keeps a complex tensor whose
-    last axis indexes harmonics instead of grid samples.
+    pad_length describe the grid: sample k sits at time t0 + k dt, so
+    t0 is the time of the first stored sample, pad included. A tensor
+    loaded from a container holds the stored slots of its completed
+    orders, as a read-only memory map of the saved file. The 'qp'
+    backend also keeps a complex tensor whose last axis indexes
+    harmonics instead of grid samples.
     """
 
     data: np.ndarray
@@ -173,9 +173,6 @@ class CoefficientTensor:
         while (nu + 1) in self._filled:
             nu += 1
         return nu
-
-    def times(self):
-        return self.t0 + self.dt * np.arange(self.length)
 
     def _check_order(self, nu):
         if not 1 <= nu <= self.order_max:
@@ -324,24 +321,6 @@ class CompositionCache:
         stored now, one block's products after a blocked run."""
         entries = sum(len(columns[0]) for columns, _ in self._store)
         return {"hits": self.hits, "misses": self.misses, "entries": entries}
-
-
-def assemble_H(gamma, nu, component, length, cache, dtype=float):
-    """Order-nu coefficient grid of the monomial with exponent vector gamma.
-
-    component(i, m) must return rows i (a slice or an index array) of
-    the (., length) grid of order m, for any 1 <= m <= nu - |gamma| + 1.
-    The one-row batch of the recursion (_product).
-    """
-    gamma = tuple(int(g) for g in gamma)
-    if any(g < 0 for g in gamma):
-        raise DimensionMismatch(f"negative exponent in {gamma}")
-    factors = _factor_list(gamma)
-    if not factors:
-        raise DimensionMismatch("monomial must have positive degree")
-    if not cache.reaches(len(factors), nu):
-        return np.zeros(length, dtype=dtype)
-    return _product(tuple((f,) for f in factors), nu, component, cache)[0]
 
 
 @functools.lru_cache(maxsize=1024)

@@ -2,7 +2,14 @@
 
 Every error raised by the library derives from :class:`SteadyStateError`,
 so callers (and the CLI) can map failures to exit categories without
-enumerating modules.
+enumerating modules. The errors that blame the caller's input derive
+from :class:`InputError` as well: a malformed file, an output path that
+cannot be written, an argument out of range or of the wrong shape,
+model matrices without the symmetry or definiteness the model needs.
+The other SteadyStateErrors report what the computation ran into: an
+unstable or defective spectrum, a resonance, a failed iteration, grids
+or orders that do not fit together. The CLI exits 2 on an InputError,
+4 on NearResonance and 3 on any other SteadyStateError.
 """
 
 from __future__ import annotations
@@ -12,34 +19,39 @@ class SteadyStateError(Exception):
     """Base class for all library errors."""
 
 
+class InputError(SteadyStateError):
+    """Base class of the errors that blame the caller's input rather
+    than the numerics: fixing the input, not the solver, cures them."""
+
+
 # ---------------------------------------------------------------- model
 
 
-class NotSymmetric(SteadyStateError):
+class NotSymmetric(InputError):
     """A matrix required to be symmetric is not (beyond tolerance)."""
 
 
-class NotPositiveDefinite(SteadyStateError):
+class NotPositiveDefinite(InputError):
     """Mass or stiffness matrix has a non-positive eigenvalue."""
 
 
-class DampingIndefinite(SteadyStateError):
+class DampingIndefinite(InputError):
     """Symmetric part of the damping matrix has a negative eigenvalue."""
 
 
-class NonlinearTermDegreeTooLow(SteadyStateError):
+class NonlinearTermDegreeTooLow(InputError):
     """A nonlinear term with total degree below 2 was supplied."""
 
 
-class DimensionMismatch(SteadyStateError):
+class DimensionMismatch(InputError):
     """Array dimensions are inconsistent with the object they target."""
 
 
-class NonuniformInput(SteadyStateError):
+class NonuniformInput(InputError):
     """A supplied time column is not uniformly spaced."""
 
 
-class EmptySignal(SteadyStateError):
+class EmptySignal(InputError):
     """Forcing input has fewer than two samples."""
 
 
@@ -55,7 +67,7 @@ class DefectiveSpectrum(SteadyStateError):
     threshold (1e12)."""
 
 
-class NotStructural(SteadyStateError):
+class NotStructural(InputError):
     """Structural-damping decomposition requested for a system whose
     damping matrix is not a mass/stiffness combination."""
 
@@ -67,7 +79,7 @@ class ZeroEigenvalue(SteadyStateError):
     """Piecewise-linear weights requested for Re(lambda) == 0."""
 
 
-class InvalidParameters(SteadyStateError):
+class InvalidParameters(InputError):
     """An argument lies outside its admissible range: a step, amplitude,
     threshold, exponent, coefficient or option value."""
 
@@ -201,9 +213,10 @@ class InstanceTooLarge(SteadyStateError):
 # ------------------------------------------------------------------ cli
 
 
-class ConfigError(SteadyStateError):
-    """Malformed configuration or input file."""
+class ConfigError(InputError):
+    """Malformed configuration or input file, or an output file or
+    directory that cannot be written."""
 
 
-class InvalidCutoff(SteadyStateError):
+class InvalidCutoff(InputError):
     """Low-pass cutoff at or above the Nyquist frequency."""

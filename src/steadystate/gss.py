@@ -484,7 +484,6 @@ def compute_taylor_gss(
     base_frequencies=None,
     harmonic_budget: int = 5,
     resonance_tol: float | None = None,
-    check_divergence: bool = True,
 ) -> GssExpansion:
     """Amplitude expansion of the steady response to a sampled forcing.
 
@@ -526,10 +525,13 @@ def compute_taylor_gss(
         i kappa lies within this distance of a retained mode's root;
         defaults to 1e-6 x the mode's |lambda| or omega. Must be finite
         and > 0 (InvalidParameters otherwise).
-    check_divergence : bool
-        Warn (DivergenceWarning) when the top order pair's larger term,
-        the order's sup norm on the grid x |delta|^nu, passes 10x the
-        mid pair's (_warn_divergence).
+
+    Always warns (DivergenceWarning) when the top order pair's larger
+    term, the order's sup norm on the grid x |delta|^nu, passes 10x the
+    mid pair's (_warn_divergence). The verdict reads the norms the
+    cascade has taken, so it costs nothing; a caller who wants silence
+    filters the warning (warnings.simplefilter("ignore",
+    DivergenceWarning)).
     """
     _check_int(order, "order", 1)
     if backend not in _BACKENDS:
@@ -602,8 +604,7 @@ def compute_taylor_gss(
 
         tensor, norms = _cascade(system.state_dim, forcing, order, live, solve)
 
-    if check_divergence:
-        _warn_divergence(norms, order, delta_ref)
+    _warn_divergence(norms, order, delta_ref)
 
     return GssExpansion(
         system=system,

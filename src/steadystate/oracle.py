@@ -166,7 +166,6 @@ def picard_gss(
     forcing: ForcingSignal,
     tol: float = 1e-10,
     max_iter: int = 60,
-    eps_trunc: float = 1e-12,
 ) -> PicardResult:
     """Picard iteration for the steady state at the forcing's amplitude.
 
@@ -175,6 +174,9 @@ def picard_gss(
     The linear solves reuse the kernel propagation on purpose: this
     oracle exists to check the amplitude-expansion bookkeeping, and a
     fixed point of the iteration is exact for the propagated dynamics.
+    They keep every mode whose one-step decay factor exp(dt Re lambda)
+    exceeds 1e-12 (select_modes), so they keep every mode an expansion
+    at its default threshold 1e-3 keeps.
     Each sweep runs one time block of gss._BLOCK samples (read at call
     time) after another with one Carry: per block it hands
     propagate_order the modal inputs P (g - f(z_l)), P =
@@ -201,7 +203,7 @@ def picard_gss(
     _check_real(tol, "tol", positive=True)
     _check_int(max_iter, "max_iter", 1)
     spectral = gss._decompose(system)
-    spectral = with_retained(spectral, select_modes(spectral, forcing.dt, eps=eps_trunc))
+    spectral = with_retained(spectral, select_modes(spectral, forcing.dt, eps=1e-12))
     weights = build_kernel_weights(spectral, forcing.dt)
 
     g = forcing.samples.T

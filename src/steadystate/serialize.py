@@ -18,11 +18,13 @@ before the key was added). The arrays are stored as raw float64 and
 loaded as read-only memory maps, so a round trip is bit-exact and a
 reader pays only for the orders it touches. Saving replaces each file
 atomically.
+Every writer raises ConfigError naming a path it cannot write.
 Version 1 (CSV per order) containers are rejected with ConfigError.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -116,10 +118,14 @@ def save_system(system: MechanicalSystem, path: str) -> None:
     "terms" (its monomials in the state coordinates), a field on forms
     as "forms" (its form matrix, one row per form) and "form_terms" (its
     terms over the forms, in the same entry format), with no expansion.
+    A path that cannot be written raises ConfigError naming it.
     """
-    with open(path, "w") as fh:
-        json.dump(_system_dict(system), fh, indent=1)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(_system_dict(system), fh, indent=1)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write config {path}: {exc}") from None
 
 
 def _read_terms(entries):
@@ -164,11 +170,20 @@ def load_system(path: str) -> MechanicalSystem:
     return build_system(M, C, K, terms=terms, damping=damping, forms=forms)
 
 
+def _write_csv(path: str, header: str, data: np.ndarray) -> None:
+    """The one CSV writer: header, then one %.17g comma-separated row per
+    row of data; ConfigError naming the path when it cannot be written
+    (a missing directory, a directory in its place)."""
+    try:
+        np.savetxt(path, data, fmt=_FMT, delimiter=",", header=header, comments="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def write_forcing_csv(signal: ForcingSignal, path: str) -> None:
     """CSV with a time column and one column per dof (pad rows included)."""
     header = "t," + ",".join(f"g{j}" for j in range(signal.n))
-    data = np.column_stack([signal.times(), signal.samples])
-    np.savetxt(path, data, fmt=_FMT, delimiter=",", header=header, comments="")
+    _write_csv(path, header, np.column_stack([signal.times(), signal.samples]))
 
 
 def read_forcing_csv(
@@ -214,14 +229,7 @@ def write_trajectory_csv(path: str, Z: np.ndarray, dt: float, t0: float = 0.0) -
         labels = [f"z{j}" for j in range(dim)]
     header = "t," + ",".join(labels)
     times = t0 + dt * np.arange(T)
-    np.savetxt(
-        path,
-        np.column_stack([times, Z.T]),
-        fmt=_FMT,
-        delimiter=",",
-        header=header,
-        comments="",
-    )
+    _write_csv(path, header, np.column_stack([times, Z.T]))
 
 
 def read_trajectory_csv(path: str):
@@ -241,28 +249,31 @@ def _write_container(directory: str, manifest: dict, arrays: dict) -> None:
     file alive under the mapping, where saving onto the name would
     truncate it underneath (and a mapped read past the new end faults).
     A reader never meets a manifest whose arrays are not yet written.
+    A directory that cannot be made or written (a file in its place, no
+    permission) raises ConfigError naming it, after removing the
+    temporary files; the manifest is then not replaced.
     """
-    os.makedirs(directory, exist_ok=True)
-    staged = [
-        _stage(
-            directory,
-            f"{name}.npy",
-            lambda fh, a=array: np.save(fh, a, allow_pickle=False),
-        )
+    text = json.dumps(manifest, indent=1) + "\n"
+    writers = [
+        (f"{name}.npy", lambda fh, a=array: np.save(fh, a, allow_pickle=False))
         for name, array in arrays.items()
     ]
-    text = json.dumps(manifest, indent=1) + "\n"
-    staged.append(_stage(directory, "manifest.json", lambda fh: fh.write(text.encode())))
-    for tmp, final in staged:
-        os.replace(tmp, final)
-
-
-def _stage(directory: str, name: str, write) -> tuple[str, str]:
-    final = os.path.join(directory, name)
-    tmp = os.path.join(directory, f".{name}.tmp")
-    with open(tmp, "wb") as fh:
-        write(fh)
-    return tmp, final
+    writers.append(("manifest.json", lambda fh: fh.write(text.encode())))
+    staged = []
+    try:
+        os.makedirs(directory, exist_ok=True)
+        for name, write in writers:
+            tmp = os.path.join(directory, f".{name}.tmp")
+            staged.append((tmp, os.path.join(directory, name)))
+            with open(tmp, "wb") as fh:
+                write(fh)
+        for tmp, final in staged:
+            os.replace(tmp, final)
+    except OSError as exc:
+        for tmp, _ in staged:
+            with contextlib.suppress(OSError):  # moved into place, or never made
+                os.remove(tmp)
+        raise ConfigError(f"cannot write container {directory}: {exc}") from None
 
 
 def _read_manifest(directory: str, fmt: str, what: str, keys: tuple) -> dict:

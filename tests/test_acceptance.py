@@ -212,7 +212,7 @@ def test_criterion_07_pade_recovers_divergent_expansion():
     f = _two_tone(duration=40.0, dt=0.02, pad=200)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        exp = compute_taylor_gss(sys_, f, order=20, check_divergence=False)
+        exp = compute_taylor_gss(sys_, f, order=20)
     pade = pade_resum(exp, 10, 10)
 
     chosen = None

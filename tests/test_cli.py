@@ -22,7 +22,7 @@ from steadystate import (
     pade_resum,
 )
 import steadystate
-from steadystate import serialize
+from steadystate import cli, serialize
 from steadystate.cli import main
 from steadystate.errors import ConfigError, HarmonicTruncationWarning
 from steadystate.model import evaluate_field
@@ -119,6 +119,21 @@ class TestSystemConfig:
         with pytest.raises(ConfigError):
             serialize.load_system(path)
 
+    @pytest.mark.parametrize("edit", ["no-M", "term-without-target", "n-not-numeric"])
+    def test_malformed_structure(self, tmp_path, edit):
+        path = tmp_path / "bad.json"
+        serialize.save_system(build_duffing(kappa3=0.7), path)
+        raw = json.loads(path.read_text())
+        if edit == "no-M":
+            del raw["M"]
+        elif edit == "term-without-target":
+            del raw["terms"][0]["target_dof"]
+        else:
+            raw["n"] = "two"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match="malformed config"):
+            serialize.load_system(path)
+
     def test_shape_mismatch(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
@@ -169,6 +184,39 @@ class TestTrajectoryCsv:
         serialize.write_trajectory_csv(path, Z, dt=0.1)
         header = path.read_text().splitlines()[0]
         assert header == "t,z0,z1,z2"
+
+
+class TestUnwritablePaths:
+    """Every writer raises ConfigError naming a path it cannot write."""
+
+    def test_csv_and_config_writers(self, tmp_path):
+        missing = tmp_path / "missing" / "x"
+        with pytest.raises(ConfigError, match="missing"):
+            serialize.save_system(build_duffing(), missing)
+        with pytest.raises(ConfigError, match="missing"):
+            serialize.write_forcing_csv(_two_tone(), missing)
+        with pytest.raises(ConfigError, match="missing"):
+            serialize.write_trajectory_csv(missing, np.zeros((2, 3)), dt=0.1)
+
+    def test_container_onto_a_file(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        expansion = compute_taylor_gss(build_duffing(kappa3=0.5), _two_tone(), order=2)
+        with pytest.raises(ConfigError, match="blocker"):
+            serialize.save_expansion(expansion, blocker)
+        assert blocker.read_text() == ""
+
+    def test_failed_save_leaves_the_container_as_it_was(self, tmp_path):
+        # den.npy cannot be staged: the staged num.npy is removed and
+        # neither num.npy nor the manifest is replaced
+        expansion = compute_taylor_gss(build_duffing(kappa3=0.5), _two_tone(), order=4)
+        serialize.save_pade(pade_resum(expansion, 2, 2), tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        (tmp_path / ".den.npy.tmp").mkdir()
+        with pytest.raises(ConfigError, match=str(tmp_path)):
+            serialize.save_pade(pade_resum(expansion, 1, 2), tmp_path)
+        (tmp_path / ".den.npy.tmp").rmdir()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestExpansionContainer:
@@ -491,6 +539,36 @@ class TestCliCompute:
             else:  # a linear series has no pole: every order above 1 is zero
                 assert poles.size == 0 and pole is None
 
+    def test_pade_writes_its_container_and_trajectory(self, tmp_path, capsys):
+        cfg = _config(tmp_path)
+        out, pade_dir, traj = tmp_path / "expansion", tmp_path / "pade", tmp_path / "pade.csv"
+        assert main(["compute", "--config", cfg, "--forcing", _GEN, "--order", "4",
+                     "--out", str(out)]) == 0
+        assert main(["pade", "--expansion", str(out), "--pade", "2:2", "--delta", "0.08",
+                     "--out", str(pade_dir), "--trajectory", str(traj)]) == 0
+        assert _last_json(capsys)["out"] == str(pade_dir)
+        fit = pade_resum(serialize.load_expansion(out), 2, 2)
+        saved = serialize.load_pade(pade_dir)
+        for name in ("num", "den"):
+            assert np.asarray(getattr(saved, name)).tobytes() == getattr(fit, name).tobytes()
+        assert (saved.L, saved.M, saved.sigma, saved.dt, saved.t0) == (
+            fit.L, fit.M, fit.sigma, fit.dt, fit.t0)
+        Z, dt, t0 = serialize.read_trajectory_csv(traj)
+        assert np.array_equal(Z, evaluate_pade(fit, 0.08))
+        assert (dt, t0) == pytest.approx((fit.dt, fit.t0), rel=1e-12)
+
+    def test_compare_writes_the_expansion_trajectory(self, tmp_path, capsys):
+        cfg = _config(tmp_path)
+        traj = tmp_path / "taylor.csv"
+        assert main(["compare", "--config", cfg, "--forcing", _GEN, "--pad", "50",
+                     "--order", "3", "--trajectory", str(traj)]) == 0
+        forcing = generate_forcing("two_tone", n=1, duration=20.0, dt=0.05, delta=0.1,
+                                   pad=50, w1=1.3, w2=0.45)
+        delta = forcing.max_magnitude
+        expansion = compute_taylor_gss(serialize.load_system(cfg), forcing, 3, delta=delta)
+        Z, _, _ = serialize.read_trajectory_csv(traj)
+        assert np.array_equal(Z, evaluate_at_amplitude(expansion, delta))
+
     def test_compare_reports_small_error(self, tmp_path, capsys):
         cfg = _config(tmp_path)
         code = main(["compare", "--config", cfg, "--forcing", _GEN,
@@ -656,7 +734,8 @@ class TestCliExitCodes:
         "dofs", "points", "seed", "compute-dt-inf", "diagnose-dt-nan", "compute-delta-nan",
         "pade-delta-nan", "frc-harmonic", "frc-dof", "frc-omega-nan", "frc-delta-inf",
         "compare-skip-negative", "compare-skip-past-end", "diagnose-delta-nan",
-        "diagnose-forcing-delta-nan",
+        "diagnose-forcing-delta-nan", "generator-seed", "generator-pad", "generator-n",
+        "generator-kind", "generator-chunk",
     ])
     def test_bad_input_is_2(self, tmp_path, capsys, case):
         cfg = _config(tmp_path)
@@ -703,10 +782,52 @@ class TestCliExitCodes:
             "diagnose-delta-nan": ["diagnose", "--config", cfg, "--delta", "nan"],
             "diagnose-forcing-delta-nan": ["diagnose", "--config", cfg, "--delta", "0.5",
                                            "--forcing-delta", "nan"],
+            "generator-seed": [*compute, "two_tone,duration=2,dt=0.05,seed=3"],
+            "generator-pad": [*compute, "two_tone,duration=2,dt=0.05,pad=4"],
+            "generator-n": [*compute, "two_tone,duration=2,dt=0.05,n=1"],
+            "generator-kind": [*compute, "two_tone,duration=2,dt=0.05,kind=3"],
+            "generator-chunk": [*compute, "two_tone,duration=2,dt=0.05,w1"],
         }[case]
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and re.fullmatch(r"[A-Z][A-Za-z]+: \S.*", err[0])
+
+    @pytest.mark.parametrize("skip", ["-5", "100000"])
+    def test_compare_checks_skip_before_either_solve(self, tmp_path, capsys, monkeypatch, skip):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before --skip was checked")
+
+        monkeypatch.setattr(cli, "compute_taylor_gss", solve)
+        monkeypatch.setattr(cli, "newmark_full", solve)
+        assert main(["compare", "--config", _config(tmp_path), "--order", "2",
+                     "--forcing", _GEN, "--skip", skip]) == 2
+        assert capsys.readouterr().err.startswith("InvalidParameters: skip")
+
+    @pytest.mark.parametrize("case", [
+        "compute-out-file", "compute-trajectory-missing-dir", "pade-out-file",
+        "frc-out-missing-dir",
+    ])
+    def test_unwritable_output_is_2(self, tmp_path, capsys, case):
+        cfg = _config(tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        missing = tmp_path / "missing" / "out.csv"
+        compute = ["compute", "--config", cfg, "--forcing", _GEN, "--order", "2"]
+        if case == "pade-out-file":
+            assert main([*compute, "--out", str(tmp_path / "expansion")]) == 0
+            capsys.readouterr()
+        argv, path = {
+            "compute-out-file": ([*compute, "--out", str(blocker)], blocker),
+            "compute-trajectory-missing-dir": ([*compute, "--trajectory", str(missing)], missing),
+            "pade-out-file": (["pade", "--expansion", str(tmp_path / "expansion"),
+                               "--pade", "1:1", "--out", str(blocker)], blocker),
+            "frc-out-missing-dir": (["frc", "--config", cfg, "--omega-min", "0.6",
+                                     "--omega-max", "1.4", "--points", "3", "--delta", "0.05",
+                                     "--out", str(missing)], missing),
+        }[case]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ConfigError: ") and str(path) in err[0]
 
     def test_library_raises_only_its_own_errors(self):
         # every builtin exception would escape the CLI's exit-code mapping

@@ -7,7 +7,6 @@ import pytest
 from steadystate import (
     CoefficientTensor,
     CompositionCache,
-    assemble_H,
     assemble_phi,
     build_duffing,
     build_oscillator_chain,
@@ -36,6 +35,14 @@ def _filled_tensor(rng, state_dim, order_max, length, orders=None):
     for nu in range(1, (orders or order_max) + 1):
         tensor.insert_slice(nu, rng.normal(size=(state_dim, length)))
     return tensor
+
+
+def _monomial_H(gamma, nu, component, length, cache):
+    """The order-nu grid H of the monomial with exponents gamma: compose_field
+    on its one-term field with coefficient 1.0, whose contraction
+    multiplies by 1.0 exactly."""
+    fld = polynomial_field(len(gamma), 1, [(gamma, [1.0])], min_degree=1)
+    return compose_field(fld, component, nu, length, cache)[0]
 
 
 class TestCoefficientTensor:
@@ -125,36 +132,45 @@ class TestCoefficientTensor:
         with pytest.raises(DimensionMismatch):
             CoefficientTensor(np.zeros((2, 2, 10)), 0.1, 0.0, 0, stored=stored, order_max=5)
 
+    @pytest.mark.parametrize("order_max, length, error", [
+        (0, 10, DimensionMismatch), (3, 1, GridMismatch),
+    ])
+    def test_empty_refuses_no_orders_or_one_sample(self, order_max, length, error):
+        with pytest.raises(error):
+            CoefficientTensor.empty(2, order_max, length, dt=0.1)
+
     def test_times_grid(self):
         t = CoefficientTensor.empty(2, 1, 5, dt=0.5, t0=-1.0, pad_length=2)
-        assert np.array_equal(t.times(), [-1.0, -0.5, 0.0, 0.5, 1.0])
+        assert np.array_equal(t.t0 + t.dt * np.arange(t.length), [-1.0, -0.5, 0.0, 0.5, 1.0])
 
 
 class TestAssembleH:
+    """A monomial's order-nu grid H, the recursion's one-row batch."""
+
     def test_degree_one_is_component(self, rng):
         t = _filled_tensor(rng, 3, 4, 20)
         cache = CompositionCache(max_degree=3)
-        H = assemble_H((0, 1, 0), 3, t.component, 20, cache)
+        H = _monomial_H((0, 1, 0), 3, t.component, 20, cache)
         assert np.array_equal(H, t.component(1, 3))
 
     def test_below_degree_is_zero(self, rng):
         t = _filled_tensor(rng, 2, 4, 20)
         cache = CompositionCache(max_degree=3)
-        H = assemble_H((2, 1), 2, t.component, 20, cache)
+        H = _monomial_H((2, 1), 2, t.component, 20, cache)
         assert np.all(H == 0.0)
 
     def test_bilinear_product(self, rng):
         # H[(1,1), 2] = z^0_1 z^1_1
         t = _filled_tensor(rng, 2, 4, 20)
         cache = CompositionCache(max_degree=3)
-        H = assemble_H((1, 1), 2, t.component, 20, cache)
+        H = _monomial_H((1, 1), 2, t.component, 20, cache)
         assert np.abs(H - t.component(0, 1) * t.component(1, 1)).max() < 1e-15
 
     def test_square_at_order_three(self, rng):
         # H[(2,0), 3] = 2 z^0_1 z^0_2
         t = _filled_tensor(rng, 2, 4, 20)
         cache = CompositionCache(max_degree=3)
-        H = assemble_H((2, 0), 3, t.component, 20, cache)
+        H = _monomial_H((2, 0), 3, t.component, 20, cache)
         byhand = 2.0 * t.component(0, 1) * t.component(0, 2)
         assert np.abs(H - byhand).max() < 1e-14 * max(np.abs(byhand).max(), 1.0)
 
@@ -162,26 +178,18 @@ class TestAssembleH:
         # H[(3,0), 3] = (z^0_1)^3
         t = _filled_tensor(rng, 2, 4, 20)
         cache = CompositionCache(max_degree=4)
-        H = assemble_H((3, 0), 3, t.component, 20, cache)
+        H = _monomial_H((3, 0), 3, t.component, 20, cache)
         assert np.abs(H - t.component(0, 1) ** 3).max() < 1e-14
-
-    def test_invalid_monomials(self, rng):
-        t = _filled_tensor(rng, 2, 2, 10)
-        cache = CompositionCache(max_degree=3)
-        with pytest.raises(DimensionMismatch):
-            assemble_H((0, 0), 1, t.component, 10, cache)
-        with pytest.raises(DimensionMismatch):
-            assemble_H((-1, 2), 1, t.component, 10, cache)
 
 
 class TestCompositionCache:
     def test_prefixes_are_reused(self, rng):
         t = _filled_tensor(rng, 2, 5, 20)
         cache = CompositionCache(max_degree=4)
-        assemble_H((2, 1), 4, t.component, 20, cache)
+        _monomial_H((2, 1), 4, t.component, 20, cache)
         first = cache.stats()
         assert first["misses"] > 0 and first["entries"] > 0
-        assemble_H((2, 1), 4, t.component, 20, cache)
+        _monomial_H((2, 1), 4, t.component, 20, cache)
         second = cache.stats()
         assert second["hits"] > first["hits"]
         assert second["misses"] == first["misses"]
@@ -189,13 +197,22 @@ class TestCompositionCache:
     def test_top_degree_not_stored(self, rng):
         t = _filled_tensor(rng, 2, 4, 20)
         cache = CompositionCache(max_degree=3)
-        assemble_H((2, 1), 3, t.component, 20, cache)
+        _monomial_H((2, 1), 3, t.component, 20, cache)
         assert cache._store
         for (factors, _nu) in cache._store:
             assert len(factors) < 3
 
 
 class TestComposeField:
+    def test_forms_that_read_no_coordinate_compose_zeros(self, rng):
+        fld = polynomial_field(2, 1, [((2,), [1.0]), ((3,), [-0.5])], forms=np.zeros((1, 2)))
+        assert fld._read_forms[0] == slice(0, 0)
+        t = _filled_tensor(rng, 2, 4, 12)
+        cache = CompositionCache(max_degree=3)
+        for nu in (2, 3, 4):
+            out = compose_field(fld, t.component, nu, 12, cache)
+            assert out.shape == (1, 12) and np.array_equal(out, np.zeros((1, 12)))
+
     def test_matches_manual_sum(self, rng):
         fld = polynomial_field(
             2,
@@ -513,10 +530,10 @@ class TestLiveOrders:
     def test_assemble_h_below_reach_is_zero(self, rng):
         t = _cascade_tensor(rng, _LIVE[(3,)], 6, 20)
         cache = CompositionCache(max_degree=3, degrees=(3,))
-        assert np.array_equal(assemble_H((2, 0), 5, t.component, 20, cache), np.zeros(20))
+        assert np.array_equal(_monomial_H((2, 0), 5, t.component, 20, cache), np.zeros(20))
         assert np.array_equal(
-            assemble_H((2, 0), 4, t.component, 20, cache),
-            assemble_H((2, 0), 4, t.component, 20, CompositionCache(max_degree=3)),
+            _monomial_H((2, 0), 4, t.component, 20, cache),
+            _monomial_H((2, 0), 4, t.component, 20, CompositionCache(max_degree=3)),
         )
 
 
@@ -714,6 +731,6 @@ class TestBatchedRecursion:
         for gamma in [(2, 0, 1, 0), (0, 1, 0, 3), (1, 1, 1, 0), (0, 0, 2, 0)]:
             factors = tuple(i for i, e in enumerate(gamma) for _ in range(e))
             for nu in range(len(factors), 6):
-                got = assemble_H(gamma, nu, t.component, 20, cache)
+                got = _monomial_H(gamma, nu, t.component, 20, cache)
                 want = _per_term(factors, nu, t.component, cache)
                 assert got.shape == (20,) and got.tobytes() == want.tobytes()

@@ -616,7 +616,9 @@ class TestOrderNorms:
         else:
             sys_, f = _oscillator_of_degrees((2,)), _two_tone(duration=20.0, delta=delta)
         order = 6
-        ref = compute_taylor_gss(sys_, f, order=order, check_divergence=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DivergenceWarning)
+            ref = compute_taylor_gss(sys_, f, order=order)
         assert ref.tensor.stored == ((1, 3, 5) if system == "cubic" else tuple(range(1, 7)))
         scaled = _read_back_norms(ref.tensor) * ref.delta_ref ** np.arange(1.0, order + 1)
         ratio = max(scaled[order - 2 :]) / max(scaled[2:4])
@@ -670,8 +672,9 @@ class TestExtremeAmplitudes:
     @staticmethod
     def _expansion(delta=None):
         f = generate_forcing("two_tone", n=1, duration=20.0, dt=0.05, delta=1.0)
-        return compute_taylor_gss(build_duffing(kappa3=5.0), f, order=7, delta=delta,
-                                  check_divergence=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DivergenceWarning)
+            return compute_taylor_gss(build_duffing(kappa3=5.0), f, order=7, delta=delta)
 
     @pytest.mark.parametrize("delta_ref", [1e200, 1e-200])
     def test_pade_refuses_a_reference_amplitude_out_of_range(self, capfd, delta_ref):
@@ -1191,7 +1194,7 @@ class TestBlasThreads:
             system = build_system(np.eye(n), C, K, terms=terms, damping="general")
             forcing = generate_forcing("two_tone", n=n, duration=400.0, dt=0.02, delta=0.05,
                                        seed=3, pad=200, dofs=(0,), w1=1.1, w2=0.37)
-            expansion = compute_taylor_gss(system, forcing, order=5, check_divergence=False)
+            expansion = compute_taylor_gss(system, forcing, order=5)
             pade = pade_resum(expansion, 2, 3)
             delta = forcing.max_magnitude
             outputs = {
@@ -1203,8 +1206,7 @@ class TestBlasThreads:
             }
             # a field on forms: its form grids and its contraction are matmuls
             chain = build_oscillator_chain(6, kappa3=0.8)
-            outputs["chain"] = compute_taylor_gss(chain, forcing, order=5,
-                                                  check_divergence=False).tensor.data
+            outputs["chain"] = compute_taylor_gss(chain, forcing, order=5).tensor.data
             print(json.dumps({k: hashlib.sha256(np.ascontiguousarray(v).tobytes()).hexdigest()
                               for k, v in outputs.items()}))
         ''')
@@ -1239,7 +1241,7 @@ class TestImportFootprint:
             # one-section oscillators, two-section ones, a folded general system
             for system in (build_oscillator_chain(3), build_duffing(zeta=1.0),
                            build_gyroscopic_2dof(kappa3=0.5)):
-                compute_taylor_gss(system, tones(system.n), order=3, check_divergence=False)
+                compute_taylor_gss(system, tones(system.n), order=3)
             # the complex route: the Duffing oscillator in reduced coordinates
             R = polynomial_field(2, 2, [((1, 0), [0.0, -1.0]), ((0, 1), [1.0, -0.1]),
                                         ((3, 0), [0.0, -1.0])], min_degree=1)
@@ -1280,8 +1282,7 @@ class TestImportFootprint:
             stages["frc_sweep"] = scipy_loaded()
             t = 0.05 * np.arange(401)
             record = load_forcing(0.2 * np.sin(1.1 * t) + 0.1 * np.cos(0.37 * t), dt=0.05)
-            expansion = compute_taylor_gss(build_duffing(kappa3=0.5), record, order=4,
-                                           check_divergence=False)
+            expansion = compute_taylor_gss(build_duffing(kappa3=0.5), record, order=4)
             with tempfile.TemporaryDirectory() as directory:
                 save_expansion(expansion, directory)
                 evaluate_pade(pade_resum(load_expansion(directory), 2, 2), 0.5)
@@ -1454,6 +1455,20 @@ class TestReduced:
         general = decompose_general(duffing)
         with pytest.raises(DimensionMismatch, match="retained"):
             reduced_gss(one_dof, with_retained(general, (0,)), _two_tone(), order=1)
+
+
+    def test_fields_must_fit_the_decomposition(self, rng):
+        sys_ = random_system(rng, 2, structural=True, n_terms=0)
+        spec = decompose_structural(sys_)
+        # W lifts to the Duffing oscillator's 2 states, not the chain's 4
+        duffing = build_duffing(kappa3=0.5)
+        one_dof = reduced_model(first_order_field(duffing), identity_lift(2), np.eye(2), np.eye(2))
+        with pytest.raises(DimensionMismatch, match="lifts to 2"):
+            reduced_gss(one_dof, spec, _two_tone(n=2), order=1)
+        # reduced_model refuses an R and a W on different spaces: built by hand
+        model = reduced_model(first_order_field(sys_), identity_lift(4), np.eye(4), np.eye(4))
+        with pytest.raises(DimensionMismatch, match="disagree"):
+            reduced_gss(replace(model, W=identity_lift(2)), spec, _two_tone(n=2), order=1)
 
 
 class TestForcingNormalization:

@@ -238,6 +238,12 @@ class TestBuildSystem:
         with pytest.raises(NotPositiveDefinite):
             build_system(np.eye(2), 0.1 * np.eye(2), K)
 
+    def test_zero_stiffness_rejected(self):
+        # a zero K passes the symmetry check (it has no scale) and is
+        # then refused as not positive definite
+        with pytest.raises(NotPositiveDefinite, match="K"):
+            build_system(np.eye(2), 0.1 * np.eye(2), np.zeros((2, 2)))
+
     def test_indefinite_damping_rejected(self):
         C = np.diag([0.1, -0.3])
         with pytest.raises(DampingIndefinite):
